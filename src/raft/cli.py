@@ -337,9 +337,11 @@ def emit_report(result: RunResult, fs_star: FeatureSet, path: Path) -> None:
 
 
 def write_config_echo(cfg: RunConfig, result: RunResult, path: Path) -> None:
+    # `out` is left out: the echo lives there, and same-seed runs into
+    # different directories must write identical files.
     train = cfg.train
     pairs = [
-        ("input", cfg.input_path), ("target", cfg.target), ("out", cfg.out_dir),
+        ("input", cfg.input_path), ("target", cfg.target),
         ("task", result.task), ("metric", result.metric), ("impute", cfg.impute),
         ("bench", cfg.bench), ("report", cfg.report),
         ("episodes", train.episodes), ("steps", train.steps), ("seed", train.seed),

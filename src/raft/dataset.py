@@ -293,6 +293,21 @@ def _normalize_name(raw: str) -> str:
     return raw.strip().replace(" ", "_")
 
 
+def _header_lineage(raw: str) -> LineageExpr:
+    """A header that is the rendered form of a compound lineage expression
+    (as `write_csv` emits for derived columns) names that lineage; any other
+    header is an original column, normalized and validated."""
+    try:
+        expr = parse_lineage(raw)
+    except (DatasetError, RecursionError):  # deep nesting is not a lineage we emit
+        expr = None
+    if expr is not None and not isinstance(expr, Ident) and render(expr) == raw:
+        return expr
+    name = _normalize_name(raw)
+    _validate_header_name(name)
+    return Ident(name)
+
+
 def _validate_header_name(name: str) -> None:
     if not name:
         raise DatasetError("empty header name")
@@ -335,13 +350,8 @@ def load_csv(
             raise DatasetError(f"target column {target_column!r} not found in header")
         target_pos = normalized.index(target_column)
 
-    names = []
-    for i, raw in enumerate(raw_header):
-        if i == target_pos:
-            continue
-        name = _normalize_name(raw)
-        _validate_header_name(name)
-        names.append(name)
+    lineages = [_header_lineage(raw) for i, raw in enumerate(raw_header) if i != target_pos]
+    names = [render(expr) for expr in lineages]
     if len(set(names)) != len(names):
         dupes = sorted({n for n in names if names.count(n) > 1})
         raise DatasetError(f"duplicate header names after normalization: {dupes}")
@@ -389,7 +399,7 @@ def load_csv(
         raise DatasetError("feature values must be finite after ingestion")
 
     target = _build_target(target_raw, _normalize_name(raw_header[target_pos]), task)
-    columns = tuple(FeatureMeta.from_lineage(Ident(name)) for name in names)
+    columns = tuple(FeatureMeta.from_lineage(expr) for expr in lineages)
     return FeatureSet(values, columns, target)
 
 

@@ -5,6 +5,16 @@ Trees use axis-aligned splits with Gini impurity (classification) or variance
 feature index then lowest threshold.  Determinism per seed is exact: each tree
 draws its bootstrap sample and per-node feature subsets from its own spawned
 generator.
+
+Split search.  `fit_forest` ranks every column's values once per fit (equal
+values share a rank).  A node packs, for each candidate feature, the pair
+(rank, position in the node's row list) into one integer and sorts those
+integers; the pairs are unique, so the result is exactly the order a stable
+argsort of the node's values gives.  All candidates are then scanned in one
+pass over a (features, rows) array: running sums along each row are sequential
+and row totals pairwise, the same summation order as `np.cumsum` and `np.sum`
+on one sorted column.  So every threshold, leaf value and importance is
+bit-equal to sorting and scanning one feature at a time.
 """
 
 from __future__ import annotations
@@ -83,25 +93,41 @@ def _gini(counts: np.ndarray) -> float:
     if n == 0:
         return 0.0
     p = counts / n
-    return float(1.0 - np.sum(p * p))
+    return float(1.0 - np.add.reduce(p * p))
 
 
 def _variance(y: np.ndarray) -> float:
-    return float(np.var(y)) if y.size else 0.0
+    """np.var's arithmetic without its wrapper: mean, centre, square, mean."""
+    n = y.size
+    if n == 0:
+        return 0.0
+    d = y - np.add.reduce(y) / n
+    return float(np.add.reduce(d * d) / n)
 
 
 class _TreeBuilder:
-    def __init__(self, x: np.ndarray, y: np.ndarray, task: TaskKind, n_classes: int,
-                 cfg: ForestConfig, rng: np.random.Generator, importances: np.ndarray) -> None:
-        self.x = x
+    """Grows one tree.  A node is its list of training rows in sample order
+    (a bootstrap sample repeats rows).
+
+    `ranks[f, r]` is the rank of x[r, f] among the distinct values of column
+    f, so equal values share a rank.  At a node, candidate feature f gives row
+    i of the node's list the key (ranks[f, rows[i]], i).  The keys are unique,
+    so one plain sort of them orders the node's values exactly as a stable
+    argsort of x[rows, f] does, ties by list position."""
+
+    def __init__(self, xt: np.ndarray, ranks: np.ndarray, y: np.ndarray, task: TaskKind,
+                 n_classes: int, cfg: ForestConfig, rng: np.random.Generator,
+                 importances: np.ndarray) -> None:
+        self.xt = xt  # (n_features, n_rows), C-contiguous
+        self.ranks = ranks
         self.y = y
         self.task = task
         self.n_classes = n_classes
         self.cfg = cfg
         self.rng = rng
         self.importances = importances
-        self.n_total = y.size
-        n_feat = x.shape[1]
+        self.n_total = y.size  # a tree's sample has as many rows as the training set
+        n_feat = xt.shape[0]
         if cfg.max_features is not None:
             self.m_feats = min(cfg.max_features, n_feat)
         elif task is TaskKind.CLASSIFICATION:
@@ -111,22 +137,24 @@ class _TreeBuilder:
 
     def build(self, rows: np.ndarray, depth: int) -> _Node:
         y_node = self.y[rows]
+        if depth >= self.cfg.max_depth or rows.size < 2 * self.cfg.min_leaf:
+            return self._leaf(y_node)
         node_imp = self._impurity(y_node)
-        if depth >= self.cfg.max_depth or rows.size < 2 * self.cfg.min_leaf or node_imp == 0.0:
-            return _Node(value=self._leaf_value(y_node))
-        feats = np.sort(self.rng.choice(self.x.shape[1], size=self.m_feats, replace=False))
+        if node_imp == 0.0:
+            return self._leaf(y_node)
+        feats = self.rng.choice(self.xt.shape[0], size=self.m_feats, replace=False)
+        feats.sort()
         best = self._best_split(rows, y_node, feats)
         if best is None:
-            return _Node(value=self._leaf_value(y_node))
+            return self._leaf(y_node)
         feature, threshold, score = best
-        mask = self.x[rows, feature] <= threshold
-        left_rows = rows[mask]
-        right_rows = rows[~mask]
+        mask = self.xt[feature, rows] <= threshold
+        left_rows = np.compress(mask, rows)
+        right_rows = np.compress(~mask, rows)
         if left_rows.size < self.cfg.min_leaf or right_rows.size < self.cfg.min_leaf:
-            return _Node(value=self._leaf_value(y_node))
+            return self._leaf(y_node)
         self.importances[feature] += (rows.size / self.n_total) * (node_imp - score)
         return _Node(
-            value=self._leaf_value(y_node),
             feature=feature,
             threshold=threshold,
             left=self.build(left_rows, depth + 1),
@@ -135,64 +163,74 @@ class _TreeBuilder:
 
     def _impurity(self, y_node: np.ndarray) -> float:
         if self.task is TaskKind.CLASSIFICATION:
-            return _gini(np.bincount(y_node.astype(np.int64), minlength=self.n_classes))
+            return _gini(np.bincount(y_node, minlength=self.n_classes))
         return _variance(y_node)
 
-    def _leaf_value(self, y_node: np.ndarray) -> float:
+    def _leaf(self, y_node: np.ndarray) -> _Node:
+        """Only leaves carry a value; prediction never reads an inner node's."""
         if self.task is TaskKind.CLASSIFICATION:
-            return float(np.argmax(np.bincount(y_node.astype(np.int64),
-                                               minlength=self.n_classes)))
-        return float(np.mean(y_node))
+            return _Node(value=float(np.argmax(np.bincount(y_node, minlength=self.n_classes))))
+        return _Node(value=float(np.add.reduce(y_node) / y_node.size))
 
     def _best_split(self, rows: np.ndarray, y_node: np.ndarray, feats: np.ndarray):
-        """Scan candidate features in ascending index order; within a feature,
-        thresholds ascend, and only a strictly better weighted impurity
-        replaces the incumbent (ties keep the earlier candidate)."""
+        """Score every threshold of every candidate feature in one pass.  Per
+        feature the first minimum wins (thresholds ascend); across features
+        the first minimum in ascending index order wins, so a later feature
+        replaces an earlier one only when strictly better."""
         n = rows.size
         min_leaf = self.cfg.min_leaf
+        # split after position i puts i+1 rows left; both sides >= min_leaf
+        # (build only calls with n >= 2 * min_leaf, so hi >= lo)
+        lo, hi = min_leaf - 1, n - min_leaf - 1
+        bits = n.bit_length()
+        keys = (self.ranks[feats[:, None], rows] << bits) | np.arange(n)
+        keys.sort(axis=1)
+        at = keys & ((1 << bits) - 1)  # (k, n): each candidate's list positions by value
+        value_rank = keys >> bits
+        valid = (value_rank[:, :-1] < value_rank[:, 1:])[:, lo:hi + 1]
+        ys = y_node[at]
+        n_left = np.arange(lo + 1, hi + 2, dtype=np.float64)
+        n_right = n - n_left
+        if self.task is TaskKind.CLASSIFICATION:
+            onehot = ys[:, :, None] == np.arange(self.n_classes)
+            cum = onehot.cumsum(axis=1, dtype=np.float64)[:, lo:hi + 1]  # exact counts
+            total = np.bincount(y_node, minlength=self.n_classes).astype(np.float64)
+            gini_l = 1.0 - np.add.reduce((cum / n_left[:, None]) ** 2, axis=2)
+            gini_r = 1.0 - np.add.reduce(((total - cum) / n_right[:, None]) ** 2, axis=2)
+            scores = (n_left * gini_l + n_right * gini_r) / n
+        else:
+            # row sums and running sums over each row: the same summation
+            # order as np.sum / np.cumsum of one sorted column
+            sq = ys * ys
+            c1 = ys.cumsum(axis=1)[:, lo:hi + 1]
+            c2 = sq.cumsum(axis=1)[:, lo:hi + 1]
+            s1 = np.add.reduce(ys, axis=1)[:, None]
+            s2 = np.add.reduce(sq, axis=1)[:, None]
+            sse_l = c2 - c1 * c1 / n_left
+            sse_r = (s2 - c2) - (s1 - c1) ** 2 / n_right
+            scores = (sse_l + sse_r) / n
+        scores = np.where(valid, scores, np.inf)
         best = None
-        for feature in feats:
-            x = self.x[rows, feature]
-            order = np.argsort(x, kind="stable")
-            xs = x[order]
-            ys = y_node[order]
-            # split after position i puts i+1 rows left; both sides >= min_leaf
-            lo, hi = min_leaf - 1, n - min_leaf - 1
-            if hi < lo:
-                continue
-            valid = (xs[:-1] < xs[1:])[lo:hi + 1]
-            if not valid.any():
-                continue
-            if self.task is TaskKind.CLASSIFICATION:
-                onehot = ys[:, None] == np.arange(self.n_classes)[None, :]
-                cum = np.cumsum(onehot, axis=0)[lo:hi + 1].astype(np.float64)
-                n_left = np.arange(lo + 1, hi + 2, dtype=np.float64)
-                n_right = n - n_left
-                total = np.bincount(ys.astype(np.int64),
-                                    minlength=self.n_classes).astype(np.float64)
-                gini_l = 1.0 - np.sum((cum / n_left[:, None]) ** 2, axis=1)
-                gini_r = 1.0 - np.sum(((total - cum) / n_right[:, None]) ** 2, axis=1)
-                scores = (n_left * gini_l + n_right * gini_r) / n
-            else:
-                c1 = np.cumsum(ys)[lo:hi + 1]
-                c2 = np.cumsum(ys * ys)[lo:hi + 1]
-                s1 = float(np.sum(ys))
-                s2 = float(np.sum(ys * ys))
-                n_left = np.arange(lo + 1, hi + 2, dtype=np.float64)
-                n_right = n - n_left
-                sse_l = c2 - c1 * c1 / n_left
-                sse_r = (s2 - c2) - (s1 - c1) ** 2 / n_right
-                scores = (sse_l + sse_r) / n
-            scores = np.where(valid, scores, np.inf)
-            pos = int(np.argmin(scores))
-            score = float(scores[pos])
-            if not np.isfinite(score):
-                continue
-            if best is None or score < best[2]:
-                i = lo + pos
-                threshold = (xs[i] + xs[i + 1]) / 2.0
-                best = (int(feature), float(threshold), score)
-        return best
+        for j, score in enumerate(np.minimum.reduce(scores, axis=1).tolist()):
+            if math.isfinite(score) and (best is None or score < best[1]):
+                best = (j, score)
+        if best is None:
+            return None
+        j, score = best
+        i = lo + int(scores[j].argmin())
+        below, above = self.xt[feats[j], rows[at[j, i:i + 2]]]
+        return int(feats[j]), float((below + above) / 2.0), score
+
+
+def _value_ranks(xt: np.ndarray) -> np.ndarray:
+    """Per row, each entry's rank among the distinct values of its row."""
+    at = np.argsort(xt, axis=1)
+    xs = np.take_along_axis(xt, at, axis=1)
+    new_value = np.ones(xs.shape, dtype=np.int64)
+    new_value[:, 1:] = xs[:, 1:] != xs[:, :-1]
+    ranks = np.empty_like(at)
+    np.put_along_axis(ranks, at, np.cumsum(new_value, axis=1), axis=1)
+    return ranks
 
 
 def fit_forest(train: FeatureSet, cfg: ForestConfig) -> RandomForest:
@@ -208,13 +246,14 @@ def fit_forest(train: FeatureSet, cfg: ForestConfig) -> RandomForest:
         y = np.asarray(train.target.values, dtype=np.float64)
         n_classes = 0
     m = x.shape[0]
+    xt = np.ascontiguousarray(x.T)
+    ranks = _value_ranks(xt)
     importances = np.zeros(x.shape[1], dtype=np.float64)
     trees = []
     for ss in np.random.SeedSequence(cfg.seed).spawn(cfg.n_trees):
         rng = np.random.default_rng(ss)
         rows = rng.integers(0, m, size=m) if cfg.bootstrap else np.arange(m)
-        builder = _TreeBuilder(x, y, task, n_classes, cfg, rng, importances)
-        builder.n_total = rows.size
+        builder = _TreeBuilder(xt, ranks, y, task, n_classes, cfg, rng, importances)
         trees.append(builder.build(rows, depth=0))
     return RandomForest(trees, task, n_classes, x.shape[1], importances, cfg)
 
@@ -239,11 +278,9 @@ def predict(forest: RandomForest, x: np.ndarray) -> np.ndarray:
         raise ValueError(f"expected {forest.n_features} features, got {x.shape[1]}")
     per_tree = np.stack([_predict_tree(t, x) for t in forest.trees])
     if forest.task is TaskKind.CLASSIFICATION:
-        votes = per_tree.astype(np.int64)
-        out = np.empty(x.shape[0], dtype=np.int64)
-        for i in range(x.shape[0]):
-            out[i] = np.argmax(np.bincount(votes[:, i], minlength=forest.n_classes))
-        return out
+        # (rows, classes) vote counts; argmax keeps the lowest class on ties
+        counts = (per_tree[:, :, None] == np.arange(forest.n_classes)).sum(axis=0)
+        return np.argmax(counts, axis=1)
     return per_tree.mean(axis=0)
 
 

@@ -10,7 +10,8 @@ from dataclasses import replace
 
 import numpy as np
 
-from raft.dataset import FeatureSet
+from raft.dataset import FeatureSet, TaskKind
+from raft.evaluator import ForestConfig
 from raft.info_metrics import PairwiseDistanceKind
 from raft.neural_core import DenseNet, Grads
 
@@ -117,6 +118,128 @@ def agglomerative_oracle(columns, mi_to_target, kind: PairwiseDistanceKind,
         clusters.append(merged)
         clusters.sort(key=lambda c: c[0])
     return tuple(clusters)
+
+
+# ---------------------------------------------------------------------------
+# random forest
+# ---------------------------------------------------------------------------
+
+def forest_oracle(fs: FeatureSet, cfg: ForestConfig) -> tuple[list, np.ndarray]:
+    """Reference forest: at every node, sort each candidate feature of the
+    node's rows on its own (stable argsort) and scan its thresholds one
+    feature at a time, with np.var / np.mean / np.cumsum / np.sum on the
+    sorted column.  `fit_forest` must match it bit for bit.  Returns
+    (trees, raw importances); a tree is nested tuples ("leaf", value) /
+    ("split", feature, threshold, left, right)."""
+    x = fs.values
+    classification = fs.target.kind is TaskKind.CLASSIFICATION
+    if classification:
+        y = np.asarray(fs.target.values, dtype=np.int64)
+        n_classes = int(y.max()) + 1
+    else:
+        y = np.asarray(fs.target.values, dtype=np.float64)
+        n_classes = 0
+    n_feat = x.shape[1]
+    if cfg.max_features is not None:
+        m_feats = min(cfg.max_features, n_feat)
+    elif classification:
+        m_feats = min(math.ceil(math.sqrt(n_feat)), n_feat)
+    else:
+        m_feats = min(math.ceil(n_feat / 3), n_feat)
+    importances = np.zeros(n_feat, dtype=np.float64)
+
+    def impurity(y_node):
+        if classification:
+            counts = np.bincount(y_node, minlength=n_classes)
+            p = counts / counts.sum()
+            return float(1.0 - np.sum(p * p))
+        return float(np.var(y_node))
+
+    def leaf(y_node):
+        if classification:
+            return ("leaf", float(np.argmax(np.bincount(y_node, minlength=n_classes))))
+        return ("leaf", float(np.mean(y_node)))
+
+    def best_split(rows, y_node, feats):
+        n = rows.size
+        lo, hi = cfg.min_leaf - 1, n - cfg.min_leaf - 1
+        best = None
+        for feature in feats:
+            col = x[rows, feature]
+            order = np.argsort(col, kind="stable")
+            xs, ys = col[order], y_node[order]
+            valid = (xs[:-1] < xs[1:])[lo:hi + 1]
+            n_left = np.arange(lo + 1, hi + 2, dtype=np.float64)
+            n_right = n - n_left
+            if classification:
+                onehot = ys[:, None] == np.arange(n_classes)[None, :]
+                cum = np.cumsum(onehot, axis=0)[lo:hi + 1].astype(np.float64)
+                total = np.bincount(ys, minlength=n_classes).astype(np.float64)
+                gini_l = 1.0 - np.sum((cum / n_left[:, None]) ** 2, axis=1)
+                gini_r = 1.0 - np.sum(((total - cum) / n_right[:, None]) ** 2, axis=1)
+                scores = (n_left * gini_l + n_right * gini_r) / n
+            else:
+                c1 = np.cumsum(ys)[lo:hi + 1]
+                c2 = np.cumsum(ys * ys)[lo:hi + 1]
+                s1, s2 = float(np.sum(ys)), float(np.sum(ys * ys))
+                scores = ((c2 - c1 * c1 / n_left)
+                          + ((s2 - c2) - (s1 - c1) ** 2 / n_right)) / n
+            scores = np.where(valid, scores, np.inf)
+            pos = int(np.argmin(scores))
+            score = float(scores[pos])
+            if math.isfinite(score) and (best is None or score < best[2]):
+                i = lo + pos
+                best = (int(feature), float((xs[i] + xs[i + 1]) / 2.0), score)
+        return best
+
+    def build(rows, depth, rng, n_total):
+        y_node = y[rows]
+        node_imp = impurity(y_node)
+        if depth >= cfg.max_depth or rows.size < 2 * cfg.min_leaf or node_imp == 0.0:
+            return leaf(y_node)
+        feats = np.sort(rng.choice(n_feat, size=m_feats, replace=False))
+        best = best_split(rows, y_node, feats)
+        if best is None:
+            return leaf(y_node)
+        feature, threshold, score = best
+        mask = x[rows, feature] <= threshold
+        left_rows, right_rows = rows[mask], rows[~mask]
+        if left_rows.size < cfg.min_leaf or right_rows.size < cfg.min_leaf:
+            return leaf(y_node)
+        importances[feature] += (rows.size / n_total) * (node_imp - score)
+        left = build(left_rows, depth + 1, rng, n_total)
+        right = build(right_rows, depth + 1, rng, n_total)
+        return ("split", feature, threshold, left, right)
+
+    m = x.shape[0]
+    trees = []
+    for ss in np.random.SeedSequence(cfg.seed).spawn(cfg.n_trees):
+        rng = np.random.default_rng(ss)
+        rows = rng.integers(0, m, size=m) if cfg.bootstrap else np.arange(m)
+        trees.append(build(rows, 0, rng, rows.size))
+    return trees, importances
+
+
+def forest_predict_oracle(trees: list, x: np.ndarray, classification: bool) -> np.ndarray:
+    """Row-by-row descent; classification takes the most common vote, the
+    lowest class among equally common ones."""
+    out = []
+    for row in np.asarray(x, dtype=np.float64):
+        votes = []
+        for node in trees:
+            while node[0] == "split":
+                node = node[3] if row[node[1]] <= node[2] else node[4]
+            votes.append(node[1])
+        if classification:
+            counts = Counter(int(v) for v in votes)
+            top = max(counts.values())
+            out.append(min(c for c, k in counts.items() if k == top))
+        else:
+            total = 0.0
+            for v in votes:
+                total += v
+            out.append(total / len(votes))
+    return np.asarray(out)
 
 
 # ---------------------------------------------------------------------------

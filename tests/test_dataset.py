@@ -83,6 +83,25 @@ def test_load_csv_spaces_in_headers_become_underscores(tmp_path):
     assert fs.target.kind is TaskKind.REGRESSION
 
 
+def test_load_csv_lineage_headers_round_trip(tmp_path):
+    p = write(tmp_path / "d.csv",
+              "a,(a - b),log((a * b)),y\n1,2,3,0.5\n2,3,4,1.5\n3,4,5,0.25\n")
+    fs = load_csv(p, "y")
+    assert fs.names() == ["a", "(a - b)", "log((a * b))"]
+    assert fs.columns[1].lineage == Binary("-", Ident("a"), Ident("b"))
+    assert [meta.is_original for meta in fs.columns] == [True, False, False]
+    out = tmp_path / "copy.csv"
+    write_csv(fs, out)
+    assert load_csv(out, "y").columns == fs.columns
+
+
+@pytest.mark.parametrize("header", ["(a)", "(a -  b)", " (a - b)", "f(x)", "(" * 5000 + "a"])
+def test_load_csv_rejects_parentheses_outside_lineage(tmp_path, header):
+    p = write(tmp_path / "d.csv", f'"{header}",y\n1,0.5\n2,1.5\n3,0.25\n')
+    with pytest.raises(DatasetError, match="parentheses"):
+        load_csv(p, "y")
+
+
 def test_load_csv_task_override(tmp_path):
     p = write(tmp_path / "d.csv", "a,y\n1,0\n2,1\n3,0\n4,1\n")
     fs = load_csv(p, "y", task=TaskKind.REGRESSION)

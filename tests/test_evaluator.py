@@ -5,6 +5,8 @@ from raft.dataset import FeatureMeta, FeatureSet, Ident, Target, TaskKind
 from raft.evaluator import (
     ForestConfig,
     MetricKind,
+    RandomForest,
+    _Node,
     default_metric,
     downstream_score,
     feature_importances,
@@ -12,6 +14,8 @@ from raft.evaluator import (
     metric_only,
     predict,
 )
+
+from oracles import forest_oracle, forest_predict_oracle
 
 
 def clf_set(values, labels):
@@ -195,6 +199,56 @@ def test_importances_uniform_when_no_splits():
     fs = reg_set(x, np.full(6, 1.0))
     forest = fit_forest(fs, ForestConfig(n_trees=2, seed=7))
     np.testing.assert_allclose(feature_importances(forest), [1 / 3] * 3)
+
+
+def _tree_tuples(node):
+    if node.is_leaf:
+        return ("leaf", node.value)
+    return ("split", node.feature, node.threshold,
+            _tree_tuples(node.left), _tree_tuples(node.right))
+
+
+def _tie_heavy_set(classification):
+    rng = np.random.default_rng(12)
+    x = rng.standard_normal((60, 5))
+    x[:, 0] = np.round(x[:, 0])      # few distinct values: long runs of ties
+    x[:, 1] = np.round(x[:, 1], 1)
+    x[:, 4] = 2.5                    # constant column: never splittable
+    if classification:
+        y = (np.round(x[:, 0]) + (x[:, 2] > 0)).astype(np.int64) % 3
+        return clf_set(x, y)
+    return reg_set(x, np.round(x[:, 0] * x[:, 1] + x[:, 3], 1))
+
+
+@pytest.mark.parametrize("classification", [False, True])
+@pytest.mark.parametrize("min_leaf", [1, 2, 5])
+@pytest.mark.parametrize("max_features", [None, 1, 5])
+@pytest.mark.parametrize("bootstrap", [True, False])
+def test_forest_matches_per_feature_oracle_bit_for_bit(classification, min_leaf,
+                                                       max_features, bootstrap):
+    fs = _tie_heavy_set(classification)
+    cfg = ForestConfig(n_trees=4, max_depth=6, min_leaf=min_leaf, seed=3,
+                       bootstrap=bootstrap, max_features=max_features)
+    forest = fit_forest(fs, cfg)
+    trees, importances = forest_oracle(fs, cfg)
+    assert [_tree_tuples(t) for t in forest.trees] == trees
+    assert forest.importances_raw.tobytes() == importances.tobytes()
+    x = np.vstack([fs.values, np.random.default_rng(13).standard_normal((20, 5))])
+    np.testing.assert_array_equal(predict(forest, x),
+                                  forest_predict_oracle(trees, x, classification))
+
+
+def test_classification_vote_tie_goes_to_lowest_class():
+    def stump(left, right):
+        return _Node(feature=0, threshold=0.0, left=_Node(value=left), right=_Node(value=right))
+
+    # row 0 (x <= 0) gets votes 2, 0, 2, 0: a tie, won by class 0;
+    # row 1 (x > 0) gets votes 1, 2, 2, 1 and ties at class 1
+    trees = [stump(2.0, 1.0), stump(0.0, 2.0), stump(2.0, 2.0), stump(0.0, 1.0)]
+    forest = RandomForest(trees, TaskKind.CLASSIFICATION, 3, 1, np.zeros(1), ForestConfig())
+    out = predict(forest, np.array([[-1.0], [1.0], [0.0]]))
+    np.testing.assert_array_equal(out, [0, 1, 0])
+    assert out.dtype == np.int64
 
 
 # ---------------------------------------------------------------------------
