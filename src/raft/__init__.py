@@ -25,7 +25,6 @@ from .info_metrics import (
     MICache,
     PairwiseDistanceKind,
     feature_set_quality,
-    features_group_distance,
     mutual_information,
     pairwise_distance,
 )
@@ -62,7 +61,6 @@ __all__ = [
     "downstream_score",
     "evaluate_lineage",
     "feature_set_quality",
-    "features_group_distance",
     "fg_cluster",
     "fit_forest",
     "generation_step",

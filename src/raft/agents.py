@@ -1,4 +1,5 @@
-"""Cascading actor-critic agents: head group, operation, tail group.
+"""Cascading actor-critic agents: head group, operation, tail group, and the
+uniform-random control that makes the same choices without learning.
 
 The two cluster agents score a variable number of candidates by running a
 shared scalar-head network on concat(state prefix, candidate state) and
@@ -7,6 +8,12 @@ operation set.  Updates happen once per episode on that episode's transition
 batch: the critic descends the squared TD error and the actor ascends
 log pi(a|S) * advantage + beta * entropy (the update negates the returned
 ascent objective).
+
+The search loop drives a policy through the same calls each step:
+``choose_head``, ``choose_op``, ``choose_tail`` (skipped when a unary step has
+no tail), ``observe`` and, after the last step of an episode, ``end_episode``.
+``ActorCriticPolicy`` is the learned agent; ``RandomPolicy`` is the ``--bench``
+control, which draws each choice uniformly and never encodes a state.
 """
 
 from __future__ import annotations
@@ -27,6 +34,7 @@ from .neural_core import (
     Grads,
     OptimState,
     backward,
+    derive_seed,
     forward,
     grads_add,
     grads_scale,
@@ -37,7 +45,14 @@ from .neural_core import (
     sgd_step,
     softmax,
 )
-from .state_repr import EncoderKind, StateVector, concat_states
+from .state_repr import (
+    EncoderConfig,
+    EncoderKind,
+    StateEncoder,
+    StateVector,
+    concat_states,
+    state_op,
+)
 from .transform import OperationSet
 
 logger = logging.getLogger(__name__)
@@ -45,32 +60,37 @@ logger = logging.getLogger(__name__)
 
 @dataclass
 class TrainConfig:
-    """Search and optimization knobs; defaults target desk-scale runs."""
+    """Search and optimization knobs; defaults target desk-scale runs.
 
+    Every field but ``op_set`` is also a ``raft run`` flag (``--max-size`` for
+    ``max_size``) and a config-file key, and is echoed to ``config.echo`` in
+    this order; a field's ``help`` metadata is its flag's help text.
+    """
+
+    episodes: int = 30
+    steps: int = 15
+    seed: int = 0
+    encoder: EncoderKind = EncoderKind.SI
+    k: int = field(default=8, metadata={"help": "latent width of ae/gae encoders"})
+    d: int = field(default=8, metadata={"help": "second latent width of the ae encoder"})
+    encoder_epochs: int = 20
+    distance: PairwiseDistanceKind = PairwiseDistanceKind.EUCLIDEAN
+    delta: float = field(default=1.0, metadata={"help": "clustering threshold multiplier"})
     gamma: float = 0.9
     beta: float = 0.01
     actor_lr: float = 1e-3
     critic_lr: float = 1e-3
     hidden: int = 64
-    episodes: int = 30
-    steps: int = 15
-    encoder: EncoderKind = EncoderKind.SI
-    k: int = 8
-    d: int = 8
-    encoder_epochs: int = 20
-    delta: float = 1.0
-    distance: PairwiseDistanceKind = PairwiseDistanceKind.EUCLIDEAN
-    op_set: OperationSet = field(default_factory=OperationSet)
-    max_size: int | None = None  # None: twice the original column count
-    bins: int | None = None  # None: min(16, ceil(sqrt(M)))
     cross_cap: int = 64
     max_lineage_depth: int = 6
-    clip_norm: float = 5.0
-    seed: int = 0
+    # None: min(16, ceil(sqrt(M)))
+    bins: int | None = field(default=None, metadata={"help": "histogram bins for MI"})
+    max_size: int | None = None  # None: twice the original column count
+    si_raw_count: bool = False
     full_gradient_critic: bool = False
     skip_tail_on_unary: bool = False
     carry_features: bool = False
-    si_raw_count: bool = False
+    op_set: OperationSet = field(default_factory=OperationSet)
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.gamma <= 1.0:
@@ -116,8 +136,8 @@ def make_bundles(state_len: int, n_ops: int, cfg: TrainConfig,
         return AgentBundle(
             actor=init_dense(actor_in, cfg.hidden, actor_out, head, rng),
             critic=init_dense(critic_in, cfg.hidden, 1, HEAD_SCALAR, rng),
-            actor_opt=OptimState(lr=cfg.actor_lr, clip_norm=cfg.clip_norm),
-            critic_opt=OptimState(lr=cfg.critic_lr, clip_norm=cfg.clip_norm),
+            actor_opt=OptimState(lr=cfg.actor_lr),
+            critic_opt=OptimState(lr=cfg.critic_lr),
         )
 
     head_agent = bundle(2 * length, 1, HEAD_SCALAR, length)
@@ -130,13 +150,15 @@ def _candidate_rows(prefix: np.ndarray, candidates: Sequence[StateVector]) -> np
     return np.stack([np.concatenate([prefix, c.values]) for c in candidates])
 
 
-def _sample(logits: np.ndarray, rng: np.random.Generator | None,
-            greedy: bool) -> tuple[int, float, np.ndarray]:
+def _actor_logits(actor: DenseNet, x: np.ndarray) -> np.ndarray:
+    """One logit per action: the softmax head's outputs for a state, or the
+    scalar head's score for each candidate row."""
+    return net_logits(actor, x).reshape(-1)
+
+
+def _sample(logits: np.ndarray, rng: np.random.Generator) -> tuple[int, float, np.ndarray]:
     probs = softmax(logits)
-    if greedy or rng is None:
-        action = int(np.argmax(probs))
-    else:
-        action = int(rng.choice(probs.size, p=probs / probs.sum()))
+    action = int(rng.choice(probs.size, p=probs / probs.sum()))
     log_prob = float(log_softmax(logits)[action])
     return action, log_prob, probs
 
@@ -145,13 +167,11 @@ def select_head(
     agent: AgentBundle,
     s_f: StateVector,
     cluster_states: Sequence[StateVector],
-    rng: np.random.Generator | None,
-    greedy: bool = False,
+    rng: np.random.Generator,
 ) -> tuple[int, float, np.ndarray]:
     """Score each candidate group given the space state; sample the softmax."""
     rows = _candidate_rows(s_f.values, cluster_states)
-    logits = np.atleast_1d(forward(agent.actor, rows))
-    return _sample(logits, rng, greedy)
+    return _sample(_actor_logits(agent.actor, rows), rng)
 
 
 def select_op(
@@ -159,12 +179,11 @@ def select_op(
     s_f: StateVector,
     s_head: StateVector,
     op_set: OperationSet,
-    rng: np.random.Generator | None,
-    greedy: bool = False,
+    rng: np.random.Generator,
 ) -> tuple[int, float, np.ndarray]:
     """Sample an operation from the softmax over the fixed set."""
     state = concat_states([s_f, s_head]).values
-    return _sample(net_logits(agent.actor, state), rng, greedy)
+    return _sample(_actor_logits(agent.actor, state), rng)
 
 
 def select_tail(
@@ -173,14 +192,12 @@ def select_tail(
     s_head: StateVector,
     s_op: StateVector,
     cluster_states: Sequence[StateVector],
-    rng: np.random.Generator | None,
-    greedy: bool = False,
+    rng: np.random.Generator,
 ) -> tuple[int, float, np.ndarray]:
     """Like select_head with the longer (space + head + op) state prefix."""
     prefix = concat_states([s_f, s_head, s_op]).values
     rows = _candidate_rows(prefix, cluster_states)
-    logits = np.atleast_1d(forward(agent.actor, rows))
-    return _sample(logits, rng, greedy)
+    return _sample(_actor_logits(agent.actor, rows), rng)
 
 
 def compute_rewards(
@@ -198,20 +215,15 @@ def compute_rewards(
 
 
 def _actor_logit_grad(probs: np.ndarray, action: int, advantage: float,
-                      beta: float) -> np.ndarray:
-    """d/dlogits of log pi(a) * advantage + beta * H(pi) (ascent direction)."""
+                      beta: float) -> tuple[np.ndarray, float]:
+    """d/dlogits of log pi(a) * advantage + beta * H(pi) (ascent direction),
+    and the entropy H(pi)."""
     onehot = np.zeros_like(probs)
     onehot[action] = 1.0
     with np.errstate(divide="ignore"):
         logp = np.where(probs > 0.0, np.log(probs), 0.0)
     entropy = -float(np.sum(probs * logp))
-    return (onehot - probs) * advantage + beta * (-probs * (logp + entropy))
-
-
-def _entropy(probs: np.ndarray) -> float:
-    with np.errstate(divide="ignore"):
-        logp = np.where(probs > 0.0, np.log(probs), 0.0)
-    return -float(np.sum(probs * logp))
+    return (onehot - probs) * advantage + beta * (-probs * (logp + entropy)), entropy
 
 
 def advantage_and_losses(
@@ -245,19 +257,13 @@ def advantage_and_losses(
             g_n, _ = backward(bundle.critic, t.next_state,
                               np.array([2.0 * gamma * delta / n]))
             critic_grads = grads_add(critic_grads, g_n)
-        if t.candidate_inputs is not None:
-            logit_vec = np.atleast_1d(forward(bundle.actor, t.candidate_inputs))
-            probs = softmax(logit_vec)
-            dlogits = _actor_logit_grad(probs, t.action, delta, beta) / n
-            g_a, _ = backward(bundle.actor, t.candidate_inputs, dlogits[:, None])
-        else:
-            logit_vec = net_logits(bundle.actor, t.state)
-            probs = softmax(logit_vec)
-            dlogits = _actor_logit_grad(probs, t.action, delta, beta) / n
-            g_a, _ = backward(bundle.actor, t.state, dlogits)
+        actor_in = t.state if t.candidate_inputs is None else t.candidate_inputs
+        logit_vec = _actor_logits(bundle.actor, actor_in)
+        dlogits, entropy = _actor_logit_grad(softmax(logit_vec), t.action, delta, beta)
+        g_a, _ = backward(bundle.actor, actor_in, dlogits / n)
         actor_grads = grads_add(actor_grads, g_a)
         actor_objective += (float(log_softmax(logit_vec)[t.action]) * delta
-                            + beta * _entropy(probs)) / n
+                            + beta * entropy) / n
     return float(critic_loss), float(actor_objective), actor_grads, critic_grads
 
 
@@ -287,3 +293,98 @@ def update_agents(
         actor = sgd_step(bundle.actor, grads_scale(actor_grads, -1.0), bundle.actor_opt)
         updated.append(AgentBundle(actor, critic, bundle.actor_opt, bundle.critic_opt))
     return (updated[0], updated[1], updated[2]), report
+
+
+class RandomPolicy:
+    """The uniform-random control: every choice is one ``rng.integers`` draw
+    over the candidates; it encodes no state and never learns."""
+
+    n_transitions = 0
+
+    def __init__(self, op_set: OperationSet, rng: np.random.Generator) -> None:
+        self.n_ops = op_set.size
+        self.rng = rng
+
+    def choose_head(self, fs: FeatureSet, views: Sequence[FeatureSet]) -> int:
+        return int(self.rng.integers(0, len(views)))
+
+    def choose_op(self) -> int:
+        return int(self.rng.integers(0, self.n_ops))
+
+    def choose_tail(self, positions: Sequence[int]) -> int:
+        return positions[int(self.rng.integers(0, len(positions)))]
+
+    def observe(self, fs_next: FeatureSet, r_head: float, r_op: float, r_tail: float) -> None:
+        pass
+
+    def end_episode(self) -> dict[str, float]:
+        return {}
+
+
+class ActorCriticPolicy:
+    """The three cascading actor-critic agents.  Each step encodes the space
+    and its groups, samples the head, the operation and the tail from the
+    agents' softmaxes, and records one transition per choice; each episode
+    ends with one update of every agent on its transitions."""
+
+    def __init__(self, cfg: TrainConfig, m_original: int, rng: np.random.Generator) -> None:
+        self.cfg = cfg
+        self.rng = rng
+        self.encoder = StateEncoder(
+            EncoderConfig(kind=cfg.encoder, k=cfg.k, d=cfg.d, epochs=cfg.encoder_epochs,
+                          seed=derive_seed(cfg.seed, "encoder"), raw_count=cfg.si_raw_count),
+            m_original=m_original,
+        )
+        init_rng = np.random.default_rng(derive_seed(cfg.seed, "agent-init"))
+        self.bundles = make_bundles(self.encoder.length, cfg.op_set.size, cfg, init_rng)
+        self.batches: tuple[list[Transition], list[Transition], list[Transition]] = ([], [], [])
+        self.n_transitions = 0
+
+    def choose_head(self, fs: FeatureSet, views: Sequence[FeatureSet]) -> int:
+        # the step's states and choices, read by its later calls
+        self._s_f = self.encoder.encode(fs)
+        self._groups = [self.encoder.encode(v) for v in views]
+        self._head, self._logp_head, _ = select_head(self.bundles[0], self._s_f,
+                                                     self._groups, self.rng)
+        self._tail = None
+        return self._head
+
+    def choose_op(self) -> int:
+        op_set = self.cfg.op_set
+        self._op, self._logp_op, _ = select_op(self.bundles[1], self._s_f,
+                                               self._groups[self._head], op_set, self.rng)
+        self._s_op = state_op(op_set.ops[self._op], op_set)
+        return self._op
+
+    def choose_tail(self, positions: Sequence[int]) -> int:
+        tail_states = [self._groups[i] for i in positions]
+        pos, logp, _ = select_tail(self.bundles[2], self._s_f, self._groups[self._head],
+                                   self._s_op, tail_states, self.rng)
+        self._tail = (pos, logp, tail_states)
+        return positions[pos]
+
+    def observe(self, fs_next: FeatureSet, r_head: float, r_op: float, r_tail: float) -> None:
+        """Record the step's transitions, bootstrapping from the new space."""
+        s_f = self._s_f.values
+        s_next = self.encoder.encode(fs_next).values
+        s_head = self._groups[self._head].values
+        batch_head, batch_op, batch_tail = self.batches
+        batch_head.append(Transition(s_f, self._head, r_head, s_next, self._logp_head,
+                                     _candidate_rows(s_f, self._groups)))
+        prefix_op = np.concatenate([s_f, s_head])
+        prefix_op_next = np.concatenate([s_next, s_head])
+        batch_op.append(Transition(prefix_op, self._op, r_op, prefix_op_next, self._logp_op))
+        self.n_transitions += 2
+        if self._tail is not None:
+            pos, logp, tail_states = self._tail
+            prefix_tail = np.concatenate([prefix_op, self._s_op.values])
+            prefix_tail_next = np.concatenate([prefix_op_next, self._s_op.values])
+            batch_tail.append(Transition(prefix_tail, pos, r_tail, prefix_tail_next, logp,
+                                         _candidate_rows(prefix_tail, tail_states)))
+            self.n_transitions += 1
+
+    def end_episode(self) -> dict[str, float]:
+        """Update the agents on the episode's transitions; returns the losses."""
+        self.bundles, losses = update_agents(self.bundles, self.batches, self.cfg)
+        self.batches = ([], [], [])
+        return losses

@@ -1,9 +1,13 @@
 """Command-line orchestrator: the outer search loop, artifacts, and ablations.
 
-``raft run`` performs the full loop: cluster the columns, encode states, let
-the three agents pick head group / operation / tail group, generate features,
-collect rewards, and update the agents after each episode.  ``--bench`` runs
-the uniform-random control (no learning) under an identical budget.  Output
+``raft run`` performs the full loop: cluster the columns, let a policy pick
+the head group, the operation and the tail group, generate features, score
+them, and hand the rewards back to the policy.  The policy is the learned
+cascade of actor-critic agents (``agents.ActorCriticPolicy``) or, with
+``--bench``, the uniform-random control (``agents.RandomPolicy``), which runs
+under the same budget and neither encodes states nor learns.  Each config key
+is declared once: a ``TrainConfig`` field or an entry of ``_RUN_KEYS``; the
+flags, the config-file keys and ``config.echo`` are derived from them.  Output
 files are byte-identical across runs with the same configuration and seed.
 """
 
@@ -14,21 +18,14 @@ import logging
 import math
 import sys
 import time
-from dataclasses import dataclass, field
+import typing
+from dataclasses import dataclass, field, fields
+from enum import Enum
 from pathlib import Path
 
 import numpy as np
 
-from .agents import (
-    TrainConfig,
-    Transition,
-    compute_rewards,
-    make_bundles,
-    select_head,
-    select_op,
-    select_tail,
-    update_agents,
-)
+from .agents import ActorCriticPolicy, RandomPolicy, TrainConfig, compute_rewards
 from .clustering import adaptive_cluster, cluster_columns
 from .dataset import (
     DatasetError,
@@ -36,7 +33,6 @@ from .dataset import (
     TaskKind,
     default_bins,
     load_csv,
-    render,
     split_train_valid,
     write_csv,
 )
@@ -48,10 +44,9 @@ from .evaluator import (
     feature_importances,
     fit_forest,
 )
-from .info_metrics import MICache, PairwiseDistanceKind, content_hash, feature_set_quality
+from .info_metrics import MICache, content_hash, feature_set_quality
 from .neural_core import NumericError, derive_seed
-from .state_repr import EncoderConfig, EncoderKind, StateEncoder, state_op
-from .transform import OperationSet, generation_step
+from .transform import generation_step
 
 logger = logging.getLogger(__name__)
 
@@ -98,7 +93,6 @@ class RunResult:
     metric: MetricKind
     task: TaskKind
     trace: list[TraceRow]
-    episode_best: list[float]
     n_transitions: int
     wall_time: float
     split_seed: int
@@ -122,10 +116,15 @@ class EvalContext:
         self._quality: dict[bytes, float] = {}
 
     def score(self, fs: FeatureSet) -> float:
+        """Downstream score; raises NumericError when it is not finite (an
+        overflowing target, say), which no later step could repair."""
         key = content_hash(fs.values)
         if key not in self._scores:
-            self._scores[key] = downstream_score(fs, self.split_seed, self.metric,
-                                                 self.forest_cfg)
+            score = downstream_score(fs, self.split_seed, self.metric, self.forest_cfg)
+            if not math.isfinite(score):
+                raise NumericError(f"{self.metric.value} score is {score!r} on "
+                                   f"{fs.n_rows} rows x {fs.n_cols} columns")
+            self._scores[key] = score
         return self._scores[key]
 
     def quality(self, fs: FeatureSet) -> float:
@@ -147,18 +146,13 @@ def run_search(cfg: RunConfig) -> RunResult:
     max_size = train.max_size if train.max_size is not None else 2 * fs0.n_cols
 
     mi_cache = MICache()
-    encoder = StateEncoder(
-        EncoderConfig(kind=train.encoder, k=train.k, d=train.d, epochs=train.encoder_epochs,
-                      seed=derive_seed(train.seed, "encoder"), raw_count=train.si_raw_count),
-        m_original=fs0.n_rows,
-    )
     split_seed = derive_seed(train.seed, "split")
     forest_seed = derive_seed(train.seed, "forest")
     evalctx = EvalContext(metric, split_seed, ForestConfig(seed=forest_seed), bins, mi_cache)
 
-    init_rng = np.random.default_rng(derive_seed(train.seed, "agent-init"))
     action_rng = np.random.default_rng(derive_seed(train.seed, "actions"))
-    bundles = make_bundles(encoder.length, train.op_set.size, train, init_rng)
+    policy = (RandomPolicy(train.op_set, action_rng) if cfg.bench
+              else ActorCriticPolicy(train, fs0.n_rows, action_rng))
 
     baseline_score = evalctx.score(fs0)
     baseline_u = evalctx.quality(fs0)
@@ -167,64 +161,30 @@ def run_search(cfg: RunConfig) -> RunResult:
     best_score = -math.inf
     best_u = math.nan
     trace: list[TraceRow] = []
-    episode_best: list[float] = []
-    n_transitions = 0
 
     fs = fs0
     for episode in range(train.episodes):
         if not train.carry_features:
             fs = fs0
-        batch_head: list[Transition] = []
-        batch_op: list[Transition] = []
-        batch_tail: list[Transition] = []
         ep_best = -math.inf
         for step in range(train.steps):
             clusters = adaptive_cluster(fs, train.distance, train.delta, bins, mi_cache,
                                         generation=step)
             views = [cluster_columns(fs, g) for g in clusters.groups]
-            s_f = encoder.encode(fs)
-            cluster_states = [encoder.encode(v) for v in views]
+            head_idx = policy.choose_head(fs, views)
+            op = train.op_set.ops[policy.choose_op()]
 
-            if cfg.bench:
-                head_idx = int(action_rng.integers(0, len(clusters)))
-                logp_head = -math.log(len(clusters))
-            else:
-                head_idx, logp_head, _ = select_head(bundles[0], s_f, cluster_states,
-                                                     action_rng)
-            s_head = cluster_states[head_idx]
-
-            if cfg.bench:
-                op_idx = int(action_rng.integers(0, train.op_set.size))
-                logp_op = -math.log(train.op_set.size)
-            else:
-                op_idx, logp_op, _ = select_op(bundles[1], s_f, s_head, train.op_set,
-                                               action_rng)
-            op = train.op_set.ops[op_idx]
-            s_op = state_op(op, train.op_set)
-
-            unary = train.op_set.is_unary(op)
-            tail_positions = [i for i in range(len(clusters)) if i != head_idx]
-            if not tail_positions:
-                tail_positions = [head_idx]  # single-group fallback: self-cross
             tail_idx = -1
-            logp_tail = 0.0
-            if not (unary and train.skip_tail_on_unary):
-                tail_states = [cluster_states[i] for i in tail_positions]
-                if cfg.bench:
-                    pos = int(action_rng.integers(0, len(tail_positions)))
-                    logp_tail = -math.log(len(tail_positions))
-                else:
-                    pos, logp_tail, _ = select_tail(bundles[2], s_f, s_head, s_op,
-                                                    tail_states, action_rng)
-                tail_idx = tail_positions[pos]
-                tail_pos = pos
+            if not (train.op_set.is_unary(op) and train.skip_tail_on_unary):
+                tail_positions = [i for i in range(len(clusters)) if i != head_idx]
+                # single-group fallback: self-cross
+                tail_idx = policy.choose_tail(tail_positions or [head_idx])
 
-            head_group = clusters.groups[head_idx]
             tail_group = clusters.groups[tail_idx] if tail_idx >= 0 else None
             fs_next, _ = generation_step(
-                fs, head_group, op, tail_group, train.op_set, max_size,
+                fs, clusters.groups[head_idx], op, tail_group, train.op_set, max_size,
                 cap=train.cross_cap, bins=bins, cache=mi_cache,
-                max_depth=train.max_lineage_depth, iteration=step,
+                max_depth=train.max_lineage_depth,
             )
 
             r_head, r_op, r_tail = compute_rewards(fs, fs_next, views[head_idx],
@@ -239,38 +199,16 @@ def run_search(cfg: RunConfig) -> RunResult:
             trace.append(TraceRow(episode, step, head_idx, op, tail_idx,
                                   r_head, r_op, r_tail, evalctx.quality(fs_next), p_new,
                                   fs_next.n_cols))
-
-            if not cfg.bench:
-                s_f_next = encoder.encode(fs_next)
-                prefix_op = np.concatenate([s_f.values, s_head.values])
-                prefix_op_next = np.concatenate([s_f_next.values, s_head.values])
-                head_rows = np.stack([np.concatenate([s_f.values, c.values])
-                                      for c in cluster_states])
-                batch_head.append(Transition(s_f.values, head_idx, r_head,
-                                             s_f_next.values, logp_head, head_rows))
-                batch_op.append(Transition(prefix_op, op_idx, r_op, prefix_op_next,
-                                           logp_op, None))
-                if tail_idx >= 0:
-                    prefix_tail = np.concatenate([prefix_op, s_op.values])
-                    prefix_tail_next = np.concatenate([prefix_op_next, s_op.values])
-                    tail_rows = np.stack([np.concatenate([prefix_tail, c.values])
-                                          for c in tail_states])
-                    batch_tail.append(Transition(prefix_tail, tail_pos, r_tail,
-                                                 prefix_tail_next, logp_tail, tail_rows))
-                n_transitions = n_transitions + 3 - int(tail_idx < 0)
-
+            policy.observe(fs_next, r_head, r_op, r_tail)
             fs = fs_next
-        episode_best.append(ep_best)
-        if not cfg.bench:
-            bundles, losses = update_agents(bundles, (batch_head, batch_op, batch_tail),
-                                            train)
-            logger.info("episode %d: best=%s losses=%s", episode, repr(ep_best), losses)
+        losses = policy.end_episode()
+        logger.info("episode %d: best=%s losses=%s", episode, repr(ep_best), losses)
 
     return RunResult(
         best_fs=best_fs, best_score=best_score, best_u=best_u,
         baseline_score=baseline_score, baseline_u=baseline_u,
-        metric=metric, task=task, trace=trace, episode_best=episode_best,
-        n_transitions=n_transitions, wall_time=time.perf_counter() - started,
+        metric=metric, task=task, trace=trace,
+        n_transitions=policy.n_transitions, wall_time=time.perf_counter() - started,
         split_seed=split_seed, forest_seed=forest_seed, bins=bins, max_size=max_size,
     )
 
@@ -286,7 +224,7 @@ def _fmt(value) -> str:
         return repr(float(value))
     if value is None:
         return "none"
-    if isinstance(value, (TaskKind, MetricKind, EncoderKind, PairwiseDistanceKind)):
+    if isinstance(value, Enum):
         return value.value
     return str(value)
 
@@ -337,28 +275,19 @@ def emit_report(result: RunResult, fs_star: FeatureSet, path: Path) -> None:
 
 
 def write_config_echo(cfg: RunConfig, result: RunResult, path: Path) -> None:
+    """Every config key with the value the run used (``bins``, ``max_size``,
+    ``task`` and ``metric`` resolved), then the operation set and the seeds."""
+    resolved = {"task": result.task, "metric": result.metric,
+                "bins": result.bins, "max_size": result.max_size}
     # `out` is left out: the echo lives there, and same-seed runs into
     # different directories must write identical files.
-    train = cfg.train
-    pairs = [
-        ("input", cfg.input_path), ("target", cfg.target),
-        ("task", result.task), ("metric", result.metric), ("impute", cfg.impute),
-        ("bench", cfg.bench), ("report", cfg.report),
-        ("episodes", train.episodes), ("steps", train.steps), ("seed", train.seed),
-        ("encoder", train.encoder), ("k", train.k), ("d", train.d),
-        ("encoder_epochs", train.encoder_epochs),
-        ("distance", train.distance), ("delta", train.delta),
-        ("gamma", train.gamma), ("beta", train.beta),
-        ("actor_lr", train.actor_lr), ("critic_lr", train.critic_lr),
-        ("hidden", train.hidden), ("clip_norm", train.clip_norm),
-        ("cross_cap", train.cross_cap), ("max_lineage_depth", train.max_lineage_depth),
-        ("bins", result.bins), ("max_size", result.max_size),
-        ("si_raw_count", train.si_raw_count),
-        ("full_gradient_critic", train.full_gradient_critic),
-        ("skip_tail_on_unary", train.skip_tail_on_unary),
-        ("carry_features", train.carry_features),
-        ("unary_ops", ",".join(train.op_set.unary)),
-        ("binary_ops", ",".join(train.op_set.binary)),
+    pairs = [(key, getattr(cfg, attr)) for key, (attr, _, _) in _RUN_KEYS.items()
+             if key != "out"]
+    pairs += [(key, getattr(cfg.train, key)) for key in _TRAIN_KEYS]
+    pairs = [(key, resolved.get(key, value)) for key, value in pairs]
+    pairs += [
+        ("unary_ops", ",".join(cfg.train.op_set.unary)),
+        ("binary_ops", ",".join(cfg.train.op_set.binary)),
         ("split_seed", result.split_seed), ("forest_seed", result.forest_seed),
     ]
     path.write_text("".join(f"{k} = {_fmt(v)}\n" for k, v in pairs), encoding="utf-8")
@@ -387,17 +316,42 @@ def write_outputs(result: RunResult, cfg: RunConfig) -> dict[str, Path]:
 
 _TASK_NAMES = {"auto": None, "clf": TaskKind.CLASSIFICATION, "reg": TaskKind.REGRESSION}
 
+# The RunConfig keys: the RunConfig attribute each one sets, its type in a
+# config file and its flag's argparse keywords.  Every other key is a
+# TrainConfig field (see _TRAIN_KEYS).
+_RUN_KEYS: dict[str, tuple[str, type, dict]] = {
+    "input": ("input_path", str, {"help": "input CSV path"}),
+    "target": ("target", str, {"help": "target column name"}),
+    "out": ("out_dir", str, {"help": "output directory"}),
+    "task": ("task", str, {"choices": sorted(_TASK_NAMES), "help": "auto infers from the target"}),
+    "metric": ("metric", str, {"choices": [m.value for m in MetricKind]}),
+    "impute": ("impute", str, {"choices": ["median"], "help": "allow and impute missing cells"}),
+    "bench": ("bench", bool, {"help": "uniform-random control run (no learning)"}),
+    "report": ("report", bool, {}),
+}
+
+
+def _train_keys() -> dict[str, type]:
+    """The scalar TrainConfig fields, in declaration order, with their value
+    type (``int`` for ``int | None``)."""
+    hints = typing.get_type_hints(TrainConfig)
+    keys = {}
+    for f in fields(TrainConfig):
+        typ = (typing.get_args(hints[f.name]) or (hints[f.name],))[0]
+        if typ in (bool, int, float) or issubclass(typ, Enum):
+            keys[f.name] = typ
+    return keys
+
+
+_TRAIN_KEYS = _train_keys()
+
+# Config-file types; an enum value stays text until parse_config converts it.
+# `clip_norm` is accepted, so that older config files still load, and ignored:
+# the gradient clip norm is fixed (OptimState's default).
 _FILE_KEYS: dict[str, type] = {
-    "input": str, "target": str, "out": str, "task": str, "metric": str,
-    "impute": str, "distance": str, "encoder": str,
-    "episodes": int, "steps": int, "seed": int, "k": int, "d": int,
-    "encoder_epochs": int, "bins": int, "max_size": int, "hidden": int,
-    "cross_cap": int, "max_lineage_depth": int,
-    "delta": float, "gamma": float, "beta": float, "actor_lr": float,
-    "critic_lr": float, "clip_norm": float,
-    "bench": bool, "report": bool, "si_raw_count": bool,
-    "full_gradient_critic": bool, "skip_tail_on_unary": bool,
-    "carry_features": bool,
+    **{key: typ for key, (_, typ, _) in _RUN_KEYS.items()},
+    **{key: str if issubclass(typ, Enum) else typ for key, typ in _TRAIN_KEYS.items()},
+    "clip_norm": float,
 }
 
 
@@ -431,6 +385,20 @@ def _parse_config_file(path: str) -> dict:
     return values
 
 
+def _add_flag(parser: argparse.ArgumentParser, key: str, typ: type, default,
+              **kwargs) -> None:
+    """``--key-name``; a bool key is a switch away from its default, so a key
+    that defaults to true has a ``--no-key-name`` flag."""
+    flag = "--" + key.replace("_", "-")
+    if typ is bool:
+        parser.add_argument("--no-" + flag[2:] if default else flag, dest=key, default=None,
+                            action="store_false" if default else "store_true", **kwargs)
+    elif issubclass(typ, Enum):
+        parser.add_argument(flag, dest=key, choices=[k.value for k in typ], **kwargs)
+    else:
+        parser.add_argument(flag, dest=key, type=typ, **kwargs)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="raft",
@@ -439,42 +407,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     run = sub.add_parser("run", help="run the feature-space search")
-    run.add_argument("--input", help="input CSV path")
-    run.add_argument("--target", help="target column name")
-    run.add_argument("--out", help="output directory")
     run.add_argument("--config", help="flat key = value config file")
-    run.add_argument("--task", choices=sorted(_TASK_NAMES), help="auto infers from the target")
-    run.add_argument("--metric", choices=[m.value for m in MetricKind])
-    run.add_argument("--impute", choices=["median"], help="allow and impute missing cells")
-    run.add_argument("--distance", choices=[k.value for k in PairwiseDistanceKind])
-    run.add_argument("--encoder", choices=[k.value for k in EncoderKind])
-    run.add_argument("--episodes", type=int)
-    run.add_argument("--steps", type=int)
-    run.add_argument("--seed", type=int)
-    run.add_argument("--k", type=int, help="latent width of ae/gae encoders")
-    run.add_argument("--d", type=int, help="second latent width of the ae encoder")
-    run.add_argument("--encoder-epochs", type=int, dest="encoder_epochs")
-    run.add_argument("--delta", type=float, help="clustering threshold multiplier")
-    run.add_argument("--bins", type=int, help="histogram bins for MI")
-    run.add_argument("--max-size", type=int, dest="max_size")
-    run.add_argument("--gamma", type=float)
-    run.add_argument("--beta", type=float)
-    run.add_argument("--actor-lr", type=float, dest="actor_lr")
-    run.add_argument("--critic-lr", type=float, dest="critic_lr")
-    run.add_argument("--hidden", type=int)
-    run.add_argument("--cross-cap", type=int, dest="cross_cap")
-    run.add_argument("--max-lineage-depth", type=int, dest="max_lineage_depth")
-    run.add_argument("--bench", action="store_true", default=None,
-                     help="uniform-random control run (no learning)")
-    run.add_argument("--no-report", action="store_true", default=None)
-    run.add_argument("--si-raw-count", action="store_true", default=None,
-                     dest="si_raw_count")
-    run.add_argument("--full-gradient-critic", action="store_true", default=None,
-                     dest="full_gradient_critic")
-    run.add_argument("--skip-tail-on-unary", action="store_true", default=None,
-                     dest="skip_tail_on_unary")
-    run.add_argument("--carry-features", action="store_true", default=None,
-                     dest="carry_features")
+    run_defaults = RunConfig()
+    for key, (attr, typ, kwargs) in _RUN_KEYS.items():
+        _add_flag(run, key, typ, getattr(run_defaults, attr), **kwargs)
+    for f in fields(TrainConfig):
+        if f.name in _TRAIN_KEYS:
+            _add_flag(run, f.name, _TRAIN_KEYS[f.name], f.default, help=f.metadata.get("help"))
     return parser
 
 
@@ -485,48 +424,30 @@ def parse_config(argv=None) -> RunConfig:
     if args.config:
         merged.update(_parse_config_file(args.config))
     for key in _FILE_KEYS:
-        if key == "report":
-            cli_value = False if args.no_report else None
-        else:
-            cli_value = getattr(args, key, None)
-        if cli_value is not None:
-            merged[key] = cli_value
+        if getattr(args, key, None) is not None:
+            merged[key] = getattr(args, key)
 
     for required in ("input", "target", "out"):
         if required not in merged:
             raise ConfigError(f"missing required option --{required}")
 
-    train_kwargs: dict[str, object] = {}
-    for key in ("episodes", "steps", "seed", "k", "d", "encoder_epochs", "delta",
-                "bins", "max_size", "gamma", "beta", "actor_lr", "critic_lr",
-                "hidden", "cross_cap", "max_lineage_depth", "si_raw_count",
-                "full_gradient_critic", "skip_tail_on_unary", "carry_features"):
-        if key in merged:
-            train_kwargs[key] = merged[key]
+    run_kwargs = {attr: merged[key] for key, (attr, _, _) in _RUN_KEYS.items() if key in merged}
+    train_kwargs = {key: merged[key] for key in _TRAIN_KEYS if key in merged}
     try:
-        if "distance" in merged:
-            train_kwargs["distance"] = PairwiseDistanceKind(str(merged["distance"]))
-        if "encoder" in merged:
-            train_kwargs["encoder"] = EncoderKind.parse(str(merged["encoder"]))
+        for key, value in train_kwargs.items():
+            typ = _TRAIN_KEYS[key]
+            if issubclass(typ, Enum):  # an enum's own parse words its error
+                train_kwargs[key] = getattr(typ, "parse", typ)(value)
         train = TrainConfig(**train_kwargs)
-        task_name = str(merged.get("task", "auto"))
+        task_name = run_kwargs.get("task", "auto")
         if task_name not in _TASK_NAMES:
             raise ConfigError(f"unknown task {task_name!r}")
-        metric = MetricKind.parse(str(merged["metric"])) if "metric" in merged else None
+        run_kwargs["task"] = _TASK_NAMES[task_name]
+        if "metric" in run_kwargs:
+            run_kwargs["metric"] = MetricKind.parse(run_kwargs["metric"])
     except (ValueError, TypeError) as exc:
         raise ConfigError(str(exc)) from None
-
-    return RunConfig(
-        input_path=str(merged["input"]),
-        target=str(merged["target"]),
-        out_dir=str(merged["out"]),
-        task=_TASK_NAMES[task_name],
-        metric=metric,
-        impute=str(merged["impute"]) if "impute" in merged else None,
-        bench=bool(merged.get("bench", False)),
-        report=bool(merged.get("report", True)),
-        train=train,
-    )
+    return RunConfig(**run_kwargs, train=train)
 
 
 def main(argv=None) -> int:

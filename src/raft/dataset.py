@@ -89,14 +89,6 @@ def lineage_depth(expr: LineageExpr) -> int:
     return 1 + max(lineage_depth(expr.left), lineage_depth(expr.right))
 
 
-def lineage_idents(expr: LineageExpr) -> set[str]:
-    if isinstance(expr, Ident):
-        return {expr.name}
-    if isinstance(expr, Unary):
-        return lineage_idents(expr.child)
-    return lineage_idents(expr.left) | lineage_idents(expr.right)
-
-
 def parse_lineage(text: str) -> LineageExpr:
     """Inverse of :func:`render`; rejects trailing garbage."""
     expr, pos = _parse_expr(text, 0)

@@ -1,11 +1,10 @@
-"""Mutual information, the feature-space quality score, and group distances."""
+"""Mutual information, the feature-space quality score, and column distances."""
 
 from __future__ import annotations
 
 import hashlib
 import math
 from enum import Enum
-from typing import Sequence
 
 import numpy as np
 
@@ -72,6 +71,8 @@ class MICache:
         return h, self._labels[key]
 
     def mi(self, x: np.ndarray, y: np.ndarray, bins: int) -> float:
+        """MI of two vectors; the operand with the smaller content hash is the
+        row variable, so both argument orders sum the same terms."""
         hx, lx = self.labels(x, bins)
         hy, ly = self.labels(y, bins)
         if hy < hx:
@@ -86,24 +87,13 @@ class MICache:
 def mutual_information(
     x: np.ndarray, y_vec: np.ndarray, bins: int, cache: MICache | None = None
 ) -> float:
-    """Plug-in MI between two vectors (nats); exactly symmetric in (x, y).
-
-    The operand with the smaller content hash is treated as the row variable
-    so both argument orders sum the identical sequence of terms.
-    """
+    """Plug-in MI between two vectors (nats); exactly symmetric in (x, y),
+    because ``MICache.mi`` orders the operands by content hash."""
     x = np.asarray(x, dtype=np.float64)
     y_vec = np.asarray(y_vec, dtype=np.float64)
     if x.shape != y_vec.shape or x.ndim != 1 or x.size < 2:
         raise ValueError("inputs must be equal-length vectors with >= 2 entries")
-    if cache is not None:
-        return cache.mi(x, y_vec, bins)
-    hx = content_hash(x)
-    hy = content_hash(y_vec)
-    lx = as_labels(x, bins)
-    ly = as_labels(y_vec, bins)
-    if hy < hx:
-        lx, ly = ly, lx
-    return _plugin_mi(lx, ly)
+    return (MICache() if cache is None else cache).mi(x, y_vec, bins)
 
 
 def feature_set_quality(
@@ -166,33 +156,3 @@ def pairwise_distance(f_i: np.ndarray, f_j: np.ndarray, kind: PairwiseDistanceKi
         math.sqrt(float(np.dot(an, an))) * math.sqrt(float(np.dot(bn, bn)))
     )
     return float(np.clip(1.0 - cos, 0.0, 2.0))
-
-
-def features_group_distance(
-    c_i: Sequence[np.ndarray],
-    c_j: Sequence[np.ndarray],
-    target: np.ndarray,
-    kind: PairwiseDistanceKind,
-    bins: int,
-    cache: MICache | None = None,
-) -> float:
-    """Average over cross-cluster pairs of d(f_i, f_j) * |MI(f_i,y) - MI(f_j,y)|.
-
-    The cluster with the smaller content key iterates first so the result is
-    exactly symmetric in (c_i, c_j).
-    """
-    if len(c_i) == 0 or len(c_j) == 0:
-        raise ValueError("clusters must be nonempty")
-    cache = MICache() if cache is None else cache
-    target = np.asarray(target, dtype=np.float64)
-    key_i = tuple(content_hash(np.asarray(c, dtype=np.float64)) for c in c_i)
-    key_j = tuple(content_hash(np.asarray(c, dtype=np.float64)) for c in c_j)
-    if key_j < key_i:
-        c_i, c_j = c_j, c_i
-    mi_i = [cache.mi(f, target, bins) for f in c_i]
-    mi_j = [cache.mi(f, target, bins) for f in c_j]
-    total = 0.0
-    for a, ma in zip(c_i, mi_i):
-        for b, mb in zip(c_j, mi_j):
-            total += pairwise_distance(a, b, kind) * abs(ma - mb)
-    return total / (len(c_i) * len(c_j))

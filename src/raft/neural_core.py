@@ -12,8 +12,7 @@ from __future__ import annotations
 import hashlib
 import logging
 import math
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,10 +47,6 @@ class DenseNet:
         return self.w1.shape[0]
 
     @property
-    def hidden_size(self) -> int:
-        return self.w1.shape[1]
-
-    @property
     def out_size(self) -> int:
         return self.w2.shape[1]
 
@@ -68,7 +63,6 @@ class Grads:
 class OptimState:
     lr: float = 1e-3
     clip_norm: float = 5.0
-    step: int = 0
 
     def __post_init__(self) -> None:
         if self.lr <= 0.0:
@@ -128,31 +122,18 @@ def logits(net: DenseNet, x: np.ndarray) -> np.ndarray:
 
 
 def forward(net: DenseNet, x: np.ndarray):
-    """Evaluate the two-layer net.
+    """Evaluate the two-layer net: its head applied to ``logits``.
 
     Accepts a single input vector or a (batch, in_size) matrix.  Softmax heads
     return probabilities; scalar heads return a float (or a vector per batch
     row); identity heads return the second affine output unchanged.
     """
-    x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    x2 = np.atleast_2d(x)
-    if x2.shape[1] != net.in_size:
-        raise ValueError(f"input size {x2.shape[1]} != expected {net.in_size}")
-    z1 = x2 @ net.w1 + net.b1
-    a1 = np.maximum(z1, 0.0)
-    z2 = a1 @ net.w2 + net.b2
+    z2 = logits(net, x)
     if net.head == HEAD_SOFTMAX:
-        out = softmax(z2)
-    elif net.head == HEAD_SCALAR:
-        out = z2[:, 0]
-    else:
-        out = z2
-    if single:
-        if net.head == HEAD_SCALAR:
-            return float(out[0])
-        return out[0]
-    return out
+        return softmax(z2)
+    if net.head == HEAD_SCALAR:
+        return float(z2[0]) if z2.ndim == 1 else z2[:, 0]
+    return z2
 
 
 def backward(net: DenseNet, x: np.ndarray, upstream) -> tuple[Grads, np.ndarray]:
@@ -219,7 +200,6 @@ def sgd_step(net: DenseNet, grads: Grads, opt: OptimState) -> DenseNet:
     if not all(np.all(np.isfinite(a)) for a in arrays):
         logger.warning("non-finite gradient after clipping; parameters left unchanged")
         return net
-    opt.step += 1
     return DenseNet(
         w1=net.w1 - opt.lr * clipped.w1,
         b1=net.b1 - opt.lr * clipped.b1,
@@ -268,7 +248,6 @@ def train_autoencoder(
     seed: int,
     hidden: int = 32,
     lr: float = 1e-3,
-    clip_norm: float = 5.0,
 ) -> tuple[DenseNet, DenseNet, float]:
     """Full-batch gradient descent on mean-squared reconstruction of the rows.
 
@@ -282,8 +261,8 @@ def train_autoencoder(
     rng = np.random.default_rng(seed)
     encoder = init_dense(dim, hidden, latent, HEAD_IDENTITY, rng)
     decoder = init_dense(latent, hidden, dim, HEAD_IDENTITY, rng)
-    enc_opt = OptimState(lr=lr, clip_norm=clip_norm)
-    dec_opt = OptimState(lr=lr, clip_norm=clip_norm)
+    enc_opt = OptimState(lr=lr)
+    dec_opt = OptimState(lr=lr)
     for _ in range(epochs):
         z = forward(encoder, data)
         recon = forward(decoder, z)
@@ -293,56 +272,3 @@ def train_autoencoder(
         decoder = sgd_step(decoder, dec_grads, dec_opt)
         encoder = sgd_step(encoder, enc_grads, enc_opt)
     return encoder, decoder, reconstruction_loss(encoder, decoder, data)
-
-
-# ---------------------------------------------------------------------------
-# Checkpoints
-# ---------------------------------------------------------------------------
-
-def dense_to_text(net: DenseNet) -> str:
-    """Deterministic text serialization: shapes + row-major repr values."""
-    lines = [f"densenet {net.head}"]
-    for name in ("w1", "b1", "w2", "b2"):
-        arr = np.atleast_2d(getattr(net, name))
-        lines.append(f"{name} {arr.shape[0]} {arr.shape[1]}")
-        for row in arr:
-            lines.append(" ".join(repr(float(v)) for v in row))
-    return "\n".join(lines) + "\n"
-
-
-def dense_from_text(text: str) -> DenseNet:
-    lines = text.strip().split("\n")
-    tag, head = lines[0].split()
-    if tag != "densenet" or head not in _HEADS:
-        raise ValueError(f"bad checkpoint header: {lines[0]!r}")
-    pos = 1
-    arrays = {}
-    for name in ("w1", "b1", "w2", "b2"):
-        decl_name, r, c = lines[pos].split()
-        if decl_name != name:
-            raise ValueError(f"expected array {name!r}, got {decl_name!r}")
-        r, c = int(r), int(c)
-        rows = [[float(v) for v in lines[pos + 1 + i].split()] for i in range(r)]
-        arr = np.array(rows, dtype=np.float64)
-        arrays[name] = arr[0] if name in ("b1", "b2") else arr
-        pos += 1 + r
-    return DenseNet(arrays["w1"], arrays["b1"], arrays["w2"], arrays["b2"], head)
-
-
-def save_checkpoint(path: str | Path, nets: dict[str, DenseNet]) -> None:
-    parts = []
-    for name in nets:
-        parts.append(f"[{name}]\n{dense_to_text(nets[name])}")
-    Path(path).write_text("".join(parts), encoding="utf-8")
-
-
-def load_checkpoint(path: str | Path) -> dict[str, DenseNet]:
-    text = Path(path).read_text(encoding="utf-8")
-    nets: dict[str, DenseNet] = {}
-    chunks = text.split("[")
-    for chunk in chunks:
-        if not chunk.strip():
-            continue
-        name, body = chunk.split("]", 1)
-        nets[name] = dense_from_text(body)
-    return nets

@@ -15,19 +15,11 @@ import numpy as np
 
 from .dataset import FeatureSet
 from .info_metrics import content_hash
-from .neural_core import (
-    GcnLayer,
-    OptimState,
-    clip_by_global_norm,
-    derive_seed,
-    forward,
-    gcn_forward,
-    init_gcn,
-    train_autoencoder,
-)
+from .neural_core import GcnLayer, derive_seed, forward, gcn_forward, init_gcn, train_autoencoder
 
 SI_LENGTH = 49
 _STATE_CLAMP = 1e30
+_GAE_CLIP_NORM = 5.0
 
 
 @dataclass(frozen=True)
@@ -194,30 +186,25 @@ def state_gae(
     epochs: int,
     seed: int,
     lr: float = 1e-2,
-    clip_norm: float = 5.0,
-    standardize: bool = True,
 ) -> StateVector:
-    """One-layer graph convolution over the column correlation graph, trained
-    to reconstruct the adjacency through an inner-product decoder; the state is
-    the mean over node embeddings (length k)."""
+    """One-layer graph convolution over the standardized columns and their
+    correlation graph, trained to reconstruct the adjacency through an
+    inner-product decoder; the state is the mean over node embeddings
+    (length k)."""
     if k < 1:
         raise ValueError("k must be >= 1")
     adj = correlation_adjacency(fs.values)
-    feats = fs.values.T
-    if standardize:
-        feats = _standardize_columns(fs.values).T
+    feats = _standardize_columns(fs.values).T
     rng = np.random.default_rng(derive_seed(seed, "gae"))
     layer = init_gcn(fs.n_rows, k, rng)
-    opt = OptimState(lr=lr, clip_norm=clip_norm)
     for _ in range(epochs):
         grad = gae_layer_grad(adj, feats, layer)
         norm = float(np.sqrt(np.sum(grad * grad)))
-        if norm > clip_norm and norm > 0.0:
-            grad = grad * (clip_norm / norm)
+        if norm > _GAE_CLIP_NORM:
+            grad = grad * (_GAE_CLIP_NORM / norm)
         if not np.all(np.isfinite(grad)):
             break
-        opt.step += 1
-        layer = GcnLayer(layer.w - opt.lr * grad)
+        layer = GcnLayer(layer.w - lr * grad)
     z = gcn_forward(adj, feats, layer)
     return StateVector(_finite(z.mean(axis=0)), "gae")
 
@@ -247,10 +234,7 @@ class EncoderConfig:
     d: int = 8
     epochs: int = 20
     seed: int = 0
-    hidden: int = 32
-    lr: float = 1e-2
     raw_count: bool = False
-    standardize_gae: bool = True
 
 
 def encoder_length(cfg: EncoderConfig) -> int:
@@ -291,12 +275,9 @@ class StateEncoder:
                     parts.append(state_si(fs, self.m_original, self.cfg.raw_count))
                 elif part == "ae":
                     parts.append(state_ae(fs, self.cfg.k, self.cfg.d, self.cfg.epochs,
-                                          derive_seed(self.cfg.seed, "ae"),
-                                          hidden=self.cfg.hidden, lr=self.cfg.lr))
+                                          derive_seed(self.cfg.seed, "ae")))
                 else:
                     parts.append(state_gae(fs, self.cfg.k, self.cfg.epochs,
-                                           derive_seed(self.cfg.seed, "gae"),
-                                           lr=self.cfg.lr,
-                                           standardize=self.cfg.standardize_gae))
+                                           derive_seed(self.cfg.seed, "gae")))
             self._cache[key] = concat_states(parts).values
         return StateVector(self._cache[key], self.cfg.kind.value)

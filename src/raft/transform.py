@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -72,10 +72,7 @@ class OperationSet:
 class GeneratedBatch:
     columns: list[np.ndarray]
     metas: list[FeatureMeta]
-    head: tuple[int, ...]
     op: str
-    tail: tuple[int, ...] | None
-    iteration: int
 
     def __len__(self) -> int:
         return len(self.columns)
@@ -84,8 +81,6 @@ class GeneratedBatch:
 def apply_unary(
     op: str,
     cluster_view: FeatureSet,
-    head: tuple[int, ...] = (),
-    iteration: int = 0,
     max_depth: int = DEFAULT_MAX_DEPTH,
 ) -> GeneratedBatch:
     """One new column per member feature; members whose lineage would exceed
@@ -98,7 +93,7 @@ def apply_unary(
             continue
         columns.append(safe_unary_value(op, cluster_view.column(i)))
         metas.append(FeatureMeta.from_lineage(expr))
-    return GeneratedBatch(columns, metas, head, op, None, iteration)
+    return GeneratedBatch(columns, metas, op)
 
 
 def cross_binary(
@@ -108,9 +103,6 @@ def cross_binary(
     cap: int = DEFAULT_CROSS_CAP,
     bins: int | None = None,
     cache: MICache | None = None,
-    head: tuple[int, ...] = (),
-    tail: tuple[int, ...] = (),
-    iteration: int = 0,
     max_depth: int = DEFAULT_MAX_DEPTH,
 ) -> GeneratedBatch:
     """Cartesian pairing of head and tail members, head-major order.
@@ -139,7 +131,7 @@ def cross_binary(
             continue
         columns.append(safe_binary_value(op, head_view.column(a), tail_view.column(b)))
         metas.append(FeatureMeta.from_lineage(expr))
-    return GeneratedBatch(columns, metas, head, op, tail, iteration)
+    return GeneratedBatch(columns, metas, op)
 
 
 def dedup(batch: GeneratedBatch, fs: FeatureSet) -> GeneratedBatch:
@@ -160,8 +152,7 @@ def dedup(batch: GeneratedBatch, fs: FeatureSet) -> GeneratedBatch:
         if not duplicate:
             kept_cols.append(col)
             kept_metas.append(meta)
-    return GeneratedBatch(kept_cols, kept_metas, batch.head, batch.op, batch.tail,
-                          batch.iteration)
+    return GeneratedBatch(kept_cols, kept_metas, batch.op)
 
 
 def select_features(
@@ -196,7 +187,6 @@ def generation_step(
     bins: int | None = None,
     cache: MICache | None = None,
     max_depth: int = DEFAULT_MAX_DEPTH,
-    iteration: int = 0,
 ) -> tuple[FeatureSet, GeneratedBatch]:
     """Apply/cross, dedup, append, then shrink back via feature selection.
 
@@ -205,13 +195,13 @@ def generation_step(
     """
     head_view = cluster_columns(fs, head)
     if op_set.is_unary(op):
-        batch = apply_unary(op, head_view, head=head, iteration=iteration, max_depth=max_depth)
+        batch = apply_unary(op, head_view, max_depth=max_depth)
     else:
         if tail is None:
             raise ValueError(f"binary operation {op!r} needs a tail cluster")
         tail_view = cluster_columns(fs, tail)
         batch = cross_binary(op, head_view, tail_view, cap=cap, bins=bins, cache=cache,
-                             head=head, tail=tail, iteration=iteration, max_depth=max_depth)
+                             max_depth=max_depth)
     batch = dedup(batch, fs)
     if len(batch) == 0:
         return fs, batch

@@ -1,8 +1,12 @@
+import hashlib
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from raft.agents import TrainConfig
 from raft.cli import (
+    _FILE_KEYS,
     ConfigError,
     RunConfig,
     build_parser,
@@ -12,6 +16,8 @@ from raft.cli import (
     write_outputs,
 )
 from raft.dataset import (
+    FeatureSet,
+    Target,
     TaskKind,
     evaluate_lineage,
     load_csv,
@@ -19,7 +25,7 @@ from raft.dataset import (
 )
 from raft.evaluator import ForestConfig, MetricKind, downstream_score
 from raft.info_metrics import PairwiseDistanceKind
-from raft.state_repr import EncoderKind, EncoderConfig, encoder_length
+from raft.state_repr import EncoderKind, EncoderConfig, StateEncoder, encoder_length
 from raft.synthetic import squared_sum_regression, two_class_blobs, write_fixture
 
 
@@ -228,3 +234,120 @@ def test_cli_end_to_end_exit_zero(small_csv, tmp_path, capsys):
     assert "one_minus_rae" in captured.out
     assert (tmp_path / "cli_out" / "transformed.csv").exists()
     assert (tmp_path / "cli_out" / "config.echo").exists()
+
+
+# ---------------------------------------------------------------------------
+# Pinned outputs, the random control, numeric failures
+# ---------------------------------------------------------------------------
+
+# SHA-256 of (trace.tsv, transformed.csv) for a 2-episode, 3-step search on
+# `small_csv`.  The search is deterministic for a seed, so these change only
+# when the search itself (or the float arithmetic of numpy on the platform)
+# changes.  The random control reads no state, so its two rows are equal.
+PINNED_DIGESTS = {
+    (False, "si"): ("a36e9ac70c259842a70dae120bef7a8fe07faa618fca8e757314f5c8b1d66367",
+                    "5ed518f334584b1cafe911e4d834f4139b3fce61d2a51d207fcd33980871aa36"),
+    (False, "all"): ("5d444505d0d4ead609c1c1cfaa5a891a6a43bf1918a9238bf18d3f4bd8abb18a",
+                     "9da4dbb5cea21a9e03fadb0e6376ce30a37fc11006699da7a6d8d3098ef203f8"),
+    (True, "si"): ("d8f7424dcb1395c106b78dab06a9996e8206ce7b4130081a67cd20b66c424740",
+                   "5fb7c1eb512f367fec08bedf72b019a6bdf92bfc4cdfd5fd9390f95162d6be01"),
+    (True, "all"): ("d8f7424dcb1395c106b78dab06a9996e8206ce7b4130081a67cd20b66c424740",
+                    "5fb7c1eb512f367fec08bedf72b019a6bdf92bfc4cdfd5fd9390f95162d6be01"),
+}
+
+
+@pytest.mark.parametrize("bench,encoder", sorted(PINNED_DIGESTS))
+def test_outputs_match_pinned_digests(small_csv, tmp_path, bench, encoder):
+    cfg = RunConfig(input_path=str(small_csv), target="y", out_dir=str(tmp_path / "out"),
+                    bench=bench, report=False,
+                    train=TrainConfig(episodes=2, steps=3, seed=5,
+                                      encoder=EncoderKind.parse(encoder)))
+    paths = write_outputs(run_search(cfg), cfg)
+    got = tuple(hashlib.sha256(paths[name].read_bytes()).hexdigest()
+                for name in ("trace", "transformed"))
+    assert got == PINNED_DIGESTS[(bench, encoder)]
+
+
+def test_bench_mode_never_encodes(small_csv, tmp_path, monkeypatch):
+    def refuse(self, fs):
+        raise AssertionError("the random control encoded a state")
+
+    monkeypatch.setattr(StateEncoder, "encode", refuse)
+    cfg = replace(small_config(small_csv, tmp_path, episodes=2, steps=2,
+                               encoder=EncoderKind.ALL), bench=True)
+    result = run_search(cfg)
+    assert len(result.trace) == 4
+    assert result.n_transitions == 0
+
+
+def test_nonfinite_score_exits_4(tmp_path, capsys):
+    # squared errors of a ~1e200 target overflow, so one_minus_mse is -inf
+    fs = squared_sum_regression(m=80, n_distractors=3, seed=11)
+    huge = FeatureSet(fs.values, fs.columns,
+                      Target(fs.target.values * 1e200, TaskKind.REGRESSION, "y"))
+    path = write_fixture(huge, tmp_path / "huge.csv")
+    code = main(["run", "--input", str(path), "--target", "y", "--out", str(tmp_path / "o"),
+                 "--metric", "one_minus_mse", "--episodes", "1", "--steps", "1"])
+    assert code == 4
+    assert "numeric failure" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# The CLI surface
+# ---------------------------------------------------------------------------
+
+RUN_OPTIONS = {
+    "--input", "--target", "--out", "--config", "--task", "--metric", "--impute",
+    "--distance", "--encoder", "--episodes", "--steps", "--seed", "--k", "--d",
+    "--encoder-epochs", "--delta", "--bins", "--max-size", "--gamma", "--beta",
+    "--actor-lr", "--critic-lr", "--hidden", "--cross-cap", "--max-lineage-depth",
+    "--bench", "--no-report", "--si-raw-count", "--full-gradient-critic",
+    "--skip-tail-on-unary", "--carry-features",
+}
+
+# A non-default value for every TrainConfig-backed key; None marks a switch,
+# given bare as a flag and as "true" in a config file.
+TRAIN_KEY_VALUES = {
+    "episodes": "3", "steps": "4", "seed": "7", "encoder": "gae", "k": "5", "d": "6",
+    "encoder_epochs": "2", "distance": "cosine", "delta": "0.5", "gamma": "0.8",
+    "beta": "0.02", "actor_lr": "0.002", "critic_lr": "0.003", "hidden": "16",
+    "cross_cap": "10", "max_lineage_depth": "4", "bins": "9", "max_size": "12",
+    "si_raw_count": None, "full_gradient_critic": None, "skip_tail_on_unary": None,
+    "carry_features": None,
+}
+
+FILE_ONLY_VALUES = {
+    "input": "data.csv", "target": "y", "out": "o", "task": "reg",
+    "metric": "one_minus_rae", "impute": "median", "bench": "true", "report": "false",
+    "clip_norm": "5.0",
+}
+
+
+def run_options() -> set[str]:
+    run = build_parser()._subparsers._group_actions[0].choices["run"]
+    return {s for action in run._actions for s in action.option_strings} - {"-h", "--help"}
+
+
+def test_cli_surface_is_pinned(tmp_path):
+    assert run_options() == RUN_OPTIONS and len(RUN_OPTIONS) == 31
+    accepted = set(TRAIN_KEY_VALUES) | set(FILE_ONLY_VALUES)
+    assert set(_FILE_KEYS) == accepted and len(accepted) == 31
+    values = {**FILE_ONLY_VALUES, **{k: v or "true" for k, v in TRAIN_KEY_VALUES.items()}}
+    cfgfile = tmp_path / "all.cfg"
+    cfgfile.write_text("".join(f"{k} = {v}\n" for k, v in values.items()), encoding="utf-8")
+    cfg = parse_config(["run", "--config", str(cfgfile)])
+    assert cfg.bench and not cfg.report and cfg.impute == "median"
+    assert cfg.task is TaskKind.REGRESSION and cfg.metric is MetricKind.ONE_MINUS_RAE
+
+
+@pytest.mark.parametrize("key", sorted(TRAIN_KEY_VALUES))
+def test_train_key_flag_equals_file_value(tmp_path, key):
+    value = TRAIN_KEY_VALUES[key]
+    base = ["run", "--input", "data.csv", "--target", "y", "--out", "o"]
+    flag = ["--" + key.replace("_", "-")] + ([] if value is None else [value])
+    cfgfile = tmp_path / "one.cfg"
+    cfgfile.write_text(f"{key} = {value or 'true'}\n", encoding="utf-8")
+    from_flag = parse_config(base + flag).train
+    from_file = parse_config(base + ["--config", str(cfgfile)]).train
+    assert from_flag == from_file
+    assert from_flag != TrainConfig()

@@ -11,14 +11,12 @@ from raft.info_metrics import (
     PairwiseDistanceKind,
     as_labels,
     feature_set_quality,
-    features_group_distance,
     mutual_information,
     pairwise_distance,
 )
 from oracles import (
     cosine_oracle,
     euclidean_oracle,
-    group_distance_oracle,
     mi_oracle,
     quality_oracle,
 )
@@ -205,56 +203,3 @@ def test_euclidean_finite_on_huge_values():
     a = np.full(4, 1e308)
     b = np.full(4, -1e308)
     assert np.isfinite(pairwise_distance(a, b, EUC))
-
-
-# ---------------------------------------------------------------------------
-# features_group_distance
-# ---------------------------------------------------------------------------
-
-def test_group_distance_self_cluster_zero():
-    f = np.array([1.0, 2, 3, 4])
-    y = np.array([0.0, 1, 0, 1])
-    assert features_group_distance([f], [f], y, EUC, bins=2) == 0.0
-
-
-def test_group_distance_singletons_closed_form():
-    rng = np.random.default_rng(5)
-    f1 = rng.standard_normal(30)
-    f2 = rng.standard_normal(30)
-    y = rng.standard_normal(30)
-    bins = 5
-    want = pairwise_distance(f1, f2, EUC) * abs(
-        mutual_information(f1, y, bins) - mutual_information(f2, y, bins))
-    assert features_group_distance([f1], [f2], y, EUC, bins) == pytest.approx(want, abs=1e-12)
-
-
-@pytest.mark.parametrize("kind", [EUC, COS])
-def test_group_distance_matches_double_loop_oracle(kind):
-    rng = np.random.default_rng(13)
-    m, bins = 40, 6
-    cols = [rng.standard_normal(m) for _ in range(5)]
-    y = rng.standard_normal(m)
-    c_i, c_j = cols[:2], cols[2:]
-    mi_i = [mutual_information(c, y, bins) for c in c_i]
-    mi_j = [mutual_information(c, y, bins) for c in c_j]
-    got = features_group_distance(c_i, c_j, y, kind, bins)
-    want = group_distance_oracle(c_i, c_j, mi_i, mi_j, kind)
-    assert got == pytest.approx(want, abs=1e-12)
-
-
-def test_group_distance_symmetric_and_nonnegative():
-    rng = np.random.default_rng(19)
-    for _ in range(20):
-        m = int(rng.integers(5, 30))
-        cols = [rng.standard_normal(m) for _ in range(4)]
-        y = rng.standard_normal(m)
-        a, b = cols[:2], cols[2:]
-        d_ab = features_group_distance(a, b, y, EUC, 4)
-        d_ba = features_group_distance(b, a, y, EUC, 4)
-        assert d_ab == d_ba
-        assert d_ab >= 0.0
-
-
-def test_group_distance_empty_cluster_rejected():
-    with pytest.raises(ValueError):
-        features_group_distance([], [np.array([1.0, 2])], np.array([0.0, 1]), EUC, 2)

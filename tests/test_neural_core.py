@@ -12,19 +12,15 @@ from raft.neural_core import (
     OptimState,
     backward,
     clip_by_global_norm,
-    dense_from_text,
-    dense_to_text,
     derive_seed,
     forward,
     gcn_forward,
     global_norm,
     init_dense,
     init_gcn,
-    load_checkpoint,
     log_softmax,
     logits,
     reconstruction_loss,
-    save_checkpoint,
     sgd_step,
     softmax,
     train_autoencoder,
@@ -283,26 +279,8 @@ def test_autoencoder_gradient_step_matches_fd():
 
 
 # ---------------------------------------------------------------------------
-# checkpoints
+# seeds
 # ---------------------------------------------------------------------------
-
-def test_checkpoint_round_trip_and_determinism(tmp_path):
-    rng = np.random.default_rng(16)
-    net = init_dense(3, 4, 2, HEAD_SOFTMAX, rng)
-    text = dense_to_text(net)
-    back = dense_from_text(text)
-    np.testing.assert_array_equal(back.w1, net.w1)
-    np.testing.assert_array_equal(back.b2, net.b2)
-    assert back.head == net.head
-    assert dense_to_text(back) == text
-
-    p1, p2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
-    save_checkpoint(p1, {"actor": net, "critic": init_dense(3, 4, 1, HEAD_SCALAR, rng)})
-    nets = load_checkpoint(p1)
-    assert set(nets) == {"actor", "critic"}
-    save_checkpoint(p2, nets)
-    assert p1.read_bytes() == p2.read_bytes()
-
 
 def test_derive_seed_is_stable_and_salted():
     assert derive_seed(1, "a") == derive_seed(1, "a")
