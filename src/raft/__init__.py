@@ -2,7 +2,7 @@
 agents, with full lineage traceability."""
 
 from .agents import TrainConfig, Transition
-from .clustering import ClusterSet, cluster_columns, fg_cluster
+from .clustering import ClusterSet, cluster_columns
 from .dataset import (
     Binary,
     DatasetError,
@@ -61,7 +61,6 @@ __all__ = [
     "downstream_score",
     "evaluate_lineage",
     "feature_set_quality",
-    "fg_cluster",
     "fit_forest",
     "generation_step",
     "load_csv",

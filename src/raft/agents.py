@@ -10,8 +10,8 @@ log pi(a|S) * advantage + beta * entropy (the update negates the returned
 ascent objective).
 
 The search loop drives a policy through the same calls each step:
-``choose_head``, ``choose_op``, ``choose_tail`` (skipped when a unary step has
-no tail), ``observe`` and, after the last step of an episode, ``end_episode``.
+``choose_head``, ``choose_op``, ``choose_tail``, ``observe`` and, after the last
+step of an episode, ``end_episode``.
 ``ActorCriticPolicy`` is the learned agent; ``RandomPolicy`` is the ``--bench``
 control, which draws each choice uniformly and never encodes a state.
 """
@@ -88,7 +88,6 @@ class TrainConfig:
     max_size: int | None = None  # None: twice the original column count
     si_raw_count: bool = False
     full_gradient_critic: bool = False
-    skip_tail_on_unary: bool = False
     carry_features: bool = False
     op_set: OperationSet = field(default_factory=OperationSet)
 
@@ -346,7 +345,6 @@ class ActorCriticPolicy:
         self._groups = [self.encoder.encode(v) for v in views]
         self._head, self._logp_head, _ = select_head(self.bundles[0], self._s_f,
                                                      self._groups, self.rng)
-        self._tail = None
         return self._head
 
     def choose_op(self) -> int:
@@ -374,14 +372,12 @@ class ActorCriticPolicy:
         prefix_op = np.concatenate([s_f, s_head])
         prefix_op_next = np.concatenate([s_next, s_head])
         batch_op.append(Transition(prefix_op, self._op, r_op, prefix_op_next, self._logp_op))
-        self.n_transitions += 2
-        if self._tail is not None:
-            pos, logp, tail_states = self._tail
-            prefix_tail = np.concatenate([prefix_op, self._s_op.values])
-            prefix_tail_next = np.concatenate([prefix_op_next, self._s_op.values])
-            batch_tail.append(Transition(prefix_tail, pos, r_tail, prefix_tail_next, logp,
-                                         _candidate_rows(prefix_tail, tail_states)))
-            self.n_transitions += 1
+        pos, logp, tail_states = self._tail
+        prefix_tail = np.concatenate([prefix_op, self._s_op.values])
+        prefix_tail_next = np.concatenate([prefix_op_next, self._s_op.values])
+        batch_tail.append(Transition(prefix_tail, pos, r_tail, prefix_tail_next, logp,
+                                     _candidate_rows(prefix_tail, tail_states)))
+        self.n_transitions += 3
 
     def end_episode(self) -> dict[str, float]:
         """Update the agents on the episode's transitions; returns the losses."""

@@ -168,22 +168,18 @@ def run_search(cfg: RunConfig) -> RunResult:
             fs = fs0
         ep_best = -math.inf
         for step in range(train.steps):
-            clusters = adaptive_cluster(fs, train.distance, train.delta, bins, mi_cache,
-                                        generation=step)
+            clusters = adaptive_cluster(fs, train.distance, train.delta, bins, mi_cache)
             views = [cluster_columns(fs, g) for g in clusters.groups]
             head_idx = policy.choose_head(fs, views)
             op = train.op_set.ops[policy.choose_op()]
 
-            tail_idx = -1
-            if not (train.op_set.is_unary(op) and train.skip_tail_on_unary):
-                tail_positions = [i for i in range(len(clusters)) if i != head_idx]
-                # single-group fallback: self-cross
-                tail_idx = policy.choose_tail(tail_positions or [head_idx])
+            tail_positions = [i for i in range(len(clusters)) if i != head_idx]
+            # single-group fallback: self-cross
+            tail_idx = policy.choose_tail(tail_positions or [head_idx])
 
-            tail_group = clusters.groups[tail_idx] if tail_idx >= 0 else None
             fs_next, _ = generation_step(
-                fs, clusters.groups[head_idx], op, tail_group, train.op_set, max_size,
-                cap=train.cross_cap, bins=bins, cache=mi_cache,
+                fs, clusters.groups[head_idx], op, clusters.groups[tail_idx], train.op_set,
+                max_size, cap=train.cross_cap, bins=bins, cache=mi_cache,
                 max_depth=train.max_lineage_depth,
             )
 
@@ -346,12 +342,9 @@ def _train_keys() -> dict[str, type]:
 _TRAIN_KEYS = _train_keys()
 
 # Config-file types; an enum value stays text until parse_config converts it.
-# `clip_norm` is accepted, so that older config files still load, and ignored:
-# the gradient clip norm is fixed (OptimState's default).
 _FILE_KEYS: dict[str, type] = {
     **{key: typ for key, (_, typ, _) in _RUN_KEYS.items()},
     **{key: str if issubclass(typ, Enum) else typ for key, typ in _TRAIN_KEYS.items()},
-    "clip_norm": float,
 }
 
 

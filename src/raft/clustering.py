@@ -1,7 +1,13 @@
-"""Agglomerative grouping of feature columns under the group distance."""
+"""Agglomerative grouping of feature columns under the group distance.
+
+Each search step builds one average-linkage merge sequence (a dendrogram) and
+cuts it at each threshold it tries: the merge order does not depend on the
+threshold, which only decides how long a prefix of the merges is applied.
+"""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,7 +22,6 @@ class ClusterSet:
     smallest member, members sorted ascending."""
 
     groups: tuple[tuple[int, ...], ...]
-    generation: int = 0
 
     def __post_init__(self) -> None:
         flat = [i for g in self.groups for i in g]
@@ -52,53 +57,47 @@ def pair_score_matrix(
     return scores
 
 
-def mean_pairwise_score(scores: np.ndarray) -> float:
-    """Mean of the upper triangle; 0.0 for a single column."""
-    n = scores.shape[0]
-    if n < 2:
-        return 0.0
-    return float(np.mean(scores[np.triu_indices(n, k=1)]))
+def merge_sequence(scores: np.ndarray) -> list[tuple[float, int, int]]:
+    """Average-linkage merges of every column, in merge order, as
+    ``(height, a, b)``.
 
-
-def fg_cluster(
-    fs: FeatureSet,
-    kind: PairwiseDistanceKind,
-    threshold: float,
-    bins: int | None = None,
-    cache: MICache | None = None,
-    generation: int = 0,
-) -> ClusterSet:
-    """Start from singletons and merge the closest pair while its distance is
-    strictly below the threshold.
-
-    Cluster distances are re-averaged from raw member pairs after every merge;
-    ties pick the lexicographically smallest (first, second) cluster position.
+    A cluster is named by its smallest member, ``a < b``, and the merged
+    cluster keeps the name ``a``.  The height is the mean score over the raw
+    member pairs, ``np.mean(scores[np.ix_(lo, hi)])`` with ``lo`` the cluster
+    of smaller name; ties pick the lexicographically smallest ``(a, b)``.  The
+    sequence stops at the first height that is not finite.
     """
-    if threshold <= 0.0:
-        raise ValueError(f"threshold must be positive, got {threshold}")
-    scores = pair_score_matrix(fs, kind, bins, cache)
-    return _merge_loop(scores, threshold, generation)
-
-
-def _merge_loop(scores: np.ndarray, threshold: float, generation: int) -> ClusterSet:
-    clusters: list[tuple[int, ...]] = [(i,) for i in range(scores.shape[0])]
-    while len(clusters) > 1:
-        best_dist = None
-        best_pair = None
-        for a in range(len(clusters)):
-            for b in range(a + 1, len(clusters)):
-                d = float(np.mean(scores[np.ix_(clusters[a], clusters[b])]))
-                if best_dist is None or d < best_dist:
-                    best_dist = d
-                    best_pair = (a, b)
-        if best_dist is None or not best_dist < threshold:
+    n = scores.shape[0]
+    members: dict[int, tuple[int, ...]] = {i: (i,) for i in range(n)}
+    dist = np.full((n, n), np.inf)
+    upper = np.triu_indices(n, k=1)
+    dist[upper] = scores[upper]
+    merges: list[tuple[float, int, int]] = []
+    for _ in range(n - 1):
+        a, b = divmod(int(np.argmin(dist)), n)  # first minimum in row-major order
+        height = float(dist[a, b])
+        if not math.isfinite(height):
             break
-        a, b = best_pair
-        merged = tuple(sorted(clusters[a] + clusters[b]))
-        clusters = [c for k, c in enumerate(clusters) if k not in (a, b)]
-        clusters.append(merged)
-        clusters.sort(key=lambda c: c[0])
-    return ClusterSet(tuple(clusters), generation)
+        merges.append((height, a, b))
+        members[a] = tuple(sorted(members[a] + members.pop(b)))
+        dist[b, :] = np.inf
+        dist[:, b] = np.inf
+        for c in members:
+            if c != a:
+                lo, hi = min(a, c), max(a, c)
+                dist[lo, hi] = np.mean(scores[np.ix_(members[lo], members[hi])])
+    return merges
+
+
+def cut(merges: list[tuple[float, int, int]], n: int, threshold: float) -> ClusterSet:
+    """The clusters of ``n`` columns after replaying ``merges`` up to the first
+    one whose height is not strictly below ``threshold``."""
+    members: dict[int, tuple[int, ...]] = {i: (i,) for i in range(n)}
+    for height, a, b in merges:
+        if not height < threshold:
+            break
+        members[a] = tuple(sorted(members[a] + members.pop(b)))
+    return ClusterSet(tuple(members[name] for name in sorted(members)))
 
 
 def adaptive_cluster(
@@ -107,28 +106,27 @@ def adaptive_cluster(
     delta: float,
     bins: int | None = None,
     cache: MICache | None = None,
-    generation: int = 0,
-    min_clusters: int = 2,
 ) -> ClusterSet:
-    """Cluster with threshold = delta * mean initial pairwise score, halving the
-    threshold until at least ``min_clusters`` groups come out.
+    """Cut the step's merge sequence at threshold = delta * mean initial
+    pairwise score, halving the threshold until at least two groups come out.
 
     Falls back to singletons when halving cannot help (all scores identical),
     and to the single trivial group when there is only one column.
     """
     n = fs.n_cols
     if n == 1:
-        return ClusterSet(((0,),), generation)
+        return ClusterSet(((0,),))
     scores = pair_score_matrix(fs, kind, bins, cache)
-    threshold = delta * mean_pairwise_score(scores)
+    merges = merge_sequence(scores)
+    threshold = delta * float(np.mean(scores[np.triu_indices(n, k=1)]))
     for _ in range(12):
         if threshold <= 0.0:
             break
-        result = _merge_loop(scores, threshold, generation)
-        if len(result) >= min_clusters:
+        result = cut(merges, n, threshold)
+        if len(result) >= 2:
             return result
         threshold /= 2.0
-    return ClusterSet(tuple((i,) for i in range(n)), generation)
+    return ClusterSet(tuple((i,) for i in range(n)))
 
 
 def cluster_columns(fs: FeatureSet, cluster: tuple[int, ...] | list[int]) -> FeatureSet:

@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataset import FeatureSet, TaskKind, split_train_valid
+from .neural_core import NumericError
 from enum import Enum
 
 
@@ -234,7 +235,10 @@ def _value_ranks(xt: np.ndarray) -> np.ndarray:
 
 
 def fit_forest(train: FeatureSet, cfg: ForestConfig) -> RandomForest:
-    """Bootstrap-sampled trees with per-node feature subsampling."""
+    """Bootstrap-sampled trees with per-node feature subsampling.
+
+    Raises NumericError when a regression target's sum of squares overflows:
+    the split search's squared errors would then be inf or NaN."""
     x = train.values
     task = train.target.kind
     if task is TaskKind.CLASSIFICATION:
@@ -245,6 +249,10 @@ def fit_forest(train: FeatureSet, cfg: ForestConfig) -> RandomForest:
     else:
         y = np.asarray(train.target.values, dtype=np.float64)
         n_classes = 0
+        with np.errstate(over="ignore"):
+            sum_sq = float(np.dot(y, y))
+        if not math.isfinite(sum_sq):
+            raise NumericError("the regression target's sum of squares overflows")
     m = x.shape[0]
     xt = np.ascontiguousarray(x.T)
     ranks = _value_ranks(xt)

@@ -120,6 +120,32 @@ def agglomerative_oracle(columns, mi_to_target, kind: PairwiseDistanceKind,
     return tuple(clusters)
 
 
+def merge_loop_oracle(scores: np.ndarray, threshold: float) -> tuple[tuple[int, ...], ...]:
+    """The merge loop one threshold at a time, as `clustering` ran it before
+    the merge sequence: start from singletons, re-average every cluster pair
+    from the raw scores, and merge the first closest pair (in position order,
+    clusters sorted by smallest member) while its distance is strictly below
+    the threshold."""
+    clusters: list[tuple[int, ...]] = [(i,) for i in range(scores.shape[0])]
+    while len(clusters) > 1:
+        best_dist = None
+        best_pair = None
+        for a in range(len(clusters)):
+            for b in range(a + 1, len(clusters)):
+                d = float(np.mean(scores[np.ix_(clusters[a], clusters[b])]))
+                if best_dist is None or d < best_dist:
+                    best_dist = d
+                    best_pair = (a, b)
+        if best_dist is None or not best_dist < threshold:
+            break
+        a, b = best_pair
+        merged = tuple(sorted(clusters[a] + clusters[b]))
+        clusters = [c for k, c in enumerate(clusters) if k not in (a, b)]
+        clusters.append(merged)
+        clusters.sort(key=lambda c: c[0])
+    return tuple(clusters)
+
+
 # ---------------------------------------------------------------------------
 # random forest
 # ---------------------------------------------------------------------------

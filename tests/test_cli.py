@@ -74,9 +74,10 @@ def test_unknown_flag_exits_with_usage_error(capsys):
     assert exc.value.code == 2
 
 
-def test_unknown_config_key_rejected(tmp_path, small_csv):
+@pytest.mark.parametrize("key", ["mystery", "clip_norm", "skip_tail_on_unary"])
+def test_unknown_config_key_rejected(tmp_path, small_csv, key):
     cfgfile = tmp_path / "run.cfg"
-    cfgfile.write_text("mystery = 3\n", encoding="utf-8")
+    cfgfile.write_text(f"{key} = 3\n", encoding="utf-8")
     with pytest.raises(ConfigError, match="unknown key"):
         parse_config(["run", "--input", str(small_csv), "--target", "y",
                       "--out", str(tmp_path / "o"), "--config", str(cfgfile)])
@@ -280,14 +281,16 @@ def test_bench_mode_never_encodes(small_csv, tmp_path, monkeypatch):
     assert result.n_transitions == 0
 
 
-def test_nonfinite_score_exits_4(tmp_path, capsys):
-    # squared errors of a ~1e200 target overflow, so one_minus_mse is -inf
+@pytest.mark.parametrize("metric", ["one_minus_mse", "one_minus_rae"])
+def test_nonfinite_score_exits_4(tmp_path, capsys, metric):
+    # squares of a ~1e200 target overflow, in the forest's split search and in
+    # one_minus_mse
     fs = squared_sum_regression(m=80, n_distractors=3, seed=11)
     huge = FeatureSet(fs.values, fs.columns,
                       Target(fs.target.values * 1e200, TaskKind.REGRESSION, "y"))
     path = write_fixture(huge, tmp_path / "huge.csv")
     code = main(["run", "--input", str(path), "--target", "y", "--out", str(tmp_path / "o"),
-                 "--metric", "one_minus_mse", "--episodes", "1", "--steps", "1"])
+                 "--metric", metric, "--episodes", "1", "--steps", "1"])
     assert code == 4
     assert "numeric failure" in capsys.readouterr().err
 
@@ -302,7 +305,7 @@ RUN_OPTIONS = {
     "--encoder-epochs", "--delta", "--bins", "--max-size", "--gamma", "--beta",
     "--actor-lr", "--critic-lr", "--hidden", "--cross-cap", "--max-lineage-depth",
     "--bench", "--no-report", "--si-raw-count", "--full-gradient-critic",
-    "--skip-tail-on-unary", "--carry-features",
+    "--carry-features",
 }
 
 # A non-default value for every TrainConfig-backed key; None marks a switch,
@@ -312,14 +315,12 @@ TRAIN_KEY_VALUES = {
     "encoder_epochs": "2", "distance": "cosine", "delta": "0.5", "gamma": "0.8",
     "beta": "0.02", "actor_lr": "0.002", "critic_lr": "0.003", "hidden": "16",
     "cross_cap": "10", "max_lineage_depth": "4", "bins": "9", "max_size": "12",
-    "si_raw_count": None, "full_gradient_critic": None, "skip_tail_on_unary": None,
-    "carry_features": None,
+    "si_raw_count": None, "full_gradient_critic": None, "carry_features": None,
 }
 
 FILE_ONLY_VALUES = {
     "input": "data.csv", "target": "y", "out": "o", "task": "reg",
     "metric": "one_minus_rae", "impute": "median", "bench": "true", "report": "false",
-    "clip_norm": "5.0",
 }
 
 
@@ -329,9 +330,9 @@ def run_options() -> set[str]:
 
 
 def test_cli_surface_is_pinned(tmp_path):
-    assert run_options() == RUN_OPTIONS and len(RUN_OPTIONS) == 31
+    assert run_options() == RUN_OPTIONS and len(RUN_OPTIONS) == 30
     accepted = set(TRAIN_KEY_VALUES) | set(FILE_ONLY_VALUES)
-    assert set(_FILE_KEYS) == accepted and len(accepted) == 31
+    assert set(_FILE_KEYS) == accepted and len(accepted) == 29
     values = {**FILE_ONLY_VALUES, **{k: v or "true" for k, v in TRAIN_KEY_VALUES.items()}}
     cfgfile = tmp_path / "all.cfg"
     cfgfile.write_text("".join(f"{k} = {v}\n" for k, v in values.items()), encoding="utf-8")

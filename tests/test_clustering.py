@@ -5,15 +5,20 @@ from raft.clustering import (
     ClusterSet,
     adaptive_cluster,
     cluster_columns,
-    fg_cluster,
-    mean_pairwise_score,
+    cut,
+    merge_sequence,
     pair_score_matrix,
 )
 from raft.info_metrics import PairwiseDistanceKind, mutual_information
-from oracles import agglomerative_oracle, random_feature_set
+from oracles import agglomerative_oracle, merge_loop_oracle, random_feature_set
 
 EUC = PairwiseDistanceKind.EUCLIDEAN
 COS = PairwiseDistanceKind.COSINE
+
+
+def cluster_at(fs, kind, threshold, bins):
+    """The clusters of `fs` at one threshold, cut from its merge sequence."""
+    return cut(merge_sequence(pair_score_matrix(fs, kind, bins)), fs.n_cols, threshold)
 
 
 def test_identical_columns_collapse_to_one_cluster():
@@ -21,14 +26,14 @@ def test_identical_columns_collapse_to_one_cluster():
     col = rng.standard_normal(20)
     fs = random_feature_set(rng, 20, 3)
     fs = fs.with_columns(np.column_stack([col, col, col]), fs.columns)
-    got = fg_cluster(fs, EUC, threshold=0.5, bins=4)
+    got = cluster_at(fs, EUC, threshold=0.5, bins=4)
     assert got.groups == ((0, 1, 2),)
 
 
 def test_tiny_threshold_keeps_singletons():
     rng = np.random.default_rng(1)
     fs = random_feature_set(rng, 25, 5)
-    got = fg_cluster(fs, EUC, threshold=1e-12, bins=4)
+    got = cluster_at(fs, EUC, threshold=1e-12, bins=4)
     assert got.groups == ((0,), (1,), (2,), (3,), (4,))
 
 
@@ -39,7 +44,7 @@ def test_matches_brute_force_oracle_at_median_threshold(kind):
     bins = 5
     scores = pair_score_matrix(fs, kind, bins)
     threshold = float(np.median(scores[np.triu_indices(6, k=1)]))
-    got = fg_cluster(fs, kind, threshold, bins)
+    got = cluster_at(fs, kind, threshold, bins)
     y = np.asarray(fs.target.values, dtype=float)
     mi_y = [mutual_information(fs.column(i), y, bins) for i in range(6)]
     cols = [fs.column(i) for i in range(6)]
@@ -53,7 +58,7 @@ def test_partition_validity_on_random_instances():
         n = int(rng.integers(1, 9))
         fs = random_feature_set(rng, int(rng.integers(5, 40)), n)
         threshold = float(rng.uniform(0.001, 2.0))
-        got = fg_cluster(fs, EUC, threshold, bins=4)
+        got = cluster_at(fs, EUC, threshold, bins=4)
         flat = sorted(i for g in got.groups for i in g)
         assert flat == list(range(n))
 
@@ -63,7 +68,7 @@ def test_threshold_monotonicity():
     for _ in range(15):
         fs = random_feature_set(rng, 20, 6)
         thresholds = sorted(rng.uniform(0.01, 3.0, size=3))
-        counts = [len(fg_cluster(fs, EUC, t, bins=4)) for t in thresholds]
+        counts = [len(cluster_at(fs, EUC, t, bins=4)) for t in thresholds]
         assert counts == sorted(counts, reverse=True)
 
 
@@ -75,13 +80,28 @@ def test_permutation_invariance_up_to_relabeling():
     upper = scores[np.triu_indices(5, k=1)]
     assert np.unique(upper).size == upper.size  # no exact ties on this fixture
     threshold = float(np.median(upper))
-    base = fg_cluster(fs, EUC, threshold, bins)
+    base = cluster_at(fs, EUC, threshold, bins)
     perm = np.array([3, 0, 4, 1, 2])
     fs_p = fs.with_columns(fs.values[:, perm], tuple(fs.columns[i] for i in perm))
-    permuted = fg_cluster(fs_p, EUC, threshold, bins)
+    permuted = cluster_at(fs_p, EUC, threshold, bins)
     inverse = {int(p): i for i, p in enumerate(perm)}
     relabeled = sorted(tuple(sorted(perm[i] for i in g)) for g in permuted.groups)
     assert relabeled == sorted(tuple(g) for g in base.groups)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8, 13, 21, 30])
+def test_cut_matches_merge_loop_oracle(n):
+    # random scores, and small integers whose many ties exercise the
+    # first-minimum tie-break and the strict < at a threshold equal to a score
+    rng = np.random.default_rng(100 + n)
+    for values in (rng.random((n, n)), rng.integers(0, 4, size=(n, n)).astype(float)):
+        scores = np.triu(values, k=1)
+        scores = scores + scores.T
+        merges = merge_sequence(scores)
+        upper = scores[np.triu_indices(n, k=1)]
+        thresholds = [*np.quantile(upper, [0.1, 0.5, 0.9]), float(upper[-1]), float(upper.max()) + 1]
+        for threshold in thresholds:
+            assert cut(merges, n, threshold).groups == merge_loop_oracle(scores, threshold)
 
 
 def test_cluster_set_rejects_bad_partition():
@@ -115,10 +135,6 @@ def test_adaptive_cluster_single_column():
     fs = random_feature_set(rng, 15, 1)
     got = adaptive_cluster(fs, EUC, delta=1.0, bins=4)
     assert got.groups == ((0,),)
-
-
-def test_mean_pairwise_score_single_column_is_zero():
-    assert mean_pairwise_score(np.zeros((1, 1))) == 0.0
 
 
 # ---------------------------------------------------------------------------
