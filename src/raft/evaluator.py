@@ -237,8 +237,8 @@ def _value_ranks(xt: np.ndarray) -> np.ndarray:
 def fit_forest(train: FeatureSet, cfg: ForestConfig) -> RandomForest:
     """Bootstrap-sampled trees with per-node feature subsampling.
 
-    Raises NumericError when a regression target's sum of squares overflows:
-    the split search's squared errors would then be inf or NaN."""
+    Raises NumericError when a regression target is so large that the split
+    search's squared sums could overflow to inf or NaN."""
     x = train.values
     task = train.target.kind
     if task is TaskKind.CLASSIFICATION:
@@ -249,10 +249,11 @@ def fit_forest(train: FeatureSet, cfg: ForestConfig) -> RandomForest:
     else:
         y = np.asarray(train.target.values, dtype=np.float64)
         n_classes = 0
-        with np.errstate(over="ignore"):
-            sum_sq = float(np.dot(y, y))
-        if not math.isfinite(sum_sq):
-            raise NumericError("the regression target's sum of squares overflows")
+        # a running sum over a tree's sample of y.size rows, or the difference
+        # of two, is at most 2 * y.size * max|y| in magnitude; the scan squares it
+        bound = 2.0 * y.size * float(np.max(np.abs(y)))
+        if not math.isfinite(bound * bound):
+            raise NumericError("the regression target is too large for the split search")
     m = x.shape[0]
     xt = np.ascontiguousarray(x.T)
     ranks = _value_ranks(xt)

@@ -36,21 +36,25 @@ def as_labels(v: np.ndarray, bins: int) -> np.ndarray:
 
 
 def _plugin_mi(lx: np.ndarray, ly: np.ndarray) -> float:
-    """Maximum-likelihood MI (nats) from the joint label histogram."""
+    """Maximum-likelihood MI (nats) from the joint label histogram.
+
+    The positive cells are taken in row-major order, each ratio's log is
+    ``math.log``'s, and the terms are summed strictly left to right
+    (``np.cumsum``).  numpy's SIMD log differs from ``math.log`` in the last
+    bit on some inputs, and ``np.sum`` adds pairwise, so either would change
+    the result's bits.
+    """
     n = lx.size
     kx = int(lx.max()) + 1
     ky = int(ly.max()) + 1
     joint = np.bincount(lx * ky + ly, minlength=kx * ky).reshape(kx, ky) / n
     px = joint.sum(axis=1)
     py = joint.sum(axis=0)
-    mi = 0.0
-    for i in range(kx):
-        pi = px[i]
-        for j in range(ky):
-            p = joint[i, j]
-            if p > 0.0:
-                mi += p * math.log(p / (pi * py[j]))
-    return float(mi) if mi > 0.0 else 0.0
+    i, j = np.nonzero(joint)
+    p = joint[i, j]
+    logs = [math.log(r) for r in (p / (px[i] * py[j])).tolist()]
+    mi = float(np.cumsum(p * logs)[-1])
+    return mi if mi > 0.0 else 0.0
 
 
 class MICache:
@@ -71,13 +75,14 @@ class MICache:
         return h, self._labels[key]
 
     def mi(self, x: np.ndarray, y: np.ndarray, bins: int) -> float:
-        """MI of two vectors; the operand with the smaller content hash is the
-        row variable, so both argument orders sum the same terms."""
-        hx, lx = self.labels(x, bins)
-        hy, ly = self.labels(y, bins)
-        if hy < hx:
-            hx, hy = hy, hx
-            lx, ly = ly, lx
+        """MI of two vectors (see ``labelled_mi``)."""
+        return self.labelled_mi(self.labels(x, bins), self.labels(y, bins), bins)
+
+    def labelled_mi(self, x: tuple[bytes, np.ndarray], y: tuple[bytes, np.ndarray],
+                    bins: int) -> float:
+        """MI of two ``labels`` results; the operand with the smaller content
+        hash is the row variable, so both argument orders sum the same terms."""
+        (hx, lx), (hy, ly) = (x, y) if x[0] <= y[0] else (y, x)
         key = (hx, hy, bins)
         if key not in self._mi:
             self._mi[key] = _plugin_mi(lx, ly)
@@ -108,14 +113,15 @@ def feature_set_quality(
     bins = default_bins(fs.n_rows) if bins is None else bins
     cache = MICache() if cache is None else cache
     n = fs.n_cols
-    y = np.asarray(fs.target.values, dtype=np.float64)
+    target = cache.labels(fs.target.values, bins)
+    cols = [cache.labels(fs.column(i), bins) for i in range(n)]
     relevance = 0.0
-    for i in range(n):
-        relevance += cache.mi(fs.column(i), y, bins)
+    for col in cols:
+        relevance += cache.labelled_mi(col, target, bins)
     redundancy = 0.0
     for i in range(n):
         for j in range(i + 1, n):
-            redundancy += cache.mi(fs.column(i), fs.column(j), bins)
+            redundancy += cache.labelled_mi(cols[i], cols[j], bins)
     return -(2.0 * redundancy) / (n * n) + relevance / n
 
 

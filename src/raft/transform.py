@@ -139,17 +139,19 @@ def dedup(batch: GeneratedBatch, fs: FeatureSet) -> GeneratedBatch:
     to an existing column or an earlier batch column."""
     kept_cols: list[np.ndarray] = []
     kept_metas: list[FeatureMeta] = []
-    existing = [fs.values[:, i] for i in range(fs.n_cols)]
+    seen = [fs.values[:, i] for i in range(fs.n_cols)]
+    first = np.empty(fs.n_cols + len(batch))  # each seen column's first entry
+    first[:fs.n_cols] = fs.values[0]
     for col, meta in zip(batch.columns, batch.metas):
         if float(np.ptp(col)) <= _DEDUP_TOL:
             continue
-        duplicate = False
         with np.errstate(over="ignore"):
-            for other in existing + kept_cols:
-                if np.all(np.abs(col - other) <= _DEDUP_TOL):
-                    duplicate = True
-                    break
+            # only a column that matches in the first row can match in all
+            near = np.flatnonzero(np.abs(col[0] - first[:len(seen)]) <= _DEDUP_TOL)
+            duplicate = any(np.all(np.abs(col - seen[k]) <= _DEDUP_TOL) for k in near)
         if not duplicate:
+            first[len(seen)] = col[0]
+            seen.append(col)
             kept_cols.append(col)
             kept_metas.append(meta)
     return GeneratedBatch(kept_cols, kept_metas, batch.op)

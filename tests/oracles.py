@@ -12,8 +12,9 @@ import numpy as np
 
 from raft.dataset import FeatureSet, TaskKind
 from raft.evaluator import ForestConfig
-from raft.info_metrics import PairwiseDistanceKind
+from raft.info_metrics import PairwiseDistanceKind, as_labels, content_hash
 from raft.neural_core import DenseNet, Grads
+from raft.transform import GeneratedBatch
 
 
 # ---------------------------------------------------------------------------
@@ -63,6 +64,49 @@ def quality_oracle(columns_labels, target_labels) -> float:
                 redundancy += mi_oracle(columns_labels[i], columns_labels[j])
     relevance = sum(mi_oracle(col, target_labels) for col in columns_labels)
     return -redundancy / (n * n) + relevance / n
+
+
+def plugin_mi_oracle(lx: np.ndarray, ly: np.ndarray) -> float:
+    """The scalar plug-in MI estimator as it was before vectorisation: a
+    double loop over the joint table, one ``math.log`` and one running sum
+    per positive cell in row-major order."""
+    n = lx.size
+    kx = int(lx.max()) + 1
+    ky = int(ly.max()) + 1
+    joint = np.bincount(lx * ky + ly, minlength=kx * ky).reshape(kx, ky) / n
+    px = joint.sum(axis=1)
+    py = joint.sum(axis=0)
+    mi = 0.0
+    for i in range(kx):
+        pi = px[i]
+        for j in range(ky):
+            p = joint[i, j]
+            if p > 0.0:
+                mi += p * math.log(p / (pi * py[j]))
+    return float(mi) if mi > 0.0 else 0.0
+
+
+def scalar_quality_oracle(fs: FeatureSet, bins: int) -> float:
+    """``feature_set_quality`` as it was before vectorisation: both operands
+    of every pair hashed and labelled again, the one with the smaller content
+    hash as the row variable, and ``plugin_mi_oracle`` per pair."""
+    def mi(x, y):
+        lx, ly = as_labels(x, bins), as_labels(y, bins)
+        if content_hash(np.asarray(y, dtype=np.float64)) < content_hash(
+                np.asarray(x, dtype=np.float64)):
+            lx, ly = ly, lx
+        return plugin_mi_oracle(lx, ly)
+
+    n = fs.n_cols
+    y = np.asarray(fs.target.values, dtype=np.float64)
+    relevance = 0.0
+    for i in range(n):
+        relevance += mi(fs.column(i), y)
+    redundancy = 0.0
+    for i in range(n):
+        for j in range(i + 1, n):
+            redundancy += mi(fs.column(i), fs.column(j))
+    return -(2.0 * redundancy) / (n * n) + relevance / n
 
 
 def euclidean_oracle(a, b) -> float:
@@ -144,6 +188,31 @@ def merge_loop_oracle(scores: np.ndarray, threshold: float) -> tuple[tuple[int, 
         clusters.append(merged)
         clusters.sort(key=lambda c: c[0])
     return tuple(clusters)
+
+
+# ---------------------------------------------------------------------------
+# feature generation
+# ---------------------------------------------------------------------------
+
+def dedup_oracle(batch: GeneratedBatch, fs: FeatureSet, tol: float = 1e-12) -> GeneratedBatch:
+    """``dedup`` as it was before vectorisation: one ``np.all`` per earlier
+    column, existing columns first, then the batch columns kept so far."""
+    kept_cols: list[np.ndarray] = []
+    kept_metas = []
+    existing = [fs.values[:, i] for i in range(fs.n_cols)]
+    for col, meta in zip(batch.columns, batch.metas):
+        if float(np.ptp(col)) <= tol:
+            continue
+        duplicate = False
+        with np.errstate(over="ignore"):
+            for other in existing + kept_cols:
+                if np.all(np.abs(col - other) <= tol):
+                    duplicate = True
+                    break
+        if not duplicate:
+            kept_cols.append(col)
+            kept_metas.append(meta)
+    return GeneratedBatch(kept_cols, kept_metas, batch.op)
 
 
 # ---------------------------------------------------------------------------

@@ -295,6 +295,20 @@ def test_nonfinite_score_exits_4(tmp_path, capsys, metric):
     assert "numeric failure" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("metric", ["one_minus_mse", "one_minus_rae"])
+def test_forest_split_overflow_window_exits_4(tmp_path, capsys, metric):
+    # a ~1e152 target has a finite sum of squares, but the split search's
+    # squared running sums over the sample overflow
+    fs = squared_sum_regression(m=80, n_distractors=3, seed=11)
+    huge = FeatureSet(fs.values, fs.columns,
+                      Target(fs.target.values * 1e152, TaskKind.REGRESSION, "y"))
+    path = write_fixture(huge, tmp_path / "huge.csv")
+    code = main(["run", "--input", str(path), "--target", "y", "--out", str(tmp_path / "o"),
+                 "--metric", metric, "--episodes", "1", "--steps", "1"])
+    assert code == 4
+    assert "numeric failure" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # The CLI surface
 # ---------------------------------------------------------------------------

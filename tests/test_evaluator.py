@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from raft.evaluator import (
     metric_only,
     predict,
 )
+from raft.neural_core import NumericError
 
 from oracles import forest_oracle, forest_predict_oracle
 
@@ -199,6 +202,21 @@ def test_importances_uniform_when_no_splits():
     fs = reg_set(x, np.full(6, 1.0))
     forest = fit_forest(fs, ForestConfig(n_trees=2, seed=7))
     np.testing.assert_allclose(feature_importances(forest), [1 / 3] * 3)
+
+
+@pytest.mark.parametrize("bootstrap", [True, False])
+def test_fit_forest_overflow_bound_holds_at_its_edge(bootstrap):
+    # just inside the bound the split search runs without an overflow warning
+    # (the suite turns RuntimeWarning into an error); just outside it raises
+    rng = np.random.default_rng(19)
+    x = rng.standard_normal((60, 4))
+    y = rng.uniform(1.0, 2.0, 60)  # one sign: running sums reach m * max|y|
+    edge = math.sqrt(np.finfo(np.float64).max) / (2 * 60 * float(np.max(np.abs(y))))
+    cfg = ForestConfig(n_trees=4, seed=2, bootstrap=bootstrap)
+    forest = fit_forest(reg_set(x, y * (edge * 0.999)), cfg)
+    assert np.all(np.isfinite(predict(forest, x)))
+    with pytest.raises(NumericError):
+        fit_forest(reg_set(x, y * (edge * 1.001)), cfg)
 
 
 def _tree_tuples(node):

@@ -9,6 +9,7 @@ from raft.dataset import FeatureMeta, FeatureSet, Ident, Target, TaskKind, discr
 from raft.info_metrics import (
     MICache,
     PairwiseDistanceKind,
+    _plugin_mi,
     as_labels,
     feature_set_quality,
     mutual_information,
@@ -18,7 +19,9 @@ from oracles import (
     cosine_oracle,
     euclidean_oracle,
     mi_oracle,
+    plugin_mi_oracle,
     quality_oracle,
+    scalar_quality_oracle,
 )
 
 EUC = PairwiseDistanceKind.EUCLIDEAN
@@ -167,6 +170,71 @@ def test_quality_duplicating_features_lowers_redundancy_contribution():
             assert redundancy(dup) < redundancy(labels)
         else:
             assert redundancy(dup) == pytest.approx(redundancy(labels), abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# bit-exact agreement with the scalar estimator
+# ---------------------------------------------------------------------------
+
+def random_labels(rng, m, k):
+    """m labels below k, k - 1 among them; a random subset of the others is
+    never drawn, so the joint table gets empty rows and columns."""
+    support = rng.choice(k, size=int(rng.integers(1, k + 1)), replace=False)
+    labels = rng.choice(support, size=m).astype(np.int64)
+    labels[0] = k - 1
+    return labels
+
+
+@pytest.mark.parametrize("kx", range(1, 17))
+def test_plugin_mi_equals_scalar_oracle_on_random_labels(kx):
+    rng = np.random.default_rng(kx)
+    for ky in range(1, 17):
+        for _ in range(3):
+            m = int(rng.integers(2, 400))
+            lx = random_labels(rng, m, kx)
+            ly = random_labels(rng, m, ky)
+            assert _plugin_mi(lx, ly) == plugin_mi_oracle(lx, ly)
+            assert _plugin_mi(ly, lx) == plugin_mi_oracle(ly, lx)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_plugin_mi_equals_scalar_oracle_on_binned_and_discrete_columns(seed):
+    # the label tables the search builds: equal-frequency bins of related
+    # continuous columns, and discrete columns recoded densely
+    rng = np.random.default_rng(100 + seed)
+    for _ in range(25):
+        m = int(rng.integers(20, 600))
+        bins = int(rng.integers(2, 17))
+        x = rng.standard_normal(m)
+        y = x * rng.uniform(-2.0, 2.0) + rng.standard_normal(m)
+        d = rng.integers(-3, int(rng.integers(-2, 14)), size=m).astype(float)
+        for a, b in ((x, y), (x, d), (d, y), (d, np.round(y))):
+            la, lb = as_labels(a, bins), as_labels(b, bins)
+            assert _plugin_mi(la, lb) == plugin_mi_oracle(la, lb)
+            assert _plugin_mi(lb, la) == plugin_mi_oracle(lb, la)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_quality_equals_scalar_pair_loop_oracle(seed):
+    rng = np.random.default_rng(200 + seed)
+    m = int(rng.integers(10, 300))
+    n = int(rng.integers(1, 9))
+    columns = [rng.standard_normal(m) for _ in range(n)]
+    columns.append(np.round(columns[0] * 2.0))  # discrete
+    columns.append(columns[-1].copy())  # duplicate
+    columns.append(np.full(m, 1.5))  # constant
+    values = np.column_stack([columns[i] for i in rng.permutation(len(columns))])
+    classification = seed % 2 == 1
+    y = rng.integers(0, 3, size=m) if classification else rng.standard_normal(m)
+    if classification:
+        y[:3] = [0, 1, 2]
+    fs = make_fs(values, y, TaskKind.CLASSIFICATION if classification else TaskKind.REGRESSION)
+    bins = int(rng.integers(2, 17))
+    cache = MICache()
+    want = scalar_quality_oracle(fs, bins)
+    assert feature_set_quality(fs, bins, cache) == want
+    assert feature_set_quality(fs, bins, cache) == want  # every pair from the memo
+    assert feature_set_quality(fs, bins) == want
 
 
 # ---------------------------------------------------------------------------

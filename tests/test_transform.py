@@ -17,6 +17,7 @@ from raft.dataset import (
 )
 from raft.info_metrics import mutual_information
 from raft.transform import (
+    GeneratedBatch,
     OperationSet,
     apply_unary,
     cross_binary,
@@ -24,7 +25,7 @@ from raft.transform import (
     generation_step,
     select_features,
 )
-from oracles import random_feature_set
+from oracles import dedup_oracle, random_feature_set
 
 
 def make_fs(values, y=None, kind=TaskKind.REGRESSION, names=None):
@@ -172,6 +173,58 @@ def test_dedup_keeps_distinct():
     fs = make_fs([[1.0, 2.0], [3.0, 5.0], [5.0, 11.0]], names=["a", "b"])
     batch = apply_unary("square", fs)
     assert len(dedup(batch, fs)) == 2
+
+
+def random_dedup_case(rng):
+    """A feature set and a batch that mixes fresh columns, copies of earlier
+    columns (existing or in the batch), near-copies and near-constant columns
+    within a few ulps of the 1e-12 tolerance, and huge columns whose
+    difference from the opposite-signed huge existing column overflows."""
+    m = int(rng.integers(2, 20))
+
+    def grid():
+        v = rng.integers(-8, 9, size=m) / 4.0  # exact, often 0
+        if rng.random() < 0.5:
+            v[0] = 0.0  # a first-row difference is then exactly the shift
+        return v
+
+    existing = [grid() for _ in range(int(rng.integers(1, 5)))]
+    existing.append(-rng.uniform(1.0e308, 1.7e308, m))
+    tol = np.float64(1e-12)
+    deltas = [np.nextafter(tol, 0.0), tol, np.nextafter(tol, 1.0), 2.0 * tol, tol / 2.0]
+    batch: list[np.ndarray] = []
+    for _ in range(int(rng.integers(1, 30))):
+        earlier = existing + batch
+        moderate = [c for c in earlier if np.max(np.abs(c)) < 1e300]
+        delta = deltas[int(rng.integers(0, len(deltas)))]
+        kind = int(rng.integers(0, 5))
+        if kind == 0:
+            col = grid()
+        elif kind == 1:
+            col = earlier[int(rng.integers(0, len(earlier)))].copy()
+        elif kind == 2:
+            shift = rng.choice([0.0, delta, -delta], size=m)
+            shift[0] = delta
+            col = moderate[int(rng.integers(0, len(moderate)))] + shift
+        elif kind == 3:
+            col = np.full(m, grid()[0]) + rng.choice([0.0, delta], size=m)
+        else:
+            col = rng.uniform(1.0e308, 1.7e308, m)
+        batch.append(col)
+    fs = make_fs(np.column_stack(existing))
+    metas = [FeatureMeta.from_lineage(Ident(f"g{i}")) for i in range(len(batch))]
+    return fs, GeneratedBatch(batch, metas, "+")
+
+
+@pytest.mark.parametrize("seed", range(100))
+def test_dedup_matches_per_column_oracle(seed):
+    fs, batch = random_dedup_case(np.random.default_rng(seed))
+    got = dedup(batch, fs)
+    want = dedup_oracle(batch, fs)
+    assert [meta.name for meta in got.metas] == [meta.name for meta in want.metas]
+    assert len(got.columns) == len(want.columns)
+    for a, b in zip(got.columns, want.columns):
+        assert np.array_equal(a, b)
 
 
 # ---------------------------------------------------------------------------
