@@ -179,18 +179,27 @@ def grads_zero(net: DenseNet) -> Grads:
                  np.zeros_like(net.w2), np.zeros_like(net.b2))
 
 
-def global_norm(grads: Grads) -> float:
+def _joint_norm(arrays: tuple[np.ndarray, ...]) -> float:
     total = 0.0
-    for arr in (grads.w1, grads.b1, grads.w2, grads.b2):
+    for arr in arrays:
         total += float(np.sum(arr * arr))
     return math.sqrt(total)
 
 
-def clip_by_global_norm(grads: Grads, clip: float) -> Grads:
-    norm = global_norm(grads)
+def global_norm(grads: Grads) -> float:
+    return _joint_norm((grads.w1, grads.b1, grads.w2, grads.b2))
+
+
+def clip_by_norm(arrays: tuple[np.ndarray, ...], clip: float) -> tuple[np.ndarray, ...]:
+    """Scale the arrays by one factor so that their joint L2 norm is at most clip."""
+    norm = _joint_norm(arrays)
     if norm > clip and norm > 0.0:
-        return grads_scale(grads, clip / norm)
-    return grads
+        return tuple(arr * (clip / norm) for arr in arrays)
+    return arrays
+
+
+def clip_by_global_norm(grads: Grads, clip: float) -> Grads:
+    return Grads(*clip_by_norm((grads.w1, grads.b1, grads.w2, grads.b2), clip))
 
 
 def sgd_step(net: DenseNet, grads: Grads, opt: OptimState) -> DenseNet:

@@ -15,7 +15,8 @@ import numpy as np
 
 from .dataset import FeatureSet
 from .info_metrics import content_hash
-from .neural_core import GcnLayer, derive_seed, forward, gcn_forward, init_gcn, train_autoencoder
+from .neural_core import (GcnLayer, clip_by_norm, derive_seed, forward, gcn_forward, init_gcn,
+                          train_autoencoder)
 
 SI_LENGTH = 49
 _STATE_CLAMP = 1e30
@@ -198,10 +199,7 @@ def state_gae(
     rng = np.random.default_rng(derive_seed(seed, "gae"))
     layer = init_gcn(fs.n_rows, k, rng)
     for _ in range(epochs):
-        grad = gae_layer_grad(adj, feats, layer)
-        norm = float(np.sqrt(np.sum(grad * grad)))
-        if norm > _GAE_CLIP_NORM:
-            grad = grad * (_GAE_CLIP_NORM / norm)
+        (grad,) = clip_by_norm((gae_layer_grad(adj, feats, layer),), _GAE_CLIP_NORM)
         if not np.all(np.isfinite(grad)):
             break
         layer = GcnLayer(layer.w - lr * grad)
