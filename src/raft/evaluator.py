@@ -3,18 +3,22 @@
 Trees use axis-aligned splits with Gini impurity (classification) or variance
 (regression), midpoint thresholds, and deterministic tie-breaking by lowest
 feature index then lowest threshold.  Determinism per seed is exact: each tree
-draws its bootstrap sample and per-node feature subsets from its own spawned
+draws its bootstrap sample and its nodes' feature subsets from its own spawned
 generator.
 
-Split search.  `fit_forest` ranks every column's values once per fit (equal
-values share a rank).  A node packs, for each candidate feature, the pair
-(rank, position in the node's row list) into one integer and sorts those
-integers; the pairs are unique, so the result is exactly the order a stable
-argsort of the node's values gives.  All candidates are then scanned in one
-pass over a (features, rows) array: running sums along each row are sequential
-and row totals pairwise, the same summation order as `np.cumsum` and `np.sum`
-on one sorted column.  So every threshold, leaf value and importance is
-bit-equal to sorting and scanning one feature at a time.
+Split search (histograms, grown level by level).  `fit_forest` ranks every
+column's training values once per fit and puts a column with D distinct
+values into min(MAX_BINS, D) bins of whole distinct values, so a column with
+at most MAX_BINS distinct values keeps every candidate split.  A tree grows
+one level at a time.  One draw gives every node of the level that is split
+its feature subset, in breadth-first order.  One `np.bincount` then builds
+the histogram over (node, drawn feature, bin) of class counts, or of row
+counts and sums of y and y*y, each bin summed in sample order.  Running sums
+over the bins score every cut, and the row-major first minimum picks each
+node's split.  The threshold is the midpoint between the node's largest value
+in the bins up to the cut and its smallest value above them.  Sums over
+classes run from the lowest class up, and node means and variances are sums
+in sample order, so `tests/oracles.py` can replay every bit in plain loops.
 """
 
 from __future__ import annotations
@@ -56,6 +60,9 @@ def default_metric(task: TaskKind) -> MetricKind:
     return MetricKind.F1_MACRO if task is TaskKind.CLASSIFICATION else MetricKind.ONE_MINUS_RAE
 
 
+MAX_BINS = 32  # split candidates per column and node: bins of whole distinct values
+
+
 @dataclass(frozen=True)
 class ForestConfig:
     n_trees: int = 10
@@ -89,138 +96,15 @@ class RandomForest:
     cfg: ForestConfig
 
 
-def _gini(counts: np.ndarray) -> float:
-    n = counts.sum()
-    if n == 0:
-        return 0.0
-    p = counts / n
-    return float(1.0 - np.add.reduce(p * p))
-
-
-def _variance(y: np.ndarray) -> float:
-    """np.var's arithmetic without its wrapper: mean, centre, square, mean."""
-    n = y.size
-    if n == 0:
-        return 0.0
-    d = y - np.add.reduce(y) / n
-    return float(np.add.reduce(d * d) / n)
-
-
-class _TreeBuilder:
-    """Grows one tree.  A node is its list of training rows in sample order
-    (a bootstrap sample repeats rows).
-
-    `ranks[f, r]` is the rank of x[r, f] among the distinct values of column
-    f, so equal values share a rank.  At a node, candidate feature f gives row
-    i of the node's list the key (ranks[f, rows[i]], i).  The keys are unique,
-    so one plain sort of them orders the node's values exactly as a stable
-    argsort of x[rows, f] does, ties by list position."""
-
-    def __init__(self, xt: np.ndarray, ranks: np.ndarray, y: np.ndarray, task: TaskKind,
-                 n_classes: int, cfg: ForestConfig, rng: np.random.Generator,
-                 importances: np.ndarray) -> None:
-        self.xt = xt  # (n_features, n_rows), C-contiguous
-        self.ranks = ranks
-        self.y = y
-        self.task = task
-        self.n_classes = n_classes
-        self.cfg = cfg
-        self.rng = rng
-        self.importances = importances
-        self.n_total = y.size  # a tree's sample has as many rows as the training set
-        n_feat = xt.shape[0]
-        if cfg.max_features is not None:
-            self.m_feats = min(cfg.max_features, n_feat)
-        elif task is TaskKind.CLASSIFICATION:
-            self.m_feats = min(math.ceil(math.sqrt(n_feat)), n_feat)
-        else:
-            self.m_feats = min(math.ceil(n_feat / 3), n_feat)
-
-    def build(self, rows: np.ndarray, depth: int) -> _Node:
-        y_node = self.y[rows]
-        if depth >= self.cfg.max_depth or rows.size < 2 * self.cfg.min_leaf:
-            return self._leaf(y_node)
-        node_imp = self._impurity(y_node)
-        if node_imp == 0.0:
-            return self._leaf(y_node)
-        feats = self.rng.choice(self.xt.shape[0], size=self.m_feats, replace=False)
-        feats.sort()
-        best = self._best_split(rows, y_node, feats)
-        if best is None:
-            return self._leaf(y_node)
-        feature, threshold, score = best
-        mask = self.xt[feature, rows] <= threshold
-        left_rows = np.compress(mask, rows)
-        right_rows = np.compress(~mask, rows)
-        if left_rows.size < self.cfg.min_leaf or right_rows.size < self.cfg.min_leaf:
-            return self._leaf(y_node)
-        self.importances[feature] += (rows.size / self.n_total) * (node_imp - score)
-        return _Node(
-            feature=feature,
-            threshold=threshold,
-            left=self.build(left_rows, depth + 1),
-            right=self.build(right_rows, depth + 1),
-        )
-
-    def _impurity(self, y_node: np.ndarray) -> float:
-        if self.task is TaskKind.CLASSIFICATION:
-            return _gini(np.bincount(y_node, minlength=self.n_classes))
-        return _variance(y_node)
-
-    def _leaf(self, y_node: np.ndarray) -> _Node:
-        """Only leaves carry a value; prediction never reads an inner node's."""
-        if self.task is TaskKind.CLASSIFICATION:
-            return _Node(value=float(np.argmax(np.bincount(y_node, minlength=self.n_classes))))
-        return _Node(value=float(np.add.reduce(y_node) / y_node.size))
-
-    def _best_split(self, rows: np.ndarray, y_node: np.ndarray, feats: np.ndarray):
-        """Score every threshold of every candidate feature in one pass.  Per
-        feature the first minimum wins (thresholds ascend); across features
-        the first minimum in ascending index order wins, so a later feature
-        replaces an earlier one only when strictly better."""
-        n = rows.size
-        min_leaf = self.cfg.min_leaf
-        # split after position i puts i+1 rows left; both sides >= min_leaf
-        # (build only calls with n >= 2 * min_leaf, so hi >= lo)
-        lo, hi = min_leaf - 1, n - min_leaf - 1
-        bits = n.bit_length()
-        keys = (self.ranks[feats[:, None], rows] << bits) | np.arange(n)
-        keys.sort(axis=1)
-        at = keys & ((1 << bits) - 1)  # (k, n): each candidate's list positions by value
-        value_rank = keys >> bits
-        valid = (value_rank[:, :-1] < value_rank[:, 1:])[:, lo:hi + 1]
-        ys = y_node[at]
-        n_left = np.arange(lo + 1, hi + 2, dtype=np.float64)
-        n_right = n - n_left
-        if self.task is TaskKind.CLASSIFICATION:
-            onehot = ys[:, :, None] == np.arange(self.n_classes)
-            cum = onehot.cumsum(axis=1, dtype=np.float64)[:, lo:hi + 1]  # exact counts
-            total = np.bincount(y_node, minlength=self.n_classes).astype(np.float64)
-            gini_l = 1.0 - np.add.reduce((cum / n_left[:, None]) ** 2, axis=2)
-            gini_r = 1.0 - np.add.reduce(((total - cum) / n_right[:, None]) ** 2, axis=2)
-            scores = (n_left * gini_l + n_right * gini_r) / n
-        else:
-            # row sums and running sums over each row: the same summation
-            # order as np.sum / np.cumsum of one sorted column
-            sq = ys * ys
-            c1 = ys.cumsum(axis=1)[:, lo:hi + 1]
-            c2 = sq.cumsum(axis=1)[:, lo:hi + 1]
-            s1 = np.add.reduce(ys, axis=1)[:, None]
-            s2 = np.add.reduce(sq, axis=1)[:, None]
-            sse_l = c2 - c1 * c1 / n_left
-            sse_r = (s2 - c2) - (s1 - c1) ** 2 / n_right
-            scores = (sse_l + sse_r) / n
-        scores = np.where(valid, scores, np.inf)
-        best = None
-        for j, score in enumerate(np.minimum.reduce(scores, axis=1).tolist()):
-            if math.isfinite(score) and (best is None or score < best[1]):
-                best = (j, score)
-        if best is None:
-            return None
-        j, score = best
-        i = lo + int(scores[j].argmin())
-        below, above = self.xt[feats[j], rows[at[j, i:i + 2]]]
-        return int(feats[j]), float((below + above) / 2.0), score
+def _gini(counts: np.ndarray, n) -> np.ndarray:
+    """1 - sum over classes of (counts / n)^2, for class counts along the first
+    axis, the classes summed in order."""
+    p = counts[0] / n
+    total = p * p
+    for c in range(1, counts.shape[0]):
+        p = counts[c] / n
+        total = total + p * p
+    return 1.0 - total
 
 
 def _value_ranks(xt: np.ndarray) -> np.ndarray:
@@ -232,6 +116,141 @@ def _value_ranks(xt: np.ndarray) -> np.ndarray:
     ranks = np.empty_like(at)
     np.put_along_axis(ranks, at, np.cumsum(new_value, axis=1), axis=1)
     return ranks
+
+
+def _bin_codes(xt: np.ndarray) -> np.ndarray:
+    """Per row, each entry's bin: a row with D distinct values has min(MAX_BINS, D)
+    bins of whole distinct values, rank r falling in bin (r - 1) * bins // D."""
+    ranks = _value_ranks(xt)
+    distinct = ranks.max(axis=1, keepdims=True)
+    return (ranks - 1) * np.minimum(distinct, MAX_BINS) // distinct
+
+
+def _best_cuts(bins: np.ndarray, n_bins: int, rows: np.ndarray, y_rows: np.ndarray,
+               nd: np.ndarray, feats: np.ndarray, n_node: np.ndarray, n_classes: int,
+               min_leaf: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every node's best split from one histogram over (node, slot, bin), the
+    slots being the node's drawn features in ascending order.  A split puts
+    the bins up to a cut left; per node, the row-major first minimum over
+    (slot, cut) wins, which prefers the lower feature, then the lower cut.
+    Returns the winning flat (slot, cut) index and its score (inf: none)."""
+    k, m = feats.shape
+    shape = (k, m, n_bins)
+    g = k * m * n_bins
+    cell = ((nd * m)[:, None] + np.arange(m)) * n_bins + bins[feats[nd], rows[:, None]]
+    n_node = n_node[:, None, None]
+    if n_classes:
+        hist = np.bincount((cell + (y_rows * g)[:, None]).ravel(), minlength=n_classes * g)
+        cum = hist.reshape((n_classes,) + shape).cumsum(axis=3)  # exact counts
+        n_left = cum.sum(axis=0)
+        n_right = n_node - n_left
+        gini_l = _gini(cum, np.maximum(n_left, 1))
+        gini_r = _gini(cum[..., -1:] - cum, np.maximum(n_right, 1))
+        scores = (n_left * gini_l + n_right * gini_r) / n_node
+    else:
+        # per-bin sums in sample order, then running sums over the bins
+        cell = cell.ravel()
+        y_rows = np.repeat(y_rows, m)
+        n_left = np.bincount(cell, minlength=g).reshape(shape).cumsum(axis=2)
+        c1 = np.bincount(cell, weights=y_rows, minlength=g).reshape(shape).cumsum(axis=2)
+        c2 = np.bincount(cell, weights=y_rows * y_rows, minlength=g).reshape(shape).cumsum(axis=2)
+        n_right = n_node - n_left
+        d = c1[..., -1:] - c1
+        sse_l = c2 - c1 * c1 / np.maximum(n_left, 1)
+        sse_r = (c2[..., -1:] - c2) - d * d / np.maximum(n_right, 1)
+        scores = (sse_l + sse_r) / n_node
+    scores = np.where((n_left >= min_leaf) & (n_right >= min_leaf), scores, np.inf)
+    scores = scores.reshape(k, m * n_bins)
+    best = scores.argmin(axis=1)
+    return best, scores[np.arange(k), best]
+
+
+def _midpoints(below: np.ndarray, above: np.ndarray) -> np.ndarray:
+    """(below + above) / 2, halving first where the sum overflows."""
+    with np.errstate(over="ignore"):
+        total = below + above
+    return np.where(np.isfinite(total), total / 2.0, below / 2.0 + above / 2.0)
+
+
+def _split_level(xt: np.ndarray, bins: np.ndarray, n_bins: int, rows: np.ndarray,
+                 y_rows: np.ndarray, node_of: np.ndarray, sizes: np.ndarray,
+                 searched: np.ndarray, feats: np.ndarray, n_classes: int, min_leaf: int):
+    """Splits the searched nodes of one level.  Returns {node: (feature,
+    threshold, score)} for the nodes that split, and the next level's rows
+    and sizes: each split node's left rows, then its right rows."""
+    local = np.full(sizes.size, -1)
+    local[searched] = np.arange(searched.size)
+    nd = local[node_of]
+    at = np.flatnonzero(nd >= 0)
+    nd, r = nd[at], rows[at]
+    best, score = _best_cuts(bins, n_bins, r, y_rows[at], nd, feats, sizes[searched],
+                             n_classes, min_leaf)
+    feature = feats[np.arange(searched.size), best // n_bins]
+    # the threshold is the midpoint of a node's largest value in the bins up
+    # to its cut and its smallest value above them
+    f_rows = feature[nd]
+    v = xt[f_rows, r]
+    in_cut = bins[f_rows, r] <= (best % n_bins)[nd]
+    starts = np.concatenate(([0], np.cumsum(sizes[searched])[:-1]))
+    threshold = _midpoints(np.maximum.reduceat(np.where(in_cut, v, -np.inf), starts),
+                           np.minimum.reduceat(np.where(in_cut, np.inf, v), starts))
+    left = v <= threshold[nd]
+    n_left = np.bincount(nd[left], minlength=searched.size)
+    keep = np.isfinite(score) & (n_left >= min_leaf) & (sizes[searched] - n_left >= min_leaf)
+    splits = dict(zip(searched[keep].tolist(), zip(
+        feature[keep].tolist(), threshold[keep].tolist(), score[keep].tolist())))
+    kept = keep[nd]
+    child = 2 * (np.cumsum(keep) - 1)[nd[kept]] + ~left[kept]
+    return (splits, r[kept][np.argsort(child, kind="stable")],
+            np.bincount(child, minlength=2 * len(splits)))
+
+
+def _grow_tree(xt: np.ndarray, bins: np.ndarray, y: np.ndarray, n_classes: int,
+               cfg: ForestConfig, m_feats: int, rng: np.random.Generator,
+               importances: np.ndarray) -> _Node:
+    """Grows one tree a level at a time.  `rows` holds the training rows of
+    the level's nodes, node by node and each node's in sample order."""
+    n_feat, n_total = xt.shape
+    n_bins = int(bins.max()) + 1
+    rows = rng.integers(0, n_total, size=n_total) if cfg.bootstrap else np.arange(n_total)
+    root = _Node()
+    nodes, sizes = [root], np.array([n_total])
+    for depth in range(cfg.max_depth + 1):
+        k = len(nodes)
+        node_of = np.repeat(np.arange(k), sizes)
+        y_rows = y[rows]
+        if n_classes:
+            counts = np.bincount(y_rows * k + node_of, minlength=n_classes * k)
+            counts = counts.reshape(n_classes, k)
+            impurity = _gini(counts, sizes)
+            values = counts.argmax(axis=0).astype(np.float64)
+        else:
+            values = np.bincount(node_of, weights=y_rows, minlength=k) / sizes
+            dev = y_rows - values[node_of]
+            impurity = np.bincount(node_of, weights=dev * dev, minlength=k) / sizes
+        searched = np.flatnonzero((sizes >= 2 * cfg.min_leaf) & (impurity != 0.0))
+        splits = {}
+        if depth < cfg.max_depth and searched.size:
+            # every searched node's feature subset, in one draw
+            feats = np.argsort(rng.random((searched.size, n_feat)), axis=1)[:, :m_feats]
+            feats.sort(axis=1)
+            splits, rows, next_sizes = _split_level(xt, bins, n_bins, rows, y_rows, node_of,
+                                                    sizes, searched, feats, n_classes,
+                                                    cfg.min_leaf)
+        next_nodes = []
+        for j, (node, size, imp, value) in enumerate(
+                zip(nodes, sizes.tolist(), impurity.tolist(), values.tolist())):
+            if j not in splits:
+                node.value = value  # only leaves carry a value
+                continue
+            node.feature, node.threshold, score = splits[j]
+            importances[node.feature] += (size / n_total) * (imp - score)
+            node.left, node.right = _Node(), _Node()
+            next_nodes += (node.left, node.right)
+        if not next_nodes:
+            break
+        nodes, sizes = next_nodes, next_sizes
+    return root
 
 
 def fit_forest(train: FeatureSet, cfg: ForestConfig) -> RandomForest:
@@ -254,17 +273,20 @@ def fit_forest(train: FeatureSet, cfg: ForestConfig) -> RandomForest:
         bound = 2.0 * y.size * float(np.max(np.abs(y)))
         if not math.isfinite(bound * bound):
             raise NumericError("the regression target is too large for the split search")
-    m = x.shape[0]
+    n_feat = x.shape[1]
+    if cfg.max_features is not None:
+        m_feats = min(cfg.max_features, n_feat)
+    elif task is TaskKind.CLASSIFICATION:
+        m_feats = min(math.ceil(math.sqrt(n_feat)), n_feat)
+    else:
+        m_feats = min(math.ceil(n_feat / 3), n_feat)
     xt = np.ascontiguousarray(x.T)
-    ranks = _value_ranks(xt)
-    importances = np.zeros(x.shape[1], dtype=np.float64)
-    trees = []
-    for ss in np.random.SeedSequence(cfg.seed).spawn(cfg.n_trees):
-        rng = np.random.default_rng(ss)
-        rows = rng.integers(0, m, size=m) if cfg.bootstrap else np.arange(m)
-        builder = _TreeBuilder(xt, ranks, y, task, n_classes, cfg, rng, importances)
-        trees.append(builder.build(rows, depth=0))
-    return RandomForest(trees, task, n_classes, x.shape[1], importances, cfg)
+    bins = _bin_codes(xt)
+    importances = np.zeros(n_feat, dtype=np.float64)
+    trees = [_grow_tree(xt, bins, y, n_classes, cfg, m_feats, np.random.default_rng(ss),
+                        importances)
+             for ss in np.random.SeedSequence(cfg.seed).spawn(cfg.n_trees)]
+    return RandomForest(trees, task, n_classes, n_feat, importances, cfg)
 
 
 def _predict_tree(node: _Node, x: np.ndarray) -> np.ndarray:

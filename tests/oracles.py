@@ -11,7 +11,7 @@ from dataclasses import replace
 import numpy as np
 
 from raft.dataset import FeatureSet, TaskKind
-from raft.evaluator import ForestConfig
+from raft.evaluator import MAX_BINS, ForestConfig
 from raft.info_metrics import PairwiseDistanceKind, as_labels, content_hash
 from raft.neural_core import DenseNet, Grads
 from raft.transform import GeneratedBatch
@@ -312,6 +312,160 @@ def forest_oracle(fs: FeatureSet, cfg: ForestConfig) -> tuple[list, np.ndarray]:
         rng = np.random.default_rng(ss)
         rows = rng.integers(0, m, size=m) if cfg.bootstrap else np.arange(m)
         trees.append(build(rows, 0, rng, rows.size))
+    return trees, importances
+
+
+def binned_forest_oracle(fs: FeatureSet, cfg: ForestConfig) -> tuple[list, np.ndarray]:
+    """Reference for `fit_forest`, in plain Python loops.  Each column's
+    distinct training values are ranked 1..D and rank r goes to bin
+    (r - 1) * min(MAX_BINS, D) // D.  A tree draws its bootstrap sample, then
+    grows breadth-first: a level's nodes are visited in order, and one
+    `rng.random((nodes searched, columns))` call gives each searched node its
+    features (the columns of its row by ascending draw, the first
+    `max_features`, sorted).  Per candidate feature, the node's histogram is
+    summed in sample order and scanned bin by bin, the first strictly better
+    score winning.  Sums over classes run from the lowest class up.  Returns
+    (trees, raw importances) in `forest_oracle`'s tuple form."""
+    x = fs.values
+    classification = fs.target.kind is TaskKind.CLASSIFICATION
+    if classification:
+        y = [int(v) for v in fs.target.values]
+        n_classes = max(y) + 1
+    else:
+        y = [float(v) for v in fs.target.values]
+        n_classes = 0
+    n_rows, n_feat = x.shape
+    if cfg.max_features is not None:
+        m_feats = min(cfg.max_features, n_feat)
+    elif classification:
+        m_feats = min(math.ceil(math.sqrt(n_feat)), n_feat)
+    else:
+        m_feats = min(math.ceil(n_feat / 3), n_feat)
+    col = [[float(v) for v in x[:, f]] for f in range(n_feat)]
+    bins = []
+    for f in range(n_feat):
+        rank = {v: i + 1 for i, v in enumerate(sorted(set(col[f])))}
+        n_bins = min(MAX_BINS, len(rank))
+        bins.append([(rank[v] - 1) * n_bins // len(rank) for v in col[f]])
+    importances = np.zeros(n_feat, dtype=np.float64)
+
+    def class_sum(values):
+        total = 0.0
+        for v in values:
+            total += v
+        return total
+
+    def impurity_and_value(rows):
+        n = len(rows)
+        if classification:
+            counts = [0] * n_classes
+            for r in rows:
+                counts[y[r]] += 1
+            gini = 1.0 - class_sum((c / n) * (c / n) for c in counts)
+            return gini, float(counts.index(max(counts)))
+        total = 0.0
+        for r in rows:
+            total += y[r]
+        mean = total / n
+        sq = 0.0
+        for r in rows:
+            sq += (y[r] - mean) * (y[r] - mean)
+        return sq / n, mean
+
+    def score_cuts(rows, f):
+        """(score, cut) per valid cut of feature f, cuts ascending."""
+        n = len(rows)
+        top = max(bins[f][r] for r in rows) + 1
+        out = []
+        if classification:
+            hist = [[0] * n_classes for _ in range(top)]
+            for r in rows:
+                hist[bins[f][r]][y[r]] += 1
+            total = [sum(h[c] for h in hist) for c in range(n_classes)]
+            cum = [0] * n_classes
+            for b in range(top):
+                cum = [cum[c] + hist[b][c] for c in range(n_classes)]
+                nl = sum(cum)
+                nr = n - nl
+                if nl < cfg.min_leaf or nr < cfg.min_leaf:
+                    continue
+                gl = 1.0 - class_sum((c / nl) * (c / nl) for c in cum)
+                gr = 1.0 - class_sum(((t - c) / nr) * ((t - c) / nr)
+                                     for t, c in zip(total, cum))
+                out.append(((nl * gl + nr * gr) / n, b))
+            return out
+        h1, h2, hc = [0.0] * top, [0.0] * top, [0] * top
+        for r in rows:
+            b = bins[f][r]
+            h1[b] += y[r]
+            h2[b] += y[r] * y[r]
+            hc[b] += 1
+        run1, run2, runc = [], [], []
+        c1 = c2 = 0.0
+        nl = 0
+        for b in range(top):
+            c1, c2, nl = c1 + h1[b], c2 + h2[b], nl + hc[b]
+            run1.append(c1)
+            run2.append(c2)
+            runc.append(nl)
+        s1, s2 = run1[-1], run2[-1]
+        for b in range(top):
+            c1, c2, nl = run1[b], run2[b], runc[b]
+            nr = n - nl
+            if nl < cfg.min_leaf or nr < cfg.min_leaf:
+                continue
+            sse_l = c2 - c1 * c1 / nl
+            sse_r = (s2 - c2) - (s1 - c1) * (s1 - c1) / nr
+            out.append(((sse_l + sse_r) / n, b))
+        return out
+
+    def as_tuple(node):
+        if "split" not in node:
+            return ("leaf", node["value"])
+        f, t = node["split"]
+        return ("split", f, t, as_tuple(node["left"]), as_tuple(node["right"]))
+
+    trees = []
+    for ss in np.random.SeedSequence(cfg.seed).spawn(cfg.n_trees):
+        rng = np.random.default_rng(ss)
+        sample = rng.integers(0, n_rows, size=n_rows) if cfg.bootstrap else np.arange(n_rows)
+        root = {"rows": [int(r) for r in sample]}
+        level = [root]
+        for depth in range(cfg.max_depth + 1):
+            searched = []
+            for node in level:
+                node["imp"], node["value"] = impurity_and_value(node["rows"])
+                if (depth < cfg.max_depth and len(node["rows"]) >= 2 * cfg.min_leaf
+                        and node["imp"] != 0.0):
+                    searched.append(node)
+            draws = rng.random((len(searched), n_feat)) if searched else []
+            next_level = []
+            for node, draw in zip(searched, draws):
+                rows = node["rows"]
+                by_draw = sorted(range(n_feat), key=lambda f: draw[f])
+                best = None
+                for f in sorted(by_draw[:m_feats]):
+                    for score, b in score_cuts(rows, f):
+                        if best is None or score < best[0]:
+                            best = (score, f, b)
+                if best is None:
+                    continue
+                score, f, b = best
+                below = max(col[f][r] for r in rows if bins[f][r] <= b)
+                above = min(col[f][r] for r in rows if bins[f][r] > b)
+                threshold = (below + above) / 2.0
+                if not math.isfinite(threshold):
+                    threshold = below / 2.0 + above / 2.0
+                left = [r for r in rows if col[f][r] <= threshold]
+                right = [r for r in rows if col[f][r] > threshold]
+                if len(left) < cfg.min_leaf or len(right) < cfg.min_leaf:
+                    continue
+                importances[f] += (len(rows) / n_rows) * (node["imp"] - score)
+                node["split"] = (f, threshold)
+                node["left"], node["right"] = {"rows": left}, {"rows": right}
+                next_level += [node["left"], node["right"]]
+            level = next_level
+        trees.append(as_tuple(root))
     return trees, importances
 
 

@@ -246,13 +246,13 @@ def test_cli_end_to_end_exit_zero(small_csv, tmp_path, capsys):
 # when the search itself (or the float arithmetic of numpy on the platform)
 # changes.  The random control reads no state, so its two rows are equal.
 PINNED_DIGESTS = {
-    (False, "si"): ("a36e9ac70c259842a70dae120bef7a8fe07faa618fca8e757314f5c8b1d66367",
-                    "5ed518f334584b1cafe911e4d834f4139b3fce61d2a51d207fcd33980871aa36"),
-    (False, "all"): ("5d444505d0d4ead609c1c1cfaa5a891a6a43bf1918a9238bf18d3f4bd8abb18a",
-                     "9da4dbb5cea21a9e03fadb0e6376ce30a37fc11006699da7a6d8d3098ef203f8"),
-    (True, "si"): ("d8f7424dcb1395c106b78dab06a9996e8206ce7b4130081a67cd20b66c424740",
+    (False, "si"): ("a1945e95e8a1c3f6d7fba536e021a6ee77a15faf73d355bd179693d8b96a9d59",
+                    "e9956f45e7881ec5ad5e59919c8f5cd5c4e983b38c2b8cd399b3a7f4ad254c53"),
+    (False, "all"): ("e133c989bbff8ae999aeb8fa4db193a3c0d44ccb3fa7c9e29dd799a2b4047de7",
+                     "b98aed1d72182ad88a04e3a8afe427bff9c13196509f8f9c31d1bb9b634527a4"),
+    (True, "si"): ("0fc020d0175d17c341e8209225d95a70d2636039bd0ea6c9903828ae9ad7b0fd",
                    "5fb7c1eb512f367fec08bedf72b019a6bdf92bfc4cdfd5fd9390f95162d6be01"),
-    (True, "all"): ("d8f7424dcb1395c106b78dab06a9996e8206ce7b4130081a67cd20b66c424740",
+    (True, "all"): ("0fc020d0175d17c341e8209225d95a70d2636039bd0ea6c9903828ae9ad7b0fd",
                     "5fb7c1eb512f367fec08bedf72b019a6bdf92bfc4cdfd5fd9390f95162d6be01"),
 }
 

@@ -5,6 +5,7 @@ import pytest
 
 from raft.dataset import FeatureMeta, FeatureSet, Ident, Target, TaskKind
 from raft.evaluator import (
+    MAX_BINS,
     ForestConfig,
     MetricKind,
     RandomForest,
@@ -18,7 +19,7 @@ from raft.evaluator import (
 )
 from raft.neural_core import NumericError
 
-from oracles import forest_oracle, forest_predict_oracle
+from oracles import binned_forest_oracle, forest_oracle, forest_predict_oracle
 
 
 def clf_set(values, labels):
@@ -228,12 +229,14 @@ def _tree_tuples(node):
 
 def _tie_heavy_set(classification):
     rng = np.random.default_rng(12)
-    x = rng.standard_normal((60, 5))
+    x = rng.standard_normal((120, 5))
     x[:, 0] = np.round(x[:, 0])      # few distinct values: long runs of ties
-    x[:, 1] = np.round(x[:, 1], 1)
+    x[:, 1] = np.round(x[:, 1], 1)   # 39 distinct values: bins of one or two
+    x[:, 3] = np.round(3 * x[:, 3], 2)  # 112 distinct values, some tied
     x[:, 4] = 2.5                    # constant column: never splittable
     if classification:
-        y = (np.round(x[:, 0]) + (x[:, 2] > 0)).astype(np.int64) % 3
+        # 9 classes: from 8 classes up numpy sums a class axis pairwise
+        y = (np.round(2 * x[:, 0]) + 3 * (x[:, 2] > 0) + (x[:, 3] > 0)).astype(np.int64) % 9
         return clf_set(x, y)
     return reg_set(x, np.round(x[:, 0] * x[:, 1] + x[:, 3], 1))
 
@@ -248,12 +251,43 @@ def test_forest_matches_per_feature_oracle_bit_for_bit(classification, min_leaf,
     cfg = ForestConfig(n_trees=4, max_depth=6, min_leaf=min_leaf, seed=3,
                        bootstrap=bootstrap, max_features=max_features)
     forest = fit_forest(fs, cfg)
-    trees, importances = forest_oracle(fs, cfg)
+    trees, importances = binned_forest_oracle(fs, cfg)
     assert [_tree_tuples(t) for t in forest.trees] == trees
     assert forest.importances_raw.tobytes() == importances.tobytes()
     x = np.vstack([fs.values, np.random.default_rng(13).standard_normal((20, 5))])
     np.testing.assert_array_equal(predict(forest, x),
                                   forest_predict_oracle(trees, x, classification))
+
+
+@pytest.mark.parametrize("min_leaf", [1, 3])
+@pytest.mark.parametrize("bootstrap", [True, False])
+def test_forest_is_exact_when_every_value_has_its_own_bin(min_leaf, bootstrap):
+    # at most MAX_BINS distinct values per column keeps every candidate split,
+    # and with every column drawn at every node the draw order cannot matter
+    rng = np.random.default_rng(21)
+    x = np.column_stack([rng.integers(0, 30, 90), rng.integers(0, 4, 90) * 0.5,
+                         np.round(np.clip(rng.standard_normal(90), -1.5, 1.5), 1),
+                         np.full(90, -1.0)])
+    assert max(np.unique(col).size for col in x.T) <= MAX_BINS
+    y = ((x[:, 0] > 14) + (x[:, 2] > 0.3) + (x[:, 1] == 1.0)).astype(np.int64) % 3
+    fs = clf_set(x, y)
+    cfg = ForestConfig(n_trees=4, max_depth=6, min_leaf=min_leaf, seed=8,
+                       bootstrap=bootstrap, max_features=4)
+    trees, _ = forest_oracle(fs, cfg)
+    assert [_tree_tuples(t) for t in fit_forest(fs, cfg).trees] == trees
+
+
+def test_split_between_huge_values_is_finite():
+    # (below + above) / 2 overflows here; halving first keeps the split
+    x = np.linspace(1.5e308, 1.75e308, 20)[:, None]
+    y = (np.arange(20) >= 10).astype(np.int64)
+    cfg = ForestConfig(n_trees=1, bootstrap=False, max_features=1, seed=0)
+    forest = fit_forest(clf_set(x, y), cfg)
+    root = forest.trees[0]
+    assert root.threshold == x[9, 0] / 2.0 + x[10, 0] / 2.0
+    assert x[9, 0] < root.threshold < x[10, 0]
+    assert root.left.value == 0.0 and root.right.value == 1.0
+    np.testing.assert_array_equal(predict(forest, x), y)
 
 
 def test_classification_vote_tie_goes_to_lowest_class():
