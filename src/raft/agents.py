@@ -167,10 +167,13 @@ def select_head(
     s_f: StateVector,
     cluster_states: Sequence[StateVector],
     rng: np.random.Generator,
-) -> tuple[int, float, np.ndarray]:
-    """Score each candidate group given the space state; sample the softmax."""
+) -> tuple[int, float, np.ndarray, np.ndarray]:
+    """Score each candidate group given the space state; sample the softmax.
+
+    Returns the action, its log-probability, the probabilities and the
+    candidate rows the actor scored (one per group)."""
     rows = _candidate_rows(s_f.values, cluster_states)
-    return _sample(_actor_logits(agent.actor, rows), rng)
+    return (*_sample(_actor_logits(agent.actor, rows), rng), rows)
 
 
 def select_op(
@@ -192,11 +195,11 @@ def select_tail(
     s_op: StateVector,
     cluster_states: Sequence[StateVector],
     rng: np.random.Generator,
-) -> tuple[int, float, np.ndarray]:
+) -> tuple[int, float, np.ndarray, np.ndarray]:
     """Like select_head with the longer (space + head + op) state prefix."""
     prefix = concat_states([s_f, s_head, s_op]).values
     rows = _candidate_rows(prefix, cluster_states)
-    return _sample(_actor_logits(agent.actor, rows), rng)
+    return (*_sample(_actor_logits(agent.actor, rows), rng), rows)
 
 
 def compute_rewards(
@@ -343,8 +346,8 @@ class ActorCriticPolicy:
         # the step's states and choices, read by its later calls
         self._s_f = self.encoder.encode(fs)
         self._groups = [self.encoder.encode(v) for v in views]
-        self._head, self._logp_head, _ = select_head(self.bundles[0], self._s_f,
-                                                     self._groups, self.rng)
+        self._head, self._logp_head, _, self._head_rows = select_head(
+            self.bundles[0], self._s_f, self._groups, self.rng)
         return self._head
 
     def choose_op(self) -> int:
@@ -356,9 +359,9 @@ class ActorCriticPolicy:
 
     def choose_tail(self, positions: Sequence[int]) -> int:
         tail_states = [self._groups[i] for i in positions]
-        pos, logp, _ = select_tail(self.bundles[2], self._s_f, self._groups[self._head],
-                                   self._s_op, tail_states, self.rng)
-        self._tail = (pos, logp, tail_states)
+        pos, logp, _, rows = select_tail(self.bundles[2], self._s_f, self._groups[self._head],
+                                         self._s_op, tail_states, self.rng)
+        self._tail = (pos, logp, rows)
         return positions[pos]
 
     def observe(self, fs_next: FeatureSet, r_head: float, r_op: float, r_tail: float) -> None:
@@ -368,15 +371,15 @@ class ActorCriticPolicy:
         s_head = self._groups[self._head].values
         batch_head, batch_op, batch_tail = self.batches
         batch_head.append(Transition(s_f, self._head, r_head, s_next, self._logp_head,
-                                     _candidate_rows(s_f, self._groups)))
+                                     self._head_rows))
         prefix_op = np.concatenate([s_f, s_head])
         prefix_op_next = np.concatenate([s_next, s_head])
         batch_op.append(Transition(prefix_op, self._op, r_op, prefix_op_next, self._logp_op))
-        pos, logp, tail_states = self._tail
+        pos, logp, tail_rows = self._tail
         prefix_tail = np.concatenate([prefix_op, self._s_op.values])
         prefix_tail_next = np.concatenate([prefix_op_next, self._s_op.values])
         batch_tail.append(Transition(prefix_tail, pos, r_tail, prefix_tail_next, logp,
-                                     _candidate_rows(prefix_tail, tail_states)))
+                                     tail_rows))
         self.n_transitions += 3
 
     def end_episode(self) -> dict[str, float]:

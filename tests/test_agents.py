@@ -61,7 +61,7 @@ def test_select_head_uniform_with_zero_actor():
     s_f = sv([0.5, -0.5])
     cands = [sv([1.0, 0.0]), sv([0.0, 1.0]), sv([2.0, 2.0]), sv([-1.0, 3.0])]
     rng = np.random.default_rng(0)
-    action, log_prob, probs = select_head(bundle, s_f, cands, rng)
+    action, log_prob, probs, _ = select_head(bundle, s_f, cands, rng)
     np.testing.assert_allclose(probs, [0.25] * 4, atol=1e-12)
     assert 0 <= action < 4
     assert log_prob == pytest.approx(math.log(0.25), abs=1e-12)
@@ -69,7 +69,7 @@ def test_select_head_uniform_with_zero_actor():
 
 def test_select_head_single_candidate():
     bundle = zero_bundle(4, 1, HEAD_SCALAR, 2)
-    action, log_prob, probs = select_head(bundle, sv([1.0, 2.0]), [sv([0.0, 0.0])],
+    action, log_prob, probs, _ = select_head(bundle, sv([1.0, 2.0]), [sv([0.0, 0.0])],
                                           np.random.default_rng(1))
     assert action == 0
     np.testing.assert_allclose(probs, [1.0])
@@ -84,7 +84,7 @@ def test_select_head_dominant_logit():
     bundle = AgentBundle(actor, zero_net(1, 2, 1, HEAD_SCALAR), OptimState(), OptimState())
     s_f = sv([0.0])
     cands = [sv([0.0]), sv([0.0]), sv([100.0])]
-    _, _, probs = select_head(bundle, s_f, cands, np.random.default_rng(2))
+    _, _, probs, _ = select_head(bundle, s_f, cands, np.random.default_rng(2))
     assert probs[2] > 0.999
 
 
@@ -107,9 +107,9 @@ def test_select_tail_uniform_thirds_and_exclusion():
     s_f, s_head = sv([1.0, 0.0]), sv([0.0, 1.0])
     s_o = state_op("+", ops)
     cands = [sv([1.0, 1.0]), sv([2.0, 2.0]), sv([3.0, 3.0])]
-    _, _, probs = select_tail(bundle, s_f, s_head, s_o, cands, np.random.default_rng(5))
+    _, _, probs, _ = select_tail(bundle, s_f, s_head, s_o, cands, np.random.default_rng(5))
     np.testing.assert_allclose(probs, [1 / 3] * 3, atol=1e-12)
-    _, _, probs1 = select_tail(bundle, s_f, s_head, s_o, cands[:1],
+    _, _, probs1, _ = select_tail(bundle, s_f, s_head, s_o, cands[:1],
                                np.random.default_rng(6))
     np.testing.assert_allclose(probs1, [1.0])
 
