@@ -169,9 +169,7 @@ def select_head(
     rng: np.random.Generator,
 ) -> tuple[int, float, np.ndarray, np.ndarray]:
     """Score each candidate group given the space state; sample the softmax.
-
-    Returns the action, its log-probability, the probabilities and the
-    candidate rows the actor scored (one per group)."""
+    Also returns the candidate rows the actor scored."""
     rows = _candidate_rows(s_f.values, cluster_states)
     return (*_sample(_actor_logits(agent.actor, rows), rng), rows)
 

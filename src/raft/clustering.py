@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import FeatureSet, default_bins
-from .info_metrics import MICache, PairwiseDistanceKind, pairwise_distance
+from .info_metrics import MICache, PairwiseDistanceKind, column_distances
 
 
 @dataclass(frozen=True)
@@ -46,15 +46,13 @@ def pair_score_matrix(
     bins = default_bins(fs.n_rows) if bins is None else bins
     cache = MICache() if cache is None else cache
     n = fs.n_cols
-    y = np.asarray(fs.target.values, dtype=np.float64)
-    mi_y = [cache.mi(fs.column(i), y, bins) for i in range(n)]
+    cols = np.ascontiguousarray(fs.values.T, dtype=np.float64)
+    mi_y = np.array([cache.mi(cols[i], fs.target.values, bins) for i in range(n)])
     scores = np.zeros((n, n), dtype=np.float64)
-    for i in range(n):
-        for j in range(i + 1, n):
-            s = pairwise_distance(fs.column(i), fs.column(j), kind) * abs(mi_y[i] - mi_y[j])
-            scores[i, j] = s
-            scores[j, i] = s
-    return scores
+    for i in range(n - 1):
+        scores[i, i + 1:] = column_distances(cols[i], cols[i + 1:], kind) * np.abs(
+            mi_y[i] - mi_y[i + 1:])
+    return scores + scores.T
 
 
 def merge_sequence(scores: np.ndarray) -> list[tuple[float, int, int]]:

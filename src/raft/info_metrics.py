@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import math
 from enum import Enum
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -35,58 +36,87 @@ def as_labels(v: np.ndarray, bins: int) -> np.ndarray:
     return discretize(v, bins)
 
 
-def _plugin_mi(lx: np.ndarray, ly: np.ndarray) -> float:
-    """Maximum-likelihood MI (nats) from the joint label histogram.
+# Label entries (and joint cells) per MI batch: its temporaries stay under a MiB.
+_CHUNK_ENTRIES = 2 ** 14
 
-    The positive cells are taken in row-major order, each ratio's log is
-    ``math.log``'s, and the terms are summed strictly left to right
-    (``np.cumsum``).  numpy's SIMD log differs from ``math.log`` in the last
-    bit on some inputs, and ``np.sum`` adds pairwise, so either would change
-    the result's bits.
-    """
-    n = lx.size
-    kx = int(lx.max()) + 1
-    ky = int(ly.max()) + 1
-    joint = np.bincount(lx * ky + ly, minlength=kx * ky).reshape(kx, ky) / n
-    px = joint.sum(axis=1)
-    py = joint.sum(axis=0)
-    i, j = np.nonzero(joint)
-    p = joint[i, j]
-    logs = [math.log(r) for r in (p / (px[i] * py[j])).tolist()]
-    mi = float(np.cumsum(p * logs)[-1])
-    return mi if mi > 0.0 else 0.0
+
+class Labels(NamedTuple):
+    """A vector's content hash, MI labels and sum of T[c] over its label counts."""
+    key: bytes
+    codes: np.ndarray
+    xlogx: float
+
+
+def _labels(key: bytes, codes: np.ndarray, table: np.ndarray) -> Labels:
+    return Labels(key, codes, float(np.cumsum(table[np.bincount(codes)])[-1]))
+
+
+def _count_mi(pairs: Sequence[tuple[Labels, Labels]], table: np.ndarray, k: int) -> np.ndarray:
+    """Plug-in MI (nats) of each pair of label vectors (labels below ``k``)
+    from integer counts: MI = log m + (sum T[c] - sum T[c_x] - sum T[c_y]) / m
+    over the joint and the marginal counts.  Each table is summed left to
+    right (``np.cumsum``) in row-major order; the empty cells of the k x k
+    joint add exactly 0, so the bits depend only on the two label vectors."""
+    xs, ys = (np.array([pair[i].codes for pair in pairs]) for i in (0, 1))
+    sx, sy = (np.array([pair[i].xlogx for pair in pairs]) for i in (0, 1))
+    p, m = xs.shape
+    cells = xs * k + ys + (np.arange(p) * (k * k))[:, None]
+    joint = table[np.bincount(cells.ravel(), minlength=p * k * k)].reshape(p, k * k)
+    mi = math.log(m) + (np.cumsum(joint, axis=1)[:, -1] - sx - sy) / m
+    return np.where(mi > 0.0, mi, 0.0)
+
+
+def _plugin_mi(lx: np.ndarray, ly: np.ndarray) -> float:
+    """Plug-in MI (nats) of two label vectors: ``_count_mi`` on one pair."""
+    table = MICache()._table(lx.size)
+    pair = (_labels(b"", lx, table), _labels(b"", ly, table))
+    return float(_count_mi([pair], table, max(int(lx.max()), int(ly.max())) + 1)[0])
 
 
 class MICache:
-    """Memoizes labelizations and pairwise MI values by content hash.
+    """Memoizes labelizations, T tables (one per row count) and pairwise MI
+    values by content hash.
 
     Single-threaded use; a concurrent caller should hold one cache per worker.
     """
 
     def __init__(self) -> None:
-        self._labels: dict[tuple[bytes, int], np.ndarray] = {}
+        self._labels: dict[tuple[bytes, int], Labels] = {}
+        self._xlogx: dict[int, np.ndarray] = {}
         self._mi: dict[tuple[bytes, bytes, int], float] = {}
 
-    def labels(self, v: np.ndarray, bins: int) -> tuple[bytes, np.ndarray]:
+    def _table(self, m: int) -> np.ndarray:
+        """T[c] = c*log(c) for every count c in 0..m, each log from ``math.log``
+        (numpy's SIMD log differs from it in the last bit on some inputs)."""
+        if m not in self._xlogx:
+            self._xlogx[m] = np.array([0.0] + [c * math.log(c) for c in range(1, m + 1)])
+        return self._xlogx[m]
+
+    def labels(self, v: np.ndarray, bins: int) -> Labels:
         h = content_hash(np.asarray(v, dtype=np.float64))
-        key = (h, bins)
-        if key not in self._labels:
-            self._labels[key] = as_labels(v, bins)
-        return h, self._labels[key]
+        if (h, bins) not in self._labels:
+            codes = as_labels(v, bins)
+            self._labels[h, bins] = _labels(h, codes, self._table(codes.size))
+        return self._labels[h, bins]
 
     def mi(self, x: np.ndarray, y: np.ndarray, bins: int) -> float:
-        """MI of two vectors (see ``labelled_mi``)."""
-        return self.labelled_mi(self.labels(x, bins), self.labels(y, bins), bins)
+        """MI of two vectors (see ``pair_mi``)."""
+        return self.pair_mi([(self.labels(x, bins), self.labels(y, bins))], bins)[0]
 
-    def labelled_mi(self, x: tuple[bytes, np.ndarray], y: tuple[bytes, np.ndarray],
-                    bins: int) -> float:
-        """MI of two ``labels`` results; the operand with the smaller content
-        hash is the row variable, so both argument orders sum the same terms."""
-        (hx, lx), (hy, ly) = (x, y) if x[0] <= y[0] else (y, x)
-        key = (hx, hy, bins)
-        if key not in self._mi:
-            self._mi[key] = _plugin_mi(lx, ly)
-        return self._mi[key]
+    def pair_mi(self, pairs: Sequence[tuple[Labels, Labels]], bins: int) -> list[float]:
+        """MI of each pair of ``labels`` results, the unmemoized ones batched
+        through ``_count_mi``.  The operand with the smaller content hash is
+        the row variable, so both argument orders sum the same terms."""
+        ordered = [(x, y) if x.key <= y.key else (y, x) for x, y in pairs]
+        keys = [(x.key, y.key, bins) for x, y in ordered]
+        todo = [p for p, key in enumerate(keys) if key not in self._mi]
+        m, k = ordered[0][0].codes.size, max(bins, MAX_DISCRETE_LABELS)
+        step = max(1, _CHUNK_ENTRIES // max(m, k * k))
+        for start in range(0, len(todo), step):
+            batch = todo[start:start + step]
+            values = _count_mi([ordered[p] for p in batch], self._table(m), k)
+            self._mi.update(zip([keys[p] for p in batch], values.tolist()))
+        return [self._mi[key] for key in keys]
 
 
 def mutual_information(
@@ -115,50 +145,46 @@ def feature_set_quality(
     n = fs.n_cols
     target = cache.labels(fs.target.values, bins)
     cols = [cache.labels(fs.column(i), bins) for i in range(n)]
-    relevance = 0.0
-    for col in cols:
-        relevance += cache.labelled_mi(col, target, bins)
-    redundancy = 0.0
-    for i in range(n):
-        for j in range(i + 1, n):
-            redundancy += cache.labelled_mi(cols[i], cols[j], bins)
+    pairs = [(col, target) for col in cols]
+    pairs += [(cols[i], cols[j]) for i in range(n) for j in range(i + 1, n)]
+    mis = cache.pair_mi(pairs, bins)
+    # each sum strictly left to right, pairs in the order listed
+    relevance, redundancy = (float(np.cumsum([0.0, *part])[-1]) for part in (mis[:n], mis[n:]))
     return -(2.0 * redundancy) / (n * n) + relevance / n
 
 
-def pairwise_distance(f_i: np.ndarray, f_j: np.ndarray, kind: PairwiseDistanceKind) -> float:
-    """Euclidean or cosine distance between two columns.
+def column_distances(a: np.ndarray, others: np.ndarray, kind: PairwiseDistanceKind) -> np.ndarray:
+    """Euclidean or cosine distance from column ``a`` to each row of
+    ``others``, each row's value depending only on its own pair.  Euclidean
+    scales each difference by its largest entry (or, where the difference
+    overflows, differences the rescaled operands); cosine with a zero-norm
+    operand is 1 (orthogonal convention)."""
+    if kind is PairwiseDistanceKind.EUCLIDEAN:
+        with np.errstate(over="ignore", invalid="ignore"):  # overflowed rows are redone
+            diff = others - a
+            scale = np.max(np.abs(diff), axis=1)
+            over = ~np.isfinite(scale)
+            scale[scale == 0.0] = 1.0  # identical columns: a zero difference stays zero
+            diff /= scale[:, None]
+            scale[over] = np.maximum(np.max(np.abs(others[over]), axis=1), np.max(np.abs(a)))
+            diff[over] = others[over] / scale[over, None] - a / scale[over, None]
+            dist = scale * np.sqrt((diff * diff).sum(axis=1))
+        # a true distance beyond the float64 range clamps to the max finite value
+        return np.minimum(dist, np.finfo(np.float64).max)
+    # cosine is scale-invariant: max-normalize each operand to dodge overflow
+    ma = np.max(np.abs(a))
+    mo = np.max(np.abs(others), axis=1)
+    with np.errstate(invalid="ignore"):  # a zero operand gives NaN, replaced below
+        an = a / ma
+        on = others / mo[:, None]
+        cos = (on * an).sum(axis=1) / (np.sqrt((an * an).sum()) * np.sqrt((on * on).sum(axis=1)))
+    return np.where((mo == 0.0) | (ma == 0.0), 1.0, np.clip(1.0 - cos, 0.0, 2.0))
 
-    Euclidean is computed with overflow-safe scaling; cosine with a zero-norm
-    operand is defined as 1 (orthogonal convention).
-    """
-    a = np.asarray(f_i, dtype=np.float64)
-    b = np.asarray(f_j, dtype=np.float64)
+
+def pairwise_distance(f_i: np.ndarray, f_j: np.ndarray, kind: PairwiseDistanceKind) -> float:
+    """Euclidean or cosine distance between two columns (``column_distances``
+    on one pair)."""
+    a, b = (np.asarray(v, dtype=np.float64) for v in (f_i, f_j))
     if a.shape != b.shape:
         raise ValueError("vectors must have equal length")
-    if kind is PairwiseDistanceKind.EUCLIDEAN:
-        with np.errstate(over="ignore"):
-            diff = a - b
-        if not np.all(np.isfinite(diff)):
-            # the subtraction itself overflowed; difference the rescaled operands
-            scale = max(float(np.max(np.abs(a))), float(np.max(np.abs(b))))
-            diff = a / scale - b / scale
-        else:
-            scale = float(np.max(np.abs(diff)))
-            if scale == 0.0:
-                return 0.0
-            diff = diff / scale
-        with np.errstate(over="ignore"):
-            dist = scale * math.sqrt(float(np.dot(diff, diff)))
-        # a true distance beyond the float64 range clamps to the max finite value
-        return float(min(dist, np.finfo(np.float64).max))
-    # cosine is scale-invariant: max-normalize each operand to dodge overflow
-    ma = float(np.max(np.abs(a)))
-    mb = float(np.max(np.abs(b)))
-    if ma == 0.0 or mb == 0.0:
-        return 1.0
-    an = a / ma
-    bn = b / mb
-    cos = float(np.dot(an, bn)) / (
-        math.sqrt(float(np.dot(an, an))) * math.sqrt(float(np.dot(bn, bn)))
-    )
-    return float(np.clip(1.0 - cos, 0.0, 2.0))
+    return float(column_distances(a, b[None, :], kind)[0])

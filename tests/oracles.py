@@ -86,16 +86,41 @@ def plugin_mi_oracle(lx: np.ndarray, ly: np.ndarray) -> float:
     return float(mi) if mi > 0.0 else 0.0
 
 
-def scalar_quality_oracle(fs: FeatureSet, bins: int) -> float:
-    """``feature_set_quality`` as it was before vectorisation: both operands
-    of every pair hashed and labelled again, the one with the smaller content
-    hash as the row variable, and ``plugin_mi_oracle`` per pair."""
+def count_mi_oracle(lx: np.ndarray, ly: np.ndarray) -> float:
+    """The count-table MI kernel as a loop: the joint table counted with a
+    ``Counter``, ``c * math.log(c)`` per cell, the joint table and each
+    marginal summed left to right in row-major order, then
+    MI = log m + (joint - row marginal - column marginal) / m."""
+    m = lx.size
+    k = max(int(lx.max()), int(ly.max())) + 1
+
+    def xlogx_sum(counts, cells) -> float:
+        total = 0.0
+        for cell in cells:
+            c = counts.get(cell, 0)
+            if c > 0:
+                total += c * math.log(c)
+        return total
+
+    joint = xlogx_sum(Counter(zip(lx.tolist(), ly.tolist())),
+                      [(a, b) for a in range(k) for b in range(k)])
+    rows = xlogx_sum(Counter(lx.tolist()), range(k))
+    cols = xlogx_sum(Counter(ly.tolist()), range(k))
+    mi = math.log(m) + (joint - rows - cols) / m
+    return mi if mi > 0.0 else 0.0
+
+
+def scalar_quality_oracle(fs: FeatureSet, bins: int, pair_mi=plugin_mi_oracle) -> float:
+    """``feature_set_quality`` as a loop: both operands of every pair hashed
+    and labelled again, the one with the smaller content hash as the row
+    variable, and ``pair_mi`` per pair (by default the ratio-form estimator
+    from before the count-table kernel)."""
     def mi(x, y):
         lx, ly = as_labels(x, bins), as_labels(y, bins)
         if content_hash(np.asarray(y, dtype=np.float64)) < content_hash(
                 np.asarray(x, dtype=np.float64)):
             lx, ly = ly, lx
-        return plugin_mi_oracle(lx, ly)
+        return pair_mi(lx, ly)
 
     n = fs.n_cols
     y = np.asarray(fs.target.values, dtype=np.float64)

@@ -9,8 +9,14 @@ from raft.clustering import (
     merge_sequence,
     pair_score_matrix,
 )
-from raft.info_metrics import PairwiseDistanceKind, mutual_information
-from oracles import agglomerative_oracle, merge_loop_oracle, random_feature_set
+from raft.info_metrics import PairwiseDistanceKind, mutual_information, pairwise_distance
+from oracles import (
+    agglomerative_oracle,
+    cosine_oracle,
+    euclidean_oracle,
+    merge_loop_oracle,
+    random_feature_set,
+)
 
 EUC = PairwiseDistanceKind.EUCLIDEAN
 COS = PairwiseDistanceKind.COSINE
@@ -102,6 +108,52 @@ def test_cut_matches_merge_loop_oracle(n):
         thresholds = [*np.quantile(upper, [0.1, 0.5, 0.9]), float(upper[-1]), float(upper.max()) + 1]
         for threshold in thresholds:
             assert cut(merges, n, threshold).groups == merge_loop_oracle(scores, threshold)
+
+
+def distance_space(rng, m=40):
+    """Columns that stress the row pass: an identical pair, a near-duplicate
+    pair, a +-1e200 column, an all-zero column, a discrete one, and two
+    +-1e308 columns whose difference overflows."""
+    base = rng.standard_normal(m)
+    huge = 1e200 * rng.choice([-1.0, 1.0], size=m)
+    top = 1e308 * rng.choice([-1.0, 1.0], size=m)
+    cols = [base, base.copy(), base + 1e-9 * rng.standard_normal(m), huge,
+            np.zeros(m), np.round(rng.standard_normal(m) * 2.0), rng.standard_normal(m) * 50.0,
+            top, -top]
+    fs = random_feature_set(rng, m, len(cols), classification=True)
+    return fs.with_columns(np.column_stack(cols), fs.columns)
+
+
+@pytest.mark.parametrize("kind", [EUC, COS])
+def test_pair_scores_match_distance_oracle_loop(kind):
+    rng = np.random.default_rng(13)
+    fs = distance_space(rng)
+    bins = 5
+    scores = pair_score_matrix(fs, kind, bins)
+    y = np.asarray(fs.target.values, dtype=float)
+    mi_y = [mutual_information(fs.column(i), y, bins) for i in range(fs.n_cols)]
+    np.testing.assert_array_equal(scores, scores.T)
+    assert np.all(np.diag(scores) == 0.0)
+    for i in range(fs.n_cols):
+        for j in range(i + 1, fs.n_cols):
+            a, b = fs.column(i), fs.column(j)
+            got = pairwise_distance(a, b, kind)
+            # the matrix is the same pass as the single pair, bit for bit
+            assert scores[i, j] == got * abs(mi_y[i] - mi_y[j])
+            assert got == pairwise_distance(b, a, kind)
+            assert 0.0 <= got <= np.finfo(np.float64).max
+            if kind is EUC:
+                s = float(max(np.max(np.abs(a)), np.max(np.abs(b)), 1.0))  # the oracle overflows at 1e200
+                want = min(s * euclidean_oracle(a / s, b / s), np.finfo(np.float64).max)
+                assert got == pytest.approx(want, rel=1e-12)
+            else:
+                # scale-invariant, so the oracle sees each operand at unit size;
+                # 1 - cos cancels near cos = 1 in any implementation: ulp(1) absolute
+                sa, sb = (max(np.max(np.abs(v)), 1.0) for v in (a, b))
+                assert got == pytest.approx(cosine_oracle(a / sa, b / sb), rel=1e-12, abs=1e-15)
+    assert pairwise_distance(fs.column(0), fs.column(1), kind) == 0.0
+    if kind is COS:
+        assert pairwise_distance(fs.column(4), fs.column(0), kind) == 1.0
 
 
 def test_cluster_set_rejects_bad_partition():

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from raft.dataset import FeatureMeta, FeatureSet, Ident, Target, TaskKind, discretize
+from raft import info_metrics
 from raft.info_metrics import (
     MICache,
     PairwiseDistanceKind,
@@ -17,6 +18,7 @@ from raft.info_metrics import (
 )
 from oracles import (
     cosine_oracle,
+    count_mi_oracle,
     euclidean_oracle,
     mi_oracle,
     plugin_mi_oracle,
@@ -173,7 +175,8 @@ def test_quality_duplicating_features_lowers_redundancy_contribution():
 
 
 # ---------------------------------------------------------------------------
-# bit-exact agreement with the scalar estimator
+# the count-table kernel: bit-exact against its loop oracle, within 1e-12 of
+# the ratio-form estimator (absolute: near MI = 0 a relative bound breaks down)
 # ---------------------------------------------------------------------------
 
 def random_labels(rng, m, k):
@@ -193,8 +196,9 @@ def test_plugin_mi_equals_scalar_oracle_on_random_labels(kx):
             m = int(rng.integers(2, 400))
             lx = random_labels(rng, m, kx)
             ly = random_labels(rng, m, ky)
-            assert _plugin_mi(lx, ly) == plugin_mi_oracle(lx, ly)
-            assert _plugin_mi(ly, lx) == plugin_mi_oracle(ly, lx)
+            for a, b in ((lx, ly), (ly, lx)):
+                assert _plugin_mi(a, b) == count_mi_oracle(a, b)
+                assert _plugin_mi(a, b) == pytest.approx(plugin_mi_oracle(a, b), abs=1e-12)
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -210,8 +214,9 @@ def test_plugin_mi_equals_scalar_oracle_on_binned_and_discrete_columns(seed):
         d = rng.integers(-3, int(rng.integers(-2, 14)), size=m).astype(float)
         for a, b in ((x, y), (x, d), (d, y), (d, np.round(y))):
             la, lb = as_labels(a, bins), as_labels(b, bins)
-            assert _plugin_mi(la, lb) == plugin_mi_oracle(la, lb)
-            assert _plugin_mi(lb, la) == plugin_mi_oracle(lb, la)
+            for u, v in ((la, lb), (lb, la)):
+                assert _plugin_mi(u, v) == count_mi_oracle(u, v)
+                assert _plugin_mi(u, v) == pytest.approx(plugin_mi_oracle(u, v), abs=1e-12)
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -231,10 +236,43 @@ def test_quality_equals_scalar_pair_loop_oracle(seed):
     fs = make_fs(values, y, TaskKind.CLASSIFICATION if classification else TaskKind.REGRESSION)
     bins = int(rng.integers(2, 17))
     cache = MICache()
-    want = scalar_quality_oracle(fs, bins)
+    want = scalar_quality_oracle(fs, bins, count_mi_oracle)
     assert feature_set_quality(fs, bins, cache) == want
     assert feature_set_quality(fs, bins, cache) == want  # every pair from the memo
     assert feature_set_quality(fs, bins) == want
+    assert want == pytest.approx(scalar_quality_oracle(fs, bins), abs=1e-12)
+
+
+def wide_space(seed, m=150, n=30):
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal((m, n))
+    values[:, 1] = values[:, 0] + 0.1 * rng.standard_normal(m)
+    values[:, 2] = np.round(values[:, 2] * 2.0)  # discrete
+    y = (values[:, 0] * values[:, 3] > 0.0).astype(np.int64)
+    return make_fs(values, y, TaskKind.CLASSIFICATION)
+
+
+def test_quality_bits_do_not_depend_on_the_batch_size(monkeypatch):
+    fs = wide_space(5)
+    bins = 12
+    k = max(bins, info_metrics.MAX_DISCRETE_LABELS)
+    pairs = fs.n_cols * (fs.n_cols + 1) // 2
+    assert pairs > info_metrics._CHUNK_ENTRIES // max(fs.n_rows, k * k)  # several batches
+    want = feature_set_quality(fs, bins)
+    monkeypatch.setattr(info_metrics, "_CHUNK_ENTRIES", 1)  # one pair per batch
+    assert feature_set_quality(fs, bins) == want
+
+
+def test_plugin_mi_of_one_pair_equals_its_value_in_a_batch():
+    fs = wide_space(6)
+    bins = 9
+    cache = MICache()
+    cols = [cache.labels(fs.column(i), bins) for i in range(fs.n_cols)]
+    cols.append(cache.labels(fs.target.values, bins))
+    pairs = [(a, b) for a in cols for b in cols]
+    for (a, b), got in zip(pairs, cache.pair_mi(pairs, bins)):
+        x, y = (a, b) if a.key <= b.key else (b, a)
+        assert got == _plugin_mi(x.codes, y.codes)
 
 
 # ---------------------------------------------------------------------------
