@@ -156,20 +156,19 @@ def feature_set_quality(
 def column_distances(a: np.ndarray, others: np.ndarray, kind: PairwiseDistanceKind) -> np.ndarray:
     """Euclidean or cosine distance from column ``a`` to each row of
     ``others``, each row's value depending only on its own pair.  Euclidean
-    scales each difference by its largest entry (or, where the difference
-    overflows, differences the rescaled operands); cosine with a zero-norm
+    scales each difference by its largest entry; cosine with a zero-norm
     operand is 1 (orthogonal convention)."""
     if kind is PairwiseDistanceKind.EUCLIDEAN:
-        with np.errstate(over="ignore", invalid="ignore"):  # overflowed rows are redone
+        with np.errstate(over="ignore", invalid="ignore"):  # overflowed rows are set below
             diff = others - a
             scale = np.max(np.abs(diff), axis=1)
             over = ~np.isfinite(scale)
             scale[scale == 0.0] = 1.0  # identical columns: a zero difference stays zero
             diff /= scale[:, None]
-            scale[over] = np.maximum(np.max(np.abs(others[over]), axis=1), np.max(np.abs(a)))
-            diff[over] = others[over] / scale[over, None] - a / scale[over, None]
             dist = scale * np.sqrt((diff * diff).sum(axis=1))
-        # a true distance beyond the float64 range clamps to the max finite value
+        # a true distance beyond the float64 range clamps to the max finite value;
+        # one overflowed difference entry already puts a row beyond it
+        dist[over] = np.finfo(np.float64).max
         return np.minimum(dist, np.finfo(np.float64).max)
     # cosine is scale-invariant: max-normalize each operand to dodge overflow
     ma = np.max(np.abs(a))

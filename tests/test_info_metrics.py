@@ -309,3 +309,32 @@ def test_euclidean_finite_on_huge_values():
     a = np.full(4, 1e308)
     b = np.full(4, -1e308)
     assert np.isfinite(pairwise_distance(a, b, EUC))
+
+
+def test_euclidean_rows_whose_difference_overflows_read_the_max():
+    # an overflowed difference entry means the true distance is beyond the
+    # float64 range, so the row clamps; the other rows keep their distance
+    big = np.finfo(np.float64).max
+    half_ulp = 2.0 ** 970  # big + half_ulp rounds to inf, anything less to big
+    rng = np.random.default_rng(43)
+    m = 5
+    a = rng.uniform(-1.0, 1.0, m) * big
+    a[0] = big
+    others = rng.uniform(-1.0, 1.0, (600, m)) * big
+    others[::5] *= 1e-300  # small rows, far from every edge
+    others[1::5] = a / 2 + rng.uniform(-1.0, 1.0, (120, m)) * big / 4  # differences stay finite
+    others[2::5, 0] = -half_ulp  # just past the edge in the first entry
+    others[3::5, 0] = -np.nextafter(half_ulp, 0.0)  # just inside it
+    others[3::5, 1:] = a[1:]
+    got = info_metrics.column_distances(a, others, EUC)
+    with np.errstate(over="ignore"):
+        over = ~np.all(np.isfinite(others - a), axis=1)
+    assert over[2::5].all() and not over[1::5].any() and not over[3::5].any()
+    assert over.sum() > 200
+    assert np.all(got[over] == big)
+    for row, dist in zip(others[~over], got[~over]):
+        s = float(max(np.max(np.abs(a)), np.max(np.abs(row)), 1.0))
+        want = min(s * euclidean_oracle(a / s, row / s), big)
+        assert dist == pytest.approx(want, rel=1e-12)
+    for i in range(0, 600, 37):  # each row depends only on its own pair
+        assert got[i] == pairwise_distance(a, others[i], EUC)
