@@ -109,6 +109,22 @@ def log_softmax(logits: np.ndarray) -> np.ndarray:
     return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
 
 
+def _dense_pass(net: DenseNet, x2: np.ndarray):
+    """First-layer pre-activation, hidden activation and second affine output
+    of a (batch, in_size) input."""
+    z1 = x2 @ net.w1 + net.b1
+    a1 = np.maximum(z1, 0.0)
+    return z1, a1, a1 @ net.w2 + net.b2
+
+
+def _dense_grads(net: DenseNet, x2: np.ndarray, z1: np.ndarray, a1: np.ndarray,
+                 up: np.ndarray) -> tuple[Grads, np.ndarray]:
+    """Parameter gradients summed over the batch, and the gradient w.r.t. the
+    hidden pre-activation, from the activations of ``_dense_pass``."""
+    dz1 = (up @ net.w2.T) * (z1 > 0.0)
+    return Grads(x2.T @ dz1, dz1.sum(axis=0), a1.T @ up, up.sum(axis=0)), dz1
+
+
 def logits(net: DenseNet, x: np.ndarray) -> np.ndarray:
     """Pre-head output of the second affine layer (vector or batch)."""
     x = np.asarray(x, dtype=np.float64)
@@ -116,8 +132,7 @@ def logits(net: DenseNet, x: np.ndarray) -> np.ndarray:
     x2 = np.atleast_2d(x)
     if x2.shape[1] != net.in_size:
         raise ValueError(f"input size {x2.shape[1]} != expected {net.in_size}")
-    a1 = np.maximum(x2 @ net.w1 + net.b1, 0.0)
-    z2 = a1 @ net.w2 + net.b2
+    z2 = _dense_pass(net, x2)[2]
     return z2[0] if single else z2
 
 
@@ -154,15 +169,9 @@ def backward(net: DenseNet, x: np.ndarray, upstream) -> tuple[Grads, np.ndarray]
         up = np.atleast_2d(up)
     if x2.shape[0] != up.shape[0] or up.shape[1] != net.out_size:
         raise ValueError("upstream gradient shape does not match the forward output")
-    z1 = x2 @ net.w1 + net.b1
-    a1 = np.maximum(z1, 0.0)
-    gw2 = a1.T @ up
-    gb2 = up.sum(axis=0)
-    dz1 = (up @ net.w2.T) * (z1 > 0.0)
-    gw1 = x2.T @ dz1
-    gb1 = dz1.sum(axis=0)
+    z1, a1, _ = _dense_pass(net, x2)
+    grads, dz1 = _dense_grads(net, x2, z1, a1, up)
     dx = dz1 @ net.w1.T
-    grads = Grads(gw1, gb1, gw2, gb2)
     return grads, (dx[0] if single else dx)
 
 
@@ -190,37 +199,45 @@ def global_norm(grads: Grads) -> float:
     return _joint_norm((grads.w1, grads.b1, grads.w2, grads.b2))
 
 
-def clip_by_norm(arrays: tuple[np.ndarray, ...], clip: float) -> tuple[np.ndarray, ...]:
-    """Scale the arrays by one factor so that their joint L2 norm is at most clip."""
+def clip_by_norm(arrays: tuple[np.ndarray, ...],
+                 clip: float) -> tuple[tuple[np.ndarray, ...], float]:
+    """Scale the arrays by one factor so that their joint L2 norm is at most
+    clip; also returns the norm before clipping."""
     norm = _joint_norm(arrays)
     if norm > clip and norm > 0.0:
-        return tuple(arr * (clip / norm) for arr in arrays)
-    return arrays
+        return tuple(arr * (clip / norm) for arr in arrays), norm
+    return arrays, norm
 
 
 def clip_by_global_norm(grads: Grads, clip: float) -> Grads:
-    return Grads(*clip_by_norm((grads.w1, grads.b1, grads.w2, grads.b2), clip))
+    return Grads(*clip_by_norm((grads.w1, grads.b1, grads.w2, grads.b2), clip)[0])
 
 
 def sgd_step(net: DenseNet, grads: Grads, opt: OptimState) -> DenseNet:
     """theta <- theta - lr * clip(g); skips the update on non-finite gradients."""
-    clipped = clip_by_global_norm(grads, opt.clip_norm)
-    arrays = (clipped.w1, clipped.b1, clipped.w2, clipped.b2)
-    if not all(np.all(np.isfinite(a)) for a in arrays):
+    (w1, b1, w2, b2), norm = clip_by_norm((grads.w1, grads.b1, grads.w2, grads.b2),
+                                          opt.clip_norm)
+    # a finite norm bounds every entry, so only a non-finite one (NaN, or an
+    # overflow that may have clipped finite entries to zero) needs the scan
+    if not math.isfinite(norm) and not all(np.all(np.isfinite(a)) for a in (w1, b1, w2, b2)):
         logger.warning("non-finite gradient after clipping; parameters left unchanged")
         return net
-    return DenseNet(
-        w1=net.w1 - opt.lr * clipped.w1,
-        b1=net.b1 - opt.lr * clipped.b1,
-        w2=net.w2 - opt.lr * clipped.w2,
-        b2=net.b2 - opt.lr * clipped.b2,
-        head=net.head,
-    )
+    return DenseNet(w1=net.w1 - opt.lr * w1, b1=net.b1 - opt.lr * b1,
+                    w2=net.w2 - opt.lr * w2, b2=net.b2 - opt.lr * b2, head=net.head)
 
 
 # ---------------------------------------------------------------------------
 # Graph convolution
 # ---------------------------------------------------------------------------
+
+def normalized_adjacency(adj: np.ndarray) -> np.ndarray:
+    """D^-1/2 A D^-1/2 (all degrees must be positive)."""
+    deg = adj.sum(axis=1)
+    if np.any(deg <= 0.0):
+        raise ValueError("every node needs positive degree (add self-loops)")
+    dinv = 1.0 / np.sqrt(deg)
+    return adj * dinv[:, None] * dinv[None, :]
+
 
 def gcn_forward(adj: np.ndarray, feats: np.ndarray, layer: GcnLayer) -> np.ndarray:
     """ReLU(D^-1/2 A D^-1/2 X W) for a symmetric nonnegative adjacency with
@@ -233,12 +250,7 @@ def gcn_forward(adj: np.ndarray, feats: np.ndarray, layer: GcnLayer) -> np.ndarr
         raise ValueError("adjacency must be symmetric and nonnegative")
     if feats.shape[0] != adj.shape[0]:
         raise ValueError("feature rows must match the node count")
-    deg = adj.sum(axis=1)
-    if np.any(deg <= 0.0):
-        raise ValueError("every node needs positive degree (add self-loops)")
-    dinv = 1.0 / np.sqrt(deg)
-    norm_adj = adj * dinv[:, None] * dinv[None, :]
-    return np.maximum(norm_adj @ feats @ layer.w, 0.0)
+    return np.maximum(normalized_adjacency(adj) @ feats @ layer.w, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -270,14 +282,15 @@ def train_autoencoder(
     rng = np.random.default_rng(seed)
     encoder = init_dense(dim, hidden, latent, HEAD_IDENTITY, rng)
     decoder = init_dense(latent, hidden, dim, HEAD_IDENTITY, rng)
-    enc_opt = OptimState(lr=lr)
-    dec_opt = OptimState(lr=lr)
+    opt = OptimState(lr=lr)
     for _ in range(epochs):
-        z = forward(encoder, data)
-        recon = forward(decoder, z)
+        # one forward pass, reused by the backward pass; the encoder's input
+        # gradient is never needed
+        enc_z1, enc_a1, z = _dense_pass(encoder, data)
+        dec_z1, dec_a1, recon = _dense_pass(decoder, z)
         upstream = 2.0 * (recon - data) / (b * dim)
-        dec_grads, dz = backward(decoder, z, upstream)
-        enc_grads, _ = backward(encoder, data, dz)
-        decoder = sgd_step(decoder, dec_grads, dec_opt)
-        encoder = sgd_step(encoder, enc_grads, enc_opt)
+        dec_grads, dec_dz1 = _dense_grads(decoder, z, dec_z1, dec_a1, upstream)
+        enc_grads, _ = _dense_grads(encoder, data, enc_z1, enc_a1, dec_dz1 @ decoder.w1.T)
+        decoder = sgd_step(decoder, dec_grads, opt)
+        encoder = sgd_step(encoder, enc_grads, opt)
     return encoder, decoder, reconstruction_loss(encoder, decoder, data)

@@ -16,7 +16,7 @@ import numpy as np
 from .dataset import FeatureSet
 from .info_metrics import content_hash
 from .neural_core import (GcnLayer, clip_by_norm, derive_seed, forward, gcn_forward, init_gcn,
-                          train_autoencoder)
+                          normalized_adjacency, train_autoencoder)
 
 SI_LENGTH = 49
 _STATE_CLAMP = 1e30
@@ -167,12 +167,9 @@ def gae_reconstruction_loss(adj: np.ndarray, z: np.ndarray) -> float:
     return float(loss.mean())
 
 
-def gae_layer_grad(adj: np.ndarray, feats: np.ndarray, layer: GcnLayer) -> np.ndarray:
-    """Gradient of the reconstruction BCE w.r.t. the GCN weight matrix."""
-    deg = adj.sum(axis=1)
-    dinv = 1.0 / np.sqrt(deg)
-    norm_adj = adj * dinv[:, None] * dinv[None, :]
-    prop = norm_adj @ feats
+def gae_layer_grad(adj: np.ndarray, prop: np.ndarray, layer: GcnLayer) -> np.ndarray:
+    """Gradient of the reconstruction BCE w.r.t. the GCN weight matrix, given
+    the propagated features ``normalized_adjacency(adj) @ feats``."""
     pre = prop @ layer.w
     z = np.maximum(pre, 0.0)
     n = adj.shape[0]
@@ -198,8 +195,9 @@ def state_gae(
     feats = _standardize_columns(fs.values).T
     rng = np.random.default_rng(derive_seed(seed, "gae"))
     layer = init_gcn(fs.n_rows, k, rng)
+    prop = normalized_adjacency(adj) @ feats  # fixed across epochs
     for _ in range(epochs):
-        (grad,) = clip_by_norm((gae_layer_grad(adj, feats, layer),), _GAE_CLIP_NORM)
+        (grad,), _ = clip_by_norm((gae_layer_grad(adj, prop, layer),), _GAE_CLIP_NORM)
         if not np.all(np.isfinite(grad)):
             break
         layer = GcnLayer(layer.w - lr * grad)

@@ -13,7 +13,8 @@ import numpy as np
 from raft.dataset import FeatureSet, TaskKind
 from raft.evaluator import MAX_BINS, ForestConfig
 from raft.info_metrics import PairwiseDistanceKind, as_labels, content_hash
-from raft.neural_core import DenseNet, Grads
+from raft.neural_core import HEAD_IDENTITY, DenseNet, Grads, derive_seed, init_dense, init_gcn
+from raft.state_repr import _finite, _sigmoid, _standardize_columns, correlation_adjacency
 from raft.transform import GeneratedBatch
 
 
@@ -514,6 +515,84 @@ def forest_predict_oracle(trees: list, x: np.ndarray, classification: bool) -> n
                 total += v
             out.append(total / len(votes))
     return np.asarray(out)
+
+
+# ---------------------------------------------------------------------------
+# encoder training (frozen copies of the loops before the lean rewrite)
+# ---------------------------------------------------------------------------
+
+def _dense_backward_oracle(net: DenseNet, x: np.ndarray, up: np.ndarray):
+    """Recomputes the forward pass and also returns the input gradient."""
+    z1 = x @ net.w1 + net.b1
+    a1 = np.maximum(z1, 0.0)
+    dz1 = (up @ net.w2.T) * (z1 > 0.0)
+    grads = (x.T @ dz1, dz1.sum(axis=0), a1.T @ up, up.sum(axis=0))
+    return grads, dz1 @ net.w1.T
+
+
+def sgd_oracle(net: DenseNet, grads, lr: float, clip: float = 5.0) -> DenseNet:
+    """Clip to a joint L2 norm, then check every clipped entry for finiteness."""
+    total = 0.0
+    for g in grads:
+        total += float(np.sum(g * g))
+    norm = math.sqrt(total)
+    if norm > clip and norm > 0.0:
+        grads = tuple(g * (clip / norm) for g in grads)
+    if not all(np.all(np.isfinite(g)) for g in grads):
+        return net
+    w1, b1, w2, b2 = grads
+    return replace(net, w1=net.w1 - lr * w1, b1=net.b1 - lr * b1,
+                   w2=net.w2 - lr * w2, b2=net.b2 - lr * b2)
+
+
+def autoencoder_oracle(data: np.ndarray, latent: int, epochs: int, seed: int,
+                       hidden: int = 32, lr: float = 1e-3):
+    """Full-batch autoencoder descent with a forward pass inside each backward
+    pass and the encoder's input gradient computed and discarded."""
+    def out(net, x):
+        return np.maximum(x @ net.w1 + net.b1, 0.0) @ net.w2 + net.b2
+
+    data = np.atleast_2d(np.asarray(data, dtype=np.float64))
+    b, dim = data.shape
+    rng = np.random.default_rng(seed)
+    enc = init_dense(dim, hidden, latent, HEAD_IDENTITY, rng)
+    dec = init_dense(latent, hidden, dim, HEAD_IDENTITY, rng)
+    for _ in range(epochs):
+        z = out(enc, data)
+        upstream = 2.0 * (out(dec, z) - data) / (b * dim)
+        dec_grads, dz = _dense_backward_oracle(dec, z, upstream)
+        enc_grads, _ = _dense_backward_oracle(enc, data, dz)
+        dec = sgd_oracle(dec, dec_grads, lr)
+        enc = sgd_oracle(enc, enc_grads, lr)
+    return enc, dec, float(np.mean((out(dec, out(enc, data)) - data) ** 2))
+
+
+def gae_state_oracle(fs: FeatureSet, k: int, epochs: int, seed: int,
+                     lr: float = 1e-2, clip: float = 5.0) -> np.ndarray:
+    """``state_gae`` with D^-1/2 A D^-1/2 and its product with the features
+    recomputed inside every epoch's gradient."""
+    def propagate(adj, feats):
+        deg = adj.sum(axis=1)
+        dinv = 1.0 / np.sqrt(deg)
+        return (adj * dinv[:, None] * dinv[None, :]) @ feats
+
+    adj = correlation_adjacency(fs.values)
+    feats = _standardize_columns(fs.values).T
+    w = init_gcn(fs.n_rows, k, np.random.default_rng(derive_seed(seed, "gae"))).w
+    n = adj.shape[0]
+    for _ in range(epochs):
+        prop = propagate(adj, feats)
+        pre = prop @ w
+        z = np.maximum(pre, 0.0)
+        g = (_sigmoid(z @ z.T) - adj) / (n * n)
+        grad = prop.T @ (((g + g.T) @ z) * (pre > 0.0))
+        norm = math.sqrt(float(np.sum(grad * grad)))
+        if norm > clip and norm > 0.0:
+            grad = grad * (clip / norm)
+        if not np.all(np.isfinite(grad)):
+            break
+        w = w - lr * grad
+    return _finite(np.maximum(propagate(adj, feats) @ w, 0.0).mean(axis=0))
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,8 @@ from raft.neural_core import (
     softmax,
     train_autoencoder,
 )
-from oracles import assert_grads_close, net_with, numeric_gradients
+from oracles import (assert_grads_close, autoencoder_oracle, net_with, numeric_gradients,
+                     sgd_oracle)
 
 
 def zero_net(in_size, hidden, out_size, head):
@@ -276,6 +277,62 @@ def test_autoencoder_gradient_step_matches_fd():
     numeric = numeric_gradients(
         lambda n: float(np.mean((forward(n, z) - data) ** 2)), dec)
     assert_grads_close(analytic, numeric)
+
+
+def _bits(*arrays) -> bytes:
+    return b"".join(np.asarray(a, dtype=np.float64).tobytes() for a in arrays)
+
+
+def _net_bits(net: DenseNet) -> bytes:
+    return _bits(net.w1, net.b1, net.w2, net.b2)
+
+
+def _ae_case(rng: np.random.Generator, kind: int):
+    b, dim = int(rng.integers(1, 20)), int(rng.integers(1, 70))
+    data = rng.standard_normal((b, dim)) * 10.0 ** rng.uniform(-3.0, 3.0)
+    if kind == 1:
+        # squared gradients overflow while every gradient entry stays finite
+        data *= 10.0 ** rng.uniform(95.0, 150.0)
+    elif kind == 2:
+        data *= 1e200  # entries overflow as well
+    elif kind == 3:
+        data[rng.integers(b), rng.integers(dim)] = rng.choice([np.inf, -np.inf, np.nan])
+    return dict(data=data, latent=int(rng.integers(1, 9)), epochs=int(rng.integers(0, 25)),
+                seed=int(rng.integers(2**31)), hidden=int(rng.choice([1, 3, 8, 32])),
+                lr=float(10.0 ** rng.uniform(-4.0, 0.0)))
+
+
+def test_autoencoder_matches_frozen_oracle_bit_for_bit():
+    rng = np.random.default_rng(2024)
+    for i in range(128):
+        case = _ae_case(rng, i % 4)
+        with np.errstate(all="ignore"):
+            enc, dec, loss = train_autoencoder(**case)
+            want_enc, want_dec, want_loss = autoencoder_oracle(**case)
+        assert _net_bits(enc) == _net_bits(want_enc), i
+        assert _net_bits(dec) == _net_bits(want_dec), i
+        assert _bits(loss) == _bits(want_loss), i
+
+
+def test_sgd_step_matches_frozen_oracle_on_huge_and_nonfinite_gradients():
+    rng = np.random.default_rng(2025)
+    applied = skipped = 0
+    for i in range(200):
+        net = init_dense(3, 4, 2, HEAD_IDENTITY, rng)
+        arrays = [rng.standard_normal(a.shape) * 10.0 ** rng.uniform(-3.0, 3.0)
+                  for a in (net.w1, net.b1, net.w2, net.b2)]
+        if i % 4 == 1:
+            arrays[int(rng.integers(4))] *= 10.0 ** rng.uniform(155.0, 305.0)
+        elif i % 4 == 2:
+            arrays[int(rng.integers(4))].flat[0] = rng.choice([np.inf, -np.inf, np.nan])
+        lr = float(10.0 ** rng.uniform(-4.0, 0.0))
+        with np.errstate(all="ignore"):
+            got = sgd_step(net, Grads(*arrays), OptimState(lr=lr))
+            want = sgd_oracle(net, arrays, lr)
+        assert _net_bits(got) == _net_bits(want), i
+        applied += want is not net
+        skipped += want is net
+    assert applied > 100 and skipped == 50
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from raft.state_repr import (
     state_si,
 )
 from raft.transform import OperationSet
-from oracles import quantile_oracle, random_feature_set
+from oracles import gae_state_oracle, quantile_oracle, random_feature_set
 
 
 def seven_stats_oracle(row, count_scale):
@@ -209,10 +209,28 @@ def test_gae_training_reduces_reconstruction_loss():
     loss0 = gae_reconstruction_loss(adj, z0)
     w = layer.w.copy()
     for _ in range(300):
-        g = gae_layer_grad(adj, feats, type(layer)(w))
+        g = gae_layer_grad(adj, norm_adj @ feats, type(layer)(w))
         w = w - 0.05 * g
     z1 = np.maximum(norm_adj @ feats @ w, 0.0)
     assert gae_reconstruction_loss(adj, z1) < loss0
+
+
+def test_gae_matches_per_epoch_normalisation_oracle_bit_for_bit():
+    rng = np.random.default_rng(18)
+    shapes = [(1000, 16), (1000, 32), (1000, 48)]
+    shapes += [(int(rng.integers(2, 120)), int(rng.integers(1, 40))) for _ in range(20)]
+    for i, (m, n) in enumerate(shapes):
+        fs = random_feature_set(rng, m, n)
+        values = fs.values.copy()
+        if i % 3 == 1:
+            values[:, 0] = values[:, min(1, n - 1)] * 2.0 + 1.0  # a fully correlated pair
+        elif i % 3 == 2:
+            values[:, -1] = 3.5  # a constant column, similarity 0 to the rest
+        fs = fs.with_columns(values, fs.columns)
+        epochs, lr = int(rng.integers(0, 30)), float(10.0 ** rng.uniform(-3.0, 0.5))
+        got = state_gae(fs, k=int(rng.integers(1, 10)), epochs=epochs, seed=i, lr=lr)
+        want = gae_state_oracle(fs, k=got.values.size, epochs=epochs, seed=i, lr=lr)
+        assert got.values.tobytes() == want.tobytes(), (m, n)
 
 
 # ---------------------------------------------------------------------------
