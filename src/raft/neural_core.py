@@ -110,8 +110,7 @@ def log_softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def _dense_pass(net: DenseNet, x2: np.ndarray):
-    """First-layer pre-activation, hidden activation and second affine output
-    of a (batch, in_size) input."""
+    """(pre-activation, hidden activation, output) for a (batch, in_size) input."""
     z1 = x2 @ net.w1 + net.b1
     a1 = np.maximum(z1, 0.0)
     return z1, a1, a1 @ net.w2 + net.b2
@@ -119,8 +118,7 @@ def _dense_pass(net: DenseNet, x2: np.ndarray):
 
 def _dense_grads(net: DenseNet, x2: np.ndarray, z1: np.ndarray, a1: np.ndarray,
                  up: np.ndarray) -> tuple[Grads, np.ndarray]:
-    """Parameter gradients summed over the batch, and the gradient w.r.t. the
-    hidden pre-activation, from the activations of ``_dense_pass``."""
+    """Batch-summed parameter gradients and the pre-activation gradient."""
     dz1 = (up @ net.w2.T) * (z1 > 0.0)
     return Grads(x2.T @ dz1, dz1.sum(axis=0), a1.T @ up, up.sum(axis=0)), dz1
 
@@ -199,8 +197,7 @@ def global_norm(grads: Grads) -> float:
     return _joint_norm((grads.w1, grads.b1, grads.w2, grads.b2))
 
 
-def clip_by_norm(arrays: tuple[np.ndarray, ...],
-                 clip: float) -> tuple[tuple[np.ndarray, ...], float]:
+def clip_by_norm(arrays: tuple[np.ndarray, ...], clip: float) -> tuple[tuple, float]:
     """Scale the arrays by one factor so that their joint L2 norm is at most
     clip; also returns the norm before clipping."""
     norm = _joint_norm(arrays)
@@ -284,8 +281,7 @@ def train_autoencoder(
     decoder = init_dense(latent, hidden, dim, HEAD_IDENTITY, rng)
     opt = OptimState(lr=lr)
     for _ in range(epochs):
-        # one forward pass, reused by the backward pass; the encoder's input
-        # gradient is never needed
+        # one forward pass, reused backward; the encoder's input gradient is unused
         enc_z1, enc_a1, z = _dense_pass(encoder, data)
         dec_z1, dec_a1, recon = _dense_pass(decoder, z)
         upstream = 2.0 * (recon - data) / (b * dim)

@@ -1,9 +1,9 @@
 """Fixed-length state encodings of variable-size feature spaces.
 
 Three encoders: two-stage descriptive statistics (length 49), a two-stage
-column/row autoencoder (length k*d), and a graph autoencoder over the column
-correlation graph (length k).  Combinations concatenate the parts.  Output
-length never depends on the matrix shape.
+column/row autoencoder over fixed-length column summaries (length k*d), and a
+graph autoencoder over the column correlation graph (length k).  Combinations
+concatenate the parts.  Output length never depends on the matrix shape.
 """
 
 from __future__ import annotations
@@ -19,8 +19,10 @@ from .neural_core import (GcnLayer, clip_by_norm, derive_seed, forward, gcn_forw
                           normalized_adjacency, train_autoencoder)
 
 SI_LENGTH = 49
+SUMMARY_QUANTILES = 64  # per-column input length of the column autoencoder
 _STATE_CLAMP = 1e30
 _GAE_CLIP_NORM = 5.0
+_AE_LR = 1e-2
 
 
 @dataclass(frozen=True)
@@ -107,25 +109,33 @@ def state_si(fs: FeatureSet, m_original: int | None = None, raw_count: bool = Fa
     return StateVector(_finite(meta.reshape(-1)), "si")
 
 
-def state_ae(
-    fs: FeatureSet,
-    k: int,
-    d: int,
-    epochs: int,
-    seed: int,
-    hidden: int = 32,
-    lr: float = 1e-2,
-) -> StateVector:
-    """Column autoencoder (M -> k per column) then row autoencoder (N -> d per
-    latent row), flattened to length k*d."""
+def column_summary(values: np.ndarray) -> np.ndarray:
+    """Each column's SUMMARY_QUANTILES quantiles (linear interpolation, from
+    the minimum to the maximum), centred on the median and divided by the
+    largest deviation: shape (N, SUMMARY_QUANTILES), entries in [-1, 1],
+    zeros for a constant column.  Row order and row count do not matter."""
+    srt = np.sort(np.asarray(values, dtype=np.float64), axis=0)
+    m = srt.shape[0]
+    mag = np.max(np.abs(srt[[0, -1]]), axis=0)
+    srt /= np.where(mag > 0.0, mag, 1.0)  # dividing first keeps every difference finite
+    pos = np.append(np.linspace(0.0, m - 1.0, SUMMARY_QUANTILES), (m - 1) / 2.0)  # last: median
+    lo = pos.astype(np.intp)
+    below, above = srt[lo], srt[np.minimum(lo + 1, m - 1)]
+    quantiles = below + (pos - lo)[:, None] * (above - below)
+    dev = quantiles[:-1] - quantiles[-1]
+    spread = np.max(np.abs(dev), axis=0)
+    return (dev / np.where(spread > 0.0, spread, 1.0)).T
+
+
+def state_ae(fs: FeatureSet, k: int, d: int, epochs: int, seed: int) -> StateVector:
+    """Column autoencoder (``column_summary`` -> k per column) then row
+    autoencoder (N -> d per latent row), flattened to length k*d."""
     if k < 1 or d < 1:
         raise ValueError("latent dims must be >= 1")
-    cols_as_rows = fs.values.T  # N samples of dimension M
-    enc1, _, _ = train_autoencoder(cols_as_rows, k, epochs, derive_seed(seed, "ae-cols"),
-                                   hidden=hidden, lr=lr)
-    z = np.atleast_2d(forward(enc1, cols_as_rows)).T  # k x N
-    enc2, _, _ = train_autoencoder(z, d, epochs, derive_seed(seed, "ae-rows"),
-                                   hidden=hidden, lr=lr)
+    summary = column_summary(fs.values)  # N samples of dimension SUMMARY_QUANTILES
+    enc1, _, _ = train_autoencoder(summary, k, epochs, derive_seed(seed, "ae-cols"), lr=_AE_LR)
+    z = np.atleast_2d(forward(enc1, summary)).T  # k x N
+    enc2, _, _ = train_autoencoder(z, d, epochs, derive_seed(seed, "ae-rows"), lr=_AE_LR)
     z2 = np.atleast_2d(forward(enc2, z))  # k x d
     return StateVector(_finite(z2.reshape(-1)), "ae")
 

@@ -248,8 +248,8 @@ def test_cli_end_to_end_exit_zero(small_csv, tmp_path, capsys):
 PINNED_DIGESTS = {
     (False, "si"): ("bbfb06bd03285065cb967227550c4ca7941d3d743a9ed28fd6f7b449b969b9ce",
                     "e9956f45e7881ec5ad5e59919c8f5cd5c4e983b38c2b8cd399b3a7f4ad254c53"),
-    (False, "all"): ("ef2ca0f0fdf1ea57f852e51c30e71141d3fd6d7ca58a07a5734b5610c00af10d",
-                     "b98aed1d72182ad88a04e3a8afe427bff9c13196509f8f9c31d1bb9b634527a4"),
+    (False, "all"): ("482f675092c0e902805bebeb5986c5ee4dc5c5b952d21ad5d917208b4525c8b2",
+                     "fa27e9e98ccfb636f67110e30d123c3ad8519dc06a2fd3b2cf8ebf6530421278"),
     (True, "si"): ("c75f43a60b7ba80350ffa273c607b5537d00d4d57f66b0c13efaed7d7e9f908c",
                    "5fb7c1eb512f367fec08bedf72b019a6bdf92bfc4cdfd5fd9390f95162d6be01"),
     (True, "all"): ("c75f43a60b7ba80350ffa273c607b5537d00d4d57f66b0c13efaed7d7e9f908c",

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,10 +7,12 @@ import pytest
 from raft.neural_core import derive_seed, gcn_forward, init_gcn
 from raft.state_repr import (
     SI_LENGTH,
+    SUMMARY_QUANTILES,
     EncoderConfig,
     EncoderKind,
     StateEncoder,
     StateVector,
+    column_summary,
     concat_states,
     correlation_adjacency,
     encoder_length,
@@ -135,6 +138,81 @@ def test_ae_deterministic_per_seed():
     a = state_ae(fs, k=4, d=3, epochs=5, seed=3)
     b = state_ae(fs, k=4, d=3, epochs=5, seed=3)
     np.testing.assert_array_equal(a.values, b.values)
+
+
+def test_column_summary_matches_quantile_oracle():
+    rng = np.random.default_rng(19)
+    for m in (1, 2, 4, 63, 64, 65, 300):
+        values = rng.standard_normal((m, 3)) * rng.uniform(0.1, 100.0, 3)
+        values[:, 2] = np.round(values[:, 2])  # ties
+        got = column_summary(values)
+        assert got.shape == (3, SUMMARY_QUANTILES)
+        for j in range(3):
+            col = list(values[:, j])
+            dev = [quantile_oracle(col, q) - quantile_oracle(col, 0.5)
+                   for q in np.linspace(0.0, 1.0, SUMMARY_QUANTILES)]
+            spread = max(abs(v) for v in dev) or 1.0
+            np.testing.assert_allclose(got[j], np.array(dev) / spread, rtol=0, atol=1e-12)
+
+
+def test_column_summary_ignores_a_columns_scale_and_shift():
+    rng = np.random.default_rng(20)
+    for _ in range(20):
+        values = rng.standard_normal((int(rng.integers(2, 200)), 4))
+        moved = values.copy()
+        j = int(rng.integers(4))
+        moved[:, j] = values[:, j] * 10.0 ** rng.uniform(-3.0, 3.0) + rng.uniform(-5.0, 5.0)
+        got, want = column_summary(moved), column_summary(values)
+        np.testing.assert_allclose(got[j], want[j], rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(np.delete(got, j, axis=0), np.delete(want, j, axis=0))
+
+
+def test_column_summary_constant_and_huge_columns():
+    rng = np.random.default_rng(21)
+    values = rng.standard_normal((50, 5))
+    values[:, 0] = 3.25
+    values[:, 1] = 0.0
+    sign = np.where(values[:, 2] > 0.0, 1.0, -1.0)
+    values[:, 2] = sign * 1e200
+    values[:, 3] = sign * np.finfo(np.float64).max
+    values[:, 4] *= 1e-310  # subnormal
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = column_summary(values)
+    np.testing.assert_array_equal(got[:2], 0.0)
+    assert np.all(np.isfinite(got)) and np.all(np.abs(got) <= 1.0)
+    np.testing.assert_array_equal(got[2], got[3])  # only the signs matter there
+    assert got[2].min() < 0.0 or got[2].max() > 0.0
+
+
+def test_ae_state_ignores_row_order_and_trains_on_fixed_length_columns(monkeypatch):
+    from raft import state_repr
+
+    rng = np.random.default_rng(22)
+    fs = random_feature_set(rng, 200, 6)
+    perm = rng.permutation(200)
+    a = state_ae(fs, k=4, d=3, epochs=5, seed=3)
+    b = state_ae(fs.subset_rows(perm), k=4, d=3, epochs=5, seed=3)
+    assert a.values.tobytes() == b.values.tobytes()
+    shapes = []
+    train = state_repr.train_autoencoder
+    monkeypatch.setattr(state_repr, "train_autoencoder",
+                        lambda data, *args, **kw: shapes.append(data.shape) or train(data, *args, **kw))
+    for m in (4, 1000):  # fewer rows than quantiles, and many more
+        vec = state_ae(random_feature_set(rng, m, 3), k=4, d=3, epochs=5, seed=3)
+        assert len(vec) == 12 and np.all(np.isfinite(vec.values))
+    assert shapes == [(3, SUMMARY_QUANTILES), (4, 3)] * 2
+
+
+def test_ae_state_finite_on_a_huge_column_without_warnings():
+    rng = np.random.default_rng(23)
+    fs = random_feature_set(rng, 80, 4)
+    values = fs.values.copy()
+    values[:, 2] = np.where(values[:, 2] > 0.0, 1e200, -1e200)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        vec = state_ae(fs.with_columns(values, fs.columns), k=4, d=3, epochs=20, seed=3)
+    assert np.all(np.isfinite(vec.values)) and np.any(vec.values != 0.0)
 
 
 # ---------------------------------------------------------------------------
