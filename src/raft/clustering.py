@@ -60,13 +60,18 @@ def merge_sequence(scores: np.ndarray) -> list[tuple[float, int, int]]:
     ``(height, a, b)``.
 
     A cluster is named by its smallest member, ``a < b``, and the merged
-    cluster keeps the name ``a``.  The height is the mean score over the raw
-    member pairs, ``np.mean(scores[np.ix_(lo, hi)])`` with ``lo`` the cluster
-    of smaller name; ties pick the lexicographically smallest ``(a, b)``.  The
-    sequence stops at the first height that is not finite.
+    cluster keeps the name ``a``.  The height between two clusters is the
+    running sum of their raw member-pair scores divided by ``|lo| * |hi|``:
+    merging ``b`` into ``a`` adds ``b``'s row of linkage sums to ``a``'s
+    (Müllner, arXiv:1109.2378).  Sums of integer-valued scores are exact, so
+    there the height equals ``np.mean(scores[np.ix_(lo, hi)])``.  Ties pick the
+    lexicographically smallest ``(a, b)``.  The sequence stops at the first
+    height that is not finite.
     """
     n = scores.shape[0]
-    members: dict[int, tuple[int, ...]] = {i: (i,) for i in range(n)}
+    sums = np.array(scores, dtype=np.float64)
+    size = np.ones(n)
+    live = np.ones(n, dtype=bool)
     dist = np.full((n, n), np.inf)
     upper = np.triu_indices(n, k=1)
     dist[upper] = scores[upper]
@@ -77,13 +82,17 @@ def merge_sequence(scores: np.ndarray) -> list[tuple[float, int, int]]:
         if not math.isfinite(height):
             break
         merges.append((height, a, b))
-        members[a] = tuple(sorted(members[a] + members.pop(b)))
+        row = sums[a] + sums[b]
+        sums[a], sums[:, a] = row, row
+        size[a] += size[b]
+        live[b] = False
         dist[b, :] = np.inf
         dist[:, b] = np.inf
-        for c in members:
-            if c != a:
-                lo, hi = min(a, c), max(a, c)
-                dist[lo, hi] = np.mean(scores[np.ix_(members[lo], members[hi])])
+        others = np.flatnonzero(live)
+        others = others[others != a]
+        # the pair is stored at [smaller name, larger name]
+        lo, hi = np.minimum(others, a), np.maximum(others, a)
+        dist[lo, hi] = row[others] / (size[a] * size[others])
     return merges
 
 

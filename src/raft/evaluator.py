@@ -6,19 +6,24 @@ feature index then lowest threshold.  Determinism per seed is exact: each tree
 draws its bootstrap sample and its nodes' feature subsets from its own spawned
 generator.
 
-Split search (histograms, grown level by level).  `fit_forest` ranks every
-column's training values once per fit and puts a column with D distinct
-values into min(MAX_BINS, D) bins of whole distinct values, so a column with
-at most MAX_BINS distinct values keeps every candidate split.  A tree grows
-one level at a time.  One draw gives every node of the level that is split
-its feature subset, in breadth-first order.  One `np.bincount` then builds
-the histogram over (node, drawn feature, bin) of class counts, or of row
-counts and sums of y and y*y, each bin summed in sample order.  Running sums
-over the bins score every cut, and the row-major first minimum picks each
-node's split.  The threshold is the midpoint between the node's largest value
-in the bins up to the cut and its smallest value above them.  Sums over
-classes run from the lowest class up, and node means and variances are sums
-in sample order, so `tests/oracles.py` can replay every bit in plain loops.
+Split search (histograms, trees grown together level by level).  `fit_forest`
+ranks every column's training values once per fit and puts a column with D
+distinct values into min(MAX_BINS, D) bins of whole distinct values, so a
+column with at most MAX_BINS distinct values keeps every candidate split.
+Consecutive trees grow as one group, as many as fit in _CHUNK_CELLS (training
+row, drawn feature) entries and at least one, a level at a time.  Per level,
+each tree gives its searched nodes their feature subsets in one draw, in
+breadth-first order, and the group's searched nodes go to the split search in
+contiguous runs of at most _CHUNK_CELLS histogram cells (node, drawn feature,
+bin, class) and at least one node.  One `np.bincount` builds a run's histogram
+of class counts, or of row counts and sums of y and y*y, each bin summed in
+sample order.  Running sums over the bins score every cut, and the row-major
+first minimum picks each node's split.  The threshold is the midpoint between
+the node's largest value in the bins up to the cut and its smallest value
+above them.  Sums over classes run from the lowest class up, node means and
+variances are sums in sample order, and importance gains are added tree by
+tree, so no bit depends on the grouping, and `tests/oracles.py` can replay
+every bit in plain loops.
 """
 
 from __future__ import annotations
@@ -61,6 +66,7 @@ def default_metric(task: TaskKind) -> MetricKind:
 
 
 MAX_BINS = 32  # split candidates per column and node: bins of whole distinct values
+_CHUNK_CELLS = 2 ** 14  # per split pass: histogram cells; per tree group: (row, feature) entries
 
 
 @dataclass(frozen=True)
@@ -139,9 +145,14 @@ def _best_cuts(bins: np.ndarray, n_bins: int, rows: np.ndarray, y_rows: np.ndarr
     g = k * m * n_bins
     cell = ((nd * m)[:, None] + np.arange(m)) * n_bins + bins[feats[nd], rows[:, None]]
     n_node = n_node[:, None, None]
+    # a pass may hold _CHUNK_CELLS (row, slot) entries and as many histogram
+    # cells: each large array is dropped once used, to bound the peak memory
     if n_classes:
-        hist = np.bincount((cell + (y_rows * g)[:, None]).ravel(), minlength=n_classes * g)
+        cell += (y_rows * g)[:, None]
+        hist = np.bincount(cell.ravel(), minlength=n_classes * g)
+        del cell
         cum = hist.reshape((n_classes,) + shape).cumsum(axis=3)  # exact counts
+        del hist
         n_left = cum.sum(axis=0)
         n_right = n_node - n_left
         gini_l = _gini(cum, np.maximum(n_left, 1))
@@ -154,6 +165,7 @@ def _best_cuts(bins: np.ndarray, n_bins: int, rows: np.ndarray, y_rows: np.ndarr
         n_left = np.bincount(cell, minlength=g).reshape(shape).cumsum(axis=2)
         c1 = np.bincount(cell, weights=y_rows, minlength=g).reshape(shape).cumsum(axis=2)
         c2 = np.bincount(cell, weights=y_rows * y_rows, minlength=g).reshape(shape).cumsum(axis=2)
+        del cell, y_rows
         n_right = n_node - n_left
         d = c1[..., -1:] - c1
         sse_l = c2 - c1 * c1 / np.maximum(n_left, 1)
@@ -175,9 +187,11 @@ def _midpoints(below: np.ndarray, above: np.ndarray) -> np.ndarray:
 def _split_level(xt: np.ndarray, bins: np.ndarray, n_bins: int, rows: np.ndarray,
                  y_rows: np.ndarray, node_of: np.ndarray, sizes: np.ndarray,
                  searched: np.ndarray, feats: np.ndarray, n_classes: int, min_leaf: int):
-    """Splits the searched nodes of one level.  Returns {node: (feature,
-    threshold, score)} for the nodes that split, and the next level's rows
-    and sizes: each split node's left rows, then its right rows."""
+    """Splits a run of a level's searched nodes.  `rows`, `y_rows` and
+    `node_of` cover the run's nodes and any unsearched ones between them;
+    `sizes` covers the whole level.  Returns {node: (feature, threshold,
+    score)} for the nodes that split, and their children's rows and sizes:
+    each split node's left rows, then its right rows."""
     local = np.full(sizes.size, -1)
     local[searched] = np.arange(searched.size)
     nd = local[node_of]
@@ -205,16 +219,20 @@ def _split_level(xt: np.ndarray, bins: np.ndarray, n_bins: int, rows: np.ndarray
             np.bincount(child, minlength=2 * len(splits)))
 
 
-def _grow_tree(xt: np.ndarray, bins: np.ndarray, y: np.ndarray, n_classes: int,
-               cfg: ForestConfig, m_feats: int, rng: np.random.Generator,
-               importances: np.ndarray) -> _Node:
-    """Grows one tree a level at a time.  `rows` holds the training rows of
-    the level's nodes, node by node and each node's in sample order."""
+def _grow_group(xt: np.ndarray, bins: np.ndarray, y: np.ndarray, n_classes: int,
+                cfg: ForestConfig, m_feats: int, rngs: list[np.random.Generator],
+                importances: np.ndarray) -> list[_Node]:
+    """Grows consecutive trees together, a level at a time.  `rows` holds the
+    training rows of the level's nodes, tree by tree, node by node, and each
+    node's in sample order.  Importance gains are added tree by tree."""
     n_feat, n_total = xt.shape
     n_bins = int(bins.max()) + 1
-    rows = rng.integers(0, n_total, size=n_total) if cfg.bootstrap else np.arange(n_total)
-    root = _Node()
-    nodes, sizes = [root], np.array([n_total])
+    run_nodes = max(1, _CHUNK_CELLS // (m_feats * n_bins * max(n_classes, 1)))
+    roots = [_Node() for _ in rngs]
+    gains: list[list[tuple[int, float]]] = [[] for _ in rngs]
+    rows = np.concatenate([rng.integers(0, n_total, size=n_total) if cfg.bootstrap
+                           else np.arange(n_total) for rng in rngs])
+    nodes, tree_of, sizes = roots, np.arange(len(rngs)), np.full(len(rngs), n_total)
     for depth in range(cfg.max_depth + 1):
         k = len(nodes)
         node_of = np.repeat(np.arange(k), sizes)
@@ -231,26 +249,41 @@ def _grow_tree(xt: np.ndarray, bins: np.ndarray, y: np.ndarray, n_classes: int,
         searched = np.flatnonzero((sizes >= 2 * cfg.min_leaf) & (impurity != 0.0))
         splits = {}
         if depth < cfg.max_depth and searched.size:
-            # every searched node's feature subset, in one draw
-            feats = np.argsort(rng.random((searched.size, n_feat)), axis=1)[:, :m_feats]
+            # each tree's searched nodes get their feature subsets in one draw
+            # from the tree's own generator
+            per_tree = np.bincount(tree_of[searched], minlength=len(rngs)).tolist()
+            feats = np.concatenate([np.argsort(rng.random((c, n_feat)), axis=1)[:, :m_feats]
+                                    for rng, c in zip(rngs, per_tree) if c])
             feats.sort(axis=1)
-            splits, rows, next_sizes = _split_level(xt, bins, n_bins, rows, y_rows, node_of,
-                                                    sizes, searched, feats, n_classes,
-                                                    cfg.min_leaf)
+            ends = np.cumsum(sizes)
+            next_rows, next_sizes = [], []
+            for i in range(0, searched.size, run_nodes):
+                run = searched[i:i + run_nodes]
+                lo, hi = ends[run[0]] - sizes[run[0]], ends[run[-1]]
+                run_splits, run_rows, run_sizes = _split_level(
+                    xt, bins, n_bins, rows[lo:hi], y_rows[lo:hi], node_of[lo:hi], sizes, run,
+                    feats[i:i + run_nodes], n_classes, cfg.min_leaf)
+                splits.update(run_splits)
+                next_rows.append(run_rows)
+                next_sizes.append(run_sizes)
         next_nodes = []
-        for j, (node, size, imp, value) in enumerate(
-                zip(nodes, sizes.tolist(), impurity.tolist(), values.tolist())):
+        for j, (node, t, size, imp, value) in enumerate(zip(
+                nodes, tree_of.tolist(), sizes.tolist(), impurity.tolist(), values.tolist())):
             if j not in splits:
                 node.value = value  # only leaves carry a value
                 continue
             node.feature, node.threshold, score = splits[j]
-            importances[node.feature] += (size / n_total) * (imp - score)
+            gains[t].append((node.feature, (size / n_total) * (imp - score)))
             node.left, node.right = _Node(), _Node()
             next_nodes += (node.left, node.right)
         if not next_nodes:
             break
-        nodes, sizes = next_nodes, next_sizes
-    return root
+        nodes, tree_of = next_nodes, np.repeat(tree_of[sorted(splits)], 2)
+        rows, sizes = np.concatenate(next_rows), np.concatenate(next_sizes)
+    for tree_gains in gains:
+        for f, gain in tree_gains:
+            importances[f] += gain
+    return roots
 
 
 def fit_forest(train: FeatureSet, cfg: ForestConfig) -> RandomForest:
@@ -283,9 +316,11 @@ def fit_forest(train: FeatureSet, cfg: ForestConfig) -> RandomForest:
     xt = np.ascontiguousarray(x.T)
     bins = _bin_codes(xt)
     importances = np.zeros(n_feat, dtype=np.float64)
-    trees = [_grow_tree(xt, bins, y, n_classes, cfg, m_feats, np.random.default_rng(ss),
-                        importances)
-             for ss in np.random.SeedSequence(cfg.seed).spawn(cfg.n_trees)]
+    rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(cfg.seed).spawn(cfg.n_trees)]
+    group = max(1, _CHUNK_CELLS // (x.shape[0] * m_feats))
+    trees = [tree for first in range(0, cfg.n_trees, group)
+             for tree in _grow_group(xt, bins, y, n_classes, cfg, m_feats,
+                                     rngs[first:first + group], importances)]
     return RandomForest(trees, task, n_classes, n_feat, importances, cfg)
 
 

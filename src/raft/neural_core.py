@@ -186,28 +186,16 @@ def grads_zero(net: DenseNet) -> Grads:
                  np.zeros_like(net.w2), np.zeros_like(net.b2))
 
 
-def _joint_norm(arrays: tuple[np.ndarray, ...]) -> float:
-    total = 0.0
-    for arr in arrays:
-        total += float(np.sum(arr * arr))
-    return math.sqrt(total)
-
-
-def global_norm(grads: Grads) -> float:
-    return _joint_norm((grads.w1, grads.b1, grads.w2, grads.b2))
-
-
 def clip_by_norm(arrays: tuple[np.ndarray, ...], clip: float) -> tuple[tuple, float]:
     """Scale the arrays by one factor so that their joint L2 norm is at most
     clip; also returns the norm before clipping."""
-    norm = _joint_norm(arrays)
+    total = 0.0
+    for arr in arrays:
+        total += float(np.sum(arr * arr))
+    norm = math.sqrt(total)
     if norm > clip and norm > 0.0:
         return tuple(arr * (clip / norm) for arr in arrays), norm
     return arrays, norm
-
-
-def clip_by_global_norm(grads: Grads, clip: float) -> Grads:
-    return Grads(*clip_by_norm((grads.w1, grads.b1, grads.w2, grads.b2), clip)[0])
 
 
 def sgd_step(net: DenseNet, grads: Grads, opt: OptimState) -> DenseNet:

@@ -216,6 +216,33 @@ def merge_loop_oracle(scores: np.ndarray, threshold: float) -> tuple[tuple[int, 
     return tuple(clusters)
 
 
+def mean_linkage_oracle(scores: np.ndarray) -> list[tuple[float, int, int]]:
+    """Average-linkage merges as `clustering.merge_sequence` computed them
+    before its running sums: after each merge, every height to the merged
+    cluster is re-averaged from the raw scores with
+    ``np.mean(scores[np.ix_(lo, hi)])``."""
+    n = scores.shape[0]
+    members: dict[int, tuple[int, ...]] = {i: (i,) for i in range(n)}
+    dist = np.full((n, n), np.inf)
+    upper = np.triu_indices(n, k=1)
+    dist[upper] = scores[upper]
+    merges: list[tuple[float, int, int]] = []
+    for _ in range(n - 1):
+        a, b = divmod(int(np.argmin(dist)), n)
+        height = float(dist[a, b])
+        if not math.isfinite(height):
+            break
+        merges.append((height, a, b))
+        members[a] = tuple(sorted(members[a] + members.pop(b)))
+        dist[b, :] = np.inf
+        dist[:, b] = np.inf
+        for c in members:
+            if c != a:
+                lo, hi = min(a, c), max(a, c)
+                dist[lo, hi] = np.mean(scores[np.ix_(members[lo], members[hi])])
+    return merges
+
+
 # ---------------------------------------------------------------------------
 # feature generation
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from oracles import (
     agglomerative_oracle,
     cosine_oracle,
     euclidean_oracle,
+    mean_linkage_oracle,
     merge_loop_oracle,
     random_feature_set,
 )
@@ -108,6 +109,26 @@ def test_cut_matches_merge_loop_oracle(n):
         thresholds = [*np.quantile(upper, [0.1, 0.5, 0.9]), float(upper[-1]), float(upper.max()) + 1]
         for threshold in thresholds:
             assert cut(merges, n, threshold).groups == merge_loop_oracle(scores, threshold)
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 21, 40])
+def test_merge_heights_are_mean_member_scores(n):
+    # integer scores sum exactly, so the running sums give np.mean's bits;
+    # random floats are summed in another order, within a few ulps
+    rng = np.random.default_rng(300 + n)
+    for exact, values in ((True, rng.integers(0, 5, size=(n, n)).astype(float)),
+                          (False, rng.random((n, n)))):
+        scores = np.triu(values, k=1)
+        scores = scores + scores.T
+        merges = merge_sequence(scores)
+        want = mean_linkage_oracle(scores)
+        assert [(a, b) for _, a, b in merges] == [(a, b) for _, a, b in want]
+        assert len(merges) == n - 1
+        for (height, _, _), (mean, _, _) in zip(merges, want):
+            if exact:
+                assert height == mean
+            else:
+                assert height == pytest.approx(mean, rel=1e-15, abs=0.0)
 
 
 def distance_space(rng, m=40):

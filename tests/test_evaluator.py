@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from raft import evaluator
 from raft.dataset import FeatureMeta, FeatureSet, Ident, Target, TaskKind
 from raft.evaluator import (
     MAX_BINS,
@@ -275,6 +276,58 @@ def test_forest_is_exact_when_every_value_has_its_own_bin(min_leaf, bootstrap):
                        bootstrap=bootstrap, max_features=4)
     trees, _ = forest_oracle(fs, cfg)
     assert [_tree_tuples(t) for t in fit_forest(fs, cfg).trees] == trees
+
+
+@pytest.mark.parametrize("classification", [False, True])
+@pytest.mark.parametrize("min_leaf", [1, 2, 3])
+@pytest.mark.parametrize("bootstrap", [True, False])
+def test_forest_bits_do_not_depend_on_the_chunking(monkeypatch, classification, min_leaf,
+                                                   bootstrap):
+    fs = _tie_heavy_set(classification)
+    cfg = ForestConfig(n_trees=6, max_depth=6, min_leaf=min_leaf, seed=4, bootstrap=bootstrap)
+    x = np.vstack([fs.values, np.random.default_rng(14).standard_normal((20, 5))])
+
+    def fitted():
+        forest = fit_forest(fs, cfg)
+        # repr tells every float bit pattern apart, -0.0 from 0.0 too
+        return (repr([_tree_tuples(t) for t in forest.trees]),
+                forest.importances_raw.tobytes(), predict(forest, x).tobytes())
+
+    # by default the six trees grow as one group (120 rows x 3 drawn features)
+    assert fs.n_rows * 3 * cfg.n_trees <= evaluator._CHUNK_CELLS
+    want = fitted()
+    # one node per pass and one tree per group; a few of each; everything at once
+    for cells in (1, 2 ** 10, 2 ** 40):
+        monkeypatch.setattr(evaluator, "_CHUNK_CELLS", cells)
+        assert fitted() == want
+
+
+@pytest.mark.parametrize("classification", [False, True])
+@pytest.mark.parametrize("cells", [None, 2 ** 11, 2 ** 8])
+def test_split_passes_stay_within_the_chunk_bound(monkeypatch, classification, cells):
+    if cells is not None:
+        monkeypatch.setattr(evaluator, "_CHUNK_CELLS", cells)
+    bound = evaluator._CHUNK_CELLS
+    fs = _tie_heavy_set(classification)
+    calls = []
+    best_cuts = evaluator._best_cuts
+
+    def spy(bins, n_bins, rows, y_rows, nd, feats, n_node, n_classes, min_leaf):
+        calls.append((*feats.shape, n_bins * max(n_classes, 1), rows.size))
+        return best_cuts(bins, n_bins, rows, y_rows, nd, feats, n_node, n_classes, min_leaf)
+
+    monkeypatch.setattr(evaluator, "_best_cuts", spy)
+    fit_forest(fs, ForestConfig(n_trees=10, max_depth=8, min_leaf=1, seed=5))
+    for nodes, m, cells_per_feature, n_rows in calls:
+        # the histogram: (node, drawn feature, bin, class) cells
+        assert nodes == 1 or nodes * m * cells_per_feature <= bound
+        # the (row, drawn feature) entries; one tree's level has at most
+        # fs.n_rows rows, so more than that means several trees
+        assert n_rows <= fs.n_rows or n_rows * m <= bound
+    many_nodes = any(nodes > 1 for nodes, *_ in calls)
+    many_trees = any(n_rows > fs.n_rows for *_, n_rows in calls)
+    assert many_nodes == (cells != 2 ** 8 or not classification)
+    assert many_trees == (cells != 2 ** 8)
 
 
 def test_split_between_huge_values_is_finite():

@@ -11,11 +11,10 @@ from raft.neural_core import (
     Grads,
     OptimState,
     backward,
-    clip_by_global_norm,
+    clip_by_norm,
     derive_seed,
     forward,
     gcn_forward,
-    global_norm,
     init_dense,
     init_gcn,
     log_softmax,
@@ -178,9 +177,9 @@ def test_sgd_skips_nan_gradients(caplog):
 
 def test_global_norm_and_clip():
     grads = Grads(np.array([[3.0]]), np.array([4.0]), np.zeros((1, 1)), np.zeros(1))
-    assert global_norm(grads) == pytest.approx(5.0)
-    clipped = clip_by_global_norm(grads, 1.0)
-    assert global_norm(clipped) == pytest.approx(1.0)
+    clipped, norm = clip_by_norm((grads.w1, grads.b1, grads.w2, grads.b2), 1.0)
+    assert norm == pytest.approx(5.0)
+    assert clip_by_norm(clipped, 1.0)[1] == pytest.approx(1.0)
 
 
 # ---------------------------------------------------------------------------
