@@ -190,11 +190,10 @@ def run_search(cfg: RunConfig) -> RunResult:
             if p_new > best_score:
                 best_score = p_new
                 best_fs = fs_next
-                best_u = evalctx.quality(fs_next)
+                best_u = r_tail  # the tail reward is the new space's quality
 
             trace.append(TraceRow(episode, step, head_idx, op, tail_idx,
-                                  r_head, r_op, r_tail, evalctx.quality(fs_next), p_new,
-                                  fs_next.n_cols))
+                                  r_head, r_op, r_tail, r_tail, p_new, fs_next.n_cols))
             policy.observe(fs_next, r_head, r_op, r_tail)
             fs = fs_next
         losses = policy.end_episode()

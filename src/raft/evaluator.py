@@ -6,24 +6,21 @@ feature index then lowest threshold.  Determinism per seed is exact: each tree
 draws its bootstrap sample and its nodes' feature subsets from its own spawned
 generator.
 
-Split search (histograms, trees grown together level by level).  `fit_forest`
-ranks every column's training values once per fit and puts a column with D
-distinct values into min(MAX_BINS, D) bins of whole distinct values, so a
-column with at most MAX_BINS distinct values keeps every candidate split.
-Consecutive trees grow as one group, as many as fit in _CHUNK_CELLS (training
-row, drawn feature) entries and at least one, a level at a time.  Per level,
-each tree gives its searched nodes their feature subsets in one draw, in
-breadth-first order, and the group's searched nodes go to the split search in
-contiguous runs of at most _CHUNK_CELLS histogram cells (node, drawn feature,
-bin, class) and at least one node.  One `np.bincount` builds a run's histogram
-of class counts, or of row counts and sums of y and y*y, each bin summed in
-sample order.  Running sums over the bins score every cut, and the row-major
-first minimum picks each node's split.  The threshold is the midpoint between
-the node's largest value in the bins up to the cut and its smallest value
-above them.  Sums over classes run from the lowest class up, node means and
-variances are sums in sample order, and importance gains are added tree by
-tree, so no bit depends on the grouping, and `tests/oracles.py` can replay
-every bit in plain loops.
+Split search.  `fit_forest` puts each column's training values into
+min(MAX_BINS, D) bins of whole distinct values, D being their count, so a
+column with at most MAX_BINS distinct values keeps every candidate split.  The
+trees grow together, a level at a time, in groups whose level rows fit in
+_GROUP_ROWS.  A level's searched nodes draw their feature subsets, one draw
+per tree, and are split in contiguous passes within _PASS_ENTRIES (row, drawn
+feature) entries and _PASS_CELLS histogram cells (node, drawn feature, bin,
+class).  A pass's histogram holds class counts, or row counts and sums of y
+and y*y, each bin summed in sample order.  Running sums over the bins score
+every cut; the row-major first minimum picks each node's split, at the
+midpoint of its largest value in the bins up to the cut and its smallest value
+above them.  Sums over classes run from the lowest class up and importance
+gains are added tree by tree, so no bit depends on the groups or the passes,
+and `tests/oracles.py` replays every bit in plain loops.  A fitted forest is
+flat per-node arrays, and `predict` sends every (tree, row) pair down at once.
 """
 
 from __future__ import annotations
@@ -66,7 +63,9 @@ def default_metric(task: TaskKind) -> MetricKind:
 
 
 MAX_BINS = 32  # split candidates per column and node: bins of whole distinct values
-_CHUNK_CELLS = 2 ** 14  # per split pass: histogram cells; per tree group: (row, feature) entries
+_PASS_ENTRIES = 2 ** 16  # per split pass: (training row, drawn feature) entries
+_PASS_CELLS = 2 ** 15  # per split pass: histogram cells (node, drawn feature, bin, class)
+_GROUP_ROWS = 2 ** 16  # per tree group: training rows of one level, over its trees
 
 
 @dataclass(frozen=True)
@@ -80,21 +79,16 @@ class ForestConfig:
 
 
 @dataclass
-class _Node:
-    value: float = 0.0
-    feature: int = -1
-    threshold: float = 0.0
-    left: "_Node | None" = None
-    right: "_Node | None" = None
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.left is None
-
-
-@dataclass
 class RandomForest:
-    trees: list[_Node]
+    """Every tree's nodes in flat arrays.  Tree t starts at node roots[t].  A
+    split node i sends a row to node child[i] when its value of feature[i] is
+    at most threshold[i] (so a NaN goes right), else to child[i] + 1.  A leaf
+    has feature -1 and predicts value[i]."""
+    roots: np.ndarray
+    feature: np.ndarray
+    threshold: np.ndarray
+    value: np.ndarray
+    child: np.ndarray
     task: TaskKind
     n_classes: int
     n_features: int
@@ -102,38 +96,40 @@ class RandomForest:
     cfg: ForestConfig
 
 
-def _gini(counts: np.ndarray, n) -> np.ndarray:
-    """1 - sum over classes of (counts / n)^2, for class counts along the first
-    axis, the classes summed in order."""
-    p = counts[0] / n
-    total = p * p
-    for c in range(1, counts.shape[0]):
-        p = counts[c] / n
-        total = total + p * p
-    return 1.0 - total
+def _gini(counts, n) -> np.ndarray:
+    """1 - sum over classes of (count / n)^2, the per-class counts (an array's
+    first axis, or any iterable) summed from the lowest class up."""
+    classes = iter(counts)
+    total = next(classes) / n
+    total *= total
+    for c in classes:
+        p = c / n
+        p *= p
+        total += p
+    return np.subtract(1.0, total, out=total)
 
 
-def _value_ranks(xt: np.ndarray) -> np.ndarray:
-    """Per row, each entry's rank among the distinct values of its row."""
-    at = np.argsort(xt, axis=1)
-    xs = np.take_along_axis(xt, at, axis=1)
-    new_value = np.ones(xs.shape, dtype=np.int64)
-    new_value[:, 1:] = xs[:, 1:] != xs[:, :-1]
-    ranks = np.empty_like(at)
-    np.put_along_axis(ranks, at, np.cumsum(new_value, axis=1), axis=1)
-    return ranks
+def _bin_codes(x: np.ndarray) -> np.ndarray:
+    """Each entry's bin, a row per column: a column with D distinct values has
+    min(MAX_BINS, D) bins of whole distinct values, the value of rank r
+    (from 1) falling in bin (r - 1) * bins // D."""
+    at = np.argsort(x, axis=0)
+    xs = np.take_along_axis(x, at, axis=0)
+    rank = np.ones(x.shape, dtype=np.int64)  # in sorted order
+    np.not_equal(xs[1:], xs[:-1], out=rank[1:])
+    del xs
+    np.cumsum(rank, axis=0, out=rank)
+    distinct = rank[-1].copy()
+    rank -= 1
+    rank *= np.minimum(distinct, MAX_BINS)
+    rank //= distinct
+    bins = np.empty(x.shape[::-1], dtype=np.uint8)  # a row per column; MAX_BINS <= 256
+    np.put_along_axis(bins.T, at, rank, axis=0)
+    return bins
 
 
-def _bin_codes(xt: np.ndarray) -> np.ndarray:
-    """Per row, each entry's bin: a row with D distinct values has min(MAX_BINS, D)
-    bins of whole distinct values, rank r falling in bin (r - 1) * bins // D."""
-    ranks = _value_ranks(xt)
-    distinct = ranks.max(axis=1, keepdims=True)
-    return (ranks - 1) * np.minimum(distinct, MAX_BINS) // distinct
-
-
-def _best_cuts(bins: np.ndarray, n_bins: int, rows: np.ndarray, y_rows: np.ndarray,
-               nd: np.ndarray, feats: np.ndarray, n_node: np.ndarray, n_classes: int,
+def _best_cuts(bins: np.ndarray, n_bins: int, y: np.ndarray, rows: np.ndarray,
+               feats: np.ndarray, n_node: np.ndarray, n_classes: int,
                min_leaf: int) -> tuple[np.ndarray, np.ndarray]:
     """Every node's best split from one histogram over (node, slot, bin), the
     slots being the node's drawn features in ascending order.  A split puts
@@ -141,149 +137,152 @@ def _best_cuts(bins: np.ndarray, n_bins: int, rows: np.ndarray, y_rows: np.ndarr
     (slot, cut) wins, which prefers the lower feature, then the lower cut.
     Returns the winning flat (slot, cut) index and its score (inf: none)."""
     k, m = feats.shape
-    shape = (k, m, n_bins)
-    g = k * m * n_bins
-    cell = ((nd * m)[:, None] + np.arange(m)) * n_bins + bins[feats[nd], rows[:, None]]
-    n_node = n_node[:, None, None]
-    # a pass may hold _CHUNK_CELLS (row, slot) entries and as many histogram
-    # cells: each large array is dropped once used, to bound the peak memory
+    width = k * n_bins
+    # cells (class, node, bin) of one slot; regression sums counts, y and y*y
+    cell = np.repeat(np.arange(0, width, n_bins), n_node)
+    y_rows = y.take(rows)
     if n_classes:
-        cell += (y_rows * g)[:, None]
-        hist = np.bincount(cell.ravel(), minlength=n_classes * g)
-        del cell
-        cum = hist.reshape((n_classes,) + shape).cumsum(axis=3)  # exact counts
-        del hist
-        n_left = cum.sum(axis=0)
+        cell += y_rows * width
+    weights = (None,) if n_classes else (None, y_rows, y_rows * y_rows)
+    hist = np.empty((n_classes or 3, k, m, n_bins), dtype=np.int64 if n_classes else np.float64)
+    # slot by slot, so that no array holds a (row, slot) entry; a histogram
+    # cell's sum runs over its rows in sample order either way
+    for j in range(m):
+        at = np.repeat(feats[:, j] * bins.shape[1], n_node)
+        at += rows
+        np.add(cell, bins.ravel().take(at), out=at)
+        for h, w in zip(hist.reshape(len(weights), -1, m, n_bins), weights):
+            h[:, j] = np.bincount(at, weights=w, minlength=h.shape[0] * n_bins).reshape(-1, n_bins)
+    del cell, y_rows, at, weights
+    np.cumsum(hist, axis=3, out=hist)
+    n_node = n_node[:, None, None]
+    n_left = hist.sum(axis=0) if n_classes else hist[0]
+    invalid = (n_left < min_leaf) | (n_left > n_node - min_leaf)
+    if n_classes:
         n_right = n_node - n_left
-        gini_l = _gini(cum, np.maximum(n_left, 1))
-        gini_r = _gini(cum[..., -1:] - cum, np.maximum(n_right, 1))
-        scores = (n_left * gini_l + n_right * gini_r) / n_node
+        scores = _gini(hist, np.maximum(n_left, 1)) * n_left
+        scores += _gini((h[..., -1:] - h for h in hist), np.maximum(n_right, 1)) * n_right
     else:
-        # per-bin sums in sample order, then running sums over the bins
-        cell = cell.ravel()
-        y_rows = np.repeat(y_rows, m)
-        n_left = np.bincount(cell, minlength=g).reshape(shape).cumsum(axis=2)
-        c1 = np.bincount(cell, weights=y_rows, minlength=g).reshape(shape).cumsum(axis=2)
-        c2 = np.bincount(cell, weights=y_rows * y_rows, minlength=g).reshape(shape).cumsum(axis=2)
-        del cell, y_rows
-        n_right = n_node - n_left
+        # in place, sse_l + sse_r with sse_l = c2 - c1*c1 / max(nl, 1) and
+        # sse_r = (s2 - c2) - (s1 - c1)^2 / max(nr, 1); x / max(n, 1) is x where n is 0
+        c1, c2 = hist[1], hist[2]
         d = c1[..., -1:] - c1
-        sse_l = c2 - c1 * c1 / np.maximum(n_left, 1)
-        sse_r = (c2[..., -1:] - c2) - d * d / np.maximum(n_right, 1)
-        scores = (sse_l + sse_r) / n_node
-    scores = np.where((n_left >= min_leaf) & (n_right >= min_leaf), scores, np.inf)
+        d *= d
+        c1 *= c1
+        np.divide(c1, n_left, out=c1, where=n_left > 0)
+        np.subtract(c2, c1, out=c1)
+        n_right = np.subtract(n_node, n_left, out=n_left)
+        np.divide(d, n_right, out=d, where=n_right > 0)
+        np.subtract(c2[..., -1:].copy(), c2, out=c2)
+        c2 -= d
+        c1 += c2
+        scores = c1
+    scores /= n_node
+    np.copyto(scores, np.inf, where=invalid)
     scores = scores.reshape(k, m * n_bins)
     best = scores.argmin(axis=1)
     return best, scores[np.arange(k), best]
 
 
-def _midpoints(below: np.ndarray, above: np.ndarray) -> np.ndarray:
-    """(below + above) / 2, halving first where the sum overflows."""
-    with np.errstate(over="ignore"):
-        total = below + above
-    return np.where(np.isfinite(total), total / 2.0, below / 2.0 + above / 2.0)
-
-
-def _split_level(xt: np.ndarray, bins: np.ndarray, n_bins: int, rows: np.ndarray,
-                 y_rows: np.ndarray, node_of: np.ndarray, sizes: np.ndarray,
-                 searched: np.ndarray, feats: np.ndarray, n_classes: int, min_leaf: int):
-    """Splits a run of a level's searched nodes.  `rows`, `y_rows` and
-    `node_of` cover the run's nodes and any unsearched ones between them;
-    `sizes` covers the whole level.  Returns {node: (feature, threshold,
-    score)} for the nodes that split, and their children's rows and sizes:
-    each split node's left rows, then its right rows."""
-    local = np.full(sizes.size, -1)
-    local[searched] = np.arange(searched.size)
-    nd = local[node_of]
-    at = np.flatnonzero(nd >= 0)
-    nd, r = nd[at], rows[at]
-    best, score = _best_cuts(bins, n_bins, r, y_rows[at], nd, feats, sizes[searched],
-                             n_classes, min_leaf)
-    feature = feats[np.arange(searched.size), best // n_bins]
+def _split_level(x: np.ndarray, bins: np.ndarray, n_bins: int, y: np.ndarray,
+                 rows: np.ndarray, n_node: np.ndarray, feats: np.ndarray, n_classes: int,
+                 min_leaf: int):
+    """Splits a pass of searched nodes, whose training rows are `rows`, node by
+    node.  Returns each node's feature, threshold, score and whether it split,
+    and the children's rows and sizes: each split node's left, then right."""
+    best, score = _best_cuts(bins, n_bins, y, rows, feats, n_node, n_classes, min_leaf)
+    nd = np.repeat(np.arange(n_node.size), n_node)
+    feature = feats[np.arange(n_node.size), best // n_bins]
     # the threshold is the midpoint of a node's largest value in the bins up
     # to its cut and its smallest value above them
-    f_rows = feature[nd]
-    v = xt[f_rows, r]
-    in_cut = bins[f_rows, r] <= (best % n_bins)[nd]
-    starts = np.concatenate(([0], np.cumsum(sizes[searched])[:-1]))
-    threshold = _midpoints(np.maximum.reduceat(np.where(in_cut, v, -np.inf), starts),
-                           np.minimum.reduceat(np.where(in_cut, np.inf, v), starts))
-    left = v <= threshold[nd]
-    n_left = np.bincount(nd[left], minlength=searched.size)
-    keep = np.isfinite(score) & (n_left >= min_leaf) & (sizes[searched] - n_left >= min_leaf)
-    splits = dict(zip(searched[keep].tolist(), zip(
-        feature[keep].tolist(), threshold[keep].tolist(), score[keep].tolist())))
-    kept = keep[nd]
-    child = 2 * (np.cumsum(keep) - 1)[nd[kept]] + ~left[kept]
-    return (splits, r[kept][np.argsort(child, kind="stable")],
-            np.bincount(child, minlength=2 * len(splits)))
+    f_rows = feature.take(nd)
+    v = x.ravel().take(rows * x.shape[1] + f_rows)
+    in_cut = bins.ravel().take(f_rows * bins.shape[1] + rows) <= (best % n_bins).take(nd)
+    starts = np.cumsum(n_node) - n_node
+    below = np.maximum.reduceat(np.where(in_cut, v, -np.inf), starts)
+    above = np.minimum.reduceat(np.where(in_cut, np.inf, v), starts)
+    with np.errstate(over="ignore"):  # halve first where the sum overflows
+        threshold = below + above
+    threshold = np.where(np.isfinite(threshold), threshold / 2.0, below / 2.0 + above / 2.0)
+    right = ~(v <= threshold.take(nd))
+    n_left = n_node - np.add.reduceat(right, starts)
+    split = np.isfinite(score) & (n_left >= min_leaf) & (n_node - n_left >= min_leaf)
+    kept = split.take(nd)
+    order = np.argsort(2 * nd[kept] + right[kept], kind="stable")
+    sizes = np.stack([n_left[split], n_node[split] - n_left[split]], axis=1).ravel()
+    return feature, threshold, score, split, rows[kept][order], sizes
 
 
-def _grow_group(xt: np.ndarray, bins: np.ndarray, y: np.ndarray, n_classes: int,
+def _node_stats(y_rows: np.ndarray, sizes: np.ndarray, n_classes: int):
+    """Each node's value (majority class or mean) and impurity (Gini or
+    variance), from its rows' targets, node by node, each in sample order."""
+    k = sizes.size
+    node_of = np.repeat(np.arange(k), sizes)
+    if n_classes:
+        counts = np.bincount(y_rows * k + node_of, minlength=n_classes * k).reshape(n_classes, k)
+        return counts.argmax(axis=0).astype(np.float64), _gini(counts, sizes)
+    values = np.bincount(node_of, weights=y_rows, minlength=k) / sizes
+    dev = y_rows - values[node_of]
+    dev *= dev
+    return values, np.bincount(node_of, weights=dev, minlength=k) / sizes
+
+
+def _grow_group(x: np.ndarray, bins: np.ndarray, y: np.ndarray, n_classes: int,
                 cfg: ForestConfig, m_feats: int, rngs: list[np.random.Generator],
-                importances: np.ndarray) -> list[_Node]:
-    """Grows consecutive trees together, a level at a time.  `rows` holds the
-    training rows of the level's nodes, tree by tree, node by node, and each
-    node's in sample order.  Importance gains are added tree by tree."""
-    n_feat, n_total = xt.shape
+                importances: np.ndarray, base: int) -> list[tuple[np.ndarray, ...]]:
+    """Grows trees together, a level at a time, numbering nodes from `base`.
+    `rows` holds the training rows of the level's nodes, tree by tree, node by
+    node, each node's in sample order.  Returns each level's feature, threshold,
+    value and first-child arrays, and adds the importance gains tree by tree."""
+    n_total, n_feat = x.shape
     n_bins = int(bins.max()) + 1
-    run_nodes = max(1, _CHUNK_CELLS // (m_feats * n_bins * max(n_classes, 1)))
-    roots = [_Node() for _ in rngs]
-    gains: list[list[tuple[int, float]]] = [[] for _ in rngs]
+    pass_nodes = max(1, _PASS_CELLS // (m_feats * n_bins * max(n_classes, 1)))
+    pass_rows = _PASS_ENTRIES // m_feats
     rows = np.concatenate([rng.integers(0, n_total, size=n_total) if cfg.bootstrap
                            else np.arange(n_total) for rng in rngs])
-    nodes, tree_of, sizes = roots, np.arange(len(rngs)), np.full(len(rngs), n_total)
+    tree, sizes = np.arange(len(rngs)), np.full(len(rngs), n_total)
+    levels, gains = [], []
     for depth in range(cfg.max_depth + 1):
-        k = len(nodes)
-        node_of = np.repeat(np.arange(k), sizes)
-        y_rows = y[rows]
-        if n_classes:
-            counts = np.bincount(y_rows * k + node_of, minlength=n_classes * k)
-            counts = counts.reshape(n_classes, k)
-            impurity = _gini(counts, sizes)
-            values = counts.argmax(axis=0).astype(np.float64)
-        else:
-            values = np.bincount(node_of, weights=y_rows, minlength=k) / sizes
-            dev = y_rows - values[node_of]
-            impurity = np.bincount(node_of, weights=dev * dev, minlength=k) / sizes
-        searched = np.flatnonzero((sizes >= 2 * cfg.min_leaf) & (impurity != 0.0))
-        splits = {}
-        if depth < cfg.max_depth and searched.size:
-            # each tree's searched nodes get their feature subsets in one draw
-            # from the tree's own generator
-            per_tree = np.bincount(tree_of[searched], minlength=len(rngs)).tolist()
-            feats = np.concatenate([np.argsort(rng.random((c, n_feat)), axis=1)[:, :m_feats]
-                                    for rng, c in zip(rngs, per_tree) if c])
-            feats.sort(axis=1)
-            ends = np.cumsum(sizes)
-            next_rows, next_sizes = [], []
-            for i in range(0, searched.size, run_nodes):
-                run = searched[i:i + run_nodes]
-                lo, hi = ends[run[0]] - sizes[run[0]], ends[run[-1]]
-                run_splits, run_rows, run_sizes = _split_level(
-                    xt, bins, n_bins, rows[lo:hi], y_rows[lo:hi], node_of[lo:hi], sizes, run,
-                    feats[i:i + run_nodes], n_classes, cfg.min_leaf)
-                splits.update(run_splits)
-                next_rows.append(run_rows)
-                next_sizes.append(run_sizes)
-        next_nodes = []
-        for j, (node, t, size, imp, value) in enumerate(zip(
-                nodes, tree_of.tolist(), sizes.tolist(), impurity.tolist(), values.tolist())):
-            if j not in splits:
-                node.value = value  # only leaves carry a value
-                continue
-            node.feature, node.threshold, score = splits[j]
-            gains[t].append((node.feature, (size / n_total) * (imp - score)))
-            node.left, node.right = _Node(), _Node()
-            next_nodes += (node.left, node.right)
-        if not next_nodes:
+        k = sizes.size
+        values, impurity = _node_stats(y.take(rows), sizes, n_classes)
+        feature, threshold, child = np.full(k, -1), np.zeros(k), np.full(k, -1)
+        levels.append((feature, threshold, values, child))
+        searched = (sizes >= 2 * cfg.min_leaf) & (impurity != 0.0)
+        if depth == cfg.max_depth or not searched.any():
             break
-        nodes, tree_of = next_nodes, np.repeat(tree_of[sorted(splits)], 2)
-        rows, sizes = np.concatenate(next_rows), np.concatenate(next_sizes)
-    for tree_gains in gains:
-        for f, gain in tree_gains:
-            importances[f] += gain
-    return roots
+        rows = rows[np.repeat(searched, sizes)]
+        searched = np.flatnonzero(searched)
+        n_node = sizes[searched]
+        # each tree's searched nodes get their feature subsets in one draw
+        # from the tree's own generator
+        per_tree = np.bincount(tree[searched], minlength=len(rngs)).tolist()
+        feats = np.concatenate([rng.random((c, n_feat)) for rng, c in zip(rngs, per_tree) if c])
+        feats = np.sort(np.argsort(feats, axis=1)[:, :m_feats], axis=1)
+        ends = np.cumsum(n_node)
+        # contiguous passes of at least one node, each within both bounds
+        parts, first = [], 0
+        while first < searched.size:
+            lo = ends[first] - n_node[first]
+            last = min(first + pass_nodes,
+                       max(first + 1, int(np.searchsorted(ends, lo + pass_rows, "right"))))
+            parts.append(_split_level(x, bins, n_bins, y, rows[lo:ends[last - 1]],
+                                      n_node[first:last], feats[first:last], n_classes,
+                                      cfg.min_leaf))
+            first = last
+        f, t, score, split, next_rows, next_sizes = (np.concatenate(a) for a in zip(*parts))
+        at = searched[split]
+        feature[at], threshold[at] = f[split], t[split]
+        child[at] = base + k + 2 * np.arange(at.size)
+        gains.append((tree[at], f[split], (sizes[at] / n_total) * (impurity[at] - score[split])))
+        if not at.size:
+            break
+        base += k
+        rows, sizes, tree = next_rows, next_sizes, np.repeat(tree[at], 2)
+    if gains:
+        tree_of, feature_of, gain = (np.concatenate(a) for a in zip(*gains))
+        order = np.argsort(tree_of, kind="stable")
+        np.add.at(importances, feature_of[order], gain[order])
+    return levels
 
 
 def fit_forest(train: FeatureSet, cfg: ForestConfig) -> RandomForest:
@@ -313,36 +312,36 @@ def fit_forest(train: FeatureSet, cfg: ForestConfig) -> RandomForest:
         m_feats = min(math.ceil(math.sqrt(n_feat)), n_feat)
     else:
         m_feats = min(math.ceil(n_feat / 3), n_feat)
-    xt = np.ascontiguousarray(x.T)
-    bins = _bin_codes(xt)
+    x = np.ascontiguousarray(x)
+    bins = _bin_codes(x)
     importances = np.zeros(n_feat, dtype=np.float64)
     rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(cfg.seed).spawn(cfg.n_trees)]
-    group = max(1, _CHUNK_CELLS // (x.shape[0] * m_feats))
-    trees = [tree for first in range(0, cfg.n_trees, group)
-             for tree in _grow_group(xt, bins, y, n_classes, cfg, m_feats,
-                                     rngs[first:first + group], importances)]
-    return RandomForest(trees, task, n_classes, n_feat, importances, cfg)
-
-
-def _predict_tree(node: _Node, x: np.ndarray) -> np.ndarray:
-    out = np.empty(x.shape[0], dtype=np.float64)
-    stack = [(node, np.arange(x.shape[0]))]
-    while stack:
-        nd, idx = stack.pop()
-        if nd.is_leaf:
-            out[idx] = nd.value
-            continue
-        mask = x[idx, nd.feature] <= nd.threshold
-        stack.append((nd.left, idx[mask]))
-        stack.append((nd.right, idx[~mask]))
-    return out
+    group = max(1, _GROUP_ROWS // x.shape[0])
+    levels, roots = [], []
+    for first in range(0, cfg.n_trees, group):
+        base = sum(level[0].size for level in levels)
+        roots.append(base + np.arange(len(rngs[first:first + group])))
+        levels += _grow_group(x, bins, y, n_classes, cfg, m_feats, rngs[first:first + group],
+                              importances, base)
+    feature, threshold, value, child = (np.concatenate(a) for a in zip(*levels))
+    return RandomForest(np.concatenate(roots), feature, threshold, value, child, task,
+                        n_classes, n_feat, importances, cfg)
 
 
 def predict(forest: RandomForest, x: np.ndarray) -> np.ndarray:
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     if x.shape[1] != forest.n_features:
         raise ValueError(f"expected {forest.n_features} features, got {x.shape[1]}")
-    per_tree = np.stack([_predict_tree(t, x) for t in forest.trees])
+    # every (tree, row) pair descends together, one level per step
+    n_rows = x.shape[0]
+    node = np.repeat(forest.roots, n_rows)
+    row = np.tile(np.arange(n_rows), forest.roots.size)
+    live = np.flatnonzero(forest.feature[node] >= 0)
+    while live.size:
+        at = node[live]
+        node[live] = forest.child[at] + ~(x[row[live], forest.feature[at]] <= forest.threshold[at])
+        live = live[forest.feature[node[live]] >= 0]
+    per_tree = forest.value[node].reshape(forest.roots.size, n_rows)
     if forest.task is TaskKind.CLASSIFICATION:
         # (rows, classes) vote counts; argmax keeps the lowest class on ties
         counts = (per_tree[:, :, None] == np.arange(forest.n_classes)).sum(axis=0)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from raft.evaluator import (
     ForestConfig,
     MetricKind,
     RandomForest,
-    _Node,
     default_metric,
     downstream_score,
     feature_importances,
@@ -121,11 +121,11 @@ def test_single_tree_matches_hand_trace():
     y = (x[:, 0] >= 5).astype(np.int64)
     fs = clf_set(x, y)
     forest = fit_forest(fs, ForestConfig(n_trees=1, bootstrap=False, max_features=1, seed=0))
-    root = forest.trees[0]
-    assert root.feature == 0
-    assert root.threshold == 4.5
-    assert root.left.is_leaf and root.right.is_leaf
-    assert root.left.value == 0.0 and root.right.value == 1.0
+    [(kind, feature, threshold, left, right)] = _tree_tuples(forest)
+    assert kind == "split" and feature == 0
+    assert threshold == 4.5
+    assert left[0] == "leaf" and right[0] == "leaf"
+    assert left[1] == 0.0 and right[1] == 1.0
     np.testing.assert_array_equal(predict(forest, x), y)
 
 
@@ -135,7 +135,7 @@ def test_tie_break_prefers_lower_feature_index():
     y = (x0 >= 5).astype(np.int64)
     fs = clf_set(x, y)
     forest = fit_forest(fs, ForestConfig(n_trees=1, bootstrap=False, max_features=2, seed=0))
-    assert forest.trees[0].feature == 0
+    assert _tree_tuples(forest)[0][1] == 0
 
 
 def test_duplicated_column_does_not_change_single_tree_predictions():
@@ -221,11 +221,16 @@ def test_fit_forest_overflow_bound_holds_at_its_edge(bootstrap):
         fit_forest(reg_set(x, y * (edge * 1.001)), cfg)
 
 
-def _tree_tuples(node):
-    if node.is_leaf:
-        return ("leaf", node.value)
-    return ("split", node.feature, node.threshold,
-            _tree_tuples(node.left), _tree_tuples(node.right))
+def _tree_tuples(forest):
+    """Each tree as nested tuples, in the oracles' form, read from the flat
+    node arrays."""
+    def walk(i):
+        if forest.feature[i] < 0:
+            return ("leaf", float(forest.value[i]))
+        return ("split", int(forest.feature[i]), float(forest.threshold[i]),
+                walk(forest.child[i]), walk(forest.child[i] + 1))
+
+    return [walk(root) for root in forest.roots]
 
 
 def _tie_heavy_set(classification):
@@ -253,7 +258,7 @@ def test_forest_matches_per_feature_oracle_bit_for_bit(classification, min_leaf,
                        bootstrap=bootstrap, max_features=max_features)
     forest = fit_forest(fs, cfg)
     trees, importances = binned_forest_oracle(fs, cfg)
-    assert [_tree_tuples(t) for t in forest.trees] == trees
+    assert _tree_tuples(forest) == trees
     assert forest.importances_raw.tobytes() == importances.tobytes()
     x = np.vstack([fs.values, np.random.default_rng(13).standard_normal((20, 5))])
     np.testing.assert_array_equal(predict(forest, x),
@@ -275,7 +280,10 @@ def test_forest_is_exact_when_every_value_has_its_own_bin(min_leaf, bootstrap):
     cfg = ForestConfig(n_trees=4, max_depth=6, min_leaf=min_leaf, seed=8,
                        bootstrap=bootstrap, max_features=4)
     trees, _ = forest_oracle(fs, cfg)
-    assert [_tree_tuples(t) for t in fit_forest(fs, cfg).trees] == trees
+    assert _tree_tuples(fit_forest(fs, cfg)) == trees
+
+
+_BOUNDS = ("_PASS_ENTRIES", "_PASS_CELLS", "_GROUP_ROWS")
 
 
 @pytest.mark.parametrize("classification", [False, True])
@@ -290,44 +298,68 @@ def test_forest_bits_do_not_depend_on_the_chunking(monkeypatch, classification, 
     def fitted():
         forest = fit_forest(fs, cfg)
         # repr tells every float bit pattern apart, -0.0 from 0.0 too
-        return (repr([_tree_tuples(t) for t in forest.trees]),
-                forest.importances_raw.tobytes(), predict(forest, x).tobytes())
+        return (repr(_tree_tuples(forest)), forest.importances_raw.tobytes(),
+                predict(forest, x).tobytes())
 
-    # by default the six trees grow as one group (120 rows x 3 drawn features)
-    assert fs.n_rows * 3 * cfg.n_trees <= evaluator._CHUNK_CELLS
+    # by default the six trees grow as one group, and a level's nodes fit in
+    # one pass (120 rows x 3 drawn features each)
+    assert fs.n_rows * cfg.n_trees <= evaluator._GROUP_ROWS
+    assert fs.n_rows * 3 * cfg.n_trees <= evaluator._PASS_ENTRIES
     want = fitted()
-    # one node per pass and one tree per group; a few of each; everything at once
-    for cells in (1, 2 ** 10, 2 ** 40):
-        monkeypatch.setattr(evaluator, "_CHUNK_CELLS", cells)
+    # one node per pass and one tree per group; a few nodes per pass; everything at once
+    for bound in (1, 2 ** 10, 2 ** 40):
+        for name in _BOUNDS:
+            monkeypatch.setattr(evaluator, name, bound)
         assert fitted() == want
+
+
+def _passes(monkeypatch, fs, cfg):
+    """(nodes, drawn features, cells per node and feature, rows) of every
+    `_best_cuts` call of one fit, and the tree count of every group."""
+    calls, groups = [], []
+    best_cuts, grow_group = evaluator._best_cuts, evaluator._grow_group
+
+    def spy_cuts(bins, n_bins, y, rows, feats, n_node, n_classes, min_leaf):
+        calls.append((*feats.shape, n_bins * max(n_classes, 1), rows.size))
+        return best_cuts(bins, n_bins, y, rows, feats, n_node, n_classes, min_leaf)
+
+    def spy_group(x, bins, y, n_classes, cfg, m_feats, rngs, importances, base):
+        groups.append(len(rngs))
+        return grow_group(x, bins, y, n_classes, cfg, m_feats, rngs, importances, base)
+
+    monkeypatch.setattr(evaluator, "_best_cuts", spy_cuts)
+    monkeypatch.setattr(evaluator, "_grow_group", spy_group)
+    fit_forest(fs, cfg)
+    monkeypatch.setattr(evaluator, "_best_cuts", best_cuts)
+    monkeypatch.setattr(evaluator, "_grow_group", grow_group)
+    return calls, groups
 
 
 @pytest.mark.parametrize("classification", [False, True])
 @pytest.mark.parametrize("cells", [None, 2 ** 11, 2 ** 8])
 def test_split_passes_stay_within_the_chunk_bound(monkeypatch, classification, cells):
-    if cells is not None:
-        monkeypatch.setattr(evaluator, "_CHUNK_CELLS", cells)
-    bound = evaluator._CHUNK_CELLS
     fs = _tie_heavy_set(classification)
-    calls = []
-    best_cuts = evaluator._best_cuts
-
-    def spy(bins, n_bins, rows, y_rows, nd, feats, n_node, n_classes, min_leaf):
-        calls.append((*feats.shape, n_bins * max(n_classes, 1), rows.size))
-        return best_cuts(bins, n_bins, rows, y_rows, nd, feats, n_node, n_classes, min_leaf)
-
-    monkeypatch.setattr(evaluator, "_best_cuts", spy)
-    fit_forest(fs, ForestConfig(n_trees=10, max_depth=8, min_leaf=1, seed=5))
+    cfg = ForestConfig(n_trees=10, max_depth=8, min_leaf=1, seed=5)
+    default_calls, default_groups = _passes(monkeypatch, fs, cfg)
+    if cells is not None:
+        for name in _BOUNDS:
+            monkeypatch.setattr(evaluator, name, cells)
+    calls, groups = _passes(monkeypatch, fs, cfg)
     for nodes, m, cells_per_feature, n_rows in calls:
         # the histogram: (node, drawn feature, bin, class) cells
-        assert nodes == 1 or nodes * m * cells_per_feature <= bound
-        # the (row, drawn feature) entries; one tree's level has at most
-        # fs.n_rows rows, so more than that means several trees
-        assert n_rows <= fs.n_rows or n_rows * m <= bound
+        assert nodes == 1 or nodes * m * cells_per_feature <= evaluator._PASS_CELLS
+        # the (row, drawn feature) entries
+        assert nodes == 1 or n_rows * m <= evaluator._PASS_ENTRIES
+    # a group's level holds at most its trees' bootstrap samples
+    assert all(trees == 1 or trees * fs.n_rows <= evaluator._GROUP_ROWS for trees in groups)
+    assert default_groups == [cfg.n_trees]
+    assert groups == ([2] * 5 if cells == 2 ** 8 else [cfg.n_trees])
+    # one tree's level has at most fs.n_rows rows, so more than that means
+    # several trees in one pass; 2^8 cells hold less than one classifying node
     many_nodes = any(nodes > 1 for nodes, *_ in calls)
     many_trees = any(n_rows > fs.n_rows for *_, n_rows in calls)
-    assert many_nodes == (cells != 2 ** 8 or not classification)
-    assert many_trees == (cells != 2 ** 8)
+    assert many_nodes == many_trees == (cells != 2 ** 8 or not classification)
+    assert len(calls) > len(default_calls) if cells else calls == default_calls
 
 
 def test_split_between_huge_values_is_finite():
@@ -336,24 +368,155 @@ def test_split_between_huge_values_is_finite():
     y = (np.arange(20) >= 10).astype(np.int64)
     cfg = ForestConfig(n_trees=1, bootstrap=False, max_features=1, seed=0)
     forest = fit_forest(clf_set(x, y), cfg)
-    root = forest.trees[0]
-    assert root.threshold == x[9, 0] / 2.0 + x[10, 0] / 2.0
-    assert x[9, 0] < root.threshold < x[10, 0]
-    assert root.left.value == 0.0 and root.right.value == 1.0
+    [(_, _, threshold, left, right)] = _tree_tuples(forest)
+    assert threshold == x[9, 0] / 2.0 + x[10, 0] / 2.0
+    assert x[9, 0] < threshold < x[10, 0]
+    assert left == ("leaf", 0.0) and right == ("leaf", 1.0)
     np.testing.assert_array_equal(predict(forest, x), y)
 
 
 def test_classification_vote_tie_goes_to_lowest_class():
-    def stump(left, right):
-        return _Node(feature=0, threshold=0.0, left=_Node(value=left), right=_Node(value=right))
-
+    # four stumps: roots 0-3 split x <= 0.0, leaves 4-11 hold their votes;
     # row 0 (x <= 0) gets votes 2, 0, 2, 0: a tie, won by class 0;
     # row 1 (x > 0) gets votes 1, 2, 2, 1 and ties at class 1
-    trees = [stump(2.0, 1.0), stump(0.0, 2.0), stump(2.0, 2.0), stump(0.0, 1.0)]
-    forest = RandomForest(trees, TaskKind.CLASSIFICATION, 3, 1, np.zeros(1), ForestConfig())
+    leaves = [2.0, 1.0, 0.0, 2.0, 2.0, 2.0, 0.0, 1.0]
+    forest = RandomForest(np.arange(4), np.array([0] * 4 + [-1] * 8), np.zeros(12),
+                          np.array([0.0] * 4 + leaves), np.array([4, 6, 8, 10] + [-1] * 8),
+                          TaskKind.CLASSIFICATION, 3, 1, np.zeros(1), ForestConfig())
     out = predict(forest, np.array([[-1.0], [1.0], [0.0]]))
     np.testing.assert_array_equal(out, [0, 1, 0])
     assert out.dtype == np.int64
+
+
+def _forest_of(trees, n_features, n_classes=0):
+    """The oracles' nested-tuple trees as one flat forest, breadth first, with
+    the roots first; n_classes 0 makes a regression forest."""
+    nodes, feature, threshold, value, child = list(trees), [], [], [], []
+    for node in nodes:  # children are appended as their parents are read
+        split = node[0] == "split"
+        feature.append(node[1] if split else -1)
+        threshold.append(node[2] if split else 0.0)
+        value.append(0.0 if split else node[1])
+        child.append(len(nodes) if split else -1)
+        if split:
+            nodes += [node[3], node[4]]
+    task = TaskKind.CLASSIFICATION if n_classes else TaskKind.REGRESSION
+    return RandomForest(np.arange(len(trees)), np.array(feature), np.array(threshold),
+                        np.array(value), np.array(child), task, n_classes, n_features,
+                        np.zeros(n_features), ForestConfig())
+
+
+def test_predict_on_root_leaf_trees_matches_the_oracle():
+    x = np.random.default_rng(15).standard_normal((30, 3))
+    forest = fit_forest(reg_set(x, np.full(30, -2.25)), ForestConfig(n_trees=4, seed=1))
+    trees = _tree_tuples(forest)
+    assert trees == [("leaf", -2.25)] * 4
+    np.testing.assert_array_equal(predict(forest, x), forest_predict_oracle(trees, x, False))
+    votes = [("leaf", 1.0), ("leaf", 0.0), ("leaf", 1.0)]
+    np.testing.assert_array_equal(predict(_forest_of(votes, 3, n_classes=2), x),
+                                  forest_predict_oracle(votes, x, True))
+
+
+@pytest.mark.parametrize("n_classes", [0, 3])
+def test_predict_on_trees_of_unequal_depth_matches_the_oracle(n_classes):
+    deep = ("split", 1, 0.5,
+            ("split", 0, -1.0, ("leaf", 2.0),
+             ("split", 2, 0.25, ("leaf", 0.0), ("split", 0, 1.0, ("leaf", 1.0), ("leaf", 2.0)))),
+            ("leaf", 1.0))
+    trees = [("leaf", 1.0), ("split", 0, 0.0, ("leaf", 0.0), ("leaf", 2.0)), deep,
+             ("split", 2, -0.5, deep, ("leaf", 0.0))]
+    forest = _forest_of(trees, 3, n_classes)
+    assert _tree_tuples(forest) == trees
+    x = np.random.default_rng(16).standard_normal((300, 3))
+    np.testing.assert_array_equal(predict(forest, x),
+                                  forest_predict_oracle(trees, x, n_classes > 0))
+
+
+@pytest.mark.parametrize("classification", [False, True])
+def test_predict_at_a_threshold_and_one_ulp_either_side_matches_the_oracle(classification):
+    fs = _tie_heavy_set(classification)
+    forest = fit_forest(fs, ForestConfig(n_trees=4, max_depth=6, seed=6))
+    trees = _tree_tuples(forest)
+    rows = []
+    for i, (f, t) in enumerate(zip(forest.feature, forest.threshold)):
+        if f < 0:
+            continue
+        for value in (np.nextafter(t, -np.inf), t, np.nextafter(t, np.inf)):
+            row = fs.values[i % fs.n_rows].copy()
+            row[f] = value
+            rows.append(row)
+    x = np.array(rows)
+    np.testing.assert_array_equal(predict(forest, x),
+                                  forest_predict_oracle(trees, x, classification))
+    # a row equal to a threshold goes left, one ulp above it goes right
+    stump = _forest_of([("split", 0, 0.75, ("leaf", -1.0), ("leaf", 1.0))], 1)
+    np.testing.assert_array_equal(
+        predict(stump, np.array([[np.nextafter(0.75, 0.0)], [0.75], [np.nextafter(0.75, 1.0)]])),
+        [-1.0, -1.0, 1.0])
+
+
+@pytest.mark.parametrize("classification", [False, True])
+def test_a_nan_entry_goes_right_as_in_the_oracle(classification):
+    fs = _tie_heavy_set(classification)
+    forest = fit_forest(fs, ForestConfig(n_trees=4, max_depth=6, seed=7))
+    x = np.vstack([fs.values[:40]] * 2)
+    x[np.arange(80), np.arange(80) % 5] = np.nan  # one NaN entry per row
+    np.testing.assert_array_equal(predict(forest, x),
+                                  forest_predict_oracle(_tree_tuples(forest), x, classification))
+    stump = _forest_of([("split", 0, 0.0, ("leaf", -1.0), ("leaf", 1.0))], 2)
+    np.testing.assert_array_equal(predict(stump, np.array([[np.nan, 0.0], [-np.inf, np.nan]])),
+                                  [1.0, -1.0])
+
+
+def _tall_regression_set():
+    """The shape of the benchmark's regression spaces: 1600 training rows, 16
+    columns, y = (x0 + x1)^2 + noise."""
+    rng = np.random.default_rng(17)
+    x = rng.standard_normal((1600, 16))
+    return reg_set(x, (x[:, 0] + x[:, 1]) ** 2 + 0.1 * rng.standard_normal(1600))
+
+
+def _wide_classification_set():
+    """The shape of the benchmark's wide classification spaces: 400 training
+    rows, 24 columns, label = [x0 * x1 + x2 > 0]."""
+    x = np.random.default_rng(18).standard_normal((400, 24))
+    return clf_set(x, (x[:, 0] * x[:, 1] + x[:, 2] > 0).astype(np.int64))
+
+
+def test_a_tall_regression_fit_makes_at_most_three_split_passes_per_level(monkeypatch):
+    passes = []
+    node_stats, best_cuts = evaluator._node_stats, evaluator._best_cuts
+
+    def spy_stats(*args):
+        passes.append(0)  # once per level, before its passes
+        return node_stats(*args)
+
+    def spy_cuts(*args):
+        passes[-1] += 1
+        return best_cuts(*args)
+
+    monkeypatch.setattr(evaluator, "_node_stats", spy_stats)
+    monkeypatch.setattr(evaluator, "_best_cuts", spy_cuts)
+    fit_forest(_tall_regression_set(), ForestConfig())
+    # one group of all ten trees: levels 0-7 are searched, level 8 is not
+    assert len(passes) == 9 and passes[-1] == 0
+    assert 1 <= min(passes[:-1]) and max(passes) <= 3
+
+
+# measured 1635 and 1182 KiB with numpy 2.4.6; the bounds leave 10% headroom
+@pytest.mark.parametrize("make, bound_kib", [(_tall_regression_set, 1800),
+                                             (_wide_classification_set, 1300)])
+def test_one_fit_stays_within_its_memory_bound(make, bound_kib):
+    # numpy reports its array buffers to tracemalloc
+    fs = make()
+    fit_forest(fs, ForestConfig())
+    tracemalloc.start()
+    try:
+        fit_forest(fs, ForestConfig())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound_kib * 1024
 
 
 # ---------------------------------------------------------------------------
