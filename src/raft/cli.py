@@ -44,7 +44,7 @@ from .evaluator import (
     feature_importances,
     fit_forest,
 )
-from .info_metrics import MICache, content_hash, feature_set_quality
+from .info_metrics import MICache, feature_set_quality
 from .neural_core import NumericError, derive_seed
 from .transform import generation_step
 
@@ -118,7 +118,7 @@ class EvalContext:
     def score(self, fs: FeatureSet) -> float:
         """Downstream score; raises NumericError when it is not finite (an
         overflowing target, say), which no later step could repair."""
-        key = content_hash(fs.values)
+        key = fs.key
         if key not in self._scores:
             score = downstream_score(fs, self.split_seed, self.metric, self.forest_cfg)
             if not math.isfinite(score):
@@ -128,7 +128,7 @@ class EvalContext:
         return self._scores[key]
 
     def quality(self, fs: FeatureSet) -> float:
-        key = content_hash(fs.values)
+        key = fs.key
         if key not in self._quality:
             self._quality[key] = feature_set_quality(fs, self.bins, self.cache)
         return self._quality[key]

@@ -47,7 +47,7 @@ def pair_score_matrix(
     cache = MICache() if cache is None else cache
     n = fs.n_cols
     cols = np.ascontiguousarray(fs.values.T, dtype=np.float64)
-    mi_y = np.array([cache.mi(cols[i], fs.target.values, bins) for i in range(n)])
+    mi_y = np.array(cache.mi(fs.values, fs.target.values, bins))
     scores = np.zeros((n, n), dtype=np.float64)
     for i in range(n - 1):
         scores[i, i + 1:] = column_distances(cols[i], cols[i + 1:], kind) * np.abs(

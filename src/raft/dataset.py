@@ -9,6 +9,8 @@ the transform layer and the round-trip evaluation share one implementation.
 from __future__ import annotations
 
 import csv
+import functools
+import hashlib
 import logging
 import math
 from dataclasses import dataclass
@@ -34,6 +36,11 @@ _F64_MAX = float(np.finfo(np.float64).max)
 _DIV_EPS = 1e-12
 
 _MISSING_TOKENS = frozenset({"", "na", "nan", "null", "none"})
+
+
+def content_hash(arr: np.ndarray) -> bytes:
+    """Stable 128-bit digest of an array's raw bytes."""
+    return hashlib.blake2b(np.ascontiguousarray(arr).tobytes(), digest_size=16).digest()
 
 
 class DatasetError(ValueError):
@@ -247,7 +254,15 @@ class FeatureSet:
                 raise DatasetError(f"meta name {meta.name!r} is not the canonical rendering")
             if meta.is_original != isinstance(meta.lineage, Ident):
                 raise DatasetError(f"is_original flag inconsistent for {meta.name!r}")
+        # a read-only view, so the memoised ``key`` cannot go stale through ``values``
+        vals = vals.view()
+        vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
+
+    @functools.cached_property
+    def key(self) -> bytes:
+        """``content_hash`` of the matrix, computed once per feature set."""
+        return content_hash(self.values)
 
     @property
     def n_rows(self) -> int:
@@ -495,21 +510,28 @@ def default_bins(m: int) -> int:
     return min(16, math.ceil(math.sqrt(m)))
 
 
-def discretize(column: np.ndarray, bins: int) -> np.ndarray:
-    """Equal-frequency binning into at most ``bins`` labels in [0, bins).
+def discretize(values: np.ndarray, bins: int) -> np.ndarray:
+    """Equal-frequency binning of a vector, or of each column of a (rows x
+    columns) matrix, into at most ``bins`` labels in [0, bins); a vector is
+    the one-column case.
 
     Quantile edges use linear interpolation; edges that coincide collapse
-    bins.  A value equal to an edge falls in the lower bin.
+    bins.  A value equal to an edge falls in the lower bin, so a value's
+    label is the number of distinct edges of its column below it.
     """
-    col = np.asarray(column, dtype=np.float64)
+    x = np.asarray(values, dtype=np.float64)
     if bins < 1:
         raise ValueError(f"bins must be >= 1, got {bins}")
-    if col.ndim != 1 or col.size == 0:
-        raise ValueError("column must be a nonempty vector")
-    if not np.all(np.isfinite(col)):
+    if x.ndim not in (1, 2) or x.size == 0:
+        raise ValueError("column must be a nonempty vector or matrix")
+    if not np.all(np.isfinite(x)):
         raise ValueError("column must be finite")
-    if bins == 1 or col.min() == col.max():
-        return np.zeros(col.size, dtype=np.int64)
-    qs = np.arange(1, bins) / bins
-    edges = np.unique(np.quantile(col, qs, method="linear"))
-    return np.searchsorted(edges, col, side="left").astype(np.int64)
+    labels = np.zeros(x.shape, dtype=np.int64)
+    if bins > 1:
+        # np.quantile along axis 0 gives each column the bits of its own call
+        edges = np.sort(np.quantile(x, np.arange(1, bins) / bins, axis=0, method="linear"), axis=0)
+        distinct = np.ones(edges.shape, dtype=bool)
+        distinct[1:] = edges[1:] != edges[:-1]
+        for edge, new in zip(edges, distinct):
+            labels += new & (edge < x)
+    return labels

@@ -2,14 +2,13 @@
 
 from __future__ import annotations
 
-import hashlib
 import math
 from enum import Enum
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .dataset import MAX_DISCRETE_LABELS, FeatureSet, default_bins, discretize
+from .dataset import MAX_DISCRETE_LABELS, FeatureSet, content_hash, default_bins, discretize
 
 
 class PairwiseDistanceKind(Enum):
@@ -17,26 +16,25 @@ class PairwiseDistanceKind(Enum):
     COSINE = "cosine"
 
 
-def content_hash(arr: np.ndarray) -> bytes:
-    """Stable 128-bit digest of an array's raw bytes."""
-    return hashlib.blake2b(np.ascontiguousarray(arr).tobytes(), digest_size=16).digest()
+def as_labels(values: np.ndarray, bins: int) -> np.ndarray:
+    """Integer MI labels of a vector, or of each column of a (rows x columns)
+    matrix: an integer-valued column with at most ``MAX_DISCRETE_LABELS``
+    distinct values is densely recoded, any other goes through ``discretize``."""
+    x = np.asarray(values, dtype=np.float64)
+    mat = x[:, None] if x.ndim == 1 else x
+    labels = np.empty(mat.shape, dtype=np.int64)
+    binned = np.ones(mat.shape[1], dtype=bool)
+    for j in np.flatnonzero(np.all(mat == np.floor(mat), axis=0)):
+        distinct, codes = np.unique(mat[:, j], return_inverse=True)
+        if distinct.size <= MAX_DISCRETE_LABELS:
+            labels[:, j], binned[j] = codes, False
+    if binned.any():
+        labels[:, binned] = discretize(mat if binned.all() else mat[:, binned], bins)
+    return labels[:, 0] if x.ndim == 1 else labels
 
 
-def _is_discrete(v: np.ndarray) -> bool:
-    return bool(np.all(v == np.floor(v))) and np.unique(v).size <= MAX_DISCRETE_LABELS
-
-
-def as_labels(v: np.ndarray, bins: int) -> np.ndarray:
-    """Integer labels for MI: discrete vectors keep their values (densely
-    recoded), continuous ones go through equal-frequency binning."""
-    v = np.asarray(v, dtype=np.float64)
-    if _is_discrete(v):
-        _, codes = np.unique(v, return_inverse=True)
-        return codes.astype(np.int64)
-    return discretize(v, bins)
-
-
-# Label entries (and joint cells) per MI batch: its temporaries stay under a MiB.
+# Label entries (and joint cells) per MI batch, and (row, column) entries per
+# labelling pass: the temporaries of either stay under a MiB.
 _CHUNK_ENTRIES = 2 ** 14
 
 
@@ -47,8 +45,14 @@ class Labels(NamedTuple):
     xlogx: float
 
 
-def _labels(key: bytes, codes: np.ndarray, table: np.ndarray) -> Labels:
-    return Labels(key, codes, float(np.cumsum(table[np.bincount(codes)])[-1]))
+def _xlogx_sums(labels: np.ndarray, table: np.ndarray) -> list[float]:
+    """Sum of T[c] over the label counts of each column of a (rows x columns)
+    label matrix.  A column's counts are summed left to right (``np.cumsum``);
+    the zero counts past its own largest label add exactly 0."""
+    n = labels.shape[1]
+    k = int(labels.max(initial=0)) + 1
+    counts = np.bincount((labels + k * np.arange(n)).ravel(), minlength=n * k).reshape(n, k)
+    return np.cumsum(table[counts], axis=1)[:, -1].tolist()
 
 
 def _count_mi(pairs: Sequence[tuple[Labels, Labels]], table: np.ndarray, k: int) -> np.ndarray:
@@ -69,13 +73,16 @@ def _count_mi(pairs: Sequence[tuple[Labels, Labels]], table: np.ndarray, k: int)
 def _plugin_mi(lx: np.ndarray, ly: np.ndarray) -> float:
     """Plug-in MI (nats) of two label vectors: ``_count_mi`` on one pair."""
     table = MICache()._table(lx.size)
-    pair = (_labels(b"", lx, table), _labels(b"", ly, table))
+    sx, sy = _xlogx_sums(np.column_stack([lx, ly]), table)
+    pair = (Labels(b"", lx, sx), Labels(b"", ly, sy))
     return float(_count_mi([pair], table, max(int(lx.max()), int(ly.max())) + 1)[0])
 
 
 class MICache:
     """Memoizes labelizations, T tables (one per row count) and pairwise MI
-    values by content hash.
+    values by content hash.  ``labels`` and ``mi`` take a vector or a (rows x
+    columns) matrix, whose new columns are labelled together, with the bits
+    each would get alone.
 
     Single-threaded use; a concurrent caller should hold one cache per worker.
     """
@@ -92,16 +99,34 @@ class MICache:
             self._xlogx[m] = np.array([0.0] + [c * math.log(c) for c in range(1, m + 1)])
         return self._xlogx[m]
 
-    def labels(self, v: np.ndarray, bins: int) -> Labels:
-        h = content_hash(np.asarray(v, dtype=np.float64))
-        if (h, bins) not in self._labels:
-            codes = as_labels(v, bins)
-            self._labels[h, bins] = _labels(h, codes, self._table(codes.size))
-        return self._labels[h, bins]
+    def labels(self, values: np.ndarray, bins: int) -> Labels | list[Labels]:
+        """The ``Labels`` of a vector, or a list of them, one per column of a
+        matrix."""
+        x = np.asarray(values, dtype=np.float64)
+        if x.ndim == 1:
+            return self.labels(x[:, None], bins)[0]
+        keys = [(content_hash(col), bins) for col in x.T]
+        todo = [j for j, key in enumerate(keys) if key not in self._labels]
+        table = self._table(x.shape[0])
+        step = max(1, _CHUNK_ENTRIES // x.shape[0])  # columns per labelling pass
+        for start in range(0, len(todo), step):
+            chunk = todo[start:start + step]
+            labels = as_labels(x[:, chunk], bins)
+            # one small array per column: a memo entry pins no chunk-sized block
+            for j, codes, xlogx in zip(chunk, labels.T, _xlogx_sums(labels, table)):
+                self._labels[keys[j]] = Labels(keys[j][0], np.ascontiguousarray(codes), xlogx)
+        return [self._labels[key] for key in keys]
 
-    def mi(self, x: np.ndarray, y: np.ndarray, bins: int) -> float:
-        """MI of two vectors (see ``pair_mi``)."""
-        return self.pair_mi([(self.labels(x, bins), self.labels(y, bins))], bins)[0]
+    def mi(self, x: np.ndarray, y: np.ndarray, bins: int) -> float | list[float]:
+        """MI of a vector with ``y``, or a list of the MI of each column of a
+        (rows x columns) matrix with ``y`` (see ``pair_mi``)."""
+        x = np.asarray(x, dtype=np.float64)
+        if x.shape[0] != np.shape(y)[0]:
+            raise ValueError(f"{x.shape[0]} rows against a target of {np.shape(y)[0]}")
+        target = self.labels(y, bins)
+        if x.ndim == 1:
+            return self.pair_mi([(self.labels(x, bins), target)], bins)[0]
+        return self.pair_mi([(col, target) for col in self.labels(x, bins)], bins)
 
     def pair_mi(self, pairs: Sequence[tuple[Labels, Labels]], bins: int) -> list[float]:
         """MI of each pair of ``labels`` results, the unmemoized ones batched
@@ -144,7 +169,7 @@ def feature_set_quality(
     cache = MICache() if cache is None else cache
     n = fs.n_cols
     target = cache.labels(fs.target.values, bins)
-    cols = [cache.labels(fs.column(i), bins) for i in range(n)]
+    cols = cache.labels(fs.values, bins)
     pairs = [(col, target) for col in cols]
     pairs += [(cols[i], cols[j]) for i in range(n) for j in range(i + 1, n)]
     mis = cache.pair_mi(pairs, bins)

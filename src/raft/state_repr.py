@@ -14,7 +14,6 @@ from enum import Enum
 import numpy as np
 
 from .dataset import FeatureSet
-from .info_metrics import content_hash
 from .neural_core import (GcnLayer, clip_by_norm, derive_seed, forward, gcn_forward, init_gcn,
                           normalized_adjacency, train_autoencoder)
 
@@ -273,7 +272,7 @@ class StateEncoder:
         return encoder_length(self.cfg)
 
     def encode(self, fs: FeatureSet) -> StateVector:
-        key = content_hash(fs.values)
+        key = fs.key
         if key not in self._cache:
             parts = []
             for part in self.cfg.kind.parts:

@@ -117,9 +117,8 @@ def cross_binary(
     if len(pairs) > cap:
         cache = MICache() if cache is None else cache
         use_bins = default_bins(head_view.n_rows) if bins is None else bins
-        y = np.asarray(head_view.target.values, dtype=np.float64)
-        mi_head = [cache.mi(head_view.column(a), y, use_bins) for a in range(head_view.n_cols)]
-        mi_tail = [cache.mi(tail_view.column(b), y, use_bins) for b in range(tail_view.n_cols)]
+        mi_head, mi_tail = (cache.mi(view.values, head_view.target.values, use_bins)
+                            for view in (head_view, tail_view))
         scored = sorted(range(len(pairs)),
                         key=lambda p: (-(mi_head[pairs[p][0]] + mi_tail[pairs[p][1]]), p))
         pairs = [pairs[p] for p in sorted(scored[:cap])]
@@ -171,8 +170,7 @@ def select_features(
         return fs
     cache = MICache() if cache is None else cache
     use_bins = default_bins(fs.n_rows) if bins is None else bins
-    y = np.asarray(fs.target.values, dtype=np.float64)
-    scores = [cache.mi(fs.column(i), y, use_bins) for i in range(fs.n_cols)]
+    scores = cache.mi(fs.values, fs.target.values, use_bins)
     ranked = sorted(range(fs.n_cols), key=lambda i: (-scores[i], i))
     keep = sorted(ranked[:max_size])
     return fs.with_columns(fs.values[:, keep], tuple(fs.columns[i] for i in keep))

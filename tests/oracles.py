@@ -38,6 +38,27 @@ def discretize_oracle(data, bins: int) -> list[int]:
     return [sum(1 for e in edges if e < v) for v in values]
 
 
+def per_column_labels_oracle(values: np.ndarray, bins: int) -> tuple[np.ndarray, list[float]]:
+    """MI labels (rows x columns) and each column's sum of c*log(c) over its
+    label counts, as they were made one column at a time: ``np.unique`` for an
+    integer-valued column with at most 20 distinct values, else one
+    ``np.quantile`` and ``np.searchsorted`` per column, and the counts summed
+    left to right."""
+    table = np.array([0.0] + [c * math.log(c) for c in range(1, values.shape[0] + 1)])
+    labels, sums = [], []
+    for col in np.asarray(values, dtype=np.float64).T:
+        if np.all(col == np.floor(col)) and np.unique(col).size <= 20:
+            codes = np.unique(col, return_inverse=True)[1].astype(np.int64)
+        elif bins == 1 or col.min() == col.max():
+            codes = np.zeros(col.size, dtype=np.int64)
+        else:
+            edges = np.unique(np.quantile(col, np.arange(1, bins) / bins, method="linear"))
+            codes = np.searchsorted(edges, col, side="left").astype(np.int64)
+        labels.append(codes)
+        sums.append(float(np.cumsum(table[np.bincount(codes)])[-1]))
+    return np.column_stack(labels), sums
+
+
 # ---------------------------------------------------------------------------
 # mutual information / quality / group distance
 # ---------------------------------------------------------------------------

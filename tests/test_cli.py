@@ -1,9 +1,11 @@
 import hashlib
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from raft import dataset
 from raft.agents import TrainConfig
 from raft.cli import (
     _FILE_KEYS,
@@ -279,6 +281,25 @@ def test_bench_mode_never_encodes(small_csv, tmp_path, monkeypatch):
     result = run_search(cfg)
     assert len(result.trace) == 4
     assert result.n_transitions == 0
+
+
+def test_a_search_hashes_each_feature_space_once(small_csv, tmp_path, monkeypatch):
+    original = dataset.content_hash
+    matrices = []  # kept alive, so no two of them share an id
+
+    def spy(arr):
+        if np.ndim(arr) == 2:
+            matrices.append(arr)
+        return original(arr)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("raft") and getattr(module, "content_hash", None) is original:
+            monkeypatch.setattr(module, "content_hash", spy)
+    result = run_search(small_config(small_csv, tmp_path, episodes=2, steps=3,
+                                     encoder=EncoderKind.ALL))
+    assert len(result.trace) == 6
+    assert any(matrix is result.best_fs.values for matrix in matrices)
+    assert len({id(matrix) for matrix in matrices}) == len(matrices)
 
 
 @pytest.mark.parametrize("metric", ["one_minus_mse", "one_minus_rae"])

@@ -14,6 +14,7 @@ from raft.dataset import (
     Target,
     TaskKind,
     Unary,
+    content_hash,
     discretize,
     evaluate_lineage,
     lineage_depth,
@@ -159,6 +160,31 @@ def test_feature_set_rejects_inconsistent_meta():
         FeatureSet(np.array([[1.0], [2.0]]), (bad,), target)
 
 
+def test_feature_set_key_is_the_content_hash_of_its_values():
+    rng = np.random.default_rng(3)
+    values = rng.standard_normal((6, 3))
+    cols = tuple(FeatureMeta.from_lineage(Ident(f"c{i}")) for i in range(3))
+    fs = FeatureSet(values, cols, Target(np.arange(6.0), TaskKind.REGRESSION, "y"))
+    assert fs.key == content_hash(fs.values) == content_hash(values)
+    assert fs.key is fs.key  # computed once
+    assert fs.with_columns(values[:, ::-1], cols[::-1]).key == content_hash(values[:, ::-1])
+    assert fs.subset_rows(np.array([0, 2, 5])).key == content_hash(values[[0, 2, 5]])
+
+
+def test_feature_set_values_are_read_only():
+    values = np.arange(8.0).reshape(4, 2)
+    cols = (FeatureMeta.from_lineage(Ident("a")), FeatureMeta.from_lineage(Ident("b")))
+    fs = FeatureSet(values, cols, Target(np.arange(4.0), TaskKind.REGRESSION, "y"))
+    key = fs.key
+    with pytest.raises(ValueError):
+        fs.values[0, 0] = 99.0
+    with pytest.raises(ValueError):
+        fs.column(1)[2] = 99.0
+    assert fs.key == key == content_hash(np.arange(8.0).reshape(4, 2))
+    values[0, 0] = -1.0  # the caller's own array stays writable
+    assert values.flags.writeable
+
+
 # ---------------------------------------------------------------------------
 # split_train_valid
 # ---------------------------------------------------------------------------
@@ -262,6 +288,30 @@ def test_discretize_invariant_under_monotone_maps(data, bins, transform):
 def test_discretize_matches_oracle_on_random_data(data, bins):
     col = np.array(data, dtype=float)
     np.testing.assert_array_equal(discretize(col, bins), discretize_oracle(col, bins))
+
+
+@given(st.integers(min_value=0, max_value=2 ** 31), st.integers(min_value=1, max_value=80),
+       st.integers(min_value=1, max_value=16))
+@settings(max_examples=60, deadline=None)
+def test_discretize_matrix_columns_get_their_own_labels(seed, m, bins):
+    # np.quantile along axis 0 against one call per column
+    rng = np.random.default_rng(seed)
+    normal = rng.standard_normal(m)
+    values = np.column_stack([normal, normal * 1e300, normal * 1e-300, np.round(normal * 2.0),
+                              np.full(m, 4.25), rng.choice([-0.0, 0.0, 2.0], m),
+                              rng.integers(-3, 4, m) * 0.1])
+    got = discretize(values, bins)
+    assert got.shape == values.shape and got.dtype == np.int64
+    for j, col in enumerate(values.T):
+        np.testing.assert_array_equal(got[:, j], discretize(col, bins))
+
+
+def test_discretize_rejects_empty_and_deep_inputs():
+    for bad in (np.zeros(0), np.zeros((3, 0)), np.zeros((0, 3)), np.zeros((2, 2, 2))):
+        with pytest.raises(ValueError):
+            discretize(bad, 3)
+    with pytest.raises(ValueError):
+        discretize(np.array([[1.0, np.inf]]), 3)
 
 
 def test_discretize_label_range():

@@ -21,6 +21,7 @@ from oracles import (
     count_mi_oracle,
     euclidean_oracle,
     mi_oracle,
+    per_column_labels_oracle,
     plugin_mi_oracle,
     quality_oracle,
     scalar_quality_oracle,
@@ -273,6 +274,108 @@ def test_plugin_mi_of_one_pair_equals_its_value_in_a_batch():
     for (a, b), got in zip(pairs, cache.pair_mi(pairs, bins)):
         x, y = (a, b) if a.key <= b.key else (b, a)
         assert got == _plugin_mi(x.codes, y.codes)
+
+
+# ---------------------------------------------------------------------------
+# a matrix's columns labelled together, with the bits each gets alone
+# ---------------------------------------------------------------------------
+
+def label_matrix(rng, m):
+    """Columns of every kind the labelling tells apart, in shuffled order."""
+    normal = rng.standard_normal(m)
+    columns = [
+        normal,
+        rng.standard_normal(m) * 1e-200, rng.standard_normal(m) * 1e200,  # mixed scales
+        normal * 1e300,
+        rng.choice([-1e300, 1e300], m),  # integer-valued, two labels
+        rng.integers(-5, 10, m).astype(float),  # discrete
+        rng.integers(-200, 200, m).astype(float),  # integer-valued, > 20 values
+        rng.permutation(np.arange(m) % 20) - 7.0,  # 20 values where m >= 20: still discrete
+        rng.permutation(np.arange(m) % 21) * 3.0,  # 21 values where m >= 21: binned
+        np.round(normal * 3.0) / 4.0,  # tied, not integer-valued
+        rng.choice([0.1, 0.2, 0.3], m),
+        rng.choice([-0.0, 0.0, 1.5], m),
+        np.full(m, 2.5), np.full(m, -7.0), np.zeros(m),  # constant
+        np.where(normal > 0.5, 1e300, -1e-300),
+        normal.copy(),  # a duplicate
+    ]
+    return np.column_stack([columns[i] for i in rng.permutation(len(columns))])
+
+
+@pytest.mark.parametrize("chunk", [1, 2 ** 8, info_metrics._CHUNK_ENTRIES, 2 ** 40],
+                         ids=["one", "small", "default", "huge"])
+def test_batched_labels_match_per_column_oracle(monkeypatch, chunk):
+    monkeypatch.setattr(info_metrics, "_CHUNK_ENTRIES", chunk)
+    labelled = []
+    real_as_labels = info_metrics.as_labels
+
+    def spy(values, bins):
+        labelled.append(np.shape(values))
+        return real_as_labels(values, bins)
+
+    monkeypatch.setattr(info_metrics, "as_labels", spy)
+    rng = np.random.default_rng(61)
+    for m in (7, 60, 400, 1700):
+        values = label_matrix(rng, m)
+        for bins in range(1, 17):
+            want, sums = per_column_labels_oracle(values, bins)
+            got = real_as_labels(values, bins)
+            assert got.dtype == np.int64 and np.array_equal(got, want)
+            labelled.clear()
+            cache = MICache()
+            labels = cache.labels(values, bins)
+            assert np.array_equal(np.column_stack([l.codes for l in labels]), want)
+            assert [l.xlogx for l in labels] == sums
+            # each column labelled once, in chunks within the bound, and never again
+            assert sum(shape[1] for shape in labelled) == values.shape[1]
+            assert all(rows * cols <= max(rows, chunk) for rows, cols in labelled)
+            assert all(a is b for a, b in zip(cache.labels(values, bins), labels))
+            assert sum(shape[1] for shape in labelled) == values.shape[1]
+
+
+def test_vector_labels_are_the_one_column_case():
+    rng = np.random.default_rng(62)
+    values = label_matrix(rng, 90)
+    for bins in (1, 2, 5, 16):
+        want, sums = per_column_labels_oracle(values, bins)
+        for j, col in enumerate(values.T):
+            assert np.array_equal(as_labels(col, bins), want[:, j])
+            label = MICache().labels(col, bins)
+            assert np.array_equal(label.codes, want[:, j]) and label.xlogx == sums[j]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_matrix_mi_equals_per_column_calls_cold_and_warm(seed):
+    rng = np.random.default_rng(70 + seed)
+    m = int(rng.integers(8, 500))
+    values = label_matrix(rng, m)
+    y = (rng.integers(0, 3, m) if seed % 2 else rng.standard_normal(m)).astype(float)
+    bins = int(rng.integers(1, 17))
+    batched, single = MICache(), MICache()
+    got = batched.mi(values, y, bins)
+    want = [single.mi(col, y, bins) for col in values.T]
+    assert got == want
+    assert want == [mutual_information(col, y, bins) for col in values.T]
+    assert batched._labels.keys() == single._labels.keys()
+    assert batched._mi.keys() == single._mi.keys()
+    # warm: each cache answers the other kind of call from its memo
+    assert single.mi(values, y, bins) == want
+    assert [batched.mi(col, y, bins) for col in values.T] == want
+    assert batched._labels.keys() == single._labels.keys()
+    assert batched._mi.keys() == single._mi.keys()
+
+
+def test_matrix_mi_rejects_mismatched_rows():
+    cache = MICache()
+    with pytest.raises(ValueError):
+        cache.mi(np.ones((5, 3)), np.arange(4.0), 4)
+    with pytest.raises(ValueError):
+        cache.mi(np.ones((5, 3)), np.ones(1), 4)  # would broadcast
+    with pytest.raises(ValueError):
+        cache.mi(np.arange(5.0), np.arange(4.0), 4)
+    assert cache.mi(np.arange(8.0).reshape(4, 2), np.arange(4.0), 4) == [
+        cache.mi(np.arange(0.0, 8.0, 2.0), np.arange(4.0), 4),
+        cache.mi(np.arange(1.0, 8.0, 2.0), np.arange(4.0), 4)]
 
 
 # ---------------------------------------------------------------------------
