@@ -510,14 +510,34 @@ def default_bins(m: int) -> int:
     return min(16, math.ceil(math.sqrt(m)))
 
 
+def linear_quantiles(srt: np.ndarray, q: np.ndarray, axis: int = 0) -> np.ndarray:
+    """``np.quantile(x, q, axis, method="linear")`` (Hyndman & Fan's method 7)
+    read off ``srt``, ``x`` sorted along ``axis``, with numpy's bits: index
+    (n - 1) * q between its floor and floor + 1 (the last value at or past
+    n - 1), a + (b - a) * t, or b - (b - a) * (1 - t) where t >= 0.5, and NaN
+    for a slice holding NaN.  A zero may differ in sign where both occur."""
+    srt = np.moveaxis(srt, axis, 0)
+    n = srt.shape[0]
+    virtual = (n - 1) * np.asarray(q, dtype=np.float64)
+    lo = np.where(virtual >= n - 1, -1, np.floor(virtual)).astype(np.intp)
+    t = (virtual - lo).reshape((-1,) + (1,) * (srt.ndim - 1))
+    a, b = srt[lo], srt[np.where(lo < 0, lo, lo + 1)]
+    diff = b - a
+    out = a + diff * t
+    np.subtract(b, diff * (1 - t), out=out, where=t >= 0.5)
+    np.copyto(out, srt[-1], where=np.isnan(srt[-1]))
+    return out
+
+
 def discretize(values: np.ndarray, bins: int) -> np.ndarray:
     """Equal-frequency binning of a vector, or of each column of a (rows x
     columns) matrix, into at most ``bins`` labels in [0, bins); a vector is
     the one-column case.
 
-    Quantile edges use linear interpolation; edges that coincide collapse
-    bins.  A value equal to an edge falls in the lower bin, so a value's
-    label is the number of distinct edges of its column below it.
+    Quantile edges use linear interpolation (``linear_quantiles``); edges
+    that coincide collapse bins.  A value equal to an edge falls in the lower
+    bin, so a value's label is the number of distinct edges of its column
+    below it.
     """
     x = np.asarray(values, dtype=np.float64)
     if bins < 1:
@@ -528,8 +548,8 @@ def discretize(values: np.ndarray, bins: int) -> np.ndarray:
         raise ValueError("column must be finite")
     labels = np.zeros(x.shape, dtype=np.int64)
     if bins > 1:
-        # np.quantile along axis 0 gives each column the bits of its own call
-        edges = np.sort(np.quantile(x, np.arange(1, bins) / bins, axis=0, method="linear"), axis=0)
+        # quantiles along axis 0 give each column the bits of its own call
+        edges = np.sort(linear_quantiles(np.sort(x, axis=0), np.arange(1, bins) / bins), axis=0)
         distinct = np.ones(edges.shape, dtype=bool)
         distinct[1:] = edges[1:] != edges[:-1]
         for edge, new in zip(edges, distinct):

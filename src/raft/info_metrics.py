@@ -19,13 +19,16 @@ class PairwiseDistanceKind(Enum):
 def as_labels(values: np.ndarray, bins: int) -> np.ndarray:
     """Integer MI labels of a vector, or of each column of a (rows x columns)
     matrix: an integer-valued column with at most ``MAX_DISCRETE_LABELS``
-    distinct values is densely recoded, any other goes through ``discretize``."""
+    distinct values is densely recoded, any other goes through ``discretize``.
+    A non-finite entry raises ``ValueError`` on either path."""
     x = np.asarray(values, dtype=np.float64)
     mat = x[:, None] if x.ndim == 1 else x
     labels = np.empty(mat.shape, dtype=np.int64)
     binned = np.ones(mat.shape[1], dtype=bool)
     for j in np.flatnonzero(np.all(mat == np.floor(mat), axis=0)):
         distinct, codes = np.unique(mat[:, j], return_inverse=True)
+        if np.isinf(distinct[[0, -1]]).any():  # inf == floor(inf) passes the integer test
+            raise ValueError("column must be finite")
         if distinct.size <= MAX_DISCRETE_LABELS:
             labels[:, j], binned[j] = codes, False
     if binned.any():
@@ -68,14 +71,6 @@ def _count_mi(pairs: Sequence[tuple[Labels, Labels]], table: np.ndarray, k: int)
     joint = table[np.bincount(cells.ravel(), minlength=p * k * k)].reshape(p, k * k)
     mi = math.log(m) + (np.cumsum(joint, axis=1)[:, -1] - sx - sy) / m
     return np.where(mi > 0.0, mi, 0.0)
-
-
-def _plugin_mi(lx: np.ndarray, ly: np.ndarray) -> float:
-    """Plug-in MI (nats) of two label vectors: ``_count_mi`` on one pair."""
-    table = MICache()._table(lx.size)
-    sx, sy = _xlogx_sums(np.column_stack([lx, ly]), table)
-    pair = (Labels(b"", lx, sx), Labels(b"", ly, sy))
-    return float(_count_mi([pair], table, max(int(lx.max()), int(ly.max())) + 1)[0])
 
 
 class MICache:

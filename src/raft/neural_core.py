@@ -1,10 +1,11 @@
-"""Two-layer dense networks with handwritten gradients, plus the graph
-convolution and autoencoder trainers built on top of them.
+"""Two-layer dense networks with handwritten gradients, the graph
+convolution's weight and adjacency, and the autoencoder trainer.
 
-Networks are immutable values; ``sgd_step`` returns an updated copy and is the
-only parameter mutator.  For softmax heads, ``backward`` expects the upstream
-gradient with respect to the *logits* (every softmax loss used here has a
-closed-form logit gradient, e.g. probs - onehot for negative log-likelihood).
+Networks are immutable values; ``sgd_step`` returns an updated copy.  Every
+gradient step goes through ``clip_step`` on flat buffers.  For softmax heads,
+``backward`` expects the upstream gradient with respect to the *logits* (every
+softmax loss used here has a closed-form logit gradient, e.g. probs - onehot
+for negative log-likelihood).
 """
 
 from __future__ import annotations
@@ -13,10 +14,13 @@ import hashlib
 import logging
 import math
 from dataclasses import dataclass
+from itertools import accumulate
+from typing import Sequence
 
 import numpy as np
 
 logger = logging.getLogger(__name__)
+_SKIPPED = "non-finite gradient after clipping; parameters left unchanged"
 
 HEAD_SOFTMAX = "softmax"
 HEAD_SCALAR = "scalar"
@@ -85,13 +89,8 @@ def init_dense(in_size: int, hidden: int, out_size: int, head: str,
         raise ValueError(f"unknown head {head!r}")
     if head == HEAD_SCALAR and out_size != 1:
         raise ValueError("scalar head requires out_size == 1")
-    return DenseNet(
-        w1=_fan_uniform(rng, in_size, hidden),
-        b1=np.zeros(hidden),
-        w2=_fan_uniform(rng, hidden, out_size),
-        b2=np.zeros(out_size),
-        head=head,
-    )
+    return DenseNet(_fan_uniform(rng, in_size, hidden), np.zeros(hidden),
+                    _fan_uniform(rng, hidden, out_size), np.zeros(out_size), head)
 
 
 def init_gcn(in_size: int, k: int, rng: np.random.Generator) -> GcnLayer:
@@ -117,10 +116,15 @@ def _dense_pass(net: DenseNet, x2: np.ndarray):
 
 
 def _dense_grads(net: DenseNet, x2: np.ndarray, z1: np.ndarray, a1: np.ndarray,
-                 up: np.ndarray) -> tuple[Grads, np.ndarray]:
-    """Batch-summed parameter gradients and the pre-activation gradient."""
+                 up: np.ndarray, out: Grads) -> np.ndarray:
+    """Writes the batch-summed parameter gradients into ``out``; returns the
+    pre-activation gradient."""
     dz1 = (up @ net.w2.T) * (z1 > 0.0)
-    return Grads(x2.T @ dz1, dz1.sum(axis=0), a1.T @ up, up.sum(axis=0)), dz1
+    np.matmul(x2.T, dz1, out=out.w1)
+    np.add.reduce(dz1, axis=0, out=out.b1)  # np.sum without its Python wrapper
+    np.matmul(a1.T, up, out=out.w2)
+    np.add.reduce(up, axis=0, out=out.b2)
+    return dz1
 
 
 def logits(net: DenseNet, x: np.ndarray) -> np.ndarray:
@@ -168,7 +172,8 @@ def backward(net: DenseNet, x: np.ndarray, upstream) -> tuple[Grads, np.ndarray]
     if x2.shape[0] != up.shape[0] or up.shape[1] != net.out_size:
         raise ValueError("upstream gradient shape does not match the forward output")
     z1, a1, _ = _dense_pass(net, x2)
-    grads, dz1 = _dense_grads(net, x2, z1, a1, up)
+    grads = Grads(*(np.empty_like(p) for p in (net.w1, net.b1, net.w2, net.b2)))
+    dz1 = _dense_grads(net, x2, z1, a1, up, grads)
     dx = dz1 @ net.w1.T
     return grads, (dx[0] if single else dx)
 
@@ -182,33 +187,46 @@ def grads_add(a: Grads, b: Grads) -> Grads:
 
 
 def grads_zero(net: DenseNet) -> Grads:
-    return Grads(np.zeros_like(net.w1), np.zeros_like(net.b1),
-                 np.zeros_like(net.w2), np.zeros_like(net.b2))
+    return Grads(*(np.zeros_like(p) for p in (net.w1, net.b1, net.w2, net.b2)))
 
 
-def clip_by_norm(arrays: tuple[np.ndarray, ...], clip: float) -> tuple[tuple, float]:
-    """Scale the arrays by one factor so that their joint L2 norm is at most
-    clip; also returns the norm before clipping."""
+def _flat(arrays: Sequence[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray], tuple[int, ...]]:
+    """One flat copy of the arrays, views into it shaped like them, and the offsets."""
+    bounds = tuple(accumulate((a.size for a in arrays), initial=0))
+    flat = np.concatenate([a.ravel() for a in arrays])
+    views = [flat[lo:hi].reshape(a.shape) for lo, hi, a in zip(bounds, bounds[1:], arrays)]
+    return flat, views, bounds
+
+
+def clip_step(params: np.ndarray, grads: np.ndarray, bounds: Sequence[int], lr: float,
+              clip: float) -> bool:
+    """params -= lr * clip(grads) in place on flat buffers (``grads`` is
+    overwritten), the squared norm adding each ``bounds`` slice's sum left to
+    right.  Returns False, with ``params`` unchanged, on a non-finite step."""
+    sq = grads * grads
     total = 0.0
-    for arr in arrays:
-        total += float(np.sum(arr * arr))
+    for lo, hi in zip(bounds, bounds[1:]):
+        total += float(np.add.reduce(sq[lo:hi]))
     norm = math.sqrt(total)
     if norm > clip and norm > 0.0:
-        return tuple(arr * (clip / norm) for arr in arrays), norm
-    return arrays, norm
+        grads *= clip / norm
+    # a finite norm bounds every entry, so only a non-finite one (NaN, or an
+    # overflow that may have clipped finite entries to zero) needs the scan
+    if not math.isfinite(norm) and not np.all(np.isfinite(grads)):
+        return False
+    grads *= lr
+    params -= grads
+    return True
 
 
 def sgd_step(net: DenseNet, grads: Grads, opt: OptimState) -> DenseNet:
     """theta <- theta - lr * clip(g); skips the update on non-finite gradients."""
-    (w1, b1, w2, b2), norm = clip_by_norm((grads.w1, grads.b1, grads.w2, grads.b2),
-                                          opt.clip_norm)
-    # a finite norm bounds every entry, so only a non-finite one (NaN, or an
-    # overflow that may have clipped finite entries to zero) needs the scan
-    if not math.isfinite(norm) and not all(np.all(np.isfinite(a)) for a in (w1, b1, w2, b2)):
-        logger.warning("non-finite gradient after clipping; parameters left unchanged")
+    params, views, bounds = _flat((net.w1, net.b1, net.w2, net.b2))
+    flat = _flat((grads.w1, grads.b1, grads.w2, grads.b2))[0]
+    if not clip_step(params, flat, bounds, opt.lr, opt.clip_norm):
+        logger.warning(_SKIPPED)
         return net
-    return DenseNet(w1=net.w1 - opt.lr * w1, b1=net.b1 - opt.lr * b1,
-                    w2=net.w2 - opt.lr * w2, b2=net.b2 - opt.lr * b2, head=net.head)
+    return DenseNet(*views, head=net.head)
 
 
 # ---------------------------------------------------------------------------
@@ -224,28 +242,9 @@ def normalized_adjacency(adj: np.ndarray) -> np.ndarray:
     return adj * dinv[:, None] * dinv[None, :]
 
 
-def gcn_forward(adj: np.ndarray, feats: np.ndarray, layer: GcnLayer) -> np.ndarray:
-    """ReLU(D^-1/2 A D^-1/2 X W) for a symmetric nonnegative adjacency with
-    self-loops (all degrees must be positive)."""
-    adj = np.asarray(adj, dtype=np.float64)
-    feats = np.asarray(feats, dtype=np.float64)
-    if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
-        raise ValueError("adjacency must be square")
-    if np.any(adj < 0.0) or not np.allclose(adj, adj.T):
-        raise ValueError("adjacency must be symmetric and nonnegative")
-    if feats.shape[0] != adj.shape[0]:
-        raise ValueError("feature rows must match the node count")
-    return np.maximum(normalized_adjacency(adj) @ feats @ layer.w, 0.0)
-
-
 # ---------------------------------------------------------------------------
 # Autoencoder
 # ---------------------------------------------------------------------------
-
-def reconstruction_loss(encoder: DenseNet, decoder: DenseNet, data: np.ndarray) -> float:
-    recon = forward(decoder, forward(encoder, data))
-    return float(np.mean((recon - data) ** 2))
-
 
 def train_autoencoder(
     data: np.ndarray,
@@ -254,27 +253,32 @@ def train_autoencoder(
     seed: int,
     hidden: int = 32,
     lr: float = 1e-3,
-) -> tuple[DenseNet, DenseNet, float]:
-    """Full-batch gradient descent on mean-squared reconstruction of the rows.
-
-    Returns (encoder, decoder, final loss); with epochs=0 the loss is the
-    initial reconstruction error of the untouched random nets.
-    """
+) -> tuple[DenseNet, DenseNet]:
+    """Full-batch gradient descent on mean-squared reconstruction of the rows;
+    returns (encoder, decoder), the untouched random nets when epochs=0.  An
+    epoch makes one forward pass, writes the gradients in place and takes one
+    ``clip_step`` per net, on flat buffers that the nets' arrays view."""
     data = np.atleast_2d(np.asarray(data, dtype=np.float64))
     if latent < 1 or epochs < 0:
         raise ValueError("latent must be >= 1 and epochs >= 0")
     b, dim = data.shape
     rng = np.random.default_rng(seed)
-    encoder = init_dense(dim, hidden, latent, HEAD_IDENTITY, rng)
-    decoder = init_dense(latent, hidden, dim, HEAD_IDENTITY, rng)
+    nets, steps = [], []  # steps: (parameters, gradient buffer, gradient views, bounds)
+    for size_in, size_out in ((dim, latent), (latent, dim)):
+        net = init_dense(size_in, hidden, size_out, HEAD_IDENTITY, rng)
+        params, views, bounds = _flat((net.w1, net.b1, net.w2, net.b2))
+        flat, grads, _ = _flat(views)
+        nets.append(DenseNet(*views, head=HEAD_IDENTITY))
+        steps.append((params, flat, Grads(*grads), bounds))
+    (encoder, decoder), (enc, dec) = nets, steps
     opt = OptimState(lr=lr)
     for _ in range(epochs):
-        # one forward pass, reused backward; the encoder's input gradient is unused
         enc_z1, enc_a1, z = _dense_pass(encoder, data)
         dec_z1, dec_a1, recon = _dense_pass(decoder, z)
         upstream = 2.0 * (recon - data) / (b * dim)
-        dec_grads, dec_dz1 = _dense_grads(decoder, z, dec_z1, dec_a1, upstream)
-        enc_grads, _ = _dense_grads(encoder, data, enc_z1, enc_a1, dec_dz1 @ decoder.w1.T)
-        decoder = sgd_step(decoder, dec_grads, opt)
-        encoder = sgd_step(encoder, enc_grads, opt)
-    return encoder, decoder, reconstruction_loss(encoder, decoder, data)
+        dec_dz1 = _dense_grads(decoder, z, dec_z1, dec_a1, upstream, dec[2])
+        _dense_grads(encoder, data, enc_z1, enc_a1, dec_dz1 @ decoder.w1.T, enc[2])
+        for params, flat, _, bounds in (dec, enc):
+            if not clip_step(params, flat, bounds, opt.lr, opt.clip_norm):
+                logger.warning(_SKIPPED)
+    return encoder, decoder

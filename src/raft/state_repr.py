@@ -13,15 +13,16 @@ from enum import Enum
 
 import numpy as np
 
-from .dataset import FeatureSet
-from .neural_core import (GcnLayer, clip_by_norm, derive_seed, forward, gcn_forward, init_gcn,
-                          normalized_adjacency, train_autoencoder)
+from .dataset import FeatureSet, linear_quantiles
+from .neural_core import (clip_step, derive_seed, forward, init_gcn, normalized_adjacency,
+                          train_autoencoder)
 
 SI_LENGTH = 49
 SUMMARY_QUANTILES = 64  # per-column input length of the column autoencoder
 _STATE_CLAMP = 1e30
 _GAE_CLIP_NORM = 5.0
 _AE_LR = 1e-2
+_QUARTILES = np.array([0.25, 0.5, 0.75])
 
 
 @dataclass(frozen=True)
@@ -85,14 +86,12 @@ def _seven_stats(mat: np.ndarray, axis: int, count_scale: float) -> np.ndarray:
 
     Returns shape (7, n) where n is the size of the other axis.  The count is
     divided by ``count_scale`` (pass 1.0 for raw counts); quartiles use linear
-    interpolation and std is the population std.
+    interpolation (``linear_quantiles``) and std is the population std.
     """
     count = np.full(mat.shape[1 - axis], mat.shape[axis] / count_scale, dtype=np.float64)
-    std = _population_std(mat, axis)
-    mn = mat.min(axis=axis)
-    mx = mat.max(axis=axis)
-    q1, q2, q3 = np.quantile(mat, [0.25, 0.5, 0.75], axis=axis, method="linear")
-    return np.stack([count, std, mn, mx, q1, q2, q3])
+    q1, q2, q3 = linear_quantiles(np.sort(mat, axis=axis), _QUARTILES, axis)
+    return np.stack([count, _population_std(mat, axis), mat.min(axis=axis), mat.max(axis=axis),
+                     q1, q2, q3])
 
 
 def state_si(fs: FeatureSet, m_original: int | None = None, raw_count: bool = False) -> StateVector:
@@ -132,9 +131,9 @@ def state_ae(fs: FeatureSet, k: int, d: int, epochs: int, seed: int) -> StateVec
     if k < 1 or d < 1:
         raise ValueError("latent dims must be >= 1")
     summary = column_summary(fs.values)  # N samples of dimension SUMMARY_QUANTILES
-    enc1, _, _ = train_autoencoder(summary, k, epochs, derive_seed(seed, "ae-cols"), lr=_AE_LR)
+    enc1, _ = train_autoencoder(summary, k, epochs, derive_seed(seed, "ae-cols"), lr=_AE_LR)
     z = np.atleast_2d(forward(enc1, summary)).T  # k x N
-    enc2, _, _ = train_autoencoder(z, d, epochs, derive_seed(seed, "ae-rows"), lr=_AE_LR)
+    enc2, _ = train_autoencoder(z, d, epochs, derive_seed(seed, "ae-rows"), lr=_AE_LR)
     z2 = np.atleast_2d(forward(enc2, z))  # k x d
     return StateVector(_finite(z2.reshape(-1)), "ae")
 
@@ -160,26 +159,17 @@ def _standardize_columns(values: np.ndarray) -> np.ndarray:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    e = np.exp(x[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
+    # exp(-|x|) never overflows; the branch on the sign keeps both halves exact
+    e = np.exp(-np.abs(x))
+    d = 1.0 + e
+    return np.where(x >= 0, 1.0 / d, e / d)
 
 
-def gae_reconstruction_loss(adj: np.ndarray, z: np.ndarray) -> float:
-    """Mean binary cross-entropy of sigmoid(Z Z^T) against the adjacency."""
-    s = z @ z.T
-    # max(s,0) - s*a + log(1+exp(-|s|)) is the overflow-safe BCE-with-logits
-    loss = np.maximum(s, 0.0) - s * adj + np.log1p(np.exp(-np.abs(s)))
-    return float(loss.mean())
-
-
-def gae_layer_grad(adj: np.ndarray, prop: np.ndarray, layer: GcnLayer) -> np.ndarray:
-    """Gradient of the reconstruction BCE w.r.t. the GCN weight matrix, given
-    the propagated features ``normalized_adjacency(adj) @ feats``."""
-    pre = prop @ layer.w
+def gae_layer_grad(adj: np.ndarray, prop: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Gradient w.r.t. the GCN weight ``w`` of the mean cross-entropy of
+    sigmoid(Z Z^T), Z = ReLU(prop @ w), against the adjacency, given the
+    propagated features ``prop = normalized_adjacency(adj) @ feats``."""
+    pre = prop @ w
     z = np.maximum(pre, 0.0)
     n = adj.shape[0]
     g = (_sigmoid(z @ z.T) - adj) / (n * n)
@@ -197,20 +187,18 @@ def state_gae(
     """One-layer graph convolution over the standardized columns and their
     correlation graph, trained to reconstruct the adjacency through an
     inner-product decoder; the state is the mean over node embeddings
-    (length k)."""
+    (length k).  Training stops at the first non-finite clipped gradient."""
     if k < 1:
         raise ValueError("k must be >= 1")
     adj = correlation_adjacency(fs.values)
-    feats = _standardize_columns(fs.values).T
-    rng = np.random.default_rng(derive_seed(seed, "gae"))
-    layer = init_gcn(fs.n_rows, k, rng)
-    prop = normalized_adjacency(adj) @ feats  # fixed across epochs
+    prop = normalized_adjacency(adj) @ _standardize_columns(fs.values).T
+    flat = init_gcn(fs.n_rows, k, np.random.default_rng(derive_seed(seed, "gae"))).w.ravel()
+    w = flat.reshape(fs.n_rows, k)  # a view: clip_step updates w through flat
     for _ in range(epochs):
-        (grad,), _ = clip_by_norm((gae_layer_grad(adj, prop, layer),), _GAE_CLIP_NORM)
-        if not np.all(np.isfinite(grad)):
+        if not clip_step(flat, gae_layer_grad(adj, prop, w).ravel(), (0, flat.size), lr,
+                         _GAE_CLIP_NORM):
             break
-        layer = GcnLayer(layer.w - lr * grad)
-    z = gcn_forward(adj, feats, layer)
+    z = np.maximum(prop @ w, 0.0)
     return StateVector(_finite(z.mean(axis=0)), "gae")
 
 
@@ -226,10 +214,8 @@ def concat_states(parts: list[StateVector]) -> StateVector:
         raise ValueError("need at least one state vector")
     if len(parts) == 1:
         return parts[0]
-    return StateVector(
-        np.concatenate([p.values for p in parts]),
-        "+".join(p.encoder_tag for p in parts),
-    )
+    return StateVector(np.concatenate([p.values for p in parts]),
+                       "+".join(p.encoder_tag for p in parts))
 
 
 @dataclass(frozen=True)
@@ -243,15 +229,8 @@ class EncoderConfig:
 
 
 def encoder_length(cfg: EncoderConfig) -> int:
-    total = 0
-    for part in cfg.kind.parts:
-        if part == "si":
-            total += SI_LENGTH
-        elif part == "ae":
-            total += cfg.k * cfg.d
-        else:
-            total += cfg.k
-    return total
+    sizes = {"si": SI_LENGTH, "ae": cfg.k * cfg.d, "gae": cfg.k}
+    return sum(sizes[part] for part in cfg.kind.parts)
 
 
 class StateEncoder:

@@ -13,8 +13,9 @@ import numpy as np
 from raft.dataset import FeatureSet, TaskKind
 from raft.evaluator import MAX_BINS, ForestConfig
 from raft.info_metrics import PairwiseDistanceKind, as_labels, content_hash
-from raft.neural_core import HEAD_IDENTITY, DenseNet, Grads, derive_seed, init_dense, init_gcn
-from raft.state_repr import _finite, _sigmoid, _standardize_columns, correlation_adjacency
+from raft.neural_core import (HEAD_IDENTITY, DenseNet, GcnLayer, Grads, derive_seed, init_dense,
+                              init_gcn)
+from raft.state_repr import _finite, _population_std, _standardize_columns, correlation_adjacency
 from raft.transform import GeneratedBatch
 
 
@@ -36,6 +37,20 @@ def discretize_oracle(data, bins: int) -> list[int]:
         return [0] * len(values)
     edges = sorted({quantile_oracle(values, i / bins) for i in range(1, bins)})
     return [sum(1 for e in edges if e < v) for v in values]
+
+
+def discretize_quantile_oracle(values, bins: int) -> np.ndarray:
+    """``discretize`` as it was before ``linear_quantiles``: the edges of every
+    column from one ``np.quantile`` call along axis 0."""
+    x = np.asarray(values, dtype=np.float64)
+    labels = np.zeros(x.shape, dtype=np.int64)
+    if bins > 1:
+        edges = np.sort(np.quantile(x, np.arange(1, bins) / bins, axis=0, method="linear"), axis=0)
+        distinct = np.ones(edges.shape, dtype=bool)
+        distinct[1:] = edges[1:] != edges[:-1]
+        for edge, new in zip(edges, distinct):
+            labels += new & (edge < x)
+    return labels
 
 
 def per_column_labels_oracle(values: np.ndarray, bins: int) -> tuple[np.ndarray, list[float]]:
@@ -566,8 +581,68 @@ def forest_predict_oracle(trees: list, x: np.ndarray, classification: bool) -> n
 
 
 # ---------------------------------------------------------------------------
-# encoder training (frozen copies of the loops before the lean rewrite)
+# encoders (frozen copies of the code before the lean rewrites)
 # ---------------------------------------------------------------------------
+
+def si_state_oracle(fs: FeatureSet, m_original: int | None = None,
+                    raw_count: bool = False) -> np.ndarray:
+    """``state_si`` as it was before ``linear_quantiles``: each stage's
+    quartiles from one ``np.quantile`` call."""
+    def seven_stats(mat, axis, count_scale):
+        count = np.full(mat.shape[1 - axis], mat.shape[axis] / count_scale, dtype=np.float64)
+        q1, q2, q3 = np.quantile(mat, [0.25, 0.5, 0.75], axis=axis, method="linear")
+        return np.stack([count, _population_std(mat, axis), mat.min(axis=axis),
+                         mat.max(axis=axis), q1, q2, q3])
+
+    scale = 1.0 if raw_count else float(m_original if m_original is not None else fs.n_rows)
+    meta = seven_stats(seven_stats(fs.values, 0, scale), 1, scale).T
+    return _finite(meta.reshape(-1))
+
+
+def reconstruction_loss(encoder: DenseNet, decoder: DenseNet, data: np.ndarray) -> float:
+    """Mean squared error of the autoencoder's reconstruction of the rows."""
+    def out(net, x):
+        return np.maximum(x @ net.w1 + net.b1, 0.0) @ net.w2 + net.b2
+
+    data = np.atleast_2d(np.asarray(data, dtype=np.float64))
+    return float(np.mean((out(decoder, out(encoder, data)) - data) ** 2))
+
+
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    """The logistic function with each sign's half computed on its mask."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    e = np.exp(x[~pos])
+    out[~pos] = e / (1.0 + e)
+    return out
+
+
+def gae_reconstruction_loss(adj: np.ndarray, z: np.ndarray) -> float:
+    """Mean binary cross-entropy of sigmoid(Z Z^T) against the adjacency."""
+    s = z @ z.T
+    # max(s,0) - s*a + log(1+exp(-|s|)) is the overflow-safe BCE-with-logits
+    loss = np.maximum(s, 0.0) - s * adj + np.log1p(np.exp(-np.abs(s)))
+    return float(loss.mean())
+
+
+def gcn_forward(adj: np.ndarray, feats: np.ndarray, layer: GcnLayer) -> np.ndarray:
+    """ReLU(D^-1/2 A D^-1/2 X W) for a symmetric nonnegative adjacency with
+    self-loops (all degrees must be positive)."""
+    adj = np.asarray(adj, dtype=np.float64)
+    feats = np.asarray(feats, dtype=np.float64)
+    if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
+        raise ValueError("adjacency must be square")
+    if np.any(adj < 0.0) or not np.allclose(adj, adj.T):
+        raise ValueError("adjacency must be symmetric and nonnegative")
+    if feats.shape[0] != adj.shape[0]:
+        raise ValueError("feature rows must match the node count")
+    deg = adj.sum(axis=1)
+    if np.any(deg <= 0.0):
+        raise ValueError("every node needs positive degree (add self-loops)")
+    dinv = 1.0 / np.sqrt(deg)
+    return np.maximum((adj * dinv[:, None] * dinv[None, :]) @ feats @ layer.w, 0.0)
+
 
 def _dense_backward_oracle(net: DenseNet, x: np.ndarray, up: np.ndarray):
     """Recomputes the forward pass and also returns the input gradient."""

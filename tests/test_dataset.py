@@ -17,6 +17,7 @@ from raft.dataset import (
     content_hash,
     discretize,
     evaluate_lineage,
+    linear_quantiles,
     lineage_depth,
     load_csv,
     parse_lineage,
@@ -26,7 +27,7 @@ from raft.dataset import (
     split_train_valid,
     write_csv,
 )
-from oracles import discretize_oracle
+from oracles import discretize_oracle, discretize_quantile_oracle
 
 
 def write(path, text):
@@ -304,6 +305,79 @@ def test_discretize_matrix_columns_get_their_own_labels(seed, m, bins):
     assert got.shape == values.shape and got.dtype == np.int64
     for j, col in enumerate(values.T):
         np.testing.assert_array_equal(got[:, j], discretize(col, bins))
+
+
+def quantile_matrix(rng, m, n):
+    """(m x n) columns of every kind the quantile interpolation tells apart."""
+    big = np.finfo(np.float64).max
+    tiny = np.finfo(np.float64).smallest_subnormal
+    kinds = [
+        lambda: rng.standard_normal(m),
+        lambda: rng.integers(-2, 3, m) * 0.5,  # ties
+        lambda: rng.choice([-big, big, 0.0, 1.0], m),  # b - a overflows
+        lambda: rng.integers(-5, 6, m) * tiny,  # subnormals
+        lambda: np.full(m, -3.75),
+        lambda: rng.standard_normal(m) * 10.0 ** rng.uniform(-300.0, 300.0),
+        lambda: rng.choice([-0.0, 0.0, 1.0], m),  # zeros of both signs
+    ]
+    return np.column_stack([kinds[int(rng.integers(len(kinds)))]() for _ in range(n)])
+
+
+QUANTILE_SETS = [np.array([0.0, 1.0]), np.array([0.25, 0.5, 0.75]), np.arange(1, 16) / 16,
+                 np.array([1.0, 0.0, 0.5, 0.3, 0.7, 0.49999999999999994])]
+
+
+def same_bits(got, want, mat) -> bool:
+    """Bit equality, up to the sign of a zero where ``mat`` holds zeros of
+    both signs: np.quantile's partition and np.sort may leave either first."""
+    if np.signbit(mat[mat == 0.0]).any():
+        got, want = got + 0.0, want + 0.0
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_linear_quantiles_equal_numpy_bit_for_bit():
+    rng = np.random.default_rng(31)
+    cases = 0
+    for m in [1, 2, 3, 4, 5, 7, 64, 301]:
+        for _ in range(12):
+            x = quantile_matrix(rng, m, int(rng.integers(1, 9)))
+            for q in QUANTILE_SETS:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    for axis, mat in ((0, x), (1, x.T)):
+                        want = np.quantile(mat, q, axis=axis, method="linear")
+                        got = linear_quantiles(np.sort(mat, axis=axis), q, axis)
+                        assert same_bits(got, want, mat), (m, q, axis)
+                    want = np.quantile(x[:, 0], q, method="linear")
+                    assert same_bits(linear_quantiles(np.sort(x[:, 0]), q), want, x[:, 0])
+                cases += 1
+    assert cases == 8 * 12 * len(QUANTILE_SETS)
+
+
+def test_linear_quantiles_of_non_finite_slices_equal_numpy():
+    # SI's second stage reads quartiles of statistics that may have overflowed
+    rng = np.random.default_rng(32)
+    for m in [1, 2, 3, 9]:
+        for _ in range(20):
+            x = quantile_matrix(rng, m, 6)
+            x[rng.random(x.shape) < 0.2] = rng.choice([np.inf, -np.inf, np.nan])
+            for q in QUANTILE_SETS:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    for axis, mat in ((0, x), (1, x.T)):
+                        want = np.quantile(mat, q, axis=axis, method="linear")
+                        got = linear_quantiles(np.sort(mat, axis=axis), q, axis)
+                        np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("bins", [1, 2, 3, 4, 7, 10, 16])
+def test_discretize_equals_the_np_quantile_edges_at_every_width(bins):
+    rng = np.random.default_rng(33 + bins)
+    for m in [1, 2, 3, 17, 200, 1001]:
+        for _ in range(4):
+            x = quantile_matrix(rng, m, int(rng.integers(1, 12)))
+            with np.errstate(over="ignore", invalid="ignore"):  # edges between -max and max
+                want = discretize_quantile_oracle(x, bins)
+                np.testing.assert_array_equal(discretize(x, bins), want)
+                np.testing.assert_array_equal(discretize(x[:, 0], bins), want[:, 0])
 
 
 def test_discretize_rejects_empty_and_deep_inputs():

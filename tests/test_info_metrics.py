@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from raft.dataset import FeatureMeta, FeatureSet, Ident, Target, TaskKind, discretize
 from raft import info_metrics
 from raft.info_metrics import (
+    Labels,
     MICache,
     PairwiseDistanceKind,
-    _plugin_mi,
     as_labels,
     feature_set_quality,
     mutual_information,
@@ -88,6 +88,20 @@ def test_mi_matches_oracle_on_discrete_pairs():
         got = mutual_information(x, y, bins=8)
         want = mi_oracle(list(x.astype(int)), list(y.astype(int)))
         assert got == pytest.approx(want, abs=1e-12)
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf])
+def test_integer_valued_column_with_inf_is_rejected(bad):
+    # inf == floor(inf), so an infinite entry passes the integer-valued test
+    with pytest.raises(ValueError, match="column must be finite"):
+        mutual_information(np.array([bad, 1, 2, 1]), np.array([0, 1, 0, 1]), 4)
+    with pytest.raises(ValueError, match="column must be finite"):
+        mutual_information(np.array([0.0, 1, 0, 1]), np.array([1, bad, 2, 1]), 4)
+    mat = np.column_stack([[0.0, 1, 2, 1], [bad, 1, 2, 1]])
+    with pytest.raises(ValueError, match="column must be finite"):
+        as_labels(mat, 4)
+    with pytest.raises(ValueError, match="column must be finite"):
+        MICache().mi(mat, np.array([0, 1, 0, 1]), 4)
 
 
 def test_as_labels_discrete_passthrough_and_binning():
@@ -189,6 +203,14 @@ def random_labels(rng, m, k):
     return labels
 
 
+def pair_mi(lx: np.ndarray, ly: np.ndarray) -> float:
+    """``MICache().pair_mi`` on one pair of label vectors (labels below 20),
+    ``lx`` the row variable: its key sorts first."""
+    cache = MICache()
+    sx, sy = info_metrics._xlogx_sums(np.column_stack([lx, ly]), cache._table(lx.size))
+    return cache.pair_mi([(Labels(b"x", lx, sx), Labels(b"y", ly, sy))], 2)[0]
+
+
 @pytest.mark.parametrize("kx", range(1, 17))
 def test_plugin_mi_equals_scalar_oracle_on_random_labels(kx):
     rng = np.random.default_rng(kx)
@@ -198,8 +220,8 @@ def test_plugin_mi_equals_scalar_oracle_on_random_labels(kx):
             lx = random_labels(rng, m, kx)
             ly = random_labels(rng, m, ky)
             for a, b in ((lx, ly), (ly, lx)):
-                assert _plugin_mi(a, b) == count_mi_oracle(a, b)
-                assert _plugin_mi(a, b) == pytest.approx(plugin_mi_oracle(a, b), abs=1e-12)
+                assert pair_mi(a, b) == count_mi_oracle(a, b)
+                assert pair_mi(a, b) == pytest.approx(plugin_mi_oracle(a, b), abs=1e-12)
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -216,8 +238,8 @@ def test_plugin_mi_equals_scalar_oracle_on_binned_and_discrete_columns(seed):
         for a, b in ((x, y), (x, d), (d, y), (d, np.round(y))):
             la, lb = as_labels(a, bins), as_labels(b, bins)
             for u, v in ((la, lb), (lb, la)):
-                assert _plugin_mi(u, v) == count_mi_oracle(u, v)
-                assert _plugin_mi(u, v) == pytest.approx(plugin_mi_oracle(u, v), abs=1e-12)
+                assert pair_mi(u, v) == count_mi_oracle(u, v)
+                assert pair_mi(u, v) == pytest.approx(plugin_mi_oracle(u, v), abs=1e-12)
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -273,7 +295,7 @@ def test_plugin_mi_of_one_pair_equals_its_value_in_a_batch():
     pairs = [(a, b) for a in cols for b in cols]
     for (a, b), got in zip(pairs, cache.pair_mi(pairs, bins)):
         x, y = (a, b) if a.key <= b.key else (b, a)
-        assert got == _plugin_mi(x.codes, y.codes)
+        assert got == count_mi_oracle(x.codes, y.codes)
 
 
 # ---------------------------------------------------------------------------

@@ -11,21 +11,19 @@ from raft.neural_core import (
     Grads,
     OptimState,
     backward,
-    clip_by_norm,
+    clip_step,
     derive_seed,
     forward,
-    gcn_forward,
     init_dense,
     init_gcn,
     log_softmax,
     logits,
-    reconstruction_loss,
     sgd_step,
     softmax,
     train_autoencoder,
 )
-from oracles import (assert_grads_close, autoencoder_oracle, net_with, numeric_gradients,
-                     sgd_oracle)
+from oracles import (assert_grads_close, autoencoder_oracle, gcn_forward, net_with,
+                     numeric_gradients, reconstruction_loss, sgd_oracle)
 
 
 def zero_net(in_size, hidden, out_size, head):
@@ -176,10 +174,11 @@ def test_sgd_skips_nan_gradients(caplog):
 
 
 def test_global_norm_and_clip():
-    grads = Grads(np.array([[3.0]]), np.array([4.0]), np.zeros((1, 1)), np.zeros(1))
-    clipped, norm = clip_by_norm((grads.w1, grads.b1, grads.w2, grads.b2), 1.0)
-    assert norm == pytest.approx(5.0)
-    assert clip_by_norm(clipped, 1.0)[1] == pytest.approx(1.0)
+    # w1 = [[3]], b1 = [4], w2 = [[0]], b2 = [0]: joint norm 5, clipped to 1
+    params = np.zeros(4)
+    assert clip_step(params, np.array([3.0, 4.0, 0.0, 0.0]), (0, 1, 2, 3, 4), 1.0, 1.0)
+    np.testing.assert_allclose(params, [-0.6, -0.8, 0.0, 0.0], rtol=1e-15)
+    assert math.sqrt(float(np.sum(params * params))) == pytest.approx(1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +231,8 @@ def test_gcn_rejects_zero_degree():
 def test_autoencoder_zero_epochs_returns_initial_loss():
     rng = np.random.default_rng(10)
     data = rng.standard_normal((6, 5))
-    enc, dec, loss = train_autoencoder(data, latent=2, epochs=0, seed=3)
+    enc, dec = train_autoencoder(data, latent=2, epochs=0, seed=3)
+    _, _, loss = autoencoder_oracle(data, latent=2, epochs=0, seed=3)
     assert loss == pytest.approx(reconstruction_loss(enc, dec, data), abs=1e-15)
 
 
@@ -241,15 +241,17 @@ def test_autoencoder_rank_one_data_converges():
     u = rng.standard_normal(8)
     v = rng.standard_normal(6)
     data = np.outer(u, v) * 0.5
-    _, _, loss0 = train_autoencoder(data, latent=1, epochs=0, seed=5)
-    _, _, loss = train_autoencoder(data, latent=1, epochs=3000, seed=5, lr=0.05)
+    loss0 = reconstruction_loss(*train_autoencoder(data, latent=1, epochs=0, seed=5), data)
+    loss = reconstruction_loss(*train_autoencoder(data, latent=1, epochs=3000, seed=5, lr=0.05),
+                               data)
     assert loss < 0.1 * loss0
 
 
 def test_autoencoder_loss_non_increasing_with_small_lr():
     rng = np.random.default_rng(12)
     data = rng.standard_normal((5, 4))
-    losses = [train_autoencoder(data, latent=2, epochs=e, seed=7, lr=1e-4)[2]
+    losses = [reconstruction_loss(*train_autoencoder(data, latent=2, epochs=e, seed=7, lr=1e-4),
+                                  data)
               for e in range(0, 30, 3)]
     for a, b in zip(losses, losses[1:]):
         assert b <= a + 1e-9
@@ -258,9 +260,9 @@ def test_autoencoder_loss_non_increasing_with_small_lr():
 def test_autoencoder_deterministic_per_seed():
     rng = np.random.default_rng(13)
     data = rng.standard_normal((5, 4))
-    enc1, dec1, loss1 = train_autoencoder(data, latent=2, epochs=50, seed=9)
-    enc2, dec2, loss2 = train_autoencoder(data, latent=2, epochs=50, seed=9)
-    assert loss1 == loss2
+    enc1, dec1 = train_autoencoder(data, latent=2, epochs=50, seed=9)
+    enc2, dec2 = train_autoencoder(data, latent=2, epochs=50, seed=9)
+    assert reconstruction_loss(enc1, dec1, data) == reconstruction_loss(enc2, dec2, data)
     np.testing.assert_array_equal(enc1.w1, enc2.w1)
     np.testing.assert_array_equal(dec1.w2, dec2.w2)
 
@@ -269,7 +271,7 @@ def test_autoencoder_gradient_step_matches_fd():
     # one full-batch step of the AE objective, checked parameter-wise on the decoder
     rng = np.random.default_rng(14)
     data = rng.standard_normal((4, 3))
-    enc, dec, _ = train_autoencoder(data, latent=2, epochs=0, seed=15)
+    enc, dec = train_autoencoder(data, latent=2, epochs=0, seed=15)
     z = forward(enc, data)
     upstream = 2.0 * (forward(dec, z) - data) / data.size
     analytic, _ = backward(dec, z, upstream)
@@ -306,11 +308,25 @@ def test_autoencoder_matches_frozen_oracle_bit_for_bit():
     for i in range(128):
         case = _ae_case(rng, i % 4)
         with np.errstate(all="ignore"):
-            enc, dec, loss = train_autoencoder(**case)
+            enc, dec = train_autoencoder(**case)
+            loss = reconstruction_loss(enc, dec, case["data"])
             want_enc, want_dec, want_loss = autoencoder_oracle(**case)
         assert _net_bits(enc) == _net_bits(want_enc), i
         assert _net_bits(dec) == _net_bits(want_dec), i
         assert _bits(loss) == _bits(want_loss), i
+
+
+def test_autoencoder_skips_a_step_whose_gradient_norm_overflows(caplog):
+    # inputs near 1e200 overflow the reconstruction error, so every clipped
+    # gradient holds inf or NaN: each step is skipped with its warning and the
+    # nets stay at their random initialisation
+    data = np.random.default_rng(16).standard_normal((5, 4)) * 1e200
+    enc0, dec0 = train_autoencoder(data, latent=2, epochs=0, seed=17)
+    with caplog.at_level("WARNING"), np.errstate(all="ignore"):
+        enc, dec = train_autoencoder(data, latent=2, epochs=3, seed=17)
+    assert _net_bits(enc) == _net_bits(enc0) and _net_bits(dec) == _net_bits(dec0)
+    skipped = [r for r in caplog.records if "non-finite" in r.message]
+    assert len(skipped) == 6  # both nets, every epoch
 
 
 def test_sgd_step_matches_frozen_oracle_on_huge_and_nonfinite_gradients():

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from raft.neural_core import derive_seed, gcn_forward, init_gcn
+from raft.neural_core import derive_seed, init_gcn
 from raft.state_repr import (
     SI_LENGTH,
     SUMMARY_QUANTILES,
@@ -22,7 +22,8 @@ from raft.state_repr import (
     state_si,
 )
 from raft.transform import OperationSet
-from oracles import gae_state_oracle, quantile_oracle, random_feature_set
+from oracles import (gae_reconstruction_loss, gae_state_oracle, gcn_forward, quantile_oracle,
+                     random_feature_set, si_state_oracle)
 
 
 def seven_stats_oracle(row, count_scale):
@@ -272,7 +273,7 @@ def test_gae_identity_adjacency_closed_form():
 
 
 def test_gae_training_reduces_reconstruction_loss():
-    from raft.state_repr import gae_reconstruction_loss, gae_layer_grad
+    from raft.state_repr import gae_layer_grad
     rng = np.random.default_rng(14)
     fs = random_feature_set(rng, 30, 5)
     adj = correlation_adjacency(fs.values)
@@ -287,7 +288,7 @@ def test_gae_training_reduces_reconstruction_loss():
     loss0 = gae_reconstruction_loss(adj, z0)
     w = layer.w.copy()
     for _ in range(300):
-        g = gae_layer_grad(adj, norm_adj @ feats, type(layer)(w))
+        g = gae_layer_grad(adj, norm_adj @ feats, w)
         w = w - 0.05 * g
     z1 = np.maximum(norm_adj @ feats @ w, 0.0)
     assert gae_reconstruction_loss(adj, z1) < loss0
@@ -309,6 +310,36 @@ def test_gae_matches_per_epoch_normalisation_oracle_bit_for_bit():
         got = state_gae(fs, k=int(rng.integers(1, 10)), epochs=epochs, seed=i, lr=lr)
         want = gae_state_oracle(fs, k=got.values.size, epochs=epochs, seed=i, lr=lr)
         assert got.values.tobytes() == want.tobytes(), (m, n)
+
+
+def test_si_matches_np_quantile_oracle_bit_for_bit():
+    # quartiles read off one sort per stage against np.quantile, also where
+    # stage-1 statistics overflow and stage 2 meets inf and NaN
+    rng = np.random.default_rng(19)
+    big = np.finfo(np.float64).max
+    shapes = [(1000, 16), (1000, 24), (2, 1), (2, 2), (3, 7)]
+    shapes += [(int(rng.integers(2, 300)), int(rng.integers(1, 40))) for _ in range(40)]
+    mixed_zeros = 0
+    for i, (m, n) in enumerate(shapes):
+        fs = random_feature_set(rng, m, n)
+        values = fs.values * 10.0 ** rng.uniform(-300.0, 300.0, size=n)
+        if i % 4 == 1:
+            values[:, 0] = rng.choice([-big, big], m)  # quartile differences overflow
+        elif i % 4 == 2:
+            values[:, -1] = np.round(values[:, -1])  # ties
+        elif i % 4 == 3:
+            values[:, 0] = rng.integers(-4, 5, m) * np.finfo(np.float64).smallest_subnormal
+        fs = fs.with_columns(values, fs.columns)
+        m_original = int(rng.integers(2, 500)) if i % 2 else None
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = si_state_oracle(fs, m_original, raw_count=i % 5 == 0)
+            got = state_si(fs, m_original, raw_count=i % 5 == 0).values
+        if np.signbit(values[values == 0.0]).any():
+            # zeros of both signs (np.round makes -0.0): a zero may differ in sign
+            got, want = got + 0.0, want + 0.0
+            mixed_zeros += 1
+        assert got.tobytes() == want.tobytes(), (m, n)
+    assert mixed_zeros > 0
 
 
 # ---------------------------------------------------------------------------
