@@ -263,22 +263,23 @@ def train_autoencoder(
         raise ValueError("latent must be >= 1 and epochs >= 0")
     b, dim = data.shape
     rng = np.random.default_rng(seed)
-    nets, steps = [], []  # steps: (parameters, gradient buffer, gradient views, bounds)
+    nets, grads, steps = [], [], []
     for size_in, size_out in ((dim, latent), (latent, dim)):
         net = init_dense(size_in, hidden, size_out, HEAD_IDENTITY, rng)
         params, views, bounds = _flat((net.w1, net.b1, net.w2, net.b2))
-        flat, grads, _ = _flat(views)
+        flat, grad_views, _ = _flat(views)  # the gradient buffer, laid out as the parameters
         nets.append(DenseNet(*views, head=HEAD_IDENTITY))
-        steps.append((params, flat, Grads(*grads), bounds))
-    (encoder, decoder), (enc, dec) = nets, steps
+        grads.append(Grads(*grad_views))
+        steps.append((params, flat, bounds))
+    (encoder, decoder), (enc_grads, dec_grads) = nets, grads
     opt = OptimState(lr=lr)
     for _ in range(epochs):
         enc_z1, enc_a1, z = _dense_pass(encoder, data)
         dec_z1, dec_a1, recon = _dense_pass(decoder, z)
         upstream = 2.0 * (recon - data) / (b * dim)
-        dec_dz1 = _dense_grads(decoder, z, dec_z1, dec_a1, upstream, dec[2])
-        _dense_grads(encoder, data, enc_z1, enc_a1, dec_dz1 @ decoder.w1.T, enc[2])
-        for params, flat, _, bounds in (dec, enc):
+        dec_dz1 = _dense_grads(decoder, z, dec_z1, dec_a1, upstream, dec_grads)
+        _dense_grads(encoder, data, enc_z1, enc_a1, dec_dz1 @ decoder.w1.T, enc_grads)
+        for params, flat, bounds in steps:
             if not clip_step(params, flat, bounds, opt.lr, opt.clip_norm):
                 logger.warning(_SKIPPED)
     return encoder, decoder
