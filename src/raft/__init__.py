@@ -28,7 +28,7 @@ from .info_metrics import (
     mutual_information,
     pairwise_distance,
 )
-from .state_repr import EncoderKind, StateVector, concat_states, state_ae, state_gae, state_op, state_si
+from .state_repr import EncoderKind, state_ae, state_gae, state_op, state_si
 from .transform import OperationSet, cross_binary, dedup, generation_step, select_features
 from .cli import RunConfig, RunResult, run_search
 
@@ -47,14 +47,12 @@ __all__ = [
     "PairwiseDistanceKind",
     "RunConfig",
     "RunResult",
-    "StateVector",
     "Target",
     "TaskKind",
     "TrainConfig",
     "Transition",
     "Unary",
     "cluster_columns",
-    "concat_states",
     "cross_binary",
     "dedup",
     "discretize",

@@ -1,13 +1,15 @@
 """Cascading actor-critic agents: head group, operation, tail group, and the
 uniform-random control that makes the same choices without learning.
 
-The two cluster agents score a variable number of candidates by running a
-shared scalar-head network on concat(state prefix, candidate state) and
-softmaxing the scores; the operation agent is a fixed softmax head over the
-operation set.  Updates happen once per episode on that episode's transition
-batch: the critic descends the squared TD error and the actor ascends
+States are the encoder's 1-D float64 arrays.  The two cluster agents score a
+variable number of candidates by running a shared scalar-head network on
+concat(state prefix, candidate state) and softmaxing the scores; the operation
+agent is a fixed softmax head over the operation set.  Updates happen once per
+episode on that episode's transition batch: the critic descends the squared
+TD error, with the target r + gamma * V(S') held fixed, and the actor ascends
 log pi(a|S) * advantage + beta * entropy (the update negates the returned
-ascent objective).
+ascent objective).  Gradients are flat arrays in the layout of the nets'
+``params``; each agent's two nets take one ``sgd_step`` per episode.
 
 The search loop drives a policy through the same calls each step:
 ``choose_head``, ``choose_op``, ``choose_tail``, ``observe`` and, after the last
@@ -25,35 +27,23 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .dataset import FeatureSet
+from .dataset import DEFAULT_MAX_DEPTH, FeatureSet
 from .info_metrics import PairwiseDistanceKind
 from .neural_core import (
     HEAD_SCALAR,
     HEAD_SOFTMAX,
     DenseNet,
-    Grads,
-    OptimState,
     backward,
     derive_seed,
     forward,
-    grads_add,
-    grads_scale,
-    grads_zero,
     init_dense,
     log_softmax,
     logits as net_logits,
     sgd_step,
     softmax,
 )
-from .state_repr import (
-    EncoderConfig,
-    EncoderKind,
-    StateEncoder,
-    StateVector,
-    concat_states,
-    state_op,
-)
-from .transform import OperationSet
+from .state_repr import EncoderKind, StateEncoder, state_op
+from .transform import DEFAULT_CROSS_CAP, OperationSet
 
 logger = logging.getLogger(__name__)
 
@@ -64,7 +54,8 @@ class TrainConfig:
 
     Every field but ``op_set`` is also a ``raft run`` flag (``--max-size`` for
     ``max_size``) and a config-file key, and is echoed to ``config.echo`` in
-    this order; a field's ``help`` metadata is its flag's help text.
+    this order; a field's ``help`` metadata is its flag's help text.  A
+    number outside its range raises ValueError (the CLI's exit 2).
     """
 
     episodes: int = 30
@@ -81,31 +72,33 @@ class TrainConfig:
     actor_lr: float = 1e-3
     critic_lr: float = 1e-3
     hidden: int = 64
-    cross_cap: int = 64
-    max_lineage_depth: int = 6
+    cross_cap: int = DEFAULT_CROSS_CAP
+    max_lineage_depth: int = DEFAULT_MAX_DEPTH
     # None: min(16, ceil(sqrt(M)))
     bins: int | None = field(default=None, metadata={"help": "histogram bins for MI"})
     max_size: int | None = None  # None: twice the original column count
-    si_raw_count: bool = False
-    full_gradient_critic: bool = False
     carry_features: bool = False
     op_set: OperationSet = field(default_factory=OperationSet)
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.gamma <= 1.0:
             raise ValueError(f"gamma must be in [0, 1], got {self.gamma}")
-        if self.beta < 0.0:
-            raise ValueError(f"beta must be >= 0, got {self.beta}")
-        if self.episodes < 1 or self.steps < 1:
-            raise ValueError("episodes and steps must be >= 1")
+        lower = {"episodes": 1, "steps": 1, "k": 1, "d": 1, "hidden": 1, "cross_cap": 1,
+                 "bins": 1, "max_size": 1, "encoder_epochs": 0, "beta": 0.0,
+                 "max_lineage_depth": 2}  # an original column has depth 1
+        for name, low in lower.items():
+            value = getattr(self, name)
+            if value is not None and not value >= low:
+                raise ValueError(f"{name} must be >= {low}, got {value}")
+        for name in ("delta", "actor_lr", "critic_lr"):
+            if not getattr(self, name) > 0.0:
+                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
 
 
 @dataclass
 class AgentBundle:
     actor: DenseNet
     critic: DenseNet
-    actor_opt: OptimState
-    critic_opt: OptimState
 
 
 @dataclass
@@ -122,7 +115,6 @@ class Transition:
     action: int
     reward: float
     next_state: np.ndarray
-    log_prob: float
     candidate_inputs: np.ndarray | None = None
 
 
@@ -132,12 +124,8 @@ def make_bundles(state_len: int, n_ops: int, cfg: TrainConfig,
     length = state_len
 
     def bundle(actor_in: int, actor_out: int, head: str, critic_in: int) -> AgentBundle:
-        return AgentBundle(
-            actor=init_dense(actor_in, cfg.hidden, actor_out, head, rng),
-            critic=init_dense(critic_in, cfg.hidden, 1, HEAD_SCALAR, rng),
-            actor_opt=OptimState(lr=cfg.actor_lr),
-            critic_opt=OptimState(lr=cfg.critic_lr),
-        )
+        return AgentBundle(actor=init_dense(actor_in, cfg.hidden, actor_out, head, rng),
+                           critic=init_dense(critic_in, cfg.hidden, 1, HEAD_SCALAR, rng))
 
     head_agent = bundle(2 * length, 1, HEAD_SCALAR, length)
     op_agent = bundle(2 * length, n_ops, HEAD_SOFTMAX, 2 * length)
@@ -145,8 +133,8 @@ def make_bundles(state_len: int, n_ops: int, cfg: TrainConfig,
     return head_agent, op_agent, tail_agent
 
 
-def _candidate_rows(prefix: np.ndarray, candidates: Sequence[StateVector]) -> np.ndarray:
-    return np.stack([np.concatenate([prefix, c.values]) for c in candidates])
+def _candidate_rows(prefix: np.ndarray, candidates: Sequence[np.ndarray]) -> np.ndarray:
+    return np.stack([np.concatenate([prefix, c]) for c in candidates])
 
 
 def _actor_logits(actor: DenseNet, x: np.ndarray) -> np.ndarray:
@@ -155,48 +143,45 @@ def _actor_logits(actor: DenseNet, x: np.ndarray) -> np.ndarray:
     return net_logits(actor, x).reshape(-1)
 
 
-def _sample(logits: np.ndarray, rng: np.random.Generator) -> tuple[int, float, np.ndarray]:
+def _sample(logits: np.ndarray, rng: np.random.Generator) -> tuple[int, np.ndarray]:
+    """A sampled action and the softmax it was drawn from."""
     probs = softmax(logits)
-    action = int(rng.choice(probs.size, p=probs / probs.sum()))
-    log_prob = float(log_softmax(logits)[action])
-    return action, log_prob, probs
+    return int(rng.choice(probs.size, p=probs / probs.sum())), probs
 
 
 def select_head(
     agent: AgentBundle,
-    s_f: StateVector,
-    cluster_states: Sequence[StateVector],
+    s_f: np.ndarray,
+    cluster_states: Sequence[np.ndarray],
     rng: np.random.Generator,
-) -> tuple[int, float, np.ndarray, np.ndarray]:
+) -> tuple[int, np.ndarray, np.ndarray]:
     """Score each candidate group given the space state; sample the softmax.
     Also returns the candidate rows the actor scored."""
-    rows = _candidate_rows(s_f.values, cluster_states)
+    rows = _candidate_rows(s_f, cluster_states)
     return (*_sample(_actor_logits(agent.actor, rows), rng), rows)
 
 
 def select_op(
     agent: AgentBundle,
-    s_f: StateVector,
-    s_head: StateVector,
+    s_f: np.ndarray,
+    s_head: np.ndarray,
     op_set: OperationSet,
     rng: np.random.Generator,
-) -> tuple[int, float, np.ndarray]:
+) -> tuple[int, np.ndarray]:
     """Sample an operation from the softmax over the fixed set."""
-    state = concat_states([s_f, s_head]).values
-    return _sample(_actor_logits(agent.actor, state), rng)
+    return _sample(_actor_logits(agent.actor, np.concatenate([s_f, s_head])), rng)
 
 
 def select_tail(
     agent: AgentBundle,
-    s_f: StateVector,
-    s_head: StateVector,
-    s_op: StateVector,
-    cluster_states: Sequence[StateVector],
+    s_f: np.ndarray,
+    s_head: np.ndarray,
+    s_op: np.ndarray,
+    cluster_states: Sequence[np.ndarray],
     rng: np.random.Generator,
-) -> tuple[int, float, np.ndarray, np.ndarray]:
+) -> tuple[int, np.ndarray, np.ndarray]:
     """Like select_head with the longer (space + head + op) state prefix."""
-    prefix = concat_states([s_f, s_head, s_op]).values
-    rows = _candidate_rows(prefix, cluster_states)
+    rows = _candidate_rows(np.concatenate([s_f, s_head, s_op]), cluster_states)
     return (*_sample(_actor_logits(agent.actor, rows), rng), rows)
 
 
@@ -231,19 +216,19 @@ def advantage_and_losses(
     bundle: AgentBundle,
     gamma: float,
     beta: float,
-    full_gradient_critic: bool = False,
-) -> tuple[float, float, Grads, Grads]:
+) -> tuple[float, float, np.ndarray, np.ndarray]:
     """Batch losses and gradients for one agent.
 
-    Returns (critic loss, actor ascent objective, actor gradients of the
-    ascent objective, critic gradients of the descent loss).  The TD target
-    r + gamma * V(S') is gradient-stopped unless ``full_gradient_critic``.
+    Returns (critic loss, actor ascent objective, actor gradient of the
+    ascent objective, critic gradient of the descent loss), each gradient
+    flat in its net's layout.  The TD target r + gamma * V(S') is
+    gradient-stopped.
     """
     n = len(transitions)
     if n < 1:
         raise ValueError("need at least one transition")
-    critic_grads = grads_zero(bundle.critic)
-    actor_grads = grads_zero(bundle.actor)
+    critic_grads = np.zeros_like(bundle.critic.params)
+    actor_grads = np.zeros_like(bundle.actor.params)
     critic_loss = 0.0
     actor_objective = 0.0
     for t in transitions:
@@ -251,17 +236,11 @@ def advantage_and_losses(
         v_next = forward(bundle.critic, t.next_state)
         delta = t.reward + gamma * v_next - v_s
         critic_loss += delta * delta / n
-        g_s, _ = backward(bundle.critic, t.state, np.array([-2.0 * delta / n]))
-        critic_grads = grads_add(critic_grads, g_s)
-        if full_gradient_critic:
-            g_n, _ = backward(bundle.critic, t.next_state,
-                              np.array([2.0 * gamma * delta / n]))
-            critic_grads = grads_add(critic_grads, g_n)
+        critic_grads += backward(bundle.critic, t.state, np.array([-2.0 * delta / n]))[0]
         actor_in = t.state if t.candidate_inputs is None else t.candidate_inputs
         logit_vec = _actor_logits(bundle.actor, actor_in)
         dlogits, entropy = _actor_logit_grad(softmax(logit_vec), t.action, delta, beta)
-        g_a, _ = backward(bundle.actor, actor_in, dlogits / n)
-        actor_grads = grads_add(actor_grads, g_a)
+        actor_grads += backward(bundle.actor, actor_in, dlogits / n)[0]
         actor_objective += (float(log_softmax(logit_vec)[t.action]) * delta
                             + beta * entropy) / n
     return float(critic_loss), float(actor_objective), actor_grads, critic_grads
@@ -281,17 +260,16 @@ def update_agents(
             updated.append(bundle)
             continue
         critic_loss, actor_objective, actor_grads, critic_grads = advantage_and_losses(
-            transitions, bundle, cfg.gamma, cfg.beta, cfg.full_gradient_critic
-        )
+            transitions, bundle, cfg.gamma, cfg.beta)
         report[f"{name}_critic_loss"] = critic_loss
         report[f"{name}_actor_objective"] = actor_objective
         if not (math.isfinite(critic_loss) and math.isfinite(actor_objective)):
             logger.warning("non-finite loss for %s agent; skipping its update", name)
             updated.append(bundle)
             continue
-        critic = sgd_step(bundle.critic, critic_grads, bundle.critic_opt)
-        actor = sgd_step(bundle.actor, grads_scale(actor_grads, -1.0), bundle.actor_opt)
-        updated.append(AgentBundle(actor, critic, bundle.actor_opt, bundle.critic_opt))
+        critic = sgd_step(bundle.critic, critic_grads, cfg.critic_lr)
+        actor = sgd_step(bundle.actor, -actor_grads, cfg.actor_lr)
+        updated.append(AgentBundle(actor, critic))
     return (updated[0], updated[1], updated[2]), report
 
 
@@ -330,11 +308,8 @@ class ActorCriticPolicy:
     def __init__(self, cfg: TrainConfig, m_original: int, rng: np.random.Generator) -> None:
         self.cfg = cfg
         self.rng = rng
-        self.encoder = StateEncoder(
-            EncoderConfig(kind=cfg.encoder, k=cfg.k, d=cfg.d, epochs=cfg.encoder_epochs,
-                          seed=derive_seed(cfg.seed, "encoder"), raw_count=cfg.si_raw_count),
-            m_original=m_original,
-        )
+        self.encoder = StateEncoder(cfg.encoder, cfg.k, cfg.d, cfg.encoder_epochs,
+                                    derive_seed(cfg.seed, "encoder"), m_original)
         init_rng = np.random.default_rng(derive_seed(cfg.seed, "agent-init"))
         self.bundles = make_bundles(self.encoder.length, cfg.op_set.size, cfg, init_rng)
         self.batches: tuple[list[Transition], list[Transition], list[Transition]] = ([], [], [])
@@ -344,40 +319,38 @@ class ActorCriticPolicy:
         # the step's states and choices, read by its later calls
         self._s_f = self.encoder.encode(fs)
         self._groups = [self.encoder.encode(v) for v in views]
-        self._head, self._logp_head, _, self._head_rows = select_head(
-            self.bundles[0], self._s_f, self._groups, self.rng)
+        self._head, _, self._head_rows = select_head(self.bundles[0], self._s_f,
+                                                     self._groups, self.rng)
         return self._head
 
     def choose_op(self) -> int:
         op_set = self.cfg.op_set
-        self._op, self._logp_op, _ = select_op(self.bundles[1], self._s_f,
-                                               self._groups[self._head], op_set, self.rng)
+        self._op, _ = select_op(self.bundles[1], self._s_f, self._groups[self._head], op_set,
+                                self.rng)
         self._s_op = state_op(op_set.ops[self._op], op_set)
         return self._op
 
     def choose_tail(self, positions: Sequence[int]) -> int:
         tail_states = [self._groups[i] for i in positions]
-        pos, logp, _, rows = select_tail(self.bundles[2], self._s_f, self._groups[self._head],
-                                         self._s_op, tail_states, self.rng)
-        self._tail = (pos, logp, rows)
+        pos, _, rows = select_tail(self.bundles[2], self._s_f, self._groups[self._head],
+                                   self._s_op, tail_states, self.rng)
+        self._tail = (pos, rows)
         return positions[pos]
 
     def observe(self, fs_next: FeatureSet, r_head: float, r_op: float, r_tail: float) -> None:
         """Record the step's transitions, bootstrapping from the new space."""
-        s_f = self._s_f.values
-        s_next = self.encoder.encode(fs_next).values
-        s_head = self._groups[self._head].values
+        s_f = self._s_f
+        s_next = self.encoder.encode(fs_next)
+        s_head = self._groups[self._head]
         batch_head, batch_op, batch_tail = self.batches
-        batch_head.append(Transition(s_f, self._head, r_head, s_next, self._logp_head,
-                                     self._head_rows))
+        batch_head.append(Transition(s_f, self._head, r_head, s_next, self._head_rows))
         prefix_op = np.concatenate([s_f, s_head])
         prefix_op_next = np.concatenate([s_next, s_head])
-        batch_op.append(Transition(prefix_op, self._op, r_op, prefix_op_next, self._logp_op))
-        pos, logp, tail_rows = self._tail
-        prefix_tail = np.concatenate([prefix_op, self._s_op.values])
-        prefix_tail_next = np.concatenate([prefix_op_next, self._s_op.values])
-        batch_tail.append(Transition(prefix_tail, pos, r_tail, prefix_tail_next, logp,
-                                     tail_rows))
+        batch_op.append(Transition(prefix_op, self._op, r_op, prefix_op_next))
+        pos, tail_rows = self._tail
+        prefix_tail = np.concatenate([prefix_op, self._s_op])
+        prefix_tail_next = np.concatenate([prefix_op_next, self._s_op])
+        batch_tail.append(Transition(prefix_tail, pos, r_tail, prefix_tail_next, tail_rows))
         self.n_transitions += 3
 
     def end_episode(self) -> dict[str, float]:

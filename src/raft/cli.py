@@ -235,19 +235,10 @@ def write_trace(trace: list[TraceRow], path: Path) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _lineage_prefix(expr) -> str:
-    from .dataset import Binary, Ident, Unary
-
-    if isinstance(expr, Ident):
-        return expr.name
-    if isinstance(expr, Unary):
-        return f"({expr.op} {_lineage_prefix(expr.child)})"
-    return f"({expr.op} {_lineage_prefix(expr.left)} {_lineage_prefix(expr.right)})"
-
-
 def emit_report(result: RunResult, fs_star: FeatureSet, path: Path) -> None:
-    """Per-feature lineage and normalized importance share, plus the before /
-    after scores.  Shares come from forest impurity decreases and sum to 1."""
+    """Per-feature normalized importance share, plus the before / after
+    scores.  A feature's name is its rendered lineage (``parse_lineage`` gives
+    the tree back); shares come from forest impurity decreases and sum to 1."""
     train, _ = split_train_valid(fs_star, 0.8, result.split_seed)
     forest = fit_forest(train, ForestConfig(seed=result.forest_seed))
     shares = feature_importances(forest)
@@ -261,11 +252,11 @@ def emit_report(result: RunResult, fs_star: FeatureSet, path: Path) -> None:
         f"best_quality = {repr(float(result.best_u))}",
         f"n_features = {fs_star.n_cols}",
         "",
-        "name\tlineage_tree\timportance_share\torigin",
+        "name\timportance_share\torigin",
     ]
     for meta, share in zip(fs_star.columns, shares):
         origin = "original" if meta.is_original else "generated"
-        lines.append(f"{meta.name}\t{_lineage_prefix(meta.lineage)}\t{repr(float(share))}\t{origin}")
+        lines.append(f"{meta.name}\t{repr(float(share))}\t{origin}")
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

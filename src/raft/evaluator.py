@@ -26,7 +26,7 @@ flat per-node arrays, and `predict` sends every (tree, row) pair down at once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -1,11 +1,14 @@
 """Two-layer dense networks with handwritten gradients, the graph
 convolution's weight and adjacency, and the autoencoder trainer.
 
-Networks are immutable values; ``sgd_step`` returns an updated copy.  Every
-gradient step goes through ``clip_step`` on flat buffers.  For softmax heads,
-``backward`` expects the upstream gradient with respect to the *logits* (every
-softmax loss used here has a closed-form logit gradient, e.g. probs - onehot
-for negative log-likelihood).
+A ``DenseNet`` keeps its parameters in one flat buffer, ``params``, laid out
+as w1, b1, w2, b2; its four weight attributes are views into it.  A gradient
+is a flat array in the same layout.  Networks are immutable values:
+``sgd_step`` returns an updated copy.  Every gradient step goes through
+``clip_step`` under the one ``CLIP_NORM``.  For softmax heads, ``backward``
+expects the upstream gradient with respect to the *logits* (every softmax loss
+used here has a closed-form logit gradient, e.g. probs - onehot for negative
+log-likelihood).
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from __future__ import annotations
 import hashlib
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from itertools import accumulate
 from typing import Sequence
 
@@ -22,6 +25,7 @@ import numpy as np
 logger = logging.getLogger(__name__)
 _SKIPPED = "non-finite gradient after clipping; parameters left unchanged"
 
+CLIP_NORM = 5.0  # every gradient step's joint L2 norm is clipped to this
 HEAD_SOFTMAX = "softmax"
 HEAD_SCALAR = "scalar"
 HEAD_IDENTITY = "identity"
@@ -38,44 +42,36 @@ def derive_seed(base: int, salt: str) -> int:
     return int.from_bytes(digest, "big") >> 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DenseNet:
-    w1: np.ndarray
-    b1: np.ndarray
-    w2: np.ndarray
-    b2: np.ndarray
+    """ReLU(x @ w1 + b1) @ w2 + b2 under ``head``; ``w1``, ``b1``, ``w2`` and
+    ``b2`` view the flat ``params``, which ``bounds`` splits."""
+
+    params: np.ndarray
+    in_size: int
+    hidden: int
+    out_size: int
     head: str
-
-    @property
-    def in_size(self) -> int:
-        return self.w1.shape[0]
-
-    @property
-    def out_size(self) -> int:
-        return self.w2.shape[1]
-
-
-@dataclass(frozen=True)
-class Grads:
-    w1: np.ndarray
-    b1: np.ndarray
-    w2: np.ndarray
-    b2: np.ndarray
-
-
-@dataclass
-class OptimState:
-    lr: float = 1e-3
-    clip_norm: float = 5.0
+    w1: np.ndarray = field(init=False, repr=False)
+    b1: np.ndarray = field(init=False, repr=False)
+    w2: np.ndarray = field(init=False, repr=False)
+    b2: np.ndarray = field(init=False, repr=False)
+    bounds: tuple[int, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.lr <= 0.0:
-            raise ValueError(f"learning rate must be positive, got {self.lr}")
+        h = self.hidden
+        sizes = (self.in_size * h, h, h * self.out_size, self.out_size)
+        object.__setattr__(self, "bounds", tuple(accumulate(sizes, initial=0)))
+        if self.params.shape != (self.bounds[-1],):
+            raise ValueError(f"{self.params.shape} parameters do not fit the layer sizes")
+        for name, view in zip(("w1", "b1", "w2", "b2"), self.split(self.params)):
+            object.__setattr__(self, name, view)
 
-
-@dataclass(frozen=True)
-class GcnLayer:
-    w: np.ndarray
+    def split(self, flat: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Views of a flat buffer in this layout, shaped like w1, b1, w2, b2."""
+        _, i, j, k, _ = self.bounds
+        return (flat[:i].reshape(self.in_size, self.hidden), flat[i:j],
+                flat[j:k].reshape(self.hidden, self.out_size), flat[k:])
 
 
 def _fan_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
@@ -89,12 +85,15 @@ def init_dense(in_size: int, hidden: int, out_size: int, head: str,
         raise ValueError(f"unknown head {head!r}")
     if head == HEAD_SCALAR and out_size != 1:
         raise ValueError("scalar head requires out_size == 1")
-    return DenseNet(_fan_uniform(rng, in_size, hidden), np.zeros(hidden),
-                    _fan_uniform(rng, hidden, out_size), np.zeros(out_size), head)
+    w1 = _fan_uniform(rng, in_size, hidden)
+    w2 = _fan_uniform(rng, hidden, out_size)
+    params = np.concatenate([w1.ravel(), np.zeros(hidden), w2.ravel(), np.zeros(out_size)])
+    return DenseNet(params, in_size, hidden, out_size, head)
 
 
-def init_gcn(in_size: int, k: int, rng: np.random.Generator) -> GcnLayer:
-    return GcnLayer(w=_fan_uniform(rng, in_size, k))
+def init_gcn(in_size: int, k: int, rng: np.random.Generator) -> np.ndarray:
+    """The graph convolution's (in_size, k) weight."""
+    return _fan_uniform(rng, in_size, k)
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -116,14 +115,16 @@ def _dense_pass(net: DenseNet, x2: np.ndarray):
 
 
 def _dense_grads(net: DenseNet, x2: np.ndarray, z1: np.ndarray, a1: np.ndarray,
-                 up: np.ndarray, out: Grads) -> np.ndarray:
-    """Writes the batch-summed parameter gradients into ``out``; returns the
+                 up: np.ndarray, out: Sequence[np.ndarray]) -> np.ndarray:
+    """Writes the batch-summed parameter gradients into ``out``, views shaped
+    like w1, b1, w2, b2 (``net.split`` of a gradient buffer); returns the
     pre-activation gradient."""
+    w1, b1, w2, b2 = out
     dz1 = (up @ net.w2.T) * (z1 > 0.0)
-    np.matmul(x2.T, dz1, out=out.w1)
-    np.add.reduce(dz1, axis=0, out=out.b1)  # np.sum without its Python wrapper
-    np.matmul(a1.T, up, out=out.w2)
-    np.add.reduce(up, axis=0, out=out.b2)
+    np.matmul(x2.T, dz1, out=w1)
+    np.add.reduce(dz1, axis=0, out=b1)  # np.sum without its Python wrapper
+    np.matmul(a1.T, up, out=w2)
+    np.add.reduce(up, axis=0, out=b2)
     return dz1
 
 
@@ -153,8 +154,9 @@ def forward(net: DenseNet, x: np.ndarray):
     return z2
 
 
-def backward(net: DenseNet, x: np.ndarray, upstream) -> tuple[Grads, np.ndarray]:
-    """Exact reverse-mode gradients of the two-layer composition.
+def backward(net: DenseNet, x: np.ndarray, upstream) -> tuple[np.ndarray, np.ndarray]:
+    """Exact reverse-mode gradients of the two-layer composition: the flat
+    parameter gradient, in the layout of ``net.params``, and the input gradient.
 
     ``upstream`` is the loss gradient w.r.t. the second affine output (the
     logits, for softmax heads).  Batched inputs return parameter gradients
@@ -172,44 +174,24 @@ def backward(net: DenseNet, x: np.ndarray, upstream) -> tuple[Grads, np.ndarray]
     if x2.shape[0] != up.shape[0] or up.shape[1] != net.out_size:
         raise ValueError("upstream gradient shape does not match the forward output")
     z1, a1, _ = _dense_pass(net, x2)
-    grads = Grads(*(np.empty_like(p) for p in (net.w1, net.b1, net.w2, net.b2)))
-    dz1 = _dense_grads(net, x2, z1, a1, up, grads)
+    grads = np.empty_like(net.params)
+    dz1 = _dense_grads(net, x2, z1, a1, up, net.split(grads))
     dx = dz1 @ net.w1.T
     return grads, (dx[0] if single else dx)
 
 
-def grads_scale(grads: Grads, factor: float) -> Grads:
-    return Grads(grads.w1 * factor, grads.b1 * factor, grads.w2 * factor, grads.b2 * factor)
-
-
-def grads_add(a: Grads, b: Grads) -> Grads:
-    return Grads(a.w1 + b.w1, a.b1 + b.b1, a.w2 + b.w2, a.b2 + b.b2)
-
-
-def grads_zero(net: DenseNet) -> Grads:
-    return Grads(*(np.zeros_like(p) for p in (net.w1, net.b1, net.w2, net.b2)))
-
-
-def _flat(arrays: Sequence[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray], tuple[int, ...]]:
-    """One flat copy of the arrays, views into it shaped like them, and the offsets."""
-    bounds = tuple(accumulate((a.size for a in arrays), initial=0))
-    flat = np.concatenate([a.ravel() for a in arrays])
-    views = [flat[lo:hi].reshape(a.shape) for lo, hi, a in zip(bounds, bounds[1:], arrays)]
-    return flat, views, bounds
-
-
-def clip_step(params: np.ndarray, grads: np.ndarray, bounds: Sequence[int], lr: float,
-              clip: float) -> bool:
+def clip_step(params: np.ndarray, grads: np.ndarray, bounds: Sequence[int], lr: float) -> bool:
     """params -= lr * clip(grads) in place on flat buffers (``grads`` is
-    overwritten), the squared norm adding each ``bounds`` slice's sum left to
-    right.  Returns False, with ``params`` unchanged, on a non-finite step."""
+    overwritten), clipped to a joint norm of ``CLIP_NORM``, the squared norm
+    adding each ``bounds`` slice's sum left to right.  Returns False, with
+    ``params`` unchanged, on a non-finite step."""
     sq = grads * grads
     total = 0.0
     for lo, hi in zip(bounds, bounds[1:]):
         total += float(np.add.reduce(sq[lo:hi]))
     norm = math.sqrt(total)
-    if norm > clip and norm > 0.0:
-        grads *= clip / norm
+    if norm > CLIP_NORM:
+        grads *= CLIP_NORM / norm
     # a finite norm bounds every entry, so only a non-finite one (NaN, or an
     # overflow that may have clipped finite entries to zero) needs the scan
     if not math.isfinite(norm) and not np.all(np.isfinite(grads)):
@@ -219,14 +201,15 @@ def clip_step(params: np.ndarray, grads: np.ndarray, bounds: Sequence[int], lr: 
     return True
 
 
-def sgd_step(net: DenseNet, grads: Grads, opt: OptimState) -> DenseNet:
-    """theta <- theta - lr * clip(g); skips the update on non-finite gradients."""
-    params, views, bounds = _flat((net.w1, net.b1, net.w2, net.b2))
-    flat = _flat((grads.w1, grads.b1, grads.w2, grads.b2))[0]
-    if not clip_step(params, flat, bounds, opt.lr, opt.clip_norm):
+def sgd_step(net: DenseNet, grads: np.ndarray, lr: float) -> DenseNet:
+    """theta <- theta - lr * clip(g) by ``clip_step`` on a copy of the
+    parameters (``grads``, flat in their layout, is overwritten); returns
+    ``net`` itself, with a warning, on a non-finite step."""
+    params = net.params.copy()
+    if not clip_step(params, grads, net.bounds, lr):
         logger.warning(_SKIPPED)
         return net
-    return DenseNet(*views, head=net.head)
+    return replace(net, params=params)
 
 
 # ---------------------------------------------------------------------------
@@ -251,35 +234,31 @@ def train_autoencoder(
     latent: int,
     epochs: int,
     seed: int,
+    lr: float,
     hidden: int = 32,
-    lr: float = 1e-3,
 ) -> tuple[DenseNet, DenseNet]:
     """Full-batch gradient descent on mean-squared reconstruction of the rows;
     returns (encoder, decoder), the untouched random nets when epochs=0.  An
-    epoch makes one forward pass, writes the gradients in place and takes one
-    ``clip_step`` per net, on flat buffers that the nets' arrays view."""
+    epoch makes one forward pass, writes the gradients in place into one flat
+    buffer per net and takes one ``clip_step`` per net on its ``params``."""
     data = np.atleast_2d(np.asarray(data, dtype=np.float64))
     if latent < 1 or epochs < 0:
         raise ValueError("latent must be >= 1 and epochs >= 0")
     b, dim = data.shape
     rng = np.random.default_rng(seed)
-    nets, grads, steps = [], [], []
-    for size_in, size_out in ((dim, latent), (latent, dim)):
-        net = init_dense(size_in, hidden, size_out, HEAD_IDENTITY, rng)
-        params, views, bounds = _flat((net.w1, net.b1, net.w2, net.b2))
-        flat, grad_views, _ = _flat(views)  # the gradient buffer, laid out as the parameters
-        nets.append(DenseNet(*views, head=HEAD_IDENTITY))
-        grads.append(Grads(*grad_views))
-        steps.append((params, flat, bounds))
-    (encoder, decoder), (enc_grads, dec_grads) = nets, grads
-    opt = OptimState(lr=lr)
+    encoder = init_dense(dim, hidden, latent, HEAD_IDENTITY, rng)
+    decoder = init_dense(latent, hidden, dim, HEAD_IDENTITY, rng)
+    enc_flat, dec_flat = np.empty_like(encoder.params), np.empty_like(decoder.params)
+    # built once per call: rebuilding the views every epoch is a measurable
+    # share of an AE miss, which is many small-array steps
+    enc_grads, dec_grads = encoder.split(enc_flat), decoder.split(dec_flat)
     for _ in range(epochs):
         enc_z1, enc_a1, z = _dense_pass(encoder, data)
         dec_z1, dec_a1, recon = _dense_pass(decoder, z)
         upstream = 2.0 * (recon - data) / (b * dim)
         dec_dz1 = _dense_grads(decoder, z, dec_z1, dec_a1, upstream, dec_grads)
         _dense_grads(encoder, data, enc_z1, enc_a1, dec_dz1 @ decoder.w1.T, enc_grads)
-        for params, flat, bounds in steps:
-            if not clip_step(params, flat, bounds, opt.lr, opt.clip_norm):
+        for net, flat in ((encoder, enc_flat), (decoder, dec_flat)):
+            if not clip_step(net.params, flat, net.bounds, lr):
                 logger.warning(_SKIPPED)
     return encoder, decoder

@@ -3,12 +3,12 @@
 Three encoders: two-stage descriptive statistics (length 49), a two-stage
 column/row autoencoder over fixed-length column summaries (length k*d), and a
 graph autoencoder over the column correlation graph (length k).  Combinations
-concatenate the parts.  Output length never depends on the matrix shape.
+concatenate the parts.  Output length never depends on the matrix shape.  A
+state is a read-only, finite, 1-D float64 array.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -20,26 +20,8 @@ from .neural_core import (clip_step, derive_seed, forward, init_gcn, normalized_
 SI_LENGTH = 49
 SUMMARY_QUANTILES = 64  # per-column input length of the column autoencoder
 _STATE_CLAMP = 1e30
-_GAE_CLIP_NORM = 5.0
-_AE_LR = 1e-2
+_AE_LR = 1e-2  # the learning rate of the AE's and the GAE's training
 _QUARTILES = np.array([0.25, 0.5, 0.75])
-
-
-@dataclass(frozen=True)
-class StateVector:
-    values: np.ndarray
-    encoder_tag: str
-
-    def __post_init__(self) -> None:
-        vals = np.asarray(self.values, dtype=np.float64)
-        if vals.ndim != 1:
-            raise ValueError("state vectors are 1-D")
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("state vectors must be finite")
-        object.__setattr__(self, "values", vals)
-
-    def __len__(self) -> int:
-        return self.values.size
 
 
 class EncoderKind(Enum):
@@ -65,11 +47,16 @@ class EncoderKind(Enum):
         raise ValueError(f"unknown encoder kind {text!r}")
 
 
+def _read_only(vec: np.ndarray) -> np.ndarray:
+    vec.flags.writeable = False
+    return vec
+
+
 def _finite(vec: np.ndarray) -> np.ndarray:
-    # degenerate magnitudes (e.g. untrained nets on huge inputs) are clamped so
-    # the StateVector finiteness invariant always holds
-    return np.clip(np.nan_to_num(vec, nan=0.0, posinf=_STATE_CLAMP, neginf=-_STATE_CLAMP),
-                   -_STATE_CLAMP, _STATE_CLAMP)
+    """A read-only state: degenerate magnitudes (e.g. untrained nets on huge
+    inputs) are clamped, so every state is finite."""
+    vec = np.nan_to_num(vec, nan=0.0, posinf=_STATE_CLAMP, neginf=-_STATE_CLAMP)
+    return _read_only(np.clip(vec, -_STATE_CLAMP, _STATE_CLAMP))
 
 
 def _population_std(mat: np.ndarray, axis: int) -> np.ndarray:
@@ -85,8 +72,8 @@ def _seven_stats(mat: np.ndarray, axis: int, count_scale: float) -> np.ndarray:
     """Stack of (count, std, min, max, q1, q2, q3) along the given axis.
 
     Returns shape (7, n) where n is the size of the other axis.  The count is
-    divided by ``count_scale`` (pass 1.0 for raw counts); quartiles use linear
-    interpolation (``linear_quantiles``) and std is the population std.
+    divided by ``count_scale``; quartiles use linear interpolation
+    (``linear_quantiles``) and std is the population std.
     """
     count = np.full(mat.shape[1 - axis], mat.shape[axis] / count_scale, dtype=np.float64)
     q1, q2, q3 = linear_quantiles(np.sort(mat, axis=axis), _QUARTILES, axis)
@@ -94,17 +81,16 @@ def _seven_stats(mat: np.ndarray, axis: int, count_scale: float) -> np.ndarray:
                      q1, q2, q3])
 
 
-def state_si(fs: FeatureSet, m_original: int | None = None, raw_count: bool = False) -> StateVector:
+def state_si(fs: FeatureSet, m_original: int | None = None) -> np.ndarray:
     """Two-stage descriptive statistics, flattened to length 49.
 
     Stage 1 summarizes each column; stage 2 summarizes each of the seven
     stage-1 rows.  Counts are normalized by the original sample count so the
-    vector stays O(1) as the feature space grows (``raw_count`` restores raw
-    counts)."""
-    scale = 1.0 if raw_count else float(m_original if m_original is not None else fs.n_rows)
+    vector stays O(1) as the feature space grows."""
+    scale = float(m_original if m_original is not None else fs.n_rows)
     col_stats = _seven_stats(fs.values, axis=0, count_scale=scale)
     meta = _seven_stats(col_stats, axis=1, count_scale=scale).T
-    return StateVector(_finite(meta.reshape(-1)), "si")
+    return _finite(meta.reshape(-1))
 
 
 def column_summary(values: np.ndarray) -> np.ndarray:
@@ -125,17 +111,17 @@ def column_summary(values: np.ndarray) -> np.ndarray:
     return (dev / np.where(spread > 0.0, spread, 1.0)).T
 
 
-def state_ae(fs: FeatureSet, k: int, d: int, epochs: int, seed: int) -> StateVector:
+def state_ae(fs: FeatureSet, k: int, d: int, epochs: int, seed: int) -> np.ndarray:
     """Column autoencoder (``column_summary`` -> k per column) then row
     autoencoder (N -> d per latent row), flattened to length k*d."""
     if k < 1 or d < 1:
         raise ValueError("latent dims must be >= 1")
     summary = column_summary(fs.values)  # N samples of dimension SUMMARY_QUANTILES
-    enc1, _ = train_autoencoder(summary, k, epochs, derive_seed(seed, "ae-cols"), lr=_AE_LR)
+    enc1, _ = train_autoencoder(summary, k, epochs, derive_seed(seed, "ae-cols"), _AE_LR)
     z = np.atleast_2d(forward(enc1, summary)).T  # k x N
-    enc2, _ = train_autoencoder(z, d, epochs, derive_seed(seed, "ae-rows"), lr=_AE_LR)
+    enc2, _ = train_autoencoder(z, d, epochs, derive_seed(seed, "ae-rows"), _AE_LR)
     z2 = np.atleast_2d(forward(enc2, z))  # k x d
-    return StateVector(_finite(z2.reshape(-1)), "ae")
+    return _finite(z2.reshape(-1))
 
 
 def correlation_adjacency(values: np.ndarray) -> np.ndarray:
@@ -177,13 +163,7 @@ def gae_layer_grad(adj: np.ndarray, prop: np.ndarray, w: np.ndarray) -> np.ndarr
     return prop.T @ (dz * (pre > 0.0))
 
 
-def state_gae(
-    fs: FeatureSet,
-    k: int,
-    epochs: int,
-    seed: int,
-    lr: float = 1e-2,
-) -> StateVector:
+def state_gae(fs: FeatureSet, k: int, epochs: int, seed: int) -> np.ndarray:
     """One-layer graph convolution over the standardized columns and their
     correlation graph, trained to reconstruct the adjacency through an
     inner-product decoder; the state is the mean over node embeddings
@@ -192,76 +172,51 @@ def state_gae(
         raise ValueError("k must be >= 1")
     adj = correlation_adjacency(fs.values)
     prop = normalized_adjacency(adj) @ _standardize_columns(fs.values).T
-    flat = init_gcn(fs.n_rows, k, np.random.default_rng(derive_seed(seed, "gae"))).w.ravel()
+    flat = init_gcn(fs.n_rows, k, np.random.default_rng(derive_seed(seed, "gae"))).ravel()
     w = flat.reshape(fs.n_rows, k)  # a view: clip_step updates w through flat
     for _ in range(epochs):
-        if not clip_step(flat, gae_layer_grad(adj, prop, w).ravel(), (0, flat.size), lr,
-                         _GAE_CLIP_NORM):
+        if not clip_step(flat, gae_layer_grad(adj, prop, w).ravel(), (0, flat.size), _AE_LR):
             break
     z = np.maximum(prop @ w, 0.0)
-    return StateVector(_finite(z.mean(axis=0)), "gae")
+    return _finite(z.mean(axis=0))
 
 
-def state_op(op: str, op_set) -> StateVector:
+def state_op(op: str, op_set) -> np.ndarray:
     """One-hot encoding of an operation under the set's fixed order."""
     vec = np.zeros(op_set.size, dtype=np.float64)
     vec[op_set.index(op)] = 1.0
-    return StateVector(vec, "op")
-
-
-def concat_states(parts: list[StateVector]) -> StateVector:
-    if not parts:
-        raise ValueError("need at least one state vector")
-    if len(parts) == 1:
-        return parts[0]
-    return StateVector(np.concatenate([p.values for p in parts]),
-                       "+".join(p.encoder_tag for p in parts))
-
-
-@dataclass(frozen=True)
-class EncoderConfig:
-    kind: EncoderKind = EncoderKind.SI
-    k: int = 8
-    d: int = 8
-    epochs: int = 20
-    seed: int = 0
-    raw_count: bool = False
-
-
-def encoder_length(cfg: EncoderConfig) -> int:
-    sizes = {"si": SI_LENGTH, "ae": cfg.k * cfg.d, "gae": cfg.k}
-    return sum(sizes[part] for part in cfg.kind.parts)
+    return _read_only(vec)
 
 
 class StateEncoder:
-    """Applies the configured encoder combination with content-hash caching.
+    """Applies an encoder combination with content-hash caching; a combined
+    state concatenates its parts in ``kind.parts`` order.
 
-    Deterministic for a fixed config: encoder training seeds depend only on
-    the config seed and the encoder part, so identical feature sets always
-    encode identically within and across runs.
+    Deterministic for fixed arguments: encoder training seeds depend only on
+    ``seed`` and the encoder part, so identical feature sets always encode
+    identically within and across runs.
     """
 
-    def __init__(self, cfg: EncoderConfig, m_original: int) -> None:
-        self.cfg = cfg
+    def __init__(self, kind: EncoderKind, k: int, d: int, epochs: int, seed: int,
+                 m_original: int) -> None:
+        self.kind, self.k, self.d, self.epochs, self.seed = kind, k, d, epochs, seed
         self.m_original = m_original
+        sizes = {"si": SI_LENGTH, "ae": k * d, "gae": k}
+        self.length = sum(sizes[part] for part in kind.parts)
         self._cache: dict[bytes, np.ndarray] = {}
 
-    @property
-    def length(self) -> int:
-        return encoder_length(self.cfg)
-
-    def encode(self, fs: FeatureSet) -> StateVector:
+    def encode(self, fs: FeatureSet) -> np.ndarray:
         key = fs.key
         if key not in self._cache:
             parts = []
-            for part in self.cfg.kind.parts:
+            for part in self.kind.parts:
                 if part == "si":
-                    parts.append(state_si(fs, self.m_original, self.cfg.raw_count))
+                    parts.append(state_si(fs, self.m_original))
                 elif part == "ae":
-                    parts.append(state_ae(fs, self.cfg.k, self.cfg.d, self.cfg.epochs,
-                                          derive_seed(self.cfg.seed, "ae")))
+                    parts.append(state_ae(fs, self.k, self.d, self.epochs,
+                                          derive_seed(self.seed, "ae")))
                 else:
-                    parts.append(state_gae(fs, self.cfg.k, self.cfg.epochs,
-                                           derive_seed(self.cfg.seed, "gae")))
-            self._cache[key] = concat_states(parts).values
-        return StateVector(self._cache[key], self.cfg.kind.value)
+                    parts.append(state_gae(fs, self.k, self.epochs,
+                                           derive_seed(self.seed, "gae")))
+            self._cache[key] = _read_only(np.concatenate(parts))
+        return self._cache[key]

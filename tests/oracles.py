@@ -13,7 +13,7 @@ import numpy as np
 from raft.dataset import FeatureSet, TaskKind
 from raft.evaluator import MAX_BINS, ForestConfig
 from raft.info_metrics import PairwiseDistanceKind, as_labels, content_hash
-from raft.neural_core import (HEAD_IDENTITY, DenseNet, GcnLayer, Grads, derive_seed, init_dense,
+from raft.neural_core import (HEAD_IDENTITY, HEAD_SCALAR, DenseNet, derive_seed, init_dense,
                               init_gcn)
 from raft.state_repr import _finite, _population_std, _standardize_columns, correlation_adjacency
 from raft.transform import GeneratedBatch
@@ -584,8 +584,7 @@ def forest_predict_oracle(trees: list, x: np.ndarray, classification: bool) -> n
 # encoders (frozen copies of the code before the lean rewrites)
 # ---------------------------------------------------------------------------
 
-def si_state_oracle(fs: FeatureSet, m_original: int | None = None,
-                    raw_count: bool = False) -> np.ndarray:
+def si_state_oracle(fs: FeatureSet, m_original: int | None = None) -> np.ndarray:
     """``state_si`` as it was before ``linear_quantiles``: each stage's
     quartiles from one ``np.quantile`` call."""
     def seven_stats(mat, axis, count_scale):
@@ -594,7 +593,7 @@ def si_state_oracle(fs: FeatureSet, m_original: int | None = None,
         return np.stack([count, _population_std(mat, axis), mat.min(axis=axis),
                          mat.max(axis=axis), q1, q2, q3])
 
-    scale = 1.0 if raw_count else float(m_original if m_original is not None else fs.n_rows)
+    scale = float(m_original if m_original is not None else fs.n_rows)
     meta = seven_stats(seven_stats(fs.values, 0, scale), 1, scale).T
     return _finite(meta.reshape(-1))
 
@@ -626,7 +625,7 @@ def gae_reconstruction_loss(adj: np.ndarray, z: np.ndarray) -> float:
     return float(loss.mean())
 
 
-def gcn_forward(adj: np.ndarray, feats: np.ndarray, layer: GcnLayer) -> np.ndarray:
+def gcn_forward(adj: np.ndarray, feats: np.ndarray, w: np.ndarray) -> np.ndarray:
     """ReLU(D^-1/2 A D^-1/2 X W) for a symmetric nonnegative adjacency with
     self-loops (all degrees must be positive)."""
     adj = np.asarray(adj, dtype=np.float64)
@@ -641,7 +640,7 @@ def gcn_forward(adj: np.ndarray, feats: np.ndarray, layer: GcnLayer) -> np.ndarr
     if np.any(deg <= 0.0):
         raise ValueError("every node needs positive degree (add self-loops)")
     dinv = 1.0 / np.sqrt(deg)
-    return np.maximum((adj * dinv[:, None] * dinv[None, :]) @ feats @ layer.w, 0.0)
+    return np.maximum((adj * dinv[:, None] * dinv[None, :]) @ feats @ w, 0.0)
 
 
 def _dense_backward_oracle(net: DenseNet, x: np.ndarray, up: np.ndarray):
@@ -664,8 +663,8 @@ def sgd_oracle(net: DenseNet, grads, lr: float, clip: float = 5.0) -> DenseNet:
     if not all(np.all(np.isfinite(g)) for g in grads):
         return net
     w1, b1, w2, b2 = grads
-    return replace(net, w1=net.w1 - lr * w1, b1=net.b1 - lr * b1,
-                   w2=net.w2 - lr * w2, b2=net.b2 - lr * b2)
+    return net_of(net.w1 - lr * w1, net.b1 - lr * b1, net.w2 - lr * w2, net.b2 - lr * b2,
+                  net.head)
 
 
 def autoencoder_oracle(data: np.ndarray, latent: int, epochs: int, seed: int,
@@ -701,7 +700,7 @@ def gae_state_oracle(fs: FeatureSet, k: int, epochs: int, seed: int,
 
     adj = correlation_adjacency(fs.values)
     feats = _standardize_columns(fs.values).T
-    w = init_gcn(fs.n_rows, k, np.random.default_rng(derive_seed(seed, "gae"))).w
+    w = init_gcn(fs.n_rows, k, np.random.default_rng(derive_seed(seed, "gae")))
     n = adj.shape[0]
     for _ in range(epochs):
         prop = propagate(adj, feats)
@@ -719,42 +718,117 @@ def gae_state_oracle(fs: FeatureSet, k: int, epochs: int, seed: int,
 
 
 # ---------------------------------------------------------------------------
+# agent update (a frozen copy of the update on per-array gradient tuples)
+# ---------------------------------------------------------------------------
+
+def _oracle_logits(net: DenseNet, x: np.ndarray) -> np.ndarray:
+    x2 = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    return np.maximum(x2 @ net.w1 + net.b1, 0.0) @ net.w2 + net.b2
+
+
+def _oracle_softmax(logits: np.ndarray) -> np.ndarray:
+    z = logits - np.max(logits, axis=-1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _oracle_log_softmax(logits: np.ndarray) -> np.ndarray:
+    z = logits - np.max(logits, axis=-1, keepdims=True)
+    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+
+
+def _oracle_param_grads(net: DenseNet, x: np.ndarray, up: np.ndarray) -> tuple:
+    x2 = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    return _dense_backward_oracle(net, x2, up.reshape(x2.shape[0], -1))[0]
+
+
+def _grads_add(a: tuple, b: tuple) -> tuple:
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def advantage_and_losses_oracle(transitions, actor: DenseNet, critic: DenseNet, gamma: float,
+                                beta: float):
+    """(critic loss, actor objective, actor grads, critic grads), the grads as
+    (w1, b1, w2, b2) tuples summed one transition at a time."""
+    n = len(transitions)
+    critic_grads = tuple(np.zeros_like(a) for a in (critic.w1, critic.b1, critic.w2, critic.b2))
+    actor_grads = tuple(np.zeros_like(a) for a in (actor.w1, actor.b1, actor.w2, actor.b2))
+    critic_loss = 0.0
+    actor_objective = 0.0
+    for t in transitions:
+        v_s = float(_oracle_logits(critic, t.state)[0, 0])
+        v_next = float(_oracle_logits(critic, t.next_state)[0, 0])
+        delta = t.reward + gamma * v_next - v_s
+        critic_loss += delta * delta / n
+        critic_grads = _grads_add(critic_grads, _oracle_param_grads(
+            critic, t.state, np.array([-2.0 * delta / n])))
+        actor_in = t.state if t.candidate_inputs is None else t.candidate_inputs
+        logit_vec = _oracle_logits(actor, actor_in)
+        logit_vec = logit_vec[0] if actor.head != HEAD_SCALAR else logit_vec.reshape(-1)
+        probs = _oracle_softmax(logit_vec)
+        onehot = np.zeros_like(probs)
+        onehot[t.action] = 1.0
+        with np.errstate(divide="ignore"):
+            logp = np.where(probs > 0.0, np.log(probs), 0.0)
+        entropy = -float(np.sum(probs * logp))
+        dlogits = (onehot - probs) * delta + beta * (-probs * (logp + entropy))
+        actor_grads = _grads_add(actor_grads, _oracle_param_grads(actor, actor_in, dlogits / n))
+        actor_objective += (float(_oracle_log_softmax(logit_vec)[t.action]) * delta
+                            + beta * entropy) / n
+    return float(critic_loss), float(actor_objective), actor_grads, critic_grads
+
+
+def update_agents_oracle(nets, episode, gamma: float, beta: float, actor_lr: float,
+                         critic_lr: float):
+    """One ``sgd_oracle`` step per net of each (actor, critic) pair on its
+    batch; an empty batch or a non-finite loss leaves the pair as it is.
+    Returns the pairs and the losses."""
+    updated, report = [], {}
+    for name, (actor, critic), transitions in zip(("head", "op", "tail"), nets, episode):
+        if not transitions:
+            updated.append((actor, critic))
+            continue
+        critic_loss, actor_objective, actor_grads, critic_grads = advantage_and_losses_oracle(
+            transitions, actor, critic, gamma, beta)
+        report[f"{name}_critic_loss"] = critic_loss
+        report[f"{name}_actor_objective"] = actor_objective
+        if not (math.isfinite(critic_loss) and math.isfinite(actor_objective)):
+            updated.append((actor, critic))
+            continue
+        updated.append((sgd_oracle(actor, tuple(-g for g in actor_grads), actor_lr),
+                        sgd_oracle(critic, critic_grads, critic_lr)))
+    return updated, report
+
+
+# ---------------------------------------------------------------------------
 # finite differences for network gradients
 # ---------------------------------------------------------------------------
 
-_PARAM_NAMES = ("w1", "b1", "w2", "b2")
+def net_of(w1: np.ndarray, b1: np.ndarray, w2: np.ndarray, b2: np.ndarray,
+           head: str) -> DenseNet:
+    """A net holding copies of the four arrays."""
+    params = np.concatenate([np.ravel(a) for a in (w1, b1, w2, b2)]).astype(np.float64)
+    return DenseNet(params, w1.shape[0], w1.shape[1], w2.shape[1], head)
 
 
-def net_with(net: DenseNet, name: str, array: np.ndarray) -> DenseNet:
-    return replace(net, **{name: array})
+def numeric_gradients(loss_fn, net: DenseNet, h: float = 1e-5) -> np.ndarray:
+    """Central finite differences of loss_fn(net) w.r.t. every parameter, flat
+    in the layout of ``net.params``."""
+    grad = np.zeros_like(net.params)
+    for i in range(net.params.size):
+        plus = net.params.copy()
+        plus[i] += h
+        minus = net.params.copy()
+        minus[i] -= h
+        grad[i] = (loss_fn(replace(net, params=plus))
+                   - loss_fn(replace(net, params=minus))) / (2 * h)
+    return grad
 
 
-def numeric_gradients(loss_fn, net: DenseNet, h: float = 1e-5) -> Grads:
-    """Central finite differences of loss_fn(net) w.r.t. every parameter."""
-    out = {}
-    for name in _PARAM_NAMES:
-        base = getattr(net, name)
-        grad = np.zeros_like(base)
-        it = np.nditer(base, flags=["multi_index"])
-        for _ in it:
-            idx = it.multi_index
-            plus = base.copy()
-            plus[idx] += h
-            minus = base.copy()
-            minus[idx] -= h
-            grad[idx] = (loss_fn(net_with(net, name, plus))
-                         - loss_fn(net_with(net, name, minus))) / (2 * h)
-        out[name] = grad
-    return Grads(out["w1"], out["b1"], out["w2"], out["b2"])
-
-
-def assert_grads_close(analytic: Grads, numeric: Grads, rtol: float = 1e-4,
+def assert_grads_close(analytic: np.ndarray, numeric: np.ndarray, rtol: float = 1e-4,
                        atol: float = 1e-6) -> None:
-    for name in _PARAM_NAMES:
-        a = getattr(analytic, name)
-        b = getattr(numeric, name)
-        np.testing.assert_allclose(a, b, rtol=rtol, atol=atol,
-                                   err_msg=f"gradient mismatch in {name}")
+    np.testing.assert_allclose(analytic, numeric, rtol=rtol, atol=atol,
+                               err_msg="gradient mismatch")
 
 
 # ---------------------------------------------------------------------------

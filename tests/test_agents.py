@@ -23,33 +23,30 @@ from raft.neural_core import (
     HEAD_SCALAR,
     HEAD_SOFTMAX,
     DenseNet,
-    OptimState,
     forward,
     init_dense,
     log_softmax,
     logits,
     softmax,
 )
-from raft.state_repr import StateVector, state_op
+from raft.state_repr import state_op
 from raft.transform import OperationSet, generation_step
-from oracles import assert_grads_close, numeric_gradients, random_feature_set
+from oracles import (assert_grads_close, net_of, numeric_gradients, random_feature_set,
+                     update_agents_oracle)
 
 
 def zero_net(in_size, hidden, out_size, head):
-    return DenseNet(np.zeros((in_size, hidden)), np.zeros(hidden),
-                    np.zeros((hidden, out_size)), np.zeros(out_size), head)
+    size = in_size * hidden + hidden + hidden * out_size + out_size
+    return DenseNet(np.zeros(size), in_size, hidden, out_size, head)
 
 
 def zero_bundle(actor_in, actor_out, head, critic_in, hidden=4):
-    return AgentBundle(
-        actor=zero_net(actor_in, hidden, actor_out, head),
-        critic=zero_net(critic_in, hidden, 1, HEAD_SCALAR),
-        actor_opt=OptimState(), critic_opt=OptimState(),
-    )
+    return AgentBundle(actor=zero_net(actor_in, hidden, actor_out, head),
+                       critic=zero_net(critic_in, hidden, 1, HEAD_SCALAR))
 
 
-def sv(values, tag="si"):
-    return StateVector(np.asarray(values, dtype=float), tag)
+def sv(values):
+    return np.asarray(values, dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -61,43 +58,42 @@ def test_select_head_uniform_with_zero_actor():
     s_f = sv([0.5, -0.5])
     cands = [sv([1.0, 0.0]), sv([0.0, 1.0]), sv([2.0, 2.0]), sv([-1.0, 3.0])]
     rng = np.random.default_rng(0)
-    action, log_prob, probs, _ = select_head(bundle, s_f, cands, rng)
+    action, probs, rows = select_head(bundle, s_f, cands, rng)
     np.testing.assert_allclose(probs, [0.25] * 4, atol=1e-12)
     assert 0 <= action < 4
-    assert log_prob == pytest.approx(math.log(0.25), abs=1e-12)
+    np.testing.assert_array_equal(rows[3], [0.5, -0.5, -1.0, 3.0])
 
 
 def test_select_head_single_candidate():
     bundle = zero_bundle(4, 1, HEAD_SCALAR, 2)
-    action, log_prob, probs, _ = select_head(bundle, sv([1.0, 2.0]), [sv([0.0, 0.0])],
-                                          np.random.default_rng(1))
+    action, probs, _ = select_head(bundle, sv([1.0, 2.0]), [sv([0.0, 0.0])],
+                                   np.random.default_rng(1))
     assert action == 0
     np.testing.assert_allclose(probs, [1.0])
-    assert log_prob == 0.0
 
 
 def test_select_head_dominant_logit():
     # weights hand-set so candidate states feed the score directly: w1 routes
     # the candidate coordinate through one hidden unit into the scalar head
     w1 = np.zeros((2, 1)); w1[1, 0] = 1.0
-    actor = DenseNet(w1, np.zeros(1), np.array([[1.0]]), np.zeros(1), HEAD_SCALAR)
-    bundle = AgentBundle(actor, zero_net(1, 2, 1, HEAD_SCALAR), OptimState(), OptimState())
+    actor = net_of(w1, np.zeros(1), np.array([[1.0]]), np.zeros(1), HEAD_SCALAR)
+    bundle = AgentBundle(actor, zero_net(1, 2, 1, HEAD_SCALAR))
     s_f = sv([0.0])
     cands = [sv([0.0]), sv([0.0]), sv([100.0])]
-    _, _, probs, _ = select_head(bundle, s_f, cands, np.random.default_rng(2))
+    _, probs, _ = select_head(bundle, s_f, cands, np.random.default_rng(2))
     assert probs[2] > 0.999
 
 
 def test_select_op_uniform_and_single():
     ops = OperationSet()
     bundle = zero_bundle(4, ops.size, HEAD_SOFTMAX, 4)
-    action, log_prob, probs = select_op(bundle, sv([1.0, 2.0]), sv([3.0, 4.0]), ops,
-                                        np.random.default_rng(3))
+    action, probs = select_op(bundle, sv([1.0, 2.0]), sv([3.0, 4.0]), ops,
+                              np.random.default_rng(3))
     np.testing.assert_allclose(probs, [1.0 / 7] * 7, atol=1e-12)
     solo = OperationSet(unary=(), binary=("+",))
     bundle1 = zero_bundle(4, 1, HEAD_SOFTMAX, 4)
-    action, log_prob, probs = select_op(bundle1, sv([1.0, 2.0]), sv([3.0, 4.0]), solo,
-                                        np.random.default_rng(4))
+    action, probs = select_op(bundle1, sv([1.0, 2.0]), sv([3.0, 4.0]), solo,
+                              np.random.default_rng(4))
     assert action == 0 and probs[0] == 1.0
 
 
@@ -107,24 +103,10 @@ def test_select_tail_uniform_thirds_and_exclusion():
     s_f, s_head = sv([1.0, 0.0]), sv([0.0, 1.0])
     s_o = state_op("+", ops)
     cands = [sv([1.0, 1.0]), sv([2.0, 2.0]), sv([3.0, 3.0])]
-    _, _, probs, _ = select_tail(bundle, s_f, s_head, s_o, cands, np.random.default_rng(5))
+    _, probs, _ = select_tail(bundle, s_f, s_head, s_o, cands, np.random.default_rng(5))
     np.testing.assert_allclose(probs, [1 / 3] * 3, atol=1e-12)
-    _, _, probs1, _ = select_tail(bundle, s_f, s_head, s_o, cands[:1],
-                               np.random.default_rng(6))
+    _, probs1, _ = select_tail(bundle, s_f, s_head, s_o, cands[:1], np.random.default_rng(6))
     np.testing.assert_allclose(probs1, [1.0])
-
-
-def test_sampled_log_prob_matches_probs():
-    rng = np.random.default_rng(7)
-    for _ in range(20):
-        actor = init_dense(6, 5, 4, HEAD_SOFTMAX, rng)
-        bundle = AgentBundle(actor, zero_net(3, 2, 1, HEAD_SCALAR),
-                             OptimState(), OptimState())
-        s_f, s_head = sv(rng.standard_normal(3)), sv(rng.standard_normal(3))
-        action, log_prob, probs = select_op(bundle, s_f, s_head, OperationSet(
-            unary=("square",), binary=("+", "-", "*")), rng)
-        assert math.isfinite(log_prob)
-        assert log_prob == pytest.approx(math.log(probs[action]), abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +167,7 @@ def test_losses_collapse_at_gamma_zero_with_zero_critic():
     ops = OperationSet()
     bundle = zero_bundle(4, ops.size, HEAD_SOFTMAX, 4)
     state = np.array([1.0, -1.0, 0.5, 2.0])
-    t = Transition(state, 2, reward=0.7, next_state=state, log_prob=math.log(1 / 7))
+    t = Transition(state, 2, reward=0.7, next_state=state)
     critic_loss, actor_obj, _, _ = advantage_and_losses([t], bundle, gamma=0.0,
                                                         beta=1.0)
     # delta = r; L_c = r^2; L_a = log pi(a) * r + H(uniform over 7)
@@ -196,7 +178,7 @@ def test_losses_collapse_at_gamma_zero_with_zero_critic():
 def test_entropy_of_uniform_four_actions():
     bundle = zero_bundle(3, 4, HEAD_SOFTMAX, 3)
     state = np.array([0.0, 0.0, 0.0])
-    t = Transition(state, 0, reward=0.0, next_state=state, log_prob=math.log(0.25))
+    t = Transition(state, 0, reward=0.0, next_state=state)
     _, actor_obj, _, _ = advantage_and_losses([t], bundle, gamma=0.0, beta=1.0)
     assert actor_obj == pytest.approx(math.log(4), abs=1e-12)  # delta = 0 leaves only H
 
@@ -205,10 +187,9 @@ def test_critic_loss_nonnegative():
     rng = np.random.default_rng(11)
     for _ in range(10):
         bundle = AgentBundle(
-            init_dense(3, 4, 2, HEAD_SOFTMAX, rng), init_dense(3, 4, 1, HEAD_SCALAR, rng),
-            OptimState(), OptimState())
+            init_dense(3, 4, 2, HEAD_SOFTMAX, rng), init_dense(3, 4, 1, HEAD_SCALAR, rng))
         ts = [Transition(rng.standard_normal(3), int(rng.integers(0, 2)),
-                         float(rng.standard_normal()), rng.standard_normal(3), 0.0)
+                         float(rng.standard_normal()), rng.standard_normal(3))
               for _ in range(4)]
         critic_loss, _, _, _ = advantage_and_losses(ts, bundle, 0.9, 0.01)
         assert critic_loss >= 0.0
@@ -253,10 +234,9 @@ def test_gradients_match_finite_differences_softmax_agent():
     rng = np.random.default_rng(12)
     for _ in range(10):
         bundle = AgentBundle(
-            init_dense(4, 5, 3, HEAD_SOFTMAX, rng), init_dense(4, 5, 1, HEAD_SCALAR, rng),
-            OptimState(), OptimState())
+            init_dense(4, 5, 3, HEAD_SOFTMAX, rng), init_dense(4, 5, 1, HEAD_SCALAR, rng))
         ts = [Transition(rng.standard_normal(4), int(rng.integers(0, 3)),
-                         float(rng.standard_normal()), rng.standard_normal(4), 0.0)
+                         float(rng.standard_normal()), rng.standard_normal(4))
               for _ in range(3)]
         gamma, beta = 0.9, 0.05
         critic_loss, actor_obj, a_grads, c_grads = advantage_and_losses(
@@ -272,11 +252,10 @@ def test_gradients_match_finite_differences_candidate_agent():
     rng = np.random.default_rng(13)
     for _ in range(10):
         bundle = AgentBundle(
-            init_dense(6, 5, 1, HEAD_SCALAR, rng), init_dense(3, 5, 1, HEAD_SCALAR, rng),
-            OptimState(), OptimState())
+            init_dense(6, 5, 1, HEAD_SCALAR, rng), init_dense(3, 5, 1, HEAD_SCALAR, rng))
         n_cands = int(rng.integers(2, 5))
         ts = [Transition(rng.standard_normal(3), int(rng.integers(0, n_cands)),
-                         float(rng.standard_normal()), rng.standard_normal(3), 0.0,
+                         float(rng.standard_normal()), rng.standard_normal(3),
                          candidate_inputs=rng.standard_normal((n_cands, 6)))
               for _ in range(3)]
         gamma, beta = 0.8, 0.02
@@ -286,35 +265,14 @@ def test_gradients_match_finite_differences_candidate_agent():
         assert_grads_close(a_grads, numeric_gradients(actor_fn, bundle.actor))
 
 
-def test_full_gradient_critic_differs_and_matches_fd():
-    rng = np.random.default_rng(14)
-    bundle = AgentBundle(
-        init_dense(3, 4, 2, HEAD_SOFTMAX, rng), init_dense(3, 4, 1, HEAD_SCALAR, rng),
-        OptimState(), OptimState())
-    ts = [Transition(rng.standard_normal(3), 0, 1.0, rng.standard_normal(3), 0.0)]
-    gamma = 0.9
-    _, _, _, semi = advantage_and_losses(ts, bundle, gamma, 0.0)
-    _, _, _, full = advantage_and_losses(ts, bundle, gamma, 0.0,
-                                         full_gradient_critic=True)
-    assert not np.allclose(semi.w1, full.w1)
-
-    def critic_full_fn(net):
-        t = ts[0]
-        delta = t.reward + gamma * forward(net, t.next_state) - forward(net, t.state)
-        return float(delta * delta)
-
-    assert_grads_close(full, numeric_gradients(critic_full_fn, bundle.critic))
-
-
 def test_reinforce_direction_at_gamma_zero():
     # with a zero critic and gamma 0, the actor gradient is the REINFORCE
     # direction with the raw reward as the weight
     rng = np.random.default_rng(15)
     actor = init_dense(3, 4, 3, HEAD_SOFTMAX, rng)
-    bundle = AgentBundle(actor, zero_net(3, 4, 1, HEAD_SCALAR),
-                         OptimState(), OptimState())
+    bundle = AgentBundle(actor, zero_net(3, 4, 1, HEAD_SCALAR))
     state = rng.standard_normal(3)
-    t = Transition(state, 1, reward=2.5, next_state=state, log_prob=0.0)
+    t = Transition(state, 1, reward=2.5, next_state=state)
     _, _, a_grads, _ = advantage_and_losses([t], bundle, gamma=0.0, beta=0.0)
 
     def reinforce_fn(net):
@@ -331,7 +289,7 @@ def test_update_raises_probability_of_positively_rewarded_action():
     state = np.array([1.0, -0.5, 0.3, 0.8])
     probs_before = softmax(logits(bundles[1].actor, state))
     action = 1
-    ts = [Transition(state, action, reward=1.0, next_state=state, log_prob=0.0)]
+    ts = [Transition(state, action, reward=1.0, next_state=state)]
     (_, new_op, _), _ = update_agents(bundles, ([], ts, []), cfg)
     probs_after = softmax(logits(new_op.actor, state))
     assert probs_after[action] >= probs_before[action]
@@ -341,8 +299,7 @@ def test_update_skips_on_nonfinite_loss(caplog):
     cfg = TrainConfig(episodes=1, steps=1)
     rng = np.random.default_rng(17)
     bundles = make_bundles(2, 3, cfg, rng)
-    bad = Transition(np.full(4, 1.0), 0, reward=float("nan"),
-                     next_state=np.full(4, 1.0), log_prob=0.0)
+    bad = Transition(np.full(4, 1.0), 0, reward=float("nan"), next_state=np.full(4, 1.0))
     with caplog.at_level("WARNING"):
         (_, new_op, _), report = update_agents(bundles, ([], [bad], []), cfg)
     assert new_op.actor is bundles[1].actor
@@ -356,11 +313,71 @@ def test_update_agents_deterministic():
     b1 = make_bundles(2, 3, cfg, rng1)
     b2 = make_bundles(2, 3, cfg, rng2)
     state = np.array([0.3, 0.7, -0.2, 1.0])
-    ts = [Transition(state, 0, 0.5, state, 0.0)]
+    ts = [Transition(state, 0, 0.5, state)]
     (h1, o1, t1), _ = update_agents(b1, ([], ts, []), cfg)
     (h2, o2, t2), _ = update_agents(b2, ([], ts, []), cfg)
     np.testing.assert_array_equal(o1.actor.w1, o2.actor.w1)
     np.testing.assert_array_equal(o1.critic.w2, o2.critic.w2)
+
+
+def _random_episode(rng, state_len, n_ops, rewards):
+    """Head, operation and tail batches shaped as the policy records them."""
+    def candidates(width):
+        return rng.standard_normal((int(rng.integers(1, 5)), width))
+
+    head, op, tail = [], [], []
+    for r in rewards:
+        rows = candidates(2 * state_len)
+        head.append(Transition(rng.standard_normal(state_len), int(rng.integers(len(rows))), r,
+                               rng.standard_normal(state_len), rows))
+        op.append(Transition(rng.standard_normal(2 * state_len), int(rng.integers(n_ops)), r,
+                             rng.standard_normal(2 * state_len)))
+        rows = candidates(3 * state_len + n_ops)
+        tail_len = 2 * state_len + n_ops
+        tail.append(Transition(rng.standard_normal(tail_len), int(rng.integers(len(rows))), r,
+                               rng.standard_normal(tail_len), rows))
+    return head, op, tail
+
+
+def test_update_agents_matches_frozen_oracle_bit_for_bit(caplog):
+    rng = np.random.default_rng(20)
+    skipped = 0
+    for i in range(60):
+        cfg = TrainConfig(episodes=1, steps=1, hidden=int(rng.integers(1, 9)),
+                          gamma=float(rng.uniform()), beta=float(rng.uniform(0.0, 0.1)),
+                          actor_lr=float(10.0 ** rng.uniform(-4.0, 0.0)),
+                          critic_lr=float(10.0 ** rng.uniform(-4.0, 0.0)))
+        state_len, n_ops = int(rng.integers(1, 6)), int(rng.integers(1, 8))
+        bundles = make_bundles(state_len, n_ops, cfg, rng)
+        rewards = rng.standard_normal(int(rng.integers(1, 5))) * 10.0 ** rng.uniform(-2.0, 2.0)
+        if i % 4 == 1:
+            rewards[0] = rng.choice([1e200, -1e200])  # the squared TD error overflows
+        elif i % 4 == 2:
+            rewards[-1] = np.nan
+        elif i % 4 == 3:
+            rewards[0] = 1e150  # a finite loss whose gradient norm overflows
+        episode = _random_episode(rng, state_len, n_ops, list(rewards))
+        if i % 5 == 0:
+            episode = (episode[0], [], episode[2])
+        caplog.clear()
+        with caplog.at_level("WARNING"), np.errstate(all="ignore"):
+            got, report = update_agents(bundles, episode, cfg)
+            want, want_report = update_agents_oracle(
+                [(b.actor, b.critic) for b in bundles], episode, cfg.gamma, cfg.beta,
+                cfg.actor_lr, cfg.critic_lr)
+        assert {k: repr(v) for k, v in report.items()} == \
+            {k: repr(v) for k, v in want_report.items()}, i
+        for bundle, (actor, critic) in zip(got, want):
+            assert bundle.actor.params.tobytes() == actor.params.tobytes(), i
+            assert bundle.critic.params.tobytes() == critic.params.tobytes(), i
+        names = ("head", "op", "tail")
+        bad = [name for name in names if f"{name}_critic_loss" in report and not all(
+            math.isfinite(report[f"{name}_{loss}"]) for loss in ("critic_loss", "actor_objective"))]
+        for name, before, after, batch in zip(names, bundles, got, episode):
+            assert (after is before) == (not batch or name in bad), (i, name)
+        assert len([r for r in caplog.records if "non-finite loss" in r.message]) == len(bad), i
+        skipped += len(bad)
+    assert skipped >= 30
 
 
 def test_make_bundles_shapes():

@@ -27,7 +27,7 @@ from raft.dataset import (
 )
 from raft.evaluator import ForestConfig, MetricKind, downstream_score
 from raft.info_metrics import PairwiseDistanceKind
-from raft.state_repr import EncoderKind, EncoderConfig, StateEncoder, encoder_length
+from raft.state_repr import EncoderKind, StateEncoder
 from raft.synthetic import squared_sum_regression, two_class_blobs, write_fixture
 
 
@@ -65,9 +65,9 @@ def test_encoder_flag_sets_state_length(small_csv, tmp_path):
         "--encoder", "gae", "--k", "8",
     ])
     assert cfg.train.encoder is EncoderKind.GAE
-    length = encoder_length(EncoderConfig(kind=cfg.train.encoder, k=cfg.train.k,
-                                          d=cfg.train.d))
-    assert length == 8
+    train = cfg.train
+    encoder = StateEncoder(train.encoder, train.k, train.d, train.encoder_epochs, 0, 80)
+    assert encoder.length == 8
 
 
 def test_unknown_flag_exits_with_usage_error(capsys):
@@ -109,6 +109,20 @@ def test_exit_codes(tmp_path, small_csv, capsys):
                  "--episodes", "1", "--steps", "1"]) == 2  # metric/task mismatch
 
 
+@pytest.mark.parametrize("flags", [
+    "--actor-lr 0", "--critic-lr -1", "--bins 0", "--max-size 0", "--k 0 --encoder ae",
+    "--d 0 --encoder ae", "--encoder-epochs -1 --encoder ae", "--hidden 0", "--cross-cap 0",
+    "--max-lineage-depth 0", "--max-lineage-depth 1", "--delta -1", "--delta 0",
+    "--actor-lr 0 --bench", "--beta -0.5", "--episodes 0",
+])
+def test_bad_numeric_value_exits_2(tmp_path, small_csv, capsys, flags):
+    code = main(["run", "--input", str(small_csv), "--target", "y", "--out", str(tmp_path / "o"),
+                 "--episodes", "1", "--steps", "1", *flags.split()])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert not (tmp_path / "o").exists()
+
+
 # ---------------------------------------------------------------------------
 # run_search — loop arithmetic and artifacts
 # ---------------------------------------------------------------------------
@@ -147,7 +161,7 @@ def test_emitted_features_reevaluate_from_lineage(small_csv, tmp_path):
     emitted = load_csv(paths["transformed"], "y")
     report_lines = paths["report"].read_text().splitlines()
     feature_lines = report_lines[report_lines.index(
-        "name\tlineage_tree\timportance_share\torigin") + 1:]
+        "name\timportance_share\torigin") + 1:]
     assert len(feature_lines) == emitted.n_cols
     for i, line in enumerate(feature_lines):
         name = line.split("\t")[0]
@@ -186,8 +200,8 @@ def test_importance_shares_sum_to_one(small_csv, tmp_path):
     result = run_search(cfg)
     paths = write_outputs(result, cfg)
     lines = paths["report"].read_text().splitlines()
-    shares = [float(line.split("\t")[2]) for line in lines[lines.index(
-        "name\tlineage_tree\timportance_share\torigin") + 1:]]
+    shares = [float(line.split("\t")[1]) for line in lines[lines.index(
+        "name\timportance_share\torigin") + 1:]]
     assert sum(shares) == pytest.approx(1.0, abs=1e-9)
 
 
@@ -212,9 +226,9 @@ def test_classification_run_all_original_report(tmp_path):
     assert result.metric is MetricKind.F1_MACRO
     paths = write_outputs(result, cfg)
     lines = paths["report"].read_text().splitlines()
-    start = lines.index("name\tlineage_tree\timportance_share\torigin") + 1
+    start = lines.index("name\timportance_share\torigin") + 1
     for line in lines[start:]:
-        name, tree, share, origin = line.split("\t")
+        name, share, origin = line.split("\t")
         if origin == "original":
             assert parse_lineage(name).name == name  # bare identifiers
 
@@ -339,8 +353,7 @@ RUN_OPTIONS = {
     "--distance", "--encoder", "--episodes", "--steps", "--seed", "--k", "--d",
     "--encoder-epochs", "--delta", "--bins", "--max-size", "--gamma", "--beta",
     "--actor-lr", "--critic-lr", "--hidden", "--cross-cap", "--max-lineage-depth",
-    "--bench", "--no-report", "--si-raw-count", "--full-gradient-critic",
-    "--carry-features",
+    "--bench", "--no-report", "--carry-features",
 }
 
 # A non-default value for every TrainConfig-backed key; None marks a switch,
@@ -350,7 +363,7 @@ TRAIN_KEY_VALUES = {
     "encoder_epochs": "2", "distance": "cosine", "delta": "0.5", "gamma": "0.8",
     "beta": "0.02", "actor_lr": "0.002", "critic_lr": "0.003", "hidden": "16",
     "cross_cap": "10", "max_lineage_depth": "4", "bins": "9", "max_size": "12",
-    "si_raw_count": None, "full_gradient_critic": None, "carry_features": None,
+    "carry_features": None,
 }
 
 FILE_ONLY_VALUES = {
@@ -365,9 +378,9 @@ def run_options() -> set[str]:
 
 
 def test_cli_surface_is_pinned(tmp_path):
-    assert run_options() == RUN_OPTIONS and len(RUN_OPTIONS) == 30
+    assert run_options() == RUN_OPTIONS and len(RUN_OPTIONS) == 28
     accepted = set(TRAIN_KEY_VALUES) | set(FILE_ONLY_VALUES)
-    assert set(_FILE_KEYS) == accepted and len(accepted) == 29
+    assert set(_FILE_KEYS) == accepted and len(accepted) == 27
     values = {**FILE_ONLY_VALUES, **{k: v or "true" for k, v in TRAIN_KEY_VALUES.items()}}
     cfgfile = tmp_path / "all.cfg"
     cfgfile.write_text("".join(f"{k} = {v}\n" for k, v in values.items()), encoding="utf-8")

@@ -8,9 +8,8 @@ from raft.neural_core import (
     HEAD_SCALAR,
     HEAD_SOFTMAX,
     DenseNet,
-    Grads,
-    OptimState,
     backward,
+    CLIP_NORM,
     clip_step,
     derive_seed,
     forward,
@@ -22,15 +21,13 @@ from raft.neural_core import (
     softmax,
     train_autoencoder,
 )
-from oracles import (assert_grads_close, autoencoder_oracle, gcn_forward, net_with,
+from oracles import (assert_grads_close, autoencoder_oracle, gcn_forward, net_of,
                      numeric_gradients, reconstruction_loss, sgd_oracle)
 
 
 def zero_net(in_size, hidden, out_size, head):
-    return DenseNet(
-        w1=np.zeros((in_size, hidden)), b1=np.zeros(hidden),
-        w2=np.zeros((hidden, out_size)), b2=np.zeros(out_size), head=head,
-    )
+    return net_of(np.zeros((in_size, hidden)), np.zeros(hidden),
+                  np.zeros((hidden, out_size)), np.zeros(out_size), head)
 
 
 # ---------------------------------------------------------------------------
@@ -88,9 +85,10 @@ def test_forward_batch_matches_loop():
 def test_backward_all_zero_gives_zero_grads():
     net = zero_net(3, 4, 1, HEAD_SCALAR)
     grads, dx = backward(net, np.zeros(3), 1.0)
-    for arr in (grads.w1, grads.b1, grads.w2, dx):
+    w1, b1, w2, b2 = net.split(grads)
+    for arr in (w1, b1, w2, dx):
         np.testing.assert_array_equal(arr, np.zeros_like(arr))
-    np.testing.assert_array_equal(grads.b2, [1.0])  # bias gradient is the upstream
+    np.testing.assert_array_equal(b2, [1.0])  # bias gradient is the upstream
 
 
 def test_backward_matches_finite_differences_scalar_head():
@@ -124,11 +122,7 @@ def test_backward_batch_sums_over_rows():
     xs = rng.standard_normal((5, 3))
     ups = rng.standard_normal((5, 2))
     batch_grads, _ = backward(net, xs, ups)
-    total = None
-    for i in range(5):
-        g, _ = backward(net, xs[i], ups[i])
-        total = g if total is None else Grads(total.w1 + g.w1, total.b1 + g.b1,
-                                              total.w2 + g.w2, total.b2 + g.b2)
+    total = sum(backward(net, xs[i], ups[i])[0] for i in range(5))
     assert_grads_close(batch_grads, total, rtol=1e-12, atol=1e-12)
 
 
@@ -150,35 +144,32 @@ def test_backward_input_gradient_matches_fd():
 # ---------------------------------------------------------------------------
 
 def test_sgd_basic_step():
-    net = DenseNet(np.array([[0.5]]), np.zeros(1), np.array([[0.0]]), np.zeros(1),
-                   HEAD_IDENTITY)
-    grads = Grads(np.array([[1.0]]), np.zeros(1), np.zeros((1, 1)), np.zeros(1))
-    out = sgd_step(net, grads, OptimState(lr=0.1, clip_norm=100.0))
+    net = DenseNet(np.array([0.5, 0.0, 0.0, 0.0]), 1, 1, 1, HEAD_IDENTITY)
+    out = sgd_step(net, np.array([1.0, 0.0, 0.0, 0.0]), 0.1)
     assert out.w1[0, 0] == pytest.approx(0.4, abs=1e-15)
+    assert net.w1[0, 0] == 0.5  # a copy was stepped
 
 
 def test_sgd_clips_by_global_norm():
     net = zero_net(1, 1, 1, HEAD_IDENTITY)
-    grads = Grads(np.array([[10.0]]), np.zeros(1), np.zeros((1, 1)), np.zeros(1))
-    out = sgd_step(net, grads, OptimState(lr=1.0, clip_norm=1.0))
-    assert out.w1[0, 0] == pytest.approx(-1.0, abs=1e-12)  # step uses g / 10
+    out = sgd_step(net, np.array([10.0, 0.0, 0.0, 0.0]), 1.0)
+    assert out.w1[0, 0] == pytest.approx(-5.0, abs=1e-12)  # CLIP_NORM: step uses g / 2
 
 
 def test_sgd_skips_nan_gradients(caplog):
     net = zero_net(1, 1, 1, HEAD_IDENTITY)
-    grads = Grads(np.array([[np.nan]]), np.zeros(1), np.zeros((1, 1)), np.zeros(1))
     with caplog.at_level("WARNING"):
-        out = sgd_step(net, grads, OptimState(lr=1.0))
+        out = sgd_step(net, np.array([np.nan, 0.0, 0.0, 0.0]), 1.0)
     assert out is net
     assert any("non-finite" in r.message for r in caplog.records)
 
 
 def test_global_norm_and_clip():
-    # w1 = [[3]], b1 = [4], w2 = [[0]], b2 = [0]: joint norm 5, clipped to 1
+    # w1 = [[30]], b1 = [40], w2 = [[0]], b2 = [0]: joint norm 50, clipped to CLIP_NORM
     params = np.zeros(4)
-    assert clip_step(params, np.array([3.0, 4.0, 0.0, 0.0]), (0, 1, 2, 3, 4), 1.0, 1.0)
-    np.testing.assert_allclose(params, [-0.6, -0.8, 0.0, 0.0], rtol=1e-15)
-    assert math.sqrt(float(np.sum(params * params))) == pytest.approx(1.0)
+    assert clip_step(params, np.array([30.0, 40.0, 0.0, 0.0]), (0, 1, 2, 3, 4), 1.0)
+    np.testing.assert_allclose(params, [-3.0, -4.0, 0.0, 0.0], rtol=1e-15)
+    assert math.sqrt(float(np.sum(params * params))) == pytest.approx(CLIP_NORM)
 
 
 # ---------------------------------------------------------------------------
@@ -187,18 +178,14 @@ def test_global_norm_and_clip():
 
 def test_gcn_identity_adjacency_passes_features_through():
     feats = np.abs(np.random.default_rng(5).standard_normal((3, 4)))
-    layer = init_gcn(4, 4, np.random.default_rng(6))
-    layer = type(layer)(w=np.eye(4))
-    got = gcn_forward(np.eye(3), feats, layer)
+    got = gcn_forward(np.eye(3), feats, np.eye(4))
     np.testing.assert_allclose(got, feats, rtol=1e-15)
 
 
 def test_gcn_all_ones_two_nodes_halves_sums():
     adj = np.ones((2, 2))
     feats = np.array([[1.0, 2.0], [3.0, 4.0]])
-    layer = init_gcn(2, 2, np.random.default_rng(7))
-    layer = type(layer)(w=np.eye(2))
-    got = gcn_forward(adj, feats, layer)
+    got = gcn_forward(adj, feats, np.eye(2))
     # D = diag(2, 2); each normalized entry is 1/2; rows average to the sum / 2
     want = np.array([[2.0, 3.0], [2.0, 3.0]])
     np.testing.assert_allclose(got, want, rtol=1e-15)
@@ -210,18 +197,18 @@ def test_gcn_matches_matrix_oracle():
     adj = (adj + adj.T) / 2
     np.fill_diagonal(adj, 1.0)
     feats = rng.standard_normal((4, 6))
-    layer = init_gcn(6, 3, rng)
+    w = init_gcn(6, 3, rng)
+    assert w.shape == (6, 3)
     deg = adj.sum(axis=1)
     dinv = np.diag(1.0 / np.sqrt(deg))
-    want = np.maximum(dinv @ adj @ dinv @ feats @ layer.w, 0.0)
-    np.testing.assert_allclose(gcn_forward(adj, feats, layer), want, rtol=1e-12)
+    want = np.maximum(dinv @ adj @ dinv @ feats @ w, 0.0)
+    np.testing.assert_allclose(gcn_forward(adj, feats, w), want, rtol=1e-12)
 
 
 def test_gcn_rejects_zero_degree():
     adj = np.zeros((2, 2))
-    layer = init_gcn(2, 2, np.random.default_rng(9))
     with pytest.raises(ValueError):
-        gcn_forward(adj, np.ones((2, 2)), layer)
+        gcn_forward(adj, np.ones((2, 2)), np.eye(2))
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +218,7 @@ def test_gcn_rejects_zero_degree():
 def test_autoencoder_zero_epochs_returns_initial_loss():
     rng = np.random.default_rng(10)
     data = rng.standard_normal((6, 5))
-    enc, dec = train_autoencoder(data, latent=2, epochs=0, seed=3)
+    enc, dec = train_autoencoder(data, latent=2, epochs=0, seed=3, lr=1e-3)
     _, _, loss = autoencoder_oracle(data, latent=2, epochs=0, seed=3)
     assert loss == pytest.approx(reconstruction_loss(enc, dec, data), abs=1e-15)
 
@@ -241,7 +228,8 @@ def test_autoencoder_rank_one_data_converges():
     u = rng.standard_normal(8)
     v = rng.standard_normal(6)
     data = np.outer(u, v) * 0.5
-    loss0 = reconstruction_loss(*train_autoencoder(data, latent=1, epochs=0, seed=5), data)
+    loss0 = reconstruction_loss(*train_autoencoder(data, latent=1, epochs=0, seed=5, lr=0.05),
+                                data)
     loss = reconstruction_loss(*train_autoencoder(data, latent=1, epochs=3000, seed=5, lr=0.05),
                                data)
     assert loss < 0.1 * loss0
@@ -260,8 +248,8 @@ def test_autoencoder_loss_non_increasing_with_small_lr():
 def test_autoencoder_deterministic_per_seed():
     rng = np.random.default_rng(13)
     data = rng.standard_normal((5, 4))
-    enc1, dec1 = train_autoencoder(data, latent=2, epochs=50, seed=9)
-    enc2, dec2 = train_autoencoder(data, latent=2, epochs=50, seed=9)
+    enc1, dec1 = train_autoencoder(data, latent=2, epochs=50, seed=9, lr=1e-3)
+    enc2, dec2 = train_autoencoder(data, latent=2, epochs=50, seed=9, lr=1e-3)
     assert reconstruction_loss(enc1, dec1, data) == reconstruction_loss(enc2, dec2, data)
     np.testing.assert_array_equal(enc1.w1, enc2.w1)
     np.testing.assert_array_equal(dec1.w2, dec2.w2)
@@ -271,7 +259,7 @@ def test_autoencoder_gradient_step_matches_fd():
     # one full-batch step of the AE objective, checked parameter-wise on the decoder
     rng = np.random.default_rng(14)
     data = rng.standard_normal((4, 3))
-    enc, dec = train_autoencoder(data, latent=2, epochs=0, seed=15)
+    enc, dec = train_autoencoder(data, latent=2, epochs=0, seed=15, lr=1e-3)
     z = forward(enc, data)
     upstream = 2.0 * (forward(dec, z) - data) / data.size
     analytic, _ = backward(dec, z, upstream)
@@ -321,9 +309,9 @@ def test_autoencoder_skips_a_step_whose_gradient_norm_overflows(caplog):
     # gradient holds inf or NaN: each step is skipped with its warning and the
     # nets stay at their random initialisation
     data = np.random.default_rng(16).standard_normal((5, 4)) * 1e200
-    enc0, dec0 = train_autoencoder(data, latent=2, epochs=0, seed=17)
+    enc0, dec0 = train_autoencoder(data, latent=2, epochs=0, seed=17, lr=1e-3)
     with caplog.at_level("WARNING"), np.errstate(all="ignore"):
-        enc, dec = train_autoencoder(data, latent=2, epochs=3, seed=17)
+        enc, dec = train_autoencoder(data, latent=2, epochs=3, seed=17, lr=1e-3)
     assert _net_bits(enc) == _net_bits(enc0) and _net_bits(dec) == _net_bits(dec0)
     skipped = [r for r in caplog.records if "non-finite" in r.message]
     assert len(skipped) == 6  # both nets, every epoch
@@ -342,7 +330,7 @@ def test_sgd_step_matches_frozen_oracle_on_huge_and_nonfinite_gradients():
             arrays[int(rng.integers(4))].flat[0] = rng.choice([np.inf, -np.inf, np.nan])
         lr = float(10.0 ** rng.uniform(-4.0, 0.0))
         with np.errstate(all="ignore"):
-            got = sgd_step(net, Grads(*arrays), OptimState(lr=lr))
+            got = sgd_step(net, np.concatenate([a.ravel() for a in arrays]), lr)
             want = sgd_oracle(net, arrays, lr)
         assert _net_bits(got) == _net_bits(want), i
         applied += want is not net

@@ -8,14 +8,10 @@ from raft.neural_core import derive_seed, init_gcn
 from raft.state_repr import (
     SI_LENGTH,
     SUMMARY_QUANTILES,
-    EncoderConfig,
     EncoderKind,
     StateEncoder,
-    StateVector,
     column_summary,
-    concat_states,
     correlation_adjacency,
-    encoder_length,
     state_ae,
     state_gae,
     state_op,
@@ -71,7 +67,7 @@ def test_si_invariant_under_column_permutation():
     fs = random_feature_set(rng, 25, 6)
     perm = rng.permutation(6)
     fs_p = fs.with_columns(fs.values[:, perm], tuple(fs.columns[i] for i in perm))
-    np.testing.assert_allclose(state_si(fs).values, state_si(fs_p).values, rtol=1e-12)
+    np.testing.assert_allclose(state_si(fs), state_si(fs_p), rtol=1e-12)
 
 
 def test_si_invariant_under_row_permutation():
@@ -79,15 +75,15 @@ def test_si_invariant_under_row_permutation():
     fs = random_feature_set(rng, 25, 4)
     perm = rng.permutation(25)
     fs_p = fs.subset_rows(perm)
-    np.testing.assert_allclose(state_si(fs, m_original=25).values,
-                               state_si(fs_p, m_original=25).values, rtol=1e-12)
+    np.testing.assert_allclose(state_si(fs, m_original=25), state_si(fs_p, m_original=25),
+                               rtol=1e-12)
 
 
 def test_si_single_column_matches_hand_oracle():
     rng = np.random.default_rng(3)
     fs = random_feature_set(rng, 3, 1)
     fs = fs.with_columns(np.array([[1.0], [2.0], [3.0]]), fs.columns)
-    got = state_si(fs, m_original=3).values
+    got = state_si(fs, m_original=3)
     want = si_oracle(fs.values, count_scale=3.0)
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
     # frozen stage-1 values: count 3/3, population std, min, max, quartiles;
@@ -100,18 +96,9 @@ def test_si_matches_oracle_on_random_matrices():
     rng = np.random.default_rng(4)
     for _ in range(5):
         fs = random_feature_set(rng, int(rng.integers(3, 30)), int(rng.integers(1, 6)))
-        got = state_si(fs, m_original=fs.n_rows).values
+        got = state_si(fs, m_original=fs.n_rows)
         want = si_oracle(fs.values, count_scale=float(fs.n_rows))
         np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
-
-
-def test_si_raw_count_mode():
-    rng = np.random.default_rng(5)
-    fs = random_feature_set(rng, 10, 2)
-    raw = state_si(fs, m_original=10, raw_count=True).values
-    assert raw[0] == 2.0  # first entry is the stage-2 count, i.e. the column count
-    want = si_oracle(fs.values, count_scale=1.0)
-    np.testing.assert_allclose(raw, want, rtol=1e-10, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -130,7 +117,7 @@ def test_ae_zero_epochs_still_finite():
     fs = random_feature_set(rng, 12, 3)
     vec = state_ae(fs, k=3, d=2, epochs=0, seed=2)
     assert len(vec) == 6
-    assert np.all(np.isfinite(vec.values))
+    assert np.all(np.isfinite(vec))
 
 
 def test_ae_deterministic_per_seed():
@@ -138,7 +125,7 @@ def test_ae_deterministic_per_seed():
     fs = random_feature_set(rng, 15, 4)
     a = state_ae(fs, k=4, d=3, epochs=5, seed=3)
     b = state_ae(fs, k=4, d=3, epochs=5, seed=3)
-    np.testing.assert_array_equal(a.values, b.values)
+    np.testing.assert_array_equal(a, b)
 
 
 def test_column_summary_matches_quantile_oracle():
@@ -194,14 +181,14 @@ def test_ae_state_ignores_row_order_and_trains_on_fixed_length_columns(monkeypat
     perm = rng.permutation(200)
     a = state_ae(fs, k=4, d=3, epochs=5, seed=3)
     b = state_ae(fs.subset_rows(perm), k=4, d=3, epochs=5, seed=3)
-    assert a.values.tobytes() == b.values.tobytes()
+    assert a.tobytes() == b.tobytes()
     shapes = []
     train = state_repr.train_autoencoder
     monkeypatch.setattr(state_repr, "train_autoencoder",
                         lambda data, *args, **kw: shapes.append(data.shape) or train(data, *args, **kw))
     for m in (4, 1000):  # fewer rows than quantiles, and many more
         vec = state_ae(random_feature_set(rng, m, 3), k=4, d=3, epochs=5, seed=3)
-        assert len(vec) == 12 and np.all(np.isfinite(vec.values))
+        assert len(vec) == 12 and np.all(np.isfinite(vec))
     assert shapes == [(3, SUMMARY_QUANTILES), (4, 3)] * 2
 
 
@@ -213,7 +200,7 @@ def test_ae_state_finite_on_a_huge_column_without_warnings():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         vec = state_ae(fs.with_columns(values, fs.columns), k=4, d=3, epochs=20, seed=3)
-    assert np.all(np.isfinite(vec.values)) and np.any(vec.values != 0.0)
+    assert np.all(np.isfinite(vec)) and np.any(vec != 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +219,7 @@ def test_gae_single_column():
     fs = random_feature_set(rng, 8, 1)
     np.testing.assert_array_equal(correlation_adjacency(fs.values), [[1.0]])
     vec = state_gae(fs, k=5, epochs=0, seed=5)
-    assert len(vec) == 5 and np.all(np.isfinite(vec.values))
+    assert len(vec) == 5 and np.all(np.isfinite(vec))
 
 
 def test_gae_duplicate_columns_all_ones_adjacency():
@@ -244,9 +231,9 @@ def test_gae_duplicate_columns_all_ones_adjacency():
     np.testing.assert_allclose(adj, np.ones((2, 2)), atol=1e-12)
     # identical nodes produce identical embeddings; the mean equals either row
     feats = fs.values.T
-    layer = init_gcn(12, 4, np.random.default_rng(0))
+    w = init_gcn(12, 4, np.random.default_rng(0))
     z = gcn_forward(adj, (feats - feats.mean(axis=1, keepdims=True))
-                    / feats.std(axis=1, keepdims=True), layer)
+                    / feats.std(axis=1, keepdims=True), w)
     np.testing.assert_allclose(z[0], z[1], atol=1e-12)
 
 
@@ -266,10 +253,10 @@ def test_gae_identity_adjacency_closed_form():
     np.testing.assert_array_equal(correlation_adjacency(values), np.eye(2))
     seed = 6
     got = state_gae(fs, k=3, epochs=0, seed=seed)
-    layer = init_gcn(4, 3, np.random.default_rng(derive_seed(seed, "gae")))
+    w = init_gcn(4, 3, np.random.default_rng(derive_seed(seed, "gae")))
     x = values.T / values.std(axis=0)[:, None]  # columns are already zero-mean
-    want = np.maximum(x @ layer.w, 0.0).mean(axis=0)
-    np.testing.assert_allclose(got.values, want, rtol=1e-12)
+    want = np.maximum(x @ w, 0.0).mean(axis=0)
+    np.testing.assert_allclose(got, want, rtol=1e-12)
 
 
 def test_gae_training_reduces_reconstruction_loss():
@@ -280,13 +267,12 @@ def test_gae_training_reduces_reconstruction_loss():
     feats = (fs.values - fs.values.mean(0)) / np.where(fs.values.std(0) > 0,
                                                        fs.values.std(0), 1.0)
     feats = feats.T
-    layer = init_gcn(30, 4, np.random.default_rng(derive_seed(7, "gae")))
+    w = init_gcn(30, 4, np.random.default_rng(derive_seed(7, "gae")))
     deg = adj.sum(axis=1)
     dinv = 1.0 / np.sqrt(deg)
     norm_adj = adj * dinv[:, None] * dinv[None, :]
-    z0 = np.maximum(norm_adj @ feats @ layer.w, 0.0)
+    z0 = np.maximum(norm_adj @ feats @ w, 0.0)
     loss0 = gae_reconstruction_loss(adj, z0)
-    w = layer.w.copy()
     for _ in range(300):
         g = gae_layer_grad(adj, norm_adj @ feats, w)
         w = w - 0.05 * g
@@ -294,7 +280,9 @@ def test_gae_training_reduces_reconstruction_loss():
     assert gae_reconstruction_loss(adj, z1) < loss0
 
 
-def test_gae_matches_per_epoch_normalisation_oracle_bit_for_bit():
+def test_gae_matches_per_epoch_normalisation_oracle_bit_for_bit(monkeypatch):
+    from raft import state_repr
+
     rng = np.random.default_rng(18)
     shapes = [(1000, 16), (1000, 32), (1000, 48)]
     shapes += [(int(rng.integers(2, 120)), int(rng.integers(1, 40))) for _ in range(20)]
@@ -307,9 +295,10 @@ def test_gae_matches_per_epoch_normalisation_oracle_bit_for_bit():
             values[:, -1] = 3.5  # a constant column, similarity 0 to the rest
         fs = fs.with_columns(values, fs.columns)
         epochs, lr = int(rng.integers(0, 30)), float(10.0 ** rng.uniform(-3.0, 0.5))
-        got = state_gae(fs, k=int(rng.integers(1, 10)), epochs=epochs, seed=i, lr=lr)
-        want = gae_state_oracle(fs, k=got.values.size, epochs=epochs, seed=i, lr=lr)
-        assert got.values.tobytes() == want.tobytes(), (m, n)
+        monkeypatch.setattr(state_repr, "_AE_LR", lr)  # the rate is module-wide
+        got = state_gae(fs, k=int(rng.integers(1, 10)), epochs=epochs, seed=i)
+        want = gae_state_oracle(fs, k=got.size, epochs=epochs, seed=i, lr=lr)
+        assert got.tobytes() == want.tobytes(), (m, n)
 
 
 def test_si_matches_np_quantile_oracle_bit_for_bit():
@@ -332,8 +321,8 @@ def test_si_matches_np_quantile_oracle_bit_for_bit():
         fs = fs.with_columns(values, fs.columns)
         m_original = int(rng.integers(2, 500)) if i % 2 else None
         with np.errstate(over="ignore", invalid="ignore"):
-            want = si_state_oracle(fs, m_original, raw_count=i % 5 == 0)
-            got = state_si(fs, m_original, raw_count=i % 5 == 0).values
+            want = si_state_oracle(fs, m_original)
+            got = state_si(fs, m_original)
         if np.signbit(values[values == 0.0]).any():
             # zeros of both signs (np.round makes -0.0): a zero may differ in sign
             got, want = got + 0.0, want + 0.0
@@ -349,8 +338,8 @@ def test_si_matches_np_quantile_oracle_bit_for_bit():
 def test_state_op_one_hot():
     ops = OperationSet()
     assert ops.size == 7
-    np.testing.assert_array_equal(state_op("square", ops).values, [1, 0, 0, 0, 0, 0, 0])
-    np.testing.assert_array_equal(state_op("/", ops).values, [0, 0, 0, 0, 0, 0, 1])
+    np.testing.assert_array_equal(state_op("square", ops), [1, 0, 0, 0, 0, 0, 0])
+    np.testing.assert_array_equal(state_op("/", ops), [0, 0, 0, 0, 0, 0, 1])
 
 
 def test_state_op_unknown_rejected():
@@ -359,14 +348,16 @@ def test_state_op_unknown_rejected():
 
 
 def test_concat_states():
-    a = StateVector(np.array([1.0, 2.0]), "si")
-    b = StateVector(np.array([3.0]), "ae")
-    assert concat_states([a]) is a
-    joined = concat_states([a, b])
-    np.testing.assert_array_equal(joined.values, [1.0, 2.0, 3.0])
-    assert joined.encoder_tag == "si+ae"
-    swapped = concat_states([b, a])
-    assert not np.array_equal(joined.values, swapped.values)
+    # a combined encoder's state is its parts' states in ``kind.parts`` order
+    rng = np.random.default_rng(24)
+    fs = random_feature_set(rng, 12, 3)
+    si = state_si(fs, 12)
+    ae = state_ae(fs, 3, 2, 2, derive_seed(5, "ae"))
+    gae = state_gae(fs, 3, 2, derive_seed(5, "gae"))
+    for kind, parts in [(EncoderKind.SI, [si]), (EncoderKind.SI_AE, [si, ae]),
+                        (EncoderKind.AE_GAE, [ae, gae]), (EncoderKind.ALL, [si, ae, gae])]:
+        got = StateEncoder(kind, 3, 2, 2, 5, 12).encode(fs)
+        assert got.tobytes() == np.concatenate(parts).tobytes(), kind
 
 
 # ---------------------------------------------------------------------------
@@ -375,12 +366,13 @@ def test_concat_states():
 
 def test_encoder_length_pure_function_of_config():
     rng = np.random.default_rng(15)
+    sizes = {"si": SI_LENGTH, "ae": 12, "gae": 4}
     for kind in EncoderKind:
-        cfg = EncoderConfig(kind=kind, k=4, d=3, epochs=0, seed=0)
-        enc = StateEncoder(cfg, m_original=10)
+        enc = StateEncoder(kind, k=4, d=3, epochs=0, seed=0, m_original=10)
+        assert enc.length == sum(sizes[part] for part in kind.parts)
         for _ in range(4):
             fs = random_feature_set(rng, int(rng.integers(2, 40)), int(rng.integers(1, 9)))
-            assert len(enc.encode(fs)) == encoder_length(cfg)
+            assert len(enc.encode(fs)) == enc.length
 
 
 def test_encoder_finite_on_degenerate_inputs():
@@ -392,19 +384,21 @@ def test_encoder_finite_on_degenerate_inputs():
         base.with_columns(base.values[:, :1], base.columns[:1]),
     ]
     for kind in (EncoderKind.SI, EncoderKind.AE, EncoderKind.GAE):
-        enc = StateEncoder(EncoderConfig(kind=kind, k=3, d=2, epochs=2, seed=1), 6)
+        enc = StateEncoder(kind, k=3, d=2, epochs=2, seed=1, m_original=6)
         for fs in degenerate:
             vec = enc.encode(fs)
-            assert np.all(np.isfinite(vec.values))
+            assert np.all(np.isfinite(vec)) and not vec.flags.writeable
 
 
 def test_encoder_cache_returns_equal_vectors():
     rng = np.random.default_rng(17)
     fs = random_feature_set(rng, 10, 3)
-    enc = StateEncoder(EncoderConfig(kind=EncoderKind.ALL, k=3, d=2, epochs=1, seed=2), 10)
-    v1 = enc.encode(fs).values
-    v2 = enc.encode(fs).values
+    enc = StateEncoder(EncoderKind.ALL, k=3, d=2, epochs=1, seed=2, m_original=10)
+    v1 = enc.encode(fs)
+    v2 = enc.encode(fs)
     np.testing.assert_array_equal(v1, v2)
+    with pytest.raises(ValueError):
+        v1[0] = 1.0  # the cached state is read-only
 
 
 def test_encoder_kind_parse():
