@@ -47,7 +47,7 @@ def pair_score_matrix(
     cache = MICache() if cache is None else cache
     n = fs.n_cols
     cols = np.ascontiguousarray(fs.values.T, dtype=np.float64)
-    mi_y = np.array(cache.mi(fs.values, fs.target.values, bins))
+    mi_y = np.array(cache.mi(fs.values, fs.target.values, bins, fs.keys, fs.target.key))
     scores = np.zeros((n, n), dtype=np.float64)
     for i in range(n - 1):
         scores[i, i + 1:] = column_distances(cols[i], cols[i + 1:], kind) * np.abs(
@@ -137,7 +137,8 @@ def adaptive_cluster(
 
 
 def cluster_columns(fs: FeatureSet, cluster: tuple[int, ...] | list[int]) -> FeatureSet:
-    """Restrict a feature set to one cluster's columns (same target, shared metas)."""
+    """Restrict a feature set to one cluster's columns (same target, shared
+    metas and column keys)."""
     if len(cluster) == 0:
         raise ValueError("cluster must be nonempty")
     idx = list(cluster)
@@ -145,4 +146,4 @@ def cluster_columns(fs: FeatureSet, cluster: tuple[int, ...] | list[int]) -> Fea
         raise ValueError(f"cluster indices must be sorted ascending: {cluster}")
     if idx[0] < 0 or idx[-1] >= fs.n_cols:
         raise IndexError(f"cluster index out of range for {fs.n_cols} columns: {cluster}")
-    return fs.with_columns(fs.values[:, idx], tuple(fs.columns[i] for i in idx))
+    return fs.take(idx)

@@ -13,7 +13,8 @@ import functools
 import hashlib
 import logging
 import math
-from dataclasses import dataclass
+import warnings
+from dataclasses import InitVar, dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -38,9 +39,13 @@ _DIV_EPS = 1e-12
 _MISSING_TOKENS = frozenset({"", "na", "nan", "null", "none"})
 
 
+def _digest(data: bytes) -> bytes:
+    return hashlib.blake2b(data, digest_size=16).digest()
+
+
 def content_hash(arr: np.ndarray) -> bytes:
     """Stable 128-bit digest of an array's raw bytes."""
-    return hashlib.blake2b(np.ascontiguousarray(arr).tobytes(), digest_size=16).digest()
+    return _digest(np.ascontiguousarray(arr).tobytes())
 
 
 class DatasetError(ValueError):
@@ -221,6 +226,11 @@ class Target:
             if not np.all(np.isfinite(vals.astype(np.float64))):
                 raise DatasetError("regression target must be finite")
 
+    @functools.cached_property
+    def key(self) -> bytes:
+        """``content_hash`` of the values as float64, computed once per target."""
+        return content_hash(np.asarray(self.values, dtype=np.float64))
+
     @property
     def num_classes(self) -> int:
         if self.kind is not TaskKind.CLASSIFICATION:
@@ -230,13 +240,19 @@ class Target:
 
 @dataclass(frozen=True)
 class FeatureSet:
-    """Immutable numeric matrix (rows = samples) with per-column lineage."""
+    """Immutable numeric matrix (rows = samples) with per-column lineage.
+
+    ``column_keys``, when given, are the columns' content hashes, known where
+    the columns were made or handed on by ``take``; they become ``keys``
+    unchecked.
+    """
 
     values: np.ndarray
     columns: tuple[FeatureMeta, ...]
     target: Target
+    column_keys: InitVar[Sequence[bytes] | None] = None
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, column_keys: Sequence[bytes] | None) -> None:
         vals = np.asarray(self.values, dtype=np.float64)
         if vals.ndim != 2:
             raise DatasetError("feature values must be a 2-D matrix")
@@ -254,15 +270,25 @@ class FeatureSet:
                 raise DatasetError(f"meta name {meta.name!r} is not the canonical rendering")
             if meta.is_original != isinstance(meta.lineage, Ident):
                 raise DatasetError(f"is_original flag inconsistent for {meta.name!r}")
-        # a read-only view, so the memoised ``key`` cannot go stale through ``values``
+        # a read-only view, so the memoised keys cannot go stale through ``values``
         vals = vals.view()
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
+        if column_keys is not None:
+            if len(column_keys) != n:
+                raise DatasetError("column keys length does not match matrix width")
+            self.__dict__["keys"] = tuple(column_keys)  # fills the cached property
+
+    @functools.cached_property
+    def keys(self) -> tuple[bytes, ...]:
+        """Each column's ``content_hash``, computed once per column."""
+        return tuple(content_hash(col) for col in self.values.T)
 
     @functools.cached_property
     def key(self) -> bytes:
-        """``content_hash`` of the matrix, computed once per feature set."""
-        return content_hash(self.values)
+        """Content identity of the set: a digest of its column keys in order,
+        so it hashes no matrix."""
+        return _digest(b"".join(self.keys))
 
     @property
     def n_rows(self) -> int:
@@ -285,11 +311,19 @@ class FeatureSet:
         return {meta.name: self.values[:, i] for i, meta in enumerate(self.columns)}
 
     def subset_rows(self, rows: np.ndarray) -> "FeatureSet":
+        """The given rows; other rows mean other column keys, so none are kept."""
         target = Target(self.target.values[rows], self.target.kind, self.target.name)
         return FeatureSet(self.values[rows, :], self.columns, target)
 
-    def with_columns(self, values: np.ndarray, columns: Sequence[FeatureMeta]) -> "FeatureSet":
-        return FeatureSet(values, tuple(columns), self.target)
+    def with_columns(self, values: np.ndarray, columns: Sequence[FeatureMeta],
+                     keys: Sequence[bytes] | None = None) -> "FeatureSet":
+        """Other columns on the same target; ``keys`` are theirs when known."""
+        return FeatureSet(values, tuple(columns), self.target, keys)
+
+    def take(self, idx: Sequence[int]) -> "FeatureSet":
+        """The columns at ``idx``, in that order, with their metas and keys."""
+        return self.with_columns(self.values[:, idx], tuple(self.columns[i] for i in idx),
+                                 tuple(self.keys[i] for i in idx))
 
 
 # ---------------------------------------------------------------------------
@@ -332,6 +366,13 @@ def load_csv(
 ) -> FeatureSet:
     """Read an RFC-4180 CSV with a header row into a FeatureSet.
 
+    The header goes through ``csv`` and gives the lineages and the target
+    column.  When every data cell is a plain finite number, one ``np.loadtxt``
+    call reads the data rows from the same handle.  Any other file (a
+    non-numeric, missing or non-finite cell, a row of another width, no data
+    rows) is read again and converted cell by cell, the only path that words
+    an error.  Both paths give the same bits.
+
     Missing feature cells are rejected unless ``impute == "median"``.  The
     target may be categorical (strings) for classification; numeric targets
     are classified when integer-valued with few distinct labels unless a task
@@ -341,13 +382,18 @@ def load_csv(
     if not path.exists():
         raise DatasetError(f"no such file: {path}")
     with path.open(newline="", encoding="utf-8-sig") as fh:
-        rows = list(csv.reader(fh))
-    if not rows:
-        raise DatasetError(f"{path} is empty")
-    raw_header = rows[0]
-    data_rows = [r for r in rows[1:] if r]
-    if not data_rows:
-        raise DatasetError(f"{path} has a header but no data rows")
+        reader = csv.reader(fh)
+        raw_header = next(reader, None)
+        if raw_header is None:
+            raise DatasetError(f"{path} is empty")
+        cells = _numeric_cells(fh, len(raw_header))
+        if cells is None:
+            fh.seek(0)
+            reader = csv.reader(fh)
+            next(reader)
+            data_rows = [r for r in reader if r]
+            if not data_rows:
+                raise DatasetError(f"{path} has a header but no data rows")
 
     if target_column in raw_header:
         target_pos = raw_header.index(target_column)
@@ -365,14 +411,45 @@ def load_csv(
     if not names:
         raise DatasetError("dataset has no feature columns besides the target")
 
+    target_name = _normalize_name(raw_header[target_pos])
+    if cells is not None:
+        values = np.delete(cells, target_pos, axis=1)
+        target = _numeric_target(cells[:, target_pos].copy(), target_name, task)
+    else:
+        values, target_raw = _convert_cells(data_rows, len(raw_header), target_pos, names, impute)
+        target = _build_target(target_raw, target_name, task)
+    columns = tuple(FeatureMeta.from_lineage(expr) for expr in lineages)
+    return FeatureSet(values, columns, target)
+
+
+def _numeric_cells(fh, width: int) -> np.ndarray | None:
+    """The data rows left in ``fh`` as one (rows x ``width``) float64 matrix
+    when every cell is a plain finite number, else None."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # no data rows: an empty array
+            cells = np.loadtxt(fh, dtype=np.float64, delimiter=",", quotechar='"',
+                               comments=None, ndmin=2)
+    except ValueError:
+        return None
+    if cells.size == 0 or cells.shape[1] != width or not np.all(np.isfinite(cells)):
+        return None
+    return cells
+
+
+def _convert_cells(
+    data_rows: list[list[str]], width: int, target_pos: int, names: list[str], impute: str | None
+) -> tuple[np.ndarray, list[str]]:
+    """Feature values and raw target cells, one cell at a time, with the
+    first problem worded by row and column."""
     m = len(data_rows)
     n = len(names)
     values = np.empty((m, n), dtype=np.float64)
-    missing: list[tuple[int, int]] = []
+    missing = False
     target_raw: list[str] = []
     for r, row in enumerate(data_rows):
-        if len(row) != len(raw_header):
-            raise DatasetError(f"row {r + 2}: expected {len(raw_header)} cells, got {len(row)}")
+        if len(row) != width:
+            raise DatasetError(f"row {r + 2}: expected {width} cells, got {len(row)}")
         c = 0
         for i, cell in enumerate(row):
             if i == target_pos:
@@ -384,7 +461,7 @@ def load_csv(
                     raise DatasetError(
                         f"row {r + 2}, column {names[c]!r}: missing value (use median imputation to allow)"
                     )
-                missing.append((r, c))
+                missing = True
                 values[r, c] = np.nan
             else:
                 try:
@@ -404,26 +481,21 @@ def load_csv(
                 col[mask] = np.median(col[~mask])
     if not np.all(np.isfinite(values)):
         raise DatasetError("feature values must be finite after ingestion")
-
-    target = _build_target(target_raw, _normalize_name(raw_header[target_pos]), task)
-    columns = tuple(FeatureMeta.from_lineage(expr) for expr in lineages)
-    return FeatureSet(values, columns, target)
+    return values, target_raw
 
 
 def _build_target(raw: list[str], name: str, task: TaskKind | None) -> Target:
-    numeric = np.empty(len(raw), dtype=np.float64)
-    is_numeric = True
-    for i, cell in enumerate(raw):
-        try:
-            numeric[i] = float(cell)
-        except ValueError:
-            is_numeric = False
-            break
-    if not is_numeric:
+    try:
+        numeric = np.array([float(cell) for cell in raw], dtype=np.float64)
+    except ValueError:
         if task is TaskKind.REGRESSION:
-            raise DatasetError("regression requested but target is not numeric")
+            raise DatasetError("regression requested but target is not numeric") from None
         labels = _encode_labels(np.asarray(raw, dtype=object))
         return Target(labels, TaskKind.CLASSIFICATION, name)
+    return _numeric_target(numeric, name, task)
+
+
+def _numeric_target(numeric: np.ndarray, name: str, task: TaskKind | None) -> Target:
     if not np.all(np.isfinite(numeric)):
         raise DatasetError("target contains non-finite values")
     if np.unique(numeric).size < 2:
@@ -537,7 +609,9 @@ def discretize(values: np.ndarray, bins: int) -> np.ndarray:
     Quantile edges use linear interpolation (``linear_quantiles``); edges
     that coincide collapse bins.  A value equal to an edge falls in the lower
     bin, so a value's label is the number of distinct edges of its column
-    below it.
+    below it.  A column whose neighbouring sorted values differ by more than
+    the float64 range would get an infinite edge; it is binned exactly halved
+    (``np.ldexp(x, -1)``), which leaves every other column's labels alone.
     """
     x = np.asarray(values, dtype=np.float64)
     if bins < 1:
@@ -548,8 +622,15 @@ def discretize(values: np.ndarray, bins: int) -> np.ndarray:
         raise ValueError("column must be finite")
     labels = np.zeros(x.shape, dtype=np.int64)
     if bins > 1:
+        srt, q = np.sort(x, axis=0), np.arange(1, bins) / bins
         # quantiles along axis 0 give each column the bits of its own call
-        edges = np.sort(linear_quantiles(np.sort(x, axis=0), np.arange(1, bins) / bins), axis=0)
+        with np.errstate(over="ignore", invalid="ignore"):  # overflowed columns are redone
+            edges = linear_quantiles(srt, q)
+        over = ~np.all(np.isfinite(edges), axis=0)
+        if np.any(over):
+            x = np.where(over, np.ldexp(x, -1), x)
+            edges = np.where(over, linear_quantiles(np.ldexp(srt, -1), q), edges)
+        edges = np.sort(edges, axis=0)
         distinct = np.ones(edges.shape, dtype=bool)
         distinct[1:] = edges[1:] != edges[:-1]
         for edge, new in zip(edges, distinct):

@@ -75,9 +75,13 @@ def _count_mi(pairs: Sequence[tuple[Labels, Labels]], table: np.ndarray, k: int)
 
 class MICache:
     """Memoizes labelizations, T tables (one per row count) and pairwise MI
-    values by content hash.  ``labels`` and ``mi`` take a vector or a (rows x
-    columns) matrix, whose new columns are labelled together, with the bits
-    each would get alone.
+    values by each column's content hash.  ``labels`` and ``mi`` take a vector
+    or a (rows x columns) matrix, whose new columns are labelled together,
+    with the bits each would get alone.
+
+    A caller that knows the columns' hashes passes them as ``keys`` (a
+    feature set's ``keys`` and its target's ``key``), and then nothing is
+    hashed; without them each column is hashed here.
 
     Single-threaded use; a concurrent caller should hold one cache per worker.
     """
@@ -94,13 +98,16 @@ class MICache:
             self._xlogx[m] = np.array([0.0] + [c * math.log(c) for c in range(1, m + 1)])
         return self._xlogx[m]
 
-    def labels(self, values: np.ndarray, bins: int) -> Labels | list[Labels]:
+    def labels(self, values: np.ndarray, bins: int,
+               keys: Sequence[bytes] | None = None) -> Labels | list[Labels]:
         """The ``Labels`` of a vector, or a list of them, one per column of a
-        matrix."""
+        matrix; ``keys`` holds one content hash per column."""
         x = np.asarray(values, dtype=np.float64)
         if x.ndim == 1:
-            return self.labels(x[:, None], bins)[0]
-        keys = [(content_hash(col), bins) for col in x.T]
+            return self.labels(x[:, None], bins, keys)[0]
+        if keys is None:
+            keys = [content_hash(col) for col in x.T]
+        keys = [(key, bins) for key in keys]
         todo = [j for j, key in enumerate(keys) if key not in self._labels]
         table = self._table(x.shape[0])
         step = max(1, _CHUNK_ENTRIES // x.shape[0])  # columns per labelling pass
@@ -112,16 +119,18 @@ class MICache:
                 self._labels[keys[j]] = Labels(keys[j][0], np.ascontiguousarray(codes), xlogx)
         return [self._labels[key] for key in keys]
 
-    def mi(self, x: np.ndarray, y: np.ndarray, bins: int) -> float | list[float]:
+    def mi(self, x: np.ndarray, y: np.ndarray, bins: int, keys: Sequence[bytes] | None = None,
+           y_key: bytes | None = None) -> float | list[float]:
         """MI of a vector with ``y``, or a list of the MI of each column of a
-        (rows x columns) matrix with ``y`` (see ``pair_mi``)."""
+        (rows x columns) matrix with ``y`` (see ``pair_mi``); ``keys`` and
+        ``y_key`` are their content hashes, when known."""
         x = np.asarray(x, dtype=np.float64)
         if x.shape[0] != np.shape(y)[0]:
             raise ValueError(f"{x.shape[0]} rows against a target of {np.shape(y)[0]}")
-        target = self.labels(y, bins)
+        target = self.labels(y, bins, None if y_key is None else (y_key,))
         if x.ndim == 1:
-            return self.pair_mi([(self.labels(x, bins), target)], bins)[0]
-        return self.pair_mi([(col, target) for col in self.labels(x, bins)], bins)
+            return self.pair_mi([(self.labels(x, bins, keys), target)], bins)[0]
+        return self.pair_mi([(col, target) for col in self.labels(x, bins, keys)], bins)
 
     def pair_mi(self, pairs: Sequence[tuple[Labels, Labels]], bins: int) -> list[float]:
         """MI of each pair of ``labels`` results, the unmemoized ones batched
@@ -163,8 +172,8 @@ def feature_set_quality(
     bins = default_bins(fs.n_rows) if bins is None else bins
     cache = MICache() if cache is None else cache
     n = fs.n_cols
-    target = cache.labels(fs.target.values, bins)
-    cols = cache.labels(fs.values, bins)
+    target = cache.labels(fs.target.values, bins, (fs.target.key,))
+    cols = cache.labels(fs.values, bins, fs.keys)
     pairs = [(col, target) for col in cols]
     pairs += [(cols[i], cols[j]) for i in range(n) for j in range(i + 1, n)]
     mis = cache.pair_mi(pairs, bins)

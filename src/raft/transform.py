@@ -15,6 +15,7 @@ from .dataset import (
     FeatureMeta,
     FeatureSet,
     Unary,
+    content_hash,
     default_bins,
     lineage_depth,
     safe_binary_value,
@@ -117,7 +118,8 @@ def cross_binary(
     if len(pairs) > cap:
         cache = MICache() if cache is None else cache
         use_bins = default_bins(head_view.n_rows) if bins is None else bins
-        mi_head, mi_tail = (cache.mi(view.values, head_view.target.values, use_bins)
+        y = head_view.target
+        mi_head, mi_tail = (cache.mi(view.values, y.values, use_bins, view.keys, y.key)
                             for view in (head_view, tail_view))
         scored = sorted(range(len(pairs)),
                         key=lambda p: (-(mi_head[pairs[p][0]] + mi_tail[pairs[p][1]]), p))
@@ -170,10 +172,9 @@ def select_features(
         return fs
     cache = MICache() if cache is None else cache
     use_bins = default_bins(fs.n_rows) if bins is None else bins
-    scores = cache.mi(fs.values, fs.target.values, use_bins)
+    scores = cache.mi(fs.values, fs.target.values, use_bins, fs.keys, fs.target.key)
     ranked = sorted(range(fs.n_cols), key=lambda i: (-scores[i], i))
-    keep = sorted(ranked[:max_size])
-    return fs.with_columns(fs.values[:, keep], tuple(fs.columns[i] for i in keep))
+    return fs.take(sorted(ranked[:max_size]))
 
 
 def generation_step(
@@ -190,7 +191,9 @@ def generation_step(
 ) -> tuple[FeatureSet, GeneratedBatch]:
     """Apply/cross, dedup, append, then shrink back via feature selection.
 
-    An empty post-dedup batch leaves the feature set unchanged (signaled by the
+    The kept batch columns are the step's new columns: each is hashed here,
+    once, and the merged space carries ``fs.keys`` followed by theirs.  An
+    empty post-dedup batch leaves the feature set unchanged (signaled by the
     empty batch, not an error).
     """
     head_view = cluster_columns(fs, head)
@@ -206,7 +209,8 @@ def generation_step(
     if len(batch) == 0:
         return fs, batch
     values = np.concatenate([fs.values] + [c[:, None] for c in batch.columns], axis=1)
-    merged = fs.with_columns(values, tuple(fs.columns) + tuple(batch.metas))
+    keys = fs.keys + tuple(content_hash(c) for c in batch.columns)
+    merged = fs.with_columns(values, tuple(fs.columns) + tuple(batch.metas), keys)
     if merged.n_cols > max_size:
         merged = select_features(merged, max_size, bins=bins, cache=cache)
     return merged, batch

@@ -41,11 +41,16 @@ def discretize_oracle(data, bins: int) -> list[int]:
 
 def discretize_quantile_oracle(values, bins: int) -> np.ndarray:
     """``discretize`` as it was before ``linear_quantiles``: the edges of every
-    column from one ``np.quantile`` call along axis 0."""
+    column from one ``np.quantile`` call along axis 0.  A column with a
+    non-finite edge is binned halved, values and edges."""
     x = np.asarray(values, dtype=np.float64)
     labels = np.zeros(x.shape, dtype=np.int64)
     if bins > 1:
-        edges = np.sort(np.quantile(x, np.arange(1, bins) / bins, axis=0, method="linear"), axis=0)
+        q = np.arange(1, bins) / bins
+        edges = np.quantile(x, q, axis=0, method="linear")
+        over = ~np.all(np.isfinite(edges), axis=0)
+        x = np.where(over, x / 2.0, x)
+        edges = np.sort(np.where(over, np.quantile(x, q, axis=0, method="linear"), edges), axis=0)
         distinct = np.ones(edges.shape, dtype=bool)
         distinct[1:] = edges[1:] != edges[:-1]
         for edge, new in zip(edges, distinct):

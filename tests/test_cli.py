@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from raft import dataset
+from raft import dataset, transform
 from raft.agents import TrainConfig
 from raft.cli import (
     _FILE_KEYS,
@@ -297,23 +297,84 @@ def test_bench_mode_never_encodes(small_csv, tmp_path, monkeypatch):
     assert result.n_transitions == 0
 
 
-def test_a_search_hashes_each_feature_space_once(small_csv, tmp_path, monkeypatch):
+def test_a_search_hashes_no_matrix_and_each_column_once(small_csv, tmp_path, monkeypatch):
+    # a column is hashed where it is born: at load (lazily) or as a kept
+    # column of a generation step; every view and selection hands keys on
     original = dataset.content_hash
-    matrices = []  # kept alive, so no two of them share an id
+    shapes = []
 
     def spy(arr):
-        if np.ndim(arr) == 2:
-            matrices.append(arr)
+        shapes.append(np.shape(arr))
         return original(arr)
 
     for name, module in list(sys.modules.items()):
         if name.startswith("raft") and getattr(module, "content_hash", None) is original:
             monkeypatch.setattr(module, "content_hash", spy)
+    born = []
+    real_dedup = transform.dedup
+
+    def counting_dedup(batch, fs):
+        kept = real_dedup(batch, fs)
+        born.append(len(kept))
+        return kept
+
+    monkeypatch.setattr(transform, "dedup", counting_dedup)
     result = run_search(small_config(small_csv, tmp_path, episodes=2, steps=3,
                                      encoder=EncoderKind.ALL))
-    assert len(result.trace) == 6
-    assert any(matrix is result.best_fs.values for matrix in matrices)
-    assert len({id(matrix) for matrix in matrices}) == len(matrices)
+    assert len(result.trace) == len(born) == 6 and sum(born) > 0
+    assert all(len(shape) == 1 for shape in shapes)
+    n_original = load_csv(small_csv, "y").n_cols
+    assert len(shapes) == n_original + 1 + sum(born)  # the target is keyed once
+
+
+def product_sign_table(m: int = 200, seed: int = 3) -> tuple[list[str], list[list[str]]]:
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((m, 5))
+    label = (x[:, 0] * x[:, 1] + x[:, 2] > 0.0).astype(int)
+    rows = [[repr(float(v)) for v in row] + [str(t)] for row, t in zip(x, label)]
+    return ["x0", "x1", "x2", "x3", "x4", "label"], rows
+
+
+def _set_cells(rows, cells):
+    for r, c, text in cells:
+        rows[r][c] = text
+    return rows
+
+
+INPUT_MATRIX = {
+    # name: (edit of the product-sign rows, extra flags, exit code)
+    "categorical column": (lambda rows: _set_cells(
+        rows, [(r, 3, ("red", "blue")[r % 2]) for r in range(len(rows))]), [], 3),
+    "ragged row": (lambda rows: rows[:5] + [rows[5][:-1]] + rows[6:], [], 3),
+    "inf cell": (lambda rows: _set_cells(rows, [(7, 1, "inf")]), [], 3),
+    "constant target": (lambda rows: _set_cells(rows, [(r, 5, "1") for r in range(len(rows))]),
+                        [], 3),
+    "2 rows": (lambda rows: rows[:2], [], 3),
+    "header only": (lambda rows: [], [], 3),
+    "missing cells": (lambda rows: _set_cells(rows, [(3, 0, ""), (9, 2, "NA")]), [], 3),
+    "missing cells, median imputation": (
+        lambda rows: _set_cells(rows, [(3, 0, ""), (9, 2, "NA")]), ["--impute", "median"], 0),
+    "two constant columns": (lambda rows: _set_cells(
+        rows, [(r, c, v) for r in range(len(rows)) for c, v in ((3, "2.5"), (4, "-1"))]), [], 0),
+}
+
+
+@pytest.mark.parametrize("case", list(INPUT_MATRIX))
+def test_every_input_class_fails_loudly_or_works(tmp_path, capsys, case):
+    edit, flags, code = INPUT_MATRIX[case]
+    header, rows = product_sign_table()
+    path = tmp_path / "input.csv"
+    path.write_text("\n".join(",".join(row) for row in [header] + edit(rows)) + "\n",
+                    encoding="utf-8")
+    out = tmp_path / "out"
+    got = main(["run", "--input", str(path), "--target", "label", "--out", str(out),
+                "--episodes", "1", "--steps", "3", "--no-report", *flags])
+    captured = capsys.readouterr()
+    assert got == code, captured.err
+    if code == 3:
+        assert "data error" in captured.err
+    else:
+        assert (out / "trace.tsv").read_text().count("\n") == 1 + 3  # header and 3 steps
 
 
 @pytest.mark.parametrize("metric", ["one_minus_mse", "one_minus_rae"])

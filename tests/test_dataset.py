@@ -1,10 +1,12 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from raft import dataset
 from raft.dataset import (
     Binary,
     DatasetError,
@@ -27,6 +29,7 @@ from raft.dataset import (
     split_train_valid,
     write_csv,
 )
+from raft.info_metrics import mutual_information
 from oracles import discretize_oracle, discretize_quantile_oracle
 
 
@@ -143,6 +146,104 @@ def test_write_then_load_is_identity(tmp_path):
     np.testing.assert_array_equal(fs2.target.values, fs.target.values)
 
 
+def loaded(path, impute=None):
+    """What ``load_csv`` makes of a file, bit for bit, or its error message."""
+    try:
+        fs = load_csv(path, "y", impute=impute)
+    except DatasetError as exc:
+        return "error", str(exc)
+    return (fs.names(), fs.values.shape, fs.values.tobytes(), fs.target.kind,
+            fs.target.values.dtype, fs.target.values.tobytes())
+
+
+def loaded_per_cell(path, impute=None):
+    with mock.patch.object(dataset, "_numeric_cells", lambda fh, width: None):
+        return loaded(path, impute)
+
+
+def test_a_plain_numeric_file_takes_the_one_call_path(tmp_path):
+    p = write(tmp_path / "d.csv", 'a,b,y\n1.5, -2e3 ,0\n"3",4,1\n\n5,6,0\n')
+    real, returned = dataset._numeric_cells, []
+
+    def recording(fh, width):
+        returned.append(real(fh, width))
+        return returned[-1]
+
+    with mock.patch.object(dataset, "_numeric_cells", recording):
+        got = loaded(p)
+    assert returned[0].shape == (3, 3)
+    assert got == loaded_per_cell(p)
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+PLAIN_NUMBER = st.one_of(
+    FINITE.map(repr),
+    FINITE.map(lambda v: f"{v:e}"),
+    FINITE.map(lambda v: f"{v:.3E}"),
+    st.integers(-10 ** 6, 10 ** 6).map(str),
+)
+NUMBER_CELL = st.one_of(
+    PLAIN_NUMBER,
+    PLAIN_NUMBER.map(lambda t: f'"{t}"'),
+    PLAIN_NUMBER.map(lambda t: f" {t} "),
+    PLAIN_NUMBER.map(lambda t: f'" {t}"'),
+)
+ODD_CELL = st.one_of(
+    st.sampled_from(["", " ", "na", "NA", "nan", "NaN", "null", "None", "inf", "-inf",
+                     "Infinity", "1e999", "red", '""', '"1,5"', "0x10"]),
+    st.integers(0, 10 ** 7).map(lambda i: f"{i:_}"),  # 1_000: Python's float reads it
+)
+
+
+@st.composite
+def csv_texts(draw):
+    """CSV text whose data cells are mostly plain numbers, with a few odd
+    cells, a possibly categorical or constant target, a ragged row, blank
+    lines, either line ending and an optional byte-order mark."""
+    n = draw(st.integers(1, 3))
+    m = draw(st.integers(0, 6))
+    target = draw(st.sampled_from([
+        st.sampled_from(["0", "1", "2"]), st.sampled_from(["cat", "dog"]), PLAIN_NUMBER,
+        st.just("7")]))
+    rows = [[draw(NUMBER_CELL) for _ in range(n)] + [draw(target)] for _ in range(m)]
+    if m:
+        for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+            r, c = draw(st.integers(0, m - 1)), draw(st.integers(0, n))
+            rows[r][c] = draw(ODD_CELL)
+        if draw(st.integers(0, 9)) == 0:
+            r = draw(st.integers(0, m - 1))
+            rows[r] = rows[r][:-1] if draw(st.booleans()) else rows[r] + ["1"]
+    lines = [",".join([f"x{j}" for j in range(n)] + ["y"])] + [",".join(r) for r in rows]
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(1, len(lines))), "")
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    text = eol.join(lines) + draw(st.sampled_from(["", eol]))
+    return ("\ufeff" if draw(st.booleans()) else "") + text
+
+
+@given(csv_texts(), st.sampled_from([None, "median"]))
+@settings(max_examples=300, deadline=None)
+def test_one_call_and_per_cell_ingest_agree(tmp_path_factory, text, impute):
+    # the same FeatureSet bits, or the same DatasetError message
+    p = tmp_path_factory.mktemp("ingest") / "d.csv"
+    p.write_bytes(text.encode("utf-8"))
+    assert loaded(p, impute) == loaded_per_cell(p, impute)
+
+
+def test_write_then_load_keeps_extreme_values_bit_for_bit(tmp_path):
+    big = np.finfo(np.float64).max
+    tiny = np.finfo(np.float64).smallest_subnormal
+    values = np.array([[big, -0.0], [-big, tiny], [0.0, -tiny], [1e-310, 3 * tiny],
+                       [-1e-320, 2.5e-308], [5e-324, -big]])
+    cols = (FeatureMeta.from_lineage(Ident("a")), FeatureMeta.from_lineage(Ident("b")))
+    target = Target(np.array([-0.0, big, -big, tiny, 1.5, -tiny]), TaskKind.REGRESSION, "y")
+    out = tmp_path / "extreme.csv"
+    write_csv(FeatureSet(values, cols, target), out)
+    got = loaded(out)
+    assert got == loaded_per_cell(out)
+    assert got[2] == values.tobytes() and got[5] == target.values.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # FeatureSet invariants
 # ---------------------------------------------------------------------------
@@ -161,15 +262,25 @@ def test_feature_set_rejects_inconsistent_meta():
         FeatureSet(np.array([[1.0], [2.0]]), (bad,), target)
 
 
-def test_feature_set_key_is_the_content_hash_of_its_values():
+def test_feature_set_key_is_its_content_identity():
     rng = np.random.default_rng(3)
     values = rng.standard_normal((6, 3))
     cols = tuple(FeatureMeta.from_lineage(Ident(f"c{i}")) for i in range(3))
-    fs = FeatureSet(values, cols, Target(np.arange(6.0), TaskKind.REGRESSION, "y"))
-    assert fs.key == content_hash(fs.values) == content_hash(values)
+    target = Target(np.arange(6.0), TaskKind.REGRESSION, "y")
+    fs = FeatureSet(values, cols, target)
+    assert fs.keys == tuple(content_hash(values[:, j]) for j in range(3))
     assert fs.key is fs.key  # computed once
-    assert fs.with_columns(values[:, ::-1], cols[::-1]).key == content_hash(values[:, ::-1])
-    assert fs.subset_rows(np.array([0, 2, 5])).key == content_hash(values[[0, 2, 5]])
+    # equal for equal columns in order, however the set was made
+    assert FeatureSet(values.copy(), cols, target).key == fs.key
+    view = fs.take([0, 2])  # hands the parent's keys on
+    assert view.keys == (fs.keys[0], fs.keys[2])
+    assert view.key == FeatureSet(values[:, [0, 2]], view.columns, target).key
+    # different when the columns are reordered or the rows subset
+    assert fs.with_columns(values[:, ::-1], cols[::-1]).key != fs.key
+    assert fs.subset_rows(np.arange(5)).key != fs.key
+    assert fs.subset_rows(np.arange(5)).keys == tuple(content_hash(values[:5, j]) for j in range(3))
+    with pytest.raises(DatasetError, match="column keys"):
+        fs.with_columns(values, cols, fs.keys[:2])
 
 
 def test_feature_set_values_are_read_only():
@@ -181,7 +292,7 @@ def test_feature_set_values_are_read_only():
         fs.values[0, 0] = 99.0
     with pytest.raises(ValueError):
         fs.column(1)[2] = 99.0
-    assert fs.key == key == content_hash(np.arange(8.0).reshape(4, 2))
+    assert fs.key == key == FeatureSet(np.arange(8.0).reshape(4, 2), cols, fs.target).key
     values[0, 0] = -1.0  # the caller's own array stays writable
     assert values.flags.writeable
 
@@ -378,6 +489,25 @@ def test_discretize_equals_the_np_quantile_edges_at_every_width(bins):
                 want = discretize_quantile_oracle(x, bins)
                 np.testing.assert_array_equal(discretize(x, bins), want)
                 np.testing.assert_array_equal(discretize(x[:, 0], bins), want[:, 0])
+
+
+def test_discretize_bins_a_column_whose_edges_overflow_halved():
+    # 30 distinct values at +-(0.6 to 1) x max: the median edge lies between
+    # -0.6 max and 0.6 max, and their difference overflows
+    big = np.finfo(np.float64).max
+    mags = np.linspace(0.6, 1.0, 15) * big
+    x = np.random.default_rng(5).permutation(np.concatenate([-mags, mags]))
+    sign = (x > 0).astype(np.float64)
+    np.testing.assert_array_equal(discretize(x, 2), sign)
+    np.testing.assert_array_equal(discretize(x, 3), discretize(x / big, 3))
+    assert mutual_information(x, sign, 2) == pytest.approx(math.log(2.0), rel=1e-15)
+    np.testing.assert_array_equal(discretize(np.array([-big, big] * 4), 2), [0, 1] * 4)
+    # the other columns of a matrix keep their labels
+    z = np.random.default_rng(6).standard_normal(30)
+    both = discretize(np.column_stack([z, x, z * 1e300]), 4)
+    for j, col in enumerate([z, x, z * 1e300]):
+        np.testing.assert_array_equal(both[:, j], discretize(col, 4))
+    np.testing.assert_array_equal(both[:, 0], discretize_oracle(z, 4))
 
 
 def test_discretize_rejects_empty_and_deep_inputs():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from raft.dataset import FeatureMeta, FeatureSet, Ident, Target, TaskKind, discretize
+from raft.dataset import FeatureMeta, FeatureSet, Ident, Target, TaskKind, content_hash, discretize
 from raft import info_metrics
 from raft.info_metrics import (
     Labels,
@@ -380,6 +380,12 @@ def test_matrix_mi_equals_per_column_calls_cold_and_warm(seed):
     assert want == [mutual_information(col, y, bins) for col in values.T]
     assert batched._labels.keys() == single._labels.keys()
     assert batched._mi.keys() == single._mi.keys()
+    # keys handed in are the hashes the cache would have computed
+    keyed = MICache()
+    assert keyed.mi(values, y, bins, [content_hash(col) for col in values.T],
+                    content_hash(y)) == want
+    assert keyed._labels.keys() == single._labels.keys()
+    assert keyed._mi.keys() == single._mi.keys()
     # warm: each cache answers the other kind of call from its memo
     assert single.mi(values, y, bins) == want
     assert [batched.mi(col, y, bins) for col in values.T] == want
