@@ -106,11 +106,10 @@ class EvalContext:
     feature-matrix content (one fixed split seed keeps scores comparable)."""
 
     def __init__(self, metric: MetricKind, split_seed: int, forest_cfg: ForestConfig,
-                 bins: int, cache: MICache) -> None:
+                 cache: MICache) -> None:
         self.metric = metric
         self.split_seed = split_seed
         self.forest_cfg = forest_cfg
-        self.bins = bins
         self.cache = cache
         self._scores: dict[bytes, float] = {}
         self._quality: dict[bytes, float] = {}
@@ -130,7 +129,7 @@ class EvalContext:
     def quality(self, fs: FeatureSet) -> float:
         key = fs.key
         if key not in self._quality:
-            self._quality[key] = feature_set_quality(fs, self.bins, self.cache)
+            self._quality[key] = feature_set_quality(fs, self.cache)
         return self._quality[key]
 
 
@@ -145,10 +144,10 @@ def run_search(cfg: RunConfig) -> RunResult:
     bins = train.bins if train.bins is not None else default_bins(fs0.n_rows)
     max_size = train.max_size if train.max_size is not None else 2 * fs0.n_cols
 
-    mi_cache = MICache()
+    mi_cache = MICache(bins)
     split_seed = derive_seed(train.seed, "split")
     forest_seed = derive_seed(train.seed, "forest")
-    evalctx = EvalContext(metric, split_seed, ForestConfig(seed=forest_seed), bins, mi_cache)
+    evalctx = EvalContext(metric, split_seed, ForestConfig(seed=forest_seed), mi_cache)
 
     action_rng = np.random.default_rng(derive_seed(train.seed, "actions"))
     policy = (RandomPolicy(train.op_set, action_rng) if cfg.bench
@@ -168,7 +167,7 @@ def run_search(cfg: RunConfig) -> RunResult:
             fs = fs0
         ep_best = -math.inf
         for step in range(train.steps):
-            clusters = adaptive_cluster(fs, train.distance, train.delta, bins, mi_cache)
+            clusters = adaptive_cluster(fs, train.distance, train.delta, mi_cache)
             views = [cluster_columns(fs, g) for g in clusters.groups]
             head_idx = policy.choose_head(fs, views)
             op = train.op_set.ops[policy.choose_op()]
@@ -179,8 +178,7 @@ def run_search(cfg: RunConfig) -> RunResult:
 
             fs_next, _ = generation_step(
                 fs, clusters.groups[head_idx], op, clusters.groups[tail_idx], train.op_set,
-                max_size, cap=train.cross_cap, bins=bins, cache=mi_cache,
-                max_depth=train.max_lineage_depth,
+                max_size, mi_cache, cap=train.cross_cap, max_depth=train.max_lineage_depth,
             )
 
             r_head, r_op, r_tail = compute_rewards(fs, fs_next, views[head_idx],

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import FeatureSet, default_bins
+from .dataset import FeatureSet
 from .info_metrics import MICache, PairwiseDistanceKind, column_distances
 
 
@@ -36,18 +36,12 @@ class ClusterSet:
         return len(self.groups)
 
 
-def pair_score_matrix(
-    fs: FeatureSet,
-    kind: PairwiseDistanceKind,
-    bins: int | None = None,
-    cache: MICache | None = None,
-) -> np.ndarray:
-    """N x N matrix of d(f_i, f_j) * |MI(f_i,y) - MI(f_j,y)| (zero diagonal)."""
-    bins = default_bins(fs.n_rows) if bins is None else bins
-    cache = MICache() if cache is None else cache
+def pair_score_matrix(fs: FeatureSet, kind: PairwiseDistanceKind, cache: MICache) -> np.ndarray:
+    """N x N matrix of d(f_i, f_j) * |MI(f_i,y) - MI(f_j,y)| (zero diagonal),
+    each MI(f, y) from the run's ``cache``."""
     n = fs.n_cols
     cols = np.ascontiguousarray(fs.values.T, dtype=np.float64)
-    mi_y = np.array(cache.mi(fs.values, fs.target.values, bins, fs.keys, fs.target.key))
+    mi_y = np.array(cache.mi(fs))
     scores = np.zeros((n, n), dtype=np.float64)
     for i in range(n - 1):
         scores[i, i + 1:] = column_distances(cols[i], cols[i + 1:], kind) * np.abs(
@@ -108,11 +102,7 @@ def cut(merges: list[tuple[float, int, int]], n: int, threshold: float) -> Clust
 
 
 def adaptive_cluster(
-    fs: FeatureSet,
-    kind: PairwiseDistanceKind,
-    delta: float,
-    bins: int | None = None,
-    cache: MICache | None = None,
+    fs: FeatureSet, kind: PairwiseDistanceKind, delta: float, cache: MICache
 ) -> ClusterSet:
     """Cut the step's merge sequence at threshold = delta * mean initial
     pairwise score, halving the threshold until at least two groups come out.
@@ -123,7 +113,7 @@ def adaptive_cluster(
     n = fs.n_cols
     if n == 1:
         return ClusterSet(((0,),))
-    scores = pair_score_matrix(fs, kind, bins, cache)
+    scores = pair_score_matrix(fs, kind, cache)
     merges = merge_sequence(scores)
     threshold = delta * float(np.mean(scores[np.triu_indices(n, k=1)]))
     for _ in range(12):

@@ -391,7 +391,7 @@ def load_csv(
             fh.seek(0)
             reader = csv.reader(fh)
             next(reader)
-            data_rows = [r for r in reader if r]
+            data_rows = [(reader.line_num, r) for r in reader if r]
             if not data_rows:
                 raise DatasetError(f"{path} has a header but no data rows")
 
@@ -438,18 +438,19 @@ def _numeric_cells(fh, width: int) -> np.ndarray | None:
 
 
 def _convert_cells(
-    data_rows: list[list[str]], width: int, target_pos: int, names: list[str], impute: str | None
+    data_rows: list[tuple[int, list[str]]], width: int, target_pos: int, names: list[str],
+    impute: str | None,
 ) -> tuple[np.ndarray, list[str]]:
-    """Feature values and raw target cells, one cell at a time, with the
-    first problem worded by row and column."""
+    """Feature values and raw target cells of the (file line, cells) rows, one
+    cell at a time, with the first problem worded by file line and column."""
     m = len(data_rows)
     n = len(names)
     values = np.empty((m, n), dtype=np.float64)
     missing = False
     target_raw: list[str] = []
-    for r, row in enumerate(data_rows):
+    for r, (line, row) in enumerate(data_rows):
         if len(row) != width:
-            raise DatasetError(f"row {r + 2}: expected {width} cells, got {len(row)}")
+            raise DatasetError(f"row {line}: expected {width} cells, got {len(row)}")
         c = 0
         for i, cell in enumerate(row):
             if i == target_pos:
@@ -459,7 +460,7 @@ def _convert_cells(
             if text.lower() in _MISSING_TOKENS:
                 if impute != "median":
                     raise DatasetError(
-                        f"row {r + 2}, column {names[c]!r}: missing value (use median imputation to allow)"
+                        f"row {line}, column {names[c]!r}: missing value (use median imputation to allow)"
                     )
                 missing = True
                 values[r, c] = np.nan
@@ -468,7 +469,7 @@ def _convert_cells(
                     values[r, c] = float(text)
                 except ValueError:
                     raise DatasetError(
-                        f"row {r + 2}, column {names[c]!r}: non-numeric value {text!r}"
+                        f"row {line}, column {names[c]!r}: non-numeric value {text!r}"
                     ) from None
             c += 1
     if missing:

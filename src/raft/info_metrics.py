@@ -8,7 +8,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .dataset import MAX_DISCRETE_LABELS, FeatureSet, content_hash, default_bins, discretize
+from .dataset import MAX_DISCRETE_LABELS, FeatureSet, content_hash, discretize
 
 
 class PairwiseDistanceKind(Enum):
@@ -74,22 +74,21 @@ def _count_mi(pairs: Sequence[tuple[Labels, Labels]], table: np.ndarray, k: int)
 
 
 class MICache:
-    """Memoizes labelizations, T tables (one per row count) and pairwise MI
-    values by each column's content hash.  ``labels`` and ``mi`` take a vector
-    or a (rows x columns) matrix, whose new columns are labelled together,
-    with the bits each would get alone.
-
-    A caller that knows the columns' hashes passes them as ``keys`` (a
-    feature set's ``keys`` and its target's ``key``), and then nothing is
-    hashed; without them each column is hashed here.
+    """The run's one MI estimator at a fixed bin count.  Memoizes
+    labelizations, T tables (one per row count) and pairwise MI values by
+    each column's content hash, handed in as ``keys`` (a feature set's
+    ``keys`` and its target's ``key``), so nothing is hashed here.
+    ``labels`` takes a vector or a (rows x columns) matrix, whose new columns
+    are labelled together, with the bits each would get alone.
 
     Single-threaded use; a concurrent caller should hold one cache per worker.
     """
 
-    def __init__(self) -> None:
-        self._labels: dict[tuple[bytes, int], Labels] = {}
+    def __init__(self, bins: int) -> None:
+        self.bins = bins
+        self._labels: dict[bytes, Labels] = {}
         self._xlogx: dict[int, np.ndarray] = {}
-        self._mi: dict[tuple[bytes, bytes, int], float] = {}
+        self._mi: dict[tuple[bytes, bytes], float] = {}
 
     def _table(self, m: int) -> np.ndarray:
         """T[c] = c*log(c) for every count c in 0..m, each log from ``math.log``
@@ -98,48 +97,36 @@ class MICache:
             self._xlogx[m] = np.array([0.0] + [c * math.log(c) for c in range(1, m + 1)])
         return self._xlogx[m]
 
-    def labels(self, values: np.ndarray, bins: int,
-               keys: Sequence[bytes] | None = None) -> Labels | list[Labels]:
+    def labels(self, values: np.ndarray, keys: Sequence[bytes]) -> Labels | list[Labels]:
         """The ``Labels`` of a vector, or a list of them, one per column of a
         matrix; ``keys`` holds one content hash per column."""
         x = np.asarray(values, dtype=np.float64)
         if x.ndim == 1:
-            return self.labels(x[:, None], bins, keys)[0]
-        if keys is None:
-            keys = [content_hash(col) for col in x.T]
-        keys = [(key, bins) for key in keys]
+            return self.labels(x[:, None], keys)[0]
         todo = [j for j, key in enumerate(keys) if key not in self._labels]
         table = self._table(x.shape[0])
         step = max(1, _CHUNK_ENTRIES // x.shape[0])  # columns per labelling pass
         for start in range(0, len(todo), step):
             chunk = todo[start:start + step]
-            labels = as_labels(x[:, chunk], bins)
+            labels = as_labels(x[:, chunk], self.bins)
             # one small array per column: a memo entry pins no chunk-sized block
             for j, codes, xlogx in zip(chunk, labels.T, _xlogx_sums(labels, table)):
-                self._labels[keys[j]] = Labels(keys[j][0], np.ascontiguousarray(codes), xlogx)
+                self._labels[keys[j]] = Labels(keys[j], np.ascontiguousarray(codes), xlogx)
         return [self._labels[key] for key in keys]
 
-    def mi(self, x: np.ndarray, y: np.ndarray, bins: int, keys: Sequence[bytes] | None = None,
-           y_key: bytes | None = None) -> float | list[float]:
-        """MI of a vector with ``y``, or a list of the MI of each column of a
-        (rows x columns) matrix with ``y`` (see ``pair_mi``); ``keys`` and
-        ``y_key`` are their content hashes, when known."""
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape[0] != np.shape(y)[0]:
-            raise ValueError(f"{x.shape[0]} rows against a target of {np.shape(y)[0]}")
-        target = self.labels(y, bins, None if y_key is None else (y_key,))
-        if x.ndim == 1:
-            return self.pair_mi([(self.labels(x, bins, keys), target)], bins)[0]
-        return self.pair_mi([(col, target) for col in self.labels(x, bins, keys)], bins)
+    def mi(self, fs: FeatureSet) -> list[float]:
+        """The MI of each column of ``fs`` with its target (see ``pair_mi``)."""
+        target = self.labels(fs.target.values, (fs.target.key,))
+        return self.pair_mi([(col, target) for col in self.labels(fs.values, fs.keys)])
 
-    def pair_mi(self, pairs: Sequence[tuple[Labels, Labels]], bins: int) -> list[float]:
+    def pair_mi(self, pairs: Sequence[tuple[Labels, Labels]]) -> list[float]:
         """MI of each pair of ``labels`` results, the unmemoized ones batched
         through ``_count_mi``.  The operand with the smaller content hash is
         the row variable, so both argument orders sum the same terms."""
         ordered = [(x, y) if x.key <= y.key else (y, x) for x, y in pairs]
-        keys = [(x.key, y.key, bins) for x, y in ordered]
+        keys = [(x.key, y.key) for x, y in ordered]
         todo = [p for p, key in enumerate(keys) if key not in self._mi]
-        m, k = ordered[0][0].codes.size, max(bins, MAX_DISCRETE_LABELS)
+        m, k = ordered[0][0].codes.size, max(self.bins, MAX_DISCRETE_LABELS)
         step = max(1, _CHUNK_ENTRIES // max(m, k * k))
         for start in range(0, len(todo), step):
             batch = todo[start:start + step]
@@ -148,35 +135,32 @@ class MICache:
         return [self._mi[key] for key in keys]
 
 
-def mutual_information(
-    x: np.ndarray, y_vec: np.ndarray, bins: int, cache: MICache | None = None
-) -> float:
-    """Plug-in MI between two vectors (nats); exactly symmetric in (x, y),
-    because ``MICache.mi`` orders the operands by content hash."""
+def mutual_information(x: np.ndarray, y_vec: np.ndarray, bins: int) -> float:
+    """Plug-in MI between two vectors (nats) at ``bins``; exactly symmetric
+    in (x, y), because ``MICache.pair_mi`` orders the operands by content
+    hash."""
     x = np.asarray(x, dtype=np.float64)
     y_vec = np.asarray(y_vec, dtype=np.float64)
     if x.shape != y_vec.shape or x.ndim != 1 or x.size < 2:
         raise ValueError("inputs must be equal-length vectors with >= 2 entries")
-    return (MICache() if cache is None else cache).mi(x, y_vec, bins)
+    cache = MICache(bins)
+    pair = tuple(cache.labels(v, (content_hash(v),)) for v in (x, y_vec))
+    return cache.pair_mi([pair])[0]
 
 
-def feature_set_quality(
-    fs: FeatureSet, bins: int | None = None, cache: MICache | None = None
-) -> float:
+def feature_set_quality(fs: FeatureSet, cache: MICache) -> float:
     """Relevance-minus-redundancy score of a feature space.
 
     Averages MI(feature, target) and subtracts the normalized sum of
     MI(f_i, f_j) over ordered distinct pairs (self-pairs excluded, |F|^2
     normalization kept).
     """
-    bins = default_bins(fs.n_rows) if bins is None else bins
-    cache = MICache() if cache is None else cache
     n = fs.n_cols
-    target = cache.labels(fs.target.values, bins, (fs.target.key,))
-    cols = cache.labels(fs.values, bins, fs.keys)
+    target = cache.labels(fs.target.values, (fs.target.key,))
+    cols = cache.labels(fs.values, fs.keys)
     pairs = [(col, target) for col in cols]
     pairs += [(cols[i], cols[j]) for i in range(n) for j in range(i + 1, n)]
-    mis = cache.pair_mi(pairs, bins)
+    mis = cache.pair_mi(pairs)
     # each sum strictly left to right, pairs in the order listed
     relevance, redundancy = (float(np.cumsum([0.0, *part])[-1]) for part in (mis[:n], mis[n:]))
     return -(2.0 * redundancy) / (n * n) + relevance / n

@@ -16,7 +16,6 @@ from .dataset import (
     FeatureSet,
     Unary,
     content_hash,
-    default_bins,
     lineage_depth,
     safe_binary_value,
     safe_unary_value,
@@ -101,26 +100,22 @@ def cross_binary(
     op: str,
     head_view: FeatureSet,
     tail_view: FeatureSet,
+    cache: MICache,
     cap: int = DEFAULT_CROSS_CAP,
-    bins: int | None = None,
-    cache: MICache | None = None,
     max_depth: int = DEFAULT_MAX_DEPTH,
 ) -> GeneratedBatch:
     """Cartesian pairing of head and tail members, head-major order.
 
     When the pairing exceeds ``cap``, the pairs with the largest
-    MI(head, y) + MI(tail, y) survive (ties keep head-major order); the
-    surviving columns are still emitted in head-major order.
+    MI(head, y) + MI(tail, y), read from the run's ``cache``, survive (ties
+    keep head-major order); the surviving columns are still emitted in
+    head-major order.
     """
     if head_view.n_cols == 0 or tail_view.n_cols == 0:
         raise ValueError("clusters must be nonempty")
     pairs = [(a, b) for a in range(head_view.n_cols) for b in range(tail_view.n_cols)]
     if len(pairs) > cap:
-        cache = MICache() if cache is None else cache
-        use_bins = default_bins(head_view.n_rows) if bins is None else bins
-        y = head_view.target
-        mi_head, mi_tail = (cache.mi(view.values, y.values, use_bins, view.keys, y.key)
-                            for view in (head_view, tail_view))
+        mi_head, mi_tail = cache.mi(head_view), cache.mi(tail_view)
         scored = sorted(range(len(pairs)),
                         key=lambda p: (-(mi_head[pairs[p][0]] + mi_tail[pairs[p][1]]), p))
         pairs = [pairs[p] for p in sorted(scored[:cap])]
@@ -158,21 +153,15 @@ def dedup(batch: GeneratedBatch, fs: FeatureSet) -> GeneratedBatch:
     return GeneratedBatch(kept_cols, kept_metas, batch.op)
 
 
-def select_features(
-    fs: FeatureSet,
-    max_size: int,
-    bins: int | None = None,
-    cache: MICache | None = None,
-) -> FeatureSet:
-    """Keep the top ``max_size`` columns by MI with the target (ties keep the
-    lower index); surviving columns preserve their relative order."""
+def select_features(fs: FeatureSet, max_size: int, cache: MICache) -> FeatureSet:
+    """Keep the top ``max_size`` columns by MI with the target, read from the
+    run's ``cache`` (ties keep the lower index); surviving columns preserve
+    their relative order."""
     if max_size < 1:
         raise ValueError("max_size must be >= 1")
     if fs.n_cols <= max_size:
         return fs
-    cache = MICache() if cache is None else cache
-    use_bins = default_bins(fs.n_rows) if bins is None else bins
-    scores = cache.mi(fs.values, fs.target.values, use_bins, fs.keys, fs.target.key)
+    scores = cache.mi(fs)
     ranked = sorted(range(fs.n_cols), key=lambda i: (-scores[i], i))
     return fs.take(sorted(ranked[:max_size]))
 
@@ -184,9 +173,8 @@ def generation_step(
     tail: tuple[int, ...] | None,
     op_set: OperationSet,
     max_size: int,
+    cache: MICache,
     cap: int = DEFAULT_CROSS_CAP,
-    bins: int | None = None,
-    cache: MICache | None = None,
     max_depth: int = DEFAULT_MAX_DEPTH,
 ) -> tuple[FeatureSet, GeneratedBatch]:
     """Apply/cross, dedup, append, then shrink back via feature selection.
@@ -203,8 +191,7 @@ def generation_step(
         if tail is None:
             raise ValueError(f"binary operation {op!r} needs a tail cluster")
         tail_view = cluster_columns(fs, tail)
-        batch = cross_binary(op, head_view, tail_view, cap=cap, bins=bins, cache=cache,
-                             max_depth=max_depth)
+        batch = cross_binary(op, head_view, tail_view, cache, cap=cap, max_depth=max_depth)
     batch = dedup(batch, fs)
     if len(batch) == 0:
         return fs, batch
@@ -212,5 +199,5 @@ def generation_step(
     keys = fs.keys + tuple(content_hash(c) for c in batch.columns)
     merged = fs.with_columns(values, tuple(fs.columns) + tuple(batch.metas), keys)
     if merged.n_cols > max_size:
-        merged = select_features(merged, max_size, bins=bins, cache=cache)
+        merged = select_features(merged, max_size, cache)
     return merged, batch

@@ -116,9 +116,8 @@ def test_select_tail_uniform_thirds_and_exclusion():
 def test_rewards_noop_step_cancels_downstream_difference():
     rng = np.random.default_rng(8)
     fs = random_feature_set(rng, 30, 3)
-    cache = MICache()
-    bins = 4
-    quality = lambda f: feature_set_quality(f, bins, cache)
+    cache = MICache(4)
+    quality = lambda f: feature_set_quality(f, cache)
     score = lambda f: downstream_score(f, 0, MetricKind.ONE_MINUS_RAE,
                                        ForestConfig(seed=1))
     head_view = cluster_columns(fs, (0,))
@@ -131,8 +130,8 @@ def test_rewards_singleton_head_is_target_mi():
     rng = np.random.default_rng(9)
     fs = random_feature_set(rng, 40, 3)
     bins = default_bins(40)
-    cache = MICache()
-    quality = lambda f: feature_set_quality(f, bins, cache)
+    cache = MICache(bins)
+    quality = lambda f: feature_set_quality(f, cache)
     score = lambda f: 0.0
     head_view = cluster_columns(fs, (1,))
     r1, _, _ = compute_rewards(fs, fs, head_view, quality, score)
@@ -145,17 +144,17 @@ def test_rewards_match_direct_recomputation():
     for _ in range(5):
         fs = random_feature_set(rng, 30, 4)
         bins = 4
-        cache = MICache()
-        quality = lambda f: feature_set_quality(f, bins, cache)
+        cache = MICache(bins)
+        quality = lambda f: feature_set_quality(f, cache)
         score = lambda f: downstream_score(f, 2, MetricKind.ONE_MINUS_MAE,
                                            ForestConfig(seed=3, n_trees=3))
         fs_next, _ = generation_step(fs, (0, 1), "*", (2, 3), OperationSet(),
-                                     max_size=10, bins=bins, cache=cache)
+                                     max_size=10, cache=cache)
         head_view = cluster_columns(fs, (0, 1))
         r1, ro, r2 = compute_rewards(fs, fs_next, head_view, quality, score)
-        assert r1 == pytest.approx(feature_set_quality(head_view, bins), abs=1e-12)
-        assert r2 == pytest.approx(feature_set_quality(fs_next, bins), abs=1e-12)
-        want_ro = (feature_set_quality(fs_next, bins) + score(fs_next) - score(fs))
+        assert r1 == pytest.approx(feature_set_quality(head_view, MICache(bins)), abs=1e-12)
+        assert r2 == pytest.approx(feature_set_quality(fs_next, MICache(bins)), abs=1e-12)
+        want_ro = (feature_set_quality(fs_next, MICache(bins)) + score(fs_next) - score(fs))
         assert ro == pytest.approx(want_ro, abs=1e-12)
 
 

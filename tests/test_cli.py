@@ -1,11 +1,12 @@
 import hashlib
+import math
 import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from raft import dataset, transform
+from raft import agents, dataset, info_metrics, transform
 from raft.agents import TrainConfig
 from raft.cli import (
     _FILE_KEYS,
@@ -21,6 +22,7 @@ from raft.dataset import (
     FeatureSet,
     Target,
     TaskKind,
+    default_bins,
     evaluate_lineage,
     load_csv,
     parse_lineage,
@@ -360,12 +362,21 @@ INPUT_MATRIX = {
 
 
 @pytest.mark.parametrize("case", list(INPUT_MATRIX))
-def test_every_input_class_fails_loudly_or_works(tmp_path, capsys, case):
+def test_every_input_class_fails_loudly_or_works(tmp_path, capsys, monkeypatch, case):
     edit, flags, code = INPUT_MATRIX[case]
     header, rows = product_sign_table()
     path = tmp_path / "input.csv"
     path.write_text("\n".join(",".join(row) for row in [header] + edit(rows)) + "\n",
                     encoding="utf-8")
+    reports = []
+    real_update = agents.update_agents
+
+    def spy(bundles, episode, cfg):
+        updated, report = real_update(bundles, episode, cfg)
+        reports.append(report)
+        return updated, report
+
+    monkeypatch.setattr(agents, "update_agents", spy)
     out = tmp_path / "out"
     got = main(["run", "--input", str(path), "--target", "label", "--out", str(out),
                 "--episodes", "1", "--steps", "3", "--no-report", *flags])
@@ -375,6 +386,34 @@ def test_every_input_class_fails_loudly_or_works(tmp_path, capsys, case):
         assert "data error" in captured.err
     else:
         assert (out / "trace.tsv").read_text().count("\n") == 1 + 3  # header and 3 steps
+        (report,) = reports  # one episode, one update
+        for name in ("head", "op"):
+            objective = report[f"{name}_actor_objective"]
+            assert math.isfinite(objective) and objective != 0.0, (name, objective)
+        # exactly 0 while the tail agent has a single candidate (ROADMAP item 6)
+        assert math.isfinite(report["tail_actor_objective"])
+
+
+@pytest.mark.parametrize("flags", [["--bins", "5"], ["--bins", "9"], []],
+                         ids=["bins-5", "bins-9", "default"])
+def test_a_run_labels_every_column_at_its_bin_count(tmp_path, monkeypatch, flags):
+    m = 150
+    path = write_fixture(squared_sum_regression(m=m, n_distractors=3, seed=11),
+                         tmp_path / "data.csv")
+    want = int(flags[1]) if flags else default_bins(m)
+    assert flags or want not in (5, 9)  # the default is told apart from both flags
+    seen = []
+    real_as_labels = info_metrics.as_labels
+
+    def spy(values, bins):
+        seen.append(bins)
+        return real_as_labels(values, bins)
+
+    monkeypatch.setattr(info_metrics, "as_labels", spy)
+    got = main(["run", "--input", str(path), "--target", "y", "--out", str(tmp_path / "out"),
+                "--episodes", "1", "--steps", "2", "--no-report", *flags])
+    assert got == 0
+    assert seen and set(seen) == {want}
 
 
 @pytest.mark.parametrize("metric", ["one_minus_mse", "one_minus_rae"])

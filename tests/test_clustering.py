@@ -9,7 +9,7 @@ from raft.clustering import (
     merge_sequence,
     pair_score_matrix,
 )
-from raft.info_metrics import PairwiseDistanceKind, mutual_information, pairwise_distance
+from raft.info_metrics import MICache, PairwiseDistanceKind, mutual_information, pairwise_distance
 from oracles import (
     agglomerative_oracle,
     cosine_oracle,
@@ -25,7 +25,7 @@ COS = PairwiseDistanceKind.COSINE
 
 def cluster_at(fs, kind, threshold, bins):
     """The clusters of `fs` at one threshold, cut from its merge sequence."""
-    return cut(merge_sequence(pair_score_matrix(fs, kind, bins)), fs.n_cols, threshold)
+    return cut(merge_sequence(pair_score_matrix(fs, kind, MICache(bins))), fs.n_cols, threshold)
 
 
 def test_identical_columns_collapse_to_one_cluster():
@@ -49,7 +49,7 @@ def test_matches_brute_force_oracle_at_median_threshold(kind):
     rng = np.random.default_rng(2)
     fs = random_feature_set(rng, 30, 6)
     bins = 5
-    scores = pair_score_matrix(fs, kind, bins)
+    scores = pair_score_matrix(fs, kind, MICache(bins))
     threshold = float(np.median(scores[np.triu_indices(6, k=1)]))
     got = cluster_at(fs, kind, threshold, bins)
     y = np.asarray(fs.target.values, dtype=float)
@@ -83,7 +83,7 @@ def test_permutation_invariance_up_to_relabeling():
     rng = np.random.default_rng(5)
     fs = random_feature_set(rng, 30, 5)
     bins = 4
-    scores = pair_score_matrix(fs, EUC, bins)
+    scores = pair_score_matrix(fs, EUC, MICache(bins))
     upper = scores[np.triu_indices(5, k=1)]
     assert np.unique(upper).size == upper.size  # no exact ties on this fixture
     threshold = float(np.median(upper))
@@ -150,7 +150,7 @@ def test_pair_scores_match_distance_oracle_loop(kind):
     rng = np.random.default_rng(13)
     fs = distance_space(rng)
     bins = 5
-    scores = pair_score_matrix(fs, kind, bins)
+    scores = pair_score_matrix(fs, kind, MICache(bins))
     y = np.asarray(fs.target.values, dtype=float)
     mi_y = [mutual_information(fs.column(i), y, bins) for i in range(fs.n_cols)]
     np.testing.assert_array_equal(scores, scores.T)
@@ -190,7 +190,7 @@ def test_adaptive_cluster_returns_at_least_two_groups_when_possible():
     rng = np.random.default_rng(6)
     for _ in range(10):
         fs = random_feature_set(rng, 20, int(rng.integers(2, 7)))
-        got = adaptive_cluster(fs, EUC, delta=1.0, bins=4)
+        got = adaptive_cluster(fs, EUC, delta=1.0, cache=MICache(4))
         assert len(got) >= 2
 
 
@@ -199,14 +199,14 @@ def test_adaptive_cluster_identical_columns_fall_back_to_singletons():
     col = rng.standard_normal(15)
     fs = random_feature_set(rng, 15, 3)
     fs = fs.with_columns(np.column_stack([col, col, col]), fs.columns)
-    got = adaptive_cluster(fs, EUC, delta=1.0, bins=4)
+    got = adaptive_cluster(fs, EUC, delta=1.0, cache=MICache(4))
     assert got.groups == ((0,), (1,), (2,))
 
 
 def test_adaptive_cluster_single_column():
     rng = np.random.default_rng(8)
     fs = random_feature_set(rng, 15, 1)
-    got = adaptive_cluster(fs, EUC, delta=1.0, bins=4)
+    got = adaptive_cluster(fs, EUC, delta=1.0, cache=MICache(4))
     assert got.groups == ((0,),)
 
 

@@ -64,6 +64,15 @@ def test_load_csv_non_numeric_cell_reports_location(tmp_path):
         load_csv(p, "y")
 
 
+def test_load_csv_error_names_the_file_line_past_blank_lines(tmp_path):
+    p = write(tmp_path / "d.csv", "a,b,y\n1,2,0\n\n\n3,x,1\n")
+    with pytest.raises(DatasetError, match=r"row 5, column 'b': non-numeric value 'x'"):
+        load_csv(p, "y")
+    p = write(tmp_path / "e.csv", "a,b,y\n\n1,2,0\n3,1\n")
+    with pytest.raises(DatasetError, match=r"row 4: expected 3 cells, got 2"):
+        load_csv(p, "y")
+
+
 def test_load_csv_missing_file(tmp_path):
     with pytest.raises(DatasetError, match="no such file"):
         load_csv(tmp_path / "nope.csv", "y")

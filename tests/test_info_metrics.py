@@ -5,7 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from raft.dataset import FeatureMeta, FeatureSet, Ident, Target, TaskKind, content_hash, discretize
+from raft.dataset import (
+    DatasetError,
+    FeatureMeta,
+    FeatureSet,
+    Ident,
+    Target,
+    TaskKind,
+    content_hash,
+    discretize,
+)
 from raft import info_metrics
 from raft.info_metrics import (
     Labels,
@@ -101,7 +110,7 @@ def test_integer_valued_column_with_inf_is_rejected(bad):
     with pytest.raises(ValueError, match="column must be finite"):
         as_labels(mat, 4)
     with pytest.raises(ValueError, match="column must be finite"):
-        MICache().mi(mat, np.array([0, 1, 0, 1]), 4)
+        MICache(4).labels(mat, [content_hash(col) for col in mat.T])
 
 
 def test_as_labels_discrete_passthrough_and_binning():
@@ -111,12 +120,13 @@ def test_as_labels_discrete_passthrough_and_binning():
 
 
 def test_mi_cache_hits_are_consistent():
-    cache = MICache()
+    cache = MICache(5)
     rng = np.random.default_rng(9)
     x = rng.standard_normal(40)
     y = rng.standard_normal(40)
-    assert mutual_information(x, y, 5, cache) == mutual_information(x, y, 5)
-    assert mutual_information(y, x, 5, cache) == mutual_information(x, y, 5, cache)
+    lx, ly = (cache.labels(v, (content_hash(v),)) for v in (x, y))
+    assert cache.pair_mi([(lx, ly)]) == [mutual_information(x, y, 5)]
+    assert cache.pair_mi([(ly, lx)]) == cache.pair_mi([(lx, ly)])
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +138,7 @@ def test_quality_single_feature_equals_relevance():
     f = np.array([0.0, 0, 1, 1])
     fs = make_fs(f[:, None], y)
     bins = 4
-    assert feature_set_quality(fs, bins) == pytest.approx(
+    assert feature_set_quality(fs, MICache(bins)) == pytest.approx(
         mutual_information(f, y, bins), abs=1e-15)
 
 
@@ -139,7 +149,7 @@ def test_quality_duplicated_column_formula():
     bins = 4
     i_fy = mutual_information(f, y, bins)
     i_ff = mutual_information(f, f, bins)
-    assert feature_set_quality(fs, bins) == pytest.approx(i_fy - i_ff / 2.0, abs=1e-12)
+    assert feature_set_quality(fs, MICache(bins)) == pytest.approx(i_fy - i_ff / 2.0, abs=1e-12)
 
 
 def test_quality_matches_brute_force_oracle():
@@ -148,7 +158,7 @@ def test_quality_matches_brute_force_oracle():
     values = rng.integers(0, 4, size=(m, n)).astype(float)
     y = rng.integers(0, 3, size=m).astype(float)
     fs = make_fs(values, y)
-    got = feature_set_quality(fs, bins)
+    got = feature_set_quality(fs, MICache(bins))
     cols_labels = [list(values[:, i].astype(int)) for i in range(n)]
     want = quality_oracle(cols_labels, list(y.astype(int)))
     assert got == pytest.approx(want, abs=1e-12)
@@ -161,7 +171,8 @@ def test_quality_permutation_invariant():
     fs = make_fs(values, y)
     perm = rng.permutation(5)
     fs_p = make_fs(values[:, perm], y)
-    assert feature_set_quality(fs, 5) == pytest.approx(feature_set_quality(fs_p, 5), abs=1e-12)
+    assert feature_set_quality(fs, MICache(5)) == pytest.approx(
+        feature_set_quality(fs_p, MICache(5)), abs=1e-12)
 
 
 def test_quality_duplicating_features_lowers_redundancy_contribution():
@@ -204,11 +215,11 @@ def random_labels(rng, m, k):
 
 
 def pair_mi(lx: np.ndarray, ly: np.ndarray) -> float:
-    """``MICache().pair_mi`` on one pair of label vectors (labels below 20),
+    """``MICache(2).pair_mi`` on one pair of label vectors (labels below 20),
     ``lx`` the row variable: its key sorts first."""
-    cache = MICache()
+    cache = MICache(2)
     sx, sy = info_metrics._xlogx_sums(np.column_stack([lx, ly]), cache._table(lx.size))
-    return cache.pair_mi([(Labels(b"x", lx, sx), Labels(b"y", ly, sy))], 2)[0]
+    return cache.pair_mi([(Labels(b"x", lx, sx), Labels(b"y", ly, sy))])[0]
 
 
 @pytest.mark.parametrize("kx", range(1, 17))
@@ -258,11 +269,11 @@ def test_quality_equals_scalar_pair_loop_oracle(seed):
         y[:3] = [0, 1, 2]
     fs = make_fs(values, y, TaskKind.CLASSIFICATION if classification else TaskKind.REGRESSION)
     bins = int(rng.integers(2, 17))
-    cache = MICache()
+    cache = MICache(bins)
     want = scalar_quality_oracle(fs, bins, count_mi_oracle)
-    assert feature_set_quality(fs, bins, cache) == want
-    assert feature_set_quality(fs, bins, cache) == want  # every pair from the memo
-    assert feature_set_quality(fs, bins) == want
+    assert feature_set_quality(fs, cache) == want
+    assert feature_set_quality(fs, cache) == want  # every pair from the memo
+    assert feature_set_quality(fs, MICache(bins)) == want
     assert want == pytest.approx(scalar_quality_oracle(fs, bins), abs=1e-12)
 
 
@@ -281,19 +292,19 @@ def test_quality_bits_do_not_depend_on_the_batch_size(monkeypatch):
     k = max(bins, info_metrics.MAX_DISCRETE_LABELS)
     pairs = fs.n_cols * (fs.n_cols + 1) // 2
     assert pairs > info_metrics._CHUNK_ENTRIES // max(fs.n_rows, k * k)  # several batches
-    want = feature_set_quality(fs, bins)
+    want = feature_set_quality(fs, MICache(bins))
     monkeypatch.setattr(info_metrics, "_CHUNK_ENTRIES", 1)  # one pair per batch
-    assert feature_set_quality(fs, bins) == want
+    assert feature_set_quality(fs, MICache(bins)) == want
 
 
 def test_plugin_mi_of_one_pair_equals_its_value_in_a_batch():
     fs = wide_space(6)
     bins = 9
-    cache = MICache()
-    cols = [cache.labels(fs.column(i), bins) for i in range(fs.n_cols)]
-    cols.append(cache.labels(fs.target.values, bins))
+    cache = MICache(bins)
+    cols = [cache.labels(fs.column(i), (fs.keys[i],)) for i in range(fs.n_cols)]
+    cols.append(cache.labels(fs.target.values, (fs.target.key,)))
     pairs = [(a, b) for a in cols for b in cols]
-    for (a, b), got in zip(pairs, cache.pair_mi(pairs, bins)):
+    for (a, b), got in zip(pairs, cache.pair_mi(pairs)):
         x, y = (a, b) if a.key <= b.key else (b, a)
         assert got == count_mi_oracle(x.codes, y.codes)
 
@@ -344,14 +355,15 @@ def test_batched_labels_match_per_column_oracle(monkeypatch, chunk):
             got = real_as_labels(values, bins)
             assert got.dtype == np.int64 and np.array_equal(got, want)
             labelled.clear()
-            cache = MICache()
-            labels = cache.labels(values, bins)
+            cache = MICache(bins)
+            keys = [content_hash(col) for col in values.T]
+            labels = cache.labels(values, keys)
             assert np.array_equal(np.column_stack([l.codes for l in labels]), want)
             assert [l.xlogx for l in labels] == sums
             # each column labelled once, in chunks within the bound, and never again
             assert sum(shape[1] for shape in labelled) == values.shape[1]
             assert all(rows * cols <= max(rows, chunk) for rows, cols in labelled)
-            assert all(a is b for a, b in zip(cache.labels(values, bins), labels))
+            assert all(a is b for a, b in zip(cache.labels(values, keys), labels))
             assert sum(shape[1] for shape in labelled) == values.shape[1]
 
 
@@ -362,7 +374,7 @@ def test_vector_labels_are_the_one_column_case():
         want, sums = per_column_labels_oracle(values, bins)
         for j, col in enumerate(values.T):
             assert np.array_equal(as_labels(col, bins), want[:, j])
-            label = MICache().labels(col, bins)
+            label = MICache(bins).labels(col, (content_hash(col),))
             assert np.array_equal(label.codes, want[:, j]) and label.xlogx == sums[j]
 
 
@@ -371,39 +383,34 @@ def test_matrix_mi_equals_per_column_calls_cold_and_warm(seed):
     rng = np.random.default_rng(70 + seed)
     m = int(rng.integers(8, 500))
     values = label_matrix(rng, m)
-    y = (rng.integers(0, 3, m) if seed % 2 else rng.standard_normal(m)).astype(float)
+    classification = seed % 2 == 1
+    y = rng.integers(0, 3, m) if classification else rng.standard_normal(m)
+    fs = make_fs(values, y, TaskKind.CLASSIFICATION if classification else TaskKind.REGRESSION)
+    y = y.astype(float)
     bins = int(rng.integers(1, 17))
-    batched, single = MICache(), MICache()
-    got = batched.mi(values, y, bins)
-    want = [single.mi(col, y, bins) for col in values.T]
+    batched, single = MICache(bins), MICache(bins)
+    got = batched.mi(fs)
+    want = [single.mi(fs.take([j]))[0] for j in range(fs.n_cols)]
     assert got == want
     assert want == [mutual_information(col, y, bins) for col in values.T]
     assert batched._labels.keys() == single._labels.keys()
     assert batched._mi.keys() == single._mi.keys()
-    # keys handed in are the hashes the cache would have computed
-    keyed = MICache()
-    assert keyed.mi(values, y, bins, [content_hash(col) for col in values.T],
-                    content_hash(y)) == want
-    assert keyed._labels.keys() == single._labels.keys()
-    assert keyed._mi.keys() == single._mi.keys()
+    # the memo is keyed by the columns' and the target's content hashes
+    assert set(batched._labels) == {content_hash(col) for col in values.T} | {content_hash(y)}
     # warm: each cache answers the other kind of call from its memo
-    assert single.mi(values, y, bins) == want
-    assert [batched.mi(col, y, bins) for col in values.T] == want
+    assert single.mi(fs) == want
+    assert [batched.mi(fs.take([j]))[0] for j in range(fs.n_cols)] == want
     assert batched._labels.keys() == single._labels.keys()
     assert batched._mi.keys() == single._mi.keys()
 
 
-def test_matrix_mi_rejects_mismatched_rows():
-    cache = MICache()
-    with pytest.raises(ValueError):
-        cache.mi(np.ones((5, 3)), np.arange(4.0), 4)
-    with pytest.raises(ValueError):
-        cache.mi(np.ones((5, 3)), np.ones(1), 4)  # would broadcast
-    with pytest.raises(ValueError):
-        cache.mi(np.arange(5.0), np.arange(4.0), 4)
-    assert cache.mi(np.arange(8.0).reshape(4, 2), np.arange(4.0), 4) == [
-        cache.mi(np.arange(0.0, 8.0, 2.0), np.arange(4.0), 4),
-        cache.mi(np.arange(1.0, 8.0, 2.0), np.arange(4.0), 4)]
+def test_feature_set_rejects_a_target_of_another_length():
+    # so ``MICache.mi`` never sees a column and a target of different lengths
+    cols = tuple(FeatureMeta.from_lineage(Ident(f"c{i}")) for i in range(3))
+    for rows in (4, 6):
+        with pytest.raises(DatasetError, match="target length does not match row count"):
+            FeatureSet(np.ones((5, 3)), cols, Target(np.arange(float(rows)),
+                                                     TaskKind.REGRESSION, "y"))
 
 
 # ---------------------------------------------------------------------------

@@ -12,10 +12,11 @@ from raft.dataset import (
     Ident,
     Target,
     TaskKind,
+    default_bins,
     evaluate_lineage,
     lineage_depth,
 )
-from raft.info_metrics import mutual_information
+from raft.info_metrics import MICache, mutual_information
 from raft.transform import (
     GeneratedBatch,
     OperationSet,
@@ -36,6 +37,11 @@ def make_fs(values, y=None, kind=TaskKind.REGRESSION, names=None):
     if y is None:
         y = np.linspace(0.0, 1.0, m)
     return FeatureSet(values, cols, Target(np.asarray(y), kind, "y"))
+
+
+def run_cache(fs):
+    """The MI cache a run on ``fs`` would hold: the default bin count."""
+    return MICache(default_bins(fs.n_rows))
 
 
 # ---------------------------------------------------------------------------
@@ -106,7 +112,7 @@ def test_cross_plus_single_pair():
     fs = make_fs([[1.0, 10.0], [2.0, 20.0], [3.0, 30.0]], names=["a", "b"])
     head = cluster_columns(fs, (0,))
     tail = cluster_columns(fs, (1,))
-    batch = cross_binary("+", head, tail)
+    batch = cross_binary("+", head, tail, run_cache(fs))
     assert [m.name for m in batch.metas] == ["(a + b)"]
     np.testing.assert_array_equal(batch.columns[0], [11.0, 22.0, 33.0])
 
@@ -115,7 +121,7 @@ def test_cross_head_major_order_and_count():
     fs = make_fs(np.arange(30.0).reshape(6, 5), names=list("abcde"))
     head = cluster_columns(fs, (0, 1))
     tail = cluster_columns(fs, (2, 3, 4))
-    batch = cross_binary("-", head, tail, cap=10)
+    batch = cross_binary("-", head, tail, run_cache(fs), cap=10)
     assert len(batch) == 6
     assert [m.name for m in batch.metas] == [
         "(a - c)", "(a - d)", "(a - e)", "(b - c)", "(b - d)", "(b - e)",
@@ -132,7 +138,7 @@ def test_cross_cap_keeps_highest_mi_pairs():
                  names=["good", "n1", "n2", "copy"])
     head = cluster_columns(fs, (0, 1))   # good, n1
     tail = cluster_columns(fs, (2, 3))   # n2, copy
-    batch = cross_binary("+", head, tail, cap=1, bins=4)
+    batch = cross_binary("+", head, tail, MICache(4), cap=1)
     assert len(batch) == 1
     assert batch.metas[0].name == "(good + copy)"  # highest MI-sum pair survives
 
@@ -141,7 +147,7 @@ def test_cross_divide_safe():
     fs = make_fs([[1.0, 0.0], [4.0, 2.0], [9.0, 3.0]], names=["a", "b"])
     head = cluster_columns(fs, (0,))
     tail = cluster_columns(fs, (1,))
-    batch = cross_binary("/", head, tail)
+    batch = cross_binary("/", head, tail, run_cache(fs))
     np.testing.assert_array_equal(batch.columns[0], [0.0, 2.0, 3.0])
 
 
@@ -153,11 +159,11 @@ def test_dedup_drops_value_equal_columns():
     fs = make_fs([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]], names=["a", "b"])
     head = cluster_columns(fs, (0,))
     tail = cluster_columns(fs, (1,))
-    plus = cross_binary("+", head, tail)
+    plus = cross_binary("+", head, tail, run_cache(fs))
     fs_with = fs.with_columns(
         np.concatenate([fs.values, plus.columns[0][:, None]], axis=1),
         fs.columns + tuple(plus.metas))
-    swapped = cross_binary("+", tail, head)  # (b + a): value-equal to (a + b)
+    swapped = cross_binary("+", tail, head, run_cache(fs))  # (b + a): value-equal to (a + b)
     kept = dedup(swapped, fs_with)
     assert len(kept) == 0
 
@@ -234,7 +240,7 @@ def test_dedup_matches_per_column_oracle(seed):
 def test_select_identity_when_under_cap():
     rng = np.random.default_rng(1)
     fs = random_feature_set(rng, 20, 5)
-    assert select_features(fs, 10) is fs
+    assert select_features(fs, 10, run_cache(fs)) is fs
 
 
 def test_select_keeps_top_mi_in_original_order():
@@ -248,7 +254,7 @@ def test_select_keeps_top_mi_in_original_order():
     bins = 4
     scores = [mutual_information(fs.column(i), y, bins) for i in range(3)]
     assert scores[0] > scores[2] > scores[1]
-    kept = select_features(fs, 2, bins=bins)
+    kept = select_features(fs, 2, MICache(bins))
     assert kept.names() == ["strong", "medium"]
 
 
@@ -259,14 +265,14 @@ def test_select_tie_break_prefers_lower_index():
     fs = make_fs(np.column_stack([noise, col, col + 1.0]), y=y,
                  names=["n", "first", "second"])
     # columns 1 and 2 have identical MI with y; the cut keeps the lower index
-    kept = select_features(fs, 1, bins=2)
+    kept = select_features(fs, 1, MICache(2))
     assert kept.names() == ["first"]
 
 
 def test_select_output_is_subsequence():
     rng = np.random.default_rng(3)
     fs = random_feature_set(rng, 30, 8)
-    kept = select_features(fs, 4)
+    kept = select_features(fs, 4, run_cache(fs))
     names = fs.names()
     kept_names = kept.names()
     positions = [names.index(nm) for nm in kept_names]
@@ -281,7 +287,7 @@ def test_generation_step_unary_grows_by_head_size():
     rng = np.random.default_rng(4)
     fs = random_feature_set(rng, 25, 4)
     out, batch = generation_step(fs, (0, 2), "square", None, OperationSet(),
-                                 max_size=100)
+                                 max_size=100, cache=run_cache(fs))
     assert len(batch) == 2
     assert out.n_cols == 6
 
@@ -289,17 +295,19 @@ def test_generation_step_unary_grows_by_head_size():
 def test_generation_step_respects_max_size():
     rng = np.random.default_rng(5)
     fs = random_feature_set(rng, 25, 4)
-    out, _ = generation_step(fs, (0, 1), "*", (2, 3), OperationSet(), max_size=5)
+    out, _ = generation_step(fs, (0, 1), "*", (2, 3), OperationSet(), max_size=5,
+                             cache=run_cache(fs))
     assert out.n_cols == 5
 
 
 def test_generation_step_duplicate_only_batch_is_noop():
     rng = np.random.default_rng(6)
     fs = random_feature_set(rng, 25, 2)
+    cache = run_cache(fs)
     out1, batch1 = generation_step(fs, (0, 1), "square", None, OperationSet(),
-                                   max_size=100)
+                                   max_size=100, cache=cache)
     out2, batch2 = generation_step(out1, (0, 1), "square", None, OperationSet(),
-                                   max_size=100)
+                                   max_size=100, cache=cache)
     assert len(batch2) == 0
     assert out2 is out1
 
@@ -308,7 +316,8 @@ def test_generation_step_binary_requires_tail():
     rng = np.random.default_rng(7)
     fs = random_feature_set(rng, 25, 3)
     with pytest.raises(ValueError, match="tail"):
-        generation_step(fs, (0,), "+", None, OperationSet(), max_size=10)
+        generation_step(fs, (0,), "+", None, OperationSet(), max_size=10,
+                        cache=run_cache(fs))
 
 
 # ---------------------------------------------------------------------------
@@ -319,9 +328,10 @@ def test_generated_columns_round_trip_through_lineage():
     rng = np.random.default_rng(8)
     fs0 = random_feature_set(rng, 30, 4)
     originals = fs0.original_columns()
-    fs, _ = generation_step(fs0, (0, 1), "*", (2, 3), OperationSet(), max_size=50)
-    fs, _ = generation_step(fs, (0, 2), "sqrt", None, OperationSet(), max_size=50)
-    fs, _ = generation_step(fs, (1, 3), "/", (0, 2), OperationSet(), max_size=50)
+    cache = run_cache(fs0)
+    fs, _ = generation_step(fs0, (0, 1), "*", (2, 3), OperationSet(), max_size=50, cache=cache)
+    fs, _ = generation_step(fs, (0, 2), "sqrt", None, OperationSet(), max_size=50, cache=cache)
+    fs, _ = generation_step(fs, (1, 3), "/", (0, 2), OperationSet(), max_size=50, cache=cache)
     for i, meta in enumerate(fs.columns):
         recomputed = evaluate_lineage(meta.lineage, originals)
         np.testing.assert_array_equal(recomputed, fs.values[:, i],
@@ -338,18 +348,21 @@ def test_generated_values_always_finite(data, unary_op, binary_op):
     col = np.array(data)
     values = np.column_stack([col, np.linspace(-1.0, 1.0, m), np.zeros(m)])
     fs = make_fs(values, y=np.linspace(0.0, 1.0, m))
-    out, _ = generation_step(fs, (0,), unary_op, None, OperationSet(), max_size=50)
+    cache = run_cache(fs)
+    out, _ = generation_step(fs, (0,), unary_op, None, OperationSet(), max_size=50, cache=cache)
     assert np.all(np.isfinite(out.values))
-    out2, _ = generation_step(out, (0,), binary_op, (1, 2), OperationSet(), max_size=50)
+    out2, _ = generation_step(out, (0,), binary_op, (1, 2), OperationSet(), max_size=50,
+                              cache=cache)
     assert np.all(np.isfinite(out2.values))
 
 
 def test_generated_depth_bounded():
     rng = np.random.default_rng(9)
     fs = random_feature_set(rng, 20, 3)
+    cache = run_cache(fs)
     for i in range(12):
         op = ("square", "+", "log", "*")[i % 4]
         tail = (1,) if op in ("+", "*") else None
-        fs, _ = generation_step(fs, (0,), op, tail, OperationSet(), max_size=20,
+        fs, _ = generation_step(fs, (0,), op, tail, OperationSet(), max_size=20, cache=cache,
                                 max_depth=4)
     assert max(lineage_depth(meta.lineage) for meta in fs.columns) <= 4
