@@ -1,12 +1,13 @@
 """Cascading actor-critic agents: head group, operation, tail group, and the
 uniform-random control that makes the same choices without learning.
 
-States are the encoder's 1-D float64 arrays.  The two cluster agents score a
-variable number of candidates by running a shared scalar-head network on
-concat(state prefix, candidate state) and softmaxing the scores; the operation
-agent is a fixed softmax head over the operation set.  Updates happen once per
-episode on that episode's transition batch: the critic descends the squared
-TD error, with the target r + gamma * V(S') held fixed, and the actor ascends
+States are the encoder's 1-D float64 arrays.  Each agent samples the softmax
+of its actor's logits.  The two cluster agents score a variable number of
+candidates, one logit per row concat(state prefix, candidate state); the
+operation agent's actor gives one logit per operation; a critic's one output
+is its value.  Updates happen once per episode on that episode's transition
+batch: the critic descends the squared TD error, with the target
+r + gamma * V(S') held fixed, and the actor ascends
 log pi(a|S) * advantage + beta * entropy (the update negates the returned
 ascent objective).  Gradients are flat arrays in the layout of the nets'
 ``params``; each agent's two nets take one ``sgd_step`` per episode.
@@ -14,8 +15,9 @@ ascent objective).  Gradients are flat arrays in the layout of the nets'
 The search loop drives a policy through the same calls each step:
 ``choose_head``, ``choose_op``, ``choose_tail``, ``observe`` and, after the last
 step of an episode, ``end_episode``.
-``ActorCriticPolicy`` is the learned agent; ``RandomPolicy`` is the ``--bench``
-control, which draws each choice uniformly and never encodes a state.
+``ActorCriticPolicy`` is the learned agent, which builds each step's prefixes
+once; ``RandomPolicy`` is the ``--bench`` control, which draws each choice
+uniformly and never encodes a state.
 """
 
 from __future__ import annotations
@@ -30,15 +32,12 @@ import numpy as np
 from .dataset import DEFAULT_MAX_DEPTH, FeatureSet
 from .info_metrics import PairwiseDistanceKind
 from .neural_core import (
-    HEAD_SCALAR,
-    HEAD_SOFTMAX,
     DenseNet,
     backward,
     derive_seed,
     forward,
     init_dense,
     log_softmax,
-    logits as net_logits,
     sgd_step,
     softmax,
 )
@@ -121,32 +120,28 @@ class Transition:
 def make_bundles(state_len: int, n_ops: int, cfg: TrainConfig,
                  rng: np.random.Generator) -> tuple[AgentBundle, AgentBundle, AgentBundle]:
     """Build (head, operation, tail) agents for a given encoder length."""
-    length = state_len
+    def bundle(actor_in: int, actor_out: int, critic_in: int) -> AgentBundle:
+        return AgentBundle(actor=init_dense(actor_in, cfg.hidden, actor_out, rng),
+                           critic=init_dense(critic_in, cfg.hidden, 1, rng))
 
-    def bundle(actor_in: int, actor_out: int, head: str, critic_in: int) -> AgentBundle:
-        return AgentBundle(actor=init_dense(actor_in, cfg.hidden, actor_out, head, rng),
-                           critic=init_dense(critic_in, cfg.hidden, 1, HEAD_SCALAR, rng))
-
-    head_agent = bundle(2 * length, 1, HEAD_SCALAR, length)
-    op_agent = bundle(2 * length, n_ops, HEAD_SOFTMAX, 2 * length)
-    tail_agent = bundle(3 * length + n_ops, 1, HEAD_SCALAR, 2 * length + n_ops)
+    head_agent = bundle(2 * state_len, 1, state_len)
+    op_agent = bundle(2 * state_len, n_ops, 2 * state_len)
+    tail_agent = bundle(3 * state_len + n_ops, 1, 2 * state_len + n_ops)
     return head_agent, op_agent, tail_agent
 
 
-def _candidate_rows(prefix: np.ndarray, candidates: Sequence[np.ndarray]) -> np.ndarray:
-    return np.stack([np.concatenate([prefix, c]) for c in candidates])
-
-
-def _actor_logits(actor: DenseNet, x: np.ndarray) -> np.ndarray:
-    """One logit per action: the softmax head's outputs for a state, or the
-    scalar head's score for each candidate row."""
-    return net_logits(actor, x).reshape(-1)
-
-
-def _sample(logits: np.ndarray, rng: np.random.Generator) -> tuple[int, np.ndarray]:
-    """A sampled action and the softmax it was drawn from."""
-    probs = softmax(logits)
+def _sample(actor: DenseNet, x: np.ndarray, rng: np.random.Generator) -> tuple[int, np.ndarray]:
+    """An action drawn from the softmax of the actor's logits for ``x`` (a
+    state's outputs, or each candidate row's one output), and that softmax."""
+    probs = softmax(forward(actor, x).reshape(-1))
     return int(rng.choice(probs.size, p=probs / probs.sum())), probs
+
+
+def _sample_candidate(agent: AgentBundle, prefix: np.ndarray, candidates: Sequence[np.ndarray],
+                      rng: np.random.Generator) -> tuple[int, np.ndarray, np.ndarray]:
+    """The action and softmax for the rows concat(prefix, candidate), and the rows."""
+    rows = np.stack([np.concatenate([prefix, c]) for c in candidates])
+    return (*_sample(agent.actor, rows, rng), rows)
 
 
 def select_head(
@@ -157,32 +152,27 @@ def select_head(
 ) -> tuple[int, np.ndarray, np.ndarray]:
     """Score each candidate group given the space state; sample the softmax.
     Also returns the candidate rows the actor scored."""
-    rows = _candidate_rows(s_f, cluster_states)
-    return (*_sample(_actor_logits(agent.actor, rows), rng), rows)
+    return _sample_candidate(agent, s_f, cluster_states, rng)
 
 
 def select_op(
     agent: AgentBundle,
-    s_f: np.ndarray,
-    s_head: np.ndarray,
-    op_set: OperationSet,
+    prefix_op: np.ndarray,
     rng: np.random.Generator,
 ) -> tuple[int, np.ndarray]:
-    """Sample an operation from the softmax over the fixed set."""
-    return _sample(_actor_logits(agent.actor, np.concatenate([s_f, s_head])), rng)
+    """Sample an operation from the softmax over the fixed set, given the
+    prefix concat(space, head)."""
+    return _sample(agent.actor, prefix_op, rng)
 
 
 def select_tail(
     agent: AgentBundle,
-    s_f: np.ndarray,
-    s_head: np.ndarray,
-    s_op: np.ndarray,
+    prefix_tail: np.ndarray,
     cluster_states: Sequence[np.ndarray],
     rng: np.random.Generator,
 ) -> tuple[int, np.ndarray, np.ndarray]:
-    """Like select_head with the longer (space + head + op) state prefix."""
-    rows = _candidate_rows(np.concatenate([s_f, s_head, s_op]), cluster_states)
-    return (*_sample(_actor_logits(agent.actor, rows), rng), rows)
+    """Like select_head with the longer prefix concat(space, head, op)."""
+    return _sample_candidate(agent, prefix_tail, cluster_states, rng)
 
 
 def compute_rewards(
@@ -232,13 +222,13 @@ def advantage_and_losses(
     critic_loss = 0.0
     actor_objective = 0.0
     for t in transitions:
-        v_s = forward(bundle.critic, t.state)
-        v_next = forward(bundle.critic, t.next_state)
+        v_s = float(forward(bundle.critic, t.state)[0])
+        v_next = float(forward(bundle.critic, t.next_state)[0])
         delta = t.reward + gamma * v_next - v_s
         critic_loss += delta * delta / n
         critic_grads += backward(bundle.critic, t.state, np.array([-2.0 * delta / n]))[0]
         actor_in = t.state if t.candidate_inputs is None else t.candidate_inputs
-        logit_vec = _actor_logits(bundle.actor, actor_in)
+        logit_vec = forward(bundle.actor, actor_in).reshape(-1)
         dlogits, entropy = _actor_logit_grad(softmax(logit_vec), t.action, delta, beta)
         actor_grads += backward(bundle.actor, actor_in, dlogits / n)[0]
         actor_objective += (float(log_softmax(logit_vec)[t.action]) * delta
@@ -316,7 +306,7 @@ class ActorCriticPolicy:
         self.n_transitions = 0
 
     def choose_head(self, fs: FeatureSet, views: Sequence[FeatureSet]) -> int:
-        # the step's states and choices, read by its later calls
+        # the step's states, prefixes and choices, read by its later calls
         self._s_f = self.encoder.encode(fs)
         self._groups = [self.encoder.encode(v) for v in views]
         self._head, _, self._head_rows = select_head(self.bundles[0], self._s_f,
@@ -325,32 +315,29 @@ class ActorCriticPolicy:
 
     def choose_op(self) -> int:
         op_set = self.cfg.op_set
-        self._op, _ = select_op(self.bundles[1], self._s_f, self._groups[self._head], op_set,
-                                self.rng)
+        self._prefix_op = np.concatenate([self._s_f, self._groups[self._head]])
+        self._op, _ = select_op(self.bundles[1], self._prefix_op, self.rng)
         self._s_op = state_op(op_set.ops[self._op], op_set)
         return self._op
 
     def choose_tail(self, positions: Sequence[int]) -> int:
+        self._prefix_tail = np.concatenate([self._prefix_op, self._s_op])
         tail_states = [self._groups[i] for i in positions]
-        pos, _, rows = select_tail(self.bundles[2], self._s_f, self._groups[self._head],
-                                   self._s_op, tail_states, self.rng)
+        pos, _, rows = select_tail(self.bundles[2], self._prefix_tail, tail_states, self.rng)
         self._tail = (pos, rows)
         return positions[pos]
 
     def observe(self, fs_next: FeatureSet, r_head: float, r_op: float, r_tail: float) -> None:
         """Record the step's transitions, bootstrapping from the new space."""
-        s_f = self._s_f
         s_next = self.encoder.encode(fs_next)
-        s_head = self._groups[self._head]
         batch_head, batch_op, batch_tail = self.batches
-        batch_head.append(Transition(s_f, self._head, r_head, s_next, self._head_rows))
-        prefix_op = np.concatenate([s_f, s_head])
-        prefix_op_next = np.concatenate([s_next, s_head])
-        batch_op.append(Transition(prefix_op, self._op, r_op, prefix_op_next))
+        batch_head.append(Transition(self._s_f, self._head, r_head, s_next, self._head_rows))
+        prefix_op_next = np.concatenate([s_next, self._groups[self._head]])
+        batch_op.append(Transition(self._prefix_op, self._op, r_op, prefix_op_next))
         pos, tail_rows = self._tail
-        prefix_tail = np.concatenate([prefix_op, self._s_op])
         prefix_tail_next = np.concatenate([prefix_op_next, self._s_op])
-        batch_tail.append(Transition(prefix_tail, pos, r_tail, prefix_tail_next, tail_rows))
+        batch_tail.append(Transition(self._prefix_tail, pos, r_tail, prefix_tail_next,
+                                     tail_rows))
         self.n_transitions += 3
 
     def end_episode(self) -> dict[str, float]:

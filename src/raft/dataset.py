@@ -198,13 +198,22 @@ def evaluate_lineage(expr: LineageExpr, originals: Mapping[str, np.ndarray]) -> 
 
 @dataclass(frozen=True)
 class FeatureMeta:
-    name: str
+    """A column's lineage; its name and origin are read off it."""
+
     lineage: LineageExpr
-    is_original: bool
 
     @staticmethod
     def from_lineage(expr: LineageExpr) -> "FeatureMeta":
-        return FeatureMeta(name=render(expr), lineage=expr, is_original=isinstance(expr, Ident))
+        return FeatureMeta(expr)
+
+    @functools.cached_property
+    def name(self) -> str:
+        """The lineage's canonical rendering, computed once per column."""
+        return render(self.lineage)
+
+    @property
+    def is_original(self) -> bool:
+        return isinstance(self.lineage, Ident)
 
 
 @dataclass(frozen=True)
@@ -265,11 +274,6 @@ class FeatureSet:
             raise DatasetError("column metadata length does not match matrix width")
         if len(self.target.values) != m:
             raise DatasetError("target length does not match row count")
-        for meta in self.columns:
-            if meta.name != render(meta.lineage):
-                raise DatasetError(f"meta name {meta.name!r} is not the canonical rendering")
-            if meta.is_original != isinstance(meta.lineage, Ident):
-                raise DatasetError(f"is_original flag inconsistent for {meta.name!r}")
         # a read-only view, so the memoised keys cannot go stale through ``values``
         vals = vals.view()
         vals.flags.writeable = False

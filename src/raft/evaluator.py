@@ -294,7 +294,7 @@ def fit_forest(train: FeatureSet, cfg: ForestConfig) -> RandomForest:
     task = train.target.kind
     if task is TaskKind.CLASSIFICATION:
         y = np.asarray(train.target.values, dtype=np.int64)
-        n_classes = int(y.max()) + 1
+        n_classes = train.target.num_classes
         if np.unique(y).size < 2:
             raise ValueError("classification training target has a single class")
     else:

@@ -1,14 +1,14 @@
 """Two-layer dense networks with handwritten gradients, the graph
 convolution's weight and adjacency, and the autoencoder trainer.
 
-A ``DenseNet`` keeps its parameters in one flat buffer, ``params``, laid out
-as w1, b1, w2, b2; its four weight attributes are views into it.  A gradient
-is a flat array in the same layout.  Networks are immutable values:
-``sgd_step`` returns an updated copy.  Every gradient step goes through
-``clip_step`` under the one ``CLIP_NORM``.  For softmax heads, ``backward``
-expects the upstream gradient with respect to the *logits* (every softmax loss
-used here has a closed-form logit gradient, e.g. probs - onehot for negative
-log-likelihood).
+A ``DenseNet`` has no output head: ``forward`` returns the second affine
+output, and ``backward`` takes the loss gradient with respect to it (for the
+actors' softmax losses, the closed-form logit gradient, e.g. probs - onehot
+for negative log-likelihood).  A net keeps its parameters in one flat buffer,
+``params``, laid out as w1, b1, w2, b2; its four weight attributes are views
+into it.  A gradient is a flat array in the same layout.  Networks are
+immutable values: ``sgd_step`` returns an updated copy.  Every gradient step
+goes through ``clip_step`` under the one ``CLIP_NORM``.
 """
 
 from __future__ import annotations
@@ -26,10 +26,6 @@ logger = logging.getLogger(__name__)
 _SKIPPED = "non-finite gradient after clipping; parameters left unchanged"
 
 CLIP_NORM = 5.0  # every gradient step's joint L2 norm is clipped to this
-HEAD_SOFTMAX = "softmax"
-HEAD_SCALAR = "scalar"
-HEAD_IDENTITY = "identity"
-_HEADS = (HEAD_SOFTMAX, HEAD_SCALAR, HEAD_IDENTITY)
 
 
 class NumericError(RuntimeError):
@@ -44,14 +40,13 @@ def derive_seed(base: int, salt: str) -> int:
 
 @dataclass(frozen=True, eq=False)
 class DenseNet:
-    """ReLU(x @ w1 + b1) @ w2 + b2 under ``head``; ``w1``, ``b1``, ``w2`` and
-    ``b2`` view the flat ``params``, which ``bounds`` splits."""
+    """ReLU(x @ w1 + b1) @ w2 + b2; ``w1``, ``b1``, ``w2`` and ``b2`` view the
+    flat ``params``, which ``bounds`` splits."""
 
     params: np.ndarray
     in_size: int
     hidden: int
     out_size: int
-    head: str
     w1: np.ndarray = field(init=False, repr=False)
     b1: np.ndarray = field(init=False, repr=False)
     w2: np.ndarray = field(init=False, repr=False)
@@ -79,16 +74,12 @@ def _fan_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndar
     return rng.uniform(-a, a, size=(fan_in, fan_out))
 
 
-def init_dense(in_size: int, hidden: int, out_size: int, head: str,
+def init_dense(in_size: int, hidden: int, out_size: int,
                rng: np.random.Generator) -> DenseNet:
-    if head not in _HEADS:
-        raise ValueError(f"unknown head {head!r}")
-    if head == HEAD_SCALAR and out_size != 1:
-        raise ValueError("scalar head requires out_size == 1")
     w1 = _fan_uniform(rng, in_size, hidden)
     w2 = _fan_uniform(rng, hidden, out_size)
     params = np.concatenate([w1.ravel(), np.zeros(hidden), w2.ravel(), np.zeros(out_size)])
-    return DenseNet(params, in_size, hidden, out_size, head)
+    return DenseNet(params, in_size, hidden, out_size)
 
 
 def init_gcn(in_size: int, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -128,56 +119,36 @@ def _dense_grads(net: DenseNet, x2: np.ndarray, z1: np.ndarray, a1: np.ndarray,
     return dz1
 
 
-def logits(net: DenseNet, x: np.ndarray) -> np.ndarray:
-    """Pre-head output of the second affine layer (vector or batch)."""
+def forward(net: DenseNet, x: np.ndarray) -> np.ndarray:
+    """The second affine output: a vector for an input vector, a (batch,
+    out_size) matrix for a (batch, in_size) input."""
     x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
     x2 = np.atleast_2d(x)
     if x2.shape[1] != net.in_size:
         raise ValueError(f"input size {x2.shape[1]} != expected {net.in_size}")
     z2 = _dense_pass(net, x2)[2]
-    return z2[0] if single else z2
-
-
-def forward(net: DenseNet, x: np.ndarray):
-    """Evaluate the two-layer net: its head applied to ``logits``.
-
-    Accepts a single input vector or a (batch, in_size) matrix.  Softmax heads
-    return probabilities; scalar heads return a float (or a vector per batch
-    row); identity heads return the second affine output unchanged.
-    """
-    z2 = logits(net, x)
-    if net.head == HEAD_SOFTMAX:
-        return softmax(z2)
-    if net.head == HEAD_SCALAR:
-        return float(z2[0]) if z2.ndim == 1 else z2[:, 0]
-    return z2
+    return z2[0] if x.ndim == 1 else z2
 
 
 def backward(net: DenseNet, x: np.ndarray, upstream) -> tuple[np.ndarray, np.ndarray]:
     """Exact reverse-mode gradients of the two-layer composition: the flat
     parameter gradient, in the layout of ``net.params``, and the input gradient.
 
-    ``upstream`` is the loss gradient w.r.t. the second affine output (the
-    logits, for softmax heads).  Batched inputs return parameter gradients
-    summed over the batch and per-row input gradients.  The ReLU subgradient
-    at 0 is 0.
+    ``upstream`` is the loss gradient w.r.t. ``forward``'s output, of any shape
+    holding one value per output (rows x ``out_size``).  Batched inputs return
+    parameter gradients summed over the batch and per-row input gradients.
+    The ReLU subgradient at 0 is 0.
     """
     x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
     x2 = np.atleast_2d(x)
     up = np.asarray(upstream, dtype=np.float64)
-    if net.head == HEAD_SCALAR:
-        up = up.reshape(-1, 1)
-    else:
-        up = np.atleast_2d(up)
-    if x2.shape[0] != up.shape[0] or up.shape[1] != net.out_size:
-        raise ValueError("upstream gradient shape does not match the forward output")
+    if up.size != x2.shape[0] * net.out_size:
+        raise ValueError("upstream gradient size does not match the forward output")
     z1, a1, _ = _dense_pass(net, x2)
     grads = np.empty_like(net.params)
-    dz1 = _dense_grads(net, x2, z1, a1, up, net.split(grads))
+    dz1 = _dense_grads(net, x2, z1, a1, up.reshape(x2.shape[0], -1), net.split(grads))
     dx = dz1 @ net.w1.T
-    return grads, (dx[0] if single else dx)
+    return grads, (dx[0] if x.ndim == 1 else dx)
 
 
 def clip_step(params: np.ndarray, grads: np.ndarray, bounds: Sequence[int], lr: float) -> bool:
@@ -246,8 +217,8 @@ def train_autoencoder(
         raise ValueError("latent must be >= 1 and epochs >= 0")
     b, dim = data.shape
     rng = np.random.default_rng(seed)
-    encoder = init_dense(dim, hidden, latent, HEAD_IDENTITY, rng)
-    decoder = init_dense(latent, hidden, dim, HEAD_IDENTITY, rng)
+    encoder = init_dense(dim, hidden, latent, rng)
+    decoder = init_dense(latent, hidden, dim, rng)
     enc_flat, dec_flat = np.empty_like(encoder.params), np.empty_like(decoder.params)
     # built once per call: rebuilding the views every epoch is a measurable
     # share of an AE miss, which is many small-array steps

@@ -118,9 +118,9 @@ def state_ae(fs: FeatureSet, k: int, d: int, epochs: int, seed: int) -> np.ndarr
         raise ValueError("latent dims must be >= 1")
     summary = column_summary(fs.values)  # N samples of dimension SUMMARY_QUANTILES
     enc1, _ = train_autoencoder(summary, k, epochs, derive_seed(seed, "ae-cols"), _AE_LR)
-    z = np.atleast_2d(forward(enc1, summary)).T  # k x N
+    z = forward(enc1, summary).T  # k x N
     enc2, _ = train_autoencoder(z, d, epochs, derive_seed(seed, "ae-rows"), _AE_LR)
-    z2 = np.atleast_2d(forward(enc2, z))  # k x d
+    z2 = forward(enc2, z)  # k x d
     return _finite(z2.reshape(-1))
 
 

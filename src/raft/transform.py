@@ -72,7 +72,6 @@ class OperationSet:
 class GeneratedBatch:
     columns: list[np.ndarray]
     metas: list[FeatureMeta]
-    op: str
 
     def __len__(self) -> int:
         return len(self.columns)
@@ -93,7 +92,7 @@ def apply_unary(
             continue
         columns.append(safe_unary_value(op, cluster_view.column(i)))
         metas.append(FeatureMeta.from_lineage(expr))
-    return GeneratedBatch(columns, metas, op)
+    return GeneratedBatch(columns, metas)
 
 
 def cross_binary(
@@ -127,7 +126,7 @@ def cross_binary(
             continue
         columns.append(safe_binary_value(op, head_view.column(a), tail_view.column(b)))
         metas.append(FeatureMeta.from_lineage(expr))
-    return GeneratedBatch(columns, metas, op)
+    return GeneratedBatch(columns, metas)
 
 
 def dedup(batch: GeneratedBatch, fs: FeatureSet) -> GeneratedBatch:
@@ -150,7 +149,7 @@ def dedup(batch: GeneratedBatch, fs: FeatureSet) -> GeneratedBatch:
             seen.append(col)
             kept_cols.append(col)
             kept_metas.append(meta)
-    return GeneratedBatch(kept_cols, kept_metas, batch.op)
+    return GeneratedBatch(kept_cols, kept_metas)
 
 
 def select_features(fs: FeatureSet, max_size: int, cache: MICache) -> FeatureSet:

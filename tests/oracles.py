@@ -13,8 +13,7 @@ import numpy as np
 from raft.dataset import FeatureSet, TaskKind
 from raft.evaluator import MAX_BINS, ForestConfig
 from raft.info_metrics import PairwiseDistanceKind, as_labels, content_hash
-from raft.neural_core import (HEAD_IDENTITY, HEAD_SCALAR, DenseNet, derive_seed, init_dense,
-                              init_gcn)
+from raft.neural_core import DenseNet, derive_seed, init_dense, init_gcn
 from raft.state_repr import _finite, _population_std, _standardize_columns, correlation_adjacency
 from raft.transform import GeneratedBatch
 
@@ -306,7 +305,7 @@ def dedup_oracle(batch: GeneratedBatch, fs: FeatureSet, tol: float = 1e-12) -> G
         if not duplicate:
             kept_cols.append(col)
             kept_metas.append(meta)
-    return GeneratedBatch(kept_cols, kept_metas, batch.op)
+    return GeneratedBatch(kept_cols, kept_metas)
 
 
 # ---------------------------------------------------------------------------
@@ -668,8 +667,7 @@ def sgd_oracle(net: DenseNet, grads, lr: float, clip: float = 5.0) -> DenseNet:
     if not all(np.all(np.isfinite(g)) for g in grads):
         return net
     w1, b1, w2, b2 = grads
-    return net_of(net.w1 - lr * w1, net.b1 - lr * b1, net.w2 - lr * w2, net.b2 - lr * b2,
-                  net.head)
+    return net_of(net.w1 - lr * w1, net.b1 - lr * b1, net.w2 - lr * w2, net.b2 - lr * b2)
 
 
 def autoencoder_oracle(data: np.ndarray, latent: int, epochs: int, seed: int,
@@ -682,8 +680,8 @@ def autoencoder_oracle(data: np.ndarray, latent: int, epochs: int, seed: int,
     data = np.atleast_2d(np.asarray(data, dtype=np.float64))
     b, dim = data.shape
     rng = np.random.default_rng(seed)
-    enc = init_dense(dim, hidden, latent, HEAD_IDENTITY, rng)
-    dec = init_dense(latent, hidden, dim, HEAD_IDENTITY, rng)
+    enc = init_dense(dim, hidden, latent, rng)
+    dec = init_dense(latent, hidden, dim, rng)
     for _ in range(epochs):
         z = out(enc, data)
         upstream = 2.0 * (out(dec, z) - data) / (b * dim)
@@ -768,8 +766,7 @@ def advantage_and_losses_oracle(transitions, actor: DenseNet, critic: DenseNet, 
         critic_grads = _grads_add(critic_grads, _oracle_param_grads(
             critic, t.state, np.array([-2.0 * delta / n])))
         actor_in = t.state if t.candidate_inputs is None else t.candidate_inputs
-        logit_vec = _oracle_logits(actor, actor_in)
-        logit_vec = logit_vec[0] if actor.head != HEAD_SCALAR else logit_vec.reshape(-1)
+        logit_vec = _oracle_logits(actor, actor_in).reshape(-1)
         probs = _oracle_softmax(logit_vec)
         onehot = np.zeros_like(probs)
         onehot[t.action] = 1.0
@@ -809,11 +806,10 @@ def update_agents_oracle(nets, episode, gamma: float, beta: float, actor_lr: flo
 # finite differences for network gradients
 # ---------------------------------------------------------------------------
 
-def net_of(w1: np.ndarray, b1: np.ndarray, w2: np.ndarray, b2: np.ndarray,
-           head: str) -> DenseNet:
+def net_of(w1: np.ndarray, b1: np.ndarray, w2: np.ndarray, b2: np.ndarray) -> DenseNet:
     """A net holding copies of the four arrays."""
     params = np.concatenate([np.ravel(a) for a in (w1, b1, w2, b2)]).astype(np.float64)
-    return DenseNet(params, w1.shape[0], w1.shape[1], w2.shape[1], head)
+    return DenseNet(params, w1.shape[0], w1.shape[1], w2.shape[1])
 
 
 def numeric_gradients(loss_fn, net: DenseNet, h: float = 1e-5) -> np.ndarray:

@@ -19,30 +19,21 @@ from raft.clustering import cluster_columns
 from raft.dataset import default_bins
 from raft.evaluator import ForestConfig, MetricKind, downstream_score
 from raft.info_metrics import MICache, feature_set_quality, mutual_information
-from raft.neural_core import (
-    HEAD_SCALAR,
-    HEAD_SOFTMAX,
-    DenseNet,
-    forward,
-    init_dense,
-    log_softmax,
-    logits,
-    softmax,
-)
+from raft.neural_core import DenseNet, forward, init_dense, log_softmax, softmax
 from raft.state_repr import state_op
 from raft.transform import OperationSet, generation_step
 from oracles import (assert_grads_close, net_of, numeric_gradients, random_feature_set,
                      update_agents_oracle)
 
 
-def zero_net(in_size, hidden, out_size, head):
+def zero_net(in_size, hidden, out_size):
     size = in_size * hidden + hidden + hidden * out_size + out_size
-    return DenseNet(np.zeros(size), in_size, hidden, out_size, head)
+    return DenseNet(np.zeros(size), in_size, hidden, out_size)
 
 
-def zero_bundle(actor_in, actor_out, head, critic_in, hidden=4):
-    return AgentBundle(actor=zero_net(actor_in, hidden, actor_out, head),
-                       critic=zero_net(critic_in, hidden, 1, HEAD_SCALAR))
+def zero_bundle(actor_in, actor_out, critic_in, hidden=4):
+    return AgentBundle(actor=zero_net(actor_in, hidden, actor_out),
+                       critic=zero_net(critic_in, hidden, 1))
 
 
 def sv(values):
@@ -54,7 +45,7 @@ def sv(values):
 # ---------------------------------------------------------------------------
 
 def test_select_head_uniform_with_zero_actor():
-    bundle = zero_bundle(4, 1, HEAD_SCALAR, 2)
+    bundle = zero_bundle(4, 1, 2)
     s_f = sv([0.5, -0.5])
     cands = [sv([1.0, 0.0]), sv([0.0, 1.0]), sv([2.0, 2.0]), sv([-1.0, 3.0])]
     rng = np.random.default_rng(0)
@@ -65,7 +56,7 @@ def test_select_head_uniform_with_zero_actor():
 
 
 def test_select_head_single_candidate():
-    bundle = zero_bundle(4, 1, HEAD_SCALAR, 2)
+    bundle = zero_bundle(4, 1, 2)
     action, probs, _ = select_head(bundle, sv([1.0, 2.0]), [sv([0.0, 0.0])],
                                    np.random.default_rng(1))
     assert action == 0
@@ -74,10 +65,10 @@ def test_select_head_single_candidate():
 
 def test_select_head_dominant_logit():
     # weights hand-set so candidate states feed the score directly: w1 routes
-    # the candidate coordinate through one hidden unit into the scalar head
+    # the candidate coordinate through one hidden unit into the one output
     w1 = np.zeros((2, 1)); w1[1, 0] = 1.0
-    actor = net_of(w1, np.zeros(1), np.array([[1.0]]), np.zeros(1), HEAD_SCALAR)
-    bundle = AgentBundle(actor, zero_net(1, 2, 1, HEAD_SCALAR))
+    actor = net_of(w1, np.zeros(1), np.array([[1.0]]), np.zeros(1))
+    bundle = AgentBundle(actor, zero_net(1, 2, 1))
     s_f = sv([0.0])
     cands = [sv([0.0]), sv([0.0]), sv([100.0])]
     _, probs, _ = select_head(bundle, s_f, cands, np.random.default_rng(2))
@@ -86,26 +77,24 @@ def test_select_head_dominant_logit():
 
 def test_select_op_uniform_and_single():
     ops = OperationSet()
-    bundle = zero_bundle(4, ops.size, HEAD_SOFTMAX, 4)
-    action, probs = select_op(bundle, sv([1.0, 2.0]), sv([3.0, 4.0]), ops,
-                              np.random.default_rng(3))
+    prefix = sv([1.0, 2.0, 3.0, 4.0])
+    bundle = zero_bundle(4, ops.size, 4)
+    action, probs = select_op(bundle, prefix, np.random.default_rng(3))
     np.testing.assert_allclose(probs, [1.0 / 7] * 7, atol=1e-12)
-    solo = OperationSet(unary=(), binary=("+",))
-    bundle1 = zero_bundle(4, 1, HEAD_SOFTMAX, 4)
-    action, probs = select_op(bundle1, sv([1.0, 2.0]), sv([3.0, 4.0]), solo,
-                              np.random.default_rng(4))
+    bundle1 = zero_bundle(4, 1, 4)
+    action, probs = select_op(bundle1, prefix, np.random.default_rng(4))
     assert action == 0 and probs[0] == 1.0
 
 
 def test_select_tail_uniform_thirds_and_exclusion():
     ops = OperationSet()
-    bundle = zero_bundle(3 * 2 + 7, 1, HEAD_SCALAR, 2 * 2 + 7)
-    s_f, s_head = sv([1.0, 0.0]), sv([0.0, 1.0])
-    s_o = state_op("+", ops)
+    bundle = zero_bundle(3 * 2 + 7, 1, 2 * 2 + 7)
+    prefix = np.concatenate([sv([1.0, 0.0]), sv([0.0, 1.0]), state_op("+", ops)])
     cands = [sv([1.0, 1.0]), sv([2.0, 2.0]), sv([3.0, 3.0])]
-    _, probs, _ = select_tail(bundle, s_f, s_head, s_o, cands, np.random.default_rng(5))
+    _, probs, rows = select_tail(bundle, prefix, cands, np.random.default_rng(5))
     np.testing.assert_allclose(probs, [1 / 3] * 3, atol=1e-12)
-    _, probs1, _ = select_tail(bundle, s_f, s_head, s_o, cands[:1], np.random.default_rng(6))
+    np.testing.assert_array_equal(rows[2], np.concatenate([prefix, cands[2]]))
+    _, probs1, _ = select_tail(bundle, prefix, cands[:1], np.random.default_rng(6))
     np.testing.assert_allclose(probs1, [1.0])
 
 
@@ -164,7 +153,7 @@ def test_rewards_match_direct_recomputation():
 
 def test_losses_collapse_at_gamma_zero_with_zero_critic():
     ops = OperationSet()
-    bundle = zero_bundle(4, ops.size, HEAD_SOFTMAX, 4)
+    bundle = zero_bundle(4, ops.size, 4)
     state = np.array([1.0, -1.0, 0.5, 2.0])
     t = Transition(state, 2, reward=0.7, next_state=state)
     critic_loss, actor_obj, _, _ = advantage_and_losses([t], bundle, gamma=0.0,
@@ -175,7 +164,7 @@ def test_losses_collapse_at_gamma_zero_with_zero_critic():
 
 
 def test_entropy_of_uniform_four_actions():
-    bundle = zero_bundle(3, 4, HEAD_SOFTMAX, 3)
+    bundle = zero_bundle(3, 4, 3)
     state = np.array([0.0, 0.0, 0.0])
     t = Transition(state, 0, reward=0.0, next_state=state)
     _, actor_obj, _, _ = advantage_and_losses([t], bundle, gamma=0.0, beta=1.0)
@@ -186,7 +175,7 @@ def test_critic_loss_nonnegative():
     rng = np.random.default_rng(11)
     for _ in range(10):
         bundle = AgentBundle(
-            init_dense(3, 4, 2, HEAD_SOFTMAX, rng), init_dense(3, 4, 1, HEAD_SCALAR, rng))
+            init_dense(3, 4, 2, rng), init_dense(3, 4, 1, rng))
         ts = [Transition(rng.standard_normal(3), int(rng.integers(0, 2)),
                          float(rng.standard_normal()), rng.standard_normal(3))
               for _ in range(4)]
@@ -200,26 +189,28 @@ def _loss_fns_for_fd(bundle, transitions, gamma, beta):
     The critic objective freezes the bootstrap target r + gamma * V(S') at the
     original parameters, matching the semi-gradient update.
     """
-    targets = [t.reward + gamma * forward(bundle.critic, t.next_state)
-               for t in transitions]
+    def value(net, state):
+        return float(forward(net, state)[0])
+
+    targets = [t.reward + gamma * value(bundle.critic, t.next_state) for t in transitions]
 
     def critic_loss_fn(net):
         total = 0.0
         for t, target in zip(transitions, targets):
-            delta = target - forward(net, t.state)
+            delta = target - value(net, t.state)
             total += delta * delta / len(transitions)
         return float(total)
 
     def actor_objective_fn(net):
         total = 0.0
         for t in transitions:
-            v_s = forward(bundle.critic, t.state)
-            v_n = forward(bundle.critic, t.next_state)
+            v_s = value(bundle.critic, t.state)
+            v_n = value(bundle.critic, t.next_state)
             delta = t.reward + gamma * v_n - v_s
             if t.candidate_inputs is not None:
-                logit_vec = np.atleast_1d(forward(net, t.candidate_inputs))
+                logit_vec = forward(net, t.candidate_inputs)[:, 0]
             else:
-                logit_vec = logits(net, t.state)
+                logit_vec = forward(net, t.state)
             lp = log_softmax(logit_vec)
             probs = softmax(logit_vec)
             entropy = -float(np.sum(probs * np.log(probs)))
@@ -233,7 +224,7 @@ def test_gradients_match_finite_differences_softmax_agent():
     rng = np.random.default_rng(12)
     for _ in range(10):
         bundle = AgentBundle(
-            init_dense(4, 5, 3, HEAD_SOFTMAX, rng), init_dense(4, 5, 1, HEAD_SCALAR, rng))
+            init_dense(4, 5, 3, rng), init_dense(4, 5, 1, rng))
         ts = [Transition(rng.standard_normal(4), int(rng.integers(0, 3)),
                          float(rng.standard_normal()), rng.standard_normal(4))
               for _ in range(3)]
@@ -251,7 +242,7 @@ def test_gradients_match_finite_differences_candidate_agent():
     rng = np.random.default_rng(13)
     for _ in range(10):
         bundle = AgentBundle(
-            init_dense(6, 5, 1, HEAD_SCALAR, rng), init_dense(3, 5, 1, HEAD_SCALAR, rng))
+            init_dense(6, 5, 1, rng), init_dense(3, 5, 1, rng))
         n_cands = int(rng.integers(2, 5))
         ts = [Transition(rng.standard_normal(3), int(rng.integers(0, n_cands)),
                          float(rng.standard_normal()), rng.standard_normal(3),
@@ -268,14 +259,14 @@ def test_reinforce_direction_at_gamma_zero():
     # with a zero critic and gamma 0, the actor gradient is the REINFORCE
     # direction with the raw reward as the weight
     rng = np.random.default_rng(15)
-    actor = init_dense(3, 4, 3, HEAD_SOFTMAX, rng)
-    bundle = AgentBundle(actor, zero_net(3, 4, 1, HEAD_SCALAR))
+    actor = init_dense(3, 4, 3, rng)
+    bundle = AgentBundle(actor, zero_net(3, 4, 1))
     state = rng.standard_normal(3)
     t = Transition(state, 1, reward=2.5, next_state=state)
     _, _, a_grads, _ = advantage_and_losses([t], bundle, gamma=0.0, beta=0.0)
 
     def reinforce_fn(net):
-        return 2.5 * float(log_softmax(logits(net, state))[1])
+        return 2.5 * float(log_softmax(forward(net, state))[1])
 
     assert_grads_close(a_grads, numeric_gradients(reinforce_fn, actor))
 
@@ -286,11 +277,11 @@ def test_update_raises_probability_of_positively_rewarded_action():
                       episodes=1, steps=1)
     bundles = make_bundles(2, 3, cfg, rng)
     state = np.array([1.0, -0.5, 0.3, 0.8])
-    probs_before = softmax(logits(bundles[1].actor, state))
+    probs_before = softmax(forward(bundles[1].actor, state))
     action = 1
     ts = [Transition(state, action, reward=1.0, next_state=state)]
     (_, new_op, _), _ = update_agents(bundles, ([], ts, []), cfg)
-    probs_after = softmax(logits(new_op.actor, state))
+    probs_after = softmax(forward(new_op.actor, state))
     assert probs_after[action] >= probs_before[action]
 
 

@@ -264,11 +264,12 @@ def test_feature_set_rejects_nan():
         FeatureSet(np.array([[1.0], [np.nan], [3.0]]), cols, target)
 
 
-def test_feature_set_rejects_inconsistent_meta():
-    target = Target(np.array([0.0, 1.0]), TaskKind.REGRESSION, "y")
-    bad = FeatureMeta(name="wrong", lineage=Ident("a"), is_original=True)
-    with pytest.raises(DatasetError, match="canonical"):
-        FeatureSet(np.array([[1.0], [2.0]]), (bad,), target)
+def test_feature_meta_name_is_the_lineage_rendering():
+    expr = Binary("+", Unary("square", Ident("a")), Ident("b"))
+    for lineage in (Ident("a"), expr):
+        meta = FeatureMeta(lineage)
+        assert meta.name == render(lineage)
+        assert meta.is_original is isinstance(lineage, Ident)
 
 
 def test_feature_set_key_is_its_content_identity():

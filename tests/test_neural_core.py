@@ -4,9 +4,6 @@ import numpy as np
 import pytest
 
 from raft.neural_core import (
-    HEAD_IDENTITY,
-    HEAD_SCALAR,
-    HEAD_SOFTMAX,
     DenseNet,
     backward,
     CLIP_NORM,
@@ -16,7 +13,6 @@ from raft.neural_core import (
     init_dense,
     init_gcn,
     log_softmax,
-    logits,
     sgd_step,
     softmax,
     train_autoencoder,
@@ -25,9 +21,9 @@ from oracles import (assert_grads_close, autoencoder_oracle, gcn_forward, net_of
                      numeric_gradients, reconstruction_loss, sgd_oracle)
 
 
-def zero_net(in_size, hidden, out_size, head):
+def zero_net(in_size, hidden, out_size):
     return net_of(np.zeros((in_size, hidden)), np.zeros(hidden),
-                  np.zeros((hidden, out_size)), np.zeros(out_size), head)
+                  np.zeros((hidden, out_size)), np.zeros(out_size))
 
 
 # ---------------------------------------------------------------------------
@@ -35,26 +31,26 @@ def zero_net(in_size, hidden, out_size, head):
 # ---------------------------------------------------------------------------
 
 def test_forward_zero_softmax_is_uniform():
-    net = zero_net(3, 5, 4, HEAD_SOFTMAX)
-    out = forward(net, np.zeros(3))
+    net = zero_net(3, 5, 4)
+    out = softmax(forward(net, np.zeros(3)))
     np.testing.assert_allclose(out, [0.25] * 4, atol=1e-15)
 
 
 def test_forward_zero_scalar_is_zero():
-    net = zero_net(3, 5, 1, HEAD_SCALAR)
-    assert forward(net, np.ones(3)) == 0.0
+    net = zero_net(3, 5, 1)
+    np.testing.assert_array_equal(forward(net, np.ones(3)), [0.0])
 
 
 def test_forward_matches_matrix_oracle():
     rng = np.random.default_rng(42)
-    net = init_dense(3, 5, 2, HEAD_IDENTITY, rng)
+    net = init_dense(3, 5, 2, rng)
     x = rng.standard_normal(3)
     want = np.maximum(x @ net.w1 + net.b1, 0.0) @ net.w2 + net.b2
     np.testing.assert_allclose(forward(net, x), want, rtol=1e-12)
 
 
 def test_forward_shape_mismatch():
-    net = zero_net(3, 4, 2, HEAD_IDENTITY)
+    net = zero_net(3, 4, 2)
     with pytest.raises(ValueError):
         forward(net, np.zeros(5))
 
@@ -62,15 +58,15 @@ def test_forward_shape_mismatch():
 def test_softmax_outputs_are_probabilities():
     rng = np.random.default_rng(7)
     for _ in range(30):
-        net = init_dense(4, 6, 5, HEAD_SOFTMAX, rng)
-        p = forward(net, rng.standard_normal(4) * 3)
+        net = init_dense(4, 6, 5, rng)
+        p = softmax(forward(net, rng.standard_normal(4) * 3))
         assert abs(p.sum() - 1.0) <= 1e-9
         assert np.all(p > 0.0) and np.all(p < 1.0)
 
 
 def test_forward_batch_matches_loop():
     rng = np.random.default_rng(8)
-    net = init_dense(3, 4, 2, HEAD_IDENTITY, rng)
+    net = init_dense(3, 4, 2, rng)
     xs = rng.standard_normal((6, 3))
     batch = forward(net, xs)
     for i in range(6):
@@ -78,12 +74,22 @@ def test_forward_batch_matches_loop():
         np.testing.assert_allclose(batch[i], forward(net, xs[i]), rtol=1e-12)
 
 
+def test_forward_vector_is_row_zero_of_one_row_batch():
+    rng = np.random.default_rng(9)
+    for out_size in (1, 3):
+        net = init_dense(4, 5, out_size, rng)
+        x = rng.standard_normal(4)
+        vec, batch = forward(net, x), forward(net, x[None, :])
+        assert vec.shape == (out_size,) and batch.shape == (1, out_size)
+        assert vec.tobytes() == batch[0].tobytes()
+
+
 # ---------------------------------------------------------------------------
 # backward
 # ---------------------------------------------------------------------------
 
 def test_backward_all_zero_gives_zero_grads():
-    net = zero_net(3, 4, 1, HEAD_SCALAR)
+    net = zero_net(3, 4, 1)
     grads, dx = backward(net, np.zeros(3), 1.0)
     w1, b1, w2, b2 = net.split(grads)
     for arr in (w1, b1, w2, dx):
@@ -94,31 +100,31 @@ def test_backward_all_zero_gives_zero_grads():
 def test_backward_matches_finite_differences_scalar_head():
     rng = np.random.default_rng(1)
     for _ in range(10):
-        net = init_dense(4, 5, 1, HEAD_SCALAR, rng)
+        net = init_dense(4, 5, 1, rng)
         x = rng.standard_normal(4)
         analytic, _ = backward(net, x, 1.0)
-        numeric = numeric_gradients(lambda n: forward(n, x), net)
+        numeric = numeric_gradients(lambda n: float(forward(n, x)[0]), net)
         assert_grads_close(analytic, numeric)
 
 
 def test_backward_softmax_logprob_gradient_is_p_minus_onehot():
     rng = np.random.default_rng(2)
     for _ in range(10):
-        net = init_dense(3, 6, 3, HEAD_SOFTMAX, rng)
+        net = init_dense(3, 6, 3, rng)
         x = rng.standard_normal(3)
         action = int(rng.integers(0, 3))
-        probs = forward(net, x)
+        probs = softmax(forward(net, x))
         onehot = np.eye(3)[action]
         # gradient of -log p[action] w.r.t. logits is (p - onehot)
         analytic, _ = backward(net, x, probs - onehot)
         numeric = numeric_gradients(
-            lambda n: -float(log_softmax(logits(n, x))[action]), net)
+            lambda n: -float(log_softmax(forward(n, x))[action]), net)
         assert_grads_close(analytic, numeric)
 
 
 def test_backward_batch_sums_over_rows():
     rng = np.random.default_rng(3)
-    net = init_dense(3, 4, 2, HEAD_IDENTITY, rng)
+    net = init_dense(3, 4, 2, rng)
     xs = rng.standard_normal((5, 3))
     ups = rng.standard_normal((5, 2))
     batch_grads, _ = backward(net, xs, ups)
@@ -126,16 +132,35 @@ def test_backward_batch_sums_over_rows():
     assert_grads_close(batch_grads, total, rtol=1e-12, atol=1e-12)
 
 
+def test_backward_rejects_upstream_of_wrong_size():
+    net = init_dense(3, 4, 2, np.random.default_rng(5))
+    for x, upstream in ((np.zeros(3), np.zeros(3)), (np.zeros((4, 3)), np.zeros((3, 2))),
+                        (np.zeros((2, 3)), 1.0)):
+        with pytest.raises(ValueError, match="upstream gradient size"):
+            backward(net, x, upstream)
+
+
+def test_backward_accepts_flat_upstream_for_a_one_output_batch():
+    rng = np.random.default_rng(6)
+    net = init_dense(3, 4, 1, rng)
+    xs = rng.standard_normal((5, 3))
+    ups = rng.standard_normal(5)
+    flat_grads, flat_dx = backward(net, xs, ups)
+    col_grads, col_dx = backward(net, xs, ups[:, None])
+    assert flat_grads.tobytes() == col_grads.tobytes()
+    assert flat_dx.tobytes() == col_dx.tobytes()
+
+
 def test_backward_input_gradient_matches_fd():
     rng = np.random.default_rng(4)
-    net = init_dense(4, 5, 1, HEAD_SCALAR, rng)
+    net = init_dense(4, 5, 1, rng)
     x = rng.standard_normal(4)
     _, dx = backward(net, x, 1.0)
     h = 1e-5
     for i in range(4):
         xp = x.copy(); xp[i] += h
         xm = x.copy(); xm[i] -= h
-        fd = (forward(net, xp) - forward(net, xm)) / (2 * h)
+        fd = float(forward(net, xp)[0] - forward(net, xm)[0]) / (2 * h)
         assert dx[i] == pytest.approx(fd, rel=1e-4, abs=1e-7)
 
 
@@ -144,20 +169,20 @@ def test_backward_input_gradient_matches_fd():
 # ---------------------------------------------------------------------------
 
 def test_sgd_basic_step():
-    net = DenseNet(np.array([0.5, 0.0, 0.0, 0.0]), 1, 1, 1, HEAD_IDENTITY)
+    net = DenseNet(np.array([0.5, 0.0, 0.0, 0.0]), 1, 1, 1)
     out = sgd_step(net, np.array([1.0, 0.0, 0.0, 0.0]), 0.1)
     assert out.w1[0, 0] == pytest.approx(0.4, abs=1e-15)
     assert net.w1[0, 0] == 0.5  # a copy was stepped
 
 
 def test_sgd_clips_by_global_norm():
-    net = zero_net(1, 1, 1, HEAD_IDENTITY)
+    net = zero_net(1, 1, 1)
     out = sgd_step(net, np.array([10.0, 0.0, 0.0, 0.0]), 1.0)
     assert out.w1[0, 0] == pytest.approx(-5.0, abs=1e-12)  # CLIP_NORM: step uses g / 2
 
 
 def test_sgd_skips_nan_gradients(caplog):
-    net = zero_net(1, 1, 1, HEAD_IDENTITY)
+    net = zero_net(1, 1, 1)
     with caplog.at_level("WARNING"):
         out = sgd_step(net, np.array([np.nan, 0.0, 0.0, 0.0]), 1.0)
     assert out is net
@@ -321,7 +346,7 @@ def test_sgd_step_matches_frozen_oracle_on_huge_and_nonfinite_gradients():
     rng = np.random.default_rng(2025)
     applied = skipped = 0
     for i in range(200):
-        net = init_dense(3, 4, 2, HEAD_IDENTITY, rng)
+        net = init_dense(3, 4, 2, rng)
         arrays = [rng.standard_normal(a.shape) * 10.0 ** rng.uniform(-3.0, 3.0)
                   for a in (net.w1, net.b1, net.w2, net.b2)]
         if i % 4 == 1:

@@ -219,7 +219,7 @@ def random_dedup_case(rng):
         batch.append(col)
     fs = make_fs(np.column_stack(existing))
     metas = [FeatureMeta.from_lineage(Ident(f"g{i}")) for i in range(len(batch))]
-    return fs, GeneratedBatch(batch, metas, "+")
+    return fs, GeneratedBatch(batch, metas)
 
 
 @pytest.mark.parametrize("seed", range(100))
