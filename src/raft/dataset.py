@@ -483,10 +483,22 @@ def _convert_cells(
             if mask.all():
                 raise DatasetError(f"column {names[c]!r} has no observed values to impute from")
             if mask.any():
-                col[mask] = np.median(col[~mask])
+                col[mask] = _median(col[~mask])
     if not np.all(np.isfinite(values)):
         raise DatasetError("feature values must be finite after ingestion")
     return values, target_raw
+
+
+def _median(x: np.ndarray) -> float:
+    """``np.median`` of finite ``x``, with the two middle values halved before
+    they are added where their sum would pass float64's range."""
+    with np.errstate(over="ignore"):
+        med = np.median(x)
+    if np.isinf(med):
+        k = len(x) // 2
+        lo, hi = np.partition(x, [k - 1, k])[k - 1:k + 1]
+        med = lo / 2 + hi / 2
+    return float(med)
 
 
 def _build_target(raw: list[str], name: str, task: TaskKind | None) -> Target:

@@ -137,6 +137,13 @@ def test_load_csv_missing_cells_rejected_then_imputed(tmp_path):
     assert fs.values[1, 0] == 3.0  # median of 1, 5
 
 
+def test_median_imputation_of_huge_values_does_not_overflow(tmp_path):
+    big = float(np.finfo(np.float64).max)
+    p = write(tmp_path / "d.csv", f"a,y\n,0\n0.0,1\n{big!r},0\n{big!r},1\n{big / 2!r},0\n")
+    fs = load_csv(p, "y", impute="median")
+    assert fs.values[0, 0] == big * 0.75  # halfway between big / 2 and big
+
+
 def test_write_then_load_is_identity(tmp_path):
     rng = np.random.default_rng(3)
     p = write(
