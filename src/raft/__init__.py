@@ -26,10 +26,9 @@ from .info_metrics import (
     PairwiseDistanceKind,
     feature_set_quality,
     mutual_information,
-    pairwise_distance,
 )
 from .state_repr import EncoderKind, state_ae, state_gae, state_op, state_si
-from .transform import OperationSet, cross_binary, dedup, generation_step, select_features
+from .transform import cross_binary, dedup, generation_step, select_features
 from .cli import RunConfig, RunResult, run_search
 
 __all__ = [
@@ -43,7 +42,6 @@ __all__ = [
     "Ident",
     "MICache",
     "MetricKind",
-    "OperationSet",
     "PairwiseDistanceKind",
     "RunConfig",
     "RunResult",
@@ -64,7 +62,6 @@ __all__ = [
     "load_csv",
     "metric_only",
     "mutual_information",
-    "pairwise_distance",
     "parse_lineage",
     "render",
     "run_search",

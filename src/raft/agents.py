@@ -29,7 +29,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .dataset import DEFAULT_MAX_DEPTH, FeatureSet
+from .dataset import DEFAULT_MAX_DEPTH, OPS, FeatureSet
 from .info_metrics import PairwiseDistanceKind
 from .neural_core import (
     DenseNet,
@@ -42,7 +42,7 @@ from .neural_core import (
     softmax,
 )
 from .state_repr import EncoderKind, StateEncoder, state_op
-from .transform import DEFAULT_CROSS_CAP, OperationSet
+from .transform import DEFAULT_CROSS_CAP
 
 logger = logging.getLogger(__name__)
 
@@ -51,10 +51,10 @@ logger = logging.getLogger(__name__)
 class TrainConfig:
     """Search and optimization knobs; defaults target desk-scale runs.
 
-    Every field but ``op_set`` is also a ``raft run`` flag (``--max-size`` for
-    ``max_size``) and a config-file key, and is echoed to ``config.echo`` in
-    this order; a field's ``help`` metadata is its flag's help text.  A
-    number outside its range raises ValueError (the CLI's exit 2).
+    Every field is also a ``raft run`` flag (``--max-size`` for ``max_size``)
+    and a config-file key, and is echoed to ``config.echo`` in this order; a
+    field's ``help`` metadata is its flag's help text.  A number outside its
+    range raises ValueError (the CLI's exit 2).
     """
 
     episodes: int = 30
@@ -76,8 +76,6 @@ class TrainConfig:
     # None: min(16, ceil(sqrt(M)))
     bins: int | None = field(default=None, metadata={"help": "histogram bins for MI"})
     max_size: int | None = None  # None: twice the original column count
-    carry_features: bool = False
-    op_set: OperationSet = field(default_factory=OperationSet)
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.gamma <= 1.0:
@@ -117,9 +115,10 @@ class Transition:
     candidate_inputs: np.ndarray | None = None
 
 
-def make_bundles(state_len: int, n_ops: int, cfg: TrainConfig,
+def make_bundles(state_len: int, cfg: TrainConfig,
                  rng: np.random.Generator) -> tuple[AgentBundle, AgentBundle, AgentBundle]:
     """Build (head, operation, tail) agents for a given encoder length."""
+    n_ops = len(OPS)
     def bundle(actor_in: int, actor_out: int, critic_in: int) -> AgentBundle:
         return AgentBundle(actor=init_dense(actor_in, cfg.hidden, actor_out, rng),
                            critic=init_dense(critic_in, cfg.hidden, 1, rng))
@@ -160,7 +159,7 @@ def select_op(
     prefix_op: np.ndarray,
     rng: np.random.Generator,
 ) -> tuple[int, np.ndarray]:
-    """Sample an operation from the softmax over the fixed set, given the
+    """Sample an operation (an index into ``OPS``) from the softmax, given the
     prefix concat(space, head)."""
     return _sample(agent.actor, prefix_op, rng)
 
@@ -269,15 +268,14 @@ class RandomPolicy:
 
     n_transitions = 0
 
-    def __init__(self, op_set: OperationSet, rng: np.random.Generator) -> None:
-        self.n_ops = op_set.size
+    def __init__(self, rng: np.random.Generator) -> None:
         self.rng = rng
 
     def choose_head(self, fs: FeatureSet, views: Sequence[FeatureSet]) -> int:
         return int(self.rng.integers(0, len(views)))
 
     def choose_op(self) -> int:
-        return int(self.rng.integers(0, self.n_ops))
+        return int(self.rng.integers(0, len(OPS)))
 
     def choose_tail(self, positions: Sequence[int]) -> int:
         return positions[int(self.rng.integers(0, len(positions)))]
@@ -295,13 +293,13 @@ class ActorCriticPolicy:
     agents' softmaxes, and records one transition per choice; each episode
     ends with one update of every agent on its transitions."""
 
-    def __init__(self, cfg: TrainConfig, m_original: int, rng: np.random.Generator) -> None:
+    def __init__(self, cfg: TrainConfig, rng: np.random.Generator) -> None:
         self.cfg = cfg
         self.rng = rng
         self.encoder = StateEncoder(cfg.encoder, cfg.k, cfg.d, cfg.encoder_epochs,
-                                    derive_seed(cfg.seed, "encoder"), m_original)
+                                    derive_seed(cfg.seed, "encoder"))
         init_rng = np.random.default_rng(derive_seed(cfg.seed, "agent-init"))
-        self.bundles = make_bundles(self.encoder.length, cfg.op_set.size, cfg, init_rng)
+        self.bundles = make_bundles(self.encoder.length, cfg, init_rng)
         self.batches: tuple[list[Transition], list[Transition], list[Transition]] = ([], [], [])
         self.n_transitions = 0
 
@@ -314,10 +312,9 @@ class ActorCriticPolicy:
         return self._head
 
     def choose_op(self) -> int:
-        op_set = self.cfg.op_set
         self._prefix_op = np.concatenate([self._s_f, self._groups[self._head]])
         self._op, _ = select_op(self.bundles[1], self._prefix_op, self.rng)
-        self._s_op = state_op(op_set.ops[self._op], op_set)
+        self._s_op = state_op(OPS[self._op])
         return self._op
 
     def choose_tail(self, positions: Sequence[int]) -> int:

@@ -28,6 +28,9 @@ import numpy as np
 from .agents import ActorCriticPolicy, RandomPolicy, TrainConfig, compute_rewards
 from .clustering import adaptive_cluster, cluster_columns
 from .dataset import (
+    BINARY_OPS,
+    OPS,
+    UNARY_OPS,
     DatasetError,
     FeatureSet,
     TaskKind,
@@ -37,6 +40,7 @@ from .dataset import (
     write_csv,
 )
 from .evaluator import (
+    TRAIN_FRACTION,
     ForestConfig,
     MetricKind,
     default_metric,
@@ -150,8 +154,7 @@ def run_search(cfg: RunConfig) -> RunResult:
     evalctx = EvalContext(metric, split_seed, ForestConfig(seed=forest_seed), mi_cache)
 
     action_rng = np.random.default_rng(derive_seed(train.seed, "actions"))
-    policy = (RandomPolicy(train.op_set, action_rng) if cfg.bench
-              else ActorCriticPolicy(train, fs0.n_rows, action_rng))
+    policy = RandomPolicy(action_rng) if cfg.bench else ActorCriticPolicy(train, action_rng)
 
     baseline_score = evalctx.score(fs0)
     baseline_u = evalctx.quality(fs0)
@@ -161,24 +164,22 @@ def run_search(cfg: RunConfig) -> RunResult:
     best_u = math.nan
     trace: list[TraceRow] = []
 
-    fs = fs0
     for episode in range(train.episodes):
-        if not train.carry_features:
-            fs = fs0
+        fs = fs0
         ep_best = -math.inf
         for step in range(train.steps):
             clusters = adaptive_cluster(fs, train.distance, train.delta, mi_cache)
             views = [cluster_columns(fs, g) for g in clusters.groups]
             head_idx = policy.choose_head(fs, views)
-            op = train.op_set.ops[policy.choose_op()]
+            op = OPS[policy.choose_op()]
 
             tail_positions = [i for i in range(len(clusters)) if i != head_idx]
             # single-group fallback: self-cross
             tail_idx = policy.choose_tail(tail_positions or [head_idx])
 
             fs_next, _ = generation_step(
-                fs, clusters.groups[head_idx], op, clusters.groups[tail_idx], train.op_set,
-                max_size, mi_cache, cap=train.cross_cap, max_depth=train.max_lineage_depth,
+                fs, clusters.groups[head_idx], op, clusters.groups[tail_idx], max_size,
+                mi_cache, cap=train.cross_cap, max_depth=train.max_lineage_depth,
             )
 
             r_head, r_op, r_tail = compute_rewards(fs, fs_next, views[head_idx],
@@ -237,7 +238,7 @@ def emit_report(result: RunResult, fs_star: FeatureSet, path: Path) -> None:
     """Per-feature normalized importance share, plus the before / after
     scores.  A feature's name is its rendered lineage (``parse_lineage`` gives
     the tree back); shares come from forest impurity decreases and sum to 1."""
-    train, _ = split_train_valid(fs_star, 0.8, result.split_seed)
+    train, _ = split_train_valid(fs_star, TRAIN_FRACTION, result.split_seed)
     forest = fit_forest(train, ForestConfig(seed=result.forest_seed))
     shares = feature_importances(forest)
     lines = [
@@ -270,8 +271,7 @@ def write_config_echo(cfg: RunConfig, result: RunResult, path: Path) -> None:
     pairs += [(key, getattr(cfg.train, key)) for key in _TRAIN_KEYS]
     pairs = [(key, resolved.get(key, value)) for key, value in pairs]
     pairs += [
-        ("unary_ops", ",".join(cfg.train.op_set.unary)),
-        ("binary_ops", ",".join(cfg.train.op_set.binary)),
+        ("unary_ops", ",".join(UNARY_OPS)), ("binary_ops", ",".join(BINARY_OPS)),
         ("split_seed", result.split_seed), ("forest_seed", result.forest_seed),
     ]
     path.write_text("".join(f"{k} = {_fmt(v)}\n" for k, v in pairs), encoding="utf-8")

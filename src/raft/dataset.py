@@ -32,6 +32,7 @@ DEFAULT_MAX_DEPTH = 6
 
 UNARY_OPS = ("square", "sqrt", "log")
 BINARY_OPS = ("+", "-", "*", "/")
+OPS = UNARY_OPS + BINARY_OPS  # the order fixes the op agent's outputs and one-hot indices
 
 _F64_MAX = float(np.finfo(np.float64).max)
 _DIV_EPS = 1e-12

@@ -66,6 +66,7 @@ MAX_BINS = 32  # split candidates per column and node: bins of whole distinct va
 _PASS_ENTRIES = 2 ** 16  # per split pass: (training row, drawn feature) entries
 _PASS_CELLS = 2 ** 15  # per split pass: histogram cells (node, drawn feature, bin, class)
 _GROUP_ROWS = 2 ** 16  # per tree group: training rows of one level, over its trees
+TRAIN_FRACTION = 0.8  # of a scored space's rows, the forest's training share
 
 
 @dataclass(frozen=True)
@@ -410,12 +411,12 @@ def downstream_score(
     split_seed: int,
     metric: MetricKind,
     cfg: ForestConfig,
-    ratio: float = 0.8,
 ) -> float:
-    """Hold-out score: split, fit the forest on train, score validation."""
+    """Hold-out score: split off ``TRAIN_FRACTION`` of the rows, fit the
+    forest on them, score the rest."""
     if metric.task is not fs.target.kind:
         raise ValueError(f"metric {metric.value} incompatible with {fs.target.kind.value} target")
-    train, valid = split_train_valid(fs, ratio, split_seed)
+    train, valid = split_train_valid(fs, TRAIN_FRACTION, split_seed)
     forest = fit_forest(train, cfg)
     y_pred = predict(forest, valid.values)
     train_mean = float(np.mean(np.asarray(train.target.values, dtype=np.float64)))

@@ -191,12 +191,3 @@ def column_distances(a: np.ndarray, others: np.ndarray, kind: PairwiseDistanceKi
         on = others / mo[:, None]
         cos = (on * an).sum(axis=1) / (np.sqrt((an * an).sum()) * np.sqrt((on * on).sum(axis=1)))
     return np.where((mo == 0.0) | (ma == 0.0), 1.0, np.clip(1.0 - cos, 0.0, 2.0))
-
-
-def pairwise_distance(f_i: np.ndarray, f_j: np.ndarray, kind: PairwiseDistanceKind) -> float:
-    """Euclidean or cosine distance between two columns (``column_distances``
-    on one pair)."""
-    a, b = (np.asarray(v, dtype=np.float64) for v in (f_i, f_j))
-    if a.shape != b.shape:
-        raise ValueError("vectors must have equal length")
-    return float(column_distances(a, b[None, :], kind)[0])

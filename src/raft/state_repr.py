@@ -13,7 +13,7 @@ from enum import Enum
 
 import numpy as np
 
-from .dataset import FeatureSet, linear_quantiles
+from .dataset import OPS, FeatureSet, linear_quantiles
 from .neural_core import (clip_step, derive_seed, forward, init_gcn, normalized_adjacency,
                           train_autoencoder)
 
@@ -81,13 +81,14 @@ def _seven_stats(mat: np.ndarray, axis: int, count_scale: float) -> np.ndarray:
                      q1, q2, q3])
 
 
-def state_si(fs: FeatureSet, m_original: int | None = None) -> np.ndarray:
+def state_si(fs: FeatureSet) -> np.ndarray:
     """Two-stage descriptive statistics, flattened to length 49.
 
     Stage 1 summarizes each column; stage 2 summarizes each of the seven
-    stage-1 rows.  Counts are normalized by the original sample count so the
-    vector stays O(1) as the feature space grows."""
-    scale = float(m_original if m_original is not None else fs.n_rows)
+    stage-1 rows.  Counts are normalized by the row count (every space of a
+    run has the input's rows), so the vector stays O(1) as the feature space
+    grows."""
+    scale = float(fs.n_rows)
     col_stats = _seven_stats(fs.values, axis=0, count_scale=scale)
     meta = _seven_stats(col_stats, axis=1, count_scale=scale).T
     return _finite(meta.reshape(-1))
@@ -181,10 +182,10 @@ def state_gae(fs: FeatureSet, k: int, epochs: int, seed: int) -> np.ndarray:
     return _finite(z.mean(axis=0))
 
 
-def state_op(op: str, op_set) -> np.ndarray:
-    """One-hot encoding of an operation under the set's fixed order."""
-    vec = np.zeros(op_set.size, dtype=np.float64)
-    vec[op_set.index(op)] = 1.0
+def state_op(op: str) -> np.ndarray:
+    """One-hot encoding of an operation in ``OPS`` order."""
+    vec = np.zeros(len(OPS), dtype=np.float64)
+    vec[OPS.index(op)] = 1.0
     return _read_only(vec)
 
 
@@ -197,10 +198,8 @@ class StateEncoder:
     identically within and across runs.
     """
 
-    def __init__(self, kind: EncoderKind, k: int, d: int, epochs: int, seed: int,
-                 m_original: int) -> None:
+    def __init__(self, kind: EncoderKind, k: int, d: int, epochs: int, seed: int) -> None:
         self.kind, self.k, self.d, self.epochs, self.seed = kind, k, d, epochs, seed
-        self.m_original = m_original
         sizes = {"si": SI_LENGTH, "ae": k * d, "gae": k}
         self.length = sum(sizes[part] for part in kind.parts)
         self._cache: dict[bytes, np.ndarray] = {}
@@ -211,7 +210,7 @@ class StateEncoder:
             parts = []
             for part in self.kind.parts:
                 if part == "si":
-                    parts.append(state_si(fs, self.m_original))
+                    parts.append(state_si(fs))
                 elif part == "ae":
                     parts.append(state_ae(fs, self.k, self.d, self.epochs,
                                           derive_seed(self.seed, "ae")))

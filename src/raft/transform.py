@@ -1,4 +1,6 @@
-"""Mathematical operation set and safe feature-group crossing with lineage."""
+"""Safe feature-group crossing with lineage: a unary op (``UNARY_OPS``) maps
+the head group, a binary op crosses it with the tail group, and dedup and MI
+selection shrink the result."""
 
 from __future__ import annotations
 
@@ -8,7 +10,6 @@ import numpy as np
 
 from .clustering import cluster_columns
 from .dataset import (
-    BINARY_OPS,
     DEFAULT_MAX_DEPTH,
     UNARY_OPS,
     Binary,
@@ -24,48 +25,6 @@ from .info_metrics import MICache
 
 DEFAULT_CROSS_CAP = 64
 _DEDUP_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class OperationSet:
-    """Ordered unary + binary operations; the order fixes one-hot indices."""
-
-    unary: tuple[str, ...] = UNARY_OPS
-    binary: tuple[str, ...] = BINARY_OPS
-
-    def __post_init__(self) -> None:
-        if len(self.binary) == 0:
-            raise ValueError("the operation set needs at least one binary operation")
-        for op in self.unary:
-            if op not in UNARY_OPS:
-                raise ValueError(f"unknown unary operation {op!r}")
-        for op in self.binary:
-            if op not in BINARY_OPS:
-                raise ValueError(f"unknown binary operation {op!r}")
-        ops = self.unary + self.binary
-        if len(set(ops)) != len(ops):
-            raise ValueError("duplicate operations in the set")
-
-    @property
-    def ops(self) -> tuple[str, ...]:
-        return self.unary + self.binary
-
-    @property
-    def size(self) -> int:
-        return len(self.ops)
-
-    def index(self, op: str) -> int:
-        try:
-            return self.ops.index(op)
-        except ValueError:
-            raise ValueError(f"operation {op!r} not in the set {self.ops}") from None
-
-    def is_unary(self, op: str) -> bool:
-        if op in self.unary:
-            return True
-        if op in self.binary:
-            return False
-        raise ValueError(f"operation {op!r} not in the set {self.ops}")
 
 
 @dataclass
@@ -170,7 +129,6 @@ def generation_step(
     head: tuple[int, ...],
     op: str,
     tail: tuple[int, ...] | None,
-    op_set: OperationSet,
     max_size: int,
     cache: MICache,
     cap: int = DEFAULT_CROSS_CAP,
@@ -184,7 +142,7 @@ def generation_step(
     empty batch, not an error).
     """
     head_view = cluster_columns(fs, head)
-    if op_set.is_unary(op):
+    if op in UNARY_OPS:
         batch = apply_unary(op, head_view, max_depth=max_depth)
     else:
         if tail is None:

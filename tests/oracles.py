@@ -12,7 +12,7 @@ import numpy as np
 
 from raft.dataset import FeatureSet, TaskKind
 from raft.evaluator import MAX_BINS, ForestConfig
-from raft.info_metrics import PairwiseDistanceKind, as_labels, content_hash
+from raft.info_metrics import PairwiseDistanceKind, as_labels, column_distances, content_hash
 from raft.neural_core import DenseNet, derive_seed, init_dense, init_gcn
 from raft.state_repr import _finite, _population_std, _standardize_columns, correlation_adjacency
 from raft.transform import GeneratedBatch
@@ -173,6 +173,15 @@ def scalar_quality_oracle(fs: FeatureSet, bins: int, pair_mi=plugin_mi_oracle) -
         for j in range(i + 1, n):
             redundancy += mi(fs.column(i), fs.column(j))
     return -(2.0 * redundancy) / (n * n) + relevance / n
+
+
+def pairwise_distance(f_i: np.ndarray, f_j: np.ndarray, kind: PairwiseDistanceKind) -> float:
+    """Euclidean or cosine distance between two columns (``column_distances``
+    on one pair)."""
+    a, b = (np.asarray(v, dtype=np.float64) for v in (f_i, f_j))
+    if a.shape != b.shape:
+        raise ValueError("vectors must have equal length")
+    return float(column_distances(a, b[None, :], kind)[0])
 
 
 def euclidean_oracle(a, b) -> float:
@@ -588,7 +597,7 @@ def forest_predict_oracle(trees: list, x: np.ndarray, classification: bool) -> n
 # encoders (frozen copies of the code before the lean rewrites)
 # ---------------------------------------------------------------------------
 
-def si_state_oracle(fs: FeatureSet, m_original: int | None = None) -> np.ndarray:
+def si_state_oracle(fs: FeatureSet) -> np.ndarray:
     """``state_si`` as it was before ``linear_quantiles``: each stage's
     quartiles from one ``np.quantile`` call."""
     def seven_stats(mat, axis, count_scale):
@@ -597,7 +606,7 @@ def si_state_oracle(fs: FeatureSet, m_original: int | None = None) -> np.ndarray
         return np.stack([count, _population_std(mat, axis), mat.min(axis=axis),
                          mat.max(axis=axis), q1, q2, q3])
 
-    scale = float(m_original if m_original is not None else fs.n_rows)
+    scale = float(fs.n_rows)
     meta = seven_stats(seven_stats(fs.values, 0, scale), 1, scale).T
     return _finite(meta.reshape(-1))
 

@@ -16,12 +16,12 @@ from raft.agents import (
     update_agents,
 )
 from raft.clustering import cluster_columns
-from raft.dataset import default_bins
+from raft.dataset import OPS, default_bins
 from raft.evaluator import ForestConfig, MetricKind, downstream_score
 from raft.info_metrics import MICache, feature_set_quality, mutual_information
 from raft.neural_core import DenseNet, forward, init_dense, log_softmax, softmax
 from raft.state_repr import state_op
-from raft.transform import OperationSet, generation_step
+from raft.transform import generation_step
 from oracles import (assert_grads_close, net_of, numeric_gradients, random_feature_set,
                      update_agents_oracle)
 
@@ -76,9 +76,8 @@ def test_select_head_dominant_logit():
 
 
 def test_select_op_uniform_and_single():
-    ops = OperationSet()
     prefix = sv([1.0, 2.0, 3.0, 4.0])
-    bundle = zero_bundle(4, ops.size, 4)
+    bundle = zero_bundle(4, len(OPS), 4)
     action, probs = select_op(bundle, prefix, np.random.default_rng(3))
     np.testing.assert_allclose(probs, [1.0 / 7] * 7, atol=1e-12)
     bundle1 = zero_bundle(4, 1, 4)
@@ -87,9 +86,8 @@ def test_select_op_uniform_and_single():
 
 
 def test_select_tail_uniform_thirds_and_exclusion():
-    ops = OperationSet()
     bundle = zero_bundle(3 * 2 + 7, 1, 2 * 2 + 7)
-    prefix = np.concatenate([sv([1.0, 0.0]), sv([0.0, 1.0]), state_op("+", ops)])
+    prefix = np.concatenate([sv([1.0, 0.0]), sv([0.0, 1.0]), state_op("+")])
     cands = [sv([1.0, 1.0]), sv([2.0, 2.0]), sv([3.0, 3.0])]
     _, probs, rows = select_tail(bundle, prefix, cands, np.random.default_rng(5))
     np.testing.assert_allclose(probs, [1 / 3] * 3, atol=1e-12)
@@ -137,8 +135,7 @@ def test_rewards_match_direct_recomputation():
         quality = lambda f: feature_set_quality(f, cache)
         score = lambda f: downstream_score(f, 2, MetricKind.ONE_MINUS_MAE,
                                            ForestConfig(seed=3, n_trees=3))
-        fs_next, _ = generation_step(fs, (0, 1), "*", (2, 3), OperationSet(),
-                                     max_size=10, cache=cache)
+        fs_next, _ = generation_step(fs, (0, 1), "*", (2, 3), max_size=10, cache=cache)
         head_view = cluster_columns(fs, (0, 1))
         r1, ro, r2 = compute_rewards(fs, fs_next, head_view, quality, score)
         assert r1 == pytest.approx(feature_set_quality(head_view, MICache(bins)), abs=1e-12)
@@ -152,8 +149,7 @@ def test_rewards_match_direct_recomputation():
 # ---------------------------------------------------------------------------
 
 def test_losses_collapse_at_gamma_zero_with_zero_critic():
-    ops = OperationSet()
-    bundle = zero_bundle(4, ops.size, 4)
+    bundle = zero_bundle(4, len(OPS), 4)
     state = np.array([1.0, -1.0, 0.5, 2.0])
     t = Transition(state, 2, reward=0.7, next_state=state)
     critic_loss, actor_obj, _, _ = advantage_and_losses([t], bundle, gamma=0.0,
@@ -275,7 +271,7 @@ def test_update_raises_probability_of_positively_rewarded_action():
     rng = np.random.default_rng(16)
     cfg = TrainConfig(actor_lr=0.05, critic_lr=0.0001, beta=0.0, gamma=0.0,
                       episodes=1, steps=1)
-    bundles = make_bundles(2, 3, cfg, rng)
+    bundles = make_bundles(2, cfg, rng)
     state = np.array([1.0, -0.5, 0.3, 0.8])
     probs_before = softmax(forward(bundles[1].actor, state))
     action = 1
@@ -288,7 +284,7 @@ def test_update_raises_probability_of_positively_rewarded_action():
 def test_update_skips_on_nonfinite_loss(caplog):
     cfg = TrainConfig(episodes=1, steps=1)
     rng = np.random.default_rng(17)
-    bundles = make_bundles(2, 3, cfg, rng)
+    bundles = make_bundles(2, cfg, rng)
     bad = Transition(np.full(4, 1.0), 0, reward=float("nan"), next_state=np.full(4, 1.0))
     with caplog.at_level("WARNING"):
         (_, new_op, _), report = update_agents(bundles, ([], [bad], []), cfg)
@@ -300,8 +296,8 @@ def test_update_agents_deterministic():
     rng1 = np.random.default_rng(18)
     rng2 = np.random.default_rng(18)
     cfg = TrainConfig(episodes=1, steps=1)
-    b1 = make_bundles(2, 3, cfg, rng1)
-    b2 = make_bundles(2, 3, cfg, rng2)
+    b1 = make_bundles(2, cfg, rng1)
+    b2 = make_bundles(2, cfg, rng2)
     state = np.array([0.3, 0.7, -0.2, 1.0])
     ts = [Transition(state, 0, 0.5, state)]
     (h1, o1, t1), _ = update_agents(b1, ([], ts, []), cfg)
@@ -337,8 +333,8 @@ def test_update_agents_matches_frozen_oracle_bit_for_bit(caplog):
                           gamma=float(rng.uniform()), beta=float(rng.uniform(0.0, 0.1)),
                           actor_lr=float(10.0 ** rng.uniform(-4.0, 0.0)),
                           critic_lr=float(10.0 ** rng.uniform(-4.0, 0.0)))
-        state_len, n_ops = int(rng.integers(1, 6)), int(rng.integers(1, 8))
-        bundles = make_bundles(state_len, n_ops, cfg, rng)
+        state_len = int(rng.integers(1, 6))
+        bundles = make_bundles(state_len, cfg, rng)
         rewards = rng.standard_normal(int(rng.integers(1, 5))) * 10.0 ** rng.uniform(-2.0, 2.0)
         if i % 4 == 1:
             rewards[0] = rng.choice([1e200, -1e200])  # the squared TD error overflows
@@ -346,7 +342,7 @@ def test_update_agents_matches_frozen_oracle_bit_for_bit(caplog):
             rewards[-1] = np.nan
         elif i % 4 == 3:
             rewards[0] = 1e150  # a finite loss whose gradient norm overflows
-        episode = _random_episode(rng, state_len, n_ops, list(rewards))
+        episode = _random_episode(rng, state_len, len(OPS), list(rewards))
         if i % 5 == 0:
             episode = (episode[0], [], episode[2])
         caplog.clear()
@@ -373,7 +369,7 @@ def test_update_agents_matches_frozen_oracle_bit_for_bit(caplog):
 def test_make_bundles_shapes():
     cfg = TrainConfig(hidden=16, episodes=1, steps=1)
     rng = np.random.default_rng(19)
-    head, op, tail = make_bundles(49, 7, cfg, rng)
+    head, op, tail = make_bundles(49, cfg, rng)
     assert head.actor.in_size == 98 and head.actor.out_size == 1
     assert head.critic.in_size == 49
     assert op.actor.in_size == 98 and op.actor.out_size == 7

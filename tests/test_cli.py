@@ -1,7 +1,7 @@
 import hashlib
 import math
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -10,6 +10,7 @@ from raft import agents, dataset, info_metrics, transform
 from raft.agents import TrainConfig
 from raft.cli import (
     _FILE_KEYS,
+    _TRAIN_KEYS,
     ConfigError,
     RunConfig,
     build_parser,
@@ -68,7 +69,7 @@ def test_encoder_flag_sets_state_length(small_csv, tmp_path):
     ])
     assert cfg.train.encoder is EncoderKind.GAE
     train = cfg.train
-    encoder = StateEncoder(train.encoder, train.k, train.d, train.encoder_epochs, 0, 80)
+    encoder = StateEncoder(train.encoder, train.k, train.d, train.encoder_epochs, 0)
     assert encoder.length == 8
 
 
@@ -233,15 +234,6 @@ def test_classification_run_all_original_report(tmp_path):
         name, share, origin = line.split("\t")
         if origin == "original":
             assert parse_lineage(name).name == name  # bare identifiers
-
-
-def test_carry_features_persists_across_episodes(small_csv, tmp_path):
-    cfg = RunConfig(input_path=str(small_csv), target="y",
-                    out_dir=str(tmp_path / "out"),
-                    train=TrainConfig(episodes=2, steps=2, seed=10,
-                                      carry_features=True))
-    result = run_search(cfg)
-    assert len(result.trace) == 4
 
 
 def test_cli_end_to_end_exit_zero(small_csv, tmp_path, capsys):
@@ -453,17 +445,15 @@ RUN_OPTIONS = {
     "--distance", "--encoder", "--episodes", "--steps", "--seed", "--k", "--d",
     "--encoder-epochs", "--delta", "--bins", "--max-size", "--gamma", "--beta",
     "--actor-lr", "--critic-lr", "--hidden", "--cross-cap", "--max-lineage-depth",
-    "--bench", "--no-report", "--carry-features",
+    "--bench", "--no-report",
 }
 
-# A non-default value for every TrainConfig-backed key; None marks a switch,
-# given bare as a flag and as "true" in a config file.
+# A non-default value for every TrainConfig-backed key.
 TRAIN_KEY_VALUES = {
     "episodes": "3", "steps": "4", "seed": "7", "encoder": "gae", "k": "5", "d": "6",
     "encoder_epochs": "2", "distance": "cosine", "delta": "0.5", "gamma": "0.8",
     "beta": "0.02", "actor_lr": "0.002", "critic_lr": "0.003", "hidden": "16",
     "cross_cap": "10", "max_lineage_depth": "4", "bins": "9", "max_size": "12",
-    "carry_features": None,
 }
 
 FILE_ONLY_VALUES = {
@@ -478,10 +468,10 @@ def run_options() -> set[str]:
 
 
 def test_cli_surface_is_pinned(tmp_path):
-    assert run_options() == RUN_OPTIONS and len(RUN_OPTIONS) == 28
+    assert run_options() == RUN_OPTIONS and len(RUN_OPTIONS) == 27
     accepted = set(TRAIN_KEY_VALUES) | set(FILE_ONLY_VALUES)
-    assert set(_FILE_KEYS) == accepted and len(accepted) == 27
-    values = {**FILE_ONLY_VALUES, **{k: v or "true" for k, v in TRAIN_KEY_VALUES.items()}}
+    assert set(_FILE_KEYS) == accepted and len(accepted) == 26
+    values = {**FILE_ONLY_VALUES, **TRAIN_KEY_VALUES}
     cfgfile = tmp_path / "all.cfg"
     cfgfile.write_text("".join(f"{k} = {v}\n" for k, v in values.items()), encoding="utf-8")
     cfg = parse_config(["run", "--config", str(cfgfile)])
@@ -489,13 +479,25 @@ def test_cli_surface_is_pinned(tmp_path):
     assert cfg.task is TaskKind.REGRESSION and cfg.metric is MetricKind.ONE_MINUS_RAE
 
 
+def test_every_train_config_field_is_a_flag_a_file_key_and_an_echo_line(small_csv, tmp_path):
+    # a knob the CLI cannot set would be a value no run varies
+    names = [f.name for f in fields(TrainConfig)]
+    assert names == list(_TRAIN_KEYS)
+    assert {"--" + name.replace("_", "-") for name in names} <= run_options()
+    assert set(names) <= set(_FILE_KEYS)
+    cfg = replace(small_config(small_csv, tmp_path, steps=1), report=False)
+    paths = write_outputs(run_search(cfg), cfg)
+    echoed = [line.split(" = ")[0] for line in paths["config"].read_text().splitlines()]
+    assert [key for key in echoed if key in names] == names
+
+
 @pytest.mark.parametrize("key", sorted(TRAIN_KEY_VALUES))
 def test_train_key_flag_equals_file_value(tmp_path, key):
     value = TRAIN_KEY_VALUES[key]
     base = ["run", "--input", "data.csv", "--target", "y", "--out", "o"]
-    flag = ["--" + key.replace("_", "-")] + ([] if value is None else [value])
+    flag = ["--" + key.replace("_", "-"), value]
     cfgfile = tmp_path / "one.cfg"
-    cfgfile.write_text(f"{key} = {value or 'true'}\n", encoding="utf-8")
+    cfgfile.write_text(f"{key} = {value}\n", encoding="utf-8")
     from_flag = parse_config(base + flag).train
     from_file = parse_config(base + ["--config", str(cfgfile)]).train
     assert from_flag == from_file

@@ -9,13 +9,14 @@ from raft.clustering import (
     merge_sequence,
     pair_score_matrix,
 )
-from raft.info_metrics import MICache, PairwiseDistanceKind, mutual_information, pairwise_distance
+from raft.info_metrics import MICache, PairwiseDistanceKind, mutual_information
 from oracles import (
     agglomerative_oracle,
     cosine_oracle,
     euclidean_oracle,
     mean_linkage_oracle,
     merge_loop_oracle,
+    pairwise_distance,
     random_feature_set,
 )
 

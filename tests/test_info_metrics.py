@@ -23,13 +23,13 @@ from raft.info_metrics import (
     as_labels,
     feature_set_quality,
     mutual_information,
-    pairwise_distance,
 )
 from oracles import (
     cosine_oracle,
     count_mi_oracle,
     euclidean_oracle,
     mi_oracle,
+    pairwise_distance,
     per_column_labels_oracle,
     plugin_mi_oracle,
     quality_oracle,

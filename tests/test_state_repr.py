@@ -17,7 +17,6 @@ from raft.state_repr import (
     state_op,
     state_si,
 )
-from raft.transform import OperationSet
 from oracles import (gae_reconstruction_loss, gae_state_oracle, gcn_forward, quantile_oracle,
                      random_feature_set, si_state_oracle)
 
@@ -75,15 +74,14 @@ def test_si_invariant_under_row_permutation():
     fs = random_feature_set(rng, 25, 4)
     perm = rng.permutation(25)
     fs_p = fs.subset_rows(perm)
-    np.testing.assert_allclose(state_si(fs, m_original=25), state_si(fs_p, m_original=25),
-                               rtol=1e-12)
+    np.testing.assert_allclose(state_si(fs), state_si(fs_p), rtol=1e-12)
 
 
 def test_si_single_column_matches_hand_oracle():
     rng = np.random.default_rng(3)
     fs = random_feature_set(rng, 3, 1)
     fs = fs.with_columns(np.array([[1.0], [2.0], [3.0]]), fs.columns)
-    got = state_si(fs, m_original=3)
+    got = state_si(fs)
     want = si_oracle(fs.values, count_scale=3.0)
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
     # frozen stage-1 values: count 3/3, population std, min, max, quartiles;
@@ -96,7 +94,7 @@ def test_si_matches_oracle_on_random_matrices():
     rng = np.random.default_rng(4)
     for _ in range(5):
         fs = random_feature_set(rng, int(rng.integers(3, 30)), int(rng.integers(1, 6)))
-        got = state_si(fs, m_original=fs.n_rows)
+        got = state_si(fs)
         want = si_oracle(fs.values, count_scale=float(fs.n_rows))
         np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
 
@@ -319,10 +317,9 @@ def test_si_matches_np_quantile_oracle_bit_for_bit():
         elif i % 4 == 3:
             values[:, 0] = rng.integers(-4, 5, m) * np.finfo(np.float64).smallest_subnormal
         fs = fs.with_columns(values, fs.columns)
-        m_original = int(rng.integers(2, 500)) if i % 2 else None
         with np.errstate(over="ignore", invalid="ignore"):
-            want = si_state_oracle(fs, m_original)
-            got = state_si(fs, m_original)
+            want = si_state_oracle(fs)
+            got = state_si(fs)
         if np.signbit(values[values == 0.0]).any():
             # zeros of both signs (np.round makes -0.0): a zero may differ in sign
             got, want = got + 0.0, want + 0.0
@@ -336,27 +333,25 @@ def test_si_matches_np_quantile_oracle_bit_for_bit():
 # ---------------------------------------------------------------------------
 
 def test_state_op_one_hot():
-    ops = OperationSet()
-    assert ops.size == 7
-    np.testing.assert_array_equal(state_op("square", ops), [1, 0, 0, 0, 0, 0, 0])
-    np.testing.assert_array_equal(state_op("/", ops), [0, 0, 0, 0, 0, 0, 1])
+    np.testing.assert_array_equal(state_op("square"), [1, 0, 0, 0, 0, 0, 0])
+    np.testing.assert_array_equal(state_op("/"), [0, 0, 0, 0, 0, 0, 1])
 
 
 def test_state_op_unknown_rejected():
     with pytest.raises(ValueError):
-        state_op("cube", OperationSet())
+        state_op("cube")
 
 
 def test_concat_states():
     # a combined encoder's state is its parts' states in ``kind.parts`` order
     rng = np.random.default_rng(24)
     fs = random_feature_set(rng, 12, 3)
-    si = state_si(fs, 12)
+    si = state_si(fs)
     ae = state_ae(fs, 3, 2, 2, derive_seed(5, "ae"))
     gae = state_gae(fs, 3, 2, derive_seed(5, "gae"))
     for kind, parts in [(EncoderKind.SI, [si]), (EncoderKind.SI_AE, [si, ae]),
                         (EncoderKind.AE_GAE, [ae, gae]), (EncoderKind.ALL, [si, ae, gae])]:
-        got = StateEncoder(kind, 3, 2, 2, 5, 12).encode(fs)
+        got = StateEncoder(kind, 3, 2, 2, 5).encode(fs)
         assert got.tobytes() == np.concatenate(parts).tobytes(), kind
 
 
@@ -368,7 +363,7 @@ def test_encoder_length_pure_function_of_config():
     rng = np.random.default_rng(15)
     sizes = {"si": SI_LENGTH, "ae": 12, "gae": 4}
     for kind in EncoderKind:
-        enc = StateEncoder(kind, k=4, d=3, epochs=0, seed=0, m_original=10)
+        enc = StateEncoder(kind, k=4, d=3, epochs=0, seed=0)
         assert enc.length == sum(sizes[part] for part in kind.parts)
         for _ in range(4):
             fs = random_feature_set(rng, int(rng.integers(2, 40)), int(rng.integers(1, 9)))
@@ -384,7 +379,7 @@ def test_encoder_finite_on_degenerate_inputs():
         base.with_columns(base.values[:, :1], base.columns[:1]),
     ]
     for kind in (EncoderKind.SI, EncoderKind.AE, EncoderKind.GAE):
-        enc = StateEncoder(kind, k=3, d=2, epochs=2, seed=1, m_original=6)
+        enc = StateEncoder(kind, k=3, d=2, epochs=2, seed=1)
         for fs in degenerate:
             vec = enc.encode(fs)
             assert np.all(np.isfinite(vec)) and not vec.flags.writeable
@@ -393,7 +388,7 @@ def test_encoder_finite_on_degenerate_inputs():
 def test_encoder_cache_returns_equal_vectors():
     rng = np.random.default_rng(17)
     fs = random_feature_set(rng, 10, 3)
-    enc = StateEncoder(EncoderKind.ALL, k=3, d=2, epochs=1, seed=2, m_original=10)
+    enc = StateEncoder(EncoderKind.ALL, k=3, d=2, epochs=1, seed=2)
     v1 = enc.encode(fs)
     v2 = enc.encode(fs)
     np.testing.assert_array_equal(v1, v2)

@@ -7,6 +7,9 @@ from hypothesis import strategies as st
 
 from raft.clustering import cluster_columns
 from raft.dataset import (
+    BINARY_OPS,
+    OPS,
+    UNARY_OPS,
     FeatureMeta,
     FeatureSet,
     Ident,
@@ -19,7 +22,6 @@ from raft.dataset import (
 from raft.info_metrics import MICache, mutual_information
 from raft.transform import (
     GeneratedBatch,
-    OperationSet,
     apply_unary,
     cross_binary,
     dedup,
@@ -45,26 +47,12 @@ def run_cache(fs):
 
 
 # ---------------------------------------------------------------------------
-# OperationSet
+# the operation set
 # ---------------------------------------------------------------------------
 
 def test_default_op_set_order():
-    ops = OperationSet()
-    assert ops.ops == ("square", "sqrt", "log", "+", "-", "*", "/")
-    assert ops.index("+") == 3
-    assert ops.is_unary("log") and not ops.is_unary("*")
-
-
-def test_op_set_requires_binary():
-    with pytest.raises(ValueError):
-        OperationSet(unary=("square",), binary=())
-
-
-def test_op_set_rejects_unknown():
-    with pytest.raises(ValueError):
-        OperationSet(unary=("cube",))
-    with pytest.raises(ValueError):
-        OperationSet(binary=("%",))
+    assert OPS == UNARY_OPS + BINARY_OPS == ("square", "sqrt", "log", "+", "-", "*", "/")
+    assert OPS.index("+") == 3
 
 
 # ---------------------------------------------------------------------------
@@ -286,8 +274,7 @@ def test_select_output_is_subsequence():
 def test_generation_step_unary_grows_by_head_size():
     rng = np.random.default_rng(4)
     fs = random_feature_set(rng, 25, 4)
-    out, batch = generation_step(fs, (0, 2), "square", None, OperationSet(),
-                                 max_size=100, cache=run_cache(fs))
+    out, batch = generation_step(fs, (0, 2), "square", None, max_size=100, cache=run_cache(fs))
     assert len(batch) == 2
     assert out.n_cols == 6
 
@@ -295,8 +282,7 @@ def test_generation_step_unary_grows_by_head_size():
 def test_generation_step_respects_max_size():
     rng = np.random.default_rng(5)
     fs = random_feature_set(rng, 25, 4)
-    out, _ = generation_step(fs, (0, 1), "*", (2, 3), OperationSet(), max_size=5,
-                             cache=run_cache(fs))
+    out, _ = generation_step(fs, (0, 1), "*", (2, 3), max_size=5, cache=run_cache(fs))
     assert out.n_cols == 5
 
 
@@ -304,10 +290,8 @@ def test_generation_step_duplicate_only_batch_is_noop():
     rng = np.random.default_rng(6)
     fs = random_feature_set(rng, 25, 2)
     cache = run_cache(fs)
-    out1, batch1 = generation_step(fs, (0, 1), "square", None, OperationSet(),
-                                   max_size=100, cache=cache)
-    out2, batch2 = generation_step(out1, (0, 1), "square", None, OperationSet(),
-                                   max_size=100, cache=cache)
+    out1, batch1 = generation_step(fs, (0, 1), "square", None, max_size=100, cache=cache)
+    out2, batch2 = generation_step(out1, (0, 1), "square", None, max_size=100, cache=cache)
     assert len(batch2) == 0
     assert out2 is out1
 
@@ -316,8 +300,7 @@ def test_generation_step_binary_requires_tail():
     rng = np.random.default_rng(7)
     fs = random_feature_set(rng, 25, 3)
     with pytest.raises(ValueError, match="tail"):
-        generation_step(fs, (0,), "+", None, OperationSet(), max_size=10,
-                        cache=run_cache(fs))
+        generation_step(fs, (0,), "+", None, max_size=10, cache=run_cache(fs))
 
 
 # ---------------------------------------------------------------------------
@@ -329,9 +312,9 @@ def test_generated_columns_round_trip_through_lineage():
     fs0 = random_feature_set(rng, 30, 4)
     originals = fs0.original_columns()
     cache = run_cache(fs0)
-    fs, _ = generation_step(fs0, (0, 1), "*", (2, 3), OperationSet(), max_size=50, cache=cache)
-    fs, _ = generation_step(fs, (0, 2), "sqrt", None, OperationSet(), max_size=50, cache=cache)
-    fs, _ = generation_step(fs, (1, 3), "/", (0, 2), OperationSet(), max_size=50, cache=cache)
+    fs, _ = generation_step(fs0, (0, 1), "*", (2, 3), max_size=50, cache=cache)
+    fs, _ = generation_step(fs, (0, 2), "sqrt", None, max_size=50, cache=cache)
+    fs, _ = generation_step(fs, (1, 3), "/", (0, 2), max_size=50, cache=cache)
     for i, meta in enumerate(fs.columns):
         recomputed = evaluate_lineage(meta.lineage, originals)
         np.testing.assert_array_equal(recomputed, fs.values[:, i],
@@ -349,10 +332,9 @@ def test_generated_values_always_finite(data, unary_op, binary_op):
     values = np.column_stack([col, np.linspace(-1.0, 1.0, m), np.zeros(m)])
     fs = make_fs(values, y=np.linspace(0.0, 1.0, m))
     cache = run_cache(fs)
-    out, _ = generation_step(fs, (0,), unary_op, None, OperationSet(), max_size=50, cache=cache)
+    out, _ = generation_step(fs, (0,), unary_op, None, max_size=50, cache=cache)
     assert np.all(np.isfinite(out.values))
-    out2, _ = generation_step(out, (0,), binary_op, (1, 2), OperationSet(), max_size=50,
-                              cache=cache)
+    out2, _ = generation_step(out, (0,), binary_op, (1, 2), max_size=50, cache=cache)
     assert np.all(np.isfinite(out2.values))
 
 
@@ -363,6 +345,5 @@ def test_generated_depth_bounded():
     for i in range(12):
         op = ("square", "+", "log", "*")[i % 4]
         tail = (1,) if op in ("+", "*") else None
-        fs, _ = generation_step(fs, (0,), op, tail, OperationSet(), max_size=20, cache=cache,
-                                max_depth=4)
+        fs, _ = generation_step(fs, (0,), op, tail, max_size=20, cache=cache, max_depth=4)
     assert max(lineage_depth(meta.lineage) for meta in fs.columns) <= 4
