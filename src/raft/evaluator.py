@@ -209,7 +209,10 @@ def _split_level(x: np.ndarray, bins: np.ndarray, n_bins: int, y: np.ndarray,
     n_left = n_node - np.add.reduceat(right, starts)
     split = np.isfinite(score) & (n_left >= min_leaf) & (n_node - n_left >= min_leaf)
     kept = split.take(nd)
-    order = np.argsort(2 * nd[kept] + right[kept], kind="stable")
+    # a pass has at most _PASS_CELLS nodes, so the key fits 16 bits, where
+    # numpy's stable sort is a radix sort
+    key = (2 * nd[kept] + right[kept]).astype(np.min_scalar_type(2 * n_node.size))
+    order = np.argsort(key, kind="stable")
     sizes = np.stack([n_left[split], n_node[split] - n_left[split]], axis=1).ravel()
     return feature, threshold, score, split, rows[kept][order], sizes
 
