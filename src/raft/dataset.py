@@ -336,7 +336,9 @@ class FeatureSet:
 # ---------------------------------------------------------------------------
 
 def _normalize_name(raw: str) -> str:
-    return raw.strip().replace(" ", "_")
+    # a reader drops a byte-order mark only at the start of a file, so a name
+    # that kept one would lose it once written first
+    return raw.lstrip("\ufeff").strip().replace(" ", "_")
 
 
 def _header_lineage(raw: str) -> LineageExpr:

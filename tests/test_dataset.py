@@ -8,6 +8,9 @@ from hypothesis import strategies as st
 
 from raft import dataset
 from raft.dataset import (
+    BINARY_OPS,
+    DEFAULT_MAX_DEPTH,
+    UNARY_OPS,
     Binary,
     DatasetError,
     FeatureMeta,
@@ -107,6 +110,15 @@ def test_load_csv_lineage_headers_round_trip(tmp_path):
     out = tmp_path / "copy.csv"
     write_csv(fs, out)
     assert load_csv(out, "y").columns == fs.columns
+
+
+def test_load_csv_drops_a_byte_order_mark_from_any_header(tmp_path):
+    p = write(tmp_path / "d.csv", "\ufeffa,\ufeff b,y\n1,2,0.5\n2,3,1.5\n3,5,0.25\n")
+    fs = load_csv(p, "y")
+    assert fs.names() == ["a", "b"]
+    out = tmp_path / "copy.csv"
+    write_csv(fs.take([1, 0]), out)  # the second header is now written first
+    assert load_csv(out, "y").names() == ["b", "a"]
 
 
 @pytest.mark.parametrize("header", ["(a)", "(a -  b)", " (a - b)", "f(x)", "(" * 5000 + "a"])
@@ -569,6 +581,52 @@ def test_parse_rejects_garbage():
         parse_lineage("(a + b")
     with pytest.raises(DatasetError):
         parse_lineage("a b")
+
+
+def _kept_as_is(name: str) -> bool:
+    """Whether ``load_csv`` keeps a header unchanged as an original column:
+    normalization leaves it alone and ``_validate_header_name`` accepts it."""
+    try:
+        dataset._validate_header_name(name)
+    except DatasetError:
+        return False
+    return dataset._normalize_name(name) == name
+
+
+# operator characters, unary-op tokens and prefixes, digits, non-ASCII, CSV
+# quoting characters and a byte-order mark, plus any other character
+_NAME_PARTS = ("+", "-", "*", "/", "log", "sqrt", "square", "x", "_", "0", "7", "1e5", "é",
+               "λ", "√", "−", "∗", "\ufeff", ",", '"', "\n", "\t")
+header_names = st.lists(st.one_of(st.sampled_from(_NAME_PARTS), st.characters(codec="utf-8")),
+                        min_size=1, max_size=5).map("".join).filter(_kept_as_is)
+
+
+def lineages(depth: int):
+    """Lineage trees over ``header_names`` of depth at most ``depth``."""
+    if depth == 1:
+        return header_names.map(Ident)
+    sub = lineages(depth - 1)
+    return st.one_of(header_names.map(Ident), st.builds(Unary, st.sampled_from(UNARY_OPS), sub),
+                     st.builds(Binary, st.sampled_from(BINARY_OPS), sub, sub))
+
+
+@given(lineages(DEFAULT_MAX_DEPTH))
+@settings(max_examples=300, deadline=None)
+def test_render_parse_round_trip_over_adversarial_names(expr):
+    assert lineage_depth(expr) <= DEFAULT_MAX_DEPTH
+    assert parse_lineage(render(expr)) == expr
+
+
+@given(st.lists(lineages(3), min_size=1, max_size=4, unique_by=render))
+@settings(max_examples=100, deadline=None)
+def test_write_then_load_keeps_every_adversarial_name(tmp_path_factory, exprs):
+    n = len(exprs)
+    # the target's name has a space, so no kept feature header equals it
+    fs = FeatureSet(np.arange(3.0 * n).reshape(3, n), tuple(map(FeatureMeta, exprs)),
+                    Target(np.array([0.5, 1.5, 2.5]), TaskKind.REGRESSION, "the target"))
+    path = tmp_path_factory.mktemp("names") / "d.csv"
+    write_csv(fs, path)
+    assert [meta.lineage for meta in load_csv(path, "the target").columns] == exprs
 
 
 def test_lineage_depth():
