@@ -159,9 +159,8 @@ def run_search(cfg: RunConfig) -> RunResult:
     baseline_score = evalctx.score(fs0)
     baseline_u = evalctx.quality(fs0)
 
-    best_fs = fs0
-    best_score = -math.inf
-    best_u = math.nan
+    # the input competes: a search that never beats it emits it
+    best_fs, best_score, best_u = fs0, baseline_score, baseline_u
     trace: list[TraceRow] = []
 
     for episode in range(train.episodes):

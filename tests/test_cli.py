@@ -6,7 +6,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from raft import agents, dataset, info_metrics, transform
+from raft import agents, cli, dataset, info_metrics, transform
 from raft.agents import TrainConfig
 from raft.cli import (
     _FILE_KEYS,
@@ -27,6 +27,7 @@ from raft.dataset import (
     evaluate_lineage,
     load_csv,
     parse_lineage,
+    write_csv,
 )
 from raft.evaluator import ForestConfig, MetricKind, downstream_score
 from raft.info_metrics import PairwiseDistanceKind
@@ -184,6 +185,26 @@ def test_reported_score_matches_recomputation(small_csv, tmp_path):
     again = downstream_score(emitted, result.split_seed, result.metric,
                              ForestConfig(seed=result.forest_seed))
     assert again == result.best_score
+
+
+def test_a_search_that_never_beats_the_input_emits_it(small_csv, tmp_path, monkeypatch):
+    # every generated space scores a full point below its true score
+    real_score = cli.downstream_score
+
+    def lowered(fs, *args):
+        score = real_score(fs, *args)
+        return score if all(meta.is_original for meta in fs.columns) else score - 1.0
+
+    monkeypatch.setattr(cli, "downstream_score", lowered)
+    cfg = small_config(small_csv, tmp_path, episodes=2, steps=3)
+    result = run_search(cfg)
+    assert max(row.p_a for row in result.trace) < result.baseline_score
+    assert result.best_score == result.baseline_score
+    assert result.best_u == result.baseline_u
+    paths = write_outputs(result, cfg)
+    original = tmp_path / "original.csv"
+    write_csv(load_csv(small_csv, "y"), original)
+    assert paths["transformed"].read_bytes() == original.read_bytes()
 
 
 def test_trace_is_monotone_in_episode(small_csv, tmp_path):
