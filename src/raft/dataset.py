@@ -493,11 +493,13 @@ def _convert_cells(
 
 
 def _median(x: np.ndarray) -> float:
-    """``np.median`` of finite ``x``, with the two middle values halved before
-    they are added where their sum would pass float64's range."""
+    """``np.median`` of ``x``, with the two middle values of an even count
+    halved before they are added where their sum would pass float64's range.
+    An odd count's median is one of its values, inf only where ``x`` has an
+    inf, which the caller rejects."""
     with np.errstate(over="ignore"):
         med = np.median(x)
-    if np.isinf(med):
+    if np.isinf(med) and len(x) % 2 == 0:
         k = len(x) // 2
         lo, hi = np.partition(x, [k - 1, k])[k - 1:k + 1]
         med = lo / 2 + hi / 2

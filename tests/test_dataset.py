@@ -156,6 +156,13 @@ def test_median_imputation_of_huge_values_does_not_overflow(tmp_path):
     assert fs.values[0, 0] == big * 0.75  # halfway between big / 2 and big
 
 
+@pytest.mark.parametrize("cell", ["inf", "-inf"])
+def test_median_imputation_of_one_infinite_value_is_a_data_error(tmp_path, cell):
+    p = write(tmp_path / "d.csv", f"a,y\n,0\n{cell},1\n")
+    with pytest.raises(DatasetError, match="finite"):
+        load_csv(p, "y", impute="median")
+
+
 def test_write_then_load_is_identity(tmp_path):
     rng = np.random.default_rng(3)
     p = write(
