@@ -494,9 +494,8 @@ def _convert_cells(
 
 def _median(x: np.ndarray) -> float:
     """``np.median`` of ``x``, with the two middle values of an even count
-    halved before they are added where their sum would pass float64's range.
-    An odd count's median is one of its values, inf only where ``x`` has an
-    inf, which the caller rejects."""
+    halved before they are added where their sum would pass float64's range
+    (an odd count's median is one of its values, so it cannot overflow)."""
     with np.errstate(over="ignore"):
         med = np.median(x)
     if np.isinf(med) and len(x) % 2 == 0:
