@@ -176,10 +176,11 @@ def run_search(cfg: RunConfig) -> RunResult:
             # single-group fallback: self-cross
             tail_idx = policy.choose_tail(tail_positions or [head_idx])
 
-            fs_next, _ = generation_step(
+            # only the new space: the batch's columns are not kept through the scoring
+            fs_next = generation_step(
                 fs, clusters.groups[head_idx], op, clusters.groups[tail_idx], max_size,
                 mi_cache, cap=train.cross_cap, max_depth=train.max_lineage_depth,
-            )
+            )[0]
 
             r_head, r_op, r_tail = compute_rewards(fs, fs_next, views[head_idx],
                                                    evalctx.quality, evalctx.score)

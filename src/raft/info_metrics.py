@@ -8,7 +8,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .dataset import MAX_DISCRETE_LABELS, FeatureSet, content_hash, discretize
+from .dataset import MAX_DISCRETE_LABELS, FeatureSet, Target, content_hash, discretize
 
 
 class PairwiseDistanceKind(Enum):
@@ -67,7 +67,8 @@ def _count_mi(pairs: Sequence[tuple[Labels, Labels]], table: np.ndarray, k: int)
     xs, ys = (np.array([pair[i].codes for pair in pairs]) for i in (0, 1))
     sx, sy = (np.array([pair[i].xlogx for pair in pairs]) for i in (0, 1))
     p, m = xs.shape
-    cells = xs * k + ys + (np.arange(p) * (k * k))[:, None]
+    # the stored codes are narrow: widen before any product, so no cell index wraps
+    cells = xs.astype(np.intp) * k + ys + (np.arange(p) * (k * k))[:, None]
     joint = table[np.bincount(cells.ravel(), minlength=p * k * k)].reshape(p, k * k)
     mi = math.log(m) + (np.cumsum(joint, axis=1)[:, -1] - sx - sy) / m
     return np.where(mi > 0.0, mi, 0.0)
@@ -78,14 +79,20 @@ class MICache:
     labelizations, T tables (one per row count) and pairwise MI values by
     each column's content hash, handed in as ``keys`` (a feature set's
     ``keys`` and its target's ``key``), so nothing is hashed here.
-    ``labels`` takes a vector or a (rows x columns) matrix, whose new columns
-    are labelled together, with the bits each would get alone.
+    ``labels`` takes a vector, a (rows x columns) matrix or a list of column
+    vectors; the new columns are labelled together, a pass of
+    ``_CHUNK_ENTRIES`` entries at a time, with the bits each would get alone.
+    A memo entry stores its codes at the narrowest unsigned dtype that holds
+    every label below ``max(bins, MAX_DISCRETE_LABELS)``: uint8 unless
+    ``bins`` exceeds 256.  The memo keeps every column it has labelled.
 
     Single-threaded use; a concurrent caller should hold one cache per worker.
     """
 
     def __init__(self, bins: int) -> None:
         self.bins = bins
+        self._k = max(bins, MAX_DISCRETE_LABELS)  # labels lie in [0, k)
+        self._codes_dtype = np.min_scalar_type(self._k - 1)
         self._labels: dict[bytes, Labels] = {}
         self._xlogx: dict[int, np.ndarray] = {}
         self._mi: dict[tuple[bytes, bytes], float] = {}
@@ -97,27 +104,35 @@ class MICache:
             self._xlogx[m] = np.array([0.0] + [c * math.log(c) for c in range(1, m + 1)])
         return self._xlogx[m]
 
-    def labels(self, values: np.ndarray, keys: Sequence[bytes]) -> Labels | list[Labels]:
+    def labels(self, values: np.ndarray | Sequence[np.ndarray],
+               keys: Sequence[bytes]) -> Labels | list[Labels]:
         """The ``Labels`` of a vector, or a list of them, one per column of a
-        matrix; ``keys`` holds one content hash per column."""
-        x = np.asarray(values, dtype=np.float64)
-        if x.ndim == 1:
-            return self.labels(x[:, None], keys)[0]
+        matrix or per vector of a list; ``keys`` holds one content hash per
+        column.  Only one labelling pass's columns are stacked at a time."""
+        if isinstance(values, np.ndarray) and values.ndim == 1:
+            return self.labels([values], keys)[0]
+        columns = values.T if isinstance(values, np.ndarray) else values
         todo = [j for j, key in enumerate(keys) if key not in self._labels]
-        table = self._table(x.shape[0])
-        step = max(1, _CHUNK_ENTRIES // x.shape[0])  # columns per labelling pass
-        for start in range(0, len(todo), step):
-            chunk = todo[start:start + step]
-            labels = as_labels(x[:, chunk], self.bins)
-            # one small array per column: a memo entry pins no chunk-sized block
-            for j, codes, xlogx in zip(chunk, labels.T, _xlogx_sums(labels, table)):
-                self._labels[keys[j]] = Labels(keys[j], np.ascontiguousarray(codes), xlogx)
+        if todo:
+            m = len(columns[todo[0]])
+            table = self._table(m)
+            step = max(1, _CHUNK_ENTRIES // m)  # columns per labelling pass
+            for start in range(0, len(todo), step):
+                chunk = todo[start:start + step]
+                # (rows x chunk), laid out column by column
+                labels = as_labels(np.array([columns[j] for j in chunk], dtype=np.float64).T,
+                                   self.bins)
+                # one small array per column: a memo entry pins no chunk-sized block
+                for j, codes, xlogx in zip(chunk, labels.T, _xlogx_sums(labels, table)):
+                    self._labels[keys[j]] = Labels(keys[j], codes.astype(self._codes_dtype), xlogx)
         return [self._labels[key] for key in keys]
 
-    def mi(self, fs: FeatureSet) -> list[float]:
-        """The MI of each column of ``fs`` with its target (see ``pair_mi``)."""
-        target = self.labels(fs.target.values, (fs.target.key,))
-        return self.pair_mi([(col, target) for col in self.labels(fs.values, fs.keys)])
+    def mi(self, values: np.ndarray | Sequence[np.ndarray], keys: Sequence[bytes],
+           target: Target) -> list[float]:
+        """The MI of each column of ``values`` (a matrix or a list of column
+        vectors, as ``labels`` takes) with ``target`` (see ``pair_mi``)."""
+        target_labels = self.labels(target.values, (target.key,))
+        return self.pair_mi([(col, target_labels) for col in self.labels(values, keys)])
 
     def pair_mi(self, pairs: Sequence[tuple[Labels, Labels]]) -> list[float]:
         """MI of each pair of ``labels`` results, the unmemoized ones batched
@@ -126,7 +141,7 @@ class MICache:
         ordered = [(x, y) if x.key <= y.key else (y, x) for x, y in pairs]
         keys = [(x.key, y.key) for x, y in ordered]
         todo = [p for p, key in enumerate(keys) if key not in self._mi]
-        m, k = ordered[0][0].codes.size, max(self.bins, MAX_DISCRETE_LABELS)
+        m, k = ordered[0][0].codes.size, self._k
         step = max(1, _CHUNK_ENTRIES // max(m, k * k))
         for start in range(0, len(todo), step):
             batch = todo[start:start + step]

@@ -5,6 +5,7 @@ selection shrink the result."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -73,7 +74,8 @@ def cross_binary(
         raise ValueError("clusters must be nonempty")
     pairs = [(a, b) for a in range(head_view.n_cols) for b in range(tail_view.n_cols)]
     if len(pairs) > cap:
-        mi_head, mi_tail = cache.mi(head_view), cache.mi(tail_view)
+        mi_head, mi_tail = (cache.mi(view.values, view.keys, view.target)
+                            for view in (head_view, tail_view))
         scored = sorted(range(len(pairs)),
                         key=lambda p: (-(mi_head[pairs[p][0]] + mi_tail[pairs[p][1]]), p))
         pairs = [pairs[p] for p in sorted(scored[:cap])]
@@ -111,17 +113,22 @@ def dedup(batch: GeneratedBatch, fs: FeatureSet) -> GeneratedBatch:
     return GeneratedBatch(kept_cols, kept_metas)
 
 
+def _top_by_mi(scores: Sequence[float], max_size: int) -> list[int]:
+    """The indices of the ``max_size`` largest ``scores`` (ties keep the lower
+    index), in increasing order."""
+    if max_size < 1:
+        raise ValueError("max_size must be >= 1")
+    ranked = sorted(range(len(scores)), key=lambda i: (-scores[i], i))
+    return sorted(ranked[:max_size])
+
+
 def select_features(fs: FeatureSet, max_size: int, cache: MICache) -> FeatureSet:
     """Keep the top ``max_size`` columns by MI with the target, read from the
     run's ``cache`` (ties keep the lower index); surviving columns preserve
     their relative order."""
-    if max_size < 1:
-        raise ValueError("max_size must be >= 1")
     if fs.n_cols <= max_size:
         return fs
-    scores = cache.mi(fs)
-    ranked = sorted(range(fs.n_cols), key=lambda i: (-scores[i], i))
-    return fs.take(sorted(ranked[:max_size]))
+    return fs.take(_top_by_mi(cache.mi(fs.values, fs.keys, fs.target), max_size))
 
 
 def generation_step(
@@ -137,9 +144,13 @@ def generation_step(
     """Apply/cross, dedup, append, then shrink back via feature selection.
 
     The kept batch columns are the step's new columns: each is hashed here,
-    once, and the merged space carries ``fs.keys`` followed by theirs.  An
-    empty post-dedup batch leaves the feature set unchanged (signaled by the
-    empty batch, not an error).
+    once, and the new space carries ``fs.keys`` followed by theirs.  When
+    the space would outgrow ``max_size``, the MI of ``fs``'s and the batch's
+    columns is read first, and only the ``select_features`` winners are
+    assembled, so the appended space is never built; the result has the bits
+    of appending and then calling ``select_features``.  An empty post-dedup
+    batch leaves the feature set unchanged (signaled by the empty batch, not
+    an error).
     """
     head_view = cluster_columns(fs, head)
     if op in UNARY_OPS:
@@ -152,9 +163,15 @@ def generation_step(
     batch = dedup(batch, fs)
     if len(batch) == 0:
         return fs, batch
-    values = np.concatenate([fs.values] + [c[:, None] for c in batch.columns], axis=1)
     keys = fs.keys + tuple(content_hash(c) for c in batch.columns)
-    merged = fs.with_columns(values, tuple(fs.columns) + tuple(batch.metas), keys)
-    if merged.n_cols > max_size:
-        merged = select_features(merged, max_size, cache)
-    return merged, batch
+    metas = tuple(fs.columns) + tuple(batch.metas)
+    if len(keys) <= max_size:
+        values = np.concatenate([fs.values] + [c[:, None] for c in batch.columns], axis=1)
+        return fs.with_columns(values, metas, keys), batch
+    columns = [*fs.values.T, *batch.columns]
+    kept = _top_by_mi(cache.mi(columns, keys, fs.target), max_size)
+    # column by column, as ``take``'s fancy index lays it out
+    values = np.empty((fs.n_rows, len(kept)), order="F")
+    for j, i in enumerate(kept):
+        values[:, j] = columns[i]
+    return fs.with_columns(values, [metas[i] for i in kept], [keys[i] for i in kept]), batch

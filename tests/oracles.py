@@ -317,6 +317,32 @@ def dedup_oracle(batch: GeneratedBatch, fs: FeatureSet, tol: float = 1e-12) -> G
     return GeneratedBatch(kept_cols, kept_metas)
 
 
+def appended_then_selected_oracle(fs: FeatureSet, batch: GeneratedBatch, max_size: int,
+                                  bins: int) -> FeatureSet:
+    """``generation_step``'s assembly as it was before selection moved ahead
+    of it: every post-dedup batch column appended to ``fs`` by
+    ``np.concatenate``, then, past ``max_size``, the ``max_size`` columns of
+    largest MI with the target (ties keep the lower index) taken in order by
+    a fancy index.  Each MI is ``count_mi_oracle`` of ``as_labels`` codes,
+    the operand with the smaller content hash as the row variable."""
+    if len(batch) == 0:
+        return fs
+    values = np.concatenate([fs.values] + [c[:, None] for c in batch.columns], axis=1)
+    keys = fs.keys + tuple(content_hash(c) for c in batch.columns)
+    merged = fs.with_columns(values, tuple(fs.columns) + tuple(batch.metas), keys)
+    if merged.n_cols <= max_size:
+        return merged
+    target_key = content_hash(np.asarray(fs.target.values, dtype=np.float64))
+    target = as_labels(fs.target.values, bins)
+    scores = []
+    for j, key in enumerate(keys):
+        col = as_labels(merged.values[:, j], bins)
+        scores.append(count_mi_oracle(col, target) if key <= target_key
+                      else count_mi_oracle(target, col))
+    ranked = sorted(range(merged.n_cols), key=lambda i: (-scores[i], i))
+    return merged.take(sorted(ranked[:max_size]))
+
+
 # ---------------------------------------------------------------------------
 # random forest
 # ---------------------------------------------------------------------------

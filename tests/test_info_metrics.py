@@ -309,6 +309,27 @@ def test_plugin_mi_of_one_pair_equals_its_value_in_a_batch():
         assert got == count_mi_oracle(x.codes, y.codes)
 
 
+@pytest.mark.parametrize("bins, dtype", [(16, np.uint8), (300, np.uint16)])
+def test_memo_stores_narrow_codes_and_mi_equals_the_oracle(bins, dtype):
+    rng = np.random.default_rng(41)
+    m = 2000
+    values = np.column_stack([rng.integers(0, 20, m).astype(float),  # recoded, labels to 19
+                              rng.standard_normal((m, 2))])  # binned, labels to bins - 1
+    target = Target(rng.standard_normal(m), TaskKind.REGRESSION, "y")
+    keys = [content_hash(col) for col in values.T]
+    cache = MICache(bins)
+    got = cache.mi(values, keys, target)
+    memo = cache.labels(values, keys) + [cache.labels(target.values, (target.key,))]
+    assert {lab.codes.dtype for lab in memo} == {np.dtype(dtype)}
+    for lab, vec in zip(memo, [*values.T, target.values]):
+        np.testing.assert_array_equal(lab.codes, as_labels(vec, bins))
+    assert max(int(lab.codes.max()) for lab in memo) == max(bins, 20) - 1
+    y = as_labels(target.values, bins)
+    for col, key, mi in zip(values.T, keys, got):
+        x = as_labels(col, bins)
+        assert mi == (count_mi_oracle(x, y) if key <= target.key else count_mi_oracle(y, x))
+
+
 # ---------------------------------------------------------------------------
 # a matrix's columns labelled together, with the bits each gets alone
 # ---------------------------------------------------------------------------
@@ -389,8 +410,8 @@ def test_matrix_mi_equals_per_column_calls_cold_and_warm(seed):
     y = y.astype(float)
     bins = int(rng.integers(1, 17))
     batched, single = MICache(bins), MICache(bins)
-    got = batched.mi(fs)
-    want = [single.mi(fs.take([j]))[0] for j in range(fs.n_cols)]
+    got = batched.mi(fs.values, fs.keys, fs.target)
+    want = [single.mi([col], [key], fs.target)[0] for col, key in zip(values.T, fs.keys)]
     assert got == want
     assert want == [mutual_information(col, y, bins) for col in values.T]
     assert batched._labels.keys() == single._labels.keys()
@@ -398,8 +419,8 @@ def test_matrix_mi_equals_per_column_calls_cold_and_warm(seed):
     # the memo is keyed by the columns' and the target's content hashes
     assert set(batched._labels) == {content_hash(col) for col in values.T} | {content_hash(y)}
     # warm: each cache answers the other kind of call from its memo
-    assert single.mi(fs) == want
-    assert [batched.mi(fs.take([j]))[0] for j in range(fs.n_cols)] == want
+    assert single.mi(fs.values, fs.keys, fs.target) == want
+    assert [batched.mi([col], [key], fs.target)[0] for col, key in zip(values.T, fs.keys)] == want
     assert batched._labels.keys() == single._labels.keys()
     assert batched._mi.keys() == single._mi.keys()
 
