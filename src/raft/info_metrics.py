@@ -80,11 +80,10 @@ class MICache:
     each column's content hash, handed in as ``keys`` (a feature set's
     ``keys`` and its target's ``key``), so nothing is hashed here.
     ``labels`` takes a vector, a (rows x columns) matrix or a list of column
-    vectors; the new columns are labelled together, a pass of
-    ``_CHUNK_ENTRIES`` entries at a time, with the bits each would get alone.
-    A memo entry stores its codes at the narrowest unsigned dtype that holds
-    every label below ``max(bins, MAX_DISCRETE_LABELS)``: uint8 unless
-    ``bins`` exceeds 256.  The memo keeps every column it has labelled.
+    vectors, whose new columns are labelled together, a pass at a time, with
+    the bits each would get alone.  Codes are stored at the narrowest
+    unsigned dtype for labels below ``max(bins, MAX_DISCRETE_LABELS)``:
+    uint8 up to 256 bins.  Nothing is evicted.
 
     Single-threaded use; a concurrent caller should hold one cache per worker.
     """
@@ -113,18 +112,15 @@ class MICache:
             return self.labels([values], keys)[0]
         columns = values.T if isinstance(values, np.ndarray) else values
         todo = [j for j, key in enumerate(keys) if key not in self._labels]
-        if todo:
-            m = len(columns[todo[0]])
-            table = self._table(m)
-            step = max(1, _CHUNK_ENTRIES // m)  # columns per labelling pass
-            for start in range(0, len(todo), step):
-                chunk = todo[start:start + step]
-                # (rows x chunk), laid out column by column
-                labels = as_labels(np.array([columns[j] for j in chunk], dtype=np.float64).T,
-                                   self.bins)
-                # one small array per column: a memo entry pins no chunk-sized block
-                for j, codes, xlogx in zip(chunk, labels.T, _xlogx_sums(labels, table)):
-                    self._labels[keys[j]] = Labels(keys[j], codes.astype(self._codes_dtype), xlogx)
+        m = len(columns[0])
+        table, step = self._table(m), max(1, _CHUNK_ENTRIES // m)  # step: columns per pass
+        for start in range(0, len(todo), step):
+            chunk = todo[start:start + step]
+            # (rows x chunk), column-major as a fancy index would give it
+            labels = as_labels(np.array([columns[j] for j in chunk], np.float64).T, self.bins)
+            # one small array per column: a memo entry pins no chunk-sized block
+            for j, codes, xlogx in zip(chunk, labels.T, _xlogx_sums(labels, table)):
+                self._labels[keys[j]] = Labels(keys[j], codes.astype(self._codes_dtype), xlogx)
         return [self._labels[key] for key in keys]
 
     def mi(self, values: np.ndarray | Sequence[np.ndarray], keys: Sequence[bytes],

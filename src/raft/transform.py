@@ -74,8 +74,7 @@ def cross_binary(
         raise ValueError("clusters must be nonempty")
     pairs = [(a, b) for a in range(head_view.n_cols) for b in range(tail_view.n_cols)]
     if len(pairs) > cap:
-        mi_head, mi_tail = (cache.mi(view.values, view.keys, view.target)
-                            for view in (head_view, tail_view))
+        mi_head, mi_tail = (cache.mi(v.values, v.keys, v.target) for v in (head_view, tail_view))
         scored = sorted(range(len(pairs)),
                         key=lambda p: (-(mi_head[pairs[p][0]] + mi_tail[pairs[p][1]]), p))
         pairs = [pairs[p] for p in sorted(scored[:cap])]
@@ -144,13 +143,11 @@ def generation_step(
     """Apply/cross, dedup, append, then shrink back via feature selection.
 
     The kept batch columns are the step's new columns: each is hashed here,
-    once, and the new space carries ``fs.keys`` followed by theirs.  When
-    the space would outgrow ``max_size``, the MI of ``fs``'s and the batch's
-    columns is read first, and only the ``select_features`` winners are
-    assembled, so the appended space is never built; the result has the bits
-    of appending and then calling ``select_features``.  An empty post-dedup
-    batch leaves the feature set unchanged (signaled by the empty batch, not
-    an error).
+    once, and the new space carries ``fs.keys`` followed by theirs.  Past
+    ``max_size``, only the columns ``select_features`` would keep, by the MI
+    of every column, are assembled: the appended space is never built, and
+    the result has its bits.  An empty post-dedup batch leaves the feature
+    set unchanged (signaled by the empty batch, not an error).
     """
     head_view = cluster_columns(fs, head)
     if op in UNARY_OPS:
@@ -170,8 +167,5 @@ def generation_step(
         return fs.with_columns(values, metas, keys), batch
     columns = [*fs.values.T, *batch.columns]
     kept = _top_by_mi(cache.mi(columns, keys, fs.target), max_size)
-    # column by column, as ``take``'s fancy index lays it out
-    values = np.empty((fs.n_rows, len(kept)), order="F")
-    for j, i in enumerate(kept):
-        values[:, j] = columns[i]
+    values = np.array([columns[i] for i in kept]).T  # column-major, as ``take`` lays it out
     return fs.with_columns(values, [metas[i] for i in kept], [keys[i] for i in kept]), batch
