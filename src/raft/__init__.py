@@ -28,7 +28,7 @@ from .info_metrics import (
     mutual_information,
 )
 from .state_repr import EncoderKind, state_ae, state_gae, state_op, state_si
-from .transform import cross_binary, dedup, generation_step, select_features
+from .transform import cross_binary, dedup, generation_step
 from .cli import RunConfig, RunResult, run_search
 
 __all__ = [
@@ -65,7 +65,6 @@ __all__ = [
     "parse_lineage",
     "render",
     "run_search",
-    "select_features",
     "split_train_valid",
     "state_ae",
     "state_gae",

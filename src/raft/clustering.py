@@ -40,8 +40,8 @@ def pair_score_matrix(fs: FeatureSet, kind: PairwiseDistanceKind, cache: MICache
     """N x N matrix of d(f_i, f_j) * |MI(f_i,y) - MI(f_j,y)| (zero diagonal),
     each MI(f, y) from the run's ``cache``."""
     n = fs.n_cols
-    cols = np.ascontiguousarray(fs.values.T, dtype=np.float64)
-    mi_y = np.array(cache.mi(fs.values, fs.keys, fs.target))
+    cols = fs.values.T
+    mi_y = np.array(cache.mi(cols, fs.keys, fs.target))
     scores = np.zeros((n, n), dtype=np.float64)
     for i in range(n - 1):
         scores[i, i + 1:] = column_distances(cols[i], cols[i + 1:], kind) * np.abs(

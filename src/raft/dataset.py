@@ -252,6 +252,12 @@ class Target:
 class FeatureSet:
     """Immutable numeric matrix (rows = samples) with per-column lineage.
 
+    ``values`` is always column-major (F-contiguous) and read-only: every
+    operation reads, makes or drops whole columns, so each column is one
+    contiguous block, and a result never depends on the layout a caller
+    handed in.  This is the only place that decides the layout; input in
+    another layout is copied once, here.
+
     ``column_keys``, when given, are the columns' content hashes, known where
     the columns were made or handed on by ``take``; they become ``keys``
     unchecked.
@@ -263,7 +269,7 @@ class FeatureSet:
     column_keys: InitVar[Sequence[bytes] | None] = None
 
     def __post_init__(self, column_keys: Sequence[bytes] | None) -> None:
-        vals = np.asarray(self.values, dtype=np.float64)
+        vals = np.asarray(self.values, dtype=np.float64, order="F")
         if vals.ndim != 2:
             raise DatasetError("feature values must be a 2-D matrix")
         m, n = vals.shape
@@ -318,7 +324,8 @@ class FeatureSet:
     def subset_rows(self, rows: np.ndarray) -> "FeatureSet":
         """The given rows; other rows mean other column keys, so none are kept."""
         target = Target(self.target.values[rows], self.target.kind, self.target.name)
-        return FeatureSet(self.values[rows, :], self.columns, target)
+        # gathered along each column's row axis: column-major in one copy
+        return FeatureSet(self.values.T.take(rows, axis=1).T, self.columns, target)
 
     def with_columns(self, values: np.ndarray, columns: Sequence[FeatureMeta],
                      keys: Sequence[bytes] | None = None) -> "FeatureSet":
@@ -420,7 +427,8 @@ def load_csv(
 
     target_name = _normalize_name(raw_header[target_pos])
     if cells is not None:
-        values = np.delete(cells, target_pos, axis=1)
+        # a fancy index over the columns gives them column-major, in one copy
+        values = cells[:, [i for i in range(len(raw_header)) if i != target_pos]]
         target = _numeric_target(cells[:, target_pos].copy(), target_name, task)
     else:
         values, target_raw = _convert_cells(data_rows, len(raw_header), target_pos, names, impute)
@@ -452,7 +460,7 @@ def _convert_cells(
     cell at a time, with the first problem worded by file line and column."""
     m = len(data_rows)
     n = len(names)
-    values = np.empty((m, n), dtype=np.float64)
+    values = np.empty((m, n), dtype=np.float64, order="F")
     missing = False
     target_raw: list[str] = []
     for r, (line, row) in enumerate(data_rows):

@@ -9,6 +9,8 @@ generator.
 Split search.  `fit_forest` puts each column's training values into
 min(MAX_BINS, D) bins of whole distinct values, D being their count, so a
 column with at most MAX_BINS distinct values keeps every candidate split.  The
+training matrix is column-major, so its transpose and the bin codes both hold
+a contiguous row per column, read through one flat index per entry.  The
 trees grow together, a level at a time, in groups whose level rows fit in
 _GROUP_ROWS.  A level's searched nodes draw their feature subsets, one draw
 per tree, and are split in contiguous passes within _PASS_ENTRIES (row, drawn
@@ -197,8 +199,9 @@ def _split_level(x: np.ndarray, bins: np.ndarray, n_bins: int, y: np.ndarray,
     # the threshold is the midpoint of a node's largest value in the bins up
     # to its cut and its smallest value above them
     f_rows = feature.take(nd)
-    v = x.ravel().take(rows * x.shape[1] + f_rows)
-    in_cut = bins.ravel().take(f_rows * bins.shape[1] + rows) <= (best % n_bins).take(nd)
+    at = f_rows * bins.shape[1] + rows  # x.T and bins both hold a row per column
+    v = x.T.ravel().take(at)
+    in_cut = bins.ravel().take(at) <= (best % n_bins).take(nd)
     starts = np.cumsum(n_node) - n_node
     below = np.maximum.reduceat(np.where(in_cut, v, -np.inf), starts)
     above = np.minimum.reduceat(np.where(in_cut, np.inf, v), starts)
@@ -316,7 +319,6 @@ def fit_forest(train: FeatureSet, cfg: ForestConfig) -> RandomForest:
         m_feats = min(math.ceil(math.sqrt(n_feat)), n_feat)
     else:
         m_feats = min(math.ceil(n_feat / 3), n_feat)
-    x = np.ascontiguousarray(x)
     bins = _bin_codes(x)
     importances = np.zeros(n_feat, dtype=np.float64)
     rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(cfg.seed).spawn(cfg.n_trees)]

@@ -79,9 +79,10 @@ class MICache:
     labelizations, T tables (one per row count) and pairwise MI values by
     each column's content hash, handed in as ``keys`` (a feature set's
     ``keys`` and its target's ``key``), so nothing is hashed here.
-    ``labels`` takes a vector, a (rows x columns) matrix or a list of column
-    vectors, whose new columns are labelled together, a pass at a time, with
-    the bits each would get alone.  Codes are stored at the narrowest
+    ``labels`` and ``mi`` take one form of input, a sequence of column
+    vectors: ``fs.values.T``, a list, or ``[target.values]``.  New columns
+    are labelled together, a pass at a time, with the bits each would get
+    alone.  Codes are stored at the narrowest
     unsigned dtype for labels below ``max(bins, MAX_DISCRETE_LABELS)``:
     uint8 up to 256 bins.  Nothing is evicted.
 
@@ -103,14 +104,11 @@ class MICache:
             self._xlogx[m] = np.array([0.0] + [c * math.log(c) for c in range(1, m + 1)])
         return self._xlogx[m]
 
-    def labels(self, values: np.ndarray | Sequence[np.ndarray],
-               keys: Sequence[bytes]) -> Labels | list[Labels]:
-        """The ``Labels`` of a vector, or a list of them, one per column of a
-        matrix or per vector of a list; ``keys`` holds one content hash per
+    def labels(self, columns: Sequence[np.ndarray], keys: Sequence[bytes]) -> list[Labels]:
+        """The ``Labels`` of each column; ``keys`` holds one content hash per
         column.  Only one labelling pass's columns are stacked at a time."""
-        if isinstance(values, np.ndarray) and values.ndim == 1:
-            return self.labels([values], keys)[0]
-        columns = values.T if isinstance(values, np.ndarray) else values
+        if len(columns) != len(keys):
+            raise ValueError(f"{len(keys)} keys for {len(columns)} columns")
         todo = [j for j, key in enumerate(keys) if key not in self._labels]
         m = len(columns[0])
         table, step = self._table(m), max(1, _CHUNK_ENTRIES // m)  # step: columns per pass
@@ -123,12 +121,11 @@ class MICache:
                 self._labels[keys[j]] = Labels(keys[j], codes.astype(self._codes_dtype), xlogx)
         return [self._labels[key] for key in keys]
 
-    def mi(self, values: np.ndarray | Sequence[np.ndarray], keys: Sequence[bytes],
+    def mi(self, columns: Sequence[np.ndarray], keys: Sequence[bytes],
            target: Target) -> list[float]:
-        """The MI of each column of ``values`` (a matrix or a list of column
-        vectors, as ``labels`` takes) with ``target`` (see ``pair_mi``)."""
-        target_labels = self.labels(target.values, (target.key,))
-        return self.pair_mi([(col, target_labels) for col in self.labels(values, keys)])
+        """The MI of each column with ``target`` (see ``pair_mi``)."""
+        target_labels = self.labels([target.values], (target.key,))[0]
+        return self.pair_mi([(col, target_labels) for col in self.labels(columns, keys)])
 
     def pair_mi(self, pairs: Sequence[tuple[Labels, Labels]]) -> list[float]:
         """MI of each pair of ``labels`` results, the unmemoized ones batched
@@ -155,7 +152,7 @@ def mutual_information(x: np.ndarray, y_vec: np.ndarray, bins: int) -> float:
     if x.shape != y_vec.shape or x.ndim != 1 or x.size < 2:
         raise ValueError("inputs must be equal-length vectors with >= 2 entries")
     cache = MICache(bins)
-    pair = tuple(cache.labels(v, (content_hash(v),)) for v in (x, y_vec))
+    pair = tuple(cache.labels([v], (content_hash(v),))[0] for v in (x, y_vec))
     return cache.pair_mi([pair])[0]
 
 
@@ -167,8 +164,8 @@ def feature_set_quality(fs: FeatureSet, cache: MICache) -> float:
     normalization kept).
     """
     n = fs.n_cols
-    target = cache.labels(fs.target.values, (fs.target.key,))
-    cols = cache.labels(fs.values, fs.keys)
+    target = cache.labels([fs.target.values], (fs.target.key,))[0]
+    cols = cache.labels(fs.values.T, fs.keys)
     pairs = [(col, target) for col in cols]
     pairs += [(cols[i], cols[j]) for i in range(n) for j in range(i + 1, n)]
     mis = cache.pair_mi(pairs)

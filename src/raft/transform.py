@@ -74,7 +74,7 @@ def cross_binary(
         raise ValueError("clusters must be nonempty")
     pairs = [(a, b) for a in range(head_view.n_cols) for b in range(tail_view.n_cols)]
     if len(pairs) > cap:
-        mi_head, mi_tail = (cache.mi(v.values, v.keys, v.target) for v in (head_view, tail_view))
+        mi_head, mi_tail = (cache.mi(v.values.T, v.keys, v.target) for v in (head_view, tail_view))
         scored = sorted(range(len(pairs)),
                         key=lambda p: (-(mi_head[pairs[p][0]] + mi_tail[pairs[p][1]]), p))
         pairs = [pairs[p] for p in sorted(scored[:cap])]
@@ -94,7 +94,7 @@ def dedup(batch: GeneratedBatch, fs: FeatureSet) -> GeneratedBatch:
     to an existing column or an earlier batch column."""
     kept_cols: list[np.ndarray] = []
     kept_metas: list[FeatureMeta] = []
-    seen = [fs.values[:, i] for i in range(fs.n_cols)]
+    seen = list(fs.values.T)
     first = np.empty(fs.n_cols + len(batch))  # each seen column's first entry
     first[:fs.n_cols] = fs.values[0]
     for col, meta in zip(batch.columns, batch.metas):
@@ -121,15 +121,6 @@ def _top_by_mi(scores: Sequence[float], max_size: int) -> list[int]:
     return sorted(ranked[:max_size])
 
 
-def select_features(fs: FeatureSet, max_size: int, cache: MICache) -> FeatureSet:
-    """Keep the top ``max_size`` columns by MI with the target, read from the
-    run's ``cache`` (ties keep the lower index); surviving columns preserve
-    their relative order."""
-    if fs.n_cols <= max_size:
-        return fs
-    return fs.take(_top_by_mi(cache.mi(fs.values, fs.keys, fs.target), max_size))
-
-
 def generation_step(
     fs: FeatureSet,
     head: tuple[int, ...],
@@ -140,14 +131,16 @@ def generation_step(
     cap: int = DEFAULT_CROSS_CAP,
     max_depth: int = DEFAULT_MAX_DEPTH,
 ) -> tuple[FeatureSet, GeneratedBatch]:
-    """Apply/cross, dedup, append, then shrink back via feature selection.
+    """Apply/cross and dedup, then keep at most ``max_size`` of the space's
+    and the batch's columns.
 
     The kept batch columns are the step's new columns: each is hashed here,
-    once, and the new space carries ``fs.keys`` followed by theirs.  Past
-    ``max_size``, only the columns ``select_features`` would keep, by the MI
-    of every column, are assembled: the appended space is never built, and
-    the result has its bits.  An empty post-dedup batch leaves the feature
-    set unchanged (signaled by the empty batch, not an error).
+    once.  Every column is kept when they fit in ``max_size``; otherwise the
+    ``max_size`` of largest MI with the target, read from ``cache`` (ties
+    keep the lower index), in their order.  The result is assembled once,
+    from the kept columns only, so the appended space is never built.  An
+    empty post-dedup batch leaves the feature set unchanged (signaled by the
+    empty batch, not an error).
     """
     head_view = cluster_columns(fs, head)
     if op in UNARY_OPS:
@@ -160,12 +153,10 @@ def generation_step(
     batch = dedup(batch, fs)
     if len(batch) == 0:
         return fs, batch
+    columns = [*fs.values.T, *batch.columns]
     keys = fs.keys + tuple(content_hash(c) for c in batch.columns)
     metas = tuple(fs.columns) + tuple(batch.metas)
-    if len(keys) <= max_size:
-        values = np.concatenate([fs.values] + [c[:, None] for c in batch.columns], axis=1)
-        return fs.with_columns(values, metas, keys), batch
-    columns = [*fs.values.T, *batch.columns]
-    kept = _top_by_mi(cache.mi(columns, keys, fs.target), max_size)
-    values = np.array([columns[i] for i in kept]).T  # column-major, as ``take`` lays it out
+    kept = (range(len(keys)) if len(keys) <= max_size
+            else _top_by_mi(cache.mi(columns, keys, fs.target), max_size))
+    values = np.array([columns[i] for i in kept]).T  # one copy, already column-major
     return fs.with_columns(values, [metas[i] for i in kept], [keys[i] for i in kept]), batch

@@ -317,6 +317,17 @@ def dedup_oracle(batch: GeneratedBatch, fs: FeatureSet, tol: float = 1e-12) -> G
     return GeneratedBatch(kept_cols, kept_metas)
 
 
+def select_features(fs: FeatureSet, max_size: int, cache) -> FeatureSet:
+    """The ``max_size`` columns of ``fs`` of largest MI with the target, read
+    from the MI cache ``cache`` (ties keep the lower index), in their order;
+    ``fs`` itself when it has no more columns."""
+    if fs.n_cols <= max_size:
+        return fs
+    scores = cache.mi(fs.values.T, fs.keys, fs.target)
+    ranked = sorted(range(fs.n_cols), key=lambda i: (-scores[i], i))
+    return fs.take(sorted(ranked[:max_size]))
+
+
 def appended_then_selected_oracle(fs: FeatureSet, batch: GeneratedBatch, max_size: int,
                                   bins: int) -> FeatureSet:
     """``generation_step``'s assembly as it was before selection moved ahead

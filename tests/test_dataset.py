@@ -333,6 +333,30 @@ def test_feature_set_values_are_read_only():
     assert values.flags.writeable
 
 
+def test_every_constructor_lays_values_out_column_major(tmp_path):
+    p = write(tmp_path / "d.csv", "a,y,b,c\n1,0,2,3\n4,1,5,6\n7,0,8,9\n10,1,11,12\n")
+    fs = load_csv(p, "y")
+    with mock.patch.object(dataset, "_numeric_cells", lambda fh, width: None):
+        per_cell = load_csv(p, "y")
+    strided = np.arange(48.0).reshape(8, 6)[::2, ::2]
+    made = {
+        "load_csv": fs,
+        "load_csv per cell": per_cell,
+        "take": fs.take([2, 0]),
+        "subset_rows": fs.subset_rows(np.array([3, 0, 1])),
+        "with_columns C-order": fs.with_columns(np.arange(12.0).reshape(4, 3), fs.columns),
+        "with_columns strided": fs.with_columns(strided, fs.columns),
+        **dict(zip(("train", "valid"), split_train_valid(fs, 0.5, 0))),
+    }
+    for name, got in made.items():
+        assert got.values.flags.f_contiguous and not got.values.flags.writeable, name
+        assert got.values.shape[0] > 1 and got.values.shape[1] > 1, name  # not both layouts
+    assert per_cell.values.tobytes() == fs.values.tobytes()
+    # input already column-major is not copied
+    values = np.asfortranarray(np.arange(12.0).reshape(4, 3))
+    assert np.shares_memory(fs.with_columns(values, fs.columns).values, values)
+
+
 # ---------------------------------------------------------------------------
 # split_train_valid
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Every name a ``raft`` module imports, and every private name (``_x``) it
-defines at its top level, is read in that module.
+defines at its top level, is read in that module.  Only ``dataset.py``
+chooses a memory layout: ``FeatureSet`` stores every matrix column-major.
 
 ``__init__.py`` is left out of the import check: it imports names only to
 re-export them.
@@ -84,3 +85,30 @@ def test_unread_private_names_finds_dead_definitions():
 @pytest.mark.parametrize("module", ALL_MODULES)
 def test_module_reads_every_private_name(module):
     assert unread_private_names((SRC / module).read_text(encoding="utf-8")) == []
+
+
+def layout_calls(source: str) -> list[tuple[int, str]]:
+    """The (line, name) of each call that chooses a memory layout:
+    ``ascontiguousarray``, ``asfortranarray``, or any call given ``order=``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+            if name in ("ascontiguousarray", "asfortranarray"):
+                found.append((node.lineno, name))
+            found += [(node.lineno, "order=") for kw in node.keywords if kw.arg == "order"]
+    return sorted(found)
+
+
+def test_layout_calls_finds_every_layout_choice():
+    source = ("import numpy as np\nfrom numpy import asfortranarray\n"
+              "a = np.ascontiguousarray(x)\nb = asfortranarray(x)\n"
+              "c = np.array(x, order='F').ravel()\nd = x.copy()\ne = sorted(x, key=len)\n")
+    assert layout_calls(source) == [(3, "ascontiguousarray"), (4, "asfortranarray"),
+                                    (5, "order=")]
+
+
+@pytest.mark.parametrize("module", [name for name in ALL_MODULES if name != "dataset.py"])
+def test_only_dataset_chooses_a_memory_layout(module):
+    assert layout_calls((SRC / module).read_text(encoding="utf-8")) == []

@@ -110,7 +110,15 @@ def test_integer_valued_column_with_inf_is_rejected(bad):
     with pytest.raises(ValueError, match="column must be finite"):
         as_labels(mat, 4)
     with pytest.raises(ValueError, match="column must be finite"):
-        MICache(4).labels(mat, [content_hash(col) for col in mat.T])
+        MICache(4).labels(mat.T, [content_hash(col) for col in mat.T])
+
+
+def test_labels_take_one_key_per_column_vector():
+    mat = np.arange(12.0).reshape(4, 3)
+    keys = [content_hash(col) for col in mat.T]
+    with pytest.raises(ValueError, match="3 keys for 4 columns"):
+        MICache(4).labels(mat, keys)  # a (rows x columns) matrix is not a sequence of columns
+    assert [lab.key for lab in MICache(4).labels(mat.T, keys)] == keys
 
 
 def test_as_labels_discrete_passthrough_and_binning():
@@ -124,7 +132,7 @@ def test_mi_cache_hits_are_consistent():
     rng = np.random.default_rng(9)
     x = rng.standard_normal(40)
     y = rng.standard_normal(40)
-    lx, ly = (cache.labels(v, (content_hash(v),)) for v in (x, y))
+    lx, ly = (cache.labels([v], (content_hash(v),))[0] for v in (x, y))
     assert cache.pair_mi([(lx, ly)]) == [mutual_information(x, y, 5)]
     assert cache.pair_mi([(ly, lx)]) == cache.pair_mi([(lx, ly)])
 
@@ -301,8 +309,8 @@ def test_plugin_mi_of_one_pair_equals_its_value_in_a_batch():
     fs = wide_space(6)
     bins = 9
     cache = MICache(bins)
-    cols = [cache.labels(fs.column(i), (fs.keys[i],)) for i in range(fs.n_cols)]
-    cols.append(cache.labels(fs.target.values, (fs.target.key,)))
+    cols = [cache.labels([fs.column(i)], (fs.keys[i],))[0] for i in range(fs.n_cols)]
+    cols.append(cache.labels([fs.target.values], (fs.target.key,))[0])
     pairs = [(a, b) for a in cols for b in cols]
     for (a, b), got in zip(pairs, cache.pair_mi(pairs)):
         x, y = (a, b) if a.key <= b.key else (b, a)
@@ -318,8 +326,8 @@ def test_memo_stores_narrow_codes_and_mi_equals_the_oracle(bins, dtype):
     target = Target(rng.standard_normal(m), TaskKind.REGRESSION, "y")
     keys = [content_hash(col) for col in values.T]
     cache = MICache(bins)
-    got = cache.mi(values, keys, target)
-    memo = cache.labels(values, keys) + [cache.labels(target.values, (target.key,))]
+    got = cache.mi(values.T, keys, target)
+    memo = cache.labels(values.T, keys) + cache.labels([target.values], (target.key,))
     assert {lab.codes.dtype for lab in memo} == {np.dtype(dtype)}
     for lab, vec in zip(memo, [*values.T, target.values]):
         np.testing.assert_array_equal(lab.codes, as_labels(vec, bins))
@@ -378,13 +386,13 @@ def test_batched_labels_match_per_column_oracle(monkeypatch, chunk):
             labelled.clear()
             cache = MICache(bins)
             keys = [content_hash(col) for col in values.T]
-            labels = cache.labels(values, keys)
+            labels = cache.labels(values.T, keys)
             assert np.array_equal(np.column_stack([l.codes for l in labels]), want)
             assert [l.xlogx for l in labels] == sums
             # each column labelled once, in chunks within the bound, and never again
             assert sum(shape[1] for shape in labelled) == values.shape[1]
             assert all(rows * cols <= max(rows, chunk) for rows, cols in labelled)
-            assert all(a is b for a, b in zip(cache.labels(values, keys), labels))
+            assert all(a is b for a, b in zip(cache.labels(values.T, keys), labels))
             assert sum(shape[1] for shape in labelled) == values.shape[1]
 
 
@@ -395,7 +403,7 @@ def test_vector_labels_are_the_one_column_case():
         want, sums = per_column_labels_oracle(values, bins)
         for j, col in enumerate(values.T):
             assert np.array_equal(as_labels(col, bins), want[:, j])
-            label = MICache(bins).labels(col, (content_hash(col),))
+            label = MICache(bins).labels([col], (content_hash(col),))[0]
             assert np.array_equal(label.codes, want[:, j]) and label.xlogx == sums[j]
 
 
@@ -410,7 +418,7 @@ def test_matrix_mi_equals_per_column_calls_cold_and_warm(seed):
     y = y.astype(float)
     bins = int(rng.integers(1, 17))
     batched, single = MICache(bins), MICache(bins)
-    got = batched.mi(fs.values, fs.keys, fs.target)
+    got = batched.mi(fs.values.T, fs.keys, fs.target)
     want = [single.mi([col], [key], fs.target)[0] for col, key in zip(values.T, fs.keys)]
     assert got == want
     assert want == [mutual_information(col, y, bins) for col in values.T]
@@ -419,7 +427,7 @@ def test_matrix_mi_equals_per_column_calls_cold_and_warm(seed):
     # the memo is keyed by the columns' and the target's content hashes
     assert set(batched._labels) == {content_hash(col) for col in values.T} | {content_hash(y)}
     # warm: each cache answers the other kind of call from its memo
-    assert single.mi(fs.values, fs.keys, fs.target) == want
+    assert single.mi(fs.values.T, fs.keys, fs.target) == want
     assert [batched.mi([col], [key], fs.target)[0] for col, key in zip(values.T, fs.keys)] == want
     assert batched._labels.keys() == single._labels.keys()
     assert batched._mi.keys() == single._mi.keys()

@@ -396,6 +396,23 @@ def test_encoder_cache_returns_equal_vectors():
         v1[0] = 1.0  # the cached state is read-only
 
 
+def test_states_do_not_depend_on_the_input_layout():
+    rng = np.random.default_rng(47)
+    fs = random_feature_set(rng, 1000, 6)
+    big = np.zeros((2000, 18))
+    big[::2, ::3] = fs.values
+    layouts = [np.ascontiguousarray(fs.values), np.asfortranarray(fs.values), big[::2, ::3]]
+    spaces = [fs.with_columns(values, fs.columns) for values in layouts]
+    encoders = {
+        "si": state_si,
+        "gae": lambda space: state_gae(space, 4, 3, 0),
+        "encode": lambda space: StateEncoder(EncoderKind.ALL, 3, 2, 2, 0).encode(space),
+    }
+    for name, encode in encoders.items():
+        states = [encode(space).tobytes() for space in spaces]
+        assert states[0] == states[1] == states[2], name
+
+
 def test_encoder_kind_parse():
     assert EncoderKind.parse("si+gae") is EncoderKind.SI_GAE
     assert EncoderKind.ALL.parts == ("si", "ae", "gae")

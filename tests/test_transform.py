@@ -28,9 +28,9 @@ from raft.transform import (
     cross_binary,
     dedup,
     generation_step,
-    select_features,
 )
-from oracles import appended_then_selected_oracle, dedup_oracle, random_feature_set
+from oracles import (appended_then_selected_oracle, dedup_oracle, random_feature_set,
+                     select_features)
 
 
 def make_fs(values, y=None, kind=TaskKind.REGRESSION, names=None):
@@ -298,6 +298,15 @@ def test_generation_step_duplicate_only_batch_is_noop():
     assert out2 is out1
 
 
+def test_generation_step_assembles_a_column_major_space_on_both_branches():
+    rng = np.random.default_rng(31)
+    fs = random_feature_set(rng, 30, 4)
+    for max_size in (100, 5):  # every column kept, then a selection past max_size
+        out, batch = generation_step(fs, (0, 1), "*", (2, 3), max_size, run_cache(fs))
+        assert out.n_cols == min(max_size, fs.n_cols + len(batch)) > 1
+        assert out.values.flags.f_contiguous and not out.values.flags.writeable
+
+
 def test_generation_step_binary_requires_tail():
     rng = np.random.default_rng(7)
     fs = random_feature_set(rng, 25, 3)
@@ -313,7 +322,7 @@ def step_and_oracle(fs, head, op, tail, max_size, cap, warm):
     bins = default_bins(fs.n_rows)
     cache = MICache(bins)
     if warm:  # as in a search, where clustering has read every column's MI
-        cache.mi(fs.values, fs.keys, fs.target)
+        cache.mi(fs.values.T, fs.keys, fs.target)
     out, batch = generation_step(fs, head, op, tail, max_size, cache, cap=cap)
     head_view = cluster_columns(fs, head)
     want_batch = dedup(apply_unary(op, head_view) if op in UNARY_OPS else
@@ -391,7 +400,7 @@ def test_generation_step_equals_the_oracle_on_an_empty_batch():
 def test_one_generation_step_stays_within_its_memory_bound():
     fs = random_feature_set(np.random.default_rng(29), 2000, 16)
     cache = run_cache(fs)
-    cache.mi(fs.values, fs.keys, fs.target)  # as clustering does before each step
+    cache.mi(fs.values.T, fs.keys, fs.target)  # as clustering does before each step
     tracemalloc.start()
     try:
         out, batch = generation_step(fs, tuple(range(8)), "*", tuple(range(8, 16)), 32, cache)
