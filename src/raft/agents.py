@@ -12,12 +12,12 @@ log pi(a|S) * advantage + beta * entropy (the update negates the returned
 ascent objective).  Gradients are flat arrays in the layout of the nets'
 ``params``; each agent's two nets take one ``sgd_step`` per episode.
 
-The search loop drives a policy through the same calls each step:
-``choose_head``, ``choose_op``, ``choose_tail``, ``observe`` and, after the last
-step of an episode, ``end_episode``.
-``ActorCriticPolicy`` is the learned agent, which builds each step's prefixes
-once; ``RandomPolicy`` is the ``--bench`` control, which draws each choice
-uniformly and never encodes a state.
+The search loop drives a policy through three calls: ``choose(fs, views)``
+gives a step's (head, op, tail), ``observe`` hands back its rewards and new
+space, and ``end_episode`` follows an episode's last step.  Both policies
+draw the tail from ``tail_candidates``.  ``ActorCriticPolicy`` is the
+learned agent; ``RandomPolicy`` is the ``--bench`` control, which draws each
+choice uniformly and never encodes a state.
 """
 
 from __future__ import annotations
@@ -262,6 +262,12 @@ def update_agents(
     return (updated[0], updated[1], updated[2]), report
 
 
+def tail_candidates(n_groups: int, head: int) -> list[int]:
+    """The groups the tail is drawn from: every group but the head, or the
+    head itself when it is the only group (the column group crosses itself)."""
+    return [i for i in range(n_groups) if i != head] or [head]
+
+
 class RandomPolicy:
     """The uniform-random control: every choice is one ``rng.integers`` draw
     over the candidates; it encodes no state and never learns."""
@@ -271,14 +277,11 @@ class RandomPolicy:
     def __init__(self, rng: np.random.Generator) -> None:
         self.rng = rng
 
-    def choose_head(self, fs: FeatureSet, views: Sequence[FeatureSet]) -> int:
-        return int(self.rng.integers(0, len(views)))
-
-    def choose_op(self) -> int:
-        return int(self.rng.integers(0, len(OPS)))
-
-    def choose_tail(self, positions: Sequence[int]) -> int:
-        return positions[int(self.rng.integers(0, len(positions)))]
+    def choose(self, fs: FeatureSet, views: Sequence[FeatureSet]) -> tuple[int, str, int]:
+        head = int(self.rng.integers(0, len(views)))
+        op = OPS[int(self.rng.integers(0, len(OPS)))]
+        tails = tail_candidates(len(views), head)
+        return head, op, tails[int(self.rng.integers(0, len(tails)))]
 
     def observe(self, fs_next: FeatureSet, r_head: float, r_op: float, r_tail: float) -> None:
         pass
@@ -303,38 +306,31 @@ class ActorCriticPolicy:
         self.batches: tuple[list[Transition], list[Transition], list[Transition]] = ([], [], [])
         self.n_transitions = 0
 
-    def choose_head(self, fs: FeatureSet, views: Sequence[FeatureSet]) -> int:
-        # the step's states, prefixes and choices, read by its later calls
-        self._s_f = self.encoder.encode(fs)
-        self._groups = [self.encoder.encode(v) for v in views]
-        self._head, _, self._head_rows = select_head(self.bundles[0], self._s_f,
-                                                     self._groups, self.rng)
-        return self._head
-
-    def choose_op(self) -> int:
-        self._prefix_op = np.concatenate([self._s_f, self._groups[self._head]])
-        self._op, _ = select_op(self.bundles[1], self._prefix_op, self.rng)
-        self._s_op = state_op(OPS[self._op])
-        return self._op
-
-    def choose_tail(self, positions: Sequence[int]) -> int:
-        self._prefix_tail = np.concatenate([self._prefix_op, self._s_op])
-        tail_states = [self._groups[i] for i in positions]
-        pos, _, rows = select_tail(self.bundles[2], self._prefix_tail, tail_states, self.rng)
-        self._tail = (pos, rows)
-        return positions[pos]
+    def choose(self, fs: FeatureSet, views: Sequence[FeatureSet]) -> tuple[int, str, int]:
+        s_f = self.encoder.encode(fs)
+        groups = [self.encoder.encode(v) for v in views]
+        head, _, head_rows = select_head(self.bundles[0], s_f, groups, self.rng)
+        prefix_op = np.concatenate([s_f, groups[head]])
+        op, _ = select_op(self.bundles[1], prefix_op, self.rng)
+        s_op = state_op(OPS[op])
+        prefix_tail = np.concatenate([prefix_op, s_op])
+        tails = tail_candidates(len(views), head)
+        pos, _, tail_rows = select_tail(self.bundles[2], prefix_tail,
+                                        [groups[i] for i in tails], self.rng)
+        # each agent's (state, action, actor rows), and the states the next prefixes reuse
+        self._pending = (((s_f, head, head_rows), (prefix_op, op, None),
+                          (prefix_tail, pos, tail_rows)), groups[head], s_op)
+        return head, OPS[op], tails[pos]
 
     def observe(self, fs_next: FeatureSet, r_head: float, r_op: float, r_tail: float) -> None:
         """Record the step's transitions, bootstrapping from the new space."""
+        chosen, s_head, s_op = self._pending
         s_next = self.encoder.encode(fs_next)
-        batch_head, batch_op, batch_tail = self.batches
-        batch_head.append(Transition(self._s_f, self._head, r_head, s_next, self._head_rows))
-        prefix_op_next = np.concatenate([s_next, self._groups[self._head]])
-        batch_op.append(Transition(self._prefix_op, self._op, r_op, prefix_op_next))
-        pos, tail_rows = self._tail
-        prefix_tail_next = np.concatenate([prefix_op_next, self._s_op])
-        batch_tail.append(Transition(self._prefix_tail, pos, r_tail, prefix_tail_next,
-                                     tail_rows))
+        prefix_op_next = np.concatenate([s_next, s_head])
+        next_states = (s_next, prefix_op_next, np.concatenate([prefix_op_next, s_op]))
+        for batch, (state, action, rows), reward, next_state in zip(
+                self.batches, chosen, (r_head, r_op, r_tail), next_states):
+            batch.append(Transition(state, action, reward, next_state, rows))
         self.n_transitions += 3
 
     def end_episode(self) -> dict[str, float]:

@@ -1,14 +1,16 @@
-"""Command-line orchestrator: the outer search loop, artifacts, and ablations.
+"""Command-line orchestrator: the search core, its driver, artifacts and flags.
 
-``raft run`` performs the full loop: cluster the columns, let a policy pick
-the head group, the operation and the tail group, generate features, score
-them, and hand the rewards back to the policy.  The policy is the learned
-cascade of actor-critic agents (``agents.ActorCriticPolicy``) or, with
-``--bench``, the uniform-random control (``agents.RandomPolicy``), which runs
-under the same budget and neither encodes states nor learns.  Each config key
-is declared once: a ``TrainConfig`` field or an entry of ``_RUN_KEYS``; the
-flags, the config-file keys and ``config.echo`` are derived from them.  Output
-files are byte-identical across runs with the same configuration and seed.
+``search(fs0, train, policy, evalctx)`` is the core, the paper's loop over an
+in-memory space: cluster the columns, let the policy pick the head group, the
+operation and the tail group, generate features, score them, and hand the
+rewards back to the policy.  It reads and writes no file.  ``run_search(cfg)``
+is ``raft run``'s driver: it loads the CSV, resolves the task, metric, bins and
+seeds, builds the caches and the policy (the learned cascade,
+``agents.ActorCriticPolicy``, or with ``--bench`` the uniform-random control,
+``agents.RandomPolicy``), and calls ``search``.  Each config key is declared
+once: a ``TrainConfig`` field or an entry of ``_RUN_KEYS``; the flags, the
+config-file keys and ``config.echo`` are derived from them.  Output files are
+byte-identical across runs with the same configuration and seed.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from .agents import ActorCriticPolicy, RandomPolicy, TrainConfig, compute_reward
 from .clustering import adaptive_cluster, cluster_columns
 from .dataset import (
     BINARY_OPS,
-    OPS,
     UNARY_OPS,
     DatasetError,
     FeatureSet,
@@ -137,25 +138,12 @@ class EvalContext:
         return self._quality[key]
 
 
-def run_search(cfg: RunConfig) -> RunResult:
+def search(fs0: FeatureSet, train: TrainConfig, policy, evalctx: EvalContext) -> RunResult:
+    """The episode/step loop over an in-memory space, driven by ``policy``'s
+    ``choose``, ``observe`` and ``end_episode``; it touches no file.  The metric,
+    seeds and bins are ``evalctx``'s; ``max_size`` defaults to twice ``fs0``'s width."""
     started = time.perf_counter()
-    train = cfg.train
-    fs0 = load_csv(cfg.input_path, cfg.target, task=cfg.task, impute=cfg.impute)
-    task = fs0.target.kind
-    metric = cfg.metric if cfg.metric is not None else default_metric(task)
-    if metric.task is not task:
-        raise ConfigError(f"metric {metric.value} incompatible with a {task.value} target")
-    bins = train.bins if train.bins is not None else default_bins(fs0.n_rows)
     max_size = train.max_size if train.max_size is not None else 2 * fs0.n_cols
-
-    mi_cache = MICache(bins)
-    split_seed = derive_seed(train.seed, "split")
-    forest_seed = derive_seed(train.seed, "forest")
-    evalctx = EvalContext(metric, split_seed, ForestConfig(seed=forest_seed), mi_cache)
-
-    action_rng = np.random.default_rng(derive_seed(train.seed, "actions"))
-    policy = RandomPolicy(action_rng) if cfg.bench else ActorCriticPolicy(train, action_rng)
-
     baseline_score = evalctx.score(fs0)
     baseline_u = evalctx.quality(fs0)
 
@@ -167,19 +155,14 @@ def run_search(cfg: RunConfig) -> RunResult:
         fs = fs0
         ep_best = -math.inf
         for step in range(train.steps):
-            clusters = adaptive_cluster(fs, train.distance, train.delta, mi_cache)
+            clusters = adaptive_cluster(fs, train.distance, train.delta, evalctx.cache)
             views = [cluster_columns(fs, g) for g in clusters.groups]
-            head_idx = policy.choose_head(fs, views)
-            op = OPS[policy.choose_op()]
-
-            tail_positions = [i for i in range(len(clusters)) if i != head_idx]
-            # single-group fallback: self-cross
-            tail_idx = policy.choose_tail(tail_positions or [head_idx])
+            head_idx, op, tail_idx = policy.choose(fs, views)
 
             # only the new space: the batch's columns are not kept through the scoring
             fs_next = generation_step(
                 fs, clusters.groups[head_idx], op, clusters.groups[tail_idx], max_size,
-                mi_cache, cap=train.cross_cap, max_depth=train.max_lineage_depth,
+                evalctx.cache, cap=train.cross_cap, max_depth=train.max_lineage_depth,
             )[0]
 
             r_head, r_op, r_tail = compute_rewards(fs, fs_next, views[head_idx],
@@ -201,10 +184,31 @@ def run_search(cfg: RunConfig) -> RunResult:
     return RunResult(
         best_fs=best_fs, best_score=best_score, best_u=best_u,
         baseline_score=baseline_score, baseline_u=baseline_u,
-        metric=metric, task=task, trace=trace,
+        metric=evalctx.metric, task=fs0.target.kind, trace=trace,
         n_transitions=policy.n_transitions, wall_time=time.perf_counter() - started,
-        split_seed=split_seed, forest_seed=forest_seed, bins=bins, max_size=max_size,
+        split_seed=evalctx.split_seed, forest_seed=evalctx.forest_cfg.seed,
+        bins=evalctx.cache.bins, max_size=max_size,
     )
+
+
+def run_search(cfg: RunConfig) -> RunResult:
+    """Load the CSV, resolve the task, metric, bins and seeds, build the caches
+    and the policy, and ``search``; ``wall_time`` counts all of it."""
+    started = time.perf_counter()
+    train = cfg.train
+    fs0 = load_csv(cfg.input_path, cfg.target, task=cfg.task, impute=cfg.impute)
+    task = fs0.target.kind
+    metric = cfg.metric if cfg.metric is not None else default_metric(task)
+    if metric.task is not task:
+        raise ConfigError(f"metric {metric.value} incompatible with a {task.value} target")
+    bins = train.bins if train.bins is not None else default_bins(fs0.n_rows)
+    evalctx = EvalContext(metric, derive_seed(train.seed, "split"),
+                          ForestConfig(seed=derive_seed(train.seed, "forest")), MICache(bins))
+    action_rng = np.random.default_rng(derive_seed(train.seed, "actions"))
+    policy = RandomPolicy(action_rng) if cfg.bench else ActorCriticPolicy(train, action_rng)
+    result = search(fs0, train, policy, evalctx)
+    result.wall_time = time.perf_counter() - started
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -224,13 +228,9 @@ def _fmt(value) -> str:
 
 
 def write_trace(trace: list[TraceRow], path: Path) -> None:
-    lines = ["episode\tstep\thead\top\ttail\tr_head\tr_op\tr_tail\tu\tp_a\tn_features"]
-    for row in trace:
-        lines.append("\t".join([
-            str(row.episode), str(row.step), str(row.head), row.op, str(row.tail),
-            repr(float(row.r_head)), repr(float(row.r_op)), repr(float(row.r_tail)),
-            repr(float(row.u)), repr(float(row.p_a)), str(row.n_features),
-        ]))
+    """A header of the ``TraceRow`` fields, then one ``_fmt`` line per row."""
+    lines = ["\t".join(f.name for f in fields(TraceRow))]
+    lines += ["\t".join(_fmt(value) for value in vars(row).values()) for row in trace]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -280,12 +280,8 @@ def write_config_echo(cfg: RunConfig, result: RunResult, path: Path) -> None:
 def write_outputs(result: RunResult, cfg: RunConfig) -> dict[str, Path]:
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    paths = {
-        "transformed": out / "transformed.csv",
-        "trace": out / "trace.tsv",
-        "report": out / "report.txt",
-        "config": out / "config.echo",
-    }
+    paths = {"transformed": out / "transformed.csv", "trace": out / "trace.tsv",
+             "report": out / "report.txt", "config": out / "config.echo"}
     write_csv(result.best_fs, paths["transformed"])
     write_trace(result.trace, paths["trace"])
     if cfg.report:
@@ -435,10 +431,6 @@ def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
     try:
         cfg = parse_config(argv)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    try:
         result = run_search(cfg)
         paths = write_outputs(result, cfg)
     except ConfigError as exc:

@@ -44,6 +44,21 @@ def _digest(data: bytes) -> bytes:
     return hashlib.blake2b(data, digest_size=16).digest()
 
 
+def _owned(given, **layout) -> np.ndarray:
+    """``given`` read-only, with a writeable array (or view) copied once; a
+    read-only one is taken as is, as the promise that nobody writes it."""
+    vals = np.asarray(given, **layout)
+    if vals.flags.writeable and np.may_share_memory(vals, given):
+        vals = vals.copy(order="K")
+    return read_only(vals)
+
+
+def read_only(arr: np.ndarray) -> np.ndarray:
+    """``arr`` made read-only in place: how a maker hands over a fresh array."""
+    arr.flags.writeable = False
+    return arr
+
+
 def content_hash(arr: np.ndarray) -> bytes:
     """Stable 128-bit digest of an array's raw bytes."""
     return _digest(np.ascontiguousarray(arr).tobytes())
@@ -224,7 +239,8 @@ class Target:
     name: str
 
     def __post_init__(self) -> None:
-        vals = np.asarray(self.values)
+        vals = _owned(self.values)  # the rule of FeatureSet.values
+        object.__setattr__(self, "values", vals)
         if vals.ndim != 1 or vals.size < 2:
             raise DatasetError("target must be a vector with at least 2 entries")
         if self.kind is TaskKind.CLASSIFICATION:
@@ -256,7 +272,8 @@ class FeatureSet:
     operation reads, makes or drops whole columns, so each column is one
     contiguous block, and a result never depends on the layout a caller
     handed in.  This is the only place that decides the layout; input in
-    another layout is copied once, here.
+    another layout, or writeable, is copied once, here, so that no later
+    write by a caller reaches the set or its memoised ``keys``.
 
     ``column_keys``, when given, are the columns' content hashes, known where
     the columns were made or handed on by ``take``; they become ``keys``
@@ -269,7 +286,7 @@ class FeatureSet:
     column_keys: InitVar[Sequence[bytes] | None] = None
 
     def __post_init__(self, column_keys: Sequence[bytes] | None) -> None:
-        vals = np.asarray(self.values, dtype=np.float64, order="F")
+        vals = _owned(self.values, dtype=np.float64, order="F")
         if vals.ndim != 2:
             raise DatasetError("feature values must be a 2-D matrix")
         m, n = vals.shape
@@ -281,9 +298,6 @@ class FeatureSet:
             raise DatasetError("column metadata length does not match matrix width")
         if len(self.target.values) != m:
             raise DatasetError("target length does not match row count")
-        # a read-only view, so the memoised keys cannot go stale through ``values``
-        vals = vals.view()
-        vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
         if column_keys is not None:
             if len(column_keys) != n:
@@ -323,9 +337,9 @@ class FeatureSet:
 
     def subset_rows(self, rows: np.ndarray) -> "FeatureSet":
         """The given rows; other rows mean other column keys, so none are kept."""
-        target = Target(self.target.values[rows], self.target.kind, self.target.name)
+        target = Target(read_only(self.target.values[rows]), self.target.kind, self.target.name)
         # gathered along each column's row axis: column-major in one copy
-        return FeatureSet(self.values.T.take(rows, axis=1).T, self.columns, target)
+        return FeatureSet(read_only(self.values.T.take(rows, axis=1).T), self.columns, target)
 
     def with_columns(self, values: np.ndarray, columns: Sequence[FeatureMeta],
                      keys: Sequence[bytes] | None = None) -> "FeatureSet":
@@ -334,7 +348,8 @@ class FeatureSet:
 
     def take(self, idx: Sequence[int]) -> "FeatureSet":
         """The columns at ``idx``, in that order, with their metas and keys."""
-        return self.with_columns(self.values[:, idx], tuple(self.columns[i] for i in idx),
+        return self.with_columns(read_only(self.values[:, idx]),
+                                 tuple(self.columns[i] for i in idx),
                                  tuple(self.keys[i] for i in idx))
 
 
@@ -434,7 +449,7 @@ def load_csv(
         values, target_raw = _convert_cells(data_rows, len(raw_header), target_pos, names, impute)
         target = _build_target(target_raw, target_name, task)
     columns = tuple(FeatureMeta.from_lineage(expr) for expr in lineages)
-    return FeatureSet(values, columns, target)
+    return FeatureSet(read_only(values), columns, target)
 
 
 def _numeric_cells(fh, width: int) -> np.ndarray | None:
@@ -538,12 +553,12 @@ def _numeric_target(numeric: np.ndarray, name: str, task: TaskKind | None) -> Ta
         if not integral:
             raise DatasetError("classification requested but target is not integer-valued")
         return Target(_encode_labels(numeric), TaskKind.CLASSIFICATION, name)
-    return Target(numeric, TaskKind.REGRESSION, name)
+    return Target(read_only(numeric), TaskKind.REGRESSION, name)
 
 
 def _encode_labels(raw: np.ndarray) -> np.ndarray:
     _, codes = np.unique(raw, return_inverse=True)
-    return codes.astype(np.int64)
+    return read_only(codes.astype(np.int64))
 
 
 def write_csv(fs: FeatureSet, path: str | Path) -> None:

@@ -13,7 +13,7 @@ from enum import Enum
 
 import numpy as np
 
-from .dataset import OPS, FeatureSet, linear_quantiles
+from .dataset import OPS, FeatureSet, linear_quantiles, read_only
 from .neural_core import (clip_step, derive_seed, forward, init_gcn, normalized_adjacency,
                           train_autoencoder)
 
@@ -47,16 +47,11 @@ class EncoderKind(Enum):
         raise ValueError(f"unknown encoder kind {text!r}")
 
 
-def _read_only(vec: np.ndarray) -> np.ndarray:
-    vec.flags.writeable = False
-    return vec
-
-
 def _finite(vec: np.ndarray) -> np.ndarray:
     """A read-only state: degenerate magnitudes (e.g. untrained nets on huge
     inputs) are clamped, so every state is finite."""
     vec = np.nan_to_num(vec, nan=0.0, posinf=_STATE_CLAMP, neginf=-_STATE_CLAMP)
-    return _read_only(np.clip(vec, -_STATE_CLAMP, _STATE_CLAMP))
+    return read_only(np.clip(vec, -_STATE_CLAMP, _STATE_CLAMP))
 
 
 def _population_std(mat: np.ndarray, axis: int) -> np.ndarray:
@@ -186,7 +181,7 @@ def state_op(op: str) -> np.ndarray:
     """One-hot encoding of an operation in ``OPS`` order."""
     vec = np.zeros(len(OPS), dtype=np.float64)
     vec[OPS.index(op)] = 1.0
-    return _read_only(vec)
+    return read_only(vec)
 
 
 class StateEncoder:
@@ -217,5 +212,5 @@ class StateEncoder:
                 else:
                     parts.append(state_gae(fs, self.k, self.epochs,
                                            derive_seed(self.seed, "gae")))
-            self._cache[key] = _read_only(np.concatenate(parts))
+            self._cache[key] = read_only(np.concatenate(parts))
         return self._cache[key]

@@ -19,6 +19,7 @@ from .dataset import (
     Unary,
     content_hash,
     lineage_depth,
+    read_only,
     safe_binary_value,
     safe_unary_value,
 )
@@ -158,5 +159,5 @@ def generation_step(
     metas = tuple(fs.columns) + tuple(batch.metas)
     kept = (range(len(keys)) if len(keys) <= max_size
             else _top_by_mi(cache.mi(columns, keys, fs.target), max_size))
-    values = np.array([columns[i] for i in kept]).T  # one copy, already column-major
+    values = read_only(np.array([columns[i] for i in kept]).T)  # one copy, column-major
     return fs.with_columns(values, [metas[i] for i in kept], [keys[i] for i in kept]), batch

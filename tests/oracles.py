@@ -896,3 +896,26 @@ def random_feature_set(rng: np.random.Generator, m: int, n: int,
     else:
         target = Target(rng.standard_normal(m), TaskKind.REGRESSION, "y")
     return FeatureSet(values, columns, target)
+
+
+# ---------------------------------------------------------------------------
+# policies
+# ---------------------------------------------------------------------------
+
+class ScriptedPolicy:
+    """Replays fixed (head, op, tail) choices, one per step in order, through
+    the search loop's policy calls; it encodes no state and learns nothing."""
+
+    n_transitions = 0
+
+    def __init__(self, choices) -> None:
+        self.choices = iter(choices)
+
+    def choose(self, fs: FeatureSet, views) -> tuple[int, str, int]:
+        return next(self.choices)
+
+    def observe(self, fs_next: FeatureSet, r_head: float, r_op: float, r_tail: float) -> None:
+        pass
+
+    def end_episode(self) -> dict[str, float]:
+        return {}

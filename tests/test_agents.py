@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from raft.agents import (
+    ActorCriticPolicy,
     AgentBundle,
+    RandomPolicy,
     TrainConfig,
     Transition,
     advantage_and_losses,
@@ -13,6 +15,7 @@ from raft.agents import (
     select_head,
     select_op,
     select_tail,
+    tail_candidates,
     update_agents,
 )
 from raft.clustering import cluster_columns
@@ -94,6 +97,21 @@ def test_select_tail_uniform_thirds_and_exclusion():
     np.testing.assert_array_equal(rows[2], np.concatenate([prefix, cands[2]]))
     _, probs1, _ = select_tail(bundle, prefix, cands[:1], np.random.default_rng(6))
     np.testing.assert_allclose(probs1, [1.0])
+
+
+def test_tail_candidates_are_every_other_group_or_the_lone_head():
+    assert tail_candidates(3, 1) == [0, 2]
+    assert tail_candidates(2, 0) == [1]
+    assert tail_candidates(4, 3) == [0, 1, 2]
+    assert tail_candidates(1, 0) == [0]  # a lone group crosses itself
+
+
+def test_policies_give_the_loop_only_choose_observe_and_end_episode():
+    rng = np.random.default_rng(0)
+    for policy in (RandomPolicy(rng), ActorCriticPolicy(TrainConfig(), rng)):
+        methods = {name for name in dir(policy)
+                   if not name.startswith("_") and callable(getattr(policy, name))}
+        assert methods == {"choose", "observe", "end_episode"}, type(policy).__name__
 
 
 # ---------------------------------------------------------------------------

@@ -1,26 +1,35 @@
+import builtins
 import hashlib
 import math
 import sys
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from raft import agents, cli, dataset, info_metrics, transform
-from raft.agents import TrainConfig
+from raft.agents import ActorCriticPolicy, RandomPolicy, TrainConfig
 from raft.cli import (
     _FILE_KEYS,
     _TRAIN_KEYS,
     ConfigError,
+    EvalContext,
     RunConfig,
     build_parser,
     main,
     parse_config,
     run_search,
+    search,
     write_outputs,
+    write_trace,
 )
 from raft.dataset import (
+    BINARY_OPS,
+    Binary,
+    FeatureMeta,
     FeatureSet,
+    Ident,
     Target,
     TaskKind,
     default_bins,
@@ -29,16 +38,21 @@ from raft.dataset import (
     parse_lineage,
     write_csv,
 )
-from raft.evaluator import ForestConfig, MetricKind, downstream_score
-from raft.info_metrics import PairwiseDistanceKind
+from raft.evaluator import ForestConfig, MetricKind, default_metric, downstream_score
+from raft.info_metrics import MICache, PairwiseDistanceKind
+from raft.neural_core import derive_seed
 from raft.state_repr import EncoderKind, StateEncoder
 from raft.synthetic import squared_sum_regression, two_class_blobs, write_fixture
+from oracles import ScriptedPolicy
+
+
+def small_space() -> FeatureSet:
+    return squared_sum_regression(m=80, n_distractors=3, seed=11)
 
 
 @pytest.fixture()
 def small_csv(tmp_path):
-    fs = squared_sum_regression(m=80, n_distractors=3, seed=11)
-    return write_fixture(fs, tmp_path / "data.csv")
+    return write_fixture(small_space(), tmp_path / "data.csv")
 
 
 def small_config(small_csv, tmp_path, **train_kwargs):
@@ -266,6 +280,82 @@ def test_cli_end_to_end_exit_zero(small_csv, tmp_path, capsys):
     assert "one_minus_rae" in captured.out
     assert (tmp_path / "cli_out" / "transformed.csv").exists()
     assert (tmp_path / "cli_out" / "config.echo").exists()
+
+
+# ---------------------------------------------------------------------------
+# search: the in-memory core
+# ---------------------------------------------------------------------------
+
+def in_memory_context(fs: FeatureSet, train: TrainConfig) -> EvalContext:
+    """The context run_search builds for a space loaded from a CSV."""
+    return EvalContext(default_metric(fs.target.kind), derive_seed(train.seed, "split"),
+                       ForestConfig(seed=derive_seed(train.seed, "forest")),
+                       MICache(train.bins or default_bins(fs.n_rows)))
+
+
+def make_policy(train: TrainConfig, bench: bool):
+    """The policy run_search builds."""
+    rng = np.random.default_rng(derive_seed(train.seed, "actions"))
+    return RandomPolicy(rng) if bench else ActorCriticPolicy(train, rng)
+
+
+@pytest.mark.parametrize("bench", [False, True], ids=["learned", "random"])
+def test_search_replaying_a_runs_choices_gives_its_files_byte_for_byte(small_csv, tmp_path,
+                                                                       bench):
+    cfg = replace(small_config(small_csv, tmp_path, episodes=2, steps=3,
+                               encoder=EncoderKind.ALL), bench=bench, report=False)
+    paths = write_outputs(run_search(cfg), cfg)
+    rows = [line.split("\t") for line in paths["trace"].read_text().splitlines()[1:]]
+    choices = [(int(row[2]), row[3], int(row[4])) for row in rows]
+    fs0 = small_space()  # the CSV's space, built in memory
+    result = search(fs0, cfg.train, ScriptedPolicy(choices), in_memory_context(fs0, cfg.train))
+    write_trace(result.trace, tmp_path / "trace.tsv")
+    write_csv(result.best_fs, tmp_path / "transformed.csv")
+    for name in ("trace.tsv", "transformed.csv"):
+        assert (tmp_path / name).read_bytes() == (paths["trace"].parent / name).read_bytes()
+    assert len(rows) == 6 and result.n_transitions == 0
+
+
+@pytest.mark.parametrize("bench", [False, True], ids=["learned", "random"])
+def test_search_opens_no_file(monkeypatch, bench):
+    fs0 = small_space()
+    train = TrainConfig(episodes=2, steps=2, seed=3, encoder=EncoderKind.ALL)
+    policy, evalctx = make_policy(train, bench), in_memory_context(fs0, train)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the search core opened a file")
+
+    monkeypatch.setattr(builtins, "open", refuse)
+    monkeypatch.setattr(Path, "open", refuse)
+    result = search(fs0, train, policy, evalctx)
+    assert len(result.trace) == 4 and result.n_transitions == (0 if bench else 12)
+
+
+@pytest.mark.parametrize("encoder", ["si", "all"])
+@pytest.mark.parametrize("bench", [False, True], ids=["learned", "random"])
+def test_a_lone_column_group_crosses_itself(monkeypatch, bench, encoder):
+    rng = np.random.default_rng(8)
+    x = rng.standard_normal(60)
+    fs0 = FeatureSet(x[:, None], (FeatureMeta.from_lineage(Ident("x")),),
+                     Target(x * x + 0.1 * rng.standard_normal(60), TaskKind.REGRESSION, "y"))
+    calls = []
+    real_step = cli.generation_step
+
+    def spy(fs, head, op, tail, *args, **kwargs):
+        out = real_step(fs, head, op, tail, *args, **kwargs)
+        calls.append((fs.n_cols, head, op, tail, out[1].metas))
+        return out
+
+    monkeypatch.setattr(cli, "generation_step", spy)
+    train = TrainConfig(episodes=6, steps=2, seed=1, encoder=EncoderKind.parse(encoder))
+    result = search(fs0, train, make_policy(train, bench), in_memory_context(fs0, train))
+    firsts = [row for row in result.trace if row.step == 0]
+    assert len(firsts) == 6 and all(row.head == row.tail == 0 for row in firsts)
+    crossed = [(op, metas) for n, head, op, tail, metas in calls if n == 1 and op in BINARY_OPS]
+    assert any(metas for _, metas in crossed)  # some cross kept a column
+    for op, metas in crossed:
+        assert [meta.lineage for meta in metas] in ([], [Binary(op, Ident("x"), Ident("x"))])
+    assert all(head == tail == (0,) for n, head, _, tail, _ in calls if n == 1)
 
 
 # ---------------------------------------------------------------------------

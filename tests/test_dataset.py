@@ -333,6 +333,29 @@ def test_feature_set_values_are_read_only():
     assert values.flags.writeable
 
 
+def test_a_writeable_input_is_copied_so_later_writes_never_reach_the_set():
+    cols = (FeatureMeta.from_lineage(Ident("a")), FeatureMeta.from_lineage(Ident("b")))
+    values = np.asfortranarray(np.arange(8.0).reshape(4, 2))  # already the stored layout
+    labels = np.array([0, 1, 0, 1])
+    fs = FeatureSet(values, cols, Target(labels, TaskKind.CLASSIFICATION, "y"))
+    keys, key, target_key = fs.keys, fs.key, fs.target.key
+    values[0, 0] = 99.0
+    labels[0] = 1
+    assert fs.values[0, 0] == 0.0 and fs.target.values[0] == 0
+    fresh = FeatureSet(np.arange(8.0).reshape(4, 2), cols,
+                       Target(np.array([0, 1, 0, 1]), TaskKind.CLASSIFICATION, "y"))
+    assert fs.keys == keys == fresh.keys and fs.key == key
+    assert fs.target.key == target_key == fresh.target.key
+    assert values.flags.writeable and labels.flags.writeable  # the caller's own arrays
+    assert not fs.target.values.flags.writeable
+    # a writeable column-major view is copied too; a read-only array is taken as is
+    view = values[:, 1:]
+    assert not np.shares_memory(FeatureSet(view, cols[1:], fs.target).values, values)
+    frozen = np.asfortranarray(np.arange(8.0).reshape(4, 2))
+    frozen.flags.writeable = False
+    assert FeatureSet(frozen, cols, fs.target).values is frozen
+
+
 def test_every_constructor_lays_values_out_column_major(tmp_path):
     p = write(tmp_path / "d.csv", "a,y,b,c\n1,0,2,3\n4,1,5,6\n7,0,8,9\n10,1,11,12\n")
     fs = load_csv(p, "y")
@@ -352,8 +375,10 @@ def test_every_constructor_lays_values_out_column_major(tmp_path):
         assert got.values.flags.f_contiguous and not got.values.flags.writeable, name
         assert got.values.shape[0] > 1 and got.values.shape[1] > 1, name  # not both layouts
     assert per_cell.values.tobytes() == fs.values.tobytes()
-    # input already column-major is not copied
+    # read-only input already column-major is not copied (a writeable one is:
+    # test_a_writeable_input_is_copied_so_later_writes_never_reach_the_set)
     values = np.asfortranarray(np.arange(12.0).reshape(4, 3))
+    values.flags.writeable = False
     assert np.shares_memory(fs.with_columns(values, fs.columns).values, values)
 
 

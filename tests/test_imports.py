@@ -1,6 +1,9 @@
 """Every name a ``raft`` module imports, and every private name (``_x``) it
 defines at its top level, is read in that module.  Only ``dataset.py``
 chooses a memory layout: ``FeatureSet`` stores every matrix column-major.
+The search core, ``cli.search``, touches no file: only the driver
+(``cli.py``), the data layer (``dataset.py``) and the fixtures
+(``synthetic.py``) read or write one.
 
 ``__init__.py`` is left out of the import check: it imports names only to
 re-export them.
@@ -87,14 +90,19 @@ def test_module_reads_every_private_name(module):
     assert unread_private_names((SRC / module).read_text(encoding="utf-8")) == []
 
 
+def called_name(call: ast.Call) -> str:
+    """The name a call is made by: ``f`` for ``f(x)`` and for ``a.b.f(x)``."""
+    func = call.func
+    return func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+
+
 def layout_calls(source: str) -> list[tuple[int, str]]:
     """The (line, name) of each call that chooses a memory layout:
     ``ascontiguousarray``, ``asfortranarray``, or any call given ``order=``."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Call):
-            func = node.func
-            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+            name = called_name(node)
             if name in ("ascontiguousarray", "asfortranarray"):
                 found.append((node.lineno, name))
             found += [(node.lineno, "order=") for kw in node.keywords if kw.arg == "order"]
@@ -112,3 +120,38 @@ def test_layout_calls_finds_every_layout_choice():
 @pytest.mark.parametrize("module", [name for name in ALL_MODULES if name != "dataset.py"])
 def test_only_dataset_chooses_a_memory_layout(module):
     assert layout_calls((SRC / module).read_text(encoding="utf-8")) == []
+
+
+# Calls that read or write a file, by bare name or as a method.
+IO_CALLS = ("load_csv", "write_csv", "write_trace", "write_outputs", "open", "read_text",
+            "write_text")
+IO_MODULES = ("cli.py", "dataset.py", "synthetic.py")
+
+
+def io_calls(tree: ast.AST) -> list[tuple[int, str]]:
+    """The (line, name) of each call under ``tree`` made by one of IO_CALLS."""
+    return sorted((node.lineno, called_name(node)) for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and called_name(node) in IO_CALLS)
+
+
+def test_io_calls_finds_every_call_form():
+    source = ("from raft import cli, dataset\nfrom raft.dataset import load_csv\n"
+              "a = load_csv(p, 'y')\nb = dataset.write_csv(fs, p)\nc = open(p)\n"
+              "d = p.open('w')\ne = p.read_text()\nf = p.write_text('x')\n"
+              "cli.write_trace(t, p)\ng = write_outputs(r, c)\n"
+              "h = opener(p)\ni = p.exists()\nj = open\nk = p.opened\n")
+    assert io_calls(ast.parse(source)) == [
+        (3, "load_csv"), (4, "write_csv"), (5, "open"), (6, "open"), (7, "read_text"),
+        (8, "write_text"), (9, "write_trace"), (10, "write_outputs")]
+
+
+def test_the_search_core_touches_no_file():
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    assert io_calls(functions["search"]) == []
+    assert [name for _, name in io_calls(functions["run_search"])] == ["load_csv"]
+
+
+@pytest.mark.parametrize("module", [name for name in ALL_MODULES if name not in IO_MODULES])
+def test_only_the_driver_and_the_data_layer_touch_files(module):
+    assert io_calls(ast.parse((SRC / module).read_text(encoding="utf-8"))) == []
