@@ -8,8 +8,9 @@ is ``raft run``'s driver: it loads the CSV, resolves the task, metric, bins and
 seeds, builds the caches and the policy (the learned cascade,
 ``agents.ActorCriticPolicy``, or with ``--bench`` the uniform-random control,
 ``agents.RandomPolicy``), and calls ``search``.  Each config key is declared
-once: a ``TrainConfig`` field or an entry of ``_RUN_KEYS``; the flags, the
-config-file keys and ``config.echo`` are derived from them.  Output files are
+once, as a ``RunConfig`` or ``TrainConfig`` field; the flags, the config-file
+keys and ``config.echo`` are derived from the fields, and one function turns a
+key's text into its value, from a flag or a file line alike.  Output files are
 byte-identical across runs with the same configuration and seed.
 """
 
@@ -21,7 +22,7 @@ import math
 import sys
 import time
 import typing
-from dataclasses import dataclass, field, fields
+from dataclasses import Field, dataclass, field, fields, is_dataclass
 from enum import Enum
 from pathlib import Path
 
@@ -62,13 +63,22 @@ class ConfigError(ValueError):
 
 @dataclass
 class RunConfig:
-    input_path: str = ""
-    target: str = ""
-    out_dir: str = ""
-    task: TaskKind | None = None  # None: infer from the target column
+    """``raft run``'s input, output and mode; every scalar field here and in
+    ``TrainConfig`` is a config key, in this order.  A field's metadata gives
+    its ``key`` when that is not its name, its ``names`` when its text is one of
+    a few words, and its flag's ``help``."""
+
+    input_path: str = field(default="", metadata={"key": "input", "help": "input CSV path"})
+    target: str = field(default="", metadata={"help": "target column name"})
+    out_dir: str = field(default="", metadata={"key": "out", "help": "output directory"})
+    task: TaskKind | None = field(default=None, metadata={
+        "names": {"auto": None, "clf": TaskKind.CLASSIFICATION, "reg": TaskKind.REGRESSION},
+        "help": "auto infers from the target"})
     metric: MetricKind | None = None  # None: task default
-    impute: str | None = None
-    bench: bool = False
+    impute: str | None = field(default=None, metadata={
+        "names": {"median": "median"}, "help": "allow and impute missing cells"})
+    bench: bool = field(default=False,
+                        metadata={"help": "uniform-random control run (no learning)"})
     report: bool = True
     train: TrainConfig = field(default_factory=TrainConfig)
 
@@ -266,10 +276,8 @@ def write_config_echo(cfg: RunConfig, result: RunResult, path: Path) -> None:
                 "bins": result.bins, "max_size": result.max_size}
     # `out` is left out: the echo lives there, and same-seed runs into
     # different directories must write identical files.
-    pairs = [(key, getattr(cfg, attr)) for key, (attr, _, _) in _RUN_KEYS.items()
-             if key != "out"]
-    pairs += [(key, getattr(cfg.train, key)) for key in _TRAIN_KEYS]
-    pairs = [(key, resolved.get(key, value)) for key, value in pairs]
+    pairs = [(key, resolved.get(key, getattr(cfg if owner is RunConfig else cfg.train, f.name)))
+             for key, (owner, f, _, _) in _KEYS.items() if key != "out"]
     pairs += [
         ("unary_ops", ",".join(UNARY_OPS)), ("binary_ops", ",".join(BINARY_OPS)),
         ("split_seed", result.split_seed), ("forest_seed", result.forest_seed),
@@ -294,42 +302,41 @@ def write_outputs(result: RunResult, cfg: RunConfig) -> dict[str, Path]:
 # Configuration parsing
 # ---------------------------------------------------------------------------
 
-_TASK_NAMES = {"auto": None, "clf": TaskKind.CLASSIFICATION, "reg": TaskKind.REGRESSION}
-
-# The RunConfig keys: the RunConfig attribute each one sets, its type in a
-# config file and its flag's argparse keywords.  Every other key is a
-# TrainConfig field (see _TRAIN_KEYS).
-_RUN_KEYS: dict[str, tuple[str, type, dict]] = {
-    "input": ("input_path", str, {"help": "input CSV path"}),
-    "target": ("target", str, {"help": "target column name"}),
-    "out": ("out_dir", str, {"help": "output directory"}),
-    "task": ("task", str, {"choices": sorted(_TASK_NAMES), "help": "auto infers from the target"}),
-    "metric": ("metric", str, {"choices": [m.value for m in MetricKind]}),
-    "impute": ("impute", str, {"choices": ["median"], "help": "allow and impute missing cells"}),
-    "bench": ("bench", bool, {"help": "uniform-random control run (no learning)"}),
-    "report": ("report", bool, {}),
-}
-
-
-def _train_keys() -> dict[str, type]:
-    """The scalar TrainConfig fields, in declaration order, with their value
-    type (``int`` for ``int | None``)."""
-    hints = typing.get_type_hints(TrainConfig)
+def _key_table() -> dict[str, tuple[type, Field, type, dict | None]]:
+    """Every scalar ``RunConfig`` and ``TrainConfig`` field by its key (the
+    ``key`` metadata, else its name), in declaration order: its dataclass, the
+    field, its value type (``int`` for ``int | None``) and its text -> value
+    ``names`` (an enum field's are its members' values; None for plain text)."""
     keys = {}
-    for f in fields(TrainConfig):
-        typ = (typing.get_args(hints[f.name]) or (hints[f.name],))[0]
-        if typ in (bool, int, float) or issubclass(typ, Enum):
-            keys[f.name] = typ
+    for owner in (RunConfig, TrainConfig):
+        hints = typing.get_type_hints(owner)
+        for f in fields(owner):
+            typ = (typing.get_args(hints[f.name]) or (hints[f.name],))[0]
+            if is_dataclass(typ):
+                continue
+            names = f.metadata.get("names")
+            if names is None and issubclass(typ, Enum):
+                names = {kind.value: kind for kind in typ}
+            keys[f.metadata.get("key", f.name)] = (owner, f, typ, names)
     return keys
 
 
-_TRAIN_KEYS = _train_keys()
+_KEYS = _key_table()
 
-# Config-file types; an enum value stays text until parse_config converts it.
-_FILE_KEYS: dict[str, type] = {
-    **{key: typ for key, (_, typ, _) in _RUN_KEYS.items()},
-    **{key: str if issubclass(typ, Enum) else typ for key, typ in _TRAIN_KEYS.items()},
-}
+
+def _value(key: str, text: str, where: str):
+    """``key``'s value for ``text``, from a flag or a file line alike; a bad
+    text is a ConfigError that starts with ``where``."""
+    _, _, typ, names = _KEYS[key]
+    if names is not None:
+        if text not in names:
+            raise ConfigError(f"{where}: unknown {key} {text!r}")
+        return names[text]
+    bools = {"true": True, "false": False, "1": True, "0": False}
+    try:
+        return bools[text.lower()] if typ is bool else typ(text)
+    except (KeyError, ValueError):
+        raise ConfigError(f"{where}: bad {typ.__name__} value {text!r}") from None
 
 
 def _parse_config_file(path: str) -> dict:
@@ -346,37 +353,19 @@ def _parse_config_file(path: str) -> dict:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, _, value = line.partition("=")
         key = key.strip()
-        value = value.strip()
-        if key not in _FILE_KEYS:
+        if key not in _KEYS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        typ = _FILE_KEYS[key]
-        try:
-            if typ is bool:
-                if value.lower() not in ("true", "false", "1", "0"):
-                    raise ValueError(value)
-                values[key] = value.lower() in ("true", "1")
-            else:
-                values[key] = typ(value)
-        except ValueError:
-            raise ConfigError(f"{path}:{lineno}: bad {typ.__name__} value {value!r}") from None
+        values[key] = _value(key, value.strip(), f"{path}:{lineno}")
     return values
 
 
-def _add_flag(parser: argparse.ArgumentParser, key: str, typ: type, default,
-              **kwargs) -> None:
-    """``--key-name``; a bool key is a switch away from its default, so a key
-    that defaults to true has a ``--no-key-name`` flag."""
-    flag = "--" + key.replace("_", "-")
-    if typ is bool:
-        parser.add_argument("--no-" + flag[2:] if default else flag, dest=key, default=None,
-                            action="store_false" if default else "store_true", **kwargs)
-    elif issubclass(typ, Enum):
-        parser.add_argument(flag, dest=key, choices=[k.value for k in typ], **kwargs)
-    else:
-        parser.add_argument(flag, dest=key, type=typ, **kwargs)
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """``raft run``'s flags, one per key, each passing text: ``--key-name``,
+    or for a bool key a switch away from its default (``--no-report``)."""
     parser = argparse.ArgumentParser(
         prog="raft",
         description="Reconstruct a tabular feature space with cascading "
@@ -385,46 +374,34 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     run = sub.add_parser("run", help="run the feature-space search")
     run.add_argument("--config", help="flat key = value config file")
-    run_defaults = RunConfig()
-    for key, (attr, typ, kwargs) in _RUN_KEYS.items():
-        _add_flag(run, key, typ, getattr(run_defaults, attr), **kwargs)
-    for f in fields(TrainConfig):
-        if f.name in _TRAIN_KEYS:
-            _add_flag(run, f.name, _TRAIN_KEYS[f.name], f.default, help=f.metadata.get("help"))
+    for key, (_, f, typ, names) in _KEYS.items():
+        if typ is bool:
+            run.add_argument(_flag("no_" + key if f.default else key), dest=key,
+                             action="store_const", const=_fmt(not f.default),
+                             help=f.metadata.get("help"))
+        else:
+            run.add_argument(_flag(key), dest=key, choices=names and list(names),
+                             help=f.metadata.get("help"))
     return parser
 
 
 def parse_config(argv=None) -> RunConfig:
     """Precedence: CLI flag > config file value > built-in default."""
     args = build_parser().parse_args(argv)
-    merged: dict[str, object] = {}
-    if args.config:
-        merged.update(_parse_config_file(args.config))
-    for key in _FILE_KEYS:
-        if getattr(args, key, None) is not None:
-            merged[key] = getattr(args, key)
-
+    merged = _parse_config_file(args.config) if args.config else {}
+    merged.update((key, _value(key, getattr(args, key), _flag(key)))
+                  for key in _KEYS if getattr(args, key) is not None)
     for required in ("input", "target", "out"):
         if required not in merged:
             raise ConfigError(f"missing required option --{required}")
-
-    run_kwargs = {attr: merged[key] for key, (attr, _, _) in _RUN_KEYS.items() if key in merged}
-    train_kwargs = {key: merged[key] for key in _TRAIN_KEYS if key in merged}
+    kwargs: dict[type, dict] = {RunConfig: {}, TrainConfig: {}}
+    for key, value in merged.items():
+        owner, f, _, _ = _KEYS[key]
+        kwargs[owner][f.name] = value
     try:
-        for key, value in train_kwargs.items():
-            typ = _TRAIN_KEYS[key]
-            if issubclass(typ, Enum):  # an enum's own parse words its error
-                train_kwargs[key] = getattr(typ, "parse", typ)(value)
-        train = TrainConfig(**train_kwargs)
-        task_name = run_kwargs.get("task", "auto")
-        if task_name not in _TASK_NAMES:
-            raise ConfigError(f"unknown task {task_name!r}")
-        run_kwargs["task"] = _TASK_NAMES[task_name]
-        if "metric" in run_kwargs:
-            run_kwargs["metric"] = MetricKind.parse(run_kwargs["metric"])
-    except (ValueError, TypeError) as exc:
+        return RunConfig(**kwargs[RunConfig], train=TrainConfig(**kwargs[TrainConfig]))
+    except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    return RunConfig(**run_kwargs, train=train)
 
 
 def main(argv=None) -> int:

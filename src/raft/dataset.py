@@ -439,8 +439,10 @@ def load_csv(
         raise DatasetError(f"duplicate header names after normalization: {dupes}")
     if not names:
         raise DatasetError("dataset has no feature columns besides the target")
-
     target_name = _normalize_name(raw_header[target_pos])
+    if target_name in names:  # written out, the two could not be told apart
+        raise DatasetError(f"a feature column has the target's name {target_name!r}")
+
     if cells is not None:
         # a fancy index over the columns gives them column-major, in one copy
         values = cells[:, [i for i in range(len(raw_header)) if i != target_pos]]

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import FeatureSet, TaskKind, split_train_valid
+from .dataset import DatasetError, FeatureSet, TaskKind, split_train_valid
 from .neural_core import NumericError
 from enum import Enum
 
@@ -51,13 +51,6 @@ class MetricKind(Enum):
         if self in (MetricKind.F1_MACRO, MetricKind.PRECISION_MACRO, MetricKind.RECALL_MACRO):
             return TaskKind.CLASSIFICATION
         return TaskKind.REGRESSION
-
-    @staticmethod
-    def parse(text: str) -> "MetricKind":
-        for kind in MetricKind:
-            if kind.value == text:
-                return kind
-        raise ValueError(f"unknown metric {text!r}")
 
 
 def default_metric(task: TaskKind) -> MetricKind:
@@ -295,15 +288,16 @@ def _grow_group(x: np.ndarray, bins: np.ndarray, y: np.ndarray, n_classes: int,
 def fit_forest(train: FeatureSet, cfg: ForestConfig) -> RandomForest:
     """Bootstrap-sampled trees with per-node feature subsampling.
 
-    Raises NumericError when a regression target is so large that the split
-    search's squared sums could overflow to inf or NaN."""
+    Raises DatasetError when a classification sample holds one class (a split
+    can leave a lone sample's class out), and NumericError when a regression
+    target is so large that the split search's squared sums could overflow."""
     x = train.values
     task = train.target.kind
     if task is TaskKind.CLASSIFICATION:
         y = np.asarray(train.target.values, dtype=np.int64)
         n_classes = train.target.num_classes
         if np.unique(y).size < 2:
-            raise ValueError("classification training target has a single class")
+            raise DatasetError("classification training target has a single class")
     else:
         y = np.asarray(train.target.values, dtype=np.float64)
         n_classes = 0

@@ -11,8 +11,7 @@ import pytest
 from raft import agents, cli, dataset, info_metrics, transform
 from raft.agents import ActorCriticPolicy, RandomPolicy, TrainConfig
 from raft.cli import (
-    _FILE_KEYS,
-    _TRAIN_KEYS,
+    _KEYS,
     ConfigError,
     EvalContext,
     RunConfig,
@@ -44,6 +43,9 @@ from raft.neural_core import derive_seed
 from raft.state_repr import EncoderKind, StateEncoder
 from raft.synthetic import squared_sum_regression, two_class_blobs, write_fixture
 from oracles import ScriptedPolicy
+
+_FILE_KEYS = list(_KEYS)
+_TRAIN_KEYS = [key for key, (owner, *_) in _KEYS.items() if owner is TrainConfig]
 
 
 def small_space() -> FeatureSet:
@@ -497,6 +499,37 @@ def test_every_input_class_fails_loudly_or_works(tmp_path, capsys, monkeypatch, 
         assert math.isfinite(report["tail_actor_objective"])
 
 
+def _write_table(path, header, rows):
+    path.write_text("\n".join(",".join(row) for row in [header] + rows) + "\n",
+                    encoding="utf-8")
+    return path
+
+
+def test_a_class_with_one_sample_exits_0_or_3_on_every_seed(tmp_path, capsys):
+    # the unstratified split may leave the lone sample's class out of training
+    header, rows = product_sign_table()
+    rows = [row[:-1] + ["1" if i == 7 else "0"] for i, row in enumerate(rows)]
+    path = _write_table(tmp_path / "input.csv", header, rows)
+    codes = {seed: main(["run", "--input", str(path), "--target", "label",
+                         "--out", str(tmp_path / f"o{seed}"), "--episodes", "1",
+                         "--steps", "1", "--seed", str(seed)]) for seed in range(20)}
+    assert set(codes.values()) == {0, 3}
+    assert {3, 12, 17} <= {seed for seed, code in codes.items() if code == 3}
+    assert "data error: classification training target has a single class" in \
+        capsys.readouterr().err
+
+
+def test_a_feature_named_like_the_target_exits_3(tmp_path, capsys):
+    header, rows = product_sign_table()
+    path = _write_table(tmp_path / "input.csv", header[:4] + ["label", "label"],
+                        [row[:4] + [row[5], row[4]] for row in rows])
+    code = main(["run", "--input", str(path), "--target", "label",
+                 "--out", str(tmp_path / "o"), "--episodes", "1", "--steps", "1"])
+    assert code == 3
+    assert capsys.readouterr().err.startswith("data error: a feature column has the target's name")
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("flags", [["--bins", "5"], ["--bins", "9"], []],
                          ids=["bins-5", "bins-9", "default"])
 def test_a_run_labels_every_column_at_its_bin_count(tmp_path, monkeypatch, flags):
@@ -613,3 +646,46 @@ def test_train_key_flag_equals_file_value(tmp_path, key):
     from_file = parse_config(base + ["--config", str(cfgfile)]).train
     assert from_flag == from_file
     assert from_flag != TrainConfig()
+
+
+def test_every_run_config_field_is_a_flag_a_file_key_and_an_echo_line(small_csv, tmp_path):
+    # `train` holds the TrainConfig keys; `out` is not echoed (the echo lives there)
+    run_fields = [f for f in fields(RunConfig) if f.name != "train"]
+    keys = [f.metadata.get("key", f.name) for f in run_fields]
+    assert keys == [key for key in _FILE_KEYS if key not in _TRAIN_KEYS]
+    for f, key in zip(run_fields, keys):
+        switch = "no_" + key if f.default is True else key  # --no-report
+        assert "--" + switch.replace("_", "-") in run_options()
+    cfg = replace(small_config(small_csv, tmp_path, steps=1), report=False)
+    paths = write_outputs(run_search(cfg), cfg)
+    echoed = [line.split(" = ")[0] for line in paths["config"].read_text().splitlines()]
+    assert [key for key in echoed if key in keys] == [key for key in keys if key != "out"]
+
+
+@pytest.mark.parametrize("key, text, typ", [("episodes", "soon", "int"),
+                                            ("steps", "2.5", "int"),
+                                            ("delta", "1,5", "float")])
+def test_a_bad_number_reads_alike_from_a_flag_and_a_file(tmp_path, small_csv, capsys,
+                                                           key, text, typ):
+    base = ["run", "--input", str(small_csv), "--target", "y", "--out", str(tmp_path / "o")]
+    cfgfile = tmp_path / "one.cfg"
+    cfgfile.write_text(f"{key} = {text}\n", encoding="utf-8")
+    errors = []
+    for extra in (["--" + key, text], ["--config", str(cfgfile)]):
+        assert main(base + extra) == 2
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == f"config error: --{key}: bad {typ} value {text!r}\n"
+    assert errors[1] == f"config error: {cfgfile}:1: bad {typ} value {text!r}\n"
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("key, text", [("task", "classify"), ("metric", "f1"),
+                                       ("impute", "mean"), ("encoder", "vae"),
+                                       ("distance", "manhattan")])
+def test_a_named_key_rejects_an_unknown_word_from_a_file(tmp_path, key, text):
+    # a flag's choices reject it before parse_config sees it
+    cfgfile = tmp_path / "one.cfg"
+    cfgfile.write_text(f"{key} = {text}\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match=f"one.cfg:1: unknown {key} '{text}'$"):
+        parse_config(["run", "--input", "data.csv", "--target", "y", "--out", "o",
+                      "--config", str(cfgfile)])

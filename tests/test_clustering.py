@@ -29,6 +29,19 @@ def cluster_at(fs, kind, threshold, bins):
     return cut(merge_sequence(pair_score_matrix(fs, kind, MICache(bins))), fs.n_cols, threshold)
 
 
+@pytest.mark.parametrize("kind", [EUC, COS])
+def test_pair_score_matrix_equals_its_transpose(kind):
+    rng = np.random.default_rng(5)
+    fs = random_feature_set(rng, 40, 7)
+    values = fs.values.copy()
+    values[:, 0] = 0.0
+    values[:, 1] = 3.5
+    values[:, 2] = np.where(values[:, 2] > 0, 1e300, -1e300)
+    values[:, 3] *= 1e-5
+    scores = pair_score_matrix(fs.with_columns(values, fs.columns), kind, MICache(5))
+    assert np.array_equal(scores.view(np.uint64), scores.T.view(np.uint64))
+
+
 def test_identical_columns_collapse_to_one_cluster():
     rng = np.random.default_rng(0)
     col = rng.standard_normal(20)

@@ -87,6 +87,17 @@ def test_load_csv_duplicate_headers(tmp_path):
         load_csv(p, "y")
 
 
+@pytest.mark.parametrize("header, target", [
+    ("x0,x1,x2,x3,label,label", "label"),  # the first would be a float regression target
+    ("x0,x1,x2,x3,lab el,lab_el", "lab_el"),  # written out, both columns read `lab_el`
+])
+def test_load_csv_rejects_a_feature_named_like_the_target(tmp_path, header, target):
+    rows = [f"{i}.5,{i},{2 * i},{i % 3}.25,{i % 2}.5,{i % 2}" for i in range(8)]
+    p = write(tmp_path / "d.csv", "\n".join([header] + rows) + "\n")
+    with pytest.raises(DatasetError, match="target's name"):
+        load_csv(p, target)
+
+
 def test_load_csv_constant_target(tmp_path):
     p = write(tmp_path / "d.csv", "a,y\n1,5\n2,5\n3,5\n")
     with pytest.raises(DatasetError, match="constant target"):

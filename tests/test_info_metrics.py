@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from raft.dataset import (
     DatasetError,
@@ -476,6 +477,38 @@ def test_euclidean_finite_on_huge_values():
     a = np.full(4, 1e308)
     b = np.full(4, -1e308)
     assert np.isfinite(pairwise_distance(a, b, EUC))
+
+
+@st.composite
+def column_pairs(draw):
+    """Two columns of one length: normal draws at scales 1e-5 to 1e4, any
+    finite floats, or a zero, a constant or a +-1e300 column."""
+    m = draw(st.integers(2, 300))
+
+    def column():
+        shape = draw(st.sampled_from(["normal", "floats", "zero", "constant", "huge"]))
+        rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+        if shape == "normal":
+            return rng.standard_normal(m) * 10.0 ** draw(st.integers(-5, 4))
+        if shape == "floats":
+            return draw(arrays(np.float64, m, elements=st.floats(allow_nan=False,
+                                                                 allow_infinity=False)))
+        if shape == "constant":
+            return np.full(m, draw(st.floats(-1e300, 1e300)))
+        return np.zeros(m) if shape == "zero" else rng.choice([-1e300, 1e300], m)
+
+    return column(), column()
+
+
+@pytest.mark.parametrize("kind", [EUC, COS])
+@settings(max_examples=150, deadline=None)
+@given(pair=column_pairs())
+def test_column_distances_are_symmetric_in_bits(kind, pair):
+    # a memo keyed by an unordered pair may store either orientation
+    a, b = pair
+    ab = info_metrics.column_distances(a, b[None], kind)
+    ba = info_metrics.column_distances(b, a[None], kind)
+    assert ab.tobytes() == ba.tobytes()
 
 
 def test_euclidean_rows_whose_difference_overflows_read_the_max():
