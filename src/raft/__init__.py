@@ -2,7 +2,7 @@
 agents, with full lineage traceability."""
 
 from .agents import TrainConfig, Transition
-from .clustering import ClusterSet, cluster_columns
+from .clustering import ClusterSet
 from .dataset import (
     Binary,
     DatasetError,
@@ -50,7 +50,6 @@ __all__ = [
     "TrainConfig",
     "Transition",
     "Unary",
-    "cluster_columns",
     "cross_binary",
     "dedup",
     "discretize",

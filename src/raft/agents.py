@@ -10,7 +10,7 @@ batch: the critic descends the squared TD error, with the target
 r + gamma * V(S') held fixed, and the actor ascends
 log pi(a|S) * advantage + beta * entropy (the update negates the returned
 ascent objective).  Gradients are flat arrays in the layout of the nets'
-``params``; each agent's two nets take one ``sgd_step`` per episode.
+``params``; each agent's two nets take one ``clip_step`` in place per episode.
 
 The search loop drives a policy through three calls: ``choose(fs, views)``
 gives a step's (head, op, tail), ``observe`` hands back its rewards and new
@@ -34,11 +34,11 @@ from .info_metrics import PairwiseDistanceKind
 from .neural_core import (
     DenseNet,
     backward,
+    clip_step,
     derive_seed,
     forward,
     init_dense,
     log_softmax,
-    sgd_step,
     softmax,
 )
 from .state_repr import EncoderKind, StateEncoder, state_op
@@ -239,14 +239,13 @@ def update_agents(
     bundles: tuple[AgentBundle, AgentBundle, AgentBundle],
     episode: tuple[Sequence[Transition], Sequence[Transition], Sequence[Transition]],
     cfg: TrainConfig,
-) -> tuple[tuple[AgentBundle, AgentBundle, AgentBundle], dict[str, float]]:
-    """One gradient step per agent on its episode batch; non-finite losses skip
-    that agent's update with a warning."""
-    updated = []
+) -> dict[str, float]:
+    """One in-place gradient step per net of each agent on its episode batch;
+    returns the losses.  Non-finite losses skip that agent's update with a
+    warning."""
     report: dict[str, float] = {}
     for name, bundle, transitions in zip(("head", "op", "tail"), bundles, episode):
         if len(transitions) == 0:
-            updated.append(bundle)
             continue
         critic_loss, actor_objective, actor_grads, critic_grads = advantage_and_losses(
             transitions, bundle, cfg.gamma, cfg.beta)
@@ -254,12 +253,10 @@ def update_agents(
         report[f"{name}_actor_objective"] = actor_objective
         if not (math.isfinite(critic_loss) and math.isfinite(actor_objective)):
             logger.warning("non-finite loss for %s agent; skipping its update", name)
-            updated.append(bundle)
             continue
-        critic = sgd_step(bundle.critic, critic_grads, cfg.critic_lr)
-        actor = sgd_step(bundle.actor, -actor_grads, cfg.actor_lr)
-        updated.append(AgentBundle(actor, critic))
-    return (updated[0], updated[1], updated[2]), report
+        clip_step(bundle.critic.params, critic_grads, bundle.critic.bounds, cfg.critic_lr)
+        clip_step(bundle.actor.params, -actor_grads, bundle.actor.bounds, cfg.actor_lr)
+    return report
 
 
 def tail_candidates(n_groups: int, head: int) -> list[int]:
@@ -335,6 +332,6 @@ class ActorCriticPolicy:
 
     def end_episode(self) -> dict[str, float]:
         """Update the agents on the episode's transitions; returns the losses."""
-        self.bundles, losses = update_agents(self.bundles, self.batches, self.cfg)
+        losses = update_agents(self.bundles, self.batches, self.cfg)
         self.batches = ([], [], [])
         return losses

@@ -29,12 +29,13 @@ from pathlib import Path
 import numpy as np
 
 from .agents import ActorCriticPolicy, RandomPolicy, TrainConfig, compute_rewards
-from .clustering import adaptive_cluster, cluster_columns
+from .clustering import adaptive_cluster
 from .dataset import (
     BINARY_OPS,
     UNARY_OPS,
     DatasetError,
     FeatureSet,
+    NumericError,
     TaskKind,
     default_bins,
     load_csv,
@@ -51,7 +52,7 @@ from .evaluator import (
     fit_forest,
 )
 from .info_metrics import MICache, feature_set_quality
-from .neural_core import NumericError, derive_seed
+from .neural_core import derive_seed
 from .transform import generation_step
 
 logger = logging.getLogger(__name__)
@@ -166,12 +167,12 @@ def search(fs0: FeatureSet, train: TrainConfig, policy, evalctx: EvalContext) ->
         ep_best = -math.inf
         for step in range(train.steps):
             clusters = adaptive_cluster(fs, train.distance, train.delta, evalctx.cache)
-            views = [cluster_columns(fs, g) for g in clusters.groups]
+            views = [fs.take(g) for g in clusters.groups]  # the step's one view per group
             head_idx, op, tail_idx = policy.choose(fs, views)
 
             # only the new space: the batch's columns are not kept through the scoring
             fs_next = generation_step(
-                fs, clusters.groups[head_idx], op, clusters.groups[tail_idx], max_size,
+                fs, views[head_idx], op, views[tail_idx], max_size,
                 evalctx.cache, cap=train.cross_cap, max_depth=train.max_lineage_depth,
             )[0]
 
@@ -207,6 +208,8 @@ def run_search(cfg: RunConfig) -> RunResult:
     started = time.perf_counter()
     train = cfg.train
     fs0 = load_csv(cfg.input_path, cfg.target, task=cfg.task, impute=cfg.impute)
+    if fs0.target.lone_class:
+        logger.warning("a class has a single sample; falling back to unstratified split")
     task = fs0.target.kind
     metric = cfg.metric if cfg.metric is not None else default_metric(task)
     if metric.task is not task:

@@ -29,8 +29,8 @@ class ClusterSet:
         if n == 0 or sorted(flat) != list(range(n)):
             raise ValueError(f"groups do not partition 0..{n - 1}: {self.groups}")
         for g in self.groups:
-            if list(g) != sorted(g):
-                raise ValueError(f"group members must be sorted ascending: {g}")
+            if not g or list(g) != sorted(g):
+                raise ValueError(f"group members must be nonempty and sorted ascending: {g}")
 
     def __len__(self) -> int:
         return len(self.groups)
@@ -125,15 +125,3 @@ def adaptive_cluster(
         threshold /= 2.0
     return ClusterSet(tuple((i,) for i in range(n)))
 
-
-def cluster_columns(fs: FeatureSet, cluster: tuple[int, ...] | list[int]) -> FeatureSet:
-    """Restrict a feature set to one cluster's columns (same target, shared
-    metas and column keys)."""
-    if len(cluster) == 0:
-        raise ValueError("cluster must be nonempty")
-    idx = list(cluster)
-    if idx != sorted(idx):
-        raise ValueError(f"cluster indices must be sorted ascending: {cluster}")
-    if idx[0] < 0 or idx[-1] >= fs.n_cols:
-        raise IndexError(f"cluster index out of range for {fs.n_cols} columns: {cluster}")
-    return fs.take(idx)

@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import functools
 import hashlib
-import logging
 import math
 import warnings
 from dataclasses import InitVar, dataclass
@@ -20,8 +19,6 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
-
-logger = logging.getLogger(__name__)
 
 # Integer-valued vectors with at most this many distinct values are treated as
 # discrete labels.  Task inference and MI label handling share the rule.
@@ -66,6 +63,10 @@ def content_hash(arr: np.ndarray) -> bytes:
 
 class DatasetError(ValueError):
     """Ingestion / schema problem (maps to CLI exit code 3)."""
+
+
+class NumericError(RuntimeError):
+    """Unrecoverable numeric failure (maps to CLI exit code 4)."""
 
 
 class TaskKind(Enum):
@@ -256,6 +257,11 @@ class Target:
     def key(self) -> bytes:
         """``content_hash`` of the values as float64, computed once per target."""
         return content_hash(np.asarray(self.values, dtype=np.float64))
+
+    @property
+    def lone_class(self) -> bool:
+        """Whether a class holds a single row, which leaves splits unstratified."""
+        return self.kind is TaskKind.CLASSIFICATION and 1 in np.bincount(self.values)
 
     @property
     def num_classes(self) -> int:
@@ -584,7 +590,9 @@ def write_csv(fs: FeatureSet, path: str | Path) -> None:
 # ---------------------------------------------------------------------------
 
 def split_train_valid(fs: FeatureSet, ratio: float, seed: int) -> tuple[FeatureSet, FeatureSet]:
-    """Deterministic row split; stratified for classification when possible.
+    """Deterministic row split: each stratum's rows are shuffled and the
+    first ``floor(ratio * size)`` train.  The strata are the classes of a
+    classification target without a ``lone_class``, else all the rows.
 
     Each side must end up with at least 2 rows (feature sets are never
     smaller), otherwise the split is rejected.
@@ -593,30 +601,18 @@ def split_train_valid(fs: FeatureSet, ratio: float, seed: int) -> tuple[FeatureS
         raise DatasetError(f"split ratio must be in (0, 1), got {ratio}")
     m = fs.n_rows
     rng = np.random.default_rng(seed)
-    stratify = False
-    if fs.target.kind is TaskKind.CLASSIFICATION:
-        counts = np.bincount(fs.target.values)
-        counts = counts[counts > 0]
-        if np.all(counts >= 2):
-            stratify = True
-        else:
-            logger.warning("a class has a single sample; falling back to unstratified split")
-    if stratify:
-        train_parts = []
-        valid_parts = []
-        for label in np.unique(fs.target.values):
-            idx = np.flatnonzero(fs.target.values == label)
-            perm = idx[rng.permutation(idx.size)]
-            n_tr = math.floor(ratio * idx.size)
-            train_parts.append(perm[:n_tr])
-            valid_parts.append(perm[n_tr:])
-        train_idx = np.sort(np.concatenate(train_parts))
-        valid_idx = np.sort(np.concatenate(valid_parts))
-    else:
-        perm = rng.permutation(m)
-        n_tr = math.floor(ratio * m)
-        train_idx = np.sort(perm[:n_tr])
-        valid_idx = np.sort(perm[n_tr:])
+    y = fs.target.values
+    strata = [np.arange(m)]
+    if fs.target.kind is TaskKind.CLASSIFICATION and not fs.target.lone_class:
+        strata = [np.flatnonzero(y == label) for label in np.unique(y)]
+    train_parts, valid_parts = [], []
+    for idx in strata:
+        perm = idx[rng.permutation(idx.size)]
+        n_tr = math.floor(ratio * idx.size)
+        train_parts.append(perm[:n_tr])
+        valid_parts.append(perm[n_tr:])
+    train_idx = np.sort(np.concatenate(train_parts))
+    valid_idx = np.sort(np.concatenate(valid_parts))
     if train_idx.size == 0 or valid_idx.size == 0:
         raise DatasetError(f"ratio {ratio} produces an empty split for {m} rows")
     if train_idx.size < 2 or valid_idx.size < 2:

@@ -6,9 +6,9 @@ output, and ``backward`` takes the loss gradient with respect to it (for the
 actors' softmax losses, the closed-form logit gradient, e.g. probs - onehot
 for negative log-likelihood).  A net keeps its parameters in one flat buffer,
 ``params``, laid out as w1, b1, w2, b2; its four weight attributes are views
-into it.  A gradient is a flat array in the same layout.  Networks are
-immutable values: ``sgd_step`` returns an updated copy.  Every gradient step
-goes through ``clip_step`` under the one ``CLIP_NORM``.
+into it.  A gradient is a flat array in the same layout.  A net's shape is
+fixed, but its ``params`` train in place: every gradient step, of the agents,
+the AE and the GAE alike, is one ``clip_step`` under the one ``CLIP_NORM``.
 """
 
 from __future__ import annotations
@@ -16,20 +16,15 @@ from __future__ import annotations
 import hashlib
 import logging
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
 
 logger = logging.getLogger(__name__)
-_SKIPPED = "non-finite gradient after clipping; parameters left unchanged"
 
 CLIP_NORM = 5.0  # every gradient step's joint L2 norm is clipped to this
-
-
-class NumericError(RuntimeError):
-    """Unrecoverable numeric failure (maps to CLI exit code 4)."""
 
 
 def derive_seed(base: int, salt: str) -> int:
@@ -155,7 +150,7 @@ def clip_step(params: np.ndarray, grads: np.ndarray, bounds: Sequence[int], lr: 
     """params -= lr * clip(grads) in place on flat buffers (``grads`` is
     overwritten), clipped to a joint norm of ``CLIP_NORM``, the squared norm
     adding each ``bounds`` slice's sum left to right.  Returns False, with
-    ``params`` unchanged, on a non-finite step."""
+    ``params`` unchanged and a warning, on a non-finite step."""
     sq = grads * grads
     total = 0.0
     for lo, hi in zip(bounds, bounds[1:]):
@@ -166,21 +161,11 @@ def clip_step(params: np.ndarray, grads: np.ndarray, bounds: Sequence[int], lr: 
     # a finite norm bounds every entry, so only a non-finite one (NaN, or an
     # overflow that may have clipped finite entries to zero) needs the scan
     if not math.isfinite(norm) and not np.all(np.isfinite(grads)):
+        logger.warning("non-finite gradient after clipping; parameters left unchanged")
         return False
     grads *= lr
     params -= grads
     return True
-
-
-def sgd_step(net: DenseNet, grads: np.ndarray, lr: float) -> DenseNet:
-    """theta <- theta - lr * clip(g) by ``clip_step`` on a copy of the
-    parameters (``grads``, flat in their layout, is overwritten); returns
-    ``net`` itself, with a warning, on a non-finite step."""
-    params = net.params.copy()
-    if not clip_step(params, grads, net.bounds, lr):
-        logger.warning(_SKIPPED)
-        return net
-    return replace(net, params=params)
 
 
 # ---------------------------------------------------------------------------
@@ -230,6 +215,5 @@ def train_autoencoder(
         dec_dz1 = _dense_grads(decoder, z, dec_z1, dec_a1, upstream, dec_grads)
         _dense_grads(encoder, data, enc_z1, enc_a1, dec_dz1 @ decoder.w1.T, enc_grads)
         for net, flat in ((encoder, enc_flat), (decoder, dec_flat)):
-            if not clip_step(net.params, flat, net.bounds, lr):
-                logger.warning(_SKIPPED)
+            clip_step(net.params, flat, net.bounds, lr)
     return encoder, decoder

@@ -163,7 +163,7 @@ def state_gae(fs: FeatureSet, k: int, epochs: int, seed: int) -> np.ndarray:
     """One-layer graph convolution over the standardized columns and their
     correlation graph, trained to reconstruct the adjacency through an
     inner-product decoder; the state is the mean over node embeddings
-    (length k).  Training stops at the first non-finite clipped gradient."""
+    (length k).  Training stops at the first step ``clip_step`` skips."""
     if k < 1:
         raise ValueError("k must be >= 1")
     adj = correlation_adjacency(fs.values)

@@ -9,7 +9,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .clustering import cluster_columns
 from .dataset import (
     DEFAULT_MAX_DEPTH,
     UNARY_OPS,
@@ -124,16 +123,17 @@ def _top_by_mi(scores: Sequence[float], max_size: int) -> list[int]:
 
 def generation_step(
     fs: FeatureSet,
-    head: tuple[int, ...],
+    head_view: FeatureSet,
     op: str,
-    tail: tuple[int, ...] | None,
+    tail_view: FeatureSet | None,
     max_size: int,
     cache: MICache,
     cap: int = DEFAULT_CROSS_CAP,
     max_depth: int = DEFAULT_MAX_DEPTH,
 ) -> tuple[FeatureSet, GeneratedBatch]:
-    """Apply/cross and dedup, then keep at most ``max_size`` of the space's
-    and the batch's columns.
+    """Apply ``op`` to the head group's view of ``fs`` (crossing it with the
+    tail group's view for a binary op) and dedup, then keep at most
+    ``max_size`` of the space's and the batch's columns.
 
     The kept batch columns are the step's new columns: each is hashed here,
     once.  Every column is kept when they fit in ``max_size``; otherwise the
@@ -143,13 +143,11 @@ def generation_step(
     empty post-dedup batch leaves the feature set unchanged (signaled by the
     empty batch, not an error).
     """
-    head_view = cluster_columns(fs, head)
     if op in UNARY_OPS:
         batch = apply_unary(op, head_view, max_depth=max_depth)
     else:
-        if tail is None:
+        if tail_view is None:
             raise ValueError(f"binary operation {op!r} needs a tail cluster")
-        tail_view = cluster_columns(fs, tail)
         batch = cross_binary(op, head_view, tail_view, cache, cap=cap, max_depth=max_depth)
     batch = dedup(batch, fs)
     if len(batch) == 0:

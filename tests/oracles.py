@@ -10,7 +10,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from raft.dataset import FeatureSet, TaskKind
+from raft.dataset import DatasetError, FeatureSet, TaskKind
 from raft.evaluator import MAX_BINS, ForestConfig
 from raft.info_metrics import PairwiseDistanceKind, as_labels, column_distances, content_hash
 from raft.neural_core import DenseNet, derive_seed, init_dense, init_gcn
@@ -290,6 +290,47 @@ def mean_linkage_oracle(scores: np.ndarray) -> list[tuple[float, int, int]]:
                 lo, hi = min(a, c), max(a, c)
                 dist[lo, hi] = np.mean(scores[np.ix_(members[lo], members[hi])])
     return merges
+
+
+# ---------------------------------------------------------------------------
+# train/valid split
+# ---------------------------------------------------------------------------
+
+def split_oracle(fs: FeatureSet, ratio: float, seed: int) -> tuple[FeatureSet, FeatureSet]:
+    """``split_train_valid`` as it was with two branches: a stratified loop
+    over the classes, and a separate unstratified shuffle of all the rows
+    when the target is a regression or a class has a single sample."""
+    if not 0.0 < ratio < 1.0:
+        raise DatasetError(f"split ratio must be in (0, 1), got {ratio}")
+    m = fs.n_rows
+    rng = np.random.default_rng(seed)
+    stratify = False
+    if fs.target.kind is TaskKind.CLASSIFICATION:
+        counts = np.bincount(fs.target.values)
+        counts = counts[counts > 0]
+        if np.all(counts >= 2):
+            stratify = True
+    if stratify:
+        train_parts = []
+        valid_parts = []
+        for label in np.unique(fs.target.values):
+            idx = np.flatnonzero(fs.target.values == label)
+            perm = idx[rng.permutation(idx.size)]
+            n_tr = math.floor(ratio * idx.size)
+            train_parts.append(perm[:n_tr])
+            valid_parts.append(perm[n_tr:])
+        train_idx = np.sort(np.concatenate(train_parts))
+        valid_idx = np.sort(np.concatenate(valid_parts))
+    else:
+        perm = rng.permutation(m)
+        n_tr = math.floor(ratio * m)
+        train_idx = np.sort(perm[:n_tr])
+        valid_idx = np.sort(perm[n_tr:])
+    if train_idx.size == 0 or valid_idx.size == 0:
+        raise DatasetError(f"ratio {ratio} produces an empty split for {m} rows")
+    if train_idx.size < 2 or valid_idx.size < 2:
+        raise DatasetError(f"ratio {ratio} leaves a split with fewer than 2 rows for {m} rows")
+    return fs.subset_rows(train_idx), fs.subset_rows(valid_idx)
 
 
 # ---------------------------------------------------------------------------

@@ -345,7 +345,7 @@ def test_a_lone_column_group_crosses_itself(monkeypatch, bench, encoder):
 
     def spy(fs, head, op, tail, *args, **kwargs):
         out = real_step(fs, head, op, tail, *args, **kwargs)
-        calls.append((fs.n_cols, head, op, tail, out[1].metas))
+        calls.append((fs.n_cols, head.keys == tail.keys == fs.keys, op, out[1].metas))
         return out
 
     monkeypatch.setattr(cli, "generation_step", spy)
@@ -353,11 +353,11 @@ def test_a_lone_column_group_crosses_itself(monkeypatch, bench, encoder):
     result = search(fs0, train, make_policy(train, bench), in_memory_context(fs0, train))
     firsts = [row for row in result.trace if row.step == 0]
     assert len(firsts) == 6 and all(row.head == row.tail == 0 for row in firsts)
-    crossed = [(op, metas) for n, head, op, tail, metas in calls if n == 1 and op in BINARY_OPS]
+    crossed = [(op, metas) for n, _, op, metas in calls if n == 1 and op in BINARY_OPS]
     assert any(metas for _, metas in crossed)  # some cross kept a column
     for op, metas in crossed:
         assert [meta.lineage for meta in metas] in ([], [Binary(op, Ident("x"), Ident("x"))])
-    assert all(head == tail == (0,) for n, head, _, tail, _ in calls if n == 1)
+    assert all(whole for n, whole, _, _ in calls if n == 1)  # head and tail view the column
 
 
 # ---------------------------------------------------------------------------
@@ -477,9 +477,9 @@ def test_every_input_class_fails_loudly_or_works(tmp_path, capsys, monkeypatch, 
     real_update = agents.update_agents
 
     def spy(bundles, episode, cfg):
-        updated, report = real_update(bundles, episode, cfg)
+        report = real_update(bundles, episode, cfg)
         reports.append(report)
-        return updated, report
+        return report
 
     monkeypatch.setattr(agents, "update_agents", spy)
     out = tmp_path / "out"
@@ -517,6 +517,17 @@ def test_a_class_with_one_sample_exits_0_or_3_on_every_seed(tmp_path, capsys):
     assert {3, 12, 17} <= {seed for seed, code in codes.items() if code == 3}
     assert "data error: classification training target has a single class" in \
         capsys.readouterr().err
+
+
+def test_the_unstratified_fallback_is_logged_once_per_run(tmp_path, caplog):
+    header, rows = product_sign_table(80)
+    rows[0][-1] = "2"  # a third class of one row: no split of this table is stratified
+    path = _write_table(tmp_path / "input.csv", header, rows)
+    with caplog.at_level("WARNING"):
+        assert main(["run", "--input", str(path), "--target", "label", "--out",
+                     str(tmp_path / "out"), "--episodes", "2", "--steps", "4"]) == 0
+    assert [r.message for r in caplog.records if "unstratified" in r.message] == [
+        "a class has a single sample; falling back to unstratified split"]
 
 
 def test_a_feature_named_like_the_target_exits_3(tmp_path, capsys):

@@ -4,7 +4,6 @@ import pytest
 from raft.clustering import (
     ClusterSet,
     adaptive_cluster,
-    cluster_columns,
     cut,
     merge_sequence,
     pair_score_matrix,
@@ -198,6 +197,8 @@ def test_cluster_set_rejects_bad_partition():
         ClusterSet(((0, 2),))
     with pytest.raises(ValueError):
         ClusterSet(((1, 0),))
+    with pytest.raises(ValueError, match="nonempty"):
+        ClusterSet(((0, 1), ()))
 
 
 def test_adaptive_cluster_returns_at_least_two_groups_when_possible():
@@ -223,36 +224,3 @@ def test_adaptive_cluster_single_column():
     got = adaptive_cluster(fs, EUC, delta=1.0, cache=MICache(4))
     assert got.groups == ((0,),)
 
-
-# ---------------------------------------------------------------------------
-# cluster_columns
-# ---------------------------------------------------------------------------
-
-def test_cluster_columns_single():
-    rng = np.random.default_rng(9)
-    fs = random_feature_set(rng, 10, 3)
-    view = cluster_columns(fs, (0,))
-    assert view.n_cols == 1
-    assert view.columns[0] is fs.columns[0]
-    np.testing.assert_array_equal(view.values[:, 0], fs.values[:, 0])
-
-
-def test_cluster_columns_preserves_order():
-    rng = np.random.default_rng(10)
-    fs = random_feature_set(rng, 10, 3)
-    view = cluster_columns(fs, (0, 2))
-    assert view.names() == [fs.columns[0].name, fs.columns[2].name]
-
-
-def test_cluster_columns_empty_rejected():
-    rng = np.random.default_rng(11)
-    fs = random_feature_set(rng, 10, 3)
-    with pytest.raises(ValueError):
-        cluster_columns(fs, ())
-
-
-def test_cluster_columns_out_of_range():
-    rng = np.random.default_rng(12)
-    fs = random_feature_set(rng, 10, 3)
-    with pytest.raises(IndexError):
-        cluster_columns(fs, (0, 7))

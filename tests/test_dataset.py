@@ -33,7 +33,7 @@ from raft.dataset import (
     write_csv,
 )
 from raft.info_metrics import mutual_information
-from oracles import discretize_oracle, discretize_quantile_oracle
+from oracles import discretize_oracle, discretize_quantile_oracle, split_oracle
 
 
 def write(path, text):
@@ -444,14 +444,47 @@ def test_split_empty_rejected():
         split_train_valid(fs, 0.95, seed=0)
 
 
-def test_split_single_sample_class_falls_back(caplog):
+def test_split_single_sample_class_falls_back():
     cols = (FeatureMeta.from_lineage(Ident("a")),)
     labels = np.array([0, 0, 0, 0, 0, 0, 0, 0, 0, 1], dtype=np.int64)
     fs = FeatureSet(np.arange(10, dtype=float)[:, None], cols,
                     Target(labels, TaskKind.CLASSIFICATION, "y"))
-    with caplog.at_level("WARNING"):
-        split_train_valid(fs, 0.8, seed=0)
-    assert any("unstratified" in r.message for r in caplog.records)
+    assert fs.target.lone_class
+    tr, va = split_train_valid(fs, 0.8, seed=0)
+    perm = np.random.default_rng(0).permutation(10)  # one stratum: every row
+    np.testing.assert_array_equal(tr.values[:, 0], np.sort(perm[:8]))
+    np.testing.assert_array_equal(va.values[:, 0], np.sort(perm[8:]))
+
+
+@st.composite
+def split_cases(draw):
+    m = draw(st.integers(4, 59))
+    if draw(st.booleans()):
+        y = np.array(draw(st.lists(st.floats(-10, 10, allow_nan=False), min_size=m, max_size=m)))
+        kind = TaskKind.REGRESSION
+    else:
+        k = draw(st.integers(1, 6))
+        y = np.array(draw(st.lists(st.integers(0, k - 1), min_size=m, max_size=m)))
+        if draw(st.booleans()):
+            y[draw(st.integers(0, m - 1))] = k  # a class of one row
+        kind = TaskKind.CLASSIFICATION
+    fs = FeatureSet(np.arange(2.0 * m).reshape(m, 2), tuple(
+        FeatureMeta.from_lineage(Ident(n)) for n in "ab"), Target(y, kind, "y"))
+    ratio = draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    return fs, ratio, draw(st.integers(0, 2 ** 32))
+
+
+def _split_or_error(split, fs, ratio, seed):
+    try:
+        return [(s.values.tobytes(), s.target.values.tobytes()) for s in split(fs, ratio, seed)]
+    except DatasetError as exc:
+        return str(exc)
+
+
+@given(split_cases())
+@settings(max_examples=300, deadline=None)
+def test_split_equals_the_two_branch_oracle(case):
+    assert _split_or_error(split_train_valid, *case) == _split_or_error(split_oracle, *case)
 
 
 # ---------------------------------------------------------------------------

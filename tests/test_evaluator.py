@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from raft import evaluator
-from raft.dataset import FeatureMeta, FeatureSet, Ident, Target, TaskKind
+from raft.dataset import FeatureMeta, FeatureSet, Ident, NumericError, Target, TaskKind
 from raft.evaluator import (
     MAX_BINS,
     ForestConfig,
@@ -18,7 +18,6 @@ from raft.evaluator import (
     metric_only,
     predict,
 )
-from raft.neural_core import NumericError
 
 from oracles import binned_forest_oracle, forest_oracle, forest_predict_oracle
 

@@ -3,7 +3,9 @@ defines at its top level, is read in that module.  Only ``dataset.py``
 chooses a memory layout: ``FeatureSet`` stores every matrix column-major.
 The search core, ``cli.search``, touches no file: only the driver
 (``cli.py``), the data layer (``dataset.py``) and the fixtures
-(``synthetic.py``) read or write one.
+(``synthetic.py``) read or write one.  The modules' imports of each other
+form an acyclic graph, in which ``transform`` does not import ``clustering``
+and ``evaluator`` does not import ``neural_core``.
 
 ``__init__.py`` is left out of the import check: it imports names only to
 re-export them.
@@ -155,3 +157,65 @@ def test_the_search_core_touches_no_file():
 @pytest.mark.parametrize("module", [name for name in ALL_MODULES if name not in IO_MODULES])
 def test_only_the_driver_and_the_data_layer_touch_files(module):
     assert io_calls(ast.parse((SRC / module).read_text(encoding="utf-8"))) == []
+
+
+# (importer, imported) module pairs that must stay apart: a feature crossing
+# takes views, not clusters, and the forest needs no network code
+FORBIDDEN_IMPORTS = (("transform", "clustering"), ("evaluator", "neural_core"))
+
+
+def package_imports(sources: dict[str, str]) -> dict[str, set[str]]:
+    """Each module's relative imports (``from .x import y``, ``from . import x``)
+    of the package's other modules, by module name."""
+    graph = {}
+    for name, source in sources.items():
+        graph[name] = set()
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                graph[name].update([node.module] if node.module else
+                                   [alias.name for alias in node.names])
+    return graph
+
+
+def layer_faults(graph: dict[str, set[str]]) -> list[str]:
+    """Each forbidden import in ``graph``, and one import cycle if it has any."""
+    faults = [f"{a} imports {b}" for a, b in FORBIDDEN_IMPORTS if b in graph.get(a, ())]
+    done: set[str] = set()
+
+    def cycle_from(name: str, path: list[str]) -> list[str]:
+        if name in path:
+            return path[path.index(name):] + [name]
+        if name in done:
+            return []
+        for imported in sorted(graph.get(name, ())):
+            found = cycle_from(imported, path + [name])
+            if found:
+                return found
+        done.add(name)
+        return []
+
+    for name in sorted(graph):
+        cycle = cycle_from(name, [])
+        if cycle:
+            return faults + ["cycle " + " -> ".join(cycle)]
+    return faults
+
+
+def module_sources() -> dict[str, str]:
+    return {path.stem: path.read_text(encoding="utf-8") for path in SRC.glob("*.py")}
+
+
+def test_layer_faults_finds_forbidden_imports_and_cycles():
+    sources = module_sources()
+    sources["transform"] += "\nfrom .clustering import ClusterSet\n"
+    sources["evaluator"] += "\nfrom . import neural_core\n"
+    sources["dataset"] += "\nfrom .cli import main\n"  # cli imports dataset
+    faults = layer_faults(package_imports(sources))
+    assert faults[:2] == ["transform imports clustering", "evaluator imports neural_core"]
+    assert len(faults) == 3 and faults[2].startswith("cycle ")
+    cycle = faults[2].removeprefix("cycle ").split(" -> ")
+    assert cycle[0] == cycle[-1] and "dataset" in cycle and "cli" in cycle
+
+
+def test_the_layer_graph_is_acyclic_and_keeps_its_rules():
+    assert layer_faults(package_imports(module_sources())) == []

@@ -13,7 +13,6 @@ from raft.neural_core import (
     init_dense,
     init_gcn,
     log_softmax,
-    sgd_step,
     softmax,
     train_autoencoder,
 )
@@ -165,29 +164,8 @@ def test_backward_input_gradient_matches_fd():
 
 
 # ---------------------------------------------------------------------------
-# sgd_step
+# clip_step
 # ---------------------------------------------------------------------------
-
-def test_sgd_basic_step():
-    net = DenseNet(np.array([0.5, 0.0, 0.0, 0.0]), 1, 1, 1)
-    out = sgd_step(net, np.array([1.0, 0.0, 0.0, 0.0]), 0.1)
-    assert out.w1[0, 0] == pytest.approx(0.4, abs=1e-15)
-    assert net.w1[0, 0] == 0.5  # a copy was stepped
-
-
-def test_sgd_clips_by_global_norm():
-    net = zero_net(1, 1, 1)
-    out = sgd_step(net, np.array([10.0, 0.0, 0.0, 0.0]), 1.0)
-    assert out.w1[0, 0] == pytest.approx(-5.0, abs=1e-12)  # CLIP_NORM: step uses g / 2
-
-
-def test_sgd_skips_nan_gradients(caplog):
-    net = zero_net(1, 1, 1)
-    with caplog.at_level("WARNING"):
-        out = sgd_step(net, np.array([np.nan, 0.0, 0.0, 0.0]), 1.0)
-    assert out is net
-    assert any("non-finite" in r.message for r in caplog.records)
-
 
 def test_global_norm_and_clip():
     # w1 = [[30]], b1 = [40], w2 = [[0]], b2 = [0]: joint norm 50, clipped to CLIP_NORM
@@ -342,7 +320,7 @@ def test_autoencoder_skips_a_step_whose_gradient_norm_overflows(caplog):
     assert len(skipped) == 6  # both nets, every epoch
 
 
-def test_sgd_step_matches_frozen_oracle_on_huge_and_nonfinite_gradients():
+def test_sgd_step_matches_frozen_oracle_on_huge_and_nonfinite_gradients(caplog):
     rng = np.random.default_rng(2025)
     applied = skipped = 0
     for i in range(200):
@@ -354,12 +332,16 @@ def test_sgd_step_matches_frozen_oracle_on_huge_and_nonfinite_gradients():
         elif i % 4 == 2:
             arrays[int(rng.integers(4))].flat[0] = rng.choice([np.inf, -np.inf, np.nan])
         lr = float(10.0 ** rng.uniform(-4.0, 0.0))
-        with np.errstate(all="ignore"):
-            got = sgd_step(net, np.concatenate([a.ravel() for a in arrays]), lr)
+        params = net.params.copy()
+        caplog.clear()
+        with caplog.at_level("WARNING"), np.errstate(all="ignore"):
+            stepped = clip_step(params, np.concatenate([a.ravel() for a in arrays]), net.bounds, lr)
             want = sgd_oracle(net, arrays, lr)
-        assert _net_bits(got) == _net_bits(want), i
-        applied += want is not net
-        skipped += want is net
+        assert params.tobytes() == want.params.tobytes(), i
+        assert stepped == (want is not net), i
+        assert len([r for r in caplog.records if "non-finite" in r.message]) == (not stepped), i
+        applied += stepped
+        skipped += not stepped
     assert applied > 100 and skipped == 50
 
 

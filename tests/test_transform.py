@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from raft.clustering import cluster_columns
 from raft.dataset import (
     BINARY_OPS,
     OPS,
@@ -100,8 +99,8 @@ def test_apply_unary_respects_depth_bound():
 
 def test_cross_plus_single_pair():
     fs = make_fs([[1.0, 10.0], [2.0, 20.0], [3.0, 30.0]], names=["a", "b"])
-    head = cluster_columns(fs, (0,))
-    tail = cluster_columns(fs, (1,))
+    head = fs.take((0,))
+    tail = fs.take((1,))
     batch = cross_binary("+", head, tail, run_cache(fs))
     assert [m.name for m in batch.metas] == ["(a + b)"]
     np.testing.assert_array_equal(batch.columns[0], [11.0, 22.0, 33.0])
@@ -109,8 +108,8 @@ def test_cross_plus_single_pair():
 
 def test_cross_head_major_order_and_count():
     fs = make_fs(np.arange(30.0).reshape(6, 5), names=list("abcde"))
-    head = cluster_columns(fs, (0, 1))
-    tail = cluster_columns(fs, (2, 3, 4))
+    head = fs.take((0, 1))
+    tail = fs.take((2, 3, 4))
     batch = cross_binary("-", head, tail, run_cache(fs), cap=10)
     assert len(batch) == 6
     assert [m.name for m in batch.metas] == [
@@ -126,8 +125,8 @@ def test_cross_cap_keeps_highest_mi_pairs():
     noise2 = rng.standard_normal(40)
     fs = make_fs(np.column_stack([informative, noise1, noise2, y]), y=y,
                  names=["good", "n1", "n2", "copy"])
-    head = cluster_columns(fs, (0, 1))   # good, n1
-    tail = cluster_columns(fs, (2, 3))   # n2, copy
+    head = fs.take((0, 1))   # good, n1
+    tail = fs.take((2, 3))   # n2, copy
     batch = cross_binary("+", head, tail, MICache(4), cap=1)
     assert len(batch) == 1
     assert batch.metas[0].name == "(good + copy)"  # highest MI-sum pair survives
@@ -135,8 +134,8 @@ def test_cross_cap_keeps_highest_mi_pairs():
 
 def test_cross_divide_safe():
     fs = make_fs([[1.0, 0.0], [4.0, 2.0], [9.0, 3.0]], names=["a", "b"])
-    head = cluster_columns(fs, (0,))
-    tail = cluster_columns(fs, (1,))
+    head = fs.take((0,))
+    tail = fs.take((1,))
     batch = cross_binary("/", head, tail, run_cache(fs))
     np.testing.assert_array_equal(batch.columns[0], [0.0, 2.0, 3.0])
 
@@ -147,8 +146,8 @@ def test_cross_divide_safe():
 
 def test_dedup_drops_value_equal_columns():
     fs = make_fs([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]], names=["a", "b"])
-    head = cluster_columns(fs, (0,))
-    tail = cluster_columns(fs, (1,))
+    head = fs.take((0,))
+    tail = fs.take((1,))
     plus = cross_binary("+", head, tail, run_cache(fs))
     fs_with = fs.with_columns(
         np.concatenate([fs.values, plus.columns[0][:, None]], axis=1),
@@ -276,7 +275,8 @@ def test_select_output_is_subsequence():
 def test_generation_step_unary_grows_by_head_size():
     rng = np.random.default_rng(4)
     fs = random_feature_set(rng, 25, 4)
-    out, batch = generation_step(fs, (0, 2), "square", None, max_size=100, cache=run_cache(fs))
+    out, batch = generation_step(fs, fs.take((0, 2)), "square", None, max_size=100,
+                                 cache=run_cache(fs))
     assert len(batch) == 2
     assert out.n_cols == 6
 
@@ -284,7 +284,8 @@ def test_generation_step_unary_grows_by_head_size():
 def test_generation_step_respects_max_size():
     rng = np.random.default_rng(5)
     fs = random_feature_set(rng, 25, 4)
-    out, _ = generation_step(fs, (0, 1), "*", (2, 3), max_size=5, cache=run_cache(fs))
+    out, _ = generation_step(fs, fs.take((0, 1)), "*", fs.take((2, 3)), max_size=5,
+                             cache=run_cache(fs))
     assert out.n_cols == 5
 
 
@@ -292,8 +293,9 @@ def test_generation_step_duplicate_only_batch_is_noop():
     rng = np.random.default_rng(6)
     fs = random_feature_set(rng, 25, 2)
     cache = run_cache(fs)
-    out1, batch1 = generation_step(fs, (0, 1), "square", None, max_size=100, cache=cache)
-    out2, batch2 = generation_step(out1, (0, 1), "square", None, max_size=100, cache=cache)
+    out1, batch1 = generation_step(fs, fs.take((0, 1)), "square", None, max_size=100, cache=cache)
+    out2, batch2 = generation_step(out1, out1.take((0, 1)), "square", None, max_size=100,
+                                   cache=cache)
     assert len(batch2) == 0
     assert out2 is out1
 
@@ -302,7 +304,8 @@ def test_generation_step_assembles_a_column_major_space_on_both_branches():
     rng = np.random.default_rng(31)
     fs = random_feature_set(rng, 30, 4)
     for max_size in (100, 5):  # every column kept, then a selection past max_size
-        out, batch = generation_step(fs, (0, 1), "*", (2, 3), max_size, run_cache(fs))
+        out, batch = generation_step(fs, fs.take((0, 1)), "*", fs.take((2, 3)), max_size,
+                                     run_cache(fs))
         assert out.n_cols == min(max_size, fs.n_cols + len(batch)) > 1
         assert out.values.flags.f_contiguous and not out.values.flags.writeable
 
@@ -311,7 +314,7 @@ def test_generation_step_binary_requires_tail():
     rng = np.random.default_rng(7)
     fs = random_feature_set(rng, 25, 3)
     with pytest.raises(ValueError, match="tail"):
-        generation_step(fs, (0,), "+", None, max_size=10, cache=run_cache(fs))
+        generation_step(fs, fs.take((0,)), "+", None, max_size=10, cache=run_cache(fs))
 
 
 def step_and_oracle(fs, head, op, tail, max_size, cap, warm):
@@ -323,11 +326,10 @@ def step_and_oracle(fs, head, op, tail, max_size, cap, warm):
     cache = MICache(bins)
     if warm:  # as in a search, where clustering has read every column's MI
         cache.mi(fs.values.T, fs.keys, fs.target)
-    out, batch = generation_step(fs, head, op, tail, max_size, cache, cap=cap)
-    head_view = cluster_columns(fs, head)
+    head_view, tail_view = fs.take(head), tail and fs.take(tail)
+    out, batch = generation_step(fs, head_view, op, tail_view, max_size, cache, cap=cap)
     want_batch = dedup(apply_unary(op, head_view) if op in UNARY_OPS else
-                       cross_binary(op, head_view, cluster_columns(fs, tail), MICache(bins), cap=cap),
-                       fs)
+                       cross_binary(op, head_view, tail_view, MICache(bins), cap=cap), fs)
     want = appended_then_selected_oracle(fs, want_batch, max_size, bins)
     assert [c.tobytes() for c in batch.columns] == [c.tobytes() for c in want_batch.columns]
     assert batch.metas == want_batch.metas
@@ -403,7 +405,7 @@ def test_one_generation_step_stays_within_its_memory_bound():
     cache.mi(fs.values.T, fs.keys, fs.target)  # as clustering does before each step
     tracemalloc.start()
     try:
-        out, batch = generation_step(fs, tuple(range(8)), "*", tuple(range(8, 16)), 32, cache)
+        out, batch = generation_step(fs, fs.take(range(8)), "*", fs.take(range(8, 16)), 32, cache)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -420,9 +422,9 @@ def test_generated_columns_round_trip_through_lineage():
     fs0 = random_feature_set(rng, 30, 4)
     originals = fs0.original_columns()
     cache = run_cache(fs0)
-    fs, _ = generation_step(fs0, (0, 1), "*", (2, 3), max_size=50, cache=cache)
-    fs, _ = generation_step(fs, (0, 2), "sqrt", None, max_size=50, cache=cache)
-    fs, _ = generation_step(fs, (1, 3), "/", (0, 2), max_size=50, cache=cache)
+    fs, _ = generation_step(fs0, fs0.take((0, 1)), "*", fs0.take((2, 3)), max_size=50, cache=cache)
+    fs, _ = generation_step(fs, fs.take((0, 2)), "sqrt", None, max_size=50, cache=cache)
+    fs, _ = generation_step(fs, fs.take((1, 3)), "/", fs.take((0, 2)), max_size=50, cache=cache)
     for i, meta in enumerate(fs.columns):
         recomputed = evaluate_lineage(meta.lineage, originals)
         np.testing.assert_array_equal(recomputed, fs.values[:, i],
@@ -440,9 +442,10 @@ def test_generated_values_always_finite(data, unary_op, binary_op):
     values = np.column_stack([col, np.linspace(-1.0, 1.0, m), np.zeros(m)])
     fs = make_fs(values, y=np.linspace(0.0, 1.0, m))
     cache = run_cache(fs)
-    out, _ = generation_step(fs, (0,), unary_op, None, max_size=50, cache=cache)
+    out, _ = generation_step(fs, fs.take((0,)), unary_op, None, max_size=50, cache=cache)
     assert np.all(np.isfinite(out.values))
-    out2, _ = generation_step(out, (0,), binary_op, (1, 2), max_size=50, cache=cache)
+    out2, _ = generation_step(out, out.take((0,)), binary_op, out.take((1, 2)), max_size=50,
+                              cache=cache)
     assert np.all(np.isfinite(out2.values))
 
 
@@ -452,6 +455,7 @@ def test_generated_depth_bounded():
     cache = run_cache(fs)
     for i in range(12):
         op = ("square", "+", "log", "*")[i % 4]
-        tail = (1,) if op in ("+", "*") else None
-        fs, _ = generation_step(fs, (0,), op, tail, max_size=20, cache=cache, max_depth=4)
+        tail = fs.take((1,)) if op in ("+", "*") else None
+        fs, _ = generation_step(fs, fs.take((0,)), op, tail, max_size=20, cache=cache,
+                                max_depth=4)
     assert max(lineage_depth(meta.lineage) for meta in fs.columns) <= 4
