@@ -33,10 +33,10 @@ from .dataset import DEFAULT_MAX_DEPTH, OPS, FeatureSet
 from .info_metrics import PairwiseDistanceKind
 from .neural_core import (
     DenseNet,
-    backward,
     clip_step,
+    dense_grads,
+    dense_pass,
     derive_seed,
-    forward,
     init_dense,
     log_softmax,
     softmax,
@@ -132,7 +132,7 @@ def make_bundles(state_len: int, cfg: TrainConfig,
 def _sample(actor: DenseNet, x: np.ndarray, rng: np.random.Generator) -> tuple[int, np.ndarray]:
     """An action drawn from the softmax of the actor's logits for ``x`` (a
     state's outputs, or each candidate row's one output), and that softmax."""
-    probs = softmax(forward(actor, x).reshape(-1))
+    probs = softmax(dense_pass(actor, np.atleast_2d(x))[2].reshape(-1))
     return int(rng.choice(probs.size, p=probs / probs.sum())), probs
 
 
@@ -216,20 +216,26 @@ def advantage_and_losses(
     n = len(transitions)
     if n < 1:
         raise ValueError("need at least one transition")
-    critic_grads = np.zeros_like(bundle.critic.params)
-    actor_grads = np.zeros_like(bundle.actor.params)
-    critic_loss = 0.0
-    actor_objective = 0.0
+    critic, actor = bundle.critic, bundle.actor
+    critic_grads, actor_grads = np.zeros_like(critic.params), np.zeros_like(actor.params)
+    # each transition's gradients land in one flat buffer per net, split once per call
+    critic_flat, actor_flat = np.empty_like(critic.params), np.empty_like(actor.params)
+    critic_out, actor_out = critic.split(critic_flat), actor.split(actor_flat)
+    critic_loss = actor_objective = 0.0
     for t in transitions:
-        v_s = float(forward(bundle.critic, t.state)[0])
-        v_next = float(forward(bundle.critic, t.next_state)[0])
-        delta = t.reward + gamma * v_next - v_s
+        state = np.atleast_2d(t.state)
+        z1, a1, v_s = dense_pass(critic, state)
+        v_next = dense_pass(critic, np.atleast_2d(t.next_state))[2]
+        delta = t.reward + gamma * float(v_next[0, 0]) - float(v_s[0, 0])
         critic_loss += delta * delta / n
-        critic_grads += backward(bundle.critic, t.state, np.array([-2.0 * delta / n]))[0]
-        actor_in = t.state if t.candidate_inputs is None else t.candidate_inputs
-        logit_vec = forward(bundle.actor, actor_in).reshape(-1)
+        dense_grads(critic, state, z1, a1, np.array([[-2.0 * delta / n]]), critic_out)
+        critic_grads += critic_flat
+        actor_in = state if t.candidate_inputs is None else t.candidate_inputs
+        z1, a1, logits = dense_pass(actor, actor_in)
+        logit_vec = logits.reshape(-1)
         dlogits, entropy = _actor_logit_grad(softmax(logit_vec), t.action, delta, beta)
-        actor_grads += backward(bundle.actor, actor_in, dlogits / n)[0]
+        dense_grads(actor, actor_in, z1, a1, (dlogits / n).reshape(logits.shape), actor_out)
+        actor_grads += actor_flat
         actor_objective += (float(log_softmax(logit_vec)[t.action]) * delta
                             + beta * entropy) / n
     return float(critic_loss), float(actor_objective), actor_grads, critic_grads

@@ -388,23 +388,23 @@ def metric_only(
         if denom == 0.0:
             return 1.0 if num == 0.0 else 0.0
         return 1.0 - num / denom
-    labels = np.unique(np.concatenate([y_true, y_pred])).astype(np.int64)
-    precisions, recalls, f1s = [], [], []
-    for label in labels:
-        tp = int(np.sum((y_pred == label) & (y_true == label)))
-        fp = int(np.sum((y_pred == label) & (y_true != label)))
-        fn = int(np.sum((y_pred != label) & (y_true == label)))
-        p = tp / (tp + fp) if tp + fp > 0 else 0.0
-        r = tp / (tp + fn) if tp + fn > 0 else 0.0
-        f = 2 * p * r / (p + r) if p + r > 0 else 0.0
-        precisions.append(p)
-        recalls.append(r)
-        f1s.append(f)
+    labels, codes = np.unique(np.concatenate([y_true, y_pred], axis=None), return_inverse=True)
+    k, n = labels.size, y_true.size
+    # rows are true labels, columns predicted ones, over every label either holds
+    confusion = np.bincount(codes[:n] * k + codes[n:], minlength=k * k).reshape(k, k)
+    tp = np.diagonal(confusion).astype(np.float64)
+    precision = _ratio(tp, confusion.sum(axis=0))
+    recall = _ratio(tp, confusion.sum(axis=1))
     if metric is MetricKind.PRECISION_MACRO:
-        return float(np.mean(precisions))
+        return float(np.mean(precision))
     if metric is MetricKind.RECALL_MACRO:
-        return float(np.mean(recalls))
-    return float(np.mean(f1s))
+        return float(np.mean(recall))
+    return float(np.mean(_ratio(2 * precision * recall, precision + recall)))
+
+
+def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """num / den per label, 0 where den is 0."""
+    return np.divide(num, den, out=np.zeros(num.shape), where=den > 0)
 
 
 def downstream_score(

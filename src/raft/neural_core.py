@@ -1,14 +1,15 @@
 """Two-layer dense networks with handwritten gradients, the graph
 convolution's weight and adjacency, and the autoencoder trainer.
 
-A ``DenseNet`` has no output head: ``forward`` returns the second affine
-output, and ``backward`` takes the loss gradient with respect to it (for the
-actors' softmax losses, the closed-form logit gradient, e.g. probs - onehot
-for negative log-likelihood).  A net keeps its parameters in one flat buffer,
-``params``, laid out as w1, b1, w2, b2; its four weight attributes are views
-into it.  A gradient is a flat array in the same layout.  A net's shape is
-fixed, but its ``params`` train in place: every gradient step, of the agents,
-the AE and the GAE alike, is one ``clip_step`` under the one ``CLIP_NORM``.
+A ``DenseNet`` has no output head.  ``dense_pass`` runs it on a (batch,
+in_size) input, and ``dense_grads`` differentiates that pass given the loss
+gradient with respect to its output (for the actors' softmax losses, the
+closed-form logit gradient, e.g. probs - onehot for negative log-likelihood).
+A net keeps its parameters in one flat buffer, ``params``, laid out as w1,
+b1, w2, b2; its four weight attributes are views into it.  A gradient is a
+flat array in the same layout.  A net's shape is fixed, but its ``params``
+train in place: every gradient step, of the agents, the AE and the GAE alike,
+is one ``clip_step`` under the one ``CLIP_NORM``.
 """
 
 from __future__ import annotations
@@ -93,18 +94,19 @@ def log_softmax(logits: np.ndarray) -> np.ndarray:
     return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
 
 
-def _dense_pass(net: DenseNet, x2: np.ndarray):
+def dense_pass(net: DenseNet, x2: np.ndarray):
     """(pre-activation, hidden activation, output) for a (batch, in_size) input."""
     z1 = x2 @ net.w1 + net.b1
     a1 = np.maximum(z1, 0.0)
     return z1, a1, a1 @ net.w2 + net.b2
 
 
-def _dense_grads(net: DenseNet, x2: np.ndarray, z1: np.ndarray, a1: np.ndarray,
-                 up: np.ndarray, out: Sequence[np.ndarray]) -> np.ndarray:
-    """Writes the batch-summed parameter gradients into ``out``, views shaped
-    like w1, b1, w2, b2 (``net.split`` of a gradient buffer); returns the
-    pre-activation gradient."""
+def dense_grads(net: DenseNet, x2: np.ndarray, z1: np.ndarray, a1: np.ndarray,
+                up: np.ndarray, out: Sequence[np.ndarray]) -> np.ndarray:
+    """Writes the batch-summed parameter gradients of ``dense_pass(net, x2)``,
+    given the (batch, out_size) output gradient ``up``, into ``out``: views
+    shaped like w1, b1, w2, b2 (``net.split`` of a gradient buffer).  Returns
+    the pre-activation gradient.  The ReLU subgradient at 0 is 0."""
     w1, b1, w2, b2 = out
     dz1 = (up @ net.w2.T) * (z1 > 0.0)
     np.matmul(x2.T, dz1, out=w1)
@@ -112,38 +114,6 @@ def _dense_grads(net: DenseNet, x2: np.ndarray, z1: np.ndarray, a1: np.ndarray,
     np.matmul(a1.T, up, out=w2)
     np.add.reduce(up, axis=0, out=b2)
     return dz1
-
-
-def forward(net: DenseNet, x: np.ndarray) -> np.ndarray:
-    """The second affine output: a vector for an input vector, a (batch,
-    out_size) matrix for a (batch, in_size) input."""
-    x = np.asarray(x, dtype=np.float64)
-    x2 = np.atleast_2d(x)
-    if x2.shape[1] != net.in_size:
-        raise ValueError(f"input size {x2.shape[1]} != expected {net.in_size}")
-    z2 = _dense_pass(net, x2)[2]
-    return z2[0] if x.ndim == 1 else z2
-
-
-def backward(net: DenseNet, x: np.ndarray, upstream) -> tuple[np.ndarray, np.ndarray]:
-    """Exact reverse-mode gradients of the two-layer composition: the flat
-    parameter gradient, in the layout of ``net.params``, and the input gradient.
-
-    ``upstream`` is the loss gradient w.r.t. ``forward``'s output, of any shape
-    holding one value per output (rows x ``out_size``).  Batched inputs return
-    parameter gradients summed over the batch and per-row input gradients.
-    The ReLU subgradient at 0 is 0.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    x2 = np.atleast_2d(x)
-    up = np.asarray(upstream, dtype=np.float64)
-    if up.size != x2.shape[0] * net.out_size:
-        raise ValueError("upstream gradient size does not match the forward output")
-    z1, a1, _ = _dense_pass(net, x2)
-    grads = np.empty_like(net.params)
-    dz1 = _dense_grads(net, x2, z1, a1, up.reshape(x2.shape[0], -1), net.split(grads))
-    dx = dz1 @ net.w1.T
-    return grads, (dx[0] if x.ndim == 1 else dx)
 
 
 def clip_step(params: np.ndarray, grads: np.ndarray, bounds: Sequence[int], lr: float) -> bool:
@@ -209,11 +179,11 @@ def train_autoencoder(
     # share of an AE miss, which is many small-array steps
     enc_grads, dec_grads = encoder.split(enc_flat), decoder.split(dec_flat)
     for _ in range(epochs):
-        enc_z1, enc_a1, z = _dense_pass(encoder, data)
-        dec_z1, dec_a1, recon = _dense_pass(decoder, z)
+        enc_z1, enc_a1, z = dense_pass(encoder, data)
+        dec_z1, dec_a1, recon = dense_pass(decoder, z)
         upstream = 2.0 * (recon - data) / (b * dim)
-        dec_dz1 = _dense_grads(decoder, z, dec_z1, dec_a1, upstream, dec_grads)
-        _dense_grads(encoder, data, enc_z1, enc_a1, dec_dz1 @ decoder.w1.T, enc_grads)
+        dec_dz1 = dense_grads(decoder, z, dec_z1, dec_a1, upstream, dec_grads)
+        dense_grads(encoder, data, enc_z1, enc_a1, dec_dz1 @ decoder.w1.T, enc_grads)
         for net, flat in ((encoder, enc_flat), (decoder, dec_flat)):
             clip_step(net.params, flat, net.bounds, lr)
     return encoder, decoder

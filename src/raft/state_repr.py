@@ -14,7 +14,7 @@ from enum import Enum
 import numpy as np
 
 from .dataset import OPS, FeatureSet, linear_quantiles, read_only
-from .neural_core import (clip_step, derive_seed, forward, init_gcn, normalized_adjacency,
+from .neural_core import (clip_step, dense_pass, derive_seed, init_gcn, normalized_adjacency,
                           train_autoencoder)
 
 SI_LENGTH = 49
@@ -114,9 +114,9 @@ def state_ae(fs: FeatureSet, k: int, d: int, epochs: int, seed: int) -> np.ndarr
         raise ValueError("latent dims must be >= 1")
     summary = column_summary(fs.values)  # N samples of dimension SUMMARY_QUANTILES
     enc1, _ = train_autoencoder(summary, k, epochs, derive_seed(seed, "ae-cols"), _AE_LR)
-    z = forward(enc1, summary).T  # k x N
+    z = dense_pass(enc1, summary)[2].T  # k x N
     enc2, _ = train_autoencoder(z, d, epochs, derive_seed(seed, "ae-rows"), _AE_LR)
-    z2 = forward(enc2, z)  # k x d
+    z2 = dense_pass(enc2, z)[2]  # k x d
     return _finite(z2.reshape(-1))
 
 

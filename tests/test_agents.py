@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from raft import agents
 from raft.agents import (
     ActorCriticPolicy,
     AgentBundle,
@@ -21,7 +22,7 @@ from raft.agents import (
 from raft.dataset import OPS, default_bins
 from raft.evaluator import ForestConfig, MetricKind, downstream_score
 from raft.info_metrics import MICache, feature_set_quality, mutual_information
-from raft.neural_core import DenseNet, forward, init_dense, log_softmax, softmax
+from raft.neural_core import DenseNet, dense_pass, init_dense, log_softmax, softmax
 from raft.state_repr import state_op
 from raft.transform import generation_step
 from oracles import (assert_grads_close, net_of, numeric_gradients, random_feature_set,
@@ -208,7 +209,7 @@ def _loss_fns_for_fd(bundle, transitions, gamma, beta):
     original parameters, matching the semi-gradient update.
     """
     def value(net, state):
-        return float(forward(net, state)[0])
+        return float(dense_pass(net, state[None, :])[2][0, 0])
 
     targets = [t.reward + gamma * value(bundle.critic, t.next_state) for t in transitions]
 
@@ -226,9 +227,9 @@ def _loss_fns_for_fd(bundle, transitions, gamma, beta):
             v_n = value(bundle.critic, t.next_state)
             delta = t.reward + gamma * v_n - v_s
             if t.candidate_inputs is not None:
-                logit_vec = forward(net, t.candidate_inputs)[:, 0]
+                logit_vec = dense_pass(net, t.candidate_inputs)[2][:, 0]
             else:
-                logit_vec = forward(net, t.state)
+                logit_vec = dense_pass(net, t.state[None, :])[2][0]
             lp = log_softmax(logit_vec)
             probs = softmax(logit_vec)
             entropy = -float(np.sum(probs * np.log(probs)))
@@ -284,7 +285,7 @@ def test_reinforce_direction_at_gamma_zero():
     _, _, a_grads, _ = advantage_and_losses([t], bundle, gamma=0.0, beta=0.0)
 
     def reinforce_fn(net):
-        return 2.5 * float(log_softmax(forward(net, state))[1])
+        return 2.5 * float(log_softmax(dense_pass(net, state[None, :])[2][0])[1])
 
     assert_grads_close(a_grads, numeric_gradients(reinforce_fn, actor))
 
@@ -295,11 +296,11 @@ def test_update_raises_probability_of_positively_rewarded_action():
                       episodes=1, steps=1)
     bundles = make_bundles(2, cfg, rng)
     state = np.array([1.0, -0.5, 0.3, 0.8])
-    probs_before = softmax(forward(bundles[1].actor, state))
+    probs_before = softmax(dense_pass(bundles[1].actor, state[None, :])[2][0])
     action = 1
     ts = [Transition(state, action, reward=1.0, next_state=state)]
     update_agents(bundles, ([], ts, []), cfg)
-    probs_after = softmax(forward(bundles[1].actor, state))
+    probs_after = softmax(dense_pass(bundles[1].actor, state[None, :])[2][0])
     assert probs_after[action] >= probs_before[action]
 
 
@@ -389,6 +390,30 @@ def test_update_agents_matches_frozen_oracle_bit_for_bit(caplog):
         assert len([r for r in caplog.records if "non-finite loss" in r.message]) == len(bad), i
         skipped += len(bad)
     assert skipped >= 30
+
+
+def test_update_runs_each_pass_once_per_transition(monkeypatch):
+    # per transition: the critic on S and on S', the actor on its input, and
+    # one gradient per net of the passes already run
+    calls = {"dense_pass": 0, "dense_grads": 0}
+
+    def spy(name):
+        real = getattr(agents, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return real(*args)
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(agents, name, spy(name))
+    rng = np.random.default_rng(21)
+    cfg = TrainConfig(episodes=1, steps=1, hidden=4)
+    bundles = make_bundles(2, cfg, rng)
+    for bundle, batch in zip(bundles, _random_episode(rng, 2, len(OPS), [0.5, -1.0, 2.0])):
+        calls.update(dense_pass=0, dense_grads=0)
+        advantage_and_losses(batch, bundle, cfg.gamma, cfg.beta)
+        assert calls == {"dense_pass": 3 * len(batch), "dense_grads": 2 * len(batch)}
 
 
 def test_make_bundles_shapes():

@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from raft import evaluator
 from raft.dataset import FeatureMeta, FeatureSet, Ident, NumericError, Target, TaskKind
@@ -19,7 +21,8 @@ from raft.evaluator import (
     predict,
 )
 
-from oracles import binned_forest_oracle, forest_oracle, forest_predict_oracle
+from oracles import (binned_forest_oracle, classification_metric_oracle, forest_oracle,
+                     forest_predict_oracle)
 
 
 def clf_set(values, labels):
@@ -103,6 +106,25 @@ def test_macro_metrics_bounded():
                        MetricKind.RECALL_MACRO):
             v = metric_only(y_true, y_pred, metric)
             assert 0.0 <= v <= 1.0
+
+
+@st.composite
+def label_pairs(draw):
+    """(y_true, y_pred) integer labels; y_pred may hold labels y_true lacks."""
+    m = draw(st.integers(1, 40))
+    true_labels = st.integers(-3, 3)
+    y_true = draw(st.lists(true_labels, min_size=m, max_size=m))
+    y_pred = draw(st.lists(st.one_of(true_labels, st.integers(4, 9)), min_size=m, max_size=m))
+    return np.array(y_true), np.array(y_pred)
+
+
+@given(label_pairs())
+@settings(max_examples=300, deadline=None)
+def test_macro_metrics_match_the_per_label_oracle_bit_for_bit(pair):
+    y_true, y_pred = pair
+    for metric in (MetricKind.F1_MACRO, MetricKind.PRECISION_MACRO, MetricKind.RECALL_MACRO):
+        got = metric_only(y_true, y_pred, metric)
+        assert repr(got) == repr(classification_metric_oracle(y_true, y_pred, metric)), metric
 
 
 def test_default_metric():

@@ -1,6 +1,7 @@
 """Every name a ``raft`` module imports, and every private name (``_x``) it
-defines at its top level, is read in that module.  Only ``dataset.py``
-chooses a memory layout: ``FeatureSet`` stores every matrix column-major.
+defines at its top level, is read in that module, and no module imports
+another's private name.  Only ``dataset.py`` chooses a memory layout:
+``FeatureSet`` stores every matrix column-major.
 The search core, ``cli.search``, touches no file: only the driver
 (``cli.py``), the data layer (``dataset.py``) and the fixtures
 (``synthetic.py``) read or write one.  The modules' imports of each other
@@ -49,6 +50,10 @@ def unused_imports(source: str) -> list[str]:
     return sorted(imported - names_read(tree))
 
 
+def is_private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
 def unread_private_names(source: str) -> list[str]:
     """The private names (one leading underscore) that the module's top-level
     assignments, functions and classes bind and that no expression of the
@@ -63,7 +68,7 @@ def unread_private_names(source: str) -> list[str]:
                            if isinstance(n, ast.Name))
         elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
             defined.add(node.target.id)
-    private = {name for name in defined if name.startswith("_") and not name.startswith("__")}
+    private = {name for name in defined if is_private(name)}
     return sorted(private - names_read(tree))
 
 
@@ -90,6 +95,36 @@ def test_unread_private_names_finds_dead_definitions():
 @pytest.mark.parametrize("module", ALL_MODULES)
 def test_module_reads_every_private_name(module):
     assert unread_private_names((SRC / module).read_text(encoding="utf-8")) == []
+
+
+def private_imports(source: str) -> list[str]:
+    """The private names the module takes from the package's other modules,
+    as ``module.name``: ``from .m import _x``, or ``m._x`` after
+    ``from . import m``."""
+    tree = ast.parse(source)
+    found, modules = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            if node.module:
+                found.update(f"{node.module}.{alias.name}" for alias in node.names
+                             if is_private(alias.name))
+            else:
+                modules.update(alias.asname or alias.name for alias in node.names)
+    found.update(f"{node.value.id}.{node.attr}" for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                 and node.value.id in modules and is_private(node.attr))
+    return sorted(found)
+
+
+def test_private_imports_finds_each_form():
+    source = ("from .a import _b, c\nfrom . import d as e, f\nfrom os import _exit\n"
+              "from .g import __version__\nx = e._h + f.i + f.__doc__ + y._z + _b\n")
+    assert private_imports(source) == ["a._b", "e._h"]
+
+
+@pytest.mark.parametrize("module", ALL_MODULES)
+def test_no_module_imports_another_modules_private_name(module):
+    assert private_imports((SRC / module).read_text(encoding="utf-8")) == []
 
 
 def called_name(call: ast.Call) -> str:

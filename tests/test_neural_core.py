@@ -5,19 +5,19 @@ import pytest
 
 from raft.neural_core import (
     DenseNet,
-    backward,
     CLIP_NORM,
     clip_step,
+    dense_grads,
+    dense_pass,
     derive_seed,
-    forward,
     init_dense,
     init_gcn,
     log_softmax,
     softmax,
     train_autoencoder,
 )
-from oracles import (assert_grads_close, autoencoder_oracle, gcn_forward, net_of,
-                     numeric_gradients, reconstruction_loss, sgd_oracle)
+from oracles import (_dense_backward_oracle, assert_grads_close, autoencoder_oracle, gcn_forward,
+                     net_of, numeric_gradients, reconstruction_loss, sgd_oracle)
 
 
 def zero_net(in_size, hidden, out_size):
@@ -25,40 +25,66 @@ def zero_net(in_size, hidden, out_size):
                   np.zeros((hidden, out_size)), np.zeros(out_size))
 
 
+def out_of(net, x):
+    """``dense_pass``'s output for one input vector."""
+    return dense_pass(net, x[None, :])[2][0]
+
+
+def grads_of(net, x2, up):
+    """``dense_grads`` of one pass over the (batch, in_size) ``x2``: the flat
+    parameter gradient and the input gradient."""
+    z1, a1, _ = dense_pass(net, x2)
+    flat = np.empty_like(net.params)
+    dz1 = dense_grads(net, x2, z1, a1, up, net.split(flat))
+    return flat, dz1 @ net.w1.T
+
+
+def assert_matches_backward_oracle(net, x2, up):
+    flat, dx = grads_of(net, x2, up)
+    want, want_dx = _dense_backward_oracle(net, x2, up)
+    assert_grads_close(flat, np.concatenate([np.ravel(g) for g in want]),
+                       rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(dx, want_dx, rtol=1e-12, atol=1e-12)
+
+
 # ---------------------------------------------------------------------------
-# forward
+# dense_pass
 # ---------------------------------------------------------------------------
 
 def test_forward_zero_softmax_is_uniform():
     net = zero_net(3, 5, 4)
-    out = softmax(forward(net, np.zeros(3)))
+    out = softmax(out_of(net, np.zeros(3)))
     np.testing.assert_allclose(out, [0.25] * 4, atol=1e-15)
 
 
 def test_forward_zero_scalar_is_zero():
     net = zero_net(3, 5, 1)
-    np.testing.assert_array_equal(forward(net, np.ones(3)), [0.0])
+    np.testing.assert_array_equal(dense_pass(net, np.ones((1, 3)))[2], [[0.0]])
 
 
 def test_forward_matches_matrix_oracle():
     rng = np.random.default_rng(42)
     net = init_dense(3, 5, 2, rng)
-    x = rng.standard_normal(3)
-    want = np.maximum(x @ net.w1 + net.b1, 0.0) @ net.w2 + net.b2
-    np.testing.assert_allclose(forward(net, x), want, rtol=1e-12)
+    x = rng.standard_normal((1, 3))
+    z1 = x @ net.w1 + net.b1
+    want = np.maximum(z1, 0.0) @ net.w2 + net.b2
+    got = dense_pass(net, x)
+    np.testing.assert_allclose(got[0], z1, rtol=1e-12)
+    np.testing.assert_allclose(got[1], np.maximum(z1, 0.0), rtol=1e-12)
+    np.testing.assert_allclose(got[2], want, rtol=1e-12)
 
 
 def test_forward_shape_mismatch():
     net = zero_net(3, 4, 2)
     with pytest.raises(ValueError):
-        forward(net, np.zeros(5))
+        dense_pass(net, np.zeros((1, 5)))
 
 
 def test_softmax_outputs_are_probabilities():
     rng = np.random.default_rng(7)
     for _ in range(30):
         net = init_dense(4, 6, 5, rng)
-        p = softmax(forward(net, rng.standard_normal(4) * 3))
+        p = softmax(out_of(net, rng.standard_normal(4) * 3))
         assert abs(p.sum() - 1.0) <= 1e-9
         assert np.all(p > 0.0) and np.all(p < 1.0)
 
@@ -67,29 +93,19 @@ def test_forward_batch_matches_loop():
     rng = np.random.default_rng(8)
     net = init_dense(3, 4, 2, rng)
     xs = rng.standard_normal((6, 3))
-    batch = forward(net, xs)
+    batch = dense_pass(net, xs)[2]
     for i in range(6):
         # batched BLAS matmul may differ from the single-row path in the last ulp
-        np.testing.assert_allclose(batch[i], forward(net, xs[i]), rtol=1e-12)
-
-
-def test_forward_vector_is_row_zero_of_one_row_batch():
-    rng = np.random.default_rng(9)
-    for out_size in (1, 3):
-        net = init_dense(4, 5, out_size, rng)
-        x = rng.standard_normal(4)
-        vec, batch = forward(net, x), forward(net, x[None, :])
-        assert vec.shape == (out_size,) and batch.shape == (1, out_size)
-        assert vec.tobytes() == batch[0].tobytes()
+        np.testing.assert_allclose(batch[i], out_of(net, xs[i]), rtol=1e-12)
 
 
 # ---------------------------------------------------------------------------
-# backward
+# dense_grads
 # ---------------------------------------------------------------------------
 
 def test_backward_all_zero_gives_zero_grads():
     net = zero_net(3, 4, 1)
-    grads, dx = backward(net, np.zeros(3), 1.0)
+    grads, dx = grads_of(net, np.zeros((1, 3)), np.ones((1, 1)))
     w1, b1, w2, b2 = net.split(grads)
     for arr in (w1, b1, w2, dx):
         np.testing.assert_array_equal(arr, np.zeros_like(arr))
@@ -101,9 +117,10 @@ def test_backward_matches_finite_differences_scalar_head():
     for _ in range(10):
         net = init_dense(4, 5, 1, rng)
         x = rng.standard_normal(4)
-        analytic, _ = backward(net, x, 1.0)
-        numeric = numeric_gradients(lambda n: float(forward(n, x)[0]), net)
+        analytic, _ = grads_of(net, x[None, :], np.ones((1, 1)))
+        numeric = numeric_gradients(lambda n: float(out_of(n, x)[0]), net)
         assert_grads_close(analytic, numeric)
+        assert_matches_backward_oracle(net, x[None, :], np.ones((1, 1)))
 
 
 def test_backward_softmax_logprob_gradient_is_p_minus_onehot():
@@ -112,13 +129,14 @@ def test_backward_softmax_logprob_gradient_is_p_minus_onehot():
         net = init_dense(3, 6, 3, rng)
         x = rng.standard_normal(3)
         action = int(rng.integers(0, 3))
-        probs = softmax(forward(net, x))
+        probs = softmax(out_of(net, x))
         onehot = np.eye(3)[action]
         # gradient of -log p[action] w.r.t. logits is (p - onehot)
-        analytic, _ = backward(net, x, probs - onehot)
+        analytic, _ = grads_of(net, x[None, :], (probs - onehot)[None, :])
         numeric = numeric_gradients(
-            lambda n: -float(log_softmax(forward(n, x))[action]), net)
+            lambda n: -float(log_softmax(out_of(n, x))[action]), net)
         assert_grads_close(analytic, numeric)
+        assert_matches_backward_oracle(net, x[None, :], (probs - onehot)[None, :])
 
 
 def test_backward_batch_sums_over_rows():
@@ -126,41 +144,23 @@ def test_backward_batch_sums_over_rows():
     net = init_dense(3, 4, 2, rng)
     xs = rng.standard_normal((5, 3))
     ups = rng.standard_normal((5, 2))
-    batch_grads, _ = backward(net, xs, ups)
-    total = sum(backward(net, xs[i], ups[i])[0] for i in range(5))
+    batch_grads, _ = grads_of(net, xs, ups)
+    total = sum(grads_of(net, xs[i:i + 1], ups[i:i + 1])[0] for i in range(5))
     assert_grads_close(batch_grads, total, rtol=1e-12, atol=1e-12)
-
-
-def test_backward_rejects_upstream_of_wrong_size():
-    net = init_dense(3, 4, 2, np.random.default_rng(5))
-    for x, upstream in ((np.zeros(3), np.zeros(3)), (np.zeros((4, 3)), np.zeros((3, 2))),
-                        (np.zeros((2, 3)), 1.0)):
-        with pytest.raises(ValueError, match="upstream gradient size"):
-            backward(net, x, upstream)
-
-
-def test_backward_accepts_flat_upstream_for_a_one_output_batch():
-    rng = np.random.default_rng(6)
-    net = init_dense(3, 4, 1, rng)
-    xs = rng.standard_normal((5, 3))
-    ups = rng.standard_normal(5)
-    flat_grads, flat_dx = backward(net, xs, ups)
-    col_grads, col_dx = backward(net, xs, ups[:, None])
-    assert flat_grads.tobytes() == col_grads.tobytes()
-    assert flat_dx.tobytes() == col_dx.tobytes()
+    assert_matches_backward_oracle(net, xs, ups)
 
 
 def test_backward_input_gradient_matches_fd():
     rng = np.random.default_rng(4)
     net = init_dense(4, 5, 1, rng)
     x = rng.standard_normal(4)
-    _, dx = backward(net, x, 1.0)
+    _, dx = grads_of(net, x[None, :], np.ones((1, 1)))
     h = 1e-5
     for i in range(4):
         xp = x.copy(); xp[i] += h
         xm = x.copy(); xm[i] -= h
-        fd = float(forward(net, xp)[0] - forward(net, xm)[0]) / (2 * h)
-        assert dx[i] == pytest.approx(fd, rel=1e-4, abs=1e-7)
+        fd = float(out_of(net, xp)[0] - out_of(net, xm)[0]) / (2 * h)
+        assert dx[0, i] == pytest.approx(fd, rel=1e-4, abs=1e-7)
 
 
 # ---------------------------------------------------------------------------
@@ -263,11 +263,11 @@ def test_autoencoder_gradient_step_matches_fd():
     rng = np.random.default_rng(14)
     data = rng.standard_normal((4, 3))
     enc, dec = train_autoencoder(data, latent=2, epochs=0, seed=15, lr=1e-3)
-    z = forward(enc, data)
-    upstream = 2.0 * (forward(dec, z) - data) / data.size
-    analytic, _ = backward(dec, z, upstream)
+    z = dense_pass(enc, data)[2]
+    upstream = 2.0 * (dense_pass(dec, z)[2] - data) / data.size
+    analytic, _ = grads_of(dec, z, upstream)
     numeric = numeric_gradients(
-        lambda n: float(np.mean((forward(n, z) - data) ** 2)), dec)
+        lambda n: float(np.mean((dense_pass(n, z)[2] - data) ** 2)), dec)
     assert_grads_close(analytic, numeric)
 
 
