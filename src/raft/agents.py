@@ -100,19 +100,15 @@ class AgentBundle:
 
 @dataclass
 class Transition:
-    """One agent step: critic state, sampled action, reward, bootstrap state.
-
-    For the cluster agents ``candidate_inputs`` holds the actor's per-candidate
-    input rows at selection time (the actor's effective state under a variable
-    action space); the operation agent leaves it None and feeds ``state``
-    straight into its softmax actor.
-    """
+    """One agent step: critic state, sampled action, reward, bootstrap state,
+    and the rows its actor scored at selection time: one per candidate for the
+    cluster agents, the one prefix row for the operation agent."""
 
     state: np.ndarray
     action: int
     reward: float
     next_state: np.ndarray
-    candidate_inputs: np.ndarray | None = None
+    actor_rows: np.ndarray
 
 
 def make_bundles(state_len: int, cfg: TrainConfig,
@@ -230,11 +226,10 @@ def advantage_and_losses(
         critic_loss += delta * delta / n
         dense_grads(critic, state, z1, a1, np.array([[-2.0 * delta / n]]), critic_out)
         critic_grads += critic_flat
-        actor_in = state if t.candidate_inputs is None else t.candidate_inputs
-        z1, a1, logits = dense_pass(actor, actor_in)
+        z1, a1, logits = dense_pass(actor, t.actor_rows)
         logit_vec = logits.reshape(-1)
         dlogits, entropy = _actor_logit_grad(softmax(logit_vec), t.action, delta, beta)
-        dense_grads(actor, actor_in, z1, a1, (dlogits / n).reshape(logits.shape), actor_out)
+        dense_grads(actor, t.actor_rows, z1, a1, (dlogits / n).reshape(logits.shape), actor_out)
         actor_grads += actor_flat
         actor_objective += (float(log_softmax(logit_vec)[t.action]) * delta
                             + beta * entropy) / n
@@ -321,7 +316,7 @@ class ActorCriticPolicy:
         pos, _, tail_rows = select_tail(self.bundles[2], prefix_tail,
                                         [groups[i] for i in tails], self.rng)
         # each agent's (state, action, actor rows), and the states the next prefixes reuse
-        self._pending = (((s_f, head, head_rows), (prefix_op, op, None),
+        self._pending = (((s_f, head, head_rows), (prefix_op, op, prefix_op[None, :]),
                           (prefix_tail, pos, tail_rows)), groups[head], s_op)
         return head, OPS[op], tails[pos]
 

@@ -3,11 +3,12 @@
 ``search(fs0, train, policy, evalctx)`` is the core, the paper's loop over an
 in-memory space: cluster the columns, let the policy pick the head group, the
 operation and the tail group, generate features, score them, and hand the
-rewards back to the policy.  It reads and writes no file.  ``run_search(cfg)``
-is ``raft run``'s driver: it loads the CSV, resolves the task, metric, bins and
-seeds, builds the caches and the policy (the learned cascade,
-``agents.ActorCriticPolicy``, or with ``--bench`` the uniform-random control,
-``agents.RandomPolicy``), and calls ``search``.  Each config key is declared
+rewards back to the policy.  It reads and writes no file.
+``prepare(fs0, train, metric, bench)`` builds what a search of ``fs0`` needs:
+the metric, the bins, the seeds and the caches, and the policy (the learned
+cascade, ``agents.ActorCriticPolicy``, or with ``bench`` the uniform-random
+control, ``agents.RandomPolicy``).  ``run_search(cfg)`` is ``raft run``'s
+driver: ``load_csv``, ``prepare`` and ``search``.  Each config key is declared
 once, as a ``RunConfig`` or ``TrainConfig`` field; the flags, the config-file
 keys and ``config.echo`` are derived from the fields, and one function turns a
 key's text into its value, from a flag or a file line alike.  Output files are
@@ -202,24 +203,30 @@ def search(fs0: FeatureSet, train: TrainConfig, policy, evalctx: EvalContext) ->
     )
 
 
-def run_search(cfg: RunConfig) -> RunResult:
-    """Load the CSV, resolve the task, metric, bins and seeds, build the caches
-    and the policy, and ``search``; ``wall_time`` counts all of it."""
-    started = time.perf_counter()
-    train = cfg.train
-    fs0 = load_csv(cfg.input_path, cfg.target, task=cfg.task, impute=cfg.impute)
+def prepare(fs0: FeatureSet, train: TrainConfig, metric: MetricKind | None = None,
+            bench: bool = False) -> tuple[RandomPolicy | ActorCriticPolicy, EvalContext]:
+    """A search's policy and caches: ``metric`` (None: the task's default; one
+    of the other task is a ConfigError), the MI bins, and ``train.seed``'s split,
+    forest and action streams; ``bench`` gives the uniform-random control."""
     if fs0.target.lone_class:
         logger.warning("a class has a single sample; falling back to unstratified split")
     task = fs0.target.kind
-    metric = cfg.metric if cfg.metric is not None else default_metric(task)
+    metric = metric if metric is not None else default_metric(task)
     if metric.task is not task:
         raise ConfigError(f"metric {metric.value} incompatible with a {task.value} target")
     bins = train.bins if train.bins is not None else default_bins(fs0.n_rows)
     evalctx = EvalContext(metric, derive_seed(train.seed, "split"),
                           ForestConfig(seed=derive_seed(train.seed, "forest")), MICache(bins))
     action_rng = np.random.default_rng(derive_seed(train.seed, "actions"))
-    policy = RandomPolicy(action_rng) if cfg.bench else ActorCriticPolicy(train, action_rng)
-    result = search(fs0, train, policy, evalctx)
+    policy = RandomPolicy(action_rng) if bench else ActorCriticPolicy(train, action_rng)
+    return policy, evalctx
+
+
+def run_search(cfg: RunConfig) -> RunResult:
+    """``load_csv``, ``prepare`` and ``search``; ``wall_time`` counts all of it."""
+    started = time.perf_counter()
+    fs0 = load_csv(cfg.input_path, cfg.target, task=cfg.task, impute=cfg.impute)
+    result = search(fs0, cfg.train, *prepare(fs0, cfg.train, cfg.metric, cfg.bench))
     result.wall_time = time.perf_counter() - started
     return result
 

@@ -25,19 +25,14 @@ def squared_sum_regression(
     return FeatureSet(values, columns, Target(y, TaskKind.REGRESSION, "y"))
 
 
-def two_class_blobs(m: int = 80, n_features: int = 4, seed: int = 7) -> FeatureSet:
-    """Linearly separable-ish two-class classification fixture."""
+def product_sign_classification(m: int, n_features: int, seed: int) -> FeatureSet:
+    """Standard-normal features x0.., label = [x0*x1 + x2 > 0]: no single column
+    separates the classes, so crossing features pays off."""
     rng = np.random.default_rng(seed)
-    half = m // 2
-    a = rng.standard_normal((half, n_features)) + 2.0
-    b = rng.standard_normal((m - half, n_features)) - 2.0
-    values = np.vstack([a, b])
-    labels = np.concatenate([np.zeros(half, dtype=np.int64),
-                             np.ones(m - half, dtype=np.int64)])
-    perm = rng.permutation(m)
+    values = rng.standard_normal((m, n_features))
+    labels = (values[:, 0] * values[:, 1] + values[:, 2] > 0.0).astype(np.int64)
     columns = tuple(FeatureMeta.from_lineage(Ident(f"x{i}")) for i in range(n_features))
-    return FeatureSet(values[perm], columns,
-                      Target(labels[perm], TaskKind.CLASSIFICATION, "label"))
+    return FeatureSet(values, columns, Target(labels, TaskKind.CLASSIFICATION, "label"))
 
 
 def write_fixture(fs: FeatureSet, path: str | Path) -> Path:

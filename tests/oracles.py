@@ -10,7 +10,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from raft.dataset import DatasetError, FeatureSet, TaskKind
+from raft.dataset import DatasetError, FeatureMeta, FeatureSet, Ident, Target, TaskKind
 from raft.evaluator import MAX_BINS, ForestConfig, MetricKind
 from raft.info_metrics import PairwiseDistanceKind, as_labels, column_distances, content_hash
 from raft.neural_core import DenseNet, derive_seed, init_dense, init_gcn
@@ -875,8 +875,7 @@ def advantage_and_losses_oracle(transitions, actor: DenseNet, critic: DenseNet, 
         critic_loss += delta * delta / n
         critic_grads = _grads_add(critic_grads, _oracle_param_grads(
             critic, t.state, np.array([-2.0 * delta / n])))
-        actor_in = t.state if t.candidate_inputs is None else t.candidate_inputs
-        logit_vec = _oracle_logits(actor, actor_in).reshape(-1)
+        logit_vec = _oracle_logits(actor, t.actor_rows).reshape(-1)
         probs = _oracle_softmax(logit_vec)
         onehot = np.zeros_like(probs)
         onehot[t.action] = 1.0
@@ -884,7 +883,8 @@ def advantage_and_losses_oracle(transitions, actor: DenseNet, critic: DenseNet, 
             logp = np.where(probs > 0.0, np.log(probs), 0.0)
         entropy = -float(np.sum(probs * logp))
         dlogits = (onehot - probs) * delta + beta * (-probs * (logp + entropy))
-        actor_grads = _grads_add(actor_grads, _oracle_param_grads(actor, actor_in, dlogits / n))
+        actor_grads = _grads_add(actor_grads,
+                                 _oracle_param_grads(actor, t.actor_rows, dlogits / n))
         actor_objective += (float(_oracle_log_softmax(logit_vec)[t.action]) * delta
                             + beta * entropy) / n
     return float(critic_loss), float(actor_objective), actor_grads, critic_grads
@@ -948,8 +948,6 @@ def assert_grads_close(analytic: np.ndarray, numeric: np.ndarray, rtol: float = 
 
 def random_feature_set(rng: np.random.Generator, m: int, n: int,
                        classification: bool = False) -> FeatureSet:
-    from raft.dataset import FeatureMeta, Ident, Target, TaskKind
-
     values = rng.standard_normal((m, n))
     columns = tuple(FeatureMeta.from_lineage(Ident(f"c{i}")) for i in range(n))
     if classification:
@@ -960,6 +958,21 @@ def random_feature_set(rng: np.random.Generator, m: int, n: int,
     else:
         target = Target(rng.standard_normal(m), TaskKind.REGRESSION, "y")
     return FeatureSet(values, columns, target)
+
+
+def two_class_blobs(m: int = 80, n_features: int = 4, seed: int = 7) -> FeatureSet:
+    """Linearly separable-ish two-class classification fixture."""
+    rng = np.random.default_rng(seed)
+    half = m // 2
+    a = rng.standard_normal((half, n_features)) + 2.0
+    b = rng.standard_normal((m - half, n_features)) - 2.0
+    values = np.vstack([a, b])
+    labels = np.concatenate([np.zeros(half, dtype=np.int64),
+                             np.ones(m - half, dtype=np.int64)])
+    perm = rng.permutation(m)
+    columns = tuple(FeatureMeta.from_lineage(Ident(f"x{i}")) for i in range(n_features))
+    return FeatureSet(values[perm], columns,
+                      Target(labels[perm], TaskKind.CLASSIFICATION, "label"))
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,7 @@ import pytest
 
 from raft import agents
 from raft.agents import (
-    ActorCriticPolicy,
     AgentBundle,
-    RandomPolicy,
     TrainConfig,
     Transition,
     advantage_and_losses,
@@ -19,6 +17,7 @@ from raft.agents import (
     tail_candidates,
     update_agents,
 )
+from raft.cli import prepare
 from raft.dataset import OPS, default_bins
 from raft.evaluator import ForestConfig, MetricKind, downstream_score
 from raft.info_metrics import MICache, feature_set_quality, mutual_information
@@ -45,6 +44,11 @@ def zero_bundle(actor_in, actor_out, critic_in, hidden=4):
 
 def sv(values):
     return np.asarray(values, dtype=float)
+
+
+def op_transition(state, action, reward, next_state):
+    """A transition whose actor scored its one state row, as the operation agent's does."""
+    return Transition(state, action, reward, next_state, state[None, :])
 
 
 # ---------------------------------------------------------------------------
@@ -111,8 +115,8 @@ def test_tail_candidates_are_every_other_group_or_the_lone_head():
 
 
 def test_policies_give_the_loop_only_choose_observe_and_end_episode():
-    rng = np.random.default_rng(0)
-    for policy in (RandomPolicy(rng), ActorCriticPolicy(TrainConfig(), rng)):
+    fs = random_feature_set(np.random.default_rng(0), 30, 3)
+    for policy in (prepare(fs, TrainConfig(), bench=bench)[0] for bench in (True, False)):
         methods = {name for name in dir(policy)
                    if not name.startswith("_") and callable(getattr(policy, name))}
         assert methods == {"choose", "observe", "end_episode"}, type(policy).__name__
@@ -174,7 +178,7 @@ def test_rewards_match_direct_recomputation():
 def test_losses_collapse_at_gamma_zero_with_zero_critic():
     bundle = zero_bundle(4, len(OPS), 4)
     state = np.array([1.0, -1.0, 0.5, 2.0])
-    t = Transition(state, 2, reward=0.7, next_state=state)
+    t = op_transition(state, 2, reward=0.7, next_state=state)
     critic_loss, actor_obj, _, _ = advantage_and_losses([t], bundle, gamma=0.0,
                                                         beta=1.0)
     # delta = r; L_c = r^2; L_a = log pi(a) * r + H(uniform over 7)
@@ -185,7 +189,7 @@ def test_losses_collapse_at_gamma_zero_with_zero_critic():
 def test_entropy_of_uniform_four_actions():
     bundle = zero_bundle(3, 4, 3)
     state = np.array([0.0, 0.0, 0.0])
-    t = Transition(state, 0, reward=0.0, next_state=state)
+    t = op_transition(state, 0, reward=0.0, next_state=state)
     _, actor_obj, _, _ = advantage_and_losses([t], bundle, gamma=0.0, beta=1.0)
     assert actor_obj == pytest.approx(math.log(4), abs=1e-12)  # delta = 0 leaves only H
 
@@ -195,8 +199,8 @@ def test_critic_loss_nonnegative():
     for _ in range(10):
         bundle = AgentBundle(
             init_dense(3, 4, 2, rng), init_dense(3, 4, 1, rng))
-        ts = [Transition(rng.standard_normal(3), int(rng.integers(0, 2)),
-                         float(rng.standard_normal()), rng.standard_normal(3))
+        ts = [op_transition(rng.standard_normal(3), int(rng.integers(0, 2)),
+                            float(rng.standard_normal()), rng.standard_normal(3))
               for _ in range(4)]
         critic_loss, _, _, _ = advantage_and_losses(ts, bundle, 0.9, 0.01)
         assert critic_loss >= 0.0
@@ -226,10 +230,7 @@ def _loss_fns_for_fd(bundle, transitions, gamma, beta):
             v_s = value(bundle.critic, t.state)
             v_n = value(bundle.critic, t.next_state)
             delta = t.reward + gamma * v_n - v_s
-            if t.candidate_inputs is not None:
-                logit_vec = dense_pass(net, t.candidate_inputs)[2][:, 0]
-            else:
-                logit_vec = dense_pass(net, t.state[None, :])[2][0]
+            logit_vec = dense_pass(net, t.actor_rows)[2].reshape(-1)
             lp = log_softmax(logit_vec)
             probs = softmax(logit_vec)
             entropy = -float(np.sum(probs * np.log(probs)))
@@ -244,8 +245,8 @@ def test_gradients_match_finite_differences_softmax_agent():
     for _ in range(10):
         bundle = AgentBundle(
             init_dense(4, 5, 3, rng), init_dense(4, 5, 1, rng))
-        ts = [Transition(rng.standard_normal(4), int(rng.integers(0, 3)),
-                         float(rng.standard_normal()), rng.standard_normal(4))
+        ts = [op_transition(rng.standard_normal(4), int(rng.integers(0, 3)),
+                            float(rng.standard_normal()), rng.standard_normal(4))
               for _ in range(3)]
         gamma, beta = 0.9, 0.05
         critic_loss, actor_obj, a_grads, c_grads = advantage_and_losses(
@@ -265,7 +266,7 @@ def test_gradients_match_finite_differences_candidate_agent():
         n_cands = int(rng.integers(2, 5))
         ts = [Transition(rng.standard_normal(3), int(rng.integers(0, n_cands)),
                          float(rng.standard_normal()), rng.standard_normal(3),
-                         candidate_inputs=rng.standard_normal((n_cands, 6)))
+                         actor_rows=rng.standard_normal((n_cands, 6)))
               for _ in range(3)]
         gamma, beta = 0.8, 0.02
         _, _, a_grads, c_grads = advantage_and_losses(ts, bundle, gamma, beta)
@@ -281,7 +282,7 @@ def test_reinforce_direction_at_gamma_zero():
     actor = init_dense(3, 4, 3, rng)
     bundle = AgentBundle(actor, zero_net(3, 4, 1))
     state = rng.standard_normal(3)
-    t = Transition(state, 1, reward=2.5, next_state=state)
+    t = op_transition(state, 1, reward=2.5, next_state=state)
     _, _, a_grads, _ = advantage_and_losses([t], bundle, gamma=0.0, beta=0.0)
 
     def reinforce_fn(net):
@@ -298,7 +299,7 @@ def test_update_raises_probability_of_positively_rewarded_action():
     state = np.array([1.0, -0.5, 0.3, 0.8])
     probs_before = softmax(dense_pass(bundles[1].actor, state[None, :])[2][0])
     action = 1
-    ts = [Transition(state, action, reward=1.0, next_state=state)]
+    ts = [op_transition(state, action, reward=1.0, next_state=state)]
     update_agents(bundles, ([], ts, []), cfg)
     probs_after = softmax(dense_pass(bundles[1].actor, state[None, :])[2][0])
     assert probs_after[action] >= probs_before[action]
@@ -308,7 +309,7 @@ def test_update_skips_on_nonfinite_loss(caplog):
     cfg = TrainConfig(episodes=1, steps=1)
     rng = np.random.default_rng(17)
     bundles = make_bundles(2, cfg, rng)
-    bad = Transition(np.full(4, 1.0), 0, reward=float("nan"), next_state=np.full(4, 1.0))
+    bad = op_transition(np.full(4, 1.0), 0, reward=float("nan"), next_state=np.full(4, 1.0))
     before = bundles[1].actor.params.tobytes()
     with caplog.at_level("WARNING"):
         update_agents(bundles, ([], [bad], []), cfg)
@@ -323,7 +324,7 @@ def test_update_agents_deterministic():
     b1 = make_bundles(2, cfg, rng1)
     b2 = make_bundles(2, cfg, rng2)
     state = np.array([0.3, 0.7, -0.2, 1.0])
-    ts = [Transition(state, 0, 0.5, state)]
+    ts = [op_transition(state, 0, 0.5, state)]
     update_agents(b1, ([], ts, []), cfg)
     update_agents(b2, ([], ts, []), cfg)
     np.testing.assert_array_equal(b1[1].actor.w1, b2[1].actor.w1)
@@ -340,8 +341,8 @@ def _random_episode(rng, state_len, n_ops, rewards):
         rows = candidates(2 * state_len)
         head.append(Transition(rng.standard_normal(state_len), int(rng.integers(len(rows))), r,
                                rng.standard_normal(state_len), rows))
-        op.append(Transition(rng.standard_normal(2 * state_len), int(rng.integers(n_ops)), r,
-                             rng.standard_normal(2 * state_len)))
+        op.append(op_transition(rng.standard_normal(2 * state_len), int(rng.integers(n_ops)), r,
+                                rng.standard_normal(2 * state_len)))
         rows = candidates(3 * state_len + n_ops)
         tail_len = 2 * state_len + n_ops
         tail.append(Transition(rng.standard_normal(tail_len), int(rng.integers(len(rows))), r,

@@ -9,15 +9,15 @@ import numpy as np
 import pytest
 
 from raft import agents, cli, dataset, info_metrics, transform
-from raft.agents import ActorCriticPolicy, RandomPolicy, TrainConfig
+from raft.agents import TrainConfig
 from raft.cli import (
     _KEYS,
     ConfigError,
-    EvalContext,
     RunConfig,
     build_parser,
     main,
     parse_config,
+    prepare,
     run_search,
     search,
     write_outputs,
@@ -37,12 +37,11 @@ from raft.dataset import (
     parse_lineage,
     write_csv,
 )
-from raft.evaluator import ForestConfig, MetricKind, default_metric, downstream_score
-from raft.info_metrics import MICache, PairwiseDistanceKind
-from raft.neural_core import derive_seed
+from raft.evaluator import ForestConfig, MetricKind, downstream_score
+from raft.info_metrics import PairwiseDistanceKind
 from raft.state_repr import EncoderKind, StateEncoder
-from raft.synthetic import squared_sum_regression, two_class_blobs, write_fixture
-from oracles import ScriptedPolicy
+from raft.synthetic import product_sign_classification, squared_sum_regression, write_fixture
+from oracles import ScriptedPolicy, two_class_blobs
 
 _FILE_KEYS = list(_KEYS)
 _TRAIN_KEYS = [key for key, (owner, *_) in _KEYS.items() if owner is TrainConfig]
@@ -288,19 +287,6 @@ def test_cli_end_to_end_exit_zero(small_csv, tmp_path, capsys):
 # search: the in-memory core
 # ---------------------------------------------------------------------------
 
-def in_memory_context(fs: FeatureSet, train: TrainConfig) -> EvalContext:
-    """The context run_search builds for a space loaded from a CSV."""
-    return EvalContext(default_metric(fs.target.kind), derive_seed(train.seed, "split"),
-                       ForestConfig(seed=derive_seed(train.seed, "forest")),
-                       MICache(train.bins or default_bins(fs.n_rows)))
-
-
-def make_policy(train: TrainConfig, bench: bool):
-    """The policy run_search builds."""
-    rng = np.random.default_rng(derive_seed(train.seed, "actions"))
-    return RandomPolicy(rng) if bench else ActorCriticPolicy(train, rng)
-
-
 @pytest.mark.parametrize("bench", [False, True], ids=["learned", "random"])
 def test_search_replaying_a_runs_choices_gives_its_files_byte_for_byte(small_csv, tmp_path,
                                                                        bench):
@@ -310,7 +296,7 @@ def test_search_replaying_a_runs_choices_gives_its_files_byte_for_byte(small_csv
     rows = [line.split("\t") for line in paths["trace"].read_text().splitlines()[1:]]
     choices = [(int(row[2]), row[3], int(row[4])) for row in rows]
     fs0 = small_space()  # the CSV's space, built in memory
-    result = search(fs0, cfg.train, ScriptedPolicy(choices), in_memory_context(fs0, cfg.train))
+    result = search(fs0, cfg.train, ScriptedPolicy(choices), prepare(fs0, cfg.train)[1])
     write_trace(result.trace, tmp_path / "trace.tsv")
     write_csv(result.best_fs, tmp_path / "transformed.csv")
     for name in ("trace.tsv", "transformed.csv"):
@@ -322,7 +308,7 @@ def test_search_replaying_a_runs_choices_gives_its_files_byte_for_byte(small_csv
 def test_search_opens_no_file(monkeypatch, bench):
     fs0 = small_space()
     train = TrainConfig(episodes=2, steps=2, seed=3, encoder=EncoderKind.ALL)
-    policy, evalctx = make_policy(train, bench), in_memory_context(fs0, train)
+    policy, evalctx = prepare(fs0, train, bench=bench)
 
     def refuse(*args, **kwargs):
         raise AssertionError("the search core opened a file")
@@ -350,7 +336,7 @@ def test_a_lone_column_group_crosses_itself(monkeypatch, bench, encoder):
 
     monkeypatch.setattr(cli, "generation_step", spy)
     train = TrainConfig(episodes=6, steps=2, seed=1, encoder=EncoderKind.parse(encoder))
-    result = search(fs0, train, make_policy(train, bench), in_memory_context(fs0, train))
+    result = search(fs0, train, *prepare(fs0, train, bench=bench))
     firsts = [row for row in result.trace if row.step == 0]
     assert len(firsts) == 6 and all(row.head == row.tail == 0 for row in firsts)
     crossed = [(op, metas) for n, _, op, metas in calls if n == 1 and op in BINARY_OPS]
@@ -358,6 +344,60 @@ def test_a_lone_column_group_crosses_itself(monkeypatch, bench, encoder):
     for op, metas in crossed:
         assert [meta.lineage for meta in metas] in ([], [Binary(op, Ident("x"), Ident("x"))])
     assert all(whole for n, whole, _, _ in calls if n == 1)  # head and tail view the column
+
+
+# The benchmark's two fixtures at its test size (60 rows, at most 12 columns).
+FIXTURES = {
+    "product_sign": lambda: product_sign_classification(60, 12, 123),
+    "squared_sum": lambda: squared_sum_regression(m=60, n_distractors=6, seed=123),
+}
+SEARCH_CASES = pytest.mark.parametrize("fixture,bench,encoder", [
+    pytest.param(fixture, bench, encoder,
+                 id=f"{fixture}-{'random' if bench else 'learned'}-{encoder}")
+    for fixture in FIXTURES for bench in (False, True) for encoder in ("si", "all")])
+
+
+def fixture_train(encoder: str) -> TrainConfig:
+    return TrainConfig(episodes=2, steps=2, seed=9, encoder=EncoderKind(encoder))
+
+
+def search_in_memory(fs0: FeatureSet, train: TrainConfig, bench: bool, out: Path):
+    """``search`` as ``prepare`` builds it, its trace.tsv and transformed.csv
+    written under ``out``."""
+    result = search(fs0, train, *prepare(fs0, train, None, bench))
+    out.mkdir()
+    write_trace(result.trace, out / "trace.tsv")
+    write_csv(result.best_fs, out / "transformed.csv")
+    return result
+
+
+@SEARCH_CASES
+def test_a_search_built_in_memory_writes_the_files_of_a_run_from_the_csv(tmp_path, fixture,
+                                                                          bench, encoder):
+    fs0 = FIXTURES[fixture]()
+    cfg = RunConfig(input_path=str(write_fixture(fs0, tmp_path / "data.csv")),
+                    target=fs0.target.name, out_dir=str(tmp_path / "run"), bench=bench,
+                    report=False, train=fixture_train(encoder))
+    write_outputs(run_search(cfg), cfg)
+    search_in_memory(fs0, cfg.train, bench, tmp_path / "memory")
+    for name in ("trace.tsv", "transformed.csv"):
+        assert (tmp_path / "memory" / name).read_bytes() == (tmp_path / "run" / name).read_bytes()
+
+
+@SEARCH_CASES
+def test_renaming_every_input_column_changes_no_choice(tmp_path, fixture, bench, encoder):
+    """The names are reversed in sort order, so no choice may rest on a name.
+    Column order is left out: the random draws index groups by position."""
+    fs0 = FIXTURES[fixture]()
+    names = [f"renamed_{fs0.n_cols - i:02d}" for i in range(fs0.n_cols)]
+    renamed = FeatureSet(fs0.values, tuple(FeatureMeta.from_lineage(Ident(name))
+                                           for name in names), fs0.target)
+    train = fixture_train(encoder)
+    want = search_in_memory(fs0, train, bench, tmp_path / "original")
+    got = search_in_memory(renamed, train, bench, tmp_path / "renamed")
+    assert (tmp_path / "renamed" / "trace.tsv").read_bytes() == \
+        (tmp_path / "original" / "trace.tsv").read_bytes()
+    np.testing.assert_array_equal(got.best_fs.values, want.best_fs.values)
 
 
 # ---------------------------------------------------------------------------
@@ -435,11 +475,10 @@ def test_a_search_hashes_no_matrix_and_each_column_once(small_csv, tmp_path, mon
 
 
 def product_sign_table(m: int = 200, seed: int = 3) -> tuple[list[str], list[list[str]]]:
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal((m, 5))
-    label = (x[:, 0] * x[:, 1] + x[:, 2] > 0.0).astype(int)
-    rows = [[repr(float(v)) for v in row] + [str(t)] for row, t in zip(x, label)]
-    return ["x0", "x1", "x2", "x3", "x4", "label"], rows
+    fs = product_sign_classification(m, 5, seed)
+    rows = [[repr(float(v)) for v in row] + [str(t)]
+            for row, t in zip(fs.values, fs.target.values)]
+    return [meta.name for meta in fs.columns] + [fs.target.name], rows
 
 
 def _set_cells(rows, cells):

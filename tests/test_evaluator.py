@@ -20,7 +20,7 @@ from raft.evaluator import (
     metric_only,
     predict,
 )
-
+from raft.synthetic import product_sign_classification
 from oracles import (binned_forest_oracle, classification_metric_oracle, forest_oracle,
                      forest_predict_oracle)
 
@@ -500,8 +500,7 @@ def _tall_regression_set():
 def _wide_classification_set():
     """The shape of the benchmark's wide classification spaces: 400 training
     rows, 24 columns, label = [x0 * x1 + x2 > 0]."""
-    x = np.random.default_rng(18).standard_normal((400, 24))
-    return clf_set(x, (x[:, 0] * x[:, 1] + x[:, 2] > 0).astype(np.int64))
+    return product_sign_classification(400, 24, 18)
 
 
 def test_a_tall_regression_fit_makes_at_most_three_split_passes_per_level(monkeypatch):

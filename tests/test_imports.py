@@ -4,9 +4,11 @@ another's private name.  Only ``dataset.py`` chooses a memory layout:
 ``FeatureSet`` stores every matrix column-major.
 The search core, ``cli.search``, touches no file: only the driver
 (``cli.py``), the data layer (``dataset.py``) and the fixtures
-(``synthetic.py``) read or write one.  The modules' imports of each other
-form an acyclic graph, in which ``transform`` does not import ``clustering``
-and ``evaluator`` does not import ``neural_core``.
+(``synthetic.py``) read or write one.  Only ``cli.prepare`` constructs the
+parts a search is built from: its ``EvalContext`` and its policy.  The modules'
+imports of each other form an acyclic graph, in which ``transform`` does not
+import ``clustering``, ``evaluator`` does not import ``neural_core`` and
+``synthetic`` imports ``dataset`` alone.
 
 ``__init__.py`` is left out of the import check: it imports names only to
 re-export them.
@@ -159,6 +161,39 @@ def test_only_dataset_chooses_a_memory_layout(module):
     assert layout_calls((SRC / module).read_text(encoding="utf-8")) == []
 
 
+# The parts a search is built from; only cli.prepare constructs them.
+SEARCH_PARTS = ("EvalContext", "RandomPolicy", "ActorCriticPolicy")
+
+
+def constructions(source: str) -> list[tuple[str, str]]:
+    """The (top-level definition, class) of each call that constructs one of
+    SEARCH_PARTS, by bare name or as an attribute; a call outside every
+    definition is under ``<module>``."""
+    found = []
+    for node in ast.parse(source).body:
+        owner = getattr(node, "name", "<module>")
+        found += [(owner, called_name(call)) for call in ast.walk(node)
+                  if isinstance(call, ast.Call) and called_name(call) in SEARCH_PARTS]
+    return sorted(found)
+
+
+def test_constructions_finds_each_form():
+    source = ("from . import agents\nfrom .agents import RandomPolicy\n"
+              "x = EvalContext(m, s, f, c)\n"
+              "def prepare(t, r):\n    return RandomPolicy(r), agents.ActorCriticPolicy(t, r)\n"
+              "class K:\n    def f(self):\n        return RandomPolicy, EvalContextual(1)\n")
+    assert constructions(source) == [("<module>", "EvalContext"),
+                                     ("prepare", "ActorCriticPolicy"),
+                                     ("prepare", "RandomPolicy")]
+
+
+def test_only_prepare_builds_a_search():
+    found = [(module, *part) for module in ALL_MODULES
+             for part in constructions((SRC / module).read_text(encoding="utf-8"))]
+    assert found == [("cli.py", "prepare", "ActorCriticPolicy"),
+                     ("cli.py", "prepare", "EvalContext"), ("cli.py", "prepare", "RandomPolicy")]
+
+
 # Calls that read or write a file, by bare name or as a method.
 IO_CALLS = ("load_csv", "write_csv", "write_trace", "write_outputs", "open", "read_text",
             "write_text")
@@ -197,6 +232,9 @@ def test_only_the_driver_and_the_data_layer_touch_files(module):
 # (importer, imported) module pairs that must stay apart: a feature crossing
 # takes views, not clusters, and the forest needs no network code
 FORBIDDEN_IMPORTS = (("transform", "clustering"), ("evaluator", "neural_core"))
+# importer -> the only package modules it may import: a fixture is a space
+# and nothing of the search
+ALLOWED_IMPORTS = {"synthetic": {"dataset"}}
 
 
 def package_imports(sources: dict[str, str]) -> dict[str, set[str]]:
@@ -213,8 +251,11 @@ def package_imports(sources: dict[str, str]) -> dict[str, set[str]]:
 
 
 def layer_faults(graph: dict[str, set[str]]) -> list[str]:
-    """Each forbidden import in ``graph``, and one import cycle if it has any."""
+    """Each forbidden import in ``graph``, each import outside an importer's
+    allowance, and one import cycle if it has any."""
     faults = [f"{a} imports {b}" for a, b in FORBIDDEN_IMPORTS if b in graph.get(a, ())]
+    faults += [f"{a} imports {b}" for a, allowed in ALLOWED_IMPORTS.items()
+               for b in sorted(graph.get(a, set()) - allowed)]
     done: set[str] = set()
 
     def cycle_from(name: str, path: list[str]) -> list[str]:
@@ -250,6 +291,15 @@ def test_layer_faults_finds_forbidden_imports_and_cycles():
     assert len(faults) == 3 and faults[2].startswith("cycle ")
     cycle = faults[2].removeprefix("cycle ").split(" -> ")
     assert cycle[0] == cycle[-1] and "dataset" in cycle and "cli" in cycle
+
+
+def test_layer_faults_finds_each_import_the_fixtures_may_not_make():
+    source = ("import numpy as np\nfrom pathlib import Path\nfrom .dataset import FeatureSet\n"
+              "from . import cli, evaluator as ev\nfrom .transform import dedup\n")
+    graph = package_imports({"synthetic": source})
+    assert graph == {"synthetic": {"dataset", "cli", "evaluator", "transform"}}
+    assert layer_faults(graph) == ["synthetic imports cli", "synthetic imports evaluator",
+                                   "synthetic imports transform"]
 
 
 def test_the_layer_graph_is_acyclic_and_keeps_its_rules():
