@@ -23,6 +23,13 @@ above them.  Sums over classes run from the lowest class up and importance
 gains are added tree by tree, so no bit depends on the groups or the passes,
 and `tests/oracles.py` replays every bit in plain loops.  A fitted forest is
 flat per-node arrays, and `predict` sends every (tree, row) pair down at once.
+
+Working memory.  `fit_forest` owns one scratch buffer per fit, sized from
+_PASS_ENTRIES, _PASS_CELLS and _GROUP_ROWS for the fit's largest stage, and
+drops it with the fit.  Every level's node statistics and every pass's
+histogram, scores and split lay their arrays over it.  Allocated and freed per
+pass, the same arrays were trimmed from the heap and faulted in again at the
+next pass, and a module-level buffer would outlive the fit.
 """
 
 from __future__ import annotations
@@ -94,14 +101,15 @@ class RandomForest:
     cfg: ForestConfig
 
 
-def _gini(counts, n) -> np.ndarray:
+def _gini(counts, n, out=None, p=None) -> np.ndarray:
     """1 - sum over classes of (count / n)^2, the per-class counts (an array's
-    first axis, or any iterable) summed from the lowest class up."""
+    first axis, or any iterable) summed from the lowest class up; written into
+    ``out``, with ``p`` for each class's term, when given."""
     classes = iter(counts)
-    total = next(classes) / n
+    total = np.divide(next(classes), n, out=out)
     total *= total
     for c in classes:
-        p = c / n
+        p = np.divide(c, n, out=p)
         p *= p
         total += p
     return np.subtract(1.0, total, out=total)
@@ -126,51 +134,137 @@ def _bin_codes(x: np.ndarray) -> np.ndarray:
     return bins
 
 
-def _best_cuts(bins: np.ndarray, n_bins: int, y: np.ndarray, rows: np.ndarray,
-               feats: np.ndarray, n_node: np.ndarray, n_classes: int,
-               min_leaf: int) -> tuple[np.ndarray, np.ndarray]:
+class _Scratch:
+    """One fit's working memory.  ``fit_forest`` allocates it once, sized for
+    the fit's largest stage, and drops it with the fit.  Each stage lays its
+    arrays over it from the start: a level's node statistics, and each split
+    pass's histogram fill, scoring and split.  The fill and the scoring lay
+    the histogram first, so it survives from one to the other.  Passes reuse
+    one buffer instead of freeing their temporaries, which the allocator
+    would trim from the heap and fault in again at the next pass."""
+
+    def __init__(self, n_rows: int, n_trees: int, n_bins: int, m_feats: int, n_classes: int,
+                 max_depth: int, y_dtype: np.dtype) -> None:
+        self.n_bins, self.m_feats, self.n_classes, self.y_dtype = n_bins, m_feats, n_classes, y_dtype
+        self.pass_nodes = max(1, _PASS_CELLS // (m_feats * n_bins * max(n_classes, 1)))
+        self.pass_rows = _PASS_ENTRIES // m_feats
+        # a level of n_trees trees holds at most their samples and n_trees * 2^depth
+        # nodes, and a pass at least one node
+        level = n_trees * n_rows
+        rows = min(level, max(self.pass_rows, n_rows))
+        nodes = min(self.pass_nodes, n_trees << max(max_depth - 1, 0))
+        stages = (self.level(level), self.fill(rows, nodes), self.score(nodes), self.split(rows))
+        self._buf = np.empty(max(map(_nbytes, stages)), np.uint8)
+
+    def lay(self, specs: list[tuple[tuple[int, ...], np.dtype]]) -> list[np.ndarray]:
+        """Arrays of the given (shape, dtype) over consecutive stretches of the
+        buffer from its start, each starting at a multiple of 8 bytes."""
+        arrays, at = [], 0
+        for shape, dtype in specs:
+            arrays.append(np.ndarray(shape, dtype, self._buf, at))
+            at += _aligned(arrays[-1].nbytes)
+        return arrays
+
+    def level(self, n: int):
+        """A level's n rows: their targets and a deviation each."""
+        return [((n,), self.y_dtype), ((n,), np.float64)]
+
+    def _hist(self, k: int):
+        """A pass's histogram over (node, slot, bin) per class, or per count,
+        sum of y and sum of y*y."""
+        return (self.n_classes or 3, k, self.m_feats, self.n_bins), np.float64
+
+    def fill(self, r: int, k: int):
+        """The histogram, then the pass's r rows' targets, squared targets and
+        bins."""
+        return [self._hist(k), ((r,), self.y_dtype), ((r,), np.float64), ((r,), np.uint8)]
+
+    def score(self, k: int):
+        """The histogram, then per (node, slot, bin) two masks, and the left and
+        right counts, their divisor and three Gini terms, or the squared right
+        sums of y."""
+        cells = (k, self.m_feats, self.n_bins)
+        return [self._hist(k), ((2, *cells), bool),
+                ((6 if self.n_classes else 1, *cells), np.float64)]
+
+    def split(self, r: int):
+        """A pass's r rows' values and bins, and whether each is in its cut and
+        goes right."""
+        return [((r,), np.float64), ((r,), np.uint8), ((r,), bool), ((r,), bool)]
+
+
+def _aligned(nbytes: int) -> int:
+    """``nbytes`` rounded up to a multiple of 8."""
+    return -nbytes % 8 + nbytes
+
+
+def _nbytes(specs: list[tuple[tuple[int, ...], np.dtype]]) -> int:
+    """The bytes ``_Scratch.lay`` takes for the arrays of ``specs``."""
+    return sum(_aligned(math.prod(shape) * np.dtype(dtype).itemsize) for shape, dtype in specs)
+
+
+def _best_cuts(bins: np.ndarray, y: np.ndarray, rows: np.ndarray, feats: np.ndarray,
+               n_node: np.ndarray, n_classes: int, min_leaf: int,
+               ws: _Scratch) -> tuple[np.ndarray, np.ndarray]:
     """Every node's best split from one histogram over (node, slot, bin), the
     slots being the node's drawn features in ascending order.  A split puts
     the bins up to a cut left; per node, the row-major first minimum over
     (slot, cut) wins, which prefers the lower feature, then the lower cut.
     Returns the winning flat (slot, cut) index and its score (inf: none)."""
     k, m = feats.shape
+    n_bins = ws.n_bins
     width = k * n_bins
+    hist, y_rows, y_sq, codes = ws.lay(ws.fill(rows.size, k))
     # cells (class, node, bin) of one slot; regression sums counts, y and y*y
     cell = np.repeat(np.arange(0, width, n_bins), n_node)
-    y_rows = y.take(rows)
+    # mode="clip" lets take write into `out` unbuffered; every index is in range
+    y.take(rows, out=y_rows, mode="clip")
     if n_classes:
-        cell += y_rows * width
-    weights = (None,) if n_classes else (None, y_rows, y_rows * y_rows)
-    hist = np.empty((n_classes or 3, k, m, n_bins), dtype=np.int64 if n_classes else np.float64)
+        y_rows *= width
+        cell += y_rows
+        weights = (None,)
+    else:
+        weights = (None, y_rows, np.multiply(y_rows, y_rows, out=y_sq))
     # slot by slot, so that no array holds a (row, slot) entry; a histogram
     # cell's sum runs over its rows in sample order either way
     for j in range(m):
         at = np.repeat(feats[:, j] * bins.shape[1], n_node)
         at += rows
-        np.add(cell, bins.ravel().take(at), out=at)
+        np.add(cell, bins.ravel().take(at, out=codes, mode="clip"), out=at)
         for h, w in zip(hist.reshape(len(weights), -1, m, n_bins), weights):
             h[:, j] = np.bincount(at, weights=w, minlength=h.shape[0] * n_bins).reshape(-1, n_bins)
-    del cell, y_rows, at, weights
     np.cumsum(hist, axis=3, out=hist)
-    n_node = n_node[:, None, None]
-    n_left = hist.sum(axis=0) if n_classes else hist[0]
-    invalid = (n_left < min_leaf) | (n_left > n_node - min_leaf)
+    _, (invalid, mask), terms = ws.lay(ws.score(k))
+    # counts are whole numbers, exact as floats, so that no ufunc below casts
+    # an operand (numpy casts through a buffer of its own)
+    n_node = n_node.astype(np.float64)[:, None, None]
     if n_classes:
-        n_right = n_node - n_left
-        scores = _gini(hist, np.maximum(n_left, 1)) * n_left
-        scores += _gini((h[..., -1:] - h for h in hist), np.maximum(n_right, 1)) * n_right
+        n_left, n_right, div, left, right, p = terms
+        np.add.reduce(hist, axis=0, out=n_left)
+    else:
+        n_left, [d] = hist[0], terms
+    np.less(n_left, min_leaf, out=invalid)
+    invalid |= np.greater(n_left, n_node - min_leaf, out=mask)
+    if n_classes:
+        np.subtract(n_node, n_left, out=n_right)
+        scores = _gini(hist, np.maximum(n_left, 1, out=div), left, p)
+        scores *= n_left
+        # n_left is spent: it takes each class's right counts in turn
+        right_counts = (np.subtract(h[..., -1:], h, out=n_left) for h in hist)
+        right = _gini(right_counts, np.maximum(n_right, 1, out=div), right, p)
+        right *= n_right
+        scores += right
     else:
         # in place, sse_l + sse_r with sse_l = c2 - c1*c1 / max(nl, 1) and
         # sse_r = (s2 - c2) - (s1 - c1)^2 / max(nr, 1); x / max(n, 1) is x where n is 0
         c1, c2 = hist[1], hist[2]
-        d = c1[..., -1:] - c1
+        np.subtract(c1[..., -1:], c1, out=d)
         d *= d
         c1 *= c1
-        np.divide(c1, n_left, out=c1, where=n_left > 0)
+        np.divide(c1, n_left, out=c1, where=np.greater(n_left, 0, out=mask))
         np.subtract(c2, c1, out=c1)
         n_right = np.subtract(n_node, n_left, out=n_left)
-        np.divide(d, n_right, out=d, where=n_right > 0)
+        np.divide(d, n_right, out=d, where=np.greater(n_right, 0, out=mask))
         np.subtract(c2[..., -1:].copy(), c2, out=c2)
         c2 -= d
         c1 += c2
@@ -182,71 +276,81 @@ def _best_cuts(bins: np.ndarray, n_bins: int, y: np.ndarray, rows: np.ndarray,
     return best, scores[np.arange(k), best]
 
 
-def _split_level(x: np.ndarray, bins: np.ndarray, n_bins: int, y: np.ndarray,
-                 rows: np.ndarray, n_node: np.ndarray, feats: np.ndarray, n_classes: int,
-                 min_leaf: int):
+def _split_level(x: np.ndarray, bins: np.ndarray, y: np.ndarray, rows: np.ndarray,
+                 n_node: np.ndarray, feats: np.ndarray, n_classes: int, min_leaf: int,
+                 ws: _Scratch):
     """Splits a pass of searched nodes, whose training rows are `rows`, node by
     node.  Returns each node's feature, threshold, score and whether it split,
     and the children's rows and sizes: each split node's left, then right."""
-    best, score = _best_cuts(bins, n_bins, y, rows, feats, n_node, n_classes, min_leaf)
-    nd = np.repeat(np.arange(n_node.size), n_node)
-    feature = feats[np.arange(n_node.size), best // n_bins]
+    k = n_node.size
+    best, score = _best_cuts(bins, y, rows, feats, n_node, n_classes, min_leaf, ws)
+    v, codes, in_cut, right = ws.lay(ws.split(rows.size))
+    n_bins = ws.n_bins
+    feature = feats[np.arange(k), best // n_bins]
     # the threshold is the midpoint of a node's largest value in the bins up
     # to its cut and its smallest value above them
-    f_rows = feature.take(nd)
-    at = f_rows * bins.shape[1] + rows  # x.T and bins both hold a row per column
-    v = x.T.ravel().take(at)
-    in_cut = bins.ravel().take(at) <= (best % n_bins).take(nd)
+    at = np.repeat(feature * bins.shape[1], n_node)
+    at += rows  # x.T and bins both hold a row per column
+    x.T.ravel().take(at, out=v, mode="clip")
+    cut = np.repeat((best % n_bins).astype(np.uint8), n_node)  # MAX_BINS <= 256
+    np.less_equal(bins.ravel().take(at, out=codes, mode="clip"), cut, out=in_cut)
+    del at, cut
     starts = np.cumsum(n_node) - n_node
     below = np.maximum.reduceat(np.where(in_cut, v, -np.inf), starts)
     above = np.minimum.reduceat(np.where(in_cut, np.inf, v), starts)
     with np.errstate(over="ignore"):  # halve first where the sum overflows
         threshold = below + above
     threshold = np.where(np.isfinite(threshold), threshold / 2.0, below / 2.0 + above / 2.0)
-    right = ~(v <= threshold.take(nd))
+    np.less_equal(v, np.repeat(threshold, n_node), out=right)
+    np.logical_not(right, out=right)
     n_left = n_node - np.add.reduceat(right, starts)
     split = np.isfinite(score) & (n_left >= min_leaf) & (n_node - n_left >= min_leaf)
-    kept = split.take(nd)
-    # a pass has at most _PASS_CELLS nodes, so the key fits 16 bits, where
-    # numpy's stable sort is a radix sort
-    key = (2 * nd[kept] + right[kept]).astype(np.min_scalar_type(2 * n_node.size))
-    order = np.argsort(key, kind="stable")
     sizes = np.stack([n_left[split], n_node[split] - n_left[split]], axis=1).ravel()
-    return feature, threshold, score, split, rows[kept][order], sizes
+    # a row's key is 2 * node + side, and 2 * k + side in an unsplit node,
+    # past every kept row's; a pass has at most _PASS_CELLS nodes, so the key
+    # fits 16 bits, where numpy's stable sort is a radix sort
+    node_key = np.where(split, 2 * np.arange(k), 2 * k).astype(np.min_scalar_type(2 * k + 1))
+    key = np.repeat(node_key, n_node)
+    key += right
+    order = np.argsort(key, kind="stable")[:int(sizes.sum())]
+    return feature, threshold, score, split, rows.take(order), sizes
 
 
-def _node_stats(y_rows: np.ndarray, sizes: np.ndarray, n_classes: int):
+def _node_stats(y: np.ndarray, rows: np.ndarray, sizes: np.ndarray, n_classes: int,
+                ws: _Scratch):
     """Each node's value (majority class or mean) and impurity (Gini or
     variance), from its rows' targets, node by node, each in sample order."""
     k = sizes.size
     node_of = np.repeat(np.arange(k), sizes)
+    y_rows, dev = ws.lay(ws.level(rows.size))
+    y.take(rows, out=y_rows, mode="clip")
     if n_classes:
-        counts = np.bincount(y_rows * k + node_of, minlength=n_classes * k).reshape(n_classes, k)
+        y_rows *= k
+        y_rows += node_of
+        counts = np.bincount(y_rows, minlength=n_classes * k).reshape(n_classes, k)
         return counts.argmax(axis=0).astype(np.float64), _gini(counts, sizes)
     values = np.bincount(node_of, weights=y_rows, minlength=k) / sizes
-    dev = y_rows - values[node_of]
+    np.subtract(y_rows, values.take(node_of, out=dev, mode="clip"), out=dev)
     dev *= dev
     return values, np.bincount(node_of, weights=dev, minlength=k) / sizes
 
 
 def _grow_group(x: np.ndarray, bins: np.ndarray, y: np.ndarray, n_classes: int,
                 cfg: ForestConfig, m_feats: int, rngs: list[np.random.Generator],
-                importances: np.ndarray, base: int) -> list[tuple[np.ndarray, ...]]:
+                importances: np.ndarray, base: int,
+                ws: _Scratch) -> list[tuple[np.ndarray, ...]]:
     """Grows trees together, a level at a time, numbering nodes from `base`.
     `rows` holds the training rows of the level's nodes, tree by tree, node by
     node, each node's in sample order.  Returns each level's feature, threshold,
     value and first-child arrays, and adds the importance gains tree by tree."""
     n_total, n_feat = x.shape
-    n_bins = int(bins.max()) + 1
-    pass_nodes = max(1, _PASS_CELLS // (m_feats * n_bins * max(n_classes, 1)))
-    pass_rows = _PASS_ENTRIES // m_feats
     rows = np.concatenate([rng.integers(0, n_total, size=n_total) if cfg.bootstrap
                            else np.arange(n_total) for rng in rngs])
     tree, sizes = np.arange(len(rngs)), np.full(len(rngs), n_total)
     levels, gains = [], []
     for depth in range(cfg.max_depth + 1):
         k = sizes.size
-        values, impurity = _node_stats(y.take(rows), sizes, n_classes)
+        values, impurity = _node_stats(y, rows, sizes, n_classes, ws)
         feature, threshold, child = np.full(k, -1), np.zeros(k), np.full(k, -1)
         levels.append((feature, threshold, values, child))
         searched = (sizes >= 2 * cfg.min_leaf) & (impurity != 0.0)
@@ -265,13 +369,16 @@ def _grow_group(x: np.ndarray, bins: np.ndarray, y: np.ndarray, n_classes: int,
         parts, first = [], 0
         while first < searched.size:
             lo = ends[first] - n_node[first]
-            last = min(first + pass_nodes,
-                       max(first + 1, int(np.searchsorted(ends, lo + pass_rows, "right"))))
-            parts.append(_split_level(x, bins, n_bins, y, rows[lo:ends[last - 1]],
-                                      n_node[first:last], feats[first:last], n_classes,
-                                      cfg.min_leaf))
+            last = min(first + ws.pass_nodes,
+                       max(first + 1, int(np.searchsorted(ends, lo + ws.pass_rows, "right"))))
+            parts.append(_split_level(x, bins, y, rows[lo:ends[last - 1]], n_node[first:last],
+                                      feats[first:last], n_classes, cfg.min_leaf, ws))
             first = last
-        f, t, score, split, next_rows, next_sizes = (np.concatenate(a) for a in zip(*parts))
+        # this level's rows go before the next level's are joined, and the
+        # passes' parts after
+        del rows
+        f, t, score, split, rows, next_sizes = (np.concatenate(a) for a in zip(*parts))
+        del parts
         at = searched[split]
         feature[at], threshold[at] = f[split], t[split]
         child[at] = base + k + 2 * np.arange(at.size)
@@ -279,7 +386,7 @@ def _grow_group(x: np.ndarray, bins: np.ndarray, y: np.ndarray, n_classes: int,
         if not at.size:
             break
         base += k
-        rows, sizes, tree = next_rows, next_sizes, np.repeat(tree[at], 2)
+        sizes, tree = next_sizes, np.repeat(tree[at], 2)
     if gains:
         tree_of, feature_of, gain = (np.concatenate(a) for a in zip(*gains))
         order = np.argsort(tree_of, kind="stable")
@@ -319,12 +426,14 @@ def fit_forest(train: FeatureSet, cfg: ForestConfig) -> RandomForest:
     importances = np.zeros(n_feat, dtype=np.float64)
     rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(cfg.seed).spawn(cfg.n_trees)]
     group = max(1, _GROUP_ROWS // x.shape[0])
+    ws = _Scratch(x.shape[0], min(group, cfg.n_trees), int(bins.max()) + 1, m_feats, n_classes,
+                  cfg.max_depth, y.dtype)
     levels, roots = [], []
     for first in range(0, cfg.n_trees, group):
         base = sum(level[0].size for level in levels)
         roots.append(base + np.arange(len(rngs[first:first + group])))
         levels += _grow_group(x, bins, y, n_classes, cfg, m_feats, rngs[first:first + group],
-                              importances, base)
+                              importances, base, ws)
     feature, threshold, value, child = (np.concatenate(a) for a in zip(*levels))
     return RandomForest(np.concatenate(roots), feature, threshold, value, child, task,
                         n_classes, n_feat, importances, cfg)

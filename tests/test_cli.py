@@ -2,6 +2,7 @@ import builtins
 import hashlib
 import math
 import sys
+from collections.abc import Sized
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -398,6 +399,33 @@ def test_renaming_every_input_column_changes_no_choice(tmp_path, fixture, bench,
     assert (tmp_path / "renamed" / "trace.tsv").read_bytes() == \
         (tmp_path / "original" / "trace.tsv").read_bytes()
     np.testing.assert_array_equal(got.best_fs.values, want.best_fs.values)
+
+
+def _raft_globals() -> dict[str, dict[str, tuple[object, int | None]]]:
+    """Each ``raft`` module's globals: the object, and a container's length."""
+    return {name: {attr: (value, len(value) if isinstance(value, Sized) else None)
+                   for attr, value in vars(module).items()}
+            for name, module in sys.modules.items() if name.split(".")[0] == "raft"}
+
+
+def test_no_state_outlives_a_search(tmp_path):
+    """No module keeps a workspace or a memo from one search to the next."""
+    fs0 = FIXTURES["product_sign"]()
+    train = fixture_train("all")
+    before = _raft_globals()
+    first = search_in_memory(fs0, train, False, tmp_path / "first")
+    search_in_memory(fs0, train, True, tmp_path / "random")
+    after = _raft_globals()
+    assert after.keys() == before.keys()
+    for name, names in before.items():
+        assert after[name].keys() == names.keys(), name
+        for attr, (value, size) in names.items():
+            assert after[name][attr][0] is value and after[name][attr][1] == size, (name, attr)
+    again = search_in_memory(fs0, train, False, tmp_path / "again")
+    assert (tmp_path / "again" / "trace.tsv").read_bytes() == \
+        (tmp_path / "first" / "trace.tsv").read_bytes()
+    assert again.best_fs.names() == first.best_fs.names()
+    assert again.best_fs.values.tobytes() == first.best_fs.values.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -20,9 +20,10 @@ from raft.evaluator import (
     metric_only,
     predict,
 )
+from raft.state_repr import EncoderKind, StateEncoder
 from raft.synthetic import product_sign_classification
 from oracles import (binned_forest_oracle, classification_metric_oracle, forest_oracle,
-                     forest_predict_oracle)
+                     forest_predict_oracle, random_feature_set)
 
 
 def clf_set(values, labels):
@@ -340,13 +341,13 @@ def _passes(monkeypatch, fs, cfg):
     calls, groups = [], []
     best_cuts, grow_group = evaluator._best_cuts, evaluator._grow_group
 
-    def spy_cuts(bins, n_bins, y, rows, feats, n_node, n_classes, min_leaf):
-        calls.append((*feats.shape, n_bins * max(n_classes, 1), rows.size))
-        return best_cuts(bins, n_bins, y, rows, feats, n_node, n_classes, min_leaf)
+    def spy_cuts(bins, y, rows, feats, n_node, n_classes, min_leaf, ws):
+        calls.append((*feats.shape, ws.n_bins * max(n_classes, 1), rows.size))
+        return best_cuts(bins, y, rows, feats, n_node, n_classes, min_leaf, ws)
 
-    def spy_group(x, bins, y, n_classes, cfg, m_feats, rngs, importances, base):
+    def spy_group(x, bins, y, n_classes, cfg, m_feats, rngs, importances, base, ws):
         groups.append(len(rngs))
-        return grow_group(x, bins, y, n_classes, cfg, m_feats, rngs, importances, base)
+        return grow_group(x, bins, y, n_classes, cfg, m_feats, rngs, importances, base, ws)
 
     monkeypatch.setattr(evaluator, "_best_cuts", spy_cuts)
     monkeypatch.setattr(evaluator, "_grow_group", spy_group)
@@ -523,7 +524,8 @@ def test_a_tall_regression_fit_makes_at_most_three_split_passes_per_level(monkey
     assert 1 <= min(passes[:-1]) and max(passes) <= 3
 
 
-# measured 1635 and 1182 KiB with numpy 2.4.6; the bounds leave 10% headroom
+# measured 1595 and 1249 KiB with numpy 2.4.6; the bounds left 10% headroom
+# over 1635 and 1182 KiB, measured before each fit had one scratch buffer
 @pytest.mark.parametrize("make, bound_kib", [(_tall_regression_set, 1800),
                                              (_wide_classification_set, 1300)])
 def test_one_fit_stays_within_its_memory_bound(make, bound_kib):
@@ -537,6 +539,19 @@ def test_one_fit_stays_within_its_memory_bound(make, bound_kib):
     finally:
         tracemalloc.stop()
     assert peak <= bound_kib * 1024
+
+
+# measured 755 KiB with numpy 2.4.6; the bound leaves 10% headroom
+def test_one_encoder_miss_stays_within_its_memory_bound():
+    fs = random_feature_set(np.random.default_rng(0), 1000, 32)
+    StateEncoder(EncoderKind.ALL, 8, 8, 20, 0).encode(fs)
+    tracemalloc.start()
+    try:
+        StateEncoder(EncoderKind.ALL, 8, 8, 20, 0).encode(fs)  # a new encoder misses
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 830 * 1024
 
 
 # ---------------------------------------------------------------------------
