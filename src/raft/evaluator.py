@@ -82,6 +82,12 @@ class ForestConfig:
     bootstrap: bool = True
     max_features: int | None = None  # None: ceil(sqrt(N)) clf / ceil(N/3) reg
 
+    def __post_init__(self) -> None:
+        for name, low in {"n_trees": 1, "max_depth": 0, "min_leaf": 1, "max_features": 1}.items():
+            value = getattr(self, name)
+            if value is not None and not value >= low:
+                raise ValueError(f"{name} must be >= {low}, got {value}")
+
 
 @dataclass
 class RandomForest:

@@ -9,10 +9,7 @@ A net keeps its parameters in one flat buffer, ``params``, laid out as w1,
 b1, w2, b2; its four weight attributes are views into it.  A gradient is a
 flat array in the same layout.  A net's shape is fixed, but its ``params``
 train in place: every gradient step, of the agents, the AE and the GAE alike,
-is one ``clip_step`` under the one ``CLIP_NORM``.  The AE's and the GAE's
-epoch arrays (activations, gradients, squared gradients) are allocated once
-per training call and rewritten every epoch: an epoch's shapes never change,
-and the allocator would otherwise trim and fault them in again each epoch.
+is one ``clip_step`` under the one ``CLIP_NORM``.
 """
 
 from __future__ import annotations
@@ -97,37 +94,21 @@ def log_softmax(logits: np.ndarray) -> np.ndarray:
     return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
 
 
-def _pass_arrays(net: DenseNet, batch: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Arrays for ``dense_pass(net, x2, out)`` on a (batch, in_size) input."""
-    return (np.empty((batch, net.hidden)), np.empty((batch, net.hidden)),
-            np.empty((batch, net.out_size)))
-
-
-def dense_pass(net: DenseNet, x2: np.ndarray, out: Sequence[np.ndarray] | None = None):
-    """(pre-activation, hidden activation, output) for a (batch, in_size) input,
-    written into ``out`` (``_pass_arrays``) when given."""
-    z1, a1, y = out or (None, None, None)
-    z1 = np.matmul(x2, net.w1, out=z1)
-    z1 += net.b1
-    a1 = np.maximum(z1, 0.0, out=a1)
-    y = np.matmul(a1, net.w2, out=y)
-    y += net.b2
-    return z1, a1, y
+def dense_pass(net: DenseNet, x2: np.ndarray):
+    """(pre-activation, hidden activation, output) for a (batch, in_size) input."""
+    z1 = x2 @ net.w1 + net.b1
+    a1 = np.maximum(z1, 0.0)
+    return z1, a1, a1 @ net.w2 + net.b2
 
 
 def dense_grads(net: DenseNet, x2: np.ndarray, z1: np.ndarray, a1: np.ndarray,
-                up: np.ndarray, out: Sequence[np.ndarray],
-                scratch: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
+                up: np.ndarray, out: Sequence[np.ndarray]) -> np.ndarray:
     """Writes the batch-summed parameter gradients of ``dense_pass(net, x2)``,
     given the (batch, out_size) output gradient ``up``, into ``out``: views
     shaped like w1, b1, w2, b2 (``net.split`` of a gradient buffer).  Returns
-    the pre-activation gradient, written into ``scratch``'s float array, with
-    its bool array as the ReLU mask, when given (both shaped like ``z1``).
-    The ReLU subgradient at 0 is 0."""
+    the pre-activation gradient.  The ReLU subgradient at 0 is 0."""
     w1, b1, w2, b2 = out
-    dz1, mask = scratch or (None, None)
-    dz1 = np.matmul(up, net.w2.T, out=dz1)
-    dz1 *= np.greater(z1, 0.0, out=mask)
+    dz1 = (up @ net.w2.T) * (z1 > 0.0)
     np.matmul(x2.T, dz1, out=w1)
     np.add.reduce(dz1, axis=0, out=b1)  # np.sum without its Python wrapper
     np.matmul(a1.T, up, out=w2)
@@ -135,14 +116,12 @@ def dense_grads(net: DenseNet, x2: np.ndarray, z1: np.ndarray, a1: np.ndarray,
     return dz1
 
 
-def clip_step(params: np.ndarray, grads: np.ndarray, bounds: Sequence[int], lr: float,
-              sq: np.ndarray | None = None) -> bool:
+def clip_step(params: np.ndarray, grads: np.ndarray, bounds: Sequence[int], lr: float) -> bool:
     """params -= lr * clip(grads) in place on flat buffers (``grads`` is
     overwritten), clipped to a joint norm of ``CLIP_NORM``, the squared norm
-    adding each ``bounds`` slice's sum left to right; the squares go into
-    ``sq``, shaped like ``grads``, when given.  Returns False, with ``params``
-    unchanged and a warning, on a non-finite step."""
-    sq = np.multiply(grads, grads, out=sq)
+    adding each ``bounds`` slice's sum left to right.  Returns False, with
+    ``params`` unchanged and a warning, on a non-finite step."""
+    sq = grads * grads
     total = 0.0
     for lo, hi in zip(bounds, bounds[1:]):
         total += float(np.add.reduce(sq[lo:hi]))
@@ -195,24 +174,16 @@ def train_autoencoder(
     rng = np.random.default_rng(seed)
     encoder = init_dense(dim, hidden, latent, rng)
     decoder = init_dense(latent, hidden, dim, rng)
-    # every epoch array is allocated here, once per call; the gradient views
-    # too, whose rebuilding each epoch is a measurable share of an AE miss
     enc_flat, dec_flat = np.empty_like(encoder.params), np.empty_like(decoder.params)
+    # built once per call: rebuilding the views every epoch is a measurable
+    # share of an AE miss, which is many small-array steps
     enc_grads, dec_grads = encoder.split(enc_flat), decoder.split(dec_flat)
-    enc_out, dec_out = _pass_arrays(encoder, b), _pass_arrays(decoder, b)
-    upstream, enc_up = np.empty((b, dim)), np.empty((b, latent))
-    # the nets share a hidden width, so one pair serves both backward passes
-    scratch = (np.empty((b, hidden)), np.empty((b, hidden), dtype=bool))
-    sq = np.empty(max(enc_flat.size, dec_flat.size))
     for _ in range(epochs):
-        enc_z1, enc_a1, z = dense_pass(encoder, data, enc_out)
-        dec_z1, dec_a1, recon = dense_pass(decoder, z, dec_out)
-        np.subtract(recon, data, out=upstream)
-        upstream *= 2.0
-        upstream /= b * dim
-        dec_dz1 = dense_grads(decoder, z, dec_z1, dec_a1, upstream, dec_grads, scratch)
-        np.matmul(dec_dz1, decoder.w1.T, out=enc_up)
-        dense_grads(encoder, data, enc_z1, enc_a1, enc_up, enc_grads, scratch)
+        enc_z1, enc_a1, z = dense_pass(encoder, data)
+        dec_z1, dec_a1, recon = dense_pass(decoder, z)
+        upstream = 2.0 * (recon - data) / (b * dim)
+        dec_dz1 = dense_grads(decoder, z, dec_z1, dec_a1, upstream, dec_grads)
+        dense_grads(encoder, data, enc_z1, enc_a1, dec_dz1 @ decoder.w1.T, enc_grads)
         for net, flat in ((encoder, enc_flat), (decoder, dec_flat)):
-            clip_step(net.params, flat, net.bounds, lr, sq[:flat.size])
+            clip_step(net.params, flat, net.bounds, lr)
     return encoder, decoder

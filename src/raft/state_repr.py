@@ -140,40 +140,23 @@ def _standardize_columns(values: np.ndarray) -> np.ndarray:
     return (values - mean) / std
 
 
-def _sigmoid(x: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """1 / (1 + exp(-x)), written into ``out``.  ``x`` is Z Z^T of a ReLU output
-    Z, so each entry is >= 0 or NaN: exp(-x) cannot overflow, and the form
-    for x >= 0 alone gives every bit."""
-    np.negative(x, out=out)
-    np.exp(out, out=out)
-    out += 1.0
-    return np.divide(1.0, out, out=out)
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-x)).  ``x`` is Z Z^T of a ReLU output Z, so each entry is
+    >= 0 or NaN: exp(-x) cannot overflow, and the form for x >= 0 alone gives
+    every bit."""
+    return 1.0 / (1.0 + np.exp(-x))
 
 
-def _gae_arrays(n: int, m: int, k: int) -> tuple[np.ndarray, ...]:
-    """Arrays for ``gae_layer_grad`` on n nodes with an (m, k) weight: the
-    pre-activation and Z, Z Z^T, its sigmoid, Z's gradient, the ReLU mask and
-    the weight's gradient."""
-    return (np.empty((n, k)), np.empty((n, k)), np.empty((n, n)), np.empty((n, n)),
-            np.empty((n, k)), np.empty((n, k), dtype=bool), np.empty((m, k)))
-
-
-def gae_layer_grad(adj: np.ndarray, prop: np.ndarray, w: np.ndarray,
-                   out: tuple[np.ndarray, ...] | None = None) -> np.ndarray:
+def gae_layer_grad(adj: np.ndarray, prop: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Gradient w.r.t. the GCN weight ``w`` of the mean cross-entropy of
     sigmoid(Z Z^T), Z = ReLU(prop @ w), against the adjacency, given the
-    propagated features ``prop = normalized_adjacency(adj) @ feats``.  Its
-    arrays are ``out`` (``_gae_arrays``) when given; the last is returned."""
+    propagated features ``prop = normalized_adjacency(adj) @ feats``."""
+    pre = prop @ w
+    z = np.maximum(pre, 0.0)
     n = adj.shape[0]
-    pre, z, zz, g, dz, mask, grad = out or _gae_arrays(n, *w.shape)
-    np.matmul(prop, w, out=pre)
-    np.maximum(pre, 0.0, out=z)
-    _sigmoid(np.matmul(z, z.T, out=zz), g)
-    g -= adj
-    g /= n * n
-    np.matmul(np.add(g, g.T, out=zz), z, out=dz)
-    dz *= np.greater(pre, 0.0, out=mask)
-    return np.matmul(prop.T, dz, out=grad)
+    g = (_sigmoid(z @ z.T) - adj) / (n * n)
+    dz = (g + g.T) @ z
+    return prop.T @ (dz * (pre > 0.0))
 
 
 def state_gae(fs: FeatureSet, k: int, epochs: int, seed: int) -> np.ndarray:
@@ -187,11 +170,8 @@ def state_gae(fs: FeatureSet, k: int, epochs: int, seed: int) -> np.ndarray:
     prop = normalized_adjacency(adj) @ _standardize_columns(fs.values).T
     flat = init_gcn(fs.n_rows, k, np.random.default_rng(derive_seed(seed, "gae"))).ravel()
     w = flat.reshape(fs.n_rows, k)  # a view: clip_step updates w through flat
-    # every epoch's arrays, allocated once per call
-    arrays, sq = _gae_arrays(adj.shape[0], fs.n_rows, k), np.empty_like(flat)
     for _ in range(epochs):
-        grad = gae_layer_grad(adj, prop, w, arrays).ravel()
-        if not clip_step(flat, grad, (0, flat.size), _AE_LR, sq):
+        if not clip_step(flat, gae_layer_grad(adj, prop, w).ravel(), (0, flat.size), _AE_LR):
             break
     z = np.maximum(prop @ w, 0.0)
     return _finite(z.mean(axis=0))

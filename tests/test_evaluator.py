@@ -198,6 +198,21 @@ def test_single_class_training_rejected():
         fit_forest(fs, ForestConfig(seed=0))
 
 
+@pytest.mark.parametrize("field", [{"n_trees": 0}, {"max_depth": -1}, {"min_leaf": 0},
+                                   {"max_features": 0}])
+def test_forest_config_rejects_what_a_fit_cannot_grow(field):
+    # min_leaf=0 would grow NaN-valued empty children
+    with pytest.raises(ValueError, match=f"{next(iter(field))} must be >="):
+        ForestConfig(**field)
+
+
+def test_forest_config_accepts_its_least_values():
+    x = np.arange(12.0).reshape(6, 2)
+    cfg = ForestConfig(n_trees=1, max_depth=0, min_leaf=1, max_features=1)
+    forest = fit_forest(reg_set(x, np.arange(6.0)), cfg)
+    np.testing.assert_array_equal(predict(forest, x), forest.value[forest.roots[0]])
+
+
 def test_forest_deterministic_per_seed():
     rng = np.random.default_rng(4)
     x = rng.standard_normal((40, 4))
@@ -541,7 +556,8 @@ def test_one_fit_stays_within_its_memory_bound(make, bound_kib):
     assert peak <= bound_kib * 1024
 
 
-# measured 755 KiB with numpy 2.4.6; the bound leaves 10% headroom
+# measured 755 KiB with numpy 2.4.6, with and without per-call epoch arrays
+# in the AE and the GAE (they never lowered it); the bound leaves 10% headroom
 def test_one_encoder_miss_stays_within_its_memory_bound():
     fs = random_feature_set(np.random.default_rng(0), 1000, 32)
     StateEncoder(EncoderKind.ALL, 8, 8, 20, 0).encode(fs)
