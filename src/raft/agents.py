@@ -29,7 +29,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .dataset import DEFAULT_MAX_DEPTH, OPS, FeatureSet
+from .dataset import DEFAULT_MAX_DEPTH, OPS, FeatureSet, NumericError
 from .info_metrics import PairwiseDistanceKind
 from .neural_core import (
     DenseNet,
@@ -88,8 +88,8 @@ class TrainConfig:
             if value is not None and not value >= low:
                 raise ValueError(f"{name} must be >= {low}, got {value}")
         for name in ("delta", "actor_lr", "critic_lr"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)}")
 
 
 @dataclass
@@ -127,8 +127,11 @@ def make_bundles(state_len: int, cfg: TrainConfig,
 
 def _sample(actor: DenseNet, x: np.ndarray, rng: np.random.Generator) -> tuple[int, np.ndarray]:
     """An action drawn from the softmax of the actor's logits for ``x`` (a
-    state's outputs, or each candidate row's one output), and that softmax."""
+    state's outputs, or each candidate row's one output), and that softmax.
+    Raises NumericError when the softmax is not finite (diverged weights)."""
     probs = softmax(dense_pass(actor, np.atleast_2d(x))[2].reshape(-1))
+    if not np.isfinite(probs).all():
+        raise NumericError("an actor's softmax is not finite; its weights have diverged")
     return int(rng.choice(probs.size, p=probs / probs.sum())), probs
 
 
@@ -270,8 +273,6 @@ class RandomPolicy:
     """The uniform-random control: every choice is one ``rng.integers`` draw
     over the candidates; it encodes no state and never learns."""
 
-    n_transitions = 0
-
     def __init__(self, rng: np.random.Generator) -> None:
         self.rng = rng
 
@@ -302,7 +303,6 @@ class ActorCriticPolicy:
         init_rng = np.random.default_rng(derive_seed(cfg.seed, "agent-init"))
         self.bundles = make_bundles(self.encoder.length, cfg, init_rng)
         self.batches: tuple[list[Transition], list[Transition], list[Transition]] = ([], [], [])
-        self.n_transitions = 0
 
     def choose(self, fs: FeatureSet, views: Sequence[FeatureSet]) -> tuple[int, str, int]:
         s_f = self.encoder.encode(fs)
@@ -329,7 +329,6 @@ class ActorCriticPolicy:
         for batch, (state, action, rows), reward, next_state in zip(
                 self.batches, chosen, (r_head, r_op, r_tail), next_states):
             batch.append(Transition(state, action, reward, next_state, rows))
-        self.n_transitions += 3
 
     def end_episode(self) -> dict[str, float]:
         """Update the agents on the episode's transitions; returns the losses."""

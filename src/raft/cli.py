@@ -110,7 +110,6 @@ class RunResult:
     metric: MetricKind
     task: TaskKind
     trace: list[TraceRow]
-    n_transitions: int
     wall_time: float
     split_seed: int
     forest_seed: int
@@ -197,9 +196,8 @@ def search(fs0: FeatureSet, train: TrainConfig, policy, evalctx: EvalContext) ->
         best_fs=best_fs, best_score=best_score, best_u=best_u,
         baseline_score=baseline_score, baseline_u=baseline_u,
         metric=evalctx.metric, task=fs0.target.kind, trace=trace,
-        n_transitions=policy.n_transitions, wall_time=time.perf_counter() - started,
-        split_seed=evalctx.split_seed, forest_seed=evalctx.forest_cfg.seed,
-        bins=evalctx.cache.bins, max_size=max_size,
+        wall_time=time.perf_counter() - started, split_seed=evalctx.split_seed,
+        forest_seed=evalctx.forest_cfg.seed, bins=evalctx.cache.bins, max_size=max_size,
     )
 
 

@@ -104,7 +104,6 @@ class RandomForest:
     n_classes: int
     n_features: int
     importances_raw: np.ndarray
-    cfg: ForestConfig
 
 
 def _gini(counts, n, out=None, p=None) -> np.ndarray:
@@ -442,7 +441,7 @@ def fit_forest(train: FeatureSet, cfg: ForestConfig) -> RandomForest:
                               importances, base, ws)
     feature, threshold, value, child = (np.concatenate(a) for a in zip(*levels))
     return RandomForest(np.concatenate(roots), feature, threshold, value, child, task,
-                        n_classes, n_feat, importances, cfg)
+                        n_classes, n_feat, importances)
 
 
 def predict(forest: RandomForest, x: np.ndarray) -> np.ndarray:

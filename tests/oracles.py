@@ -983,8 +983,6 @@ class ScriptedPolicy:
     """Replays fixed (head, op, tail) choices, one per step in order, through
     the search loop's policy calls; it encodes no state and learns nothing."""
 
-    n_transitions = 0
-
     def __init__(self, choices) -> None:
         self.choices = iter(choices)
 

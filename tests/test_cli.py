@@ -133,7 +133,7 @@ def test_exit_codes(tmp_path, small_csv, capsys):
     "--actor-lr 0", "--critic-lr -1", "--bins 0", "--max-size 0", "--k 0 --encoder ae",
     "--d 0 --encoder ae", "--encoder-epochs -1 --encoder ae", "--hidden 0", "--cross-cap 0",
     "--max-lineage-depth 0", "--max-lineage-depth 1", "--delta -1", "--delta 0",
-    "--actor-lr 0 --bench", "--beta -0.5", "--episodes 0",
+    "--actor-lr 0 --bench", "--beta -0.5", "--episodes 0", "--actor-lr inf", "--delta inf",
 ])
 def test_bad_numeric_value_exits_2(tmp_path, small_csv, capsys, flags):
     code = main(["run", "--input", str(small_csv), "--target", "y", "--out", str(tmp_path / "o"),
@@ -147,16 +147,26 @@ def test_bad_numeric_value_exits_2(tmp_path, small_csv, capsys, flags):
 # run_search — loop arithmetic and artifacts
 # ---------------------------------------------------------------------------
 
-def test_one_episode_one_step_records_three_transitions(tmp_path):
+def test_one_episode_one_step_records_three_transitions(tmp_path, monkeypatch):
     fs = squared_sum_regression(m=40, n_distractors=2, seed=3)
     path = write_fixture(fs, tmp_path / "tiny.csv")
     cfg = RunConfig(input_path=str(path), target="y", out_dir=str(tmp_path / "o"),
                     train=TrainConfig(episodes=1, steps=1, seed=1))
+    batch_sizes = []
+    real_update = agents.update_agents
+
+    def spy(bundles, episode, cfg):
+        batch_sizes.append([len(transitions) for transitions in episode])
+        return real_update(bundles, episode, cfg)
+
+    monkeypatch.setattr(agents, "update_agents", spy)
     result = run_search(cfg)
-    assert result.n_transitions == 3
+    assert batch_sizes == [[1, 1, 1]]  # one update, one transition per agent
     assert len(result.trace) == 1
     assert np.isfinite(result.best_score)
     assert result.best_fs.n_cols >= 1
+    assert len(run_search(replace(cfg, bench=True)).trace) == 1
+    assert batch_sizes == [[1, 1, 1]]  # the random control never updates
 
 
 def test_two_runs_same_seed_byte_identical_outputs(small_csv, tmp_path):
@@ -250,7 +260,6 @@ def test_bench_mode_runs_without_learning(small_csv, tmp_path):
                     out_dir=str(tmp_path / "out"), bench=True,
                     train=TrainConfig(episodes=2, steps=2, seed=8))
     result = run_search(cfg)
-    assert result.n_transitions == 0
     assert len(result.trace) == 4
     assert np.isfinite(result.best_score)
 
@@ -302,7 +311,7 @@ def test_search_replaying_a_runs_choices_gives_its_files_byte_for_byte(small_csv
     write_csv(result.best_fs, tmp_path / "transformed.csv")
     for name in ("trace.tsv", "transformed.csv"):
         assert (tmp_path / name).read_bytes() == (paths["trace"].parent / name).read_bytes()
-    assert len(rows) == 6 and result.n_transitions == 0
+    assert len(rows) == 6
 
 
 @pytest.mark.parametrize("bench", [False, True], ids=["learned", "random"])
@@ -317,7 +326,7 @@ def test_search_opens_no_file(monkeypatch, bench):
     monkeypatch.setattr(builtins, "open", refuse)
     monkeypatch.setattr(Path, "open", refuse)
     result = search(fs0, train, policy, evalctx)
-    assert len(result.trace) == 4 and result.n_transitions == (0 if bench else 12)
+    assert len(result.trace) == 4
 
 
 @pytest.mark.parametrize("encoder", ["si", "all"])
@@ -469,7 +478,6 @@ def test_bench_mode_never_encodes(small_csv, tmp_path, monkeypatch):
                                encoder=EncoderKind.ALL), bench=True)
     result = run_search(cfg)
     assert len(result.trace) == 4
-    assert result.n_transitions == 0
 
 
 def test_a_search_hashes_no_matrix_and_each_column_once(small_csv, tmp_path, monkeypatch):
@@ -642,6 +650,19 @@ def test_nonfinite_score_exits_4(tmp_path, capsys, metric):
                  "--metric", metric, "--episodes", "1", "--steps", "1"])
     assert code == 4
     assert "numeric failure" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+def test_a_diverged_actor_exits_4(tmp_path, capsys):
+    # clip_step bounds the gradient, not the step: at this rate the actor's
+    # weights overflow and its softmax turns NaN
+    path = write_fixture(squared_sum_regression(m=200, n_distractors=4, seed=3),
+                         tmp_path / "data.csv")
+    code = main(["run", "--input", str(path), "--target", "y", "--out", str(tmp_path / "o"),
+                 "--episodes", "3", "--steps", "3", "--seed", "3", "--actor-lr", "1e300"])
+    assert code == 4
+    assert "numeric failure: an actor's softmax is not finite" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("metric", ["one_minus_mse", "one_minus_rae"])

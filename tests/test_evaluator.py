@@ -419,7 +419,7 @@ def test_classification_vote_tie_goes_to_lowest_class():
     leaves = [2.0, 1.0, 0.0, 2.0, 2.0, 2.0, 0.0, 1.0]
     forest = RandomForest(np.arange(4), np.array([0] * 4 + [-1] * 8), np.zeros(12),
                           np.array([0.0] * 4 + leaves), np.array([4, 6, 8, 10] + [-1] * 8),
-                          TaskKind.CLASSIFICATION, 3, 1, np.zeros(1), ForestConfig())
+                          TaskKind.CLASSIFICATION, 3, 1, np.zeros(1))
     out = predict(forest, np.array([[-1.0], [1.0], [0.0]]))
     np.testing.assert_array_equal(out, [0, 1, 0])
     assert out.dtype == np.int64
@@ -440,7 +440,7 @@ def _forest_of(trees, n_features, n_classes=0):
     task = TaskKind.CLASSIFICATION if n_classes else TaskKind.REGRESSION
     return RandomForest(np.arange(len(trees)), np.array(feature), np.array(threshold),
                         np.array(value), np.array(child), task, n_classes, n_features,
-                        np.zeros(n_features), ForestConfig())
+                        np.zeros(n_features))
 
 
 def test_predict_on_root_leaf_trees_matches_the_oracle():

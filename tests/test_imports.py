@@ -8,20 +8,21 @@ The search core, ``cli.search``, touches no file: only the driver
 parts a search is built from: its ``EvalContext`` and its policy.  The modules'
 imports of each other form an acyclic graph, in which ``transform`` does not
 import ``clustering``, ``evaluator`` does not import ``neural_core`` and
-``synthetic`` imports ``dataset`` alone.
-
-``__init__.py`` is left out of the import check: it imports names only to
-re-export them.
+``synthetic`` imports ``dataset`` alone.  ``__init__.py`` holds its docstring
+and nothing else, so importing a module loads only the modules it imports:
+the layer rules hold at run time as well as in the source.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "raft"
 ALL_MODULES = sorted(path.name for path in SRC.glob("*.py"))
-MODULES = [name for name in ALL_MODULES if name != "__init__.py"]
 
 
 def names_read(tree: ast.AST) -> set[str]:
@@ -80,7 +81,7 @@ def test_unused_imports_finds_unread_names():
     assert unused_imports(source) == ["PurePath", "b", "os"]
 
 
-@pytest.mark.parametrize("module", MODULES)
+@pytest.mark.parametrize("module", ALL_MODULES)
 def test_module_uses_every_import(module):
     assert unused_imports((SRC / module).read_text(encoding="utf-8")) == []
 
@@ -304,3 +305,17 @@ def test_layer_faults_finds_each_import_the_fixtures_may_not_make():
 
 def test_the_layer_graph_is_acyclic_and_keeps_its_rules():
     assert layer_faults(package_imports(module_sources())) == []
+
+
+def test_the_package_init_holds_only_its_docstring():
+    tree = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
+    assert ast.get_docstring(tree) and len(tree.body) == 1
+
+
+def test_importing_the_fixtures_loads_the_data_layer_alone():
+    probe = ("import sys\nbefore = set(sys.modules)\nimport raft.synthetic\n"
+             "print(*sorted(m for m in set(sys.modules) - before if m.split('.')[0] == 'raft'))")
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True).stdout.split()
+    assert out == ["raft", "raft.dataset", "raft.synthetic"]
