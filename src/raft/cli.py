@@ -108,7 +108,6 @@ class RunResult:
     baseline_score: float
     baseline_u: float
     metric: MetricKind
-    task: TaskKind
     trace: list[TraceRow]
     wall_time: float
     split_seed: int
@@ -195,7 +194,7 @@ def search(fs0: FeatureSet, train: TrainConfig, policy, evalctx: EvalContext) ->
     return RunResult(
         best_fs=best_fs, best_score=best_score, best_u=best_u,
         baseline_score=baseline_score, baseline_u=baseline_u,
-        metric=evalctx.metric, task=fs0.target.kind, trace=trace,
+        metric=evalctx.metric, trace=trace,
         wall_time=time.perf_counter() - started, split_seed=evalctx.split_seed,
         forest_seed=evalctx.forest_cfg.seed, bins=evalctx.cache.bins, max_size=max_size,
     )
@@ -261,7 +260,7 @@ def emit_report(result: RunResult, fs_star: FeatureSet, path: Path) -> None:
     shares = feature_importances(forest)
     lines = [
         "feature space report",
-        f"task = {result.task.value}",
+        f"task = {result.metric.task.value}",
         f"metric = {result.metric.value}",
         f"original_score = {repr(float(result.baseline_score))}",
         f"best_score = {repr(float(result.best_score))}",
@@ -280,7 +279,7 @@ def emit_report(result: RunResult, fs_star: FeatureSet, path: Path) -> None:
 def write_config_echo(cfg: RunConfig, result: RunResult, path: Path) -> None:
     """Every config key with the value the run used (``bins``, ``max_size``,
     ``task`` and ``metric`` resolved), then the operation set and the seeds."""
-    resolved = {"task": result.task, "metric": result.metric,
+    resolved = {"task": result.metric.task, "metric": result.metric,
                 "bins": result.bins, "max_size": result.max_size}
     # `out` is left out: the echo lives there, and same-seed runs into
     # different directories must write identical files.

@@ -75,9 +75,7 @@ def cross_binary(
     pairs = [(a, b) for a in range(head_view.n_cols) for b in range(tail_view.n_cols)]
     if len(pairs) > cap:
         mi_head, mi_tail = (cache.mi(v.values.T, v.keys, v.target) for v in (head_view, tail_view))
-        scored = sorted(range(len(pairs)),
-                        key=lambda p: (-(mi_head[pairs[p][0]] + mi_tail[pairs[p][1]]), p))
-        pairs = [pairs[p] for p in sorted(scored[:cap])]
+        pairs = [pairs[p] for p in _top_by_mi([mi_head[a] + mi_tail[b] for a, b in pairs], cap)]
     columns: list[np.ndarray] = []
     metas: list[FeatureMeta] = []
     for a, b in pairs:

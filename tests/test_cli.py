@@ -271,7 +271,7 @@ def test_classification_run_all_original_report(tmp_path):
                     out_dir=str(tmp_path / "out"),
                     train=TrainConfig(episodes=1, steps=2, seed=3))
     result = run_search(cfg)
-    assert result.task is TaskKind.CLASSIFICATION
+    assert result.metric.task is TaskKind.CLASSIFICATION
     assert result.metric is MetricKind.F1_MACRO
     paths = write_outputs(result, cfg)
     lines = paths["report"].read_text().splitlines()

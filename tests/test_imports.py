@@ -25,18 +25,32 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "raft"
 ALL_MODULES = sorted(path.name for path in SRC.glob("*.py"))
 
 
-def names_read(tree: ast.AST) -> set[str]:
-    """The names the module's expressions read, quoted annotations included."""
-    read = set()
+def annotations(tree: ast.AST) -> list[ast.expr]:
+    """Every annotation under ``tree``: of a function's arguments and return,
+    and of an annotated assignment."""
+    found = []
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            read.add(node.id)
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            try:  # a quoted annotation such as "EncoderKind"
-                read.update(n.id for n in ast.walk(ast.parse(node.value, mode="eval"))
-                            if isinstance(n, ast.Name))
-            except SyntaxError:
-                pass
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            found += [arg.annotation for arg in (*args.posonlyargs, *args.args, args.vararg,
+                                                 *args.kwonlyargs, args.kwarg)
+                      if arg is not None and arg.annotation is not None]
+            found += [node.returns] if node.returns is not None else []
+        elif isinstance(node, ast.AnnAssign):
+            found.append(node.annotation)
+    return found
+
+
+def names_read(tree: ast.AST) -> set[str]:
+    """The names the module's expressions read, quoted annotations included;
+    any other string, a docstring say, reads nothing."""
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    for annotation in annotations(tree):
+        for node in ast.walk(annotation):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                # a quoted annotation such as "EncoderKind", whole or in part
+                read |= names_read(ast.parse(node.value, mode="eval"))
     return read
 
 
@@ -79,6 +93,11 @@ def test_unused_imports_finds_unread_names():
     source = ("import os\nimport numpy as np\nfrom a import b, c as d\n"
               "def f() -> 'Path':\n    from pathlib import Path, PurePath\n    return d(np.e)\n")
     assert unused_imports(source) == ["PurePath", "b", "os"]
+    # a string that is no annotation, a docstring say, reads nothing
+    source = ('"""Mapping"""\nimport os\nfrom typing import Mapping, Sequence\n'
+              "from a import B, C\nx: 'list[B]' = []\n"
+              "def f(y: 'Sequence[int]', *z: 'C') -> None:\n    return 'os.sep'\n")
+    assert unused_imports(source) == ["Mapping", "os"]
 
 
 @pytest.mark.parametrize("module", ALL_MODULES)
