@@ -29,8 +29,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .dataset import DEFAULT_MAX_DEPTH, OPS, FeatureSet, NumericError
-from .info_metrics import PairwiseDistanceKind
+from .dataset import DEFAULT_CROSS_CAP, DEFAULT_MAX_DEPTH, OPS, FeatureSet, NumericError
 from .neural_core import (
     DenseNet,
     clip_step,
@@ -42,7 +41,6 @@ from .neural_core import (
     softmax,
 )
 from .state_repr import EncoderKind, StateEncoder, state_op
-from .transform import DEFAULT_CROSS_CAP
 
 logger = logging.getLogger(__name__)
 
@@ -54,7 +52,8 @@ class TrainConfig:
     Every field is also a ``raft run`` flag (``--max-size`` for ``max_size``)
     and a config-file key, and is echoed to ``config.echo`` in this order; a
     field's ``help`` metadata is its flag's help text.  A number outside its
-    range raises ValueError (the CLI's exit 2).
+    range raises ValueError (the CLI's exit 2).  The group distance's pair-wise
+    d is Euclidean, with no key; ``encoder`` is si, ae, gae or all.
     """
 
     episodes: int = 30
@@ -64,7 +63,6 @@ class TrainConfig:
     k: int = field(default=8, metadata={"help": "latent width of ae/gae encoders"})
     d: int = field(default=8, metadata={"help": "second latent width of the ae encoder"})
     encoder_epochs: int = 20
-    distance: PairwiseDistanceKind = PairwiseDistanceKind.EUCLIDEAN
     delta: float = field(default=1.0, metadata={"help": "clustering threshold multiplier"})
     gamma: float = 0.9
     beta: float = 0.01

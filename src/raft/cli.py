@@ -165,7 +165,7 @@ def search(fs0: FeatureSet, train: TrainConfig, policy, evalctx: EvalContext) ->
         fs = fs0
         ep_best = -math.inf
         for step in range(train.steps):
-            clusters = adaptive_cluster(fs, train.distance, train.delta, evalctx.cache)
+            clusters = adaptive_cluster(fs, train.delta, evalctx.cache)
             views = [fs.take(g) for g in clusters.groups]  # the step's one view per group
             head_idx, op, tail_idx = policy.choose(fs, views)
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import FeatureSet
-from .info_metrics import MICache, PairwiseDistanceKind, column_distances
+from .info_metrics import MICache, column_distances
 
 
 @dataclass(frozen=True)
@@ -36,15 +36,15 @@ class ClusterSet:
         return len(self.groups)
 
 
-def pair_score_matrix(fs: FeatureSet, kind: PairwiseDistanceKind, cache: MICache) -> np.ndarray:
+def pair_score_matrix(fs: FeatureSet, cache: MICache) -> np.ndarray:
     """N x N matrix of d(f_i, f_j) * |MI(f_i,y) - MI(f_j,y)| (zero diagonal),
-    each MI(f, y) from the run's ``cache``."""
+    d the Euclidean ``column_distances`` and each MI(f, y) from the run's ``cache``."""
     n = fs.n_cols
     cols = fs.values.T
     mi_y = np.array(cache.mi(cols, fs.keys, fs.target))
     scores = np.zeros((n, n), dtype=np.float64)
     for i in range(n - 1):
-        scores[i, i + 1:] = column_distances(cols[i], cols[i + 1:], kind) * np.abs(
+        scores[i, i + 1:] = column_distances(cols[i], cols[i + 1:]) * np.abs(
             mi_y[i] - mi_y[i + 1:])
     return scores + scores.T
 
@@ -101,9 +101,7 @@ def cut(merges: list[tuple[float, int, int]], n: int, threshold: float) -> Clust
     return ClusterSet(tuple(members[name] for name in sorted(members)))
 
 
-def adaptive_cluster(
-    fs: FeatureSet, kind: PairwiseDistanceKind, delta: float, cache: MICache
-) -> ClusterSet:
+def adaptive_cluster(fs: FeatureSet, delta: float, cache: MICache) -> ClusterSet:
     """Cut the step's merge sequence at threshold = delta * mean initial
     pairwise score, halving the threshold until at least two groups come out.
 
@@ -113,7 +111,7 @@ def adaptive_cluster(
     n = fs.n_cols
     if n == 1:
         return ClusterSet(((0,),))
-    scores = pair_score_matrix(fs, kind, cache)
+    scores = pair_score_matrix(fs, cache)
     merges = merge_sequence(scores)
     threshold = delta * float(np.mean(scores[np.triu_indices(n, k=1)]))
     for _ in range(12):

@@ -26,6 +26,7 @@ MAX_DISCRETE_LABELS = 20
 
 # Default bound on lineage-tree depth (bounds name length and numeric blow-up).
 DEFAULT_MAX_DEPTH = 6
+DEFAULT_CROSS_CAP = 64  # default bound on the pairs one binary cross generates
 
 UNARY_OPS = ("square", "sqrt", "log")
 BINARY_OPS = ("+", "-", "*", "/")

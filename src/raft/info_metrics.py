@@ -1,19 +1,13 @@
-"""Mutual information, the feature-space quality score, and column distances."""
+"""Mutual information, the feature-space quality score, and Euclidean column distances."""
 
 from __future__ import annotations
 
 import math
-from enum import Enum
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .dataset import MAX_DISCRETE_LABELS, FeatureSet, Target, content_hash, discretize
-
-
-class PairwiseDistanceKind(Enum):
-    EUCLIDEAN = "euclidean"
-    COSINE = "cosine"
 
 
 def as_labels(values: np.ndarray, bins: int) -> np.ndarray:
@@ -174,28 +168,18 @@ def feature_set_quality(fs: FeatureSet, cache: MICache) -> float:
     return -(2.0 * redundancy) / (n * n) + relevance / n
 
 
-def column_distances(a: np.ndarray, others: np.ndarray, kind: PairwiseDistanceKind) -> np.ndarray:
-    """Euclidean or cosine distance from column ``a`` to each row of
-    ``others``, each row's value depending only on its own pair.  Euclidean
-    scales each difference by its largest entry; cosine with a zero-norm
-    operand is 1 (orthogonal convention)."""
-    if kind is PairwiseDistanceKind.EUCLIDEAN:
-        with np.errstate(over="ignore", invalid="ignore"):  # overflowed rows are set below
-            diff = others - a
-            scale = np.max(np.abs(diff), axis=1)
-            over = ~np.isfinite(scale)
-            scale[scale == 0.0] = 1.0  # identical columns: a zero difference stays zero
-            diff /= scale[:, None]
-            dist = scale * np.sqrt((diff * diff).sum(axis=1))
-        # a true distance beyond the float64 range clamps to the max finite value;
-        # one overflowed difference entry already puts a row beyond it
-        dist[over] = np.finfo(np.float64).max
-        return np.minimum(dist, np.finfo(np.float64).max)
-    # cosine is scale-invariant: max-normalize each operand to dodge overflow
-    ma = np.max(np.abs(a))
-    mo = np.max(np.abs(others), axis=1)
-    with np.errstate(invalid="ignore"):  # a zero operand gives NaN, replaced below
-        an = a / ma
-        on = others / mo[:, None]
-        cos = (on * an).sum(axis=1) / (np.sqrt((an * an).sum()) * np.sqrt((on * on).sum(axis=1)))
-    return np.where((mo == 0.0) | (ma == 0.0), 1.0, np.clip(1.0 - cos, 0.0, 2.0))
+def column_distances(a: np.ndarray, others: np.ndarray) -> np.ndarray:
+    """Euclidean distance from column ``a`` to each row of ``others``, each
+    row's value depending only on its own pair: the paper's generic pair-wise
+    d, fixed to Euclidean.  Each difference is scaled by its largest entry."""
+    with np.errstate(over="ignore", invalid="ignore"):  # overflowed rows are set below
+        diff = others - a
+        scale = np.max(np.abs(diff), axis=1)
+        over = ~np.isfinite(scale)
+        scale[scale == 0.0] = 1.0  # identical columns: a zero difference stays zero
+        diff /= scale[:, None]
+        dist = scale * np.sqrt((diff * diff).sum(axis=1))
+    # a true distance beyond the float64 range clamps to the max finite value;
+    # one overflowed difference entry already puts a row beyond it
+    dist[over] = np.finfo(np.float64).max
+    return np.minimum(dist, np.finfo(np.float64).max)

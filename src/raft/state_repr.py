@@ -2,8 +2,8 @@
 
 Three encoders: two-stage descriptive statistics (length 49), a two-stage
 column/row autoencoder over fixed-length column summaries (length k*d), and a
-graph autoencoder over the column correlation graph (length k).  Combinations
-concatenate the parts.  Output length never depends on the matrix shape.  A
+graph autoencoder over the column correlation graph (length k).  ``all``
+concatenates the three.  Output length never depends on the matrix shape.  A
 state is a read-only, finite, 1-D float64 array.
 """
 
@@ -28,23 +28,17 @@ class EncoderKind(Enum):
     SI = "si"
     AE = "ae"
     GAE = "gae"
-    SI_AE = "si+ae"
-    SI_GAE = "si+gae"
-    AE_GAE = "ae+gae"
     ALL = "all"
 
     @property
     def parts(self) -> tuple[str, ...]:
         if self is EncoderKind.ALL:
             return ("si", "ae", "gae")
-        return tuple(self.value.split("+"))
+        return (self.value,)
 
     @staticmethod
     def parse(text: str) -> "EncoderKind":
-        for kind in EncoderKind:
-            if kind.value == text:
-                return kind
-        raise ValueError(f"unknown encoder kind {text!r}")
+        return EncoderKind(text)
 
 
 def _finite(vec: np.ndarray) -> np.ndarray:
@@ -185,8 +179,8 @@ def state_op(op: str) -> np.ndarray:
 
 
 class StateEncoder:
-    """Applies an encoder combination with content-hash caching; a combined
-    state concatenates its parts in ``kind.parts`` order.
+    """Applies an encoder kind with content-hash caching; the ``all`` state
+    concatenates its parts in ``kind.parts`` order.
 
     Deterministic for fixed arguments: encoder training seeds depend only on
     ``seed`` and the encoder part, so identical feature sets always encode

@@ -10,6 +10,7 @@ from typing import Sequence
 import numpy as np
 
 from .dataset import (
+    DEFAULT_CROSS_CAP,
     DEFAULT_MAX_DEPTH,
     UNARY_OPS,
     Binary,
@@ -24,7 +25,6 @@ from .dataset import (
 )
 from .info_metrics import MICache
 
-DEFAULT_CROSS_CAP = 64
 _DEDUP_TOL = 1e-12
 
 

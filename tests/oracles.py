@@ -12,7 +12,7 @@ import numpy as np
 
 from raft.dataset import DatasetError, FeatureMeta, FeatureSet, Ident, Target, TaskKind
 from raft.evaluator import MAX_BINS, ForestConfig, MetricKind
-from raft.info_metrics import PairwiseDistanceKind, as_labels, column_distances, content_hash
+from raft.info_metrics import as_labels, column_distances, content_hash
 from raft.neural_core import DenseNet, derive_seed, init_dense, init_gcn
 from raft.state_repr import _finite, _population_std, _standardize_columns, correlation_adjacency
 from raft.transform import GeneratedBatch
@@ -175,34 +175,24 @@ def scalar_quality_oracle(fs: FeatureSet, bins: int, pair_mi=plugin_mi_oracle) -
     return -(2.0 * redundancy) / (n * n) + relevance / n
 
 
-def pairwise_distance(f_i: np.ndarray, f_j: np.ndarray, kind: PairwiseDistanceKind) -> float:
-    """Euclidean or cosine distance between two columns (``column_distances``
-    on one pair)."""
+def pairwise_distance(f_i: np.ndarray, f_j: np.ndarray) -> float:
+    """Euclidean distance between two columns (``column_distances`` on one
+    pair)."""
     a, b = (np.asarray(v, dtype=np.float64) for v in (f_i, f_j))
     if a.shape != b.shape:
         raise ValueError("vectors must have equal length")
-    return float(column_distances(a, b[None, :], kind)[0])
+    return float(column_distances(a, b[None, :])[0])
 
 
 def euclidean_oracle(a, b) -> float:
     return math.sqrt(sum((x - y) ** 2 for x, y in zip(a, b)))
 
 
-def cosine_oracle(a, b) -> float:
-    na = math.sqrt(sum(x * x for x in a))
-    nb = math.sqrt(sum(y * y for y in b))
-    if na == 0.0 or nb == 0.0:
-        return 1.0
-    return 1.0 - sum(x * y for x, y in zip(a, b)) / (na * nb)
-
-
-def group_distance_oracle(cols_i, cols_j, mi_to_target_i, mi_to_target_j,
-                          kind: PairwiseDistanceKind) -> float:
-    dist = euclidean_oracle if kind is PairwiseDistanceKind.EUCLIDEAN else cosine_oracle
+def group_distance_oracle(cols_i, cols_j, mi_to_target_i, mi_to_target_j) -> float:
     total = 0.0
     for a, ma in zip(cols_i, mi_to_target_i):
         for b, mb in zip(cols_j, mi_to_target_j):
-            total += dist(list(a), list(b)) * abs(ma - mb)
+            total += euclidean_oracle(list(a), list(b)) * abs(ma - mb)
     return total / (len(cols_i) * len(cols_j))
 
 
@@ -210,8 +200,7 @@ def group_distance_oracle(cols_i, cols_j, mi_to_target_i, mi_to_target_j,
 # agglomerative clustering
 # ---------------------------------------------------------------------------
 
-def agglomerative_oracle(columns, mi_to_target, kind: PairwiseDistanceKind,
-                         threshold: float) -> tuple[tuple[int, ...], ...]:
+def agglomerative_oracle(columns, mi_to_target, threshold: float) -> tuple[tuple[int, ...], ...]:
     """From-scratch merge loop recomputing the group distance from raw member
     columns at every step; same strict-< stop rule and lexicographic
     tie-break."""
@@ -225,7 +214,6 @@ def agglomerative_oracle(columns, mi_to_target, kind: PairwiseDistanceKind,
                     [columns[j] for j in clusters[b]],
                     [mi_to_target[i] for i in clusters[a]],
                     [mi_to_target[j] for j in clusters[b]],
-                    kind,
                 )
                 if best is None or d < best[0]:
                     best = (d, a, b)

@@ -1,6 +1,7 @@
 import builtins
 import hashlib
 import math
+import re
 import sys
 from collections.abc import Sized
 from dataclasses import fields, replace
@@ -39,7 +40,6 @@ from raft.dataset import (
     write_csv,
 )
 from raft.evaluator import ForestConfig, MetricKind, downstream_score
-from raft.info_metrics import PairwiseDistanceKind
 from raft.state_repr import EncoderKind, StateEncoder
 from raft.synthetic import product_sign_classification, squared_sum_regression, write_fixture
 from oracles import ScriptedPolicy, two_class_blobs
@@ -70,12 +70,12 @@ def small_config(small_csv, tmp_path, **train_kwargs):
 
 def test_cli_flag_overrides_config_file(tmp_path, small_csv):
     cfgfile = tmp_path / "run.cfg"
-    cfgfile.write_text("distance = euclidean\nepisodes = 4\n", encoding="utf-8")
+    cfgfile.write_text("encoder = ae\nepisodes = 4\n", encoding="utf-8")
     cfg = parse_config([
         "run", "--input", str(small_csv), "--target", "y", "--out", str(tmp_path / "o"),
-        "--config", str(cfgfile), "--distance", "cosine",
+        "--config", str(cfgfile), "--encoder", "gae",
     ])
-    assert cfg.train.distance is PairwiseDistanceKind.COSINE
+    assert cfg.train.encoder is EncoderKind.GAE
     assert cfg.train.episodes == 4  # file value survives where no flag was given
 
 
@@ -96,11 +96,12 @@ def test_unknown_flag_exits_with_usage_error(capsys):
     assert exc.value.code == 2
 
 
-@pytest.mark.parametrize("key", ["mystery", "clip_norm", "skip_tail_on_unary"])
+# d is Euclidean with no key, so a config file or an old config.echo naming `distance` fails
+@pytest.mark.parametrize("key", ["mystery", "clip_norm", "skip_tail_on_unary", "distance"])
 def test_unknown_config_key_rejected(tmp_path, small_csv, key):
     cfgfile = tmp_path / "run.cfg"
     cfgfile.write_text(f"{key} = 3\n", encoding="utf-8")
-    with pytest.raises(ConfigError, match="unknown key"):
+    with pytest.raises(ConfigError, match=f"run.cfg:1: unknown key '{key}'$"):
         parse_config(["run", "--input", str(small_csv), "--target", "y",
                       "--out", str(tmp_path / "o"), "--config", str(cfgfile)])
 
@@ -685,7 +686,7 @@ def test_forest_split_overflow_window_exits_4(tmp_path, capsys, metric):
 
 RUN_OPTIONS = {
     "--input", "--target", "--out", "--config", "--task", "--metric", "--impute",
-    "--distance", "--encoder", "--episodes", "--steps", "--seed", "--k", "--d",
+    "--encoder", "--episodes", "--steps", "--seed", "--k", "--d",
     "--encoder-epochs", "--delta", "--bins", "--max-size", "--gamma", "--beta",
     "--actor-lr", "--critic-lr", "--hidden", "--cross-cap", "--max-lineage-depth",
     "--bench", "--no-report",
@@ -694,7 +695,7 @@ RUN_OPTIONS = {
 # A non-default value for every TrainConfig-backed key.
 TRAIN_KEY_VALUES = {
     "episodes": "3", "steps": "4", "seed": "7", "encoder": "gae", "k": "5", "d": "6",
-    "encoder_epochs": "2", "distance": "cosine", "delta": "0.5", "gamma": "0.8",
+    "encoder_epochs": "2", "delta": "0.5", "gamma": "0.8",
     "beta": "0.02", "actor_lr": "0.002", "critic_lr": "0.003", "hidden": "16",
     "cross_cap": "10", "max_lineage_depth": "4", "bins": "9", "max_size": "12",
 }
@@ -711,9 +712,9 @@ def run_options() -> set[str]:
 
 
 def test_cli_surface_is_pinned(tmp_path):
-    assert run_options() == RUN_OPTIONS and len(RUN_OPTIONS) == 27
+    assert run_options() == RUN_OPTIONS and len(RUN_OPTIONS) == 26
     accepted = set(TRAIN_KEY_VALUES) | set(FILE_ONLY_VALUES)
-    assert set(_FILE_KEYS) == accepted and len(accepted) == 26
+    assert set(_FILE_KEYS) == accepted and len(accepted) == 25
     values = {**FILE_ONLY_VALUES, **TRAIN_KEY_VALUES}
     cfgfile = tmp_path / "all.cfg"
     cfgfile.write_text("".join(f"{k} = {v}\n" for k, v in values.items()), encoding="utf-8")
@@ -780,11 +781,20 @@ def test_a_bad_number_reads_alike_from_a_flag_and_a_file(tmp_path, small_csv, ca
 
 @pytest.mark.parametrize("key, text", [("task", "classify"), ("metric", "f1"),
                                        ("impute", "mean"), ("encoder", "vae"),
-                                       ("distance", "manhattan")])
+                                       ("encoder", "si+ae"), ("encoder", "ae+gae")])
 def test_a_named_key_rejects_an_unknown_word_from_a_file(tmp_path, key, text):
     # a flag's choices reject it before parse_config sees it
     cfgfile = tmp_path / "one.cfg"
     cfgfile.write_text(f"{key} = {text}\n", encoding="utf-8")
-    with pytest.raises(ConfigError, match=f"one.cfg:1: unknown {key} '{text}'$"):
+    with pytest.raises(ConfigError, match=re.escape(f"one.cfg:1: unknown {key} '{text}'") + "$"):
         parse_config(["run", "--input", "data.csv", "--target", "y", "--out", "o",
                       "--config", str(cfgfile)])
+
+
+def test_the_distance_flag_exits_2(tmp_path, small_csv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--input", str(small_csv), "--target", "y", "--out", str(tmp_path / "o"),
+              "--distance", "cosine"])
+    assert exc.value.code == 2
+    assert "--distance" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()

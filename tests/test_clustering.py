@@ -8,10 +8,9 @@ from raft.clustering import (
     merge_sequence,
     pair_score_matrix,
 )
-from raft.info_metrics import MICache, PairwiseDistanceKind, mutual_information
+from raft.info_metrics import MICache, mutual_information
 from oracles import (
     agglomerative_oracle,
-    cosine_oracle,
     euclidean_oracle,
     mean_linkage_oracle,
     merge_loop_oracle,
@@ -19,17 +18,12 @@ from oracles import (
     random_feature_set,
 )
 
-EUC = PairwiseDistanceKind.EUCLIDEAN
-COS = PairwiseDistanceKind.COSINE
-
-
-def cluster_at(fs, kind, threshold, bins):
+def cluster_at(fs, threshold, bins):
     """The clusters of `fs` at one threshold, cut from its merge sequence."""
-    return cut(merge_sequence(pair_score_matrix(fs, kind, MICache(bins))), fs.n_cols, threshold)
+    return cut(merge_sequence(pair_score_matrix(fs, MICache(bins))), fs.n_cols, threshold)
 
 
-@pytest.mark.parametrize("kind", [EUC, COS])
-def test_pair_score_matrix_equals_its_transpose(kind):
+def test_pair_score_matrix_equals_its_transpose():
     rng = np.random.default_rng(5)
     fs = random_feature_set(rng, 40, 7)
     values = fs.values.copy()
@@ -37,7 +31,7 @@ def test_pair_score_matrix_equals_its_transpose(kind):
     values[:, 1] = 3.5
     values[:, 2] = np.where(values[:, 2] > 0, 1e300, -1e300)
     values[:, 3] *= 1e-5
-    scores = pair_score_matrix(fs.with_columns(values, fs.columns), kind, MICache(5))
+    scores = pair_score_matrix(fs.with_columns(values, fs.columns), MICache(5))
     assert np.array_equal(scores.view(np.uint64), scores.T.view(np.uint64))
 
 
@@ -46,29 +40,28 @@ def test_identical_columns_collapse_to_one_cluster():
     col = rng.standard_normal(20)
     fs = random_feature_set(rng, 20, 3)
     fs = fs.with_columns(np.column_stack([col, col, col]), fs.columns)
-    got = cluster_at(fs, EUC, threshold=0.5, bins=4)
+    got = cluster_at(fs, threshold=0.5, bins=4)
     assert got.groups == ((0, 1, 2),)
 
 
 def test_tiny_threshold_keeps_singletons():
     rng = np.random.default_rng(1)
     fs = random_feature_set(rng, 25, 5)
-    got = cluster_at(fs, EUC, threshold=1e-12, bins=4)
+    got = cluster_at(fs, threshold=1e-12, bins=4)
     assert got.groups == ((0,), (1,), (2,), (3,), (4,))
 
 
-@pytest.mark.parametrize("kind", [EUC, COS])
-def test_matches_brute_force_oracle_at_median_threshold(kind):
+def test_matches_brute_force_oracle_at_median_threshold():
     rng = np.random.default_rng(2)
     fs = random_feature_set(rng, 30, 6)
     bins = 5
-    scores = pair_score_matrix(fs, kind, MICache(bins))
+    scores = pair_score_matrix(fs, MICache(bins))
     threshold = float(np.median(scores[np.triu_indices(6, k=1)]))
-    got = cluster_at(fs, kind, threshold, bins)
+    got = cluster_at(fs, threshold, bins)
     y = np.asarray(fs.target.values, dtype=float)
     mi_y = [mutual_information(fs.column(i), y, bins) for i in range(6)]
     cols = [fs.column(i) for i in range(6)]
-    want = agglomerative_oracle(cols, mi_y, kind, threshold)
+    want = agglomerative_oracle(cols, mi_y, threshold)
     assert got.groups == want
 
 
@@ -78,7 +71,7 @@ def test_partition_validity_on_random_instances():
         n = int(rng.integers(1, 9))
         fs = random_feature_set(rng, int(rng.integers(5, 40)), n)
         threshold = float(rng.uniform(0.001, 2.0))
-        got = cluster_at(fs, EUC, threshold, bins=4)
+        got = cluster_at(fs, threshold, bins=4)
         flat = sorted(i for g in got.groups for i in g)
         assert flat == list(range(n))
 
@@ -88,7 +81,7 @@ def test_threshold_monotonicity():
     for _ in range(15):
         fs = random_feature_set(rng, 20, 6)
         thresholds = sorted(rng.uniform(0.01, 3.0, size=3))
-        counts = [len(cluster_at(fs, EUC, t, bins=4)) for t in thresholds]
+        counts = [len(cluster_at(fs, t, bins=4)) for t in thresholds]
         assert counts == sorted(counts, reverse=True)
 
 
@@ -96,14 +89,14 @@ def test_permutation_invariance_up_to_relabeling():
     rng = np.random.default_rng(5)
     fs = random_feature_set(rng, 30, 5)
     bins = 4
-    scores = pair_score_matrix(fs, EUC, MICache(bins))
+    scores = pair_score_matrix(fs, MICache(bins))
     upper = scores[np.triu_indices(5, k=1)]
     assert np.unique(upper).size == upper.size  # no exact ties on this fixture
     threshold = float(np.median(upper))
-    base = cluster_at(fs, EUC, threshold, bins)
+    base = cluster_at(fs, threshold, bins)
     perm = np.array([3, 0, 4, 1, 2])
     fs_p = fs.with_columns(fs.values[:, perm], tuple(fs.columns[i] for i in perm))
-    permuted = cluster_at(fs_p, EUC, threshold, bins)
+    permuted = cluster_at(fs_p, threshold, bins)
     inverse = {int(p): i for i, p in enumerate(perm)}
     relabeled = sorted(tuple(sorted(perm[i] for i in g)) for g in permuted.groups)
     assert relabeled == sorted(tuple(g) for g in base.groups)
@@ -158,12 +151,11 @@ def distance_space(rng, m=40):
     return fs.with_columns(np.column_stack(cols), fs.columns)
 
 
-@pytest.mark.parametrize("kind", [EUC, COS])
-def test_pair_scores_match_distance_oracle_loop(kind):
+def test_pair_scores_match_distance_oracle_loop():
     rng = np.random.default_rng(13)
     fs = distance_space(rng)
     bins = 5
-    scores = pair_score_matrix(fs, kind, MICache(bins))
+    scores = pair_score_matrix(fs, MICache(bins))
     y = np.asarray(fs.target.values, dtype=float)
     mi_y = [mutual_information(fs.column(i), y, bins) for i in range(fs.n_cols)]
     np.testing.assert_array_equal(scores, scores.T)
@@ -171,23 +163,15 @@ def test_pair_scores_match_distance_oracle_loop(kind):
     for i in range(fs.n_cols):
         for j in range(i + 1, fs.n_cols):
             a, b = fs.column(i), fs.column(j)
-            got = pairwise_distance(a, b, kind)
+            got = pairwise_distance(a, b)
             # the matrix is the same pass as the single pair, bit for bit
             assert scores[i, j] == got * abs(mi_y[i] - mi_y[j])
-            assert got == pairwise_distance(b, a, kind)
+            assert got == pairwise_distance(b, a)
             assert 0.0 <= got <= np.finfo(np.float64).max
-            if kind is EUC:
-                s = float(max(np.max(np.abs(a)), np.max(np.abs(b)), 1.0))  # the oracle overflows at 1e200
-                want = min(s * euclidean_oracle(a / s, b / s), np.finfo(np.float64).max)
-                assert got == pytest.approx(want, rel=1e-12)
-            else:
-                # scale-invariant, so the oracle sees each operand at unit size;
-                # 1 - cos cancels near cos = 1 in any implementation: ulp(1) absolute
-                sa, sb = (max(np.max(np.abs(v)), 1.0) for v in (a, b))
-                assert got == pytest.approx(cosine_oracle(a / sa, b / sb), rel=1e-12, abs=1e-15)
-    assert pairwise_distance(fs.column(0), fs.column(1), kind) == 0.0
-    if kind is COS:
-        assert pairwise_distance(fs.column(4), fs.column(0), kind) == 1.0
+            s = float(max(np.max(np.abs(a)), np.max(np.abs(b)), 1.0))  # the oracle overflows at 1e200
+            want = min(s * euclidean_oracle(a / s, b / s), np.finfo(np.float64).max)
+            assert got == pytest.approx(want, rel=1e-12)
+    assert pairwise_distance(fs.column(0), fs.column(1)) == 0.0
 
 
 def test_cluster_set_rejects_bad_partition():
@@ -205,7 +189,7 @@ def test_adaptive_cluster_returns_at_least_two_groups_when_possible():
     rng = np.random.default_rng(6)
     for _ in range(10):
         fs = random_feature_set(rng, 20, int(rng.integers(2, 7)))
-        got = adaptive_cluster(fs, EUC, delta=1.0, cache=MICache(4))
+        got = adaptive_cluster(fs, delta=1.0, cache=MICache(4))
         assert len(got) >= 2
 
 
@@ -214,13 +198,13 @@ def test_adaptive_cluster_identical_columns_fall_back_to_singletons():
     col = rng.standard_normal(15)
     fs = random_feature_set(rng, 15, 3)
     fs = fs.with_columns(np.column_stack([col, col, col]), fs.columns)
-    got = adaptive_cluster(fs, EUC, delta=1.0, cache=MICache(4))
+    got = adaptive_cluster(fs, delta=1.0, cache=MICache(4))
     assert got.groups == ((0,), (1,), (2,))
 
 
 def test_adaptive_cluster_single_column():
     rng = np.random.default_rng(8)
     fs = random_feature_set(rng, 15, 1)
-    got = adaptive_cluster(fs, EUC, delta=1.0, cache=MICache(4))
+    got = adaptive_cluster(fs, delta=1.0, cache=MICache(4))
     assert got.groups == ((0,),)
 

@@ -253,8 +253,10 @@ def test_only_the_driver_and_the_data_layer_touch_files(module):
 # takes views, not clusters, and the forest needs no network code
 FORBIDDEN_IMPORTS = (("transform", "clustering"), ("evaluator", "neural_core"))
 # importer -> the only package modules it may import: a fixture is a space
-# and nothing of the search
-ALLOWED_IMPORTS = {"synthetic": {"dataset"}}
+# and nothing of the search; a policy reads spaces, nets and states, and
+# nothing of clustering, MI or generation
+ALLOWED_IMPORTS = {"synthetic": {"dataset"},
+                   "agents": {"dataset", "neural_core", "state_repr"}}
 
 
 def package_imports(sources: dict[str, str]) -> dict[str, set[str]]:
@@ -331,10 +333,19 @@ def test_the_package_init_holds_only_its_docstring():
     assert ast.get_docstring(tree) and len(tree.body) == 1
 
 
-def test_importing_the_fixtures_loads_the_data_layer_alone():
-    probe = ("import sys\nbefore = set(sys.modules)\nimport raft.synthetic\n"
+def raft_modules_loaded_by(module: str) -> list[str]:
+    """The ``raft`` modules a fresh interpreter loads to import ``module``."""
+    probe = (f"import sys\nbefore = set(sys.modules)\nimport {module}\n"
              "print(*sorted(m for m in set(sys.modules) - before if m.split('.')[0] == 'raft'))")
     env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
-    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                         text=True, check=True).stdout.split()
-    assert out == ["raft", "raft.dataset", "raft.synthetic"]
+    return subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, check=True).stdout.split()
+
+
+def test_importing_the_fixtures_loads_the_data_layer_alone():
+    assert raft_modules_loaded_by("raft.synthetic") == ["raft", "raft.dataset", "raft.synthetic"]
+
+
+def test_importing_the_policies_loads_data_nets_and_states_alone():
+    assert raft_modules_loaded_by("raft.agents") == [
+        "raft", "raft.agents", "raft.dataset", "raft.neural_core", "raft.state_repr"]

@@ -20,13 +20,11 @@ from raft import info_metrics
 from raft.info_metrics import (
     Labels,
     MICache,
-    PairwiseDistanceKind,
     as_labels,
     feature_set_quality,
     mutual_information,
 )
 from oracles import (
-    cosine_oracle,
     count_mi_oracle,
     euclidean_oracle,
     mi_oracle,
@@ -36,10 +34,6 @@ from oracles import (
     quality_oracle,
     scalar_quality_oracle,
 )
-
-EUC = PairwiseDistanceKind.EUCLIDEAN
-COS = PairwiseDistanceKind.COSINE
-
 
 def make_fs(values, target_values, kind=TaskKind.REGRESSION):
     values = np.asarray(values, dtype=float)
@@ -449,19 +443,11 @@ def test_feature_set_rejects_a_target_of_another_length():
 
 def test_euclidean_identical_is_zero():
     v = np.array([1.0, 2, 3])
-    assert pairwise_distance(v, v, EUC) == 0.0
-
-
-def test_cosine_orthogonal_is_one():
-    assert pairwise_distance(np.array([1.0, 0]), np.array([0.0, 1]), COS) == pytest.approx(1.0)
+    assert pairwise_distance(v, v) == 0.0
 
 
 def test_euclidean_3_4_5():
-    assert pairwise_distance(np.array([0.0, 3]), np.array([4.0, 0]), EUC) == pytest.approx(5.0)
-
-
-def test_cosine_zero_vector_convention():
-    assert pairwise_distance(np.zeros(3), np.array([1.0, 2, 3]), COS) == 1.0
+    assert pairwise_distance(np.array([0.0, 3]), np.array([4.0, 0])) == pytest.approx(5.0)
 
 
 def test_distances_match_oracles():
@@ -469,14 +455,13 @@ def test_distances_match_oracles():
     for _ in range(40):
         a = rng.standard_normal(10) * rng.uniform(0.1, 50)
         b = rng.standard_normal(10) * rng.uniform(0.1, 50)
-        assert pairwise_distance(a, b, EUC) == pytest.approx(euclidean_oracle(a, b), abs=1e-10)
-        assert pairwise_distance(a, b, COS) == pytest.approx(cosine_oracle(a, b), abs=1e-12)
+        assert pairwise_distance(a, b) == pytest.approx(euclidean_oracle(a, b), abs=1e-10)
 
 
 def test_euclidean_finite_on_huge_values():
     a = np.full(4, 1e308)
     b = np.full(4, -1e308)
-    assert np.isfinite(pairwise_distance(a, b, EUC))
+    assert np.isfinite(pairwise_distance(a, b))
 
 
 @st.composite
@@ -500,14 +485,13 @@ def column_pairs(draw):
     return column(), column()
 
 
-@pytest.mark.parametrize("kind", [EUC, COS])
 @settings(max_examples=150, deadline=None)
 @given(pair=column_pairs())
-def test_column_distances_are_symmetric_in_bits(kind, pair):
+def test_column_distances_are_symmetric_in_bits(pair):
     # a memo keyed by an unordered pair may store either orientation
     a, b = pair
-    ab = info_metrics.column_distances(a, b[None], kind)
-    ba = info_metrics.column_distances(b, a[None], kind)
+    ab = info_metrics.column_distances(a, b[None])
+    ba = info_metrics.column_distances(b, a[None])
     assert ab.tobytes() == ba.tobytes()
 
 
@@ -526,7 +510,7 @@ def test_euclidean_rows_whose_difference_overflows_read_the_max():
     others[2::5, 0] = -half_ulp  # just past the edge in the first entry
     others[3::5, 0] = -np.nextafter(half_ulp, 0.0)  # just inside it
     others[3::5, 1:] = a[1:]
-    got = info_metrics.column_distances(a, others, EUC)
+    got = info_metrics.column_distances(a, others)
     with np.errstate(over="ignore"):
         over = ~np.all(np.isfinite(others - a), axis=1)
     assert over[2::5].all() and not over[1::5].any() and not over[3::5].any()
@@ -537,4 +521,4 @@ def test_euclidean_rows_whose_difference_overflows_read_the_max():
         want = min(s * euclidean_oracle(a / s, row / s), big)
         assert dist == pytest.approx(want, rel=1e-12)
     for i in range(0, 600, 37):  # each row depends only on its own pair
-        assert got[i] == pairwise_distance(a, others[i], EUC)
+        assert got[i] == pairwise_distance(a, others[i])

@@ -343,14 +343,14 @@ def test_state_op_unknown_rejected():
 
 
 def test_concat_states():
-    # a combined encoder's state is its parts' states in ``kind.parts`` order
+    # an encoder's state is its parts' states in ``kind.parts`` order
     rng = np.random.default_rng(24)
     fs = random_feature_set(rng, 12, 3)
     si = state_si(fs)
     ae = state_ae(fs, 3, 2, 2, derive_seed(5, "ae"))
     gae = state_gae(fs, 3, 2, derive_seed(5, "gae"))
-    for kind, parts in [(EncoderKind.SI, [si]), (EncoderKind.SI_AE, [si, ae]),
-                        (EncoderKind.AE_GAE, [ae, gae]), (EncoderKind.ALL, [si, ae, gae])]:
+    for kind, parts in [(EncoderKind.SI, [si]), (EncoderKind.AE, [ae]),
+                        (EncoderKind.GAE, [gae]), (EncoderKind.ALL, [si, ae, gae])]:
         got = StateEncoder(kind, 3, 2, 2, 5).encode(fs)
         assert got.tobytes() == np.concatenate(parts).tobytes(), kind
 
@@ -414,7 +414,10 @@ def test_states_do_not_depend_on_the_input_layout():
 
 
 def test_encoder_kind_parse():
-    assert EncoderKind.parse("si+gae") is EncoderKind.SI_GAE
+    assert EncoderKind.parse("gae") is EncoderKind.GAE
+    assert [kind.value for kind in EncoderKind] == ["si", "ae", "gae", "all"]
     assert EncoderKind.ALL.parts == ("si", "ae", "gae")
-    with pytest.raises(ValueError):
-        EncoderKind.parse("nope")
+    assert EncoderKind.AE.parts == ("ae",)
+    for word in ("nope", "si+ae"):
+        with pytest.raises(ValueError):
+            EncoderKind.parse(word)
