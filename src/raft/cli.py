@@ -4,8 +4,8 @@
 in-memory space: cluster the columns, let the policy pick the head group, the
 operation and the tail group, generate features, score them, and hand the
 rewards back to the policy.  It reads and writes no file.
-``prepare(fs0, train, metric, bench)`` builds what a search of ``fs0`` needs:
-the metric, the bins, the seeds and the caches, and the policy (the learned
+``prepare(fs0, train, bench)`` builds what a search of ``fs0`` needs: the
+task's metric, the bins, the seeds and the caches, and the policy (the learned
 cascade, ``agents.ActorCriticPolicy``, or with ``bench`` the uniform-random
 control, ``agents.RandomPolicy``).  ``run_search(cfg)`` is ``raft run``'s
 driver: ``load_csv``, ``prepare`` and ``search``.  Each config key is declared
@@ -47,10 +47,10 @@ from .evaluator import (
     TRAIN_FRACTION,
     ForestConfig,
     MetricKind,
-    default_metric,
     downstream_score,
     feature_importances,
     fit_forest,
+    task_metric,
 )
 from .info_metrics import MICache, feature_set_quality
 from .neural_core import derive_seed
@@ -76,7 +76,6 @@ class RunConfig:
     task: TaskKind | None = field(default=None, metadata={
         "names": {"auto": None, "clf": TaskKind.CLASSIFICATION, "reg": TaskKind.REGRESSION},
         "help": "auto infers from the target"})
-    metric: MetricKind | None = None  # None: task default
     impute: str | None = field(default=None, metadata={
         "names": {"median": "median"}, "help": "allow and impute missing cells"})
     bench: bool = field(default=False,
@@ -200,19 +199,15 @@ def search(fs0: FeatureSet, train: TrainConfig, policy, evalctx: EvalContext) ->
     )
 
 
-def prepare(fs0: FeatureSet, train: TrainConfig, metric: MetricKind | None = None,
+def prepare(fs0: FeatureSet, train: TrainConfig,
             bench: bool = False) -> tuple[RandomPolicy | ActorCriticPolicy, EvalContext]:
-    """A search's policy and caches: ``metric`` (None: the task's default; one
-    of the other task is a ConfigError), the MI bins, and ``train.seed``'s split,
-    forest and action streams; ``bench`` gives the uniform-random control."""
+    """A search's policy and caches: the target's task metric, the MI bins, and
+    ``train.seed``'s split, forest and action streams; ``bench`` gives the
+    uniform-random control."""
     if fs0.target.lone_class:
         logger.warning("a class has a single sample; falling back to unstratified split")
-    task = fs0.target.kind
-    metric = metric if metric is not None else default_metric(task)
-    if metric.task is not task:
-        raise ConfigError(f"metric {metric.value} incompatible with a {task.value} target")
     bins = train.bins if train.bins is not None else default_bins(fs0.n_rows)
-    evalctx = EvalContext(metric, derive_seed(train.seed, "split"),
+    evalctx = EvalContext(task_metric(fs0.target.kind), derive_seed(train.seed, "split"),
                           ForestConfig(seed=derive_seed(train.seed, "forest")), MICache(bins))
     action_rng = np.random.default_rng(derive_seed(train.seed, "actions"))
     policy = RandomPolicy(action_rng) if bench else ActorCriticPolicy(train, action_rng)
@@ -223,7 +218,7 @@ def run_search(cfg: RunConfig) -> RunResult:
     """``load_csv``, ``prepare`` and ``search``; ``wall_time`` counts all of it."""
     started = time.perf_counter()
     fs0 = load_csv(cfg.input_path, cfg.target, task=cfg.task, impute=cfg.impute)
-    result = search(fs0, cfg.train, *prepare(fs0, cfg.train, cfg.metric, cfg.bench))
+    result = search(fs0, cfg.train, *prepare(fs0, cfg.train, cfg.bench))
     result.wall_time = time.perf_counter() - started
     return result
 
@@ -277,17 +272,17 @@ def emit_report(result: RunResult, fs_star: FeatureSet, path: Path) -> None:
 
 
 def write_config_echo(cfg: RunConfig, result: RunResult, path: Path) -> None:
-    """Every config key with the value the run used (``bins``, ``max_size``,
-    ``task`` and ``metric`` resolved), then the operation set and the seeds."""
-    resolved = {"task": result.metric.task, "metric": result.metric,
-                "bins": result.bins, "max_size": result.max_size}
+    """Every config key with the value the run used (``bins``, ``max_size``
+    and ``task`` resolved), then the operation set, the metric and the seeds."""
+    resolved = {"task": result.metric.task, "bins": result.bins, "max_size": result.max_size}
     # `out` is left out: the echo lives there, and same-seed runs into
     # different directories must write identical files.
     pairs = [(key, resolved.get(key, getattr(cfg if owner is RunConfig else cfg.train, f.name)))
              for key, (owner, f, _, _) in _KEYS.items() if key != "out"]
     pairs += [
         ("unary_ops", ",".join(UNARY_OPS)), ("binary_ops", ",".join(BINARY_OPS)),
-        ("split_seed", result.split_seed), ("forest_seed", result.forest_seed),
+        ("metric", result.metric), ("split_seed", result.split_seed),
+        ("forest_seed", result.forest_seed),
     ]
     path.write_text("".join(f"{k} = {_fmt(v)}\n" for k, v in pairs), encoding="utf-8")
 

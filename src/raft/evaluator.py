@@ -1,4 +1,4 @@
-"""Downstream-task utility: an in-house random forest plus task metrics.
+"""Downstream-task utility: an in-house random forest plus each task's metric.
 
 Trees use axis-aligned splits with Gini impurity (classification) or variance
 (regression), midpoint thresholds, and deterministic tie-breaking by lowest
@@ -44,22 +44,17 @@ from enum import Enum
 
 
 class MetricKind(Enum):
+    """Each task's one score: macro F1, or 1 - relative absolute error."""
+
     F1_MACRO = "f1_macro"
-    PRECISION_MACRO = "precision_macro"
-    RECALL_MACRO = "recall_macro"
     ONE_MINUS_RAE = "one_minus_rae"
-    ONE_MINUS_MAE = "one_minus_mae"
-    ONE_MINUS_MSE = "one_minus_mse"
-    ONE_MINUS_RMSE = "one_minus_rmse"
 
     @property
     def task(self) -> TaskKind:
-        if self in (MetricKind.F1_MACRO, MetricKind.PRECISION_MACRO, MetricKind.RECALL_MACRO):
-            return TaskKind.CLASSIFICATION
-        return TaskKind.REGRESSION
+        return TaskKind.CLASSIFICATION if self is MetricKind.F1_MACRO else TaskKind.REGRESSION
 
 
-def default_metric(task: TaskKind) -> MetricKind:
+def task_metric(task: TaskKind) -> MetricKind:
     return MetricKind.F1_MACRO if task is TaskKind.CLASSIFICATION else MetricKind.ONE_MINUS_RAE
 
 
@@ -489,12 +484,6 @@ def metric_only(
         yt = y_true.astype(np.float64)
         yp = y_pred.astype(np.float64)
         err = np.abs(yt - yp)
-        if metric is MetricKind.ONE_MINUS_MAE:
-            return 1.0 - float(np.mean(err))
-        if metric is MetricKind.ONE_MINUS_MSE:
-            return 1.0 - float(np.mean(err * err))
-        if metric is MetricKind.ONE_MINUS_RMSE:
-            return 1.0 - math.sqrt(float(np.mean(err * err)))
         if train_mean is None:
             raise ValueError("one_minus_rae needs the training-target mean")
         denom = float(np.sum(np.abs(yt - train_mean)))
@@ -509,10 +498,6 @@ def metric_only(
     tp = np.diagonal(confusion).astype(np.float64)
     precision = _ratio(tp, confusion.sum(axis=0))
     recall = _ratio(tp, confusion.sum(axis=1))
-    if metric is MetricKind.PRECISION_MACRO:
-        return float(np.mean(precision))
-    if metric is MetricKind.RECALL_MACRO:
-        return float(np.mean(recall))
     return float(np.mean(_ratio(2 * precision * recall, precision + recall)))
 
 

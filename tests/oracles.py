@@ -11,7 +11,7 @@ from dataclasses import replace
 import numpy as np
 
 from raft.dataset import DatasetError, FeatureMeta, FeatureSet, Ident, Target, TaskKind
-from raft.evaluator import MAX_BINS, ForestConfig, MetricKind
+from raft.evaluator import MAX_BINS, ForestConfig
 from raft.info_metrics import as_labels, column_distances, content_hash
 from raft.neural_core import DenseNet, derive_seed, init_dense, init_gcn
 from raft.state_repr import _finite, _population_std, _standardize_columns, correlation_adjacency
@@ -659,26 +659,18 @@ def forest_predict_oracle(trees: list, x: np.ndarray, classification: bool) -> n
     return np.asarray(out)
 
 
-def classification_metric_oracle(y_true: np.ndarray, y_pred: np.ndarray,
-                                 metric: MetricKind) -> float:
-    """Macro precision, recall or F1 from three boolean masks per label, over
-    the labels either array holds."""
+def classification_metric_oracle(y_true: np.ndarray, y_pred: np.ndarray) -> float:
+    """Macro F1 from three boolean masks per label, over the labels either
+    array holds."""
     labels = np.unique(np.concatenate([y_true, y_pred])).astype(np.int64)
-    precisions, recalls, f1s = [], [], []
+    f1s = []
     for label in labels:
         tp = int(np.sum((y_pred == label) & (y_true == label)))
         fp = int(np.sum((y_pred == label) & (y_true != label)))
         fn = int(np.sum((y_pred != label) & (y_true == label)))
         p = tp / (tp + fp) if tp + fp > 0 else 0.0
         r = tp / (tp + fn) if tp + fn > 0 else 0.0
-        f = 2 * p * r / (p + r) if p + r > 0 else 0.0
-        precisions.append(p)
-        recalls.append(r)
-        f1s.append(f)
-    if metric is MetricKind.PRECISION_MACRO:
-        return float(np.mean(precisions))
-    if metric is MetricKind.RECALL_MACRO:
-        return float(np.mean(recalls))
+        f1s.append(2 * p * r / (p + r) if p + r > 0 else 0.0)
     return float(np.mean(f1s))
 
 

@@ -33,7 +33,7 @@ def test_summary_counts_wins_in_each_metrics_direction_and_ties_for_neither():
     summary = ab_pairs.summarize(pairs, {"steps_per_s": "higher", "peak_rss_mb": "lower"})
     assert summary["digests_match"] is True
     assert summary["steps_per_s"] == {"parent": [1.75, 2.5, 3.25], "change": [2.0, 3.5, 5.0],
-                                      "wins": 3}
+                                      "wins": 3, "gain": False}
     assert summary["peak_rss_mb"]["wins"] == 2
     assert summary["peak_rss_mb"]["change"] == pytest.approx([49.375, 49.75, 50.25])
 
@@ -49,7 +49,41 @@ def test_summary_leaves_out_a_pair_with_a_failed_run():
     summary = ab_pairs.summarize(pairs, {"steps_per_s": "higher"})
     assert summary["failed"] == 1 and summary["digests_match"] is True
     assert summary["steps_per_s"] == {"parent": [1.5, 2.0, 2.5], "change": [2.75, 3.5, 4.25],
-                                      "wins": 2}
+                                      "wins": 2, "gain": False}
+
+
+PARENT_SPEEDS = [10.0, 10.5, 11.0, 10.2, 10.8, 10.4, 10.6, 10.1, 10.9, 10.3]
+FAILED = {"first": "parent", "parent": {"exit": 1}, "change": _run(99.0, 1.0, "d")}
+
+
+@pytest.mark.parametrize("changes, gain", [
+    # nine wins and a failed pair of ten; the median moves 1.0, the parent's IQR is 0.6
+    ([s + 1.0 for s in PARENT_SPEEDS[:9]] + [None], True),
+    # eight wins, a tie and a failed pair; the median moves 0.9 past the same IQR
+    ([s + 1.0 for s in PARENT_SPEEDS[:8]] + [PARENT_SPEEDS[8], None], False),
+    # ten wins, but the median moves 0.1, inside the parent's IQR of 0.525
+    ([s + 0.1 for s in PARENT_SPEEDS], False),
+], ids=["gain", "too-few-wins", "inside-the-spread"])
+def test_a_gain_needs_nine_tenths_of_the_pairs_and_a_median_past_the_parents_spread(
+        changes, gain):
+    pairs = [FAILED if c is None else _pair(p, c, 50.0 + p, 40.0 + p)
+             for p, c in zip(PARENT_SPEEDS, changes)]
+    summary = ab_pairs.summarize(pairs, {"steps_per_s": "higher", "peak_rss_mb": "lower"})
+    assert summary["steps_per_s"]["gain"] is gain
+    assert summary["peak_rss_mb"]["gain"] is True  # 10 MiB less in every finished pair
+
+
+def test_no_finished_pair_leaves_the_digests_unjudged(tmp_path, monkeypatch, capsys):
+    assert ab_pairs.summarize([FAILED, FAILED], {"steps_per_s": "higher"}) == {
+        "failed": 2, "digests_match": None}
+    change = tmp_path / "change"
+    change.mkdir()
+    (change / "BENCHMARK.json").write_text(json.dumps(
+        {"end_to_end": [{"name": "steps_per_s", "better": "higher"}]}))
+    monkeypatch.setattr(ab_pairs, "run_once", lambda root, workload, seed: {"exit": 1})
+    assert ab_pairs.main([str(tmp_path), str(change), "--workload", "w", "--seed", "11",
+                          "--pairs", "2"]) == 0
+    assert capsys.readouterr().out == "w seed 11, 2 pairs, 2 failed, digests match: n/a\n"
 
 
 def test_a_failed_run_keeps_its_exit_code_and_every_finished_pair(tmp_path, monkeypatch,
@@ -83,4 +117,4 @@ def test_a_failed_run_keeps_its_exit_code_and_every_finished_pair(tmp_path, monk
     assert record["summary"]["steps_per_s"]["wins"] == 2
     printed = capsys.readouterr().out
     assert "3 pairs, 1 failed, digests match: True" in printed
-    assert "change wins 2/2" in printed
+    assert "change wins 2/2  gain: false" in printed

@@ -96,8 +96,10 @@ def test_unknown_flag_exits_with_usage_error(capsys):
     assert exc.value.code == 2
 
 
-# d is Euclidean with no key, so a config file or an old config.echo naming `distance` fails
-@pytest.mark.parametrize("key", ["mystery", "clip_norm", "skip_tail_on_unary", "distance"])
+# d is Euclidean and the metric is the task's, with no key, so a config file
+# or an old config.echo naming `distance` or `metric` fails
+@pytest.mark.parametrize("key", ["mystery", "clip_norm", "skip_tail_on_unary", "distance",
+                                 "metric"])
 def test_unknown_config_key_rejected(tmp_path, small_csv, key):
     cfgfile = tmp_path / "run.cfg"
     cfgfile.write_text(f"{key} = 3\n", encoding="utf-8")
@@ -125,9 +127,6 @@ def test_exit_codes(tmp_path, small_csv, capsys):
                  "--out", str(tmp_path / "o"), "--episodes", "1", "--steps", "1"]) == 3
     assert main(["run", "--input", str(small_csv), "--target", "nope",
                  "--out", str(tmp_path / "o"), "--episodes", "1", "--steps", "1"]) == 3
-    assert main(["run", "--input", str(small_csv), "--target", "y",
-                 "--out", str(tmp_path / "o"), "--metric", "f1_macro",
-                 "--episodes", "1", "--steps", "1"]) == 2  # metric/task mismatch
 
 
 @pytest.mark.parametrize("flags", [
@@ -375,7 +374,7 @@ def fixture_train(encoder: str) -> TrainConfig:
 def search_in_memory(fs0: FeatureSet, train: TrainConfig, bench: bool, out: Path):
     """``search`` as ``prepare`` builds it, its trace.tsv and transformed.csv
     written under ``out``."""
-    result = search(fs0, train, *prepare(fs0, train, None, bench))
+    result = search(fs0, train, *prepare(fs0, train, bench))
     out.mkdir()
     write_trace(result.trace, out / "trace.tsv")
     write_csv(result.best_fs, out / "transformed.csv")
@@ -639,18 +638,27 @@ def test_a_run_labels_every_column_at_its_bin_count(tmp_path, monkeypatch, flags
     assert seen and set(seen) == {want}
 
 
-@pytest.mark.parametrize("metric", ["one_minus_mse", "one_minus_rae"])
-def test_nonfinite_score_exits_4(tmp_path, capsys, metric):
-    # squares of a ~1e200 target overflow, in the forest's split search and in
-    # one_minus_mse
+def test_nonfinite_score_exits_4(tmp_path, capsys):
+    # squares of a ~1e200 target overflow, so the forest's split search refuses it
     fs = squared_sum_regression(m=80, n_distractors=3, seed=11)
     huge = FeatureSet(fs.values, fs.columns,
                       Target(fs.target.values * 1e200, TaskKind.REGRESSION, "y"))
     path = write_fixture(huge, tmp_path / "huge.csv")
     code = main(["run", "--input", str(path), "--target", "y", "--out", str(tmp_path / "o"),
-                 "--metric", metric, "--episodes", "1", "--steps", "1"])
+                 "--episodes", "1", "--steps", "1"])
     assert code == 4
     assert "numeric failure" in capsys.readouterr().err
+
+
+def test_a_nan_score_exits_4(tmp_path, capsys, monkeypatch):
+    # EvalContext.score's own guard: no later step could repair a NaN score
+    monkeypatch.setattr(cli, "downstream_score", lambda *args: math.nan)
+    path = write_fixture(product_sign_classification(60, 4, 5), tmp_path / "data.csv")
+    code = main(["run", "--input", str(path), "--target", "label", "--out",
+                 str(tmp_path / "o"), "--episodes", "1", "--steps", "1"])
+    assert code == 4
+    assert "numeric failure: f1_macro score is nan" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
@@ -666,8 +674,7 @@ def test_a_diverged_actor_exits_4(tmp_path, capsys):
     assert "numeric failure: an actor's softmax is not finite" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("metric", ["one_minus_mse", "one_minus_rae"])
-def test_forest_split_overflow_window_exits_4(tmp_path, capsys, metric):
+def test_forest_split_overflow_window_exits_4(tmp_path, capsys):
     # a ~1e152 target has a finite sum of squares, but the split search's
     # squared running sums over the sample overflow
     fs = squared_sum_regression(m=80, n_distractors=3, seed=11)
@@ -675,7 +682,7 @@ def test_forest_split_overflow_window_exits_4(tmp_path, capsys, metric):
                       Target(fs.target.values * 1e152, TaskKind.REGRESSION, "y"))
     path = write_fixture(huge, tmp_path / "huge.csv")
     code = main(["run", "--input", str(path), "--target", "y", "--out", str(tmp_path / "o"),
-                 "--metric", metric, "--episodes", "1", "--steps", "1"])
+                 "--episodes", "1", "--steps", "1"])
     assert code == 4
     assert "numeric failure" in capsys.readouterr().err
 
@@ -685,7 +692,7 @@ def test_forest_split_overflow_window_exits_4(tmp_path, capsys, metric):
 # ---------------------------------------------------------------------------
 
 RUN_OPTIONS = {
-    "--input", "--target", "--out", "--config", "--task", "--metric", "--impute",
+    "--input", "--target", "--out", "--config", "--task", "--impute",
     "--encoder", "--episodes", "--steps", "--seed", "--k", "--d",
     "--encoder-epochs", "--delta", "--bins", "--max-size", "--gamma", "--beta",
     "--actor-lr", "--critic-lr", "--hidden", "--cross-cap", "--max-lineage-depth",
@@ -702,7 +709,7 @@ TRAIN_KEY_VALUES = {
 
 FILE_ONLY_VALUES = {
     "input": "data.csv", "target": "y", "out": "o", "task": "reg",
-    "metric": "one_minus_rae", "impute": "median", "bench": "true", "report": "false",
+    "impute": "median", "bench": "true", "report": "false",
 }
 
 
@@ -712,15 +719,15 @@ def run_options() -> set[str]:
 
 
 def test_cli_surface_is_pinned(tmp_path):
-    assert run_options() == RUN_OPTIONS and len(RUN_OPTIONS) == 26
+    assert run_options() == RUN_OPTIONS and len(RUN_OPTIONS) == 25
     accepted = set(TRAIN_KEY_VALUES) | set(FILE_ONLY_VALUES)
-    assert set(_FILE_KEYS) == accepted and len(accepted) == 25
+    assert set(_FILE_KEYS) == accepted and len(accepted) == 24
     values = {**FILE_ONLY_VALUES, **TRAIN_KEY_VALUES}
     cfgfile = tmp_path / "all.cfg"
     cfgfile.write_text("".join(f"{k} = {v}\n" for k, v in values.items()), encoding="utf-8")
     cfg = parse_config(["run", "--config", str(cfgfile)])
     assert cfg.bench and not cfg.report and cfg.impute == "median"
-    assert cfg.task is TaskKind.REGRESSION and cfg.metric is MetricKind.ONE_MINUS_RAE
+    assert cfg.task is TaskKind.REGRESSION
 
 
 def test_every_train_config_field_is_a_flag_a_file_key_and_an_echo_line(small_csv, tmp_path):
@@ -779,8 +786,8 @@ def test_a_bad_number_reads_alike_from_a_flag_and_a_file(tmp_path, small_csv, ca
     assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize("key, text", [("task", "classify"), ("metric", "f1"),
-                                       ("impute", "mean"), ("encoder", "vae"),
+@pytest.mark.parametrize("key, text", [("task", "classify"), ("impute", "mean"),
+                                       ("encoder", "vae"),
                                        ("encoder", "si+ae"), ("encoder", "ae+gae")])
 def test_a_named_key_rejects_an_unknown_word_from_a_file(tmp_path, key, text):
     # a flag's choices reject it before parse_config sees it
@@ -791,10 +798,11 @@ def test_a_named_key_rejects_an_unknown_word_from_a_file(tmp_path, key, text):
                       "--config", str(cfgfile)])
 
 
-def test_the_distance_flag_exits_2(tmp_path, small_csv, capsys):
+@pytest.mark.parametrize("flag, text", [("--distance", "cosine"), ("--metric", "f1_macro")])
+def test_a_removed_flag_exits_2(tmp_path, small_csv, capsys, flag, text):
     with pytest.raises(SystemExit) as exc:
         main(["run", "--input", str(small_csv), "--target", "y", "--out", str(tmp_path / "o"),
-              "--distance", "cosine"])
+              flag, text])
     assert exc.value.code == 2
-    assert "--distance" in capsys.readouterr().err
+    assert flag in capsys.readouterr().err
     assert not (tmp_path / "o").exists()

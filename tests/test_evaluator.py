@@ -13,12 +13,12 @@ from raft.evaluator import (
     ForestConfig,
     MetricKind,
     RandomForest,
-    default_metric,
     downstream_score,
     feature_importances,
     fit_forest,
     metric_only,
     predict,
+    task_metric,
 )
 from raft.state_repr import EncoderKind, StateEncoder
 from raft.synthetic import product_sign_classification
@@ -46,28 +46,19 @@ def reg_set(values, target):
 
 def test_perfect_regression_metrics_are_one():
     y = np.array([1.0, 2.0, 3.0])
-    for metric in (MetricKind.ONE_MINUS_RAE, MetricKind.ONE_MINUS_MAE,
-                   MetricKind.ONE_MINUS_MSE, MetricKind.ONE_MINUS_RMSE):
-        assert metric_only(y, y, metric, train_mean=2.0) == 1.0
+    assert metric_only(y, y, MetricKind.ONE_MINUS_RAE, train_mean=2.0) == 1.0
 
 
 def test_regression_metrics_one_iff_exact():
     y = np.array([1.0, 2.0, 3.0])
     yp = np.array([1.0, 2.0, 3.0 + 1e-6])
-    for metric in (MetricKind.ONE_MINUS_RAE, MetricKind.ONE_MINUS_MAE,
-                   MetricKind.ONE_MINUS_MSE, MetricKind.ONE_MINUS_RMSE):
-        assert metric_only(y, yp, metric, train_mean=2.0) < 1.0
+    assert metric_only(y, yp, MetricKind.ONE_MINUS_RAE, train_mean=2.0) < 1.0
 
 
 def test_one_minus_rae_mean_prediction_is_zero():
     y = np.array([1.0, 3.0])
     pred = np.array([2.0, 2.0])
     assert metric_only(y, pred, MetricKind.ONE_MINUS_RAE, train_mean=2.0) == 0.0
-
-
-def test_one_minus_mae_simple():
-    assert metric_only(np.array([1.0, 2, 3]), np.array([1.0, 2, 3]),
-                       MetricKind.ONE_MINUS_MAE) == 1.0
 
 
 def test_one_minus_rae_degenerate_normalizer():
@@ -91,10 +82,6 @@ def test_macro_metrics_from_confusion_matrix():
     y_pred = np.array([0, 0, 1, 1, 1, 1])
     f1 = metric_only(y_true, y_pred, MetricKind.F1_MACRO)
     assert f1 == pytest.approx((0.8 + 6.0 / 7.0) / 2.0, abs=1e-9)  # 0.828571...
-    prec = metric_only(y_true, y_pred, MetricKind.PRECISION_MACRO)
-    assert prec == pytest.approx((1.0 + 0.75) / 2.0, abs=1e-12)
-    rec = metric_only(y_true, y_pred, MetricKind.RECALL_MACRO)
-    assert rec == pytest.approx((2.0 / 3.0 + 1.0) / 2.0, abs=1e-12)
 
 
 def test_macro_metrics_bounded():
@@ -103,10 +90,7 @@ def test_macro_metrics_bounded():
         m = int(rng.integers(2, 40))
         y_true = rng.integers(0, 4, size=m)
         y_pred = rng.integers(0, 4, size=m)
-        for metric in (MetricKind.F1_MACRO, MetricKind.PRECISION_MACRO,
-                       MetricKind.RECALL_MACRO):
-            v = metric_only(y_true, y_pred, metric)
-            assert 0.0 <= v <= 1.0
+        assert 0.0 <= metric_only(y_true, y_pred, MetricKind.F1_MACRO) <= 1.0
 
 
 @st.composite
@@ -123,14 +107,15 @@ def label_pairs(draw):
 @settings(max_examples=300, deadline=None)
 def test_macro_metrics_match_the_per_label_oracle_bit_for_bit(pair):
     y_true, y_pred = pair
-    for metric in (MetricKind.F1_MACRO, MetricKind.PRECISION_MACRO, MetricKind.RECALL_MACRO):
-        got = metric_only(y_true, y_pred, metric)
-        assert repr(got) == repr(classification_metric_oracle(y_true, y_pred, metric)), metric
+    got = metric_only(y_true, y_pred, MetricKind.F1_MACRO)
+    assert repr(got) == repr(classification_metric_oracle(y_true, y_pred))
 
 
-def test_default_metric():
-    assert default_metric(TaskKind.CLASSIFICATION) is MetricKind.F1_MACRO
-    assert default_metric(TaskKind.REGRESSION) is MetricKind.ONE_MINUS_RAE
+def test_task_metric():
+    assert task_metric(TaskKind.CLASSIFICATION) is MetricKind.F1_MACRO
+    assert task_metric(TaskKind.REGRESSION) is MetricKind.ONE_MINUS_RAE
+    assert {kind.value: kind.task for kind in MetricKind} == {
+        "f1_macro": TaskKind.CLASSIFICATION, "one_minus_rae": TaskKind.REGRESSION}
 
 
 # ---------------------------------------------------------------------------
@@ -593,8 +578,8 @@ def test_downstream_score_metric_task_mismatch():
 
 
 def test_downstream_score_constant_target_rejected_at_ingestion_level():
-    # a constant regression target yields 1-MAE of 1.0 (every tree predicts it)
+    # a constant regression target yields 1-RAE of 1.0 (every tree predicts it)
     rng = np.random.default_rng(10)
     fs = reg_set(rng.standard_normal((20, 2)), np.full(20, 3.0))
-    score = downstream_score(fs, 1, MetricKind.ONE_MINUS_MAE, ForestConfig(seed=2))
+    score = downstream_score(fs, 1, MetricKind.ONE_MINUS_RAE, ForestConfig(seed=2))
     assert score == 1.0

@@ -5,11 +5,15 @@
 Each pair runs ``bench/run.py --seconds 30 --trace 0`` once in each checkout,
 the parent first in even pairs and the change first in odd ones, and keeps
 each run's result line and ``digest`` line.  Per end-to-end metric it prints
-each side's quartiles and how many pairs the change wins, with "better" read
+each side's quartiles, how many pairs the change wins, with "better" read
 from the change's ``BENCHMARK.json`` (a tie counts for neither side), and
-whether every digest matched.  A run that exits non-zero is recorded by its
-exit code, and its pair is counted as failed and left out of the summary.
-``--out`` appends the set to a JSON list and is rewritten after every pair.
+whether the change has a gain: it wins at least nine tenths of the pairs run
+and its median is better than the parent's by more than the parent's
+interquartile range.  It also prints whether every digest matched (``n/a``
+when no pair finished).  A run that exits non-zero is recorded by its exit
+code, and its pair is counted as failed, as a pair the change does not win,
+and is left out of the quartiles.  ``--out`` appends the set to a JSON list
+and is rewritten after every pair.
 """
 
 from __future__ import annotations
@@ -43,16 +47,22 @@ def quartiles(values: list[float]) -> list[float]:
 
 def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
     """Per metric: each side's quartiles and the change's wins over the pairs
-    whose two runs finished; ``failed`` counts the other pairs."""
+    whose two runs finished, and whether that is a gain over all the pairs run;
+    ``failed`` counts the other pairs, and ``digests_match`` is None when none
+    finished."""
     done = [p for p in pairs if "exit" not in p["parent"] and "exit" not in p["change"]]
     out = {"failed": len(pairs) - len(done),
-           "digests_match": all(p["parent"]["digest"] == p["change"]["digest"] for p in done)}
+           "digests_match": all(p["parent"]["digest"] == p["change"]["digest"] for p in done)
+           if done else None}
     for name, direction in better.items() if done else ():
         sign = 1.0 if direction == "higher" else -1.0
         par = [p["parent"]["metrics"][name] for p in done]
         chg = [p["change"]["metrics"][name] for p in done]
-        out[name] = {"parent": quartiles(par), "change": quartiles(chg),
-                     "wins": sum(sign * (c - p) > 0 for p, c in zip(par, chg))}
+        pq, cq = quartiles(par), quartiles(chg)
+        wins = sum(sign * (c - p) > 0 for p, c in zip(par, chg))
+        spread = pq[2] - pq[0]  # the parent's interquartile range
+        out[name] = {"parent": pq, "change": cq, "wins": wins,
+                     "gain": 10 * wins >= 9 * len(pairs) and sign * (cq[1] - pq[1]) > spread}
     return out
 
 
@@ -82,12 +92,14 @@ def main(argv: list[str] | None = None) -> int:
         if args.out:  # a set cut short keeps every pair it finished
             args.out.write_text(json.dumps(sets, indent=1) + "\n")
     finished = args.pairs - summary["failed"]
+    match = "n/a" if summary["digests_match"] is None else summary["digests_match"]
     print(f"{args.workload} seed {args.seed}, {args.pairs} pairs, {summary['failed']} failed, "
-          f"digests match: {summary['digests_match']}")
+          f"digests match: {match}")
     for name in better if finished else ():
         (p1, p2, p3), (c1, c2, c3) = summary[name]["parent"], summary[name]["change"]
         print(f"{name}: parent {p2:.4g} [{p1:.4g}, {p3:.4g}]  change {c2:.4g} [{c1:.4g}, "
-              f"{c3:.4g}]  change wins {summary[name]['wins']}/{finished}")
+              f"{c3:.4g}]  change wins {summary[name]['wins']}/{finished}  "
+              f"gain: {str(summary[name]['gain']).lower()}")
     return 0
 
 
