@@ -50,10 +50,10 @@ class TrainConfig:
     """Search and optimization knobs; defaults target desk-scale runs.
 
     Every field is also a ``raft run`` flag (``--max-size`` for ``max_size``)
-    and a config-file key, and is echoed to ``config.echo`` in this order; a
-    field's ``help`` metadata is its flag's help text.  A number outside its
-    range raises ValueError (the CLI's exit 2).  The group distance's pair-wise
-    d is Euclidean, with no key; ``encoder`` is si, ae, gae or all.
+    and a config-file key, echoed to ``config.echo`` in this order (the echo
+    replays the run); its ``help`` metadata is its flag's help text.  A number
+    outside its range raises ValueError (the CLI's exit 2).  The group distance's
+    pair-wise d is Euclidean, with no key; ``encoder`` is si, ae, gae or all.
     """
 
     episodes: int = 30

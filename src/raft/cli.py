@@ -10,8 +10,9 @@ cascade, ``agents.ActorCriticPolicy``, or with ``bench`` the uniform-random
 control, ``agents.RandomPolicy``).  ``run_search(cfg)`` is ``raft run``'s
 driver: ``load_csv``, ``prepare`` and ``search``.  Each config key is declared
 once, as a ``RunConfig`` or ``TrainConfig`` field; the flags, the config-file
-keys and ``config.echo`` are derived from the fields, and one function turns a
-key's text into its value, from a flag or a file line alike.  Output files are
+keys and ``config.echo`` are derived from the fields.  One function reads a
+key's text, from a flag or a file line alike, and its inverse writes it, so
+``config.echo`` is a config file that replays its run.  Output files are
 byte-identical across runs with the same configuration and seed.
 """
 
@@ -32,8 +33,6 @@ import numpy as np
 from .agents import ActorCriticPolicy, RandomPolicy, TrainConfig, compute_rewards
 from .clustering import adaptive_cluster
 from .dataset import (
-    BINARY_OPS,
-    UNARY_OPS,
     DatasetError,
     FeatureSet,
     NumericError,
@@ -77,7 +76,7 @@ class RunConfig:
         "names": {"auto": None, "clf": TaskKind.CLASSIFICATION, "reg": TaskKind.REGRESSION},
         "help": "auto infers from the target"})
     impute: str | None = field(default=None, metadata={
-        "names": {"median": "median"}, "help": "allow and impute missing cells"})
+        "names": {"none": None, "median": "median"}, "help": "allow and impute missing cells"})
     bench: bool = field(default=False,
                         metadata={"help": "uniform-random control run (no learning)"})
     report: bool = True
@@ -228,15 +227,7 @@ def run_search(cfg: RunConfig) -> RunResult:
 # ---------------------------------------------------------------------------
 
 def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(float(value))
-    if value is None:
-        return "none"
-    if isinstance(value, Enum):
-        return value.value
-    return str(value)
+    return repr(float(value)) if isinstance(value, float) else str(value)
 
 
 def write_trace(trace: list[TraceRow], path: Path) -> None:
@@ -272,19 +263,18 @@ def emit_report(result: RunResult, fs_star: FeatureSet, path: Path) -> None:
 
 
 def write_config_echo(cfg: RunConfig, result: RunResult, path: Path) -> None:
-    """Every config key with the value the run used (``bins``, ``max_size``
-    and ``task`` resolved), then the operation set, the metric and the seeds."""
-    resolved = {"task": result.metric.task, "bins": result.bins, "max_size": result.max_size}
-    # `out` is left out: the echo lives there, and same-seed runs into
-    # different directories must write identical files.
-    pairs = [(key, resolved.get(key, getattr(cfg if owner is RunConfig else cfg.train, f.name)))
-             for key, (owner, f, _, _) in _KEYS.items() if key != "out"]
-    pairs += [
-        ("unary_ops", ",".join(UNARY_OPS)), ("binary_ops", ",".join(BINARY_OPS)),
-        ("metric", result.metric), ("split_seed", result.split_seed),
-        ("forest_seed", result.forest_seed),
-    ]
-    path.write_text("".join(f"{k} = {_fmt(v)}\n" for k, v in pairs), encoding="utf-8")
+    """A config file that replays the run: every key but ``out`` (same-seed runs
+    into two directories write one echo) at the value the run used (``task``,
+    ``bins`` and ``max_size`` resolved), then the metric and the seeds as
+    comments.  ``input`` is echoed as given: a relative path replays from the
+    same working directory."""
+    used = {key: getattr(cfg if owner is RunConfig else cfg.train, f.name)
+            for key, (owner, f, _, _) in _KEYS.items() if key != "out"}
+    used.update(task=result.metric.task, bins=result.bins, max_size=result.max_size)
+    lines = [f"{key} = {_text(key, value)}" for key, value in used.items()]
+    lines += [f"# metric = {result.metric.value}", f"# split_seed = {result.split_seed}",
+              f"# forest_seed = {result.forest_seed}"]
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
 
 
 def write_outputs(result: RunResult, cfg: RunConfig) -> dict[str, Path]:
@@ -308,7 +298,8 @@ def _key_table() -> dict[str, tuple[type, Field, type, dict | None]]:
     """Every scalar ``RunConfig`` and ``TrainConfig`` field by its key (the
     ``key`` metadata, else its name), in declaration order: its dataclass, the
     field, its value type (``int`` for ``int | None``) and its text -> value
-    ``names`` (an enum field's are its members' values; None for plain text)."""
+    ``names`` (an enum field's are its members' values, a bool field's ``true``
+    and ``false``; None for a number or a string)."""
     keys = {}
     for owner in (RunConfig, TrainConfig):
         hints = typing.get_type_hints(owner)
@@ -316,7 +307,7 @@ def _key_table() -> dict[str, tuple[type, Field, type, dict | None]]:
             typ = (typing.get_args(hints[f.name]) or (hints[f.name],))[0]
             if is_dataclass(typ):
                 continue
-            names = f.metadata.get("names")
+            names = {"true": True, "false": False} if typ is bool else f.metadata.get("names")
             if names is None and issubclass(typ, Enum):
                 names = {kind.value: kind for kind in typ}
             keys[f.metadata.get("key", f.name)] = (owner, f, typ, names)
@@ -334,22 +325,30 @@ def _value(key: str, text: str, where: str):
         if text not in names:
             raise ConfigError(f"{where}: unknown {key} {text!r}")
         return names[text]
-    bools = {"true": True, "false": False, "1": True, "0": False}
     try:
-        return bools[text.lower()] if typ is bool else typ(text)
-    except (KeyError, ValueError):
+        return typ(text)
+    except ValueError:
         raise ConfigError(f"{where}: bad {typ.__name__} value {text!r}") from None
 
 
+def _text(key: str, value) -> str:
+    """``key``'s text for ``value``, the inverse of ``_value``."""
+    names = _KEYS[key][3]
+    return _fmt(value) if names is None else next(w for w, v in names.items() if v == value)
+
+
 def _parse_config_file(path: str) -> dict:
-    """Flat ``key = value`` lines; '#' starts a comment."""
+    """Flat ``key = value`` lines; a comment line starts with '#', any other '#' is text."""
     values: dict[str, object] = {}
-    text = Path(path)
-    if not text.exists():
+    if not Path(path).is_file():
         raise ConfigError(f"config file not found: {path}")
-    for lineno, raw in enumerate(text.read_text(encoding="utf-8").splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path} is not UTF-8 text: {exc.reason}") from None
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
             continue
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
@@ -379,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     for key, (_, f, typ, names) in _KEYS.items():
         if typ is bool:
             run.add_argument(_flag("no_" + key if f.default else key), dest=key,
-                             action="store_const", const=_fmt(not f.default),
+                             action="store_const", const=_text(key, not f.default),
                              help=f.metadata.get("help"))
         else:
             run.add_argument(_flag(key), dest=key, choices=names and list(names),

@@ -415,21 +415,24 @@ def load_csv(
     override is given.
     """
     path = Path(path)
-    if not path.exists():
+    if not path.is_file():
         raise DatasetError(f"no such file: {path}")
-    with path.open(newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        raw_header = next(reader, None)
-        if raw_header is None:
-            raise DatasetError(f"{path} is empty")
-        cells = _numeric_cells(fh, len(raw_header))
-        if cells is None:
-            fh.seek(0)
+    try:  # a decode error is a ValueError, which _numeric_cells reads as "not numeric"
+        with path.open(newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
-            next(reader)
-            data_rows = [(reader.line_num, r) for r in reader if r]
-            if not data_rows:
-                raise DatasetError(f"{path} has a header but no data rows")
+            raw_header = next(reader, None)
+            if raw_header is None:
+                raise DatasetError(f"{path} is empty")
+            cells = _numeric_cells(fh, len(raw_header))
+            if cells is None:
+                fh.seek(0)
+                reader = csv.reader(fh)
+                next(reader)
+                data_rows = [(reader.line_num, r) for r in reader if r]
+                if not data_rows:
+                    raise DatasetError(f"{path} has a header but no data rows")
+    except UnicodeDecodeError as exc:
+        raise DatasetError(f"{path} is not UTF-8 text: {exc.reason}") from None
 
     if target_column in raw_header:
         target_pos = raw_header.index(target_column)

@@ -63,14 +63,17 @@ FAILED = {"first": "parent", "parent": {"exit": 1}, "change": _run(99.0, 1.0, "d
     ([s + 1.0 for s in PARENT_SPEEDS[:8]] + [PARENT_SPEEDS[8], None], False),
     # ten wins, but the median moves 0.1, inside the parent's IQR of 0.525
     ([s + 0.1 for s in PARENT_SPEEDS], False),
-], ids=["gain", "too-few-wins", "inside-the-spread"])
+    # eight wins of eight and the median past the IQR, but fewer than ten pairs
+    ([s + 1.0 for s in PARENT_SPEEDS[:8]], False),
+], ids=["gain", "too-few-wins", "inside-the-spread", "too-few-pairs"])
 def test_a_gain_needs_nine_tenths_of_the_pairs_and_a_median_past_the_parents_spread(
         changes, gain):
     pairs = [FAILED if c is None else _pair(p, c, 50.0 + p, 40.0 + p)
              for p, c in zip(PARENT_SPEEDS, changes)]
     summary = ab_pairs.summarize(pairs, {"steps_per_s": "higher", "peak_rss_mb": "lower"})
     assert summary["steps_per_s"]["gain"] is gain
-    assert summary["peak_rss_mb"]["gain"] is True  # 10 MiB less in every finished pair
+    # 10 MiB less in every finished pair, a gain once ten pairs were run
+    assert summary["peak_rss_mb"]["gain"] is (len(pairs) >= 10)
 
 
 def test_no_finished_pair_leaves_the_digests_unjudged(tmp_path, monkeypatch, capsys):

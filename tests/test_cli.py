@@ -638,16 +638,19 @@ def test_a_run_labels_every_column_at_its_bin_count(tmp_path, monkeypatch, flags
     assert seen and set(seen) == {want}
 
 
-def test_nonfinite_score_exits_4(tmp_path, capsys):
-    # squares of a ~1e200 target overflow, so the forest's split search refuses it
+# x1e200: the target's squares overflow; x1e152: its sum of squares is finite,
+# but the split search's squared running sums over the sample overflow
+@pytest.mark.parametrize("scale", [1e200, 1e152], ids=["x1e200", "x1e152"])
+def test_a_target_too_large_for_the_split_search_exits_4(tmp_path, capsys, scale):
     fs = squared_sum_regression(m=80, n_distractors=3, seed=11)
     huge = FeatureSet(fs.values, fs.columns,
-                      Target(fs.target.values * 1e200, TaskKind.REGRESSION, "y"))
+                      Target(fs.target.values * scale, TaskKind.REGRESSION, "y"))
     path = write_fixture(huge, tmp_path / "huge.csv")
     code = main(["run", "--input", str(path), "--target", "y", "--out", str(tmp_path / "o"),
                  "--episodes", "1", "--steps", "1"])
     assert code == 4
-    assert "numeric failure" in capsys.readouterr().err
+    assert ("numeric failure: the regression target is too large for the split search"
+            in capsys.readouterr().err)
 
 
 def test_a_nan_score_exits_4(tmp_path, capsys, monkeypatch):
@@ -672,19 +675,6 @@ def test_a_diverged_actor_exits_4(tmp_path, capsys):
                  "--episodes", "3", "--steps", "3", "--seed", "3", "--actor-lr", "1e300"])
     assert code == 4
     assert "numeric failure: an actor's softmax is not finite" in capsys.readouterr().err
-
-
-def test_forest_split_overflow_window_exits_4(tmp_path, capsys):
-    # a ~1e152 target has a finite sum of squares, but the split search's
-    # squared running sums over the sample overflow
-    fs = squared_sum_regression(m=80, n_distractors=3, seed=11)
-    huge = FeatureSet(fs.values, fs.columns,
-                      Target(fs.target.values * 1e152, TaskKind.REGRESSION, "y"))
-    path = write_fixture(huge, tmp_path / "huge.csv")
-    code = main(["run", "--input", str(path), "--target", "y", "--out", str(tmp_path / "o"),
-                 "--episodes", "1", "--steps", "1"])
-    assert code == 4
-    assert "numeric failure" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -769,9 +759,11 @@ def test_every_run_config_field_is_a_flag_a_file_key_and_an_echo_line(small_csv,
     assert [key for key in echoed if key in keys] == [key for key in keys if key != "out"]
 
 
+# only a line that starts with '#' is a comment: a trailing one is part of the value
 @pytest.mark.parametrize("key, text, typ", [("episodes", "soon", "int"),
                                             ("steps", "2.5", "int"),
-                                            ("delta", "1,5", "float")])
+                                            ("delta", "1,5", "float"),
+                                            ("episodes", "3  # note", "int")])
 def test_a_bad_number_reads_alike_from_a_flag_and_a_file(tmp_path, small_csv, capsys,
                                                            key, text, typ):
     base = ["run", "--input", str(small_csv), "--target", "y", "--out", str(tmp_path / "o")]
@@ -788,7 +780,8 @@ def test_a_bad_number_reads_alike_from_a_flag_and_a_file(tmp_path, small_csv, ca
 
 @pytest.mark.parametrize("key, text", [("task", "classify"), ("impute", "mean"),
                                        ("encoder", "vae"),
-                                       ("encoder", "si+ae"), ("encoder", "ae+gae")])
+                                       ("encoder", "si+ae"), ("encoder", "ae+gae"),
+                                       ("bench", "1"), ("report", "True")])
 def test_a_named_key_rejects_an_unknown_word_from_a_file(tmp_path, key, text):
     # a flag's choices reject it before parse_config sees it
     cfgfile = tmp_path / "one.cfg"
@@ -805,4 +798,59 @@ def test_a_removed_flag_exits_2(tmp_path, small_csv, capsys, flag, text):
               flag, text])
     assert exc.value.code == 2
     assert flag in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def round_trip_cases():
+    # bins and max_size default to None, which no text names: a run resolves
+    # them, and its echo writes the number
+    given = {**FILE_ONLY_VALUES, **TRAIN_KEY_VALUES}
+    for key, (_, f, typ, names) in _KEYS.items():
+        values = [f.default, cli._value(key, given[key], "test")]
+        values += [True, False] if typ is bool else list(TaskKind) if key == "task" else []
+        for value in dict.fromkeys(values):
+            if value is not None or names is not None:
+                yield pytest.param(key, value, id=f"{key}={value}")
+
+
+@pytest.mark.parametrize("key, value", round_trip_cases())
+def test_a_keys_text_reads_back_as_its_value(key, value):
+    back = cli._value(key, cli._text(key, value), "test")
+    assert back == value and type(back) is type(value)
+
+
+@pytest.mark.parametrize("bench, encoder, folder", [(False, "si", "data"),
+                                                    (True, "all", "data"),
+                                                    (False, "si", "run#1")],
+                         ids=["learned-si", "random-all", "hash-in-the-path"])
+def test_a_run_replays_byte_for_byte_from_its_config_echo(tmp_path, bench, encoder, folder):
+    (tmp_path / folder).mkdir()
+    path = write_fixture(small_space(), tmp_path / folder / "data.csv")
+    out, replay = tmp_path / "out", tmp_path / "replay"
+    assert main(["run", "--input", str(path), "--target", "y", "--out", str(out),
+                 "--episodes", "2", "--steps", "2", "--encoder", encoder,
+                 "--actor-lr", "0.002", "--delta", "0.7", *(["--bench"] if bench else [])]) == 0
+    assert main(["run", "--config", str(out / "config.echo"), "--out", str(replay)]) == 0
+    for name in ("trace.tsv", "transformed.csv", "report.txt", "config.echo"):
+        assert (replay / name).read_bytes() == (out / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("flag, content, code, layer", [
+    ("--input", None, 3, "data"),
+    ("--input", b"x0,y\n\xff,1\n", 3, "data"),
+    ("--config", None, 2, "config"),
+    ("--config", b"episodes = 1\n\xff\n", 2, "config"),
+], ids=["input-directory", "input-not-utf8", "config-directory", "config-not-utf8"])
+def test_an_unreadable_input_file_exits_with_its_layers_code(tmp_path, small_csv, capsys,
+                                                             flag, content, code, layer):
+    path = tmp_path / "unreadable"
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_bytes(content)
+    # a second --input overrides the first
+    assert main(["run", "--input", str(small_csv), "--target", "y", "--out", str(tmp_path / "o"),
+                 "--episodes", "1", "--steps", "1", flag, str(path)]) == code
+    err = capsys.readouterr().err
+    assert err.startswith(f"{layer} error: ") and str(path) in err and err.count("\n") == 1
     assert not (tmp_path / "o").exists()

@@ -7,13 +7,13 @@ the parent first in even pairs and the change first in odd ones, and keeps
 each run's result line and ``digest`` line.  Per end-to-end metric it prints
 each side's quartiles, how many pairs the change wins, with "better" read
 from the change's ``BENCHMARK.json`` (a tie counts for neither side), and
-whether the change has a gain: it wins at least nine tenths of the pairs run
-and its median is better than the parent's by more than the parent's
-interquartile range.  It also prints whether every digest matched (``n/a``
-when no pair finished).  A run that exits non-zero is recorded by its exit
-code, and its pair is counted as failed, as a pair the change does not win,
-and is left out of the quartiles.  ``--out`` appends the set to a JSON list
-and is rewritten after every pair.
+whether the change has a gain: at least ten pairs were run, it wins at least
+nine tenths of them, and its median is better than the parent's by more than
+the parent's interquartile range.  It also prints whether every digest
+matched (``n/a`` when no pair finished).  A run that exits non-zero is
+recorded by its exit code, and its pair is counted as failed, as a pair the
+change does not win, and is left out of the quartiles.  ``--out`` appends the
+set to a JSON list and is rewritten after every pair.
 """
 
 from __future__ import annotations
@@ -62,7 +62,8 @@ def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
         wins = sum(sign * (c - p) > 0 for p, c in zip(par, chg))
         spread = pq[2] - pq[0]  # the parent's interquartile range
         out[name] = {"parent": pq, "change": cq, "wins": wins,
-                     "gain": 10 * wins >= 9 * len(pairs) and sign * (cq[1] - pq[1]) > spread}
+                     "gain": len(pairs) >= 10 and 10 * wins >= 9 * len(pairs)
+                     and sign * (cq[1] - pq[1]) > spread}
     return out
 
 
