@@ -24,12 +24,12 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .dataset import DEFAULT_CROSS_CAP, DEFAULT_MAX_DEPTH, OPS, FeatureSet, NumericError
+from .dataset import OPS, FeatureSet, NumericError
 from .neural_core import (
     DenseNet,
     clip_step,
@@ -44,48 +44,40 @@ from .state_repr import EncoderKind, StateEncoder, state_op
 
 logger = logging.getLogger(__name__)
 
+HIDDEN = 64  # the hidden width of every actor and critic
+
 
 @dataclass
 class TrainConfig:
     """Search and optimization knobs; defaults target desk-scale runs.
 
-    Every field is also a ``raft run`` flag (``--max-size`` for ``max_size``)
+    Every field is also a ``raft run`` flag (``--actor-lr`` for ``actor_lr``)
     and a config-file key, echoed to ``config.echo`` in this order (the echo
-    replays the run); its ``help`` metadata is its flag's help text.  A number
-    outside its range raises ValueError (the CLI's exit 2).  The group distance's
-    pair-wise d is Euclidean, with no key; ``encoder`` is si, ae, gae or all.
+    replays the run).  A number outside its range raises ValueError (the
+    CLI's exit 2).  ``encoder`` is si, ae, gae or all.  What no run varies is
+    a constant: the Euclidean group distance, the mean pair score as the
+    clustering threshold, ``state_repr``'s latent widths, ``HIDDEN``,
+    ``default_bins``, twice the input's width as a space's size, and
+    ``generation_step``'s cross cap and lineage depth.
     """
 
     episodes: int = 30
     steps: int = 15
     seed: int = 0
     encoder: EncoderKind = EncoderKind.SI
-    k: int = field(default=8, metadata={"help": "latent width of ae/gae encoders"})
-    d: int = field(default=8, metadata={"help": "second latent width of the ae encoder"})
     encoder_epochs: int = 20
-    delta: float = field(default=1.0, metadata={"help": "clustering threshold multiplier"})
     gamma: float = 0.9
     beta: float = 0.01
     actor_lr: float = 1e-3
     critic_lr: float = 1e-3
-    hidden: int = 64
-    cross_cap: int = DEFAULT_CROSS_CAP
-    max_lineage_depth: int = DEFAULT_MAX_DEPTH
-    # None: min(16, ceil(sqrt(M)))
-    bins: int | None = field(default=None, metadata={"help": "histogram bins for MI"})
-    max_size: int | None = None  # None: twice the original column count
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.gamma <= 1.0:
             raise ValueError(f"gamma must be in [0, 1], got {self.gamma}")
-        lower = {"episodes": 1, "steps": 1, "k": 1, "d": 1, "hidden": 1, "cross_cap": 1,
-                 "bins": 1, "max_size": 1, "encoder_epochs": 0, "beta": 0.0,
-                 "max_lineage_depth": 2}  # an original column has depth 1
-        for name, low in lower.items():
-            value = getattr(self, name)
-            if value is not None and not value >= low:
-                raise ValueError(f"{name} must be >= {low}, got {value}")
-        for name in ("delta", "actor_lr", "critic_lr"):
+        for name, low in {"episodes": 1, "steps": 1, "encoder_epochs": 0, "beta": 0.0}.items():
+            if not getattr(self, name) >= low:
+                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
+        for name in ("actor_lr", "critic_lr"):
             if not 0.0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)}")
 
@@ -109,13 +101,13 @@ class Transition:
     actor_rows: np.ndarray
 
 
-def make_bundles(state_len: int, cfg: TrainConfig,
+def make_bundles(state_len: int,
                  rng: np.random.Generator) -> tuple[AgentBundle, AgentBundle, AgentBundle]:
     """Build (head, operation, tail) agents for a given encoder length."""
     n_ops = len(OPS)
     def bundle(actor_in: int, actor_out: int, critic_in: int) -> AgentBundle:
-        return AgentBundle(actor=init_dense(actor_in, cfg.hidden, actor_out, rng),
-                           critic=init_dense(critic_in, cfg.hidden, 1, rng))
+        return AgentBundle(actor=init_dense(actor_in, HIDDEN, actor_out, rng),
+                           critic=init_dense(critic_in, HIDDEN, 1, rng))
 
     head_agent = bundle(2 * state_len, 1, state_len)
     op_agent = bundle(2 * state_len, n_ops, 2 * state_len)
@@ -296,10 +288,10 @@ class ActorCriticPolicy:
     def __init__(self, cfg: TrainConfig, rng: np.random.Generator) -> None:
         self.cfg = cfg
         self.rng = rng
-        self.encoder = StateEncoder(cfg.encoder, cfg.k, cfg.d, cfg.encoder_epochs,
+        self.encoder = StateEncoder(cfg.encoder, cfg.encoder_epochs,
                                     derive_seed(cfg.seed, "encoder"))
         init_rng = np.random.default_rng(derive_seed(cfg.seed, "agent-init"))
-        self.bundles = make_bundles(self.encoder.length, cfg, init_rng)
+        self.bundles = make_bundles(self.encoder.length, init_rng)
         self.batches: tuple[list[Transition], list[Transition], list[Transition]] = ([], [], [])
 
     def choose(self, fs: FeatureSet, views: Sequence[FeatureSet]) -> tuple[int, str, int]:

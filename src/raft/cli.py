@@ -110,8 +110,6 @@ class RunResult:
     wall_time: float
     split_seed: int
     forest_seed: int
-    bins: int
-    max_size: int
 
 
 class EvalContext:
@@ -149,9 +147,9 @@ class EvalContext:
 def search(fs0: FeatureSet, train: TrainConfig, policy, evalctx: EvalContext) -> RunResult:
     """The episode/step loop over an in-memory space, driven by ``policy``'s
     ``choose``, ``observe`` and ``end_episode``; it touches no file.  The metric,
-    seeds and bins are ``evalctx``'s; ``max_size`` defaults to twice ``fs0``'s width."""
+    seeds and bins are ``evalctx``'s; a space keeps at most twice ``fs0``'s width."""
     started = time.perf_counter()
-    max_size = train.max_size if train.max_size is not None else 2 * fs0.n_cols
+    max_size = 2 * fs0.n_cols
     baseline_score = evalctx.score(fs0)
     baseline_u = evalctx.quality(fs0)
 
@@ -163,15 +161,13 @@ def search(fs0: FeatureSet, train: TrainConfig, policy, evalctx: EvalContext) ->
         fs = fs0
         ep_best = -math.inf
         for step in range(train.steps):
-            clusters = adaptive_cluster(fs, train.delta, evalctx.cache)
+            clusters = adaptive_cluster(fs, evalctx.cache)
             views = [fs.take(g) for g in clusters.groups]  # the step's one view per group
             head_idx, op, tail_idx = policy.choose(fs, views)
 
             # only the new space: the batch's columns are not kept through the scoring
-            fs_next = generation_step(
-                fs, views[head_idx], op, views[tail_idx], max_size,
-                evalctx.cache, cap=train.cross_cap, max_depth=train.max_lineage_depth,
-            )[0]
+            fs_next = generation_step(fs, views[head_idx], op, views[tail_idx], max_size,
+                                      evalctx.cache)[0]
 
             r_head, r_op, r_tail = compute_rewards(fs, fs_next, views[head_idx],
                                                    evalctx.quality, evalctx.score)
@@ -194,7 +190,7 @@ def search(fs0: FeatureSet, train: TrainConfig, policy, evalctx: EvalContext) ->
         baseline_score=baseline_score, baseline_u=baseline_u,
         metric=evalctx.metric, trace=trace,
         wall_time=time.perf_counter() - started, split_seed=evalctx.split_seed,
-        forest_seed=evalctx.forest_cfg.seed, bins=evalctx.cache.bins, max_size=max_size,
+        forest_seed=evalctx.forest_cfg.seed,
     )
 
 
@@ -205,9 +201,9 @@ def prepare(fs0: FeatureSet, train: TrainConfig,
     uniform-random control."""
     if fs0.target.lone_class:
         logger.warning("a class has a single sample; falling back to unstratified split")
-    bins = train.bins if train.bins is not None else default_bins(fs0.n_rows)
     evalctx = EvalContext(task_metric(fs0.target.kind), derive_seed(train.seed, "split"),
-                          ForestConfig(seed=derive_seed(train.seed, "forest")), MICache(bins))
+                          ForestConfig(seed=derive_seed(train.seed, "forest")),
+                          MICache(default_bins(fs0.n_rows)))
     action_rng = np.random.default_rng(derive_seed(train.seed, "actions"))
     policy = RandomPolicy(action_rng) if bench else ActorCriticPolicy(train, action_rng)
     return policy, evalctx
@@ -264,13 +260,12 @@ def emit_report(result: RunResult, fs_star: FeatureSet, path: Path) -> None:
 
 def write_config_echo(cfg: RunConfig, result: RunResult, path: Path) -> None:
     """A config file that replays the run: every key but ``out`` (same-seed runs
-    into two directories write one echo) at the value the run used (``task``,
-    ``bins`` and ``max_size`` resolved), then the metric and the seeds as
-    comments.  ``input`` is echoed as given: a relative path replays from the
-    same working directory."""
+    into two directories write one echo) at the value the run used (``task``
+    resolved), then the metric and the seeds as comments.  ``input`` is echoed
+    as given: a relative path replays from the same working directory."""
     used = {key: getattr(cfg if owner is RunConfig else cfg.train, f.name)
             for key, (owner, f, _, _) in _KEYS.items() if key != "out"}
-    used.update(task=result.metric.task, bins=result.bins, max_size=result.max_size)
+    used["task"] = result.metric.task
     lines = [f"{key} = {_text(key, value)}" for key, value in used.items()]
     lines += [f"# metric = {result.metric.value}", f"# split_seed = {result.split_seed}",
               f"# forest_seed = {result.forest_seed}"]
@@ -319,8 +314,11 @@ _KEYS = _key_table()
 
 def _value(key: str, text: str, where: str):
     """``key``'s value for ``text``, from a flag or a file line alike; a bad
-    text is a ConfigError that starts with ``where``."""
+    text is a ConfigError that starts with ``where``.  White space at either
+    end is bad: a file line's value is stripped, so the echo would not replay it."""
     _, _, typ, names = _KEYS[key]
+    if text != text.strip():
+        raise ConfigError(f"{where}: {key} {text!r} has white space at an end")
     if names is not None:
         if text not in names:
             raise ConfigError(f"{where}: unknown {key} {text!r}")
@@ -387,7 +385,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def parse_config(argv=None) -> RunConfig:
-    """Precedence: CLI flag > config file value > built-in default."""
+    """Precedence: CLI flag > config file value > built-in default.  An ``out``
+    under a file is a ConfigError: the directory is made after the search."""
     args = build_parser().parse_args(argv)
     merged = _parse_config_file(args.config) if args.config else {}
     merged.update((key, _value(key, getattr(args, key), _flag(key)))
@@ -395,6 +394,12 @@ def parse_config(argv=None) -> RunConfig:
     for required in ("input", "target", "out"):
         if required not in merged:
             raise ConfigError(f"missing required option --{required}")
+    out = Path(merged["out"])
+    for home in (out, *out.parents):  # checked before the search, made after it
+        if home.exists():
+            if not home.is_dir():
+                raise ConfigError(f"output directory {out}: {home} is not a directory")
+            break
     kwargs: dict[type, dict] = {RunConfig: {}, TrainConfig: {}}
     for key, value in merged.items():
         owner, f, _, _ = _KEYS[key]

@@ -101,9 +101,9 @@ def cut(merges: list[tuple[float, int, int]], n: int, threshold: float) -> Clust
     return ClusterSet(tuple(members[name] for name in sorted(members)))
 
 
-def adaptive_cluster(fs: FeatureSet, delta: float, cache: MICache) -> ClusterSet:
-    """Cut the step's merge sequence at threshold = delta * mean initial
-    pairwise score, halving the threshold until at least two groups come out.
+def adaptive_cluster(fs: FeatureSet, cache: MICache) -> ClusterSet:
+    """Cut the step's merge sequence at the mean initial pairwise score,
+    halving the threshold until at least two groups come out.
 
     Falls back to singletons when halving cannot help (all scores identical),
     and to the single trivial group when there is only one column.
@@ -113,7 +113,7 @@ def adaptive_cluster(fs: FeatureSet, delta: float, cache: MICache) -> ClusterSet
         return ClusterSet(((0,),))
     scores = pair_score_matrix(fs, cache)
     merges = merge_sequence(scores)
-    threshold = delta * float(np.mean(scores[np.triu_indices(n, k=1)]))
+    threshold = float(np.mean(scores[np.triu_indices(n, k=1)]))
     for _ in range(12):
         if threshold <= 0.0:
             break

@@ -7,7 +7,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .dataset import MAX_DISCRETE_LABELS, FeatureSet, Target, content_hash, discretize
+from .dataset import MAX_DISCRETE_LABELS, FeatureSet, Target, discretize
 
 
 def as_labels(values: np.ndarray, bins: int) -> np.ndarray:
@@ -135,19 +135,6 @@ class MICache:
             values = _count_mi([ordered[p] for p in batch], self._table(m), k)
             self._mi.update(zip([keys[p] for p in batch], values.tolist()))
         return [self._mi[key] for key in keys]
-
-
-def mutual_information(x: np.ndarray, y_vec: np.ndarray, bins: int) -> float:
-    """Plug-in MI between two vectors (nats) at ``bins``; exactly symmetric
-    in (x, y), because ``MICache.pair_mi`` orders the operands by content
-    hash."""
-    x = np.asarray(x, dtype=np.float64)
-    y_vec = np.asarray(y_vec, dtype=np.float64)
-    if x.shape != y_vec.shape or x.ndim != 1 or x.size < 2:
-        raise ValueError("inputs must be equal-length vectors with >= 2 entries")
-    cache = MICache(bins)
-    pair = tuple(cache.labels([v], (content_hash(v),))[0] for v in (x, y_vec))
-    return cache.pair_mi([pair])[0]
 
 
 def feature_set_quality(fs: FeatureSet, cache: MICache) -> float:

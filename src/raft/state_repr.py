@@ -2,7 +2,8 @@
 
 Three encoders: two-stage descriptive statistics (length 49), a two-stage
 column/row autoencoder over fixed-length column summaries (length k*d), and a
-graph autoencoder over the column correlation graph (length k).  ``all``
+graph autoencoder over the column correlation graph (length k); a search's
+encoder has k = ``LATENT_K`` and d = ``LATENT_D``.  ``all``
 concatenates the three.  Output length never depends on the matrix shape.  A
 state is a read-only, finite, 1-D float64 array.
 """
@@ -19,6 +20,8 @@ from .neural_core import (clip_step, dense_pass, derive_seed, init_gcn, normaliz
 
 SI_LENGTH = 49
 SUMMARY_QUANTILES = 64  # per-column input length of the column autoencoder
+LATENT_K = 8  # the AE's column latent width and the GAE's width
+LATENT_D = 8  # the AE's row latent width
 _STATE_CLAMP = 1e30
 _AE_LR = 1e-2  # the learning rate of the AE's and the GAE's training
 _QUARTILES = np.array([0.25, 0.5, 0.75])
@@ -187,9 +190,9 @@ class StateEncoder:
     identically within and across runs.
     """
 
-    def __init__(self, kind: EncoderKind, k: int, d: int, epochs: int, seed: int) -> None:
-        self.kind, self.k, self.d, self.epochs, self.seed = kind, k, d, epochs, seed
-        sizes = {"si": SI_LENGTH, "ae": k * d, "gae": k}
+    def __init__(self, kind: EncoderKind, epochs: int, seed: int) -> None:
+        self.kind, self.epochs, self.seed = kind, epochs, seed
+        sizes = {"si": SI_LENGTH, "ae": LATENT_K * LATENT_D, "gae": LATENT_K}
         self.length = sum(sizes[part] for part in kind.parts)
         self._cache: dict[bytes, np.ndarray] = {}
 
@@ -201,10 +204,10 @@ class StateEncoder:
                 if part == "si":
                     parts.append(state_si(fs))
                 elif part == "ae":
-                    parts.append(state_ae(fs, self.k, self.d, self.epochs,
+                    parts.append(state_ae(fs, LATENT_K, LATENT_D, self.epochs,
                                           derive_seed(self.seed, "ae")))
                 else:
-                    parts.append(state_gae(fs, self.k, self.epochs,
+                    parts.append(state_gae(fs, LATENT_K, self.epochs,
                                            derive_seed(self.seed, "gae")))
             self._cache[key] = read_only(np.concatenate(parts))
         return self._cache[key]

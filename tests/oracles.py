@@ -10,9 +10,10 @@ from dataclasses import replace
 
 import numpy as np
 
-from raft.dataset import DatasetError, FeatureMeta, FeatureSet, Ident, Target, TaskKind
+from raft.dataset import (DatasetError, FeatureMeta, FeatureSet, Ident, Target, TaskKind,
+                          content_hash)
 from raft.evaluator import MAX_BINS, ForestConfig
-from raft.info_metrics import as_labels, column_distances, content_hash
+from raft.info_metrics import as_labels, column_distances
 from raft.neural_core import DenseNet, derive_seed, init_dense, init_gcn
 from raft.state_repr import _finite, _population_std, _standardize_columns, correlation_adjacency
 from raft.transform import GeneratedBatch

@@ -20,7 +20,7 @@ from raft.agents import (
 from raft.cli import prepare
 from raft.dataset import OPS, default_bins
 from raft.evaluator import ForestConfig, MetricKind, downstream_score
-from raft.info_metrics import MICache, feature_set_quality, mutual_information
+from raft.info_metrics import MICache, feature_set_quality
 from raft.neural_core import DenseNet, dense_pass, init_dense, log_softmax, softmax
 from raft.state_repr import state_op
 from raft.transform import generation_step
@@ -148,7 +148,7 @@ def test_rewards_singleton_head_is_target_mi():
     score = lambda f: 0.0
     head_view = fs.take((1,))
     r1, _, _ = compute_rewards(fs, fs, head_view, quality, score)
-    want = mutual_information(fs.column(1), np.asarray(fs.target.values, float), bins)
+    want = MICache(bins).mi([fs.column(1)], [fs.keys[1]], fs.target)[0]
     assert r1 == pytest.approx(want, abs=1e-12)
 
 
@@ -295,7 +295,7 @@ def test_update_raises_probability_of_positively_rewarded_action():
     rng = np.random.default_rng(16)
     cfg = TrainConfig(actor_lr=0.05, critic_lr=0.0001, beta=0.0, gamma=0.0,
                       episodes=1, steps=1)
-    bundles = make_bundles(2, cfg, rng)
+    bundles = make_bundles(2, rng)
     state = np.array([1.0, -0.5, 0.3, 0.8])
     probs_before = softmax(dense_pass(bundles[1].actor, state[None, :])[2][0])
     action = 1
@@ -308,7 +308,7 @@ def test_update_raises_probability_of_positively_rewarded_action():
 def test_update_skips_on_nonfinite_loss(caplog):
     cfg = TrainConfig(episodes=1, steps=1)
     rng = np.random.default_rng(17)
-    bundles = make_bundles(2, cfg, rng)
+    bundles = make_bundles(2, rng)
     bad = op_transition(np.full(4, 1.0), 0, reward=float("nan"), next_state=np.full(4, 1.0))
     before = bundles[1].actor.params.tobytes()
     with caplog.at_level("WARNING"):
@@ -321,8 +321,8 @@ def test_update_agents_deterministic():
     rng1 = np.random.default_rng(18)
     rng2 = np.random.default_rng(18)
     cfg = TrainConfig(episodes=1, steps=1)
-    b1 = make_bundles(2, cfg, rng1)
-    b2 = make_bundles(2, cfg, rng2)
+    b1 = make_bundles(2, rng1)
+    b2 = make_bundles(2, rng2)
     state = np.array([0.3, 0.7, -0.2, 1.0])
     ts = [op_transition(state, 0, 0.5, state)]
     update_agents(b1, ([], ts, []), cfg)
@@ -354,12 +354,12 @@ def test_update_agents_matches_frozen_oracle_bit_for_bit(caplog):
     rng = np.random.default_rng(20)
     skipped = 0
     for i in range(60):
-        cfg = TrainConfig(episodes=1, steps=1, hidden=int(rng.integers(1, 9)),
-                          gamma=float(rng.uniform()), beta=float(rng.uniform(0.0, 0.1)),
+        cfg = TrainConfig(episodes=1, steps=1, gamma=float(rng.uniform()),
+                          beta=float(rng.uniform(0.0, 0.1)),
                           actor_lr=float(10.0 ** rng.uniform(-4.0, 0.0)),
                           critic_lr=float(10.0 ** rng.uniform(-4.0, 0.0)))
         state_len = int(rng.integers(1, 6))
-        bundles = make_bundles(state_len, cfg, rng)
+        bundles = make_bundles(state_len, rng)
         rewards = rng.standard_normal(int(rng.integers(1, 5))) * 10.0 ** rng.uniform(-2.0, 2.0)
         if i % 4 == 1:
             rewards[0] = rng.choice([1e200, -1e200])  # the squared TD error overflows
@@ -409,8 +409,8 @@ def test_update_runs_each_pass_once_per_transition(monkeypatch):
     for name in calls:
         monkeypatch.setattr(agents, name, spy(name))
     rng = np.random.default_rng(21)
-    cfg = TrainConfig(episodes=1, steps=1, hidden=4)
-    bundles = make_bundles(2, cfg, rng)
+    cfg = TrainConfig(episodes=1, steps=1)
+    bundles = make_bundles(2, rng)
     for bundle, batch in zip(bundles, _random_episode(rng, 2, len(OPS), [0.5, -1.0, 2.0])):
         calls.update(dense_pass=0, dense_grads=0)
         advantage_and_losses(batch, bundle, cfg.gamma, cfg.beta)
@@ -418,9 +418,9 @@ def test_update_runs_each_pass_once_per_transition(monkeypatch):
 
 
 def test_make_bundles_shapes():
-    cfg = TrainConfig(hidden=16, episodes=1, steps=1)
-    rng = np.random.default_rng(19)
-    head, op, tail = make_bundles(49, cfg, rng)
+    head, op, tail = make_bundles(49, np.random.default_rng(19))
+    assert {net.hidden for bundle in (head, op, tail)
+            for net in (bundle.actor, bundle.critic)} == {agents.HIDDEN}
     assert head.actor.in_size == 98 and head.actor.out_size == 1
     assert head.critic.in_size == 49
     assert op.actor.in_size == 98 and op.actor.out_size == 7

@@ -40,7 +40,7 @@ from raft.dataset import (
     write_csv,
 )
 from raft.evaluator import ForestConfig, MetricKind, downstream_score
-from raft.state_repr import EncoderKind, StateEncoder
+from raft.state_repr import LATENT_K, EncoderKind, StateEncoder
 from raft.synthetic import product_sign_classification, squared_sum_regression, write_fixture
 from oracles import ScriptedPolicy, two_class_blobs
 
@@ -82,12 +82,10 @@ def test_cli_flag_overrides_config_file(tmp_path, small_csv):
 def test_encoder_flag_sets_state_length(small_csv, tmp_path):
     cfg = parse_config([
         "run", "--input", str(small_csv), "--target", "y", "--out", str(tmp_path / "o"),
-        "--encoder", "gae", "--k", "8",
+        "--encoder", "gae",
     ])
     assert cfg.train.encoder is EncoderKind.GAE
-    train = cfg.train
-    encoder = StateEncoder(train.encoder, train.k, train.d, train.encoder_epochs, 0)
-    assert encoder.length == 8
+    assert StateEncoder(cfg.train.encoder, cfg.train.encoder_epochs, 0).length == LATENT_K
 
 
 def test_unknown_flag_exits_with_usage_error(capsys):
@@ -96,10 +94,13 @@ def test_unknown_flag_exits_with_usage_error(capsys):
     assert exc.value.code == 2
 
 
-# d is Euclidean and the metric is the task's, with no key, so a config file
-# or an old config.echo naming `distance` or `metric` fails
-@pytest.mark.parametrize("key", ["mystery", "clip_norm", "skip_tail_on_unary", "distance",
-                                 "metric"])
+# d is Euclidean, the metric is the task's and the keys no run set are
+# constants, so a config file or an old config.echo naming one of them fails
+DELETED_KEYS = ["distance", "metric", "k", "d", "hidden", "delta", "bins", "max_size",
+                "cross_cap", "max_lineage_depth"]
+
+
+@pytest.mark.parametrize("key", ["mystery", "clip_norm", "skip_tail_on_unary", *DELETED_KEYS])
 def test_unknown_config_key_rejected(tmp_path, small_csv, key):
     cfgfile = tmp_path / "run.cfg"
     cfgfile.write_text(f"{key} = 3\n", encoding="utf-8")
@@ -130,10 +131,9 @@ def test_exit_codes(tmp_path, small_csv, capsys):
 
 
 @pytest.mark.parametrize("flags", [
-    "--actor-lr 0", "--critic-lr -1", "--bins 0", "--max-size 0", "--k 0 --encoder ae",
-    "--d 0 --encoder ae", "--encoder-epochs -1 --encoder ae", "--hidden 0", "--cross-cap 0",
-    "--max-lineage-depth 0", "--max-lineage-depth 1", "--delta -1", "--delta 0",
-    "--actor-lr 0 --bench", "--beta -0.5", "--episodes 0", "--actor-lr inf", "--delta inf",
+    "--actor-lr 0", "--critic-lr -1", "--encoder-epochs -1 --encoder ae",
+    "--actor-lr 0 --bench", "--beta -0.5", "--episodes 0", "--actor-lr inf", "--critic-lr inf",
+    "--steps 0", "--gamma 1.5", "--gamma nan", "--beta nan",
 ])
 def test_bad_numeric_value_exits_2(tmp_path, small_csv, capsys, flags):
     code = main(["run", "--input", str(small_csv), "--target", "y", "--out", str(tmp_path / "o"),
@@ -616,14 +616,10 @@ def test_a_feature_named_like_the_target_exits_3(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize("flags", [["--bins", "5"], ["--bins", "9"], []],
-                         ids=["bins-5", "bins-9", "default"])
-def test_a_run_labels_every_column_at_its_bin_count(tmp_path, monkeypatch, flags):
+def test_a_run_labels_every_column_at_its_bin_count(tmp_path, monkeypatch):
     m = 150
     path = write_fixture(squared_sum_regression(m=m, n_distractors=3, seed=11),
                          tmp_path / "data.csv")
-    want = int(flags[1]) if flags else default_bins(m)
-    assert flags or want not in (5, 9)  # the default is told apart from both flags
     seen = []
     real_as_labels = info_metrics.as_labels
 
@@ -633,9 +629,9 @@ def test_a_run_labels_every_column_at_its_bin_count(tmp_path, monkeypatch, flags
 
     monkeypatch.setattr(info_metrics, "as_labels", spy)
     got = main(["run", "--input", str(path), "--target", "y", "--out", str(tmp_path / "out"),
-                "--episodes", "1", "--steps", "2", "--no-report", *flags])
+                "--episodes", "1", "--steps", "2", "--no-report"])
     assert got == 0
-    assert seen and set(seen) == {want}
+    assert seen and set(seen) == {default_bins(m)}
 
 
 # x1e200: the target's squares overflow; x1e152: its sum of squares is finite,
@@ -683,18 +679,14 @@ def test_a_diverged_actor_exits_4(tmp_path, capsys):
 
 RUN_OPTIONS = {
     "--input", "--target", "--out", "--config", "--task", "--impute",
-    "--encoder", "--episodes", "--steps", "--seed", "--k", "--d",
-    "--encoder-epochs", "--delta", "--bins", "--max-size", "--gamma", "--beta",
-    "--actor-lr", "--critic-lr", "--hidden", "--cross-cap", "--max-lineage-depth",
-    "--bench", "--no-report",
+    "--encoder", "--episodes", "--steps", "--seed", "--encoder-epochs", "--gamma", "--beta",
+    "--actor-lr", "--critic-lr", "--bench", "--no-report",
 }
 
 # A non-default value for every TrainConfig-backed key.
 TRAIN_KEY_VALUES = {
-    "episodes": "3", "steps": "4", "seed": "7", "encoder": "gae", "k": "5", "d": "6",
-    "encoder_epochs": "2", "delta": "0.5", "gamma": "0.8",
-    "beta": "0.02", "actor_lr": "0.002", "critic_lr": "0.003", "hidden": "16",
-    "cross_cap": "10", "max_lineage_depth": "4", "bins": "9", "max_size": "12",
+    "episodes": "3", "steps": "4", "seed": "7", "encoder": "gae", "encoder_epochs": "2",
+    "gamma": "0.8", "beta": "0.02", "actor_lr": "0.002", "critic_lr": "0.003",
 }
 
 FILE_ONLY_VALUES = {
@@ -709,9 +701,9 @@ def run_options() -> set[str]:
 
 
 def test_cli_surface_is_pinned(tmp_path):
-    assert run_options() == RUN_OPTIONS and len(RUN_OPTIONS) == 25
+    assert run_options() == RUN_OPTIONS and len(RUN_OPTIONS) == 17
     accepted = set(TRAIN_KEY_VALUES) | set(FILE_ONLY_VALUES)
-    assert set(_FILE_KEYS) == accepted and len(accepted) == 24
+    assert set(_FILE_KEYS) == accepted and len(accepted) == 16
     values = {**FILE_ONLY_VALUES, **TRAIN_KEY_VALUES}
     cfgfile = tmp_path / "all.cfg"
     cfgfile.write_text("".join(f"{k} = {v}\n" for k, v in values.items()), encoding="utf-8")
@@ -762,7 +754,7 @@ def test_every_run_config_field_is_a_flag_a_file_key_and_an_echo_line(small_csv,
 # only a line that starts with '#' is a comment: a trailing one is part of the value
 @pytest.mark.parametrize("key, text, typ", [("episodes", "soon", "int"),
                                             ("steps", "2.5", "int"),
-                                            ("delta", "1,5", "float"),
+                                            ("gamma", "1,5", "float"),
                                             ("episodes", "3  # note", "int")])
 def test_a_bad_number_reads_alike_from_a_flag_and_a_file(tmp_path, small_csv, capsys,
                                                            key, text, typ):
@@ -791,7 +783,10 @@ def test_a_named_key_rejects_an_unknown_word_from_a_file(tmp_path, key, text):
                       "--config", str(cfgfile)])
 
 
-@pytest.mark.parametrize("flag, text", [("--distance", "cosine"), ("--metric", "f1_macro")])
+@pytest.mark.parametrize("flag, text", [
+    ("--distance", "cosine"), ("--metric", "f1_macro"), ("--k", "8"), ("--d", "8"),
+    ("--hidden", "64"), ("--delta", "1.0"), ("--bins", "9"), ("--max-size", "12"),
+    ("--cross-cap", "64"), ("--max-lineage-depth", "6")])
 def test_a_removed_flag_exits_2(tmp_path, small_csv, capsys, flag, text):
     with pytest.raises(SystemExit) as exc:
         main(["run", "--input", str(small_csv), "--target", "y", "--out", str(tmp_path / "o"),
@@ -802,15 +797,12 @@ def test_a_removed_flag_exits_2(tmp_path, small_csv, capsys, flag, text):
 
 
 def round_trip_cases():
-    # bins and max_size default to None, which no text names: a run resolves
-    # them, and its echo writes the number
     given = {**FILE_ONLY_VALUES, **TRAIN_KEY_VALUES}
-    for key, (_, f, typ, names) in _KEYS.items():
+    for key, (_, f, typ, _) in _KEYS.items():
         values = [f.default, cli._value(key, given[key], "test")]
         values += [True, False] if typ is bool else list(TaskKind) if key == "task" else []
         for value in dict.fromkeys(values):
-            if value is not None or names is not None:
-                yield pytest.param(key, value, id=f"{key}={value}")
+            yield pytest.param(key, value, id=f"{key}={value}")
 
 
 @pytest.mark.parametrize("key, value", round_trip_cases())
@@ -819,38 +811,57 @@ def test_a_keys_text_reads_back_as_its_value(key, value):
     assert back == value and type(back) is type(value)
 
 
-@pytest.mark.parametrize("bench, encoder, folder", [(False, "si", "data"),
-                                                    (True, "all", "data"),
-                                                    (False, "si", "run#1")],
-                         ids=["learned-si", "random-all", "hash-in-the-path"])
-def test_a_run_replays_byte_for_byte_from_its_config_echo(tmp_path, bench, encoder, folder):
-    (tmp_path / folder).mkdir()
-    path = write_fixture(small_space(), tmp_path / folder / "data.csv")
+@pytest.mark.parametrize("bench, encoder, name", [(False, "si", "data/data.csv"),
+                                                  (True, "all", "data/data.csv"),
+                                                  (False, "si", "run#1/data.csv"),
+                                                  (False, "si", "data/data.csv ")],
+                         ids=["learned-si", "random-all", "hash-in-the-path",
+                              "space-at-the-end"])
+def test_a_run_replays_byte_for_byte_from_its_config_echo(tmp_path, capsys, bench, encoder,
+                                                          name):
+    (tmp_path / name).parent.mkdir()
+    path = write_fixture(small_space(), tmp_path / name)
     out, replay = tmp_path / "out", tmp_path / "replay"
-    assert main(["run", "--input", str(path), "--target", "y", "--out", str(out),
+    code = main(["run", "--input", str(path), "--target", "y", "--out", str(out),
                  "--episodes", "2", "--steps", "2", "--encoder", encoder,
-                 "--actor-lr", "0.002", "--delta", "0.7", *(["--bench"] if bench else [])]) == 0
+                 "--actor-lr", "0.002", "--gamma", "0.7", *(["--bench"] if bench else [])])
+    if name != name.strip():
+        # a file line's value is stripped: the echo would replay another input
+        assert code == 2 and not out.exists()
+        assert capsys.readouterr().err == \
+            f"config error: --input: input {str(path)!r} has white space at an end\n"
+        return
+    assert code == 0
     assert main(["run", "--config", str(out / "config.echo"), "--out", str(replay)]) == 0
     for name in ("trace.tsv", "transformed.csv", "report.txt", "config.echo"):
         assert (replay / name).read_bytes() == (out / name).read_bytes(), name
 
 
-@pytest.mark.parametrize("flag, content, code, layer", [
-    ("--input", None, 3, "data"),
-    ("--input", b"x0,y\n\xff,1\n", 3, "data"),
-    ("--config", None, 2, "config"),
-    ("--config", b"episodes = 1\n\xff\n", 2, "config"),
-], ids=["input-directory", "input-not-utf8", "config-directory", "config-not-utf8"])
+@pytest.mark.parametrize("flag, content, below, code, layer", [
+    ("--input", None, "", 3, "data"),
+    ("--input", b"x0,y\n\xff,1\n", "", 3, "data"),
+    ("--config", None, "", 2, "config"),
+    ("--config", b"episodes = 1\n\xff\n", "", 2, "config"),
+    ("--out", b"", "", 2, "config"),
+    ("--out", b"", "sub", 2, "config"),
+], ids=["input-directory", "input-not-utf8", "config-directory", "config-not-utf8",
+        "out-a-file", "out-under-a-file"])
 def test_an_unreadable_input_file_exits_with_its_layers_code(tmp_path, small_csv, capsys,
-                                                             flag, content, code, layer):
+                                                             monkeypatch, flag, content, below,
+                                                             code, layer):
     path = tmp_path / "unreadable"
     if content is None:
         path.mkdir()
     else:
         path.write_bytes(content)
-    # a second --input overrides the first
+
+    def refuse(*args):
+        raise AssertionError("the search ran")
+
+    monkeypatch.setattr(cli, "search", refuse)  # every case fails before it
+    # a second flag overrides the first
     assert main(["run", "--input", str(small_csv), "--target", "y", "--out", str(tmp_path / "o"),
-                 "--episodes", "1", "--steps", "1", flag, str(path)]) == code
+                 "--episodes", "1", "--steps", "1", flag, str(path / below)]) == code
     err = capsys.readouterr().err
     assert err.startswith(f"{layer} error: ") and str(path) in err and err.count("\n") == 1
     assert not (tmp_path / "o").exists()

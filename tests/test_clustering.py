@@ -8,7 +8,7 @@ from raft.clustering import (
     merge_sequence,
     pair_score_matrix,
 )
-from raft.info_metrics import MICache, mutual_information
+from raft.info_metrics import MICache
 from oracles import (
     agglomerative_oracle,
     euclidean_oracle,
@@ -58,8 +58,7 @@ def test_matches_brute_force_oracle_at_median_threshold():
     scores = pair_score_matrix(fs, MICache(bins))
     threshold = float(np.median(scores[np.triu_indices(6, k=1)]))
     got = cluster_at(fs, threshold, bins)
-    y = np.asarray(fs.target.values, dtype=float)
-    mi_y = [mutual_information(fs.column(i), y, bins) for i in range(6)]
+    mi_y = MICache(bins).mi(fs.values.T, fs.keys, fs.target)
     cols = [fs.column(i) for i in range(6)]
     want = agglomerative_oracle(cols, mi_y, threshold)
     assert got.groups == want
@@ -156,8 +155,7 @@ def test_pair_scores_match_distance_oracle_loop():
     fs = distance_space(rng)
     bins = 5
     scores = pair_score_matrix(fs, MICache(bins))
-    y = np.asarray(fs.target.values, dtype=float)
-    mi_y = [mutual_information(fs.column(i), y, bins) for i in range(fs.n_cols)]
+    mi_y = MICache(bins).mi(fs.values.T, fs.keys, fs.target)
     np.testing.assert_array_equal(scores, scores.T)
     assert np.all(np.diag(scores) == 0.0)
     for i in range(fs.n_cols):
@@ -189,7 +187,7 @@ def test_adaptive_cluster_returns_at_least_two_groups_when_possible():
     rng = np.random.default_rng(6)
     for _ in range(10):
         fs = random_feature_set(rng, 20, int(rng.integers(2, 7)))
-        got = adaptive_cluster(fs, delta=1.0, cache=MICache(4))
+        got = adaptive_cluster(fs, MICache(4))
         assert len(got) >= 2
 
 
@@ -198,13 +196,13 @@ def test_adaptive_cluster_identical_columns_fall_back_to_singletons():
     col = rng.standard_normal(15)
     fs = random_feature_set(rng, 15, 3)
     fs = fs.with_columns(np.column_stack([col, col, col]), fs.columns)
-    got = adaptive_cluster(fs, delta=1.0, cache=MICache(4))
+    got = adaptive_cluster(fs, MICache(4))
     assert got.groups == ((0,), (1,), (2,))
 
 
 def test_adaptive_cluster_single_column():
     rng = np.random.default_rng(8)
     fs = random_feature_set(rng, 15, 1)
-    got = adaptive_cluster(fs, delta=1.0, cache=MICache(4))
+    got = adaptive_cluster(fs, MICache(4))
     assert got.groups == ((0,),)
 

@@ -32,7 +32,7 @@ from raft.dataset import (
     split_train_valid,
     write_csv,
 )
-from raft.info_metrics import mutual_information
+from raft.info_metrics import MICache
 from oracles import discretize_oracle, discretize_quantile_oracle, split_oracle
 
 
@@ -629,7 +629,9 @@ def test_discretize_bins_a_column_whose_edges_overflow_halved():
     sign = (x > 0).astype(np.float64)
     np.testing.assert_array_equal(discretize(x, 2), sign)
     np.testing.assert_array_equal(discretize(x, 3), discretize(x / big, 3))
-    assert mutual_information(x, sign, 2) == pytest.approx(math.log(2.0), rel=1e-15)
+    cache = MICache(2)
+    pair = tuple(cache.labels([v], [content_hash(v)])[0] for v in (x, sign))
+    assert cache.pair_mi([pair]) == [pytest.approx(math.log(2.0), rel=1e-15)]
     np.testing.assert_array_equal(discretize(np.array([-big, big] * 4), 2), [0, 1] * 4)
     # the other columns of a matrix keep their labels
     z = np.random.default_rng(6).standard_normal(30)

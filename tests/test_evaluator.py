@@ -545,10 +545,10 @@ def test_one_fit_stays_within_its_memory_bound(make, bound_kib):
 # in the AE and the GAE (they never lowered it); the bound leaves 10% headroom
 def test_one_encoder_miss_stays_within_its_memory_bound():
     fs = random_feature_set(np.random.default_rng(0), 1000, 32)
-    StateEncoder(EncoderKind.ALL, 8, 8, 20, 0).encode(fs)
+    StateEncoder(EncoderKind.ALL, 20, 0).encode(fs)
     tracemalloc.start()
     try:
-        StateEncoder(EncoderKind.ALL, 8, 8, 20, 0).encode(fs)  # a new encoder misses
+        StateEncoder(EncoderKind.ALL, 20, 0).encode(fs)  # a new encoder misses
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

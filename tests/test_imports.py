@@ -1,7 +1,9 @@
 """Every name a ``raft`` module imports, and every private name (``_x``) it
 defines at its top level, is read in that module, and no module imports
-another's private name.  Only ``dataset.py`` chooses a memory layout:
-``FeatureSet`` stores every matrix column-major.
+another's private name.  Every public name a module defines at its top level,
+and every public method of its classes, is read by the program: the package,
+``tools/`` or the benchmark, not the tests alone.  Only ``dataset.py``
+chooses a memory layout: ``FeatureSet`` stores every matrix column-major.
 The search core, ``cli.search``, touches no file: only the driver
 (``cli.py``), the data layer (``dataset.py``) and the fixtures
 (``synthetic.py``) read or write one.  Only ``cli.prepare`` constructs the
@@ -21,8 +23,12 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "raft"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "raft"
 ALL_MODULES = sorted(path.name for path in SRC.glob("*.py"))
+# the program's sources; the benchmark's test_bench.py is a test
+PROGRAM = [*SRC.glob("*.py"), *(ROOT / "tools").glob("*.py"),
+           *(path for path in (ROOT / "bench").glob("*.py") if not path.name.startswith("test_"))]
 
 
 def annotations(tree: ast.AST) -> list[ast.expr]:
@@ -71,11 +77,8 @@ def is_private(name: str) -> bool:
     return name.startswith("_") and not name.startswith("__")
 
 
-def unread_private_names(source: str) -> list[str]:
-    """The private names (one leading underscore) that the module's top-level
-    assignments, functions and classes bind and that no expression of the
-    module reads."""
-    tree = ast.parse(source)
+def top_level_names(tree: ast.Module) -> set[str]:
+    """The names the module's top-level assignments, functions and classes bind."""
     defined = set()
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -85,8 +88,32 @@ def unread_private_names(source: str) -> list[str]:
                            if isinstance(n, ast.Name))
         elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
             defined.add(node.target.id)
-    private = {name for name in defined if is_private(name)}
+    return defined
+
+
+def unread_private_names(source: str) -> list[str]:
+    """The private names (one leading underscore) that the module's top-level
+    assignments, functions and classes bind and that no expression of the
+    module reads."""
+    tree = ast.parse(source)
+    private = {name for name in top_level_names(tree) if is_private(name)}
     return sorted(private - names_read(tree))
+
+
+def unread_public_names(source: str, readers: list[str]) -> list[str]:
+    """The public names that the module binds at its top level, and the public
+    methods of its top-level classes, that no expression of ``readers`` reads,
+    by name or as an attribute."""
+    tree = ast.parse(source)
+    methods = {item.name for node in tree.body if isinstance(node, ast.ClassDef)
+               for item in node.body if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))}
+    public = {name for name in top_level_names(tree) | methods if not name.startswith("_")}
+    read = set()
+    for reader in map(ast.parse, readers):
+        read |= names_read(reader)
+        read.update(node.attr for node in ast.walk(reader)
+                    if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load))
+    return sorted(public - read)
 
 
 def test_unused_imports_finds_unread_names():
@@ -117,6 +144,20 @@ def test_unread_private_names_finds_dead_definitions():
 @pytest.mark.parametrize("module", ALL_MODULES)
 def test_module_reads_every_private_name(module):
     assert unread_private_names((SRC / module).read_text(encoding="utf-8")) == []
+
+
+def test_unread_public_names_finds_dead_definitions():
+    source = ("A = 1\n_b = 2\ndef f():\n    return A\ndef g():\n    pass\n"
+              "class K:\n    def m(self):\n        pass\n    def n(self):\n        pass\n"
+              "    def _p(self):\n        pass\n    def __len__(self):\n        return 0\n")
+    reader = "from mod import K, f, g\nf()\nK().m()\n"
+    assert unread_public_names(source, [source, reader]) == ["g", "n"]
+
+
+@pytest.mark.parametrize("module", ALL_MODULES)
+def test_the_program_reads_every_public_name(module):
+    readers = [path.read_text(encoding="utf-8") for path in PROGRAM]
+    assert unread_public_names((SRC / module).read_text(encoding="utf-8"), readers) == []
 
 
 def private_imports(source: str) -> list[str]:

@@ -6,6 +6,8 @@ import pytest
 
 from raft.neural_core import derive_seed, init_gcn
 from raft.state_repr import (
+    LATENT_D,
+    LATENT_K,
     SI_LENGTH,
     SUMMARY_QUANTILES,
     EncoderKind,
@@ -347,11 +349,11 @@ def test_concat_states():
     rng = np.random.default_rng(24)
     fs = random_feature_set(rng, 12, 3)
     si = state_si(fs)
-    ae = state_ae(fs, 3, 2, 2, derive_seed(5, "ae"))
-    gae = state_gae(fs, 3, 2, derive_seed(5, "gae"))
+    ae = state_ae(fs, LATENT_K, LATENT_D, 2, derive_seed(5, "ae"))
+    gae = state_gae(fs, LATENT_K, 2, derive_seed(5, "gae"))
     for kind, parts in [(EncoderKind.SI, [si]), (EncoderKind.AE, [ae]),
                         (EncoderKind.GAE, [gae]), (EncoderKind.ALL, [si, ae, gae])]:
-        got = StateEncoder(kind, 3, 2, 2, 5).encode(fs)
+        got = StateEncoder(kind, 2, 5).encode(fs)
         assert got.tobytes() == np.concatenate(parts).tobytes(), kind
 
 
@@ -361,9 +363,9 @@ def test_concat_states():
 
 def test_encoder_length_pure_function_of_config():
     rng = np.random.default_rng(15)
-    sizes = {"si": SI_LENGTH, "ae": 12, "gae": 4}
+    sizes = {"si": SI_LENGTH, "ae": LATENT_K * LATENT_D, "gae": LATENT_K}
     for kind in EncoderKind:
-        enc = StateEncoder(kind, k=4, d=3, epochs=0, seed=0)
+        enc = StateEncoder(kind, epochs=0, seed=0)
         assert enc.length == sum(sizes[part] for part in kind.parts)
         for _ in range(4):
             fs = random_feature_set(rng, int(rng.integers(2, 40)), int(rng.integers(1, 9)))
@@ -379,7 +381,7 @@ def test_encoder_finite_on_degenerate_inputs():
         base.with_columns(base.values[:, :1], base.columns[:1]),
     ]
     for kind in (EncoderKind.SI, EncoderKind.AE, EncoderKind.GAE):
-        enc = StateEncoder(kind, k=3, d=2, epochs=2, seed=1)
+        enc = StateEncoder(kind, epochs=2, seed=1)
         for fs in degenerate:
             vec = enc.encode(fs)
             assert np.all(np.isfinite(vec)) and not vec.flags.writeable
@@ -388,7 +390,7 @@ def test_encoder_finite_on_degenerate_inputs():
 def test_encoder_cache_returns_equal_vectors():
     rng = np.random.default_rng(17)
     fs = random_feature_set(rng, 10, 3)
-    enc = StateEncoder(EncoderKind.ALL, k=3, d=2, epochs=1, seed=2)
+    enc = StateEncoder(EncoderKind.ALL, epochs=1, seed=2)
     v1 = enc.encode(fs)
     v2 = enc.encode(fs)
     np.testing.assert_array_equal(v1, v2)
@@ -406,7 +408,7 @@ def test_states_do_not_depend_on_the_input_layout():
     encoders = {
         "si": state_si,
         "gae": lambda space: state_gae(space, 4, 3, 0),
-        "encode": lambda space: StateEncoder(EncoderKind.ALL, 3, 2, 2, 0).encode(space),
+        "encode": lambda space: StateEncoder(EncoderKind.ALL, 2, 0).encode(space),
     }
     for name, encode in encoders.items():
         states = [encode(space).tobytes() for space in spaces]
