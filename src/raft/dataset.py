@@ -259,10 +259,15 @@ class Target:
         """``content_hash`` of the values as float64, computed once per target."""
         return content_hash(np.asarray(self.values, dtype=np.float64))
 
+    @functools.cached_property
+    def class_counts(self) -> np.ndarray:
+        """A classification target's rows per class code, counted once per target."""
+        return read_only(np.bincount(self.values))
+
     @property
     def lone_class(self) -> bool:
         """Whether a class holds a single row, which leaves splits unstratified."""
-        return self.kind is TaskKind.CLASSIFICATION and 1 in np.bincount(self.values)
+        return self.kind is TaskKind.CLASSIFICATION and 1 in self.class_counts
 
     @property
     def num_classes(self) -> int:
@@ -554,10 +559,12 @@ def _build_target(raw: list[str], name: str, task: TaskKind | None) -> Target:
 def _numeric_target(numeric: np.ndarray, name: str, task: TaskKind | None) -> Target:
     if not np.all(np.isfinite(numeric)):
         raise DatasetError("target contains non-finite values")
-    if np.unique(numeric).size < 2:
+    srt = np.sort(numeric)  # a plain np.unique would import numpy.ma
+    distinct = 1 + np.count_nonzero(srt[1:] != srt[:-1])
+    if distinct < 2:
         raise DatasetError("constant target")
     integral = bool(np.all(numeric == np.floor(numeric)))
-    few = np.unique(numeric).size <= MAX_DISCRETE_LABELS
+    few = distinct <= MAX_DISCRETE_LABELS
     kind = task if task is not None else (
         TaskKind.CLASSIFICATION if integral and few else TaskKind.REGRESSION
     )
@@ -608,7 +615,7 @@ def split_train_valid(fs: FeatureSet, ratio: float, seed: int) -> tuple[FeatureS
     y = fs.target.values
     strata = [np.arange(m)]
     if fs.target.kind is TaskKind.CLASSIFICATION and not fs.target.lone_class:
-        strata = [np.flatnonzero(y == label) for label in np.unique(y)]
+        strata = [np.flatnonzero(y == label) for label in np.flatnonzero(fs.target.class_counts)]
     train_parts, valid_parts = [], []
     for idx in strata:
         perm = idx[rng.permutation(idx.size)]

@@ -405,7 +405,7 @@ def fit_forest(train: FeatureSet, cfg: ForestConfig) -> RandomForest:
     if task is TaskKind.CLASSIFICATION:
         y = np.asarray(train.target.values, dtype=np.int64)
         n_classes = train.target.num_classes
-        if np.unique(y).size < 2:
+        if y.min() == y.max():
             raise DatasetError("classification training target has a single class")
     else:
         y = np.asarray(train.target.values, dtype=np.float64)

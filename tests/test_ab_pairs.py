@@ -33,7 +33,7 @@ def test_summary_counts_wins_in_each_metrics_direction_and_ties_for_neither():
     summary = ab_pairs.summarize(pairs, {"steps_per_s": "higher", "peak_rss_mb": "lower"})
     assert summary["digests_match"] is True
     assert summary["steps_per_s"] == {"parent": [1.75, 2.5, 3.25], "change": [2.0, 3.5, 5.0],
-                                      "wins": 3, "gain": False}
+                                      "rel_change": 0.4, "wins": 3, "gain": False}
     assert summary["peak_rss_mb"]["wins"] == 2
     assert summary["peak_rss_mb"]["change"] == pytest.approx([49.375, 49.75, 50.25])
 
@@ -49,7 +49,32 @@ def test_summary_leaves_out_a_pair_with_a_failed_run():
     summary = ab_pairs.summarize(pairs, {"steps_per_s": "higher"})
     assert summary["failed"] == 1 and summary["digests_match"] is True
     assert summary["steps_per_s"] == {"parent": [1.5, 2.0, 2.5], "change": [2.75, 3.5, 4.25],
-                                      "wins": 2, "gain": False}
+                                      "rel_change": 0.75, "wins": 2, "gain": False}
+
+
+def test_the_relative_median_change_is_stored_and_printed(tmp_path, monkeypatch, capsys):
+    change, out = tmp_path / "change", tmp_path / "pairs.json"
+    change.mkdir()
+    (change / "BENCHMARK.json").write_text(json.dumps(
+        {"end_to_end": [{"name": "steps_per_s", "better": "higher"},
+                        {"name": "peak_rss_mb", "better": "lower"},
+                        {"name": "ok_frac", "better": "higher"}]}))
+
+    def fake_run_once(root, workload, seed):
+        side = [4.0, 50.0, 0.0] if root == tmp_path else [5.0, 49.0, 1.0]
+        return {"digest": "d", "metrics": dict(zip(("steps_per_s", "peak_rss_mb", "ok_frac"),
+                                                   side))}
+
+    monkeypatch.setattr(ab_pairs, "run_once", fake_run_once)
+    assert ab_pairs.main([str(tmp_path), str(change), "--workload", "w", "--seed", "11",
+                          "--pairs", "2", "--out", str(out)]) == 0
+    summary = json.loads(out.read_text())[0]["summary"]
+    # (change - parent) / parent of the medians; a parent median of 0 has none
+    assert [summary[name]["rel_change"] for name in ("steps_per_s", "peak_rss_mb", "ok_frac")] \
+        == [0.25, pytest.approx(-0.02), None]
+    printed = capsys.readouterr().out
+    assert "median +25.00%" in printed and "median -2.00%" in printed
+    assert "median n/a" in printed
 
 
 PARENT_SPEEDS = [10.0, 10.5, 11.0, 10.2, 10.8, 10.4, 10.6, 10.1, 10.9, 10.3]

@@ -104,6 +104,19 @@ def test_load_csv_constant_target(tmp_path):
         load_csv(p, "y")
 
 
+@pytest.mark.parametrize("distinct, kind", [
+    (2, TaskKind.CLASSIFICATION), (dataset.MAX_DISCRETE_LABELS, TaskKind.CLASSIFICATION),
+    (dataset.MAX_DISCRETE_LABELS + 1, TaskKind.REGRESSION)])
+def test_an_integer_target_holds_classes_up_to_the_label_cap(tmp_path, distinct, kind):
+    # each value three times, shuffled: the cap counts distinct values, not rows
+    y = np.random.default_rng(0).permutation(np.repeat(7 * np.arange(distinct) - 40, 3))
+    p = write(tmp_path / "d.csv", "a,y\n" + "".join(f"{i},{v}\n" for i, v in enumerate(y)))
+    target = load_csv(p, "y").target
+    assert target.kind is kind
+    if kind is TaskKind.CLASSIFICATION:
+        np.testing.assert_array_equal(target.class_counts, np.full(distinct, 3))
+
+
 def test_load_csv_spaces_in_headers_become_underscores(tmp_path):
     p = write(tmp_path / "d.csv", "residual sugar,y\n1,0.5\n2,1.5\n3,0.25\n")
     fs = load_csv(p, "y")

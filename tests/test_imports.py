@@ -12,16 +12,21 @@ imports of each other form an acyclic graph, in which ``transform`` does not
 import ``clustering``, ``evaluator`` does not import ``neural_core`` and
 ``synthetic`` imports ``dataset`` alone.  ``__init__.py`` holds its docstring
 and nothing else, so importing a module loads only the modules it imports:
-the layer rules hold at run time as well as in the source.
+the layer rules hold at run time as well as in the source.  No ``unique`` call
+in the package or ``tools/`` asks for the distinct values alone, and a run
+never imports ``numpy.ma``.
 """
 
 import ast
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from raft.synthetic import product_sign_classification, squared_sum_regression, write_fixture
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "raft"
@@ -374,13 +379,19 @@ def test_the_package_init_holds_only_its_docstring():
     assert ast.get_docstring(tree) and len(tree.body) == 1
 
 
-def raft_modules_loaded_by(module: str) -> list[str]:
-    """The ``raft`` modules a fresh interpreter loads to import ``module``."""
-    probe = (f"import sys\nbefore = set(sys.modules)\nimport {module}\n"
-             "print(*sorted(m for m in set(sys.modules) - before if m.split('.')[0] == 'raft'))")
+def fresh_process(probe: str) -> str:
+    """The standard output of ``probe`` run by a fresh interpreter."""
     env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
     return subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                          text=True, check=True).stdout.split()
+                          text=True, check=True).stdout
+
+
+def raft_modules_loaded_by(module: str) -> list[str]:
+    """The ``raft`` modules a fresh interpreter loads to import ``module``."""
+    return fresh_process(
+        f"import sys\nbefore = set(sys.modules)\nimport {module}\n"
+        "print(*sorted(m for m in set(sys.modules) - before if m.split('.')[0] == 'raft'))"
+    ).split()
 
 
 def test_importing_the_fixtures_loads_the_data_layer_alone():
@@ -390,3 +401,56 @@ def test_importing_the_fixtures_loads_the_data_layer_alone():
 def test_importing_the_policies_loads_data_nets_and_states_alone():
     assert raft_modules_loaded_by("raft.agents") == [
         "raft", "raft.agents", "raft.dataset", "raft.neural_core", "raft.state_repr"]
+
+
+# The outputs a ``unique`` call may ask for besides the distinct values.
+UNIQUE_OUTPUTS = ("return_index", "return_inverse", "return_counts")
+
+
+def plain_unique_calls(source: str) -> list[int]:
+    """The line of each ``unique`` call that asks for none of UNIQUE_OUTPUTS,
+    by keyword or by position: numpy then asks whether its input is masked,
+    which imports ``numpy.ma`` (about 1.5 MiB)."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and called_name(node) == "unique":
+            flags = [*node.args[1:4], *(kw.value for kw in node.keywords
+                                        if kw.arg in UNIQUE_OUTPUTS)]
+            if all(isinstance(f, ast.Constant) and f.value is False for f in flags):
+                found.append(node.lineno)
+    return sorted(found)
+
+
+def test_plain_unique_calls_finds_each_form():
+    source = ("import numpy as np\nfrom numpy import unique\n"
+              "a = np.unique(x)\nb = unique(x)\nc = np.unique(x, return_inverse=True)\n"
+              "d = np.unique(x, return_counts=False)\ne = np.unique(x, False, True)\n"
+              "f = np.unique(x, axis=0)\ng = np.unique(x, return_index=flag)\n"
+              "h = np.uniques(x)\n")
+    assert plain_unique_calls(source) == [3, 4, 6, 8]
+
+
+@pytest.mark.parametrize("path", [*SRC.glob("*.py"), *(ROOT / "tools").glob("*.py")],
+                         ids=lambda path: str(path.relative_to(ROOT)))
+def test_no_unique_call_asks_for_the_distinct_values_alone(path):
+    assert plain_unique_calls(path.read_text(encoding="utf-8")) == []
+
+
+def test_a_run_never_imports_the_masked_array_module(tmp_path):
+    """A learned regression run, a learned run with every encoder and a random
+    classification run, each writing its report (which fits a forest), leave
+    ``numpy.ma`` unloaded."""
+    reg = write_fixture(squared_sum_regression(m=120, n_distractors=2, seed=1),
+                        tmp_path / "reg.csv")
+    clf = write_fixture(product_sign_classification(120, 6, 1), tmp_path / "clf.csv")
+    runs = {"regression": [str(reg), "y"], "all-encoders": [str(clf), "label", "--encoder", "all"],
+            "random": [str(clf), "label", "--bench"]}
+    probe = ("import json, sys\nfrom raft import cli\nloaded = {}\n"
+             f"for name, (path, target, *flags) in {runs!r}.items():\n"
+             "    code = cli.main(['run', '--input', path, '--target', target, *flags,\n"
+             f"                     '--out', {str(tmp_path / 'out')!r} + name,\n"
+             "                     '--episodes', '1', '--steps', '2'])\n"
+             "    loaded[name] = [code, 'numpy.ma' in sys.modules]\n"
+             "print(json.dumps(loaded))\n")
+    loaded = json.loads(fresh_process(probe).splitlines()[-1])
+    assert loaded == {name: [0, False] for name in runs}

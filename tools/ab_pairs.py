@@ -5,15 +5,16 @@
 Each pair runs ``bench/run.py --seconds 30 --trace 0`` once in each checkout,
 the parent first in even pairs and the change first in odd ones, and keeps
 each run's result line and ``digest`` line.  Per end-to-end metric it prints
-each side's quartiles, how many pairs the change wins, with "better" read
-from the change's ``BENCHMARK.json`` (a tie counts for neither side), and
-whether the change has a gain: at least ten pairs were run, it wins at least
-nine tenths of them, and its median is better than the parent's by more than
-the parent's interquartile range.  It also prints whether every digest
-matched (``n/a`` when no pair finished).  A run that exits non-zero is
-recorded by its exit code, and its pair is counted as failed, as a pair the
-change does not win, and is left out of the quartiles.  ``--out`` appends the
-set to a JSON list and is rewritten after every pair.
+each side's quartiles, the relative change of the median, (change - parent) /
+parent (``n/a`` for a parent median of 0), how many pairs the change wins,
+with "better" read from the change's ``BENCHMARK.json`` (a tie counts for
+neither side), and whether the change has a gain: at least ten pairs were run,
+it wins at least nine tenths of them, and its median is better than the
+parent's by more than the parent's interquartile range.  It also prints
+whether every digest matched (``n/a`` when no pair finished).  A run that
+exits non-zero is recorded by its exit code, and its pair is counted as
+failed, as a pair the change does not win, and is left out of the quartiles.
+``--out`` appends the set to a JSON list and is rewritten after every pair.
 """
 
 from __future__ import annotations
@@ -46,8 +47,9 @@ def quartiles(values: list[float]) -> list[float]:
 
 
 def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
-    """Per metric: each side's quartiles and the change's wins over the pairs
-    whose two runs finished, and whether that is a gain over all the pairs run;
+    """Per metric: each side's quartiles, the relative change of the median
+    (None for a parent median of 0) and the change's wins over the pairs whose
+    two runs finished, and whether that is a gain over all the pairs run;
     ``failed`` counts the other pairs, and ``digests_match`` is None when none
     finished."""
     done = [p for p in pairs if "exit" not in p["parent"] and "exit" not in p["change"]]
@@ -61,7 +63,8 @@ def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
         pq, cq = quartiles(par), quartiles(chg)
         wins = sum(sign * (c - p) > 0 for p, c in zip(par, chg))
         spread = pq[2] - pq[0]  # the parent's interquartile range
-        out[name] = {"parent": pq, "change": cq, "wins": wins,
+        out[name] = {"parent": pq, "change": cq,
+                     "rel_change": (cq[1] - pq[1]) / pq[1] if pq[1] else None, "wins": wins,
                      "gain": len(pairs) >= 10 and 10 * wins >= 9 * len(pairs)
                      and sign * (cq[1] - pq[1]) > spread}
     return out
@@ -98,8 +101,10 @@ def main(argv: list[str] | None = None) -> int:
           f"digests match: {match}")
     for name in better if finished else ():
         (p1, p2, p3), (c1, c2, c3) = summary[name]["parent"], summary[name]["change"]
+        rel = summary[name]["rel_change"]
         print(f"{name}: parent {p2:.4g} [{p1:.4g}, {p3:.4g}]  change {c2:.4g} [{c1:.4g}, "
-              f"{c3:.4g}]  change wins {summary[name]['wins']}/{finished}  "
+              f"{c3:.4g}]  median {'n/a' if rel is None else f'{rel:+.2%}'}  "
+              f"change wins {summary[name]['wins']}/{finished}  "
               f"gain: {str(summary[name]['gain']).lower()}")
     return 0
 
