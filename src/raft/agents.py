@@ -56,9 +56,11 @@ class TrainConfig:
     replays the run).  A number outside its range raises ValueError (the
     CLI's exit 2).  ``encoder`` is si, ae, gae or all.  What no run varies is
     a constant: the Euclidean group distance, the mean pair score as the
-    clustering threshold, ``state_repr``'s latent widths, ``HIDDEN``,
-    ``default_bins``, twice the input's width as a space's size, and
-    ``generation_step``'s cross cap and lineage depth.
+    clustering threshold, ``state_repr``'s latent widths, ``HIDDEN`` and the
+    autoencoders' ``AE_HIDDEN``, ``default_bins``, twice the input's width as
+    a space's size, ``transform``'s ``CROSS_CAP`` and ``MAX_LINEAGE_DEPTH``,
+    the forest's shape (``N_TREES``, ``MAX_DEPTH``, ``MIN_LEAF`` and the
+    task's feature-draw rule) and the hold-out split's ``TRAIN_FRACTION``.
     """
 
     episodes: int = 30

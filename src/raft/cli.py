@@ -43,7 +43,6 @@ from .dataset import (
     write_csv,
 )
 from .evaluator import (
-    TRAIN_FRACTION,
     ForestConfig,
     MetricKind,
     downstream_score,
@@ -237,7 +236,7 @@ def emit_report(result: RunResult, fs_star: FeatureSet, path: Path) -> None:
     """Per-feature normalized importance share, plus the before / after
     scores.  A feature's name is its rendered lineage (``parse_lineage`` gives
     the tree back); shares come from forest impurity decreases and sum to 1."""
-    train, _ = split_train_valid(fs_star, TRAIN_FRACTION, result.split_seed)
+    train, _ = split_train_valid(fs_star, result.split_seed)
     forest = fit_forest(train, ForestConfig(seed=result.forest_seed))
     shares = feature_importances(forest)
     lines = [

@@ -23,10 +23,7 @@ import numpy as np
 # Integer-valued vectors with at most this many distinct values are treated as
 # discrete labels.  Task inference and MI label handling share the rule.
 MAX_DISCRETE_LABELS = 20
-
-# Default bound on lineage-tree depth (bounds name length and numeric blow-up).
-DEFAULT_MAX_DEPTH = 6
-DEFAULT_CROSS_CAP = 64  # default bound on the pairs one binary cross generates
+TRAIN_FRACTION = 0.8  # of a scored space's rows, the forest's training share
 
 UNARY_OPS = ("square", "sqrt", "log")
 BINARY_OPS = ("+", "-", "*", "/")
@@ -268,12 +265,6 @@ class Target:
     def lone_class(self) -> bool:
         """Whether a class holds a single row, which leaves splits unstratified."""
         return self.kind is TaskKind.CLASSIFICATION and 1 in self.class_counts
-
-    @property
-    def num_classes(self) -> int:
-        if self.kind is not TaskKind.CLASSIFICATION:
-            raise ValueError("num_classes is only defined for classification targets")
-        return int(np.max(self.values)) + 1
 
 
 @dataclass(frozen=True)
@@ -600,16 +591,14 @@ def write_csv(fs: FeatureSet, path: str | Path) -> None:
 # Splitting and discretization
 # ---------------------------------------------------------------------------
 
-def split_train_valid(fs: FeatureSet, ratio: float, seed: int) -> tuple[FeatureSet, FeatureSet]:
+def split_train_valid(fs: FeatureSet, seed: int) -> tuple[FeatureSet, FeatureSet]:
     """Deterministic row split: each stratum's rows are shuffled and the
-    first ``floor(ratio * size)`` train.  The strata are the classes of a
-    classification target without a ``lone_class``, else all the rows.
+    first ``floor(TRAIN_FRACTION * size)`` train.  The strata are the classes
+    of a classification target without a ``lone_class``, else all the rows.
 
     Each side must end up with at least 2 rows (feature sets are never
     smaller), otherwise the split is rejected.
     """
-    if not 0.0 < ratio < 1.0:
-        raise DatasetError(f"split ratio must be in (0, 1), got {ratio}")
     m = fs.n_rows
     rng = np.random.default_rng(seed)
     y = fs.target.values
@@ -619,15 +608,13 @@ def split_train_valid(fs: FeatureSet, ratio: float, seed: int) -> tuple[FeatureS
     train_parts, valid_parts = [], []
     for idx in strata:
         perm = idx[rng.permutation(idx.size)]
-        n_tr = math.floor(ratio * idx.size)
+        n_tr = math.floor(TRAIN_FRACTION * idx.size)
         train_parts.append(perm[:n_tr])
         valid_parts.append(perm[n_tr:])
     train_idx = np.sort(np.concatenate(train_parts))
     valid_idx = np.sort(np.concatenate(valid_parts))
-    if train_idx.size == 0 or valid_idx.size == 0:
-        raise DatasetError(f"ratio {ratio} produces an empty split for {m} rows")
     if train_idx.size < 2 or valid_idx.size < 2:
-        raise DatasetError(f"ratio {ratio} leaves a split with fewer than 2 rows for {m} rows")
+        raise DatasetError(f"the split leaves a side with fewer than 2 rows for {m} rows")
     return fs.subset_rows(train_idx), fs.subset_rows(valid_idx)
 
 

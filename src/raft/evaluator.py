@@ -1,5 +1,9 @@
 """Downstream-task utility: an in-house random forest plus each task's metric.
 
+As in the paper, every space is scored by one random forest of one shape:
+N_TREES trees of depth at most MAX_DEPTH, each on a bootstrap sample, with at
+least MIN_LEAF rows per leaf and ceil(sqrt(N)) (classification) or ceil(N/3)
+(regression) of the N columns drawn at each node.  Only the seed varies.
 Trees use axis-aligned splits with Gini impurity (classification) or variance
 (regression), midpoint thresholds, and deterministic tie-breaking by lowest
 feature index then lowest threshold.  Determinism per seed is exact: each tree
@@ -36,11 +40,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from enum import Enum
 
 import numpy as np
 
 from .dataset import DatasetError, FeatureSet, NumericError, TaskKind, split_train_valid
-from enum import Enum
 
 
 class MetricKind(Enum):
@@ -65,23 +69,17 @@ _PASS_CELLS = 2 ** 15  # per split pass: histogram cells (node, drawn feature, b
 # a default 80,000x4 fit peaks at 7.3 MiB grouped, 37.2 MiB as one group, with
 # bit-equal predictions and importances (ROADMAP item 12).
 _GROUP_ROWS = 2 ** 16  # per tree group: training rows of one level, over its trees
-TRAIN_FRACTION = 0.8  # of a scored space's rows, the forest's training share
+N_TREES = 10  # trees per forest
+MAX_DEPTH = 8  # levels below a tree's root
+MIN_LEAF = 2  # training rows per leaf, at least
 
 
 @dataclass(frozen=True)
 class ForestConfig:
-    n_trees: int = 10
-    max_depth: int = 8
-    min_leaf: int = 2
-    seed: int = 0
-    bootstrap: bool = True
-    max_features: int | None = None  # None: ceil(sqrt(N)) clf / ceil(N/3) reg
+    """A forest's seed, the one thing about it that varies: the shape is
+    N_TREES, MAX_DEPTH, MIN_LEAF and the task's feature-draw rule."""
 
-    def __post_init__(self) -> None:
-        for name, low in {"n_trees": 1, "max_depth": 0, "min_leaf": 1, "max_features": 1}.items():
-            value = getattr(self, name)
-            if value is not None and not value >= low:
-                raise ValueError(f"{name} must be >= {low}, got {value}")
+    seed: int
 
 
 @dataclass
@@ -144,7 +142,7 @@ class _Scratch:
     would trim from the heap and fault in again at the next pass."""
 
     def __init__(self, n_rows: int, n_trees: int, n_bins: int, m_feats: int, n_classes: int,
-                 max_depth: int, y_dtype: np.dtype) -> None:
+                 y_dtype: np.dtype) -> None:
         self.n_bins, self.m_feats, self.n_classes, self.y_dtype = n_bins, m_feats, n_classes, y_dtype
         self.pass_nodes = max(1, _PASS_CELLS // (m_feats * n_bins * max(n_classes, 1)))
         self.pass_rows = _PASS_ENTRIES // m_feats
@@ -152,7 +150,7 @@ class _Scratch:
         # nodes, and a pass at least one node
         level = n_trees * n_rows
         rows = min(level, max(self.pass_rows, n_rows))
-        nodes = min(self.pass_nodes, n_trees << max(max_depth - 1, 0))
+        nodes = min(self.pass_nodes, n_trees << (MAX_DEPTH - 1))
         stages = (self.level(level), self.fill(rows, nodes), self.score(nodes), self.split(rows))
         self._buf = np.empty(max(map(_nbytes, stages)), np.uint8)
 
@@ -204,8 +202,7 @@ def _nbytes(specs: list[tuple[tuple[int, ...], np.dtype]]) -> int:
 
 
 def _best_cuts(bins: np.ndarray, y: np.ndarray, rows: np.ndarray, feats: np.ndarray,
-               n_node: np.ndarray, n_classes: int, min_leaf: int,
-               ws: _Scratch) -> tuple[np.ndarray, np.ndarray]:
+               n_node: np.ndarray, n_classes: int, ws: _Scratch) -> tuple[np.ndarray, np.ndarray]:
     """Every node's best split from one histogram over (node, slot, bin), the
     slots being the node's drawn features in ascending order.  A split puts
     the bins up to a cut left; per node, the row-major first minimum over
@@ -243,8 +240,8 @@ def _best_cuts(bins: np.ndarray, y: np.ndarray, rows: np.ndarray, feats: np.ndar
         np.add.reduce(hist, axis=0, out=n_left)
     else:
         n_left, [d] = hist[0], terms
-    np.less(n_left, min_leaf, out=invalid)
-    invalid |= np.greater(n_left, n_node - min_leaf, out=mask)
+    np.less(n_left, MIN_LEAF, out=invalid)
+    invalid |= np.greater(n_left, n_node - MIN_LEAF, out=mask)
     if n_classes:
         np.subtract(n_node, n_left, out=n_right)
         scores = _gini(hist, np.maximum(n_left, 1, out=div), left, p)
@@ -277,13 +274,12 @@ def _best_cuts(bins: np.ndarray, y: np.ndarray, rows: np.ndarray, feats: np.ndar
 
 
 def _split_level(x: np.ndarray, bins: np.ndarray, y: np.ndarray, rows: np.ndarray,
-                 n_node: np.ndarray, feats: np.ndarray, n_classes: int, min_leaf: int,
-                 ws: _Scratch):
+                 n_node: np.ndarray, feats: np.ndarray, n_classes: int, ws: _Scratch):
     """Splits a pass of searched nodes, whose training rows are `rows`, node by
     node.  Returns each node's feature, threshold, score and whether it split,
     and the children's rows and sizes: each split node's left, then right."""
     k = n_node.size
-    best, score = _best_cuts(bins, y, rows, feats, n_node, n_classes, min_leaf, ws)
+    best, score = _best_cuts(bins, y, rows, feats, n_node, n_classes, ws)
     v, codes, in_cut, right = ws.lay(ws.split(rows.size))
     n_bins = ws.n_bins
     feature = feats[np.arange(k), best // n_bins]
@@ -304,7 +300,7 @@ def _split_level(x: np.ndarray, bins: np.ndarray, y: np.ndarray, rows: np.ndarra
     np.less_equal(v, np.repeat(threshold, n_node), out=right)
     np.logical_not(right, out=right)
     n_left = n_node - np.add.reduceat(right, starts)
-    split = np.isfinite(score) & (n_left >= min_leaf) & (n_node - n_left >= min_leaf)
+    split = np.isfinite(score) & (n_left >= MIN_LEAF) & (n_node - n_left >= MIN_LEAF)
     sizes = np.stack([n_left[split], n_node[split] - n_left[split]], axis=1).ravel()
     # a row's key is 2 * node + side, and 2 * k + side in an unsplit node,
     # past every kept row's; a pass has at most _PASS_CELLS nodes, so the key
@@ -336,25 +332,23 @@ def _node_stats(y: np.ndarray, rows: np.ndarray, sizes: np.ndarray, n_classes: i
 
 
 def _grow_group(x: np.ndarray, bins: np.ndarray, y: np.ndarray, n_classes: int,
-                cfg: ForestConfig, m_feats: int, rngs: list[np.random.Generator],
-                importances: np.ndarray, base: int,
-                ws: _Scratch) -> list[tuple[np.ndarray, ...]]:
+                m_feats: int, rngs: list[np.random.Generator], importances: np.ndarray,
+                base: int, ws: _Scratch) -> list[tuple[np.ndarray, ...]]:
     """Grows trees together, a level at a time, numbering nodes from `base`.
     `rows` holds the training rows of the level's nodes, tree by tree, node by
     node, each node's in sample order.  Returns each level's feature, threshold,
     value and first-child arrays, and adds the importance gains tree by tree."""
     n_total, n_feat = x.shape
-    rows = np.concatenate([rng.integers(0, n_total, size=n_total) if cfg.bootstrap
-                           else np.arange(n_total) for rng in rngs])
+    rows = np.concatenate([rng.integers(0, n_total, size=n_total) for rng in rngs])
     tree, sizes = np.arange(len(rngs)), np.full(len(rngs), n_total)
     levels, gains = [], []
-    for depth in range(cfg.max_depth + 1):
+    for depth in range(MAX_DEPTH + 1):
         k = sizes.size
         values, impurity = _node_stats(y, rows, sizes, n_classes, ws)
         feature, threshold, child = np.full(k, -1), np.zeros(k), np.full(k, -1)
         levels.append((feature, threshold, values, child))
-        searched = (sizes >= 2 * cfg.min_leaf) & (impurity != 0.0)
-        if depth == cfg.max_depth or not searched.any():
+        searched = (sizes >= 2 * MIN_LEAF) & (impurity != 0.0)
+        if depth == MAX_DEPTH or not searched.any():
             break
         rows = rows[np.repeat(searched, sizes)]
         searched = np.flatnonzero(searched)
@@ -372,7 +366,7 @@ def _grow_group(x: np.ndarray, bins: np.ndarray, y: np.ndarray, n_classes: int,
             last = min(first + ws.pass_nodes,
                        max(first + 1, int(np.searchsorted(ends, lo + ws.pass_rows, "right"))))
             parts.append(_split_level(x, bins, y, rows[lo:ends[last - 1]], n_node[first:last],
-                                      feats[first:last], n_classes, cfg.min_leaf, ws))
+                                      feats[first:last], n_classes, ws))
             first = last
         # this level's rows go before the next level's are joined, and the
         # passes' parts after
@@ -404,7 +398,7 @@ def fit_forest(train: FeatureSet, cfg: ForestConfig) -> RandomForest:
     task = train.target.kind
     if task is TaskKind.CLASSIFICATION:
         y = np.asarray(train.target.values, dtype=np.int64)
-        n_classes = train.target.num_classes
+        n_classes = train.target.class_counts.size
         if y.min() == y.max():
             raise DatasetError("classification training target has a single class")
     else:
@@ -416,23 +410,21 @@ def fit_forest(train: FeatureSet, cfg: ForestConfig) -> RandomForest:
         if not math.isfinite(bound * bound):
             raise NumericError("the regression target is too large for the split search")
     n_feat = x.shape[1]
-    if cfg.max_features is not None:
-        m_feats = min(cfg.max_features, n_feat)
-    elif task is TaskKind.CLASSIFICATION:
+    if task is TaskKind.CLASSIFICATION:
         m_feats = min(math.ceil(math.sqrt(n_feat)), n_feat)
     else:
         m_feats = min(math.ceil(n_feat / 3), n_feat)
     bins = _bin_codes(x)
     importances = np.zeros(n_feat, dtype=np.float64)
-    rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(cfg.seed).spawn(cfg.n_trees)]
+    rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(cfg.seed).spawn(N_TREES)]
     group = max(1, _GROUP_ROWS // x.shape[0])
-    ws = _Scratch(x.shape[0], min(group, cfg.n_trees), int(bins.max()) + 1, m_feats, n_classes,
-                  cfg.max_depth, y.dtype)
+    ws = _Scratch(x.shape[0], min(group, N_TREES), int(bins.max()) + 1, m_feats, n_classes,
+                  y.dtype)
     levels, roots = [], []
-    for first in range(0, cfg.n_trees, group):
+    for first in range(0, N_TREES, group):
         base = sum(level[0].size for level in levels)
         roots.append(base + np.arange(len(rngs[first:first + group])))
-        levels += _grow_group(x, bins, y, n_classes, cfg, m_feats, rngs[first:first + group],
+        levels += _grow_group(x, bins, y, n_classes, m_feats, rngs[first:first + group],
                               importances, base, ws)
     feature, threshold, value, child = (np.concatenate(a) for a in zip(*levels))
     return RandomForest(np.concatenate(roots), feature, threshold, value, child, task,
@@ -469,13 +461,10 @@ def feature_importances(forest: RandomForest) -> np.ndarray:
     return forest.importances_raw / total
 
 
-def metric_only(
-    y_true: np.ndarray,
-    y_pred: np.ndarray,
-    metric: MetricKind,
-    train_mean: float | None = None,
-) -> float:
-    """Pure metric arithmetic, exposed for direct testing."""
+def metric_only(y_true: np.ndarray, y_pred: np.ndarray, metric: MetricKind,
+                train_mean: float) -> float:
+    """Pure metric arithmetic; ``train_mean``, the training target's mean, is
+    1 - RAE's baseline prediction and unread by macro F1."""
     y_true = np.asarray(y_true)
     y_pred = np.asarray(y_pred)
     if y_true.shape != y_pred.shape or y_true.size < 1:
@@ -484,8 +473,6 @@ def metric_only(
         yt = y_true.astype(np.float64)
         yp = y_pred.astype(np.float64)
         err = np.abs(yt - yp)
-        if train_mean is None:
-            raise ValueError("one_minus_rae needs the training-target mean")
         denom = float(np.sum(np.abs(yt - train_mean)))
         num = float(np.sum(err))
         if denom == 0.0:
@@ -512,12 +499,12 @@ def downstream_score(
     metric: MetricKind,
     cfg: ForestConfig,
 ) -> float:
-    """Hold-out score: split off ``TRAIN_FRACTION`` of the rows, fit the
-    forest on them, score the rest."""
+    """Hold-out score: ``split_train_valid``'s training rows fit the forest,
+    and the rest score it."""
     if metric.task is not fs.target.kind:
         raise ValueError(f"metric {metric.value} incompatible with {fs.target.kind.value} target")
-    train, valid = split_train_valid(fs, TRAIN_FRACTION, split_seed)
+    train, valid = split_train_valid(fs, split_seed)
     forest = fit_forest(train, cfg)
     y_pred = predict(forest, valid.values)
     train_mean = float(np.mean(np.asarray(train.target.values, dtype=np.float64)))
-    return metric_only(valid.target.values, y_pred, metric, train_mean=train_mean)
+    return metric_only(valid.target.values, y_pred, metric, train_mean)

@@ -26,6 +26,7 @@ import numpy as np
 logger = logging.getLogger(__name__)
 
 CLIP_NORM = 5.0  # every gradient step's joint L2 norm is clipped to this
+AE_HIDDEN = 32  # the hidden width of an autoencoder's encoder and decoder
 
 
 def derive_seed(base: int, salt: str) -> int:
@@ -78,9 +79,9 @@ def init_dense(in_size: int, hidden: int, out_size: int,
     return DenseNet(params, in_size, hidden, out_size)
 
 
-def init_gcn(in_size: int, k: int, rng: np.random.Generator) -> np.ndarray:
-    """The graph convolution's (in_size, k) weight."""
-    return _fan_uniform(rng, in_size, k)
+def init_gcn(in_size: int, out_size: int, rng: np.random.Generator) -> np.ndarray:
+    """The graph convolution's (in_size, out_size) weight."""
+    return _fan_uniform(rng, in_size, out_size)
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -155,14 +156,8 @@ def normalized_adjacency(adj: np.ndarray) -> np.ndarray:
 # Autoencoder
 # ---------------------------------------------------------------------------
 
-def train_autoencoder(
-    data: np.ndarray,
-    latent: int,
-    epochs: int,
-    seed: int,
-    lr: float,
-    hidden: int = 32,
-) -> tuple[DenseNet, DenseNet]:
+def train_autoencoder(data: np.ndarray, latent: int, epochs: int, seed: int,
+                      lr: float) -> tuple[DenseNet, DenseNet]:
     """Full-batch gradient descent on mean-squared reconstruction of the rows;
     returns (encoder, decoder), the untouched random nets when epochs=0.  An
     epoch makes one forward pass, writes the gradients in place into one flat
@@ -172,8 +167,8 @@ def train_autoencoder(
         raise ValueError("latent must be >= 1 and epochs >= 0")
     b, dim = data.shape
     rng = np.random.default_rng(seed)
-    encoder = init_dense(dim, hidden, latent, rng)
-    decoder = init_dense(latent, hidden, dim, rng)
+    encoder = init_dense(dim, AE_HIDDEN, latent, rng)
+    decoder = init_dense(latent, AE_HIDDEN, dim, rng)
     enc_flat, dec_flat = np.empty_like(encoder.params), np.empty_like(decoder.params)
     # built once per call: rebuilding the views every epoch is a measurable
     # share of an AE miss, which is many small-array steps

@@ -1,10 +1,9 @@
 """Fixed-length state encodings of variable-size feature spaces.
 
 Three encoders: two-stage descriptive statistics (length 49), a two-stage
-column/row autoencoder over fixed-length column summaries (length k*d), and a
-graph autoencoder over the column correlation graph (length k); a search's
-encoder has k = ``LATENT_K`` and d = ``LATENT_D``.  ``all``
-concatenates the three.  Output length never depends on the matrix shape.  A
+column/row autoencoder over fixed-length column summaries (length
+``LATENT_K * LATENT_D``), and a graph autoencoder over the column correlation
+graph (length ``LATENT_K``).  ``all`` concatenates the three.  Output length never depends on the matrix shape.  A
 state is a read-only, finite, 1-D float64 array.
 """
 
@@ -104,16 +103,14 @@ def column_summary(values: np.ndarray) -> np.ndarray:
     return (dev / np.where(spread > 0.0, spread, 1.0)).T
 
 
-def state_ae(fs: FeatureSet, k: int, d: int, epochs: int, seed: int) -> np.ndarray:
-    """Column autoencoder (``column_summary`` -> k per column) then row
-    autoencoder (N -> d per latent row), flattened to length k*d."""
-    if k < 1 or d < 1:
-        raise ValueError("latent dims must be >= 1")
+def state_ae(fs: FeatureSet, epochs: int, seed: int) -> np.ndarray:
+    """Column autoencoder (``column_summary`` -> LATENT_K per column) then row
+    autoencoder (N -> LATENT_D per latent row), flattened."""
     summary = column_summary(fs.values)  # N samples of dimension SUMMARY_QUANTILES
-    enc1, _ = train_autoencoder(summary, k, epochs, derive_seed(seed, "ae-cols"), _AE_LR)
-    z = dense_pass(enc1, summary)[2].T  # k x N
-    enc2, _ = train_autoencoder(z, d, epochs, derive_seed(seed, "ae-rows"), _AE_LR)
-    z2 = dense_pass(enc2, z)[2]  # k x d
+    enc1, _ = train_autoencoder(summary, LATENT_K, epochs, derive_seed(seed, "ae-cols"), _AE_LR)
+    z = dense_pass(enc1, summary)[2].T  # LATENT_K x N
+    enc2, _ = train_autoencoder(z, LATENT_D, epochs, derive_seed(seed, "ae-rows"), _AE_LR)
+    z2 = dense_pass(enc2, z)[2]  # LATENT_K x LATENT_D
     return _finite(z2.reshape(-1))
 
 
@@ -156,17 +153,15 @@ def gae_layer_grad(adj: np.ndarray, prop: np.ndarray, w: np.ndarray) -> np.ndarr
     return prop.T @ (dz * (pre > 0.0))
 
 
-def state_gae(fs: FeatureSet, k: int, epochs: int, seed: int) -> np.ndarray:
+def state_gae(fs: FeatureSet, epochs: int, seed: int) -> np.ndarray:
     """One-layer graph convolution over the standardized columns and their
     correlation graph, trained to reconstruct the adjacency through an
     inner-product decoder; the state is the mean over node embeddings
-    (length k).  Training stops at the first step ``clip_step`` skips."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    (length LATENT_K).  Training stops at the first step ``clip_step`` skips."""
     adj = correlation_adjacency(fs.values)
     prop = normalized_adjacency(adj) @ _standardize_columns(fs.values).T
-    flat = init_gcn(fs.n_rows, k, np.random.default_rng(derive_seed(seed, "gae"))).ravel()
-    w = flat.reshape(fs.n_rows, k)  # a view: clip_step updates w through flat
+    flat = init_gcn(fs.n_rows, LATENT_K, np.random.default_rng(derive_seed(seed, "gae"))).ravel()
+    w = flat.reshape(fs.n_rows, LATENT_K)  # a view: clip_step updates w through flat
     for _ in range(epochs):
         if not clip_step(flat, gae_layer_grad(adj, prop, w).ravel(), (0, flat.size), _AE_LR):
             break
@@ -204,10 +199,8 @@ class StateEncoder:
                 if part == "si":
                     parts.append(state_si(fs))
                 elif part == "ae":
-                    parts.append(state_ae(fs, LATENT_K, LATENT_D, self.epochs,
-                                          derive_seed(self.seed, "ae")))
+                    parts.append(state_ae(fs, self.epochs, derive_seed(self.seed, "ae")))
                 else:
-                    parts.append(state_gae(fs, LATENT_K, self.epochs,
-                                           derive_seed(self.seed, "gae")))
+                    parts.append(state_gae(fs, self.epochs, derive_seed(self.seed, "gae")))
             self._cache[key] = read_only(np.concatenate(parts))
         return self._cache[key]

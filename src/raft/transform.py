@@ -10,8 +10,6 @@ from typing import Sequence
 import numpy as np
 
 from .dataset import (
-    DEFAULT_CROSS_CAP,
-    DEFAULT_MAX_DEPTH,
     UNARY_OPS,
     Binary,
     FeatureMeta,
@@ -26,6 +24,8 @@ from .dataset import (
 from .info_metrics import MICache
 
 _DEDUP_TOL = 1e-12
+CROSS_CAP = 64  # the most pairs one binary cross generates
+MAX_LINEAGE_DEPTH = 6  # the deepest lineage a column may have: bounds names and blow-up
 
 
 @dataclass
@@ -37,50 +37,42 @@ class GeneratedBatch:
         return len(self.columns)
 
 
-def apply_unary(
-    op: str,
-    cluster_view: FeatureSet,
-    max_depth: int = DEFAULT_MAX_DEPTH,
-) -> GeneratedBatch:
+def apply_unary(op: str, cluster_view: FeatureSet) -> GeneratedBatch:
     """One new column per member feature; members whose lineage would exceed
-    the depth bound are skipped."""
+    MAX_LINEAGE_DEPTH are skipped."""
     columns: list[np.ndarray] = []
     metas: list[FeatureMeta] = []
     for i, meta in enumerate(cluster_view.columns):
         expr = Unary(op, meta.lineage)
-        if lineage_depth(expr) > max_depth:
+        if lineage_depth(expr) > MAX_LINEAGE_DEPTH:
             continue
         columns.append(safe_unary_value(op, cluster_view.column(i)))
         metas.append(FeatureMeta.from_lineage(expr))
     return GeneratedBatch(columns, metas)
 
 
-def cross_binary(
-    op: str,
-    head_view: FeatureSet,
-    tail_view: FeatureSet,
-    cache: MICache,
-    cap: int = DEFAULT_CROSS_CAP,
-    max_depth: int = DEFAULT_MAX_DEPTH,
-) -> GeneratedBatch:
+def cross_binary(op: str, head_view: FeatureSet, tail_view: FeatureSet,
+                 cache: MICache) -> GeneratedBatch:
     """Cartesian pairing of head and tail members, head-major order.
 
-    When the pairing exceeds ``cap``, the pairs with the largest
+    When the pairing exceeds CROSS_CAP, the pairs with the largest
     MI(head, y) + MI(tail, y), read from the run's ``cache``, survive (ties
     keep head-major order); the surviving columns are still emitted in
-    head-major order.
+    head-major order.  Pairs whose lineage would exceed MAX_LINEAGE_DEPTH are
+    skipped.
     """
     if head_view.n_cols == 0 or tail_view.n_cols == 0:
         raise ValueError("clusters must be nonempty")
     pairs = [(a, b) for a in range(head_view.n_cols) for b in range(tail_view.n_cols)]
-    if len(pairs) > cap:
+    if len(pairs) > CROSS_CAP:
         mi_head, mi_tail = (cache.mi(v.values.T, v.keys, v.target) for v in (head_view, tail_view))
-        pairs = [pairs[p] for p in _top_by_mi([mi_head[a] + mi_tail[b] for a, b in pairs], cap)]
+        scores = [mi_head[a] + mi_tail[b] for a, b in pairs]
+        pairs = [pairs[p] for p in _top_by_mi(scores, CROSS_CAP)]
     columns: list[np.ndarray] = []
     metas: list[FeatureMeta] = []
     for a, b in pairs:
         expr = Binary(op, head_view.columns[a].lineage, tail_view.columns[b].lineage)
-        if lineage_depth(expr) > max_depth:
+        if lineage_depth(expr) > MAX_LINEAGE_DEPTH:
             continue
         columns.append(safe_binary_value(op, head_view.column(a), tail_view.column(b)))
         metas.append(FeatureMeta.from_lineage(expr))
@@ -119,16 +111,8 @@ def _top_by_mi(scores: Sequence[float], max_size: int) -> list[int]:
     return sorted(ranked[:max_size])
 
 
-def generation_step(
-    fs: FeatureSet,
-    head_view: FeatureSet,
-    op: str,
-    tail_view: FeatureSet | None,
-    max_size: int,
-    cache: MICache,
-    cap: int = DEFAULT_CROSS_CAP,
-    max_depth: int = DEFAULT_MAX_DEPTH,
-) -> tuple[FeatureSet, GeneratedBatch]:
+def generation_step(fs: FeatureSet, head_view: FeatureSet, op: str, tail_view: FeatureSet | None,
+                    max_size: int, cache: MICache) -> tuple[FeatureSet, GeneratedBatch]:
     """Apply ``op`` to the head group's view of ``fs`` (crossing it with the
     tail group's view for a binary op) and dedup, then keep at most
     ``max_size`` of the space's and the batch's columns.
@@ -142,11 +126,11 @@ def generation_step(
     empty batch, not an error).
     """
     if op in UNARY_OPS:
-        batch = apply_unary(op, head_view, max_depth=max_depth)
+        batch = apply_unary(op, head_view)
     else:
         if tail_view is None:
             raise ValueError(f"binary operation {op!r} needs a tail cluster")
-        batch = cross_binary(op, head_view, tail_view, cache, cap=cap, max_depth=max_depth)
+        batch = cross_binary(op, head_view, tail_view, cache)
     batch = dedup(batch, fs)
     if len(batch) == 0:
         return fs, batch

@@ -10,11 +10,11 @@ from dataclasses import replace
 
 import numpy as np
 
-from raft.dataset import (DatasetError, FeatureMeta, FeatureSet, Ident, Target, TaskKind,
-                          content_hash)
-from raft.evaluator import MAX_BINS, ForestConfig
+from raft.dataset import (TRAIN_FRACTION, DatasetError, FeatureMeta, FeatureSet, Ident, Target,
+                          TaskKind, content_hash)
+from raft.evaluator import MAX_BINS, MAX_DEPTH, MIN_LEAF, N_TREES
 from raft.info_metrics import as_labels, column_distances
-from raft.neural_core import DenseNet, derive_seed, init_dense, init_gcn
+from raft.neural_core import AE_HIDDEN, DenseNet, derive_seed, init_dense, init_gcn
 from raft.state_repr import _finite, _population_std, _standardize_columns, correlation_adjacency
 from raft.transform import GeneratedBatch
 
@@ -285,12 +285,11 @@ def mean_linkage_oracle(scores: np.ndarray) -> list[tuple[float, int, int]]:
 # train/valid split
 # ---------------------------------------------------------------------------
 
-def split_oracle(fs: FeatureSet, ratio: float, seed: int) -> tuple[FeatureSet, FeatureSet]:
+def split_oracle(fs: FeatureSet, seed: int) -> tuple[FeatureSet, FeatureSet]:
     """``split_train_valid`` as it was with two branches: a stratified loop
     over the classes, and a separate unstratified shuffle of all the rows
     when the target is a regression or a class has a single sample."""
-    if not 0.0 < ratio < 1.0:
-        raise DatasetError(f"split ratio must be in (0, 1), got {ratio}")
+    ratio = TRAIN_FRACTION
     m = fs.n_rows
     rng = np.random.default_rng(seed)
     stratify = False
@@ -315,10 +314,8 @@ def split_oracle(fs: FeatureSet, ratio: float, seed: int) -> tuple[FeatureSet, F
         n_tr = math.floor(ratio * m)
         train_idx = np.sort(perm[:n_tr])
         valid_idx = np.sort(perm[n_tr:])
-    if train_idx.size == 0 or valid_idx.size == 0:
-        raise DatasetError(f"ratio {ratio} produces an empty split for {m} rows")
     if train_idx.size < 2 or valid_idx.size < 2:
-        raise DatasetError(f"ratio {ratio} leaves a split with fewer than 2 rows for {m} rows")
+        raise DatasetError(f"the split leaves a side with fewer than 2 rows for {m} rows")
     return fs.subset_rows(train_idx), fs.subset_rows(valid_idx)
 
 
@@ -388,8 +385,8 @@ def appended_then_selected_oracle(fs: FeatureSet, batch: GeneratedBatch, max_siz
 # random forest
 # ---------------------------------------------------------------------------
 
-def forest_oracle(fs: FeatureSet, cfg: ForestConfig) -> tuple[list, np.ndarray]:
-    """Reference forest: at every node, sort each candidate feature of the
+def forest_oracle(fs: FeatureSet, seed: int) -> tuple[list, np.ndarray]:
+    """Reference forest of the evaluator's shape: at every node, sort each candidate feature of the
     node's rows on its own (stable argsort) and scan its thresholds one
     feature at a time, with np.var / np.mean / np.cumsum / np.sum on the
     sorted column.  `fit_forest` must match it bit for bit.  Returns
@@ -404,9 +401,7 @@ def forest_oracle(fs: FeatureSet, cfg: ForestConfig) -> tuple[list, np.ndarray]:
         y = np.asarray(fs.target.values, dtype=np.float64)
         n_classes = 0
     n_feat = x.shape[1]
-    if cfg.max_features is not None:
-        m_feats = min(cfg.max_features, n_feat)
-    elif classification:
+    if classification:
         m_feats = min(math.ceil(math.sqrt(n_feat)), n_feat)
     else:
         m_feats = min(math.ceil(n_feat / 3), n_feat)
@@ -426,7 +421,7 @@ def forest_oracle(fs: FeatureSet, cfg: ForestConfig) -> tuple[list, np.ndarray]:
 
     def best_split(rows, y_node, feats):
         n = rows.size
-        lo, hi = cfg.min_leaf - 1, n - cfg.min_leaf - 1
+        lo, hi = MIN_LEAF - 1, n - MIN_LEAF - 1
         best = None
         for feature in feats:
             col = x[rows, feature]
@@ -459,7 +454,7 @@ def forest_oracle(fs: FeatureSet, cfg: ForestConfig) -> tuple[list, np.ndarray]:
     def build(rows, depth, rng, n_total):
         y_node = y[rows]
         node_imp = impurity(y_node)
-        if depth >= cfg.max_depth or rows.size < 2 * cfg.min_leaf or node_imp == 0.0:
+        if depth >= MAX_DEPTH or rows.size < 2 * MIN_LEAF or node_imp == 0.0:
             return leaf(y_node)
         feats = np.sort(rng.choice(n_feat, size=m_feats, replace=False))
         best = best_split(rows, y_node, feats)
@@ -468,7 +463,7 @@ def forest_oracle(fs: FeatureSet, cfg: ForestConfig) -> tuple[list, np.ndarray]:
         feature, threshold, score = best
         mask = x[rows, feature] <= threshold
         left_rows, right_rows = rows[mask], rows[~mask]
-        if left_rows.size < cfg.min_leaf or right_rows.size < cfg.min_leaf:
+        if left_rows.size < MIN_LEAF or right_rows.size < MIN_LEAF:
             return leaf(y_node)
         importances[feature] += (rows.size / n_total) * (node_imp - score)
         left = build(left_rows, depth + 1, rng, n_total)
@@ -477,23 +472,23 @@ def forest_oracle(fs: FeatureSet, cfg: ForestConfig) -> tuple[list, np.ndarray]:
 
     m = x.shape[0]
     trees = []
-    for ss in np.random.SeedSequence(cfg.seed).spawn(cfg.n_trees):
+    for ss in np.random.SeedSequence(seed).spawn(N_TREES):
         rng = np.random.default_rng(ss)
-        rows = rng.integers(0, m, size=m) if cfg.bootstrap else np.arange(m)
+        rows = rng.integers(0, m, size=m)
         trees.append(build(rows, 0, rng, rows.size))
     return trees, importances
 
 
-def binned_forest_oracle(fs: FeatureSet, cfg: ForestConfig) -> tuple[list, np.ndarray]:
-    """Reference for `fit_forest`, in plain Python loops.  Each column's
-    distinct training values are ranked 1..D and rank r goes to bin
+def binned_forest_oracle(fs: FeatureSet, seed: int) -> tuple[list, np.ndarray]:
+    """Reference for `fit_forest`, in plain Python loops, at its shape.  Each
+    column's distinct training values are ranked 1..D and rank r goes to bin
     (r - 1) * min(MAX_BINS, D) // D.  A tree draws its bootstrap sample, then
     grows breadth-first: a level's nodes are visited in order, and one
     `rng.random((nodes searched, columns))` call gives each searched node its
-    features (the columns of its row by ascending draw, the first
-    `max_features`, sorted).  Per candidate feature, the node's histogram is
-    summed in sample order and scanned bin by bin, the first strictly better
-    score winning.  Sums over classes run from the lowest class up.  Returns
+    features (the columns of its row by ascending draw, as many as the task
+    draws, sorted).  Per candidate feature, the node's histogram is summed in
+    sample order and scanned bin by bin, the first strictly better score
+    winning.  Sums over classes run from the lowest class up.  Returns
     (trees, raw importances) in `forest_oracle`'s tuple form."""
     x = fs.values
     classification = fs.target.kind is TaskKind.CLASSIFICATION
@@ -504,9 +499,7 @@ def binned_forest_oracle(fs: FeatureSet, cfg: ForestConfig) -> tuple[list, np.nd
         y = [float(v) for v in fs.target.values]
         n_classes = 0
     n_rows, n_feat = x.shape
-    if cfg.max_features is not None:
-        m_feats = min(cfg.max_features, n_feat)
-    elif classification:
+    if classification:
         m_feats = min(math.ceil(math.sqrt(n_feat)), n_feat)
     else:
         m_feats = min(math.ceil(n_feat / 3), n_feat)
@@ -556,7 +549,7 @@ def binned_forest_oracle(fs: FeatureSet, cfg: ForestConfig) -> tuple[list, np.nd
                 cum = [cum[c] + hist[b][c] for c in range(n_classes)]
                 nl = sum(cum)
                 nr = n - nl
-                if nl < cfg.min_leaf or nr < cfg.min_leaf:
+                if nl < MIN_LEAF or nr < MIN_LEAF:
                     continue
                 gl = 1.0 - class_sum((c / nl) * (c / nl) for c in cum)
                 gr = 1.0 - class_sum(((t - c) / nr) * ((t - c) / nr)
@@ -581,7 +574,7 @@ def binned_forest_oracle(fs: FeatureSet, cfg: ForestConfig) -> tuple[list, np.nd
         for b in range(top):
             c1, c2, nl = run1[b], run2[b], runc[b]
             nr = n - nl
-            if nl < cfg.min_leaf or nr < cfg.min_leaf:
+            if nl < MIN_LEAF or nr < MIN_LEAF:
                 continue
             sse_l = c2 - c1 * c1 / nl
             sse_r = (s2 - c2) - (s1 - c1) * (s1 - c1) / nr
@@ -595,16 +588,16 @@ def binned_forest_oracle(fs: FeatureSet, cfg: ForestConfig) -> tuple[list, np.nd
         return ("split", f, t, as_tuple(node["left"]), as_tuple(node["right"]))
 
     trees = []
-    for ss in np.random.SeedSequence(cfg.seed).spawn(cfg.n_trees):
+    for ss in np.random.SeedSequence(seed).spawn(N_TREES):
         rng = np.random.default_rng(ss)
-        sample = rng.integers(0, n_rows, size=n_rows) if cfg.bootstrap else np.arange(n_rows)
+        sample = rng.integers(0, n_rows, size=n_rows)
         root = {"rows": [int(r) for r in sample]}
         level = [root]
-        for depth in range(cfg.max_depth + 1):
+        for depth in range(MAX_DEPTH + 1):
             searched = []
             for node in level:
                 node["imp"], node["value"] = impurity_and_value(node["rows"])
-                if (depth < cfg.max_depth and len(node["rows"]) >= 2 * cfg.min_leaf
+                if (depth < MAX_DEPTH and len(node["rows"]) >= 2 * MIN_LEAF
                         and node["imp"] != 0.0):
                     searched.append(node)
             draws = rng.random((len(searched), n_feat)) if searched else []
@@ -627,7 +620,7 @@ def binned_forest_oracle(fs: FeatureSet, cfg: ForestConfig) -> tuple[list, np.nd
                     threshold = below / 2.0 + above / 2.0
                 left = [r for r in rows if col[f][r] <= threshold]
                 right = [r for r in rows if col[f][r] > threshold]
-                if len(left) < cfg.min_leaf or len(right) < cfg.min_leaf:
+                if len(left) < MIN_LEAF or len(right) < MIN_LEAF:
                     continue
                 importances[f] += (len(rows) / n_rows) * (node["imp"] - score)
                 node["split"] = (f, threshold)
@@ -761,18 +754,18 @@ def sgd_oracle(net: DenseNet, grads, lr: float, clip: float = 5.0) -> DenseNet:
     return net_of(net.w1 - lr * w1, net.b1 - lr * b1, net.w2 - lr * w2, net.b2 - lr * b2)
 
 
-def autoencoder_oracle(data: np.ndarray, latent: int, epochs: int, seed: int,
-                       hidden: int = 32, lr: float = 1e-3):
-    """Full-batch autoencoder descent with a forward pass inside each backward
-    pass and the encoder's input gradient computed and discarded."""
+def autoencoder_oracle(data: np.ndarray, latent: int, epochs: int, seed: int, lr: float = 1e-3):
+    """Full-batch autoencoder descent, AE_HIDDEN wide, with a forward pass
+    inside each backward pass and the encoder's input gradient computed and
+    discarded."""
     def out(net, x):
         return np.maximum(x @ net.w1 + net.b1, 0.0) @ net.w2 + net.b2
 
     data = np.atleast_2d(np.asarray(data, dtype=np.float64))
     b, dim = data.shape
     rng = np.random.default_rng(seed)
-    enc = init_dense(dim, hidden, latent, rng)
-    dec = init_dense(latent, hidden, dim, rng)
+    enc = init_dense(dim, AE_HIDDEN, latent, rng)
+    dec = init_dense(latent, AE_HIDDEN, dim, rng)
     for _ in range(epochs):
         z = out(enc, data)
         upstream = 2.0 * (out(dec, z) - data) / (b * dim)

@@ -160,7 +160,7 @@ def test_rewards_match_direct_recomputation():
         cache = MICache(bins)
         quality = lambda f: feature_set_quality(f, cache)
         score = lambda f: downstream_score(f, 2, MetricKind.ONE_MINUS_RAE,
-                                           ForestConfig(seed=3, n_trees=3))
+                                           ForestConfig(seed=3))
         head_view = fs.take((0, 1))
         fs_next, _ = generation_step(fs, head_view, "*", fs.take((2, 3)), max_size=10,
                                      cache=cache)

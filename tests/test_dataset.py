@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from raft import dataset
 from raft.dataset import (
     BINARY_OPS,
-    DEFAULT_MAX_DEPTH,
+    TRAIN_FRACTION,
     UNARY_OPS,
     Binary,
     DatasetError,
@@ -33,6 +33,7 @@ from raft.dataset import (
     write_csv,
 )
 from raft.info_metrics import MICache
+from raft.transform import MAX_LINEAGE_DEPTH
 from oracles import discretize_oracle, discretize_quantile_oracle, split_oracle
 
 
@@ -50,7 +51,7 @@ def test_load_csv_basic(tmp_path):
     fs = load_csv(p, "y")
     assert fs.n_rows == 4 and fs.n_cols == 2
     assert fs.target.kind is TaskKind.CLASSIFICATION
-    assert fs.target.num_classes == 2
+    assert fs.target.class_counts.tolist() == [2, 2]
     assert fs.names() == ["a", "b"]
     np.testing.assert_array_equal(fs.values[:, 0], [1, 3, 5, 7])
 
@@ -393,7 +394,7 @@ def test_every_constructor_lays_values_out_column_major(tmp_path):
         "subset_rows": fs.subset_rows(np.array([3, 0, 1])),
         "with_columns C-order": fs.with_columns(np.arange(12.0).reshape(4, 3), fs.columns),
         "with_columns strided": fs.with_columns(strided, fs.columns),
-        **dict(zip(("train", "valid"), split_train_valid(fs, 0.5, 0))),
+        **dict(zip(("train", "valid"), split_train_valid(fs, 0))),
     }
     for name, got in made.items():
         assert got.values.flags.f_contiguous and not got.values.flags.writeable, name
@@ -419,16 +420,16 @@ def _regression_set(m, seed=0):
 
 def test_split_sizes_and_determinism():
     fs = _regression_set(10)
-    tr1, va1 = split_train_valid(fs, 0.8, seed=7)
-    tr2, va2 = split_train_valid(fs, 0.8, seed=7)
-    assert tr1.n_rows == 8 and va1.n_rows == 2
+    tr1, va1 = split_train_valid(fs, seed=7)
+    tr2, va2 = split_train_valid(fs, seed=7)
+    assert TRAIN_FRACTION == 0.8 and tr1.n_rows == 8 and va1.n_rows == 2
     np.testing.assert_array_equal(tr1.values, tr2.values)
     np.testing.assert_array_equal(va1.values, va2.values)
 
 
 def test_split_rows_disjoint_and_cover():
     fs = _regression_set(11, seed=2)
-    tr, va = split_train_valid(fs, 0.7, seed=5)
+    tr, va = split_train_valid(fs, seed=5)
     merged = np.sort(np.concatenate([tr.target.values, va.target.values]))
     np.testing.assert_array_equal(merged, np.sort(fs.target.values))
 
@@ -438,7 +439,7 @@ def test_split_stratified_preserves_class_ratio():
     labels = np.array([0, 0, 0, 0, 0, 1, 1, 1, 1, 1], dtype=np.int64)
     fs = FeatureSet(np.arange(10, dtype=float)[:, None], cols,
                     Target(labels, TaskKind.CLASSIFICATION, "y"))
-    tr, va = split_train_valid(fs, 0.8, seed=3)
+    tr, va = split_train_valid(fs, seed=3)
     assert np.sum(tr.target.values == 0) == np.sum(tr.target.values == 1) == 4
     assert np.sum(va.target.values == 0) == np.sum(va.target.values == 1) == 1
 
@@ -446,15 +447,17 @@ def test_split_stratified_preserves_class_ratio():
 def test_split_seeds_differ():
     # frozen via the fixed shuffle algorithm for these concrete seeds
     fs = _regression_set(10, seed=1)
-    _, va7 = split_train_valid(fs, 0.8, seed=7)
-    _, va8 = split_train_valid(fs, 0.8, seed=8)
+    _, va7 = split_train_valid(fs, seed=7)
+    _, va8 = split_train_valid(fs, seed=8)
     assert not np.array_equal(va7.target.values, va8.target.values)
 
 
-def test_split_empty_rejected():
-    fs = _regression_set(4)
-    with pytest.raises(DatasetError):
-        split_train_valid(fs, 0.95, seed=0)
+def test_a_split_side_under_two_rows_rejected():
+    # 4 rows: 3 train and 1 validates; 5 rows: 4 and 1; 10 rows: 8 and 2
+    for m in (4, 5):
+        with pytest.raises(DatasetError, match="fewer than 2 rows"):
+            split_train_valid(_regression_set(m), seed=0)
+    split_train_valid(_regression_set(10), seed=0)
 
 
 def test_split_single_sample_class_falls_back():
@@ -463,7 +466,7 @@ def test_split_single_sample_class_falls_back():
     fs = FeatureSet(np.arange(10, dtype=float)[:, None], cols,
                     Target(labels, TaskKind.CLASSIFICATION, "y"))
     assert fs.target.lone_class
-    tr, va = split_train_valid(fs, 0.8, seed=0)
+    tr, va = split_train_valid(fs, seed=0)
     perm = np.random.default_rng(0).permutation(10)  # one stratum: every row
     np.testing.assert_array_equal(tr.values[:, 0], np.sort(perm[:8]))
     np.testing.assert_array_equal(va.values[:, 0], np.sort(perm[8:]))
@@ -483,13 +486,12 @@ def split_cases(draw):
         kind = TaskKind.CLASSIFICATION
     fs = FeatureSet(np.arange(2.0 * m).reshape(m, 2), tuple(
         FeatureMeta.from_lineage(Ident(n)) for n in "ab"), Target(y, kind, "y"))
-    ratio = draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
-    return fs, ratio, draw(st.integers(0, 2 ** 32))
+    return fs, draw(st.integers(0, 2 ** 32))
 
 
-def _split_or_error(split, fs, ratio, seed):
+def _split_or_error(split, fs, seed):
     try:
-        return [(s.values.tobytes(), s.target.values.tobytes()) for s in split(fs, ratio, seed)]
+        return [(s.values.tobytes(), s.target.values.tobytes()) for s in split(fs, seed)]
     except DatasetError as exc:
         return str(exc)
 
@@ -725,10 +727,10 @@ def lineages(depth: int):
                      st.builds(Binary, st.sampled_from(BINARY_OPS), sub, sub))
 
 
-@given(lineages(DEFAULT_MAX_DEPTH))
+@given(lineages(MAX_LINEAGE_DEPTH))
 @settings(max_examples=300, deadline=None)
 def test_render_parse_round_trip_over_adversarial_names(expr):
-    assert lineage_depth(expr) <= DEFAULT_MAX_DEPTH
+    assert lineage_depth(expr) <= MAX_LINEAGE_DEPTH
     assert parse_lineage(render(expr)) == expr
 
 

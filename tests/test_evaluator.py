@@ -10,6 +10,7 @@ from raft import evaluator
 from raft.dataset import FeatureMeta, FeatureSet, Ident, NumericError, Target, TaskKind
 from raft.evaluator import (
     MAX_BINS,
+    N_TREES,
     ForestConfig,
     MetricKind,
     RandomForest,
@@ -38,6 +39,11 @@ def reg_set(values, target):
     cols = tuple(FeatureMeta.from_lineage(Ident(f"x{i}")) for i in range(values.shape[1]))
     return FeatureSet(values, cols,
                       Target(np.asarray(target, dtype=float), TaskKind.REGRESSION, "y"))
+
+
+def macro_f1(y_true, y_pred):
+    """``metric_only``'s macro F1, which reads no training-target mean."""
+    return metric_only(y_true, y_pred, MetricKind.F1_MACRO, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -72,7 +78,7 @@ def test_macro_f1_hand_value():
     y_true = np.array([0, 0, 1, 1])
     y_pred = np.array([0, 1, 1, 1])
     # class 0: P=1, R=1/2, F1=2/3; class 1: P=2/3, R=1, F1=4/5
-    assert metric_only(y_true, y_pred, MetricKind.F1_MACRO) == pytest.approx(
+    assert macro_f1(y_true, y_pred) == pytest.approx(
         (2.0 / 3.0 + 0.8) / 2.0, abs=1e-12)
 
 
@@ -80,7 +86,7 @@ def test_macro_metrics_from_confusion_matrix():
     # confusion matrix [[2, 1], [0, 3]]: true 0 predicted 0 twice / 1 once, etc.
     y_true = np.array([0, 0, 0, 1, 1, 1])
     y_pred = np.array([0, 0, 1, 1, 1, 1])
-    f1 = metric_only(y_true, y_pred, MetricKind.F1_MACRO)
+    f1 = macro_f1(y_true, y_pred)
     assert f1 == pytest.approx((0.8 + 6.0 / 7.0) / 2.0, abs=1e-9)  # 0.828571...
 
 
@@ -90,7 +96,7 @@ def test_macro_metrics_bounded():
         m = int(rng.integers(2, 40))
         y_true = rng.integers(0, 4, size=m)
         y_pred = rng.integers(0, 4, size=m)
-        assert 0.0 <= metric_only(y_true, y_pred, MetricKind.F1_MACRO) <= 1.0
+        assert 0.0 <= macro_f1(y_true, y_pred) <= 1.0
 
 
 @st.composite
@@ -107,7 +113,7 @@ def label_pairs(draw):
 @settings(max_examples=300, deadline=None)
 def test_macro_metrics_match_the_per_label_oracle_bit_for_bit(pair):
     y_true, y_pred = pair
-    got = metric_only(y_true, y_pred, MetricKind.F1_MACRO)
+    got = macro_f1(y_true, y_pred)
     assert repr(got) == repr(classification_metric_oracle(y_true, y_pred))
 
 
@@ -122,39 +128,34 @@ def test_task_metric():
 # trees and forests
 # ---------------------------------------------------------------------------
 
-def test_single_tree_matches_hand_trace():
-    # one feature, clean step at 4.5: the root splits there and both leaves are pure
-    x = np.arange(1.0, 11.0)[:, None]
-    y = (x[:, 0] >= 5).astype(np.int64)
-    fs = clf_set(x, y)
-    forest = fit_forest(fs, ForestConfig(n_trees=1, bootstrap=False, max_features=1, seed=0))
-    [(kind, feature, threshold, left, right)] = _tree_tuples(forest)
-    assert kind == "split" and feature == 0
-    assert threshold == 4.5
-    assert left[0] == "leaf" and right[0] == "leaf"
-    assert left[1] == 0.0 and right[1] == 1.0
+def test_every_tree_matches_a_hand_trace():
+    # two values, one per class: at seed 0 every bootstrap sample holds both
+    # classes twice or more, so each root splits at 0.5 into two pure leaves
+    x = np.repeat([0.0, 1.0], 10)[:, None]
+    y = x[:, 0].astype(np.int64)
+    forest = fit_forest(clf_set(x, y), ForestConfig(seed=0))
+    assert _tree_tuples(forest) == [("split", 0, 0.5, ("leaf", 0.0), ("leaf", 1.0))] * N_TREES
     np.testing.assert_array_equal(predict(forest, x), y)
 
 
 def test_tie_break_prefers_lower_feature_index():
-    x0 = np.arange(1.0, 11.0)
-    x = np.column_stack([x0, x0])  # identical columns: identical best splits
-    y = (x0 >= 5).astype(np.int64)
-    fs = clf_set(x, y)
-    forest = fit_forest(fs, ForestConfig(n_trees=1, bootstrap=False, max_features=2, seed=0))
-    assert _tree_tuples(forest)[0][1] == 0
+    x0 = np.arange(1.0, 21.0)
+    x = np.column_stack([x0, x0])  # identical columns, both drawn: identical best splits
+    y = (x0 >= 9).astype(np.int64)
+    forest = fit_forest(clf_set(x, y), ForestConfig(seed=0))
+    split = forest.feature[forest.feature >= 0]
+    assert split.size and not split.any()
 
 
-def test_duplicated_column_does_not_change_single_tree_predictions():
+def test_a_duplicated_lone_column_does_not_change_the_forest():
+    # both columns are drawn at every node, and the lower index wins each tie
     rng = np.random.default_rng(1)
-    x = rng.standard_normal((30, 3))
-    y = (x[:, 0] + 0.5 * x[:, 1] > 0).astype(np.int64)
-    base = clf_set(x, y)
-    dup = clf_set(np.column_stack([x, x[:, 0]]), y)
-    cfg = ForestConfig(n_trees=1, bootstrap=False, max_features=4, seed=5)
-    p1 = predict(fit_forest(base, cfg), x)
-    p2 = predict(fit_forest(dup, cfg), np.column_stack([x, x[:, 0]]))
-    np.testing.assert_array_equal(p1, p2)
+    x = rng.standard_normal((30, 1))
+    y = (x[:, 0] + 0.5 * rng.standard_normal(30) > 0).astype(np.int64)
+    one = fit_forest(clf_set(x, y), ForestConfig(seed=5))
+    two = fit_forest(clf_set(np.column_stack([x, x]), y), ForestConfig(seed=5))
+    assert _tree_tuples(one) == _tree_tuples(two)
+    np.testing.assert_array_equal(predict(one, x), predict(two, np.column_stack([x, x])))
 
 
 def test_separable_classes_memorized():
@@ -164,7 +165,7 @@ def test_separable_classes_memorized():
     x = np.vstack([a, b])
     y = np.array([0] * 10 + [1] * 10, dtype=np.int64)
     fs = clf_set(x, y)
-    forest = fit_forest(fs, ForestConfig(n_trees=5, max_depth=4, seed=3))
+    forest = fit_forest(fs, ForestConfig(seed=3))
     np.testing.assert_array_equal(predict(forest, x), y)
 
 
@@ -172,7 +173,7 @@ def test_constant_target_regression_predicts_constant():
     rng = np.random.default_rng(3)
     x = rng.standard_normal((12, 2))
     fs = reg_set(x, np.full(12, 7.5))
-    forest = fit_forest(fs, ForestConfig(n_trees=3, seed=4))
+    forest = fit_forest(fs, ForestConfig(seed=4))
     np.testing.assert_allclose(predict(forest, x), 7.5, rtol=0, atol=0)
 
 
@@ -181,21 +182,6 @@ def test_single_class_training_rejected():
     fs = clf_set(x, np.zeros(8, dtype=np.int64))
     with pytest.raises(ValueError, match="single class"):
         fit_forest(fs, ForestConfig(seed=0))
-
-
-@pytest.mark.parametrize("field", [{"n_trees": 0}, {"max_depth": -1}, {"min_leaf": 0},
-                                   {"max_features": 0}])
-def test_forest_config_rejects_what_a_fit_cannot_grow(field):
-    # min_leaf=0 would grow NaN-valued empty children
-    with pytest.raises(ValueError, match=f"{next(iter(field))} must be >="):
-        ForestConfig(**field)
-
-
-def test_forest_config_accepts_its_least_values():
-    x = np.arange(12.0).reshape(6, 2)
-    cfg = ForestConfig(n_trees=1, max_depth=0, min_leaf=1, max_features=1)
-    forest = fit_forest(reg_set(x, np.arange(6.0)), cfg)
-    np.testing.assert_array_equal(predict(forest, x), forest.value[forest.roots[0]])
 
 
 def test_forest_deterministic_per_seed():
@@ -224,19 +210,18 @@ def test_importances_uniform_when_no_splits():
     x = np.ones((6, 3))
     x[0, 0] = 2.0  # keep matrix finite-variance but target constant
     fs = reg_set(x, np.full(6, 1.0))
-    forest = fit_forest(fs, ForestConfig(n_trees=2, seed=7))
+    forest = fit_forest(fs, ForestConfig(seed=7))
     np.testing.assert_allclose(feature_importances(forest), [1 / 3] * 3)
 
 
-@pytest.mark.parametrize("bootstrap", [True, False])
-def test_fit_forest_overflow_bound_holds_at_its_edge(bootstrap):
+def test_fit_forest_overflow_bound_holds_at_its_edge():
     # just inside the bound the split search runs without an overflow warning
     # (the suite turns RuntimeWarning into an error); just outside it raises
     rng = np.random.default_rng(19)
     x = rng.standard_normal((60, 4))
     y = rng.uniform(1.0, 2.0, 60)  # one sign: running sums reach m * max|y|
     edge = math.sqrt(np.finfo(np.float64).max) / (2 * 60 * float(np.max(np.abs(y))))
-    cfg = ForestConfig(n_trees=4, seed=2, bootstrap=bootstrap)
+    cfg = ForestConfig(seed=2)
     forest = fit_forest(reg_set(x, y * (edge * 0.999)), cfg)
     assert np.all(np.isfinite(predict(forest, x)))
     with pytest.raises(NumericError):
@@ -270,16 +255,10 @@ def _tie_heavy_set(classification):
 
 
 @pytest.mark.parametrize("classification", [False, True])
-@pytest.mark.parametrize("min_leaf", [1, 2, 5])
-@pytest.mark.parametrize("max_features", [None, 1, 5])
-@pytest.mark.parametrize("bootstrap", [True, False])
-def test_forest_matches_per_feature_oracle_bit_for_bit(classification, min_leaf,
-                                                       max_features, bootstrap):
+def test_forest_matches_per_feature_oracle_bit_for_bit(classification):
     fs = _tie_heavy_set(classification)
-    cfg = ForestConfig(n_trees=4, max_depth=6, min_leaf=min_leaf, seed=3,
-                       bootstrap=bootstrap, max_features=max_features)
-    forest = fit_forest(fs, cfg)
-    trees, importances = binned_forest_oracle(fs, cfg)
+    forest = fit_forest(fs, ForestConfig(seed=3))
+    trees, importances = binned_forest_oracle(fs, 3)
     assert _tree_tuples(forest) == trees
     assert forest.importances_raw.tobytes() == importances.tobytes()
     x = np.vstack([fs.values, np.random.default_rng(13).standard_normal((20, 5))])
@@ -287,34 +266,27 @@ def test_forest_matches_per_feature_oracle_bit_for_bit(classification, min_leaf,
                                   forest_predict_oracle(trees, x, classification))
 
 
-@pytest.mark.parametrize("min_leaf", [1, 3])
-@pytest.mark.parametrize("bootstrap", [True, False])
-def test_forest_is_exact_when_every_value_has_its_own_bin(min_leaf, bootstrap):
+def test_forest_is_exact_when_every_value_has_its_own_bin():
     # at most MAX_BINS distinct values per column keeps every candidate split,
-    # and with every column drawn at every node the draw order cannot matter
+    # and with ceil(sqrt(2)) = 2 columns drawn at every node the draw order
+    # cannot matter
     rng = np.random.default_rng(21)
-    x = np.column_stack([rng.integers(0, 30, 90), rng.integers(0, 4, 90) * 0.5,
-                         np.round(np.clip(rng.standard_normal(90), -1.5, 1.5), 1),
-                         np.full(90, -1.0)])
+    x = np.column_stack([rng.integers(0, 30, 90),
+                         np.round(np.clip(rng.standard_normal(90), -1.5, 1.5), 1)])
     assert max(np.unique(col).size for col in x.T) <= MAX_BINS
-    y = ((x[:, 0] > 14) + (x[:, 2] > 0.3) + (x[:, 1] == 1.0)).astype(np.int64) % 3
+    y = ((x[:, 0] > 14) + (x[:, 1] > 0.3) + (x[:, 0] % 4 == 1)).astype(np.int64) % 3
     fs = clf_set(x, y)
-    cfg = ForestConfig(n_trees=4, max_depth=6, min_leaf=min_leaf, seed=8,
-                       bootstrap=bootstrap, max_features=4)
-    trees, _ = forest_oracle(fs, cfg)
-    assert _tree_tuples(fit_forest(fs, cfg)) == trees
+    trees, _ = forest_oracle(fs, 8)
+    assert _tree_tuples(fit_forest(fs, ForestConfig(seed=8))) == trees
 
 
 _BOUNDS = ("_PASS_ENTRIES", "_PASS_CELLS", "_GROUP_ROWS")
 
 
 @pytest.mark.parametrize("classification", [False, True])
-@pytest.mark.parametrize("min_leaf", [1, 2, 3])
-@pytest.mark.parametrize("bootstrap", [True, False])
-def test_forest_bits_do_not_depend_on_the_chunking(monkeypatch, classification, min_leaf,
-                                                   bootstrap):
+def test_forest_bits_do_not_depend_on_the_chunking(monkeypatch, classification):
     fs = _tie_heavy_set(classification)
-    cfg = ForestConfig(n_trees=6, max_depth=6, min_leaf=min_leaf, seed=4, bootstrap=bootstrap)
+    cfg = ForestConfig(seed=4)
     x = np.vstack([fs.values, np.random.default_rng(14).standard_normal((20, 5))])
 
     def fitted():
@@ -323,10 +295,10 @@ def test_forest_bits_do_not_depend_on_the_chunking(monkeypatch, classification, 
         return (repr(_tree_tuples(forest)), forest.importances_raw.tobytes(),
                 predict(forest, x).tobytes())
 
-    # by default the six trees grow as one group, and a level's nodes fit in
-    # one pass (120 rows x 3 drawn features each)
-    assert fs.n_rows * cfg.n_trees <= evaluator._GROUP_ROWS
-    assert fs.n_rows * 3 * cfg.n_trees <= evaluator._PASS_ENTRIES
+    # by default the trees grow as one group, and a level's nodes fit in one
+    # pass (120 rows x at most 3 drawn features each)
+    assert fs.n_rows * N_TREES <= evaluator._GROUP_ROWS
+    assert fs.n_rows * 3 * N_TREES <= evaluator._PASS_ENTRIES
     want = fitted()
     # one node per pass and one tree per group; a few nodes per pass; everything at once
     for bound in (1, 2 ** 10, 2 ** 40):
@@ -341,13 +313,13 @@ def _passes(monkeypatch, fs, cfg):
     calls, groups = [], []
     best_cuts, grow_group = evaluator._best_cuts, evaluator._grow_group
 
-    def spy_cuts(bins, y, rows, feats, n_node, n_classes, min_leaf, ws):
+    def spy_cuts(bins, y, rows, feats, n_node, n_classes, ws):
         calls.append((*feats.shape, ws.n_bins * max(n_classes, 1), rows.size))
-        return best_cuts(bins, y, rows, feats, n_node, n_classes, min_leaf, ws)
+        return best_cuts(bins, y, rows, feats, n_node, n_classes, ws)
 
-    def spy_group(x, bins, y, n_classes, cfg, m_feats, rngs, importances, base, ws):
+    def spy_group(x, bins, y, n_classes, m_feats, rngs, importances, base, ws):
         groups.append(len(rngs))
-        return grow_group(x, bins, y, n_classes, cfg, m_feats, rngs, importances, base, ws)
+        return grow_group(x, bins, y, n_classes, m_feats, rngs, importances, base, ws)
 
     monkeypatch.setattr(evaluator, "_best_cuts", spy_cuts)
     monkeypatch.setattr(evaluator, "_grow_group", spy_group)
@@ -361,7 +333,7 @@ def _passes(monkeypatch, fs, cfg):
 @pytest.mark.parametrize("cells", [None, 2 ** 11, 2 ** 8])
 def test_split_passes_stay_within_the_chunk_bound(monkeypatch, classification, cells):
     fs = _tie_heavy_set(classification)
-    cfg = ForestConfig(n_trees=10, max_depth=8, min_leaf=1, seed=5)
+    cfg = ForestConfig(seed=5)
     default_calls, default_groups = _passes(monkeypatch, fs, cfg)
     if cells is not None:
         for name in _BOUNDS:
@@ -374,8 +346,8 @@ def test_split_passes_stay_within_the_chunk_bound(monkeypatch, classification, c
         assert nodes == 1 or n_rows * m <= evaluator._PASS_ENTRIES
     # a group's level holds at most its trees' bootstrap samples
     assert all(trees == 1 or trees * fs.n_rows <= evaluator._GROUP_ROWS for trees in groups)
-    assert default_groups == [cfg.n_trees]
-    assert groups == ([2] * 5 if cells == 2 ** 8 else [cfg.n_trees])
+    assert default_groups == [N_TREES]
+    assert groups == ([2] * 5 if cells == 2 ** 8 else [N_TREES])
     # one tree's level has at most fs.n_rows rows, so more than that means
     # several trees in one pass; 2^8 cells hold less than one classifying node
     many_nodes = any(nodes > 1 for nodes, *_ in calls)
@@ -386,14 +358,13 @@ def test_split_passes_stay_within_the_chunk_bound(monkeypatch, classification, c
 
 def test_split_between_huge_values_is_finite():
     # (below + above) / 2 overflows here; halving first keeps the split
-    x = np.linspace(1.5e308, 1.75e308, 20)[:, None]
-    y = (np.arange(20) >= 10).astype(np.int64)
-    cfg = ForestConfig(n_trees=1, bootstrap=False, max_features=1, seed=0)
-    forest = fit_forest(clf_set(x, y), cfg)
-    [(_, _, threshold, left, right)] = _tree_tuples(forest)
-    assert threshold == x[9, 0] / 2.0 + x[10, 0] / 2.0
-    assert x[9, 0] < threshold < x[10, 0]
-    assert left == ("leaf", 0.0) and right == ("leaf", 1.0)
+    below, above = 1.5e308, 1.75e308
+    x = np.repeat([below, above], 10)[:, None]
+    y = (x[:, 0] == above).astype(np.int64)
+    forest = fit_forest(clf_set(x, y), ForestConfig(seed=0))
+    threshold = below / 2.0 + above / 2.0
+    assert below < threshold < above
+    assert _tree_tuples(forest) == [("split", 0, threshold, ("leaf", 0.0), ("leaf", 1.0))] * N_TREES
     np.testing.assert_array_equal(predict(forest, x), y)
 
 
@@ -430,9 +401,9 @@ def _forest_of(trees, n_features, n_classes=0):
 
 def test_predict_on_root_leaf_trees_matches_the_oracle():
     x = np.random.default_rng(15).standard_normal((30, 3))
-    forest = fit_forest(reg_set(x, np.full(30, -2.25)), ForestConfig(n_trees=4, seed=1))
+    forest = fit_forest(reg_set(x, np.full(30, -2.25)), ForestConfig(seed=1))
     trees = _tree_tuples(forest)
-    assert trees == [("leaf", -2.25)] * 4
+    assert trees == [("leaf", -2.25)] * N_TREES
     np.testing.assert_array_equal(predict(forest, x), forest_predict_oracle(trees, x, False))
     votes = [("leaf", 1.0), ("leaf", 0.0), ("leaf", 1.0)]
     np.testing.assert_array_equal(predict(_forest_of(votes, 3, n_classes=2), x),
@@ -457,7 +428,7 @@ def test_predict_on_trees_of_unequal_depth_matches_the_oracle(n_classes):
 @pytest.mark.parametrize("classification", [False, True])
 def test_predict_at_a_threshold_and_one_ulp_either_side_matches_the_oracle(classification):
     fs = _tie_heavy_set(classification)
-    forest = fit_forest(fs, ForestConfig(n_trees=4, max_depth=6, seed=6))
+    forest = fit_forest(fs, ForestConfig(seed=6))
     trees = _tree_tuples(forest)
     rows = []
     for i, (f, t) in enumerate(zip(forest.feature, forest.threshold)):
@@ -480,7 +451,7 @@ def test_predict_at_a_threshold_and_one_ulp_either_side_matches_the_oracle(class
 @pytest.mark.parametrize("classification", [False, True])
 def test_a_nan_entry_goes_right_as_in_the_oracle(classification):
     fs = _tie_heavy_set(classification)
-    forest = fit_forest(fs, ForestConfig(n_trees=4, max_depth=6, seed=7))
+    forest = fit_forest(fs, ForestConfig(seed=7))
     x = np.vstack([fs.values[:40]] * 2)
     x[np.arange(80), np.arange(80) % 5] = np.nan  # one NaN entry per row
     np.testing.assert_array_equal(predict(forest, x),
@@ -518,7 +489,7 @@ def test_a_tall_regression_fit_makes_at_most_three_split_passes_per_level(monkey
 
     monkeypatch.setattr(evaluator, "_node_stats", spy_stats)
     monkeypatch.setattr(evaluator, "_best_cuts", spy_cuts)
-    fit_forest(_tall_regression_set(), ForestConfig())
+    fit_forest(_tall_regression_set(), ForestConfig(seed=0))
     # one group of all ten trees: levels 0-7 are searched, level 8 is not
     assert len(passes) == 9 and passes[-1] == 0
     assert 1 <= min(passes[:-1]) and max(passes) <= 3
@@ -531,10 +502,10 @@ def test_a_tall_regression_fit_makes_at_most_three_split_passes_per_level(monkey
 def test_one_fit_stays_within_its_memory_bound(make, bound_kib):
     # numpy reports its array buffers to tracemalloc
     fs = make()
-    fit_forest(fs, ForestConfig())
+    fit_forest(fs, ForestConfig(seed=0))
     tracemalloc.start()
     try:
-        fit_forest(fs, ForestConfig())
+        fit_forest(fs, ForestConfig(seed=0))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -574,7 +545,7 @@ def test_downstream_score_metric_task_mismatch():
     rng = np.random.default_rng(9)
     fs = reg_set(rng.standard_normal((20, 2)), rng.standard_normal(20))
     with pytest.raises(ValueError, match="incompatible"):
-        downstream_score(fs, 0, MetricKind.F1_MACRO, ForestConfig())
+        downstream_score(fs, 0, MetricKind.F1_MACRO, ForestConfig(seed=0))
 
 
 def test_downstream_score_constant_target_rejected_at_ingestion_level():

@@ -2,7 +2,9 @@
 defines at its top level, is read in that module, and no module imports
 another's private name.  Every public name a module defines at its top level,
 and every public method of its classes, is read by the program: the package,
-``tools/`` or the benchmark, not the tests alone.  Only ``dataset.py``
+``tools/`` or the benchmark, not the tests alone.  Every parameter default and
+dataclass field default outside the fixtures is overridden by some call in the
+program: a value no caller varies is a constant.  Only ``dataset.py``
 chooses a memory layout: ``FeatureSet`` stores every matrix column-major.
 The search core, ``cli.search``, touches no file: only the driver
 (``cli.py``), the data layer (``dataset.py``) and the fixtures
@@ -165,6 +167,119 @@ def test_the_program_reads_every_public_name(module):
     assert unread_public_names((SRC / module).read_text(encoding="utf-8"), readers) == []
 
 
+def called_name(call: ast.Call) -> str:
+    """The name a call is made by: ``f`` for ``f(x)`` and for ``a.b.f(x)``."""
+    func = call.func
+    return func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+
+
+def is_dataclass(node: ast.ClassDef) -> bool:
+    return any((called_name(d) if isinstance(d, ast.Call) else
+                getattr(d, "attr", getattr(d, "id", ""))) == "dataclass"
+               for d in node.decorator_list)
+
+
+def field_defaults(node: ast.ClassDef) -> list[tuple[str, str, int]]:
+    """(class, field, position in the constructor) of each field default of a
+    dataclass: a plain value, or ``field`` given a default or a factory.  A
+    field left out of the constructor (``init=False``) is skipped and takes
+    no position."""
+    found, position = [], 0
+    for item in node.body:
+        if not (isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)):
+            continue
+        has_default = item.value is not None
+        if isinstance(item.value, ast.Call) and called_name(item.value) == "field":
+            given = {kw.arg: kw.value for kw in item.value.keywords}
+            if isinstance(given.get("init"), ast.Constant) and given["init"].value is False:
+                continue
+            has_default = "default" in given or "default_factory" in given
+        if has_default:
+            found.append((node.name, item.target.id, position))
+        position += 1
+    return found
+
+
+def parameter_defaults(source: str) -> list[tuple[str, str, str, int | None]]:
+    """(owner, called name, parameter, position in a call) of each parameter
+    default of the module's functions and methods, and of each field default
+    of its dataclasses.  A method is called by its name, with ``self`` or
+    ``cls`` unwritten, ``__init__`` and a dataclass by the class name; a
+    keyword-only parameter has no position."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ClassDef) and is_dataclass(node):
+            found += [(name, name, f, at) for name, f, at in field_defaults(node)]
+        if not isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef)):
+            continue
+        for item in node.body:
+            if not isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            method = isinstance(node, ast.ClassDef)
+            called = node.name if method and item.name == "__init__" else item.name
+            owner = f"{node.name}.{item.name}" if method else item.name
+            args = item.args
+            positional = [arg.arg for arg in (*args.posonlyargs, *args.args)][method:]
+            first = len(positional) - len(args.defaults)
+            found += [(owner, called, name, at)
+                      for at, name in enumerate(positional) if at >= first]
+            found += [(owner, called, arg.arg, None)
+                      for arg, default in zip(args.kwonlyargs, args.kw_defaults) if default]
+    return found
+
+
+def overrides(call: ast.Call, parameter: str, position: int | None) -> bool:
+    """Whether ``call`` passes ``parameter``: by keyword, by position, or
+    possibly, through ``*`` or ``**``."""
+    if any(isinstance(arg, ast.Starred) for arg in call.args):
+        return True
+    if any(kw.arg in (None, parameter) for kw in call.keywords):
+        return True
+    return position is not None and len(call.args) > position
+
+
+# the console entry point calls main() with no arguments
+EXEMPT_DEFAULTS = {("main", "argv")}
+
+
+def unoverridden_defaults(source: str, readers: list[str]) -> list[str]:
+    """The ``owner.parameter`` of each default of ``parameter_defaults`` that
+    no call in ``readers`` made by the same name overrides."""
+    calls = [node for reader in map(ast.parse, readers) for node in ast.walk(reader)
+             if isinstance(node, ast.Call)]
+    return sorted(f"{owner}.{parameter}" for owner, called, parameter, at
+                  in parameter_defaults(source)
+                  if (called, parameter) not in EXEMPT_DEFAULTS
+                  and not any(called_name(c) == called and overrides(c, parameter, at)
+                              for c in calls))
+
+
+def test_unoverridden_defaults_finds_each_form():
+    source = ("from dataclasses import dataclass, field\n"
+              "def f(a, b=1, *, c=2, d=3):\n    pass\n"
+              "def g(u=1):\n    def inner(v=0):\n        pass\n"
+              "def main(argv=None):\n    pass\n"
+              "class K:\n    def __init__(self, x=0):\n        pass\n"
+              "    def m(self, y=1, z=2):\n        pass\n    def n(self, w=0):\n        pass\n"
+              "@dataclass(frozen=True)\nclass C:\n    p: int\n    q: int = 1\n"
+              "    r: list = field(default_factory=list)\n    s: int = field(init=False, default=0)\n"
+              "    t: int = 2\n    u: int = field(default=3)\n")
+    reader = ("f(0, 5)\nf(0, d=4)\ng()\nK(1)\nK().m(*rest)\nK().n()\nC(0, 1, [])\n"
+              "C(p=0, t=2)\nmain()\npkg.f(**given)\n")
+    assert unoverridden_defaults(source, [source, reader]) == ["C.u", "K.n.w", "g.u", "inner.v"]
+    # a call by another function's name overrides nothing; a keyword-only
+    # parameter is passed by keyword alone
+    assert unoverridden_defaults(source, ["h(0, 5)\nf(0, 1, 2, 3)\n"]) == [
+        "C.q", "C.r", "C.t", "C.u", "K.__init__.x", "K.m.y", "K.m.z", "K.n.w",
+        "f.c", "f.d", "g.u", "inner.v"]
+
+
+@pytest.mark.parametrize("module", [name for name in ALL_MODULES if name != "synthetic.py"])
+def test_the_program_overrides_every_default(module):
+    readers = [path.read_text(encoding="utf-8") for path in PROGRAM]
+    assert unoverridden_defaults((SRC / module).read_text(encoding="utf-8"), readers) == []
+
+
 def private_imports(source: str) -> list[str]:
     """The private names the module takes from the package's other modules,
     as ``module.name``: ``from .m import _x``, or ``m._x`` after
@@ -193,12 +308,6 @@ def test_private_imports_finds_each_form():
 @pytest.mark.parametrize("module", ALL_MODULES)
 def test_no_module_imports_another_modules_private_name(module):
     assert private_imports((SRC / module).read_text(encoding="utf-8")) == []
-
-
-def called_name(call: ast.Call) -> str:
-    """The name a call is made by: ``f`` for ``f(x)`` and for ``a.b.f(x)``."""
-    func = call.func
-    return func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
 
 
 def layout_calls(source: str) -> list[tuple[int, str]]:

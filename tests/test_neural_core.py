@@ -290,8 +290,7 @@ def _ae_case(rng: np.random.Generator, kind: int):
     elif kind == 3:
         data[rng.integers(b), rng.integers(dim)] = rng.choice([np.inf, -np.inf, np.nan])
     return dict(data=data, latent=int(rng.integers(1, 9)), epochs=int(rng.integers(0, 25)),
-                seed=int(rng.integers(2**31)), hidden=int(rng.choice([1, 3, 8, 32])),
-                lr=float(10.0 ** rng.uniform(-4.0, 0.0)))
+                seed=int(rng.integers(2**31)), lr=float(10.0 ** rng.uniform(-4.0, 0.0)))
 
 
 def test_autoencoder_matches_frozen_oracle_bit_for_bit():

@@ -109,22 +109,22 @@ def test_ae_length_is_k_times_d():
     rng = np.random.default_rng(6)
     for m, n in [(5, 3), (20, 1), (40, 7)]:
         fs = random_feature_set(rng, m, n)
-        assert len(state_ae(fs, k=4, d=4, epochs=0, seed=1)) == 16
+        assert len(state_ae(fs, epochs=0, seed=1)) == LATENT_K * LATENT_D
 
 
 def test_ae_zero_epochs_still_finite():
     rng = np.random.default_rng(7)
     fs = random_feature_set(rng, 12, 3)
-    vec = state_ae(fs, k=3, d=2, epochs=0, seed=2)
-    assert len(vec) == 6
+    vec = state_ae(fs, epochs=0, seed=2)
+    assert len(vec) == LATENT_K * LATENT_D
     assert np.all(np.isfinite(vec))
 
 
 def test_ae_deterministic_per_seed():
     rng = np.random.default_rng(8)
     fs = random_feature_set(rng, 15, 4)
-    a = state_ae(fs, k=4, d=3, epochs=5, seed=3)
-    b = state_ae(fs, k=4, d=3, epochs=5, seed=3)
+    a = state_ae(fs, epochs=5, seed=3)
+    b = state_ae(fs, epochs=5, seed=3)
     np.testing.assert_array_equal(a, b)
 
 
@@ -179,17 +179,17 @@ def test_ae_state_ignores_row_order_and_trains_on_fixed_length_columns(monkeypat
     rng = np.random.default_rng(22)
     fs = random_feature_set(rng, 200, 6)
     perm = rng.permutation(200)
-    a = state_ae(fs, k=4, d=3, epochs=5, seed=3)
-    b = state_ae(fs.subset_rows(perm), k=4, d=3, epochs=5, seed=3)
+    a = state_ae(fs, epochs=5, seed=3)
+    b = state_ae(fs.subset_rows(perm), epochs=5, seed=3)
     assert a.tobytes() == b.tobytes()
     shapes = []
     train = state_repr.train_autoencoder
     monkeypatch.setattr(state_repr, "train_autoencoder",
                         lambda data, *args, **kw: shapes.append(data.shape) or train(data, *args, **kw))
     for m in (4, 1000):  # fewer rows than quantiles, and many more
-        vec = state_ae(random_feature_set(rng, m, 3), k=4, d=3, epochs=5, seed=3)
-        assert len(vec) == 12 and np.all(np.isfinite(vec))
-    assert shapes == [(3, SUMMARY_QUANTILES), (4, 3)] * 2
+        vec = state_ae(random_feature_set(rng, m, 3), epochs=5, seed=3)
+        assert len(vec) == LATENT_K * LATENT_D and np.all(np.isfinite(vec))
+    assert shapes == [(3, SUMMARY_QUANTILES), (LATENT_K, 3)] * 2
 
 
 def test_ae_state_finite_on_a_huge_column_without_warnings():
@@ -199,7 +199,7 @@ def test_ae_state_finite_on_a_huge_column_without_warnings():
     values[:, 2] = np.where(values[:, 2] > 0.0, 1e200, -1e200)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        vec = state_ae(fs.with_columns(values, fs.columns), k=4, d=3, epochs=20, seed=3)
+        vec = state_ae(fs.with_columns(values, fs.columns), epochs=20, seed=3)
     assert np.all(np.isfinite(vec)) and np.any(vec != 0.0)
 
 
@@ -211,15 +211,15 @@ def test_gae_length_is_k():
     rng = np.random.default_rng(9)
     for m, n in [(6, 1), (20, 5), (50, 9)]:
         fs = random_feature_set(rng, m, n)
-        assert len(state_gae(fs, k=8, epochs=0, seed=4)) == 8
+        assert len(state_gae(fs, epochs=0, seed=4)) == LATENT_K
 
 
 def test_gae_single_column():
     rng = np.random.default_rng(10)
     fs = random_feature_set(rng, 8, 1)
     np.testing.assert_array_equal(correlation_adjacency(fs.values), [[1.0]])
-    vec = state_gae(fs, k=5, epochs=0, seed=5)
-    assert len(vec) == 5 and np.all(np.isfinite(vec))
+    vec = state_gae(fs, epochs=0, seed=5)
+    assert len(vec) == LATENT_K and np.all(np.isfinite(vec))
 
 
 def test_gae_duplicate_columns_all_ones_adjacency():
@@ -252,8 +252,8 @@ def test_gae_identity_adjacency_closed_form():
     fs = fs.with_columns(values, fs.columns)
     np.testing.assert_array_equal(correlation_adjacency(values), np.eye(2))
     seed = 6
-    got = state_gae(fs, k=3, epochs=0, seed=seed)
-    w = init_gcn(4, 3, np.random.default_rng(derive_seed(seed, "gae")))
+    got = state_gae(fs, epochs=0, seed=seed)
+    w = init_gcn(4, LATENT_K, np.random.default_rng(derive_seed(seed, "gae")))
     x = values.T / values.std(axis=0)[:, None]  # columns are already zero-mean
     want = np.maximum(x @ w, 0.0).mean(axis=0)
     np.testing.assert_allclose(got, want, rtol=1e-12)
@@ -296,8 +296,8 @@ def test_gae_matches_per_epoch_normalisation_oracle_bit_for_bit(monkeypatch):
         fs = fs.with_columns(values, fs.columns)
         epochs, lr = int(rng.integers(0, 30)), float(10.0 ** rng.uniform(-3.0, 0.5))
         monkeypatch.setattr(state_repr, "_AE_LR", lr)  # the rate is module-wide
-        got = state_gae(fs, k=int(rng.integers(1, 10)), epochs=epochs, seed=i)
-        want = gae_state_oracle(fs, k=got.size, epochs=epochs, seed=i, lr=lr)
+        got = state_gae(fs, epochs=epochs, seed=i)
+        want = gae_state_oracle(fs, k=LATENT_K, epochs=epochs, seed=i, lr=lr)
         assert got.tobytes() == want.tobytes(), (m, n)
 
 
@@ -349,8 +349,8 @@ def test_concat_states():
     rng = np.random.default_rng(24)
     fs = random_feature_set(rng, 12, 3)
     si = state_si(fs)
-    ae = state_ae(fs, LATENT_K, LATENT_D, 2, derive_seed(5, "ae"))
-    gae = state_gae(fs, LATENT_K, 2, derive_seed(5, "gae"))
+    ae = state_ae(fs, 2, derive_seed(5, "ae"))
+    gae = state_gae(fs, 2, derive_seed(5, "gae"))
     for kind, parts in [(EncoderKind.SI, [si]), (EncoderKind.AE, [ae]),
                         (EncoderKind.GAE, [gae]), (EncoderKind.ALL, [si, ae, gae])]:
         got = StateEncoder(kind, 2, 5).encode(fs)
@@ -407,7 +407,7 @@ def test_states_do_not_depend_on_the_input_layout():
     spaces = [fs.with_columns(values, fs.columns) for values in layouts]
     encoders = {
         "si": state_si,
-        "gae": lambda space: state_gae(space, 4, 3, 0),
+        "gae": lambda space: state_gae(space, 3, 0),
         "encode": lambda space: StateEncoder(EncoderKind.ALL, 2, 0).encode(space),
     }
     for name, encode in encoders.items():

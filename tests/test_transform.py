@@ -15,6 +15,7 @@ from raft.dataset import (
     Ident,
     Target,
     TaskKind,
+    Unary,
     content_hash,
     default_bins,
     evaluate_lineage,
@@ -22,6 +23,8 @@ from raft.dataset import (
 )
 from raft.info_metrics import MICache
 from raft.transform import (
+    CROSS_CAP,
+    MAX_LINEAGE_DEPTH,
     GeneratedBatch,
     apply_unary,
     cross_binary,
@@ -80,17 +83,17 @@ def test_apply_unary_log_safe():
 
 
 def test_apply_unary_respects_depth_bound():
-    fs = make_fs([[1.0], [2.0]])
-    deep = fs
-    from raft.dataset import Unary, render
-
+    fs = make_fs([[1.0, 2.0], [2.0, 5.0]])
     expr = Ident("f1")
-    for _ in range(5):
+    for _ in range(MAX_LINEAGE_DEPTH - 2):
         expr = Unary("log", expr)
-    meta = FeatureMeta.from_lineage(expr)
-    deep = fs.with_columns(fs.values, (meta,))
-    batch = apply_unary("square", deep, max_depth=6)
-    assert len(batch) == 0  # depth 7 would exceed the bound
+    shallow = FeatureMeta.from_lineage(expr)  # depth MAX_LINEAGE_DEPTH - 1
+    deep = FeatureMeta.from_lineage(Unary("log", expr))  # depth MAX_LINEAGE_DEPTH
+    assert [lineage_depth(m.lineage) for m in (shallow, deep)] == [MAX_LINEAGE_DEPTH - 1,
+                                                                    MAX_LINEAGE_DEPTH]
+    batch = apply_unary("square", fs.with_columns(fs.values, (shallow, deep)))
+    # the deep column's square would exceed the bound
+    assert [m.lineage for m in batch.metas] == [Unary("square", shallow.lineage)]
 
 
 # ---------------------------------------------------------------------------
@@ -110,7 +113,7 @@ def test_cross_head_major_order_and_count():
     fs = make_fs(np.arange(30.0).reshape(6, 5), names=list("abcde"))
     head = fs.take((0, 1))
     tail = fs.take((2, 3, 4))
-    batch = cross_binary("-", head, tail, run_cache(fs), cap=10)
+    batch = cross_binary("-", head, tail, run_cache(fs))
     assert len(batch) == 6
     assert [m.name for m in batch.metas] == [
         "(a - c)", "(a - d)", "(a - e)", "(b - c)", "(b - d)", "(b - e)",
@@ -118,18 +121,19 @@ def test_cross_head_major_order_and_count():
 
 
 def test_cross_cap_keeps_highest_mi_pairs():
-    rng = np.random.default_rng(0)
-    y = rng.integers(0, 2, size=40).astype(float)
-    informative = y + 0.01 * rng.standard_normal(40)
-    noise1 = rng.standard_normal(40)
-    noise2 = rng.standard_normal(40)
-    fs = make_fs(np.column_stack([informative, noise1, noise2, y]), y=y,
-                 names=["good", "n1", "n2", "copy"])
-    head = fs.take((0, 1))   # good, n1
-    tail = fs.take((2, 3))   # n2, copy
-    batch = cross_binary("+", head, tail, MICache(4), cap=1)
-    assert len(batch) == 1
-    assert batch.metas[0].name == "(good + copy)"  # highest MI-sum pair survives
+    # 9 x 8 pairs exceed CROSS_CAP by the 8 of the constant head column, whose
+    # MI with y is 0; every other column is y rescaled or shifted, so their MI
+    # is y's entropy
+    assert CROSS_CAP == 64
+    y = np.random.default_rng(0).integers(0, 2, size=40).astype(float)
+    head = [np.ones(40)] + [k * y for k in range(1, 9)]
+    tail = [y + k for k in range(1, 9)]
+    names = ["c"] + [f"h{i}" for i in range(1, 9)] + [f"t{j}" for j in range(1, 9)]
+    fs = make_fs(np.column_stack(head + tail), y=y, names=names)
+    batch = cross_binary("+", fs.take(range(9)), fs.take(range(9, 17)), MICache(4))
+    # the highest MI sums survive, in head-major order
+    assert [m.name for m in batch.metas] == [f"(h{i} + t{j})" for i in range(1, 9)
+                                             for j in range(1, 9)]
 
 
 def test_cross_divide_safe():
@@ -317,7 +321,7 @@ def test_generation_step_binary_requires_tail():
         generation_step(fs, fs.take((0,)), "+", None, max_size=10, cache=run_cache(fs))
 
 
-def step_and_oracle(fs, head, op, tail, max_size, cap, warm):
+def step_and_oracle(fs, head, op, tail, max_size, warm):
     """One ``generation_step`` beside its frozen oracle: the batch generated
     again on its own cache, appended and then selected.  Checks the values'
     bytes and layout, the names, the keys and the returned batch, and returns
@@ -327,9 +331,9 @@ def step_and_oracle(fs, head, op, tail, max_size, cap, warm):
     if warm:  # as in a search, where clustering has read every column's MI
         cache.mi(fs.values.T, fs.keys, fs.target)
     head_view, tail_view = fs.take(head), tail and fs.take(tail)
-    out, batch = generation_step(fs, head_view, op, tail_view, max_size, cache, cap=cap)
+    out, batch = generation_step(fs, head_view, op, tail_view, max_size, cache)
     want_batch = dedup(apply_unary(op, head_view) if op in UNARY_OPS else
-                       cross_binary(op, head_view, tail_view, MICache(bins), cap=cap), fs)
+                       cross_binary(op, head_view, tail_view, MICache(bins)), fs)
     want = appended_then_selected_oracle(fs, want_batch, max_size, bins)
     assert [c.tobytes() for c in batch.columns] == [c.tobytes() for c in want_batch.columns]
     assert batch.metas == want_batch.metas
@@ -358,8 +362,7 @@ def step_cases(draw):
     groups = st.sets(st.integers(0, n - 1), min_size=1).map(lambda g: tuple(sorted(g)))
     head, tail = draw(groups), draw(groups)
     return (make_fs(values, y, kind), head, draw(st.sampled_from(OPS)), tail,
-            draw(st.integers(1, n + len(head) * len(tail) + 1)), draw(st.integers(1, 8)),
-            draw(st.booleans()))
+            draw(st.integers(1, n + len(head) * len(tail) + 1)), draw(st.booleans()))
 
 
 @given(step_cases())
@@ -382,7 +385,7 @@ _TIED_Y = np.tile([0, 1], 6)
 def test_generation_step_equals_the_oracle_on_ties(op, tail, max_size, exceeded):
     fs = make_fs(_TIED, _TIED_Y, TaskKind.CLASSIFICATION)
     for warm in (False, True):
-        batch, scores = step_and_oracle(fs, (0, 1), op, tail, max_size, 64, warm)
+        batch, scores = step_and_oracle(fs, (0, 1), op, tail, max_size, warm)
         assert len(batch) > 0
         assert (fs.n_cols + len(batch) > max_size) is exceeded
         if op == "square":  # each generated column ties with its source
@@ -393,7 +396,7 @@ def test_generation_step_equals_the_oracle_on_an_empty_batch():
     fs = make_fs(np.column_stack([_TIED[:, 0], _TIED[:, 0] ** 2, np.ones(12)]), _TIED_Y,
                  TaskKind.CLASSIFICATION)
     for op, tail in (("square", None), ("*", (2,))):  # a duplicate, and one times a constant
-        batch, _ = step_and_oracle(fs, (0,), op, tail, 1, 64, False)
+        batch, _ = step_and_oracle(fs, (0,), op, tail, 1, False)
         assert len(batch) == 0
 
 
@@ -450,12 +453,19 @@ def test_generated_values_always_finite(data, unary_op, binary_op):
 
 
 def test_generated_depth_bounded():
+    # each step takes the deepest column as its head, so one step deepens the
+    # space by one until MAX_LINEAGE_DEPTH, and a step past it generates nothing
     rng = np.random.default_rng(9)
     fs = random_feature_set(rng, 20, 3)
     cache = run_cache(fs)
-    for i in range(12):
+    depths, sizes = [], []
+    for i in range(MAX_LINEAGE_DEPTH + 3):
         op = ("square", "+", "log", "*")[i % 4]
+        depth = [lineage_depth(meta.lineage) for meta in fs.columns]
         tail = fs.take((1,)) if op in ("+", "*") else None
-        fs, _ = generation_step(fs, fs.take((0,)), op, tail, max_size=20, cache=cache,
-                                max_depth=4)
-    assert max(lineage_depth(meta.lineage) for meta in fs.columns) <= 4
+        fs, batch = generation_step(fs, fs.take((depth.index(max(depth)),)), op, tail,
+                                    max_size=20, cache=cache)
+        depths.append(max(lineage_depth(meta.lineage) for meta in fs.columns))
+        sizes.append(len(batch))
+    assert depths == [*range(2, MAX_LINEAGE_DEPTH + 1)] + [MAX_LINEAGE_DEPTH] * 4
+    assert sizes == [1] * (MAX_LINEAGE_DEPTH - 1) + [0] * 4
