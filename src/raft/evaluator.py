@@ -410,10 +410,7 @@ def fit_forest(train: FeatureSet, cfg: ForestConfig) -> RandomForest:
         if not math.isfinite(bound * bound):
             raise NumericError("the regression target is too large for the split search")
     n_feat = x.shape[1]
-    if task is TaskKind.CLASSIFICATION:
-        m_feats = min(math.ceil(math.sqrt(n_feat)), n_feat)
-    else:
-        m_feats = min(math.ceil(n_feat / 3), n_feat)
+    m_feats = math.ceil(math.sqrt(n_feat) if task is TaskKind.CLASSIFICATION else n_feat / 3)
     bins = _bin_codes(x)
     importances = np.zeros(n_feat, dtype=np.float64)
     rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(cfg.seed).spawn(N_TREES)]
