@@ -167,22 +167,22 @@ class _Scratch:
         """A level's n rows: their targets and a deviation each."""
         return [((n,), self.y_dtype), ((n,), np.float64)]
 
-    def _hist(self, k: int):
+    def _hist(self, nodes: int):
         """A pass's histogram over (node, slot, bin) per class, or per count,
         sum of y and sum of y*y."""
-        return (self.n_classes or 3, k, self.m_feats, self.n_bins), np.float64
+        return (self.n_classes or 3, nodes, self.m_feats, self.n_bins), np.float64
 
-    def fill(self, r: int, k: int):
+    def fill(self, r: int, nodes: int):
         """The histogram, then the pass's r rows' targets, squared targets and
         bins."""
-        return [self._hist(k), ((r,), self.y_dtype), ((r,), np.float64), ((r,), np.uint8)]
+        return [self._hist(nodes), ((r,), self.y_dtype), ((r,), np.float64), ((r,), np.uint8)]
 
-    def score(self, k: int):
+    def score(self, nodes: int):
         """The histogram, then per (node, slot, bin) two masks, and the left and
         right counts, their divisor and three Gini terms, or the squared right
         sums of y."""
-        cells = (k, self.m_feats, self.n_bins)
-        return [self._hist(k), ((2, *cells), bool),
+        cells = (nodes, self.m_feats, self.n_bins)
+        return [self._hist(nodes), ((2, *cells), bool),
                 ((6 if self.n_classes else 1, *cells), np.float64)]
 
     def split(self, r: int):

@@ -52,18 +52,20 @@ def _xlogx_sums(labels: np.ndarray, table: np.ndarray) -> list[float]:
     return np.cumsum(table[counts], axis=1)[:, -1].tolist()
 
 
-def _count_mi(pairs: Sequence[tuple[Labels, Labels]], table: np.ndarray, k: int) -> np.ndarray:
-    """Plug-in MI (nats) of each pair of label vectors (labels below ``k``)
-    from integer counts: MI = log m + (sum T[c] - sum T[c_x] - sum T[c_y]) / m
-    over the joint and the marginal counts.  Each table is summed left to
-    right (``np.cumsum``) in row-major order; the empty cells of the k x k
-    joint add exactly 0, so the bits depend only on the two label vectors."""
+def _count_mi(pairs: Sequence[tuple[Labels, Labels]], table: np.ndarray,
+              n_labels: int) -> np.ndarray:
+    """Plug-in MI (nats) of each pair of label vectors (labels below
+    ``n_labels``) from integer counts: MI = log m + (sum T[c] - sum T[c_x] -
+    sum T[c_y]) / m over the joint and the marginal counts.  Each table is
+    summed left to right (``np.cumsum``) in row-major order; the empty cells
+    of the n_labels x n_labels joint add exactly 0, so the bits depend only
+    on the two label vectors."""
     xs, ys = (np.array([pair[i].codes for pair in pairs]) for i in (0, 1))
     sx, sy = (np.array([pair[i].xlogx for pair in pairs]) for i in (0, 1))
     p, m = xs.shape
     # the stored codes are narrow: widen before any product, so no cell index wraps
-    cells = xs.astype(np.intp) * k + ys + (np.arange(p) * (k * k))[:, None]
-    joint = table[np.bincount(cells.ravel(), minlength=p * k * k)].reshape(p, k * k)
+    cells = xs.astype(np.intp) * n_labels + ys + (np.arange(p) * n_labels ** 2)[:, None]
+    joint = table[np.bincount(cells.ravel(), minlength=p * n_labels ** 2)].reshape(p, -1)
     mi = math.log(m) + (np.cumsum(joint, axis=1)[:, -1] - sx - sy) / m
     return np.where(mi > 0.0, mi, 0.0)
 

@@ -71,12 +71,12 @@ def _fan_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndar
     return rng.uniform(-a, a, size=(fan_in, fan_out))
 
 
-def init_dense(in_size: int, hidden: int, out_size: int,
+def init_dense(in_size: int, hidden_size: int, out_size: int,
                rng: np.random.Generator) -> DenseNet:
-    w1 = _fan_uniform(rng, in_size, hidden)
-    w2 = _fan_uniform(rng, hidden, out_size)
-    params = np.concatenate([w1.ravel(), np.zeros(hidden), w2.ravel(), np.zeros(out_size)])
-    return DenseNet(params, in_size, hidden, out_size)
+    w1 = _fan_uniform(rng, in_size, hidden_size)
+    w2 = _fan_uniform(rng, hidden_size, out_size)
+    params = np.concatenate([w1.ravel(), np.zeros(hidden_size), w2.ravel(), np.zeros(out_size)])
+    return DenseNet(params, in_size, hidden_size, out_size)
 
 
 def init_gcn(in_size: int, out_size: int, rng: np.random.Generator) -> np.ndarray:

@@ -3,8 +3,9 @@
 Three encoders: two-stage descriptive statistics (length 49), a two-stage
 column/row autoencoder over fixed-length column summaries (length
 ``LATENT_K * LATENT_D``), and a graph autoencoder over the column correlation
-graph (length ``LATENT_K``).  ``all`` concatenates the three.  Output length never depends on the matrix shape.  A
-state is a read-only, finite, 1-D float64 array.
+graph (length ``LATENT_K``).  ``all`` concatenates the three.  Output length
+never depends on the matrix shape.  A state is a read-only, finite, 1-D
+float64 array.
 """
 
 from __future__ import annotations

@@ -386,10 +386,10 @@ def appended_then_selected_oracle(fs: FeatureSet, batch: GeneratedBatch, max_siz
 # ---------------------------------------------------------------------------
 
 def forest_oracle(fs: FeatureSet, seed: int) -> tuple[list, np.ndarray]:
-    """Reference forest of the evaluator's shape: at every node, sort each candidate feature of the
-    node's rows on its own (stable argsort) and scan its thresholds one
-    feature at a time, with np.var / np.mean / np.cumsum / np.sum on the
-    sorted column.  `fit_forest` must match it bit for bit.  Returns
+    """Reference forest of the evaluator's shape: at every node, sort each
+    candidate feature of the node's rows on its own (stable argsort) and scan
+    its thresholds one feature at a time, with np.var / np.mean / np.cumsum /
+    np.sum on the sorted column.  `fit_forest` must match it bit for bit.  Returns
     (trees, raw importances); a tree is nested tuples ("leaf", value) /
     ("split", feature, threshold, left, right)."""
     x = fs.values
