@@ -202,11 +202,10 @@ def advantage_and_losses(
     Returns (critic loss, actor ascent objective, actor gradient of the
     ascent objective, critic gradient of the descent loss), each gradient
     flat in its net's layout.  The TD target r + gamma * V(S') is
-    gradient-stopped.
+    gradient-stopped.  ``transitions`` is nonempty (``update_agents`` skips
+    an empty batch).
     """
     n = len(transitions)
-    if n < 1:
-        raise ValueError("need at least one transition")
     critic, actor = bundle.critic, bundle.actor
     critic_grads, actor_grads = np.zeros_like(critic.params), np.zeros_like(actor.params)
     # each transition's gradients land in one flat buffer per net, split once per call

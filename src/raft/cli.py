@@ -160,8 +160,8 @@ def search(fs0: FeatureSet, train: TrainConfig, policy, evalctx: EvalContext) ->
         fs = fs0
         ep_best = -math.inf
         for step in range(train.steps):
-            clusters = adaptive_cluster(fs, evalctx.cache)
-            views = [fs.take(g) for g in clusters.groups]  # the step's one view per group
+            groups = adaptive_cluster(fs, evalctx.cache)
+            views = [fs.take(g) for g in groups]  # the step's one view per group
             head_idx, op, tail_idx = policy.choose(fs, views)
 
             # only the new space: the batch's columns are not kept through the scoring

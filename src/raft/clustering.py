@@ -8,32 +8,11 @@ threshold, which only decides how long a prefix of the merges is applied.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .dataset import FeatureSet
 from .info_metrics import MICache, column_distances
-
-
-@dataclass(frozen=True)
-class ClusterSet:
-    """Disjoint, covering partition of column indices; groups sorted by their
-    smallest member, members sorted ascending."""
-
-    groups: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self) -> None:
-        flat = [i for g in self.groups for i in g]
-        n = len(flat)
-        if n == 0 or sorted(flat) != list(range(n)):
-            raise ValueError(f"groups do not partition 0..{n - 1}: {self.groups}")
-        for g in self.groups:
-            if not g or list(g) != sorted(g):
-                raise ValueError(f"group members must be nonempty and sorted ascending: {g}")
-
-    def __len__(self) -> int:
-        return len(self.groups)
 
 
 def pair_score_matrix(fs: FeatureSet, cache: MICache) -> np.ndarray:
@@ -90,27 +69,31 @@ def merge_sequence(scores: np.ndarray) -> list[tuple[float, int, int]]:
     return merges
 
 
-def cut(merges: list[tuple[float, int, int]], n: int, threshold: float) -> ClusterSet:
+def cut(merges: list[tuple[float, int, int]], n: int,
+        threshold: float) -> tuple[tuple[int, ...], ...]:
     """The clusters of ``n`` columns after replaying ``merges`` up to the first
-    one whose height is not strictly below ``threshold``."""
+    one whose height is not strictly below ``threshold``: a partition of
+    0..n-1 into nonempty groups, each sorted ascending, the groups in order
+    of their smallest member."""
     members: dict[int, tuple[int, ...]] = {i: (i,) for i in range(n)}
     for height, a, b in merges:
         if not height < threshold:
             break
         members[a] = tuple(sorted(members[a] + members.pop(b)))
-    return ClusterSet(tuple(members[name] for name in sorted(members)))
+    return tuple(members[name] for name in sorted(members))
 
 
-def adaptive_cluster(fs: FeatureSet, cache: MICache) -> ClusterSet:
+def adaptive_cluster(fs: FeatureSet, cache: MICache) -> tuple[tuple[int, ...], ...]:
     """Cut the step's merge sequence at the mean initial pairwise score,
-    halving the threshold until at least two groups come out.
+    halving the threshold until at least two groups come out; the groups
+    partition the column indices as ``cut``'s do.
 
     Falls back to singletons when halving cannot help (all scores identical),
     and to the single trivial group when there is only one column.
     """
     n = fs.n_cols
     if n == 1:
-        return ClusterSet(((0,),))
+        return ((0,),)
     scores = pair_score_matrix(fs, cache)
     merges = merge_sequence(scores)
     threshold = float(np.mean(scores[np.triu_indices(n, k=1)]))
@@ -121,5 +104,5 @@ def adaptive_cluster(fs: FeatureSet, cache: MICache) -> ClusterSet:
         if len(result) >= 2:
             return result
         threshold /= 2.0
-    return ClusterSet(tuple((i,) for i in range(n)))
+    return tuple((i,) for i in range(n))
 

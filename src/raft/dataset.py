@@ -25,12 +25,24 @@ import numpy as np
 MAX_DISCRETE_LABELS = 20
 TRAIN_FRACTION = 0.8  # of a scored space's rows, the forest's training share
 
-UNARY_OPS = ("square", "sqrt", "log")
-BINARY_OPS = ("+", "-", "*", "/")
-OPS = UNARY_OPS + BINARY_OPS  # the order fixes the op agent's outputs and one-hot indices
-
 _F64_MAX = float(np.finfo(np.float64).max)
 _DIV_EPS = 1e-12
+
+
+def _guarded_divide(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    tiny = np.abs(b) < _DIV_EPS
+    return np.where(tiny, 0.0, a / np.where(tiny, 1.0, b))
+
+
+# each operation's kernel, by its lineage token: sqrt and log read |x| (log
+# shifted by 1) and division by a near-zero gives 0; ``safe_unary_value`` and
+# ``safe_binary_value`` clamp overflow
+_UNARY_KERNELS = {"square": lambda x: x * x, "sqrt": lambda x: np.sqrt(np.abs(x)),
+                  "log": lambda x: np.log1p(np.abs(x))}
+_BINARY_KERNELS = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": _guarded_divide}
+UNARY_OPS = tuple(_UNARY_KERNELS)
+BINARY_OPS = tuple(_BINARY_KERNELS)
+OPS = UNARY_OPS + BINARY_OPS  # the order fixes the op agent's outputs and one-hot indices
 
 _MISSING_TOKENS = frozenset({"", "na", "nan", "null", "none"})
 
@@ -155,41 +167,17 @@ def _parse_expr(s: str, pos: int) -> tuple[LineageExpr, int]:
 # ---------------------------------------------------------------------------
 
 def safe_unary_value(op: str, x: np.ndarray) -> np.ndarray:
-    """square/sqrt/log with domain guards; result is always finite.
-
-    sqrt and log operate on |x| (log additionally shifts by 1); overflow is
-    clamped to the float64 range so downstream invariants never see inf.
-    """
-    x = np.asarray(x, dtype=np.float64)
+    """A ``UNARY_OPS`` kernel of a float64 array, overflow clamped to the
+    float64 range so downstream invariants never see inf."""
     with np.errstate(over="ignore"):
-        if op == "square":
-            out = x * x
-        elif op == "sqrt":
-            out = np.sqrt(np.abs(x))
-        elif op == "log":
-            out = np.log1p(np.abs(x))
-        else:
-            raise ValueError(f"unknown unary operation {op!r}")
-        return np.clip(out, -_F64_MAX, _F64_MAX)
+        return np.clip(_UNARY_KERNELS[op](x), -_F64_MAX, _F64_MAX)
 
 
 def safe_binary_value(op: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Elementwise + - * / with guarded division; result is always finite."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
+    """A ``BINARY_OPS`` kernel of two float64 arrays, elementwise, overflow
+    clamped to the float64 range."""
     with np.errstate(over="ignore"):
-        if op == "+":
-            out = a + b
-        elif op == "-":
-            out = a - b
-        elif op == "*":
-            out = a * b
-        elif op == "/":
-            tiny = np.abs(b) < _DIV_EPS
-            out = np.where(tiny, 0.0, a / np.where(tiny, 1.0, b))
-        else:
-            raise ValueError(f"unknown binary operation {op!r}")
-        return np.clip(out, -_F64_MAX, _F64_MAX)
+        return np.clip(_BINARY_KERNELS[op](a, b), -_F64_MAX, _F64_MAX)
 
 
 def evaluate_lineage(expr: LineageExpr, originals: Mapping[str, np.ndarray]) -> np.ndarray:
@@ -278,9 +266,9 @@ class FeatureSet:
     another layout, or writeable, is copied once, here, so that no later
     write by a caller reaches the set or its memoised ``keys``.
 
-    ``column_keys``, when given, are the columns' content hashes, known where
-    the columns were made or handed on by ``take``; they become ``keys``
-    unchecked.
+    ``column_keys``, when given, are the columns' content hashes, one per
+    column, known where the columns were made or handed on by ``take``; they
+    become ``keys`` unchecked.
     """
 
     values: np.ndarray
@@ -303,8 +291,6 @@ class FeatureSet:
             raise DatasetError("target length does not match row count")
         object.__setattr__(self, "values", vals)
         if column_keys is not None:
-            if len(column_keys) != n:
-                raise DatasetError("column keys length does not match matrix width")
             self.__dict__["keys"] = tuple(column_keys)  # fills the cached property
 
     @functools.cached_property
@@ -641,10 +627,9 @@ def linear_quantiles(srt: np.ndarray, q: np.ndarray, axis: int = 0) -> np.ndarra
     return out
 
 
-def discretize(values: np.ndarray, bins: int) -> np.ndarray:
-    """Equal-frequency binning of a vector, or of each column of a (rows x
-    columns) matrix, into at most ``bins`` labels in [0, bins); a vector is
-    the one-column case.
+def discretize(x: np.ndarray, bins: int) -> np.ndarray:
+    """Equal-frequency binning of each column of a nonempty, finite (rows x
+    columns) float64 matrix into at most ``bins`` (>= 1) labels in [0, bins).
 
     Quantile edges use linear interpolation (``linear_quantiles``); edges
     that coincide collapse bins.  A value equal to an edge falls in the lower
@@ -653,13 +638,6 @@ def discretize(values: np.ndarray, bins: int) -> np.ndarray:
     the float64 range would get an infinite edge; it is binned exactly halved
     (``np.ldexp(x, -1)``), which leaves every other column's labels alone.
     """
-    x = np.asarray(values, dtype=np.float64)
-    if bins < 1:
-        raise ValueError(f"bins must be >= 1, got {bins}")
-    if x.ndim not in (1, 2) or x.size == 0:
-        raise ValueError("column must be a nonempty vector or matrix")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("column must be finite")
     labels = np.zeros(x.shape, dtype=np.int64)
     if bins > 1:
         srt, q = np.sort(x, axis=0), np.arange(1, bins) / bins

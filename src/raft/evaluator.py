@@ -20,13 +20,16 @@ _GROUP_ROWS.  A level's searched nodes draw their feature subsets, one draw
 per tree, and are split in contiguous passes within _PASS_ENTRIES (row, drawn
 feature) entries and _PASS_CELLS histogram cells (node, drawn feature, bin,
 class).  A pass's histogram holds class counts, or row counts and sums of y
-and y*y, each bin summed in sample order.  Running sums over the bins score
-every cut; the row-major first minimum picks each node's split, at the
-midpoint of its largest value in the bins up to the cut and its smallest value
-above them.  Sums over classes run from the lowest class up and importance
-gains are added tree by tree, so no bit depends on the groups or the passes,
-and `tests/oracles.py` replays every bit in plain loops.  A fitted forest is
-flat per-node arrays, and `predict` sends every (tree, row) pair down at once.
+and y*y, each bin summed in sample order, y being scaled first by the power
+of two that puts max|y| in [0.5, 1): whatever the target's scale, no sum of
+squares overflows or underflows, and a split moves by no bit where y stays in
+float64's normal range.  Running sums over the bins score every cut; the
+row-major first minimum picks each node's split, at the midpoint of its
+largest value in the bins up to the cut and its smallest value above them.
+Sums over classes run from the lowest class up and importance gains are added
+tree by tree, so no bit depends on the groups or the passes, and
+`tests/oracles.py` replays every bit in plain loops.  A fitted forest is flat
+per-node arrays, and `predict` sends every (tree, row) pair down at once.
 
 Working memory.  `fit_forest` owns one scratch buffer per fit, sized from
 _PASS_ENTRIES, _PASS_CELLS and _GROUP_ROWS for the fit's largest stage, and
@@ -44,7 +47,7 @@ from enum import Enum
 
 import numpy as np
 
-from .dataset import DatasetError, FeatureSet, NumericError, TaskKind, split_train_valid
+from .dataset import DatasetError, FeatureSet, TaskKind, split_train_valid
 
 
 class MetricKind(Enum):
@@ -392,10 +395,13 @@ def fit_forest(train: FeatureSet, cfg: ForestConfig) -> RandomForest:
     """Bootstrap-sampled trees with per-node feature subsampling.
 
     Raises DatasetError when a classification sample holds one class (a split
-    can leave a lone sample's class out), and NumericError when a regression
-    target is so large that the split search's squared sums could overflow."""
+    can leave a lone sample's class out).  A regression forest fits y times
+    the power of two 2^-e that puts max|y| in [0.5, 1): its leaf values are
+    scaled back by 2^e, and ``importances_raw`` keeps the scaled units, whose
+    shares are the same."""
     x = train.values
     task = train.target.kind
+    scale = 0  # the exponent e
     if task is TaskKind.CLASSIFICATION:
         y = np.asarray(train.target.values, dtype=np.int64)
         n_classes = train.target.class_counts.size
@@ -403,12 +409,9 @@ def fit_forest(train: FeatureSet, cfg: ForestConfig) -> RandomForest:
             raise DatasetError("classification training target has a single class")
     else:
         y = np.asarray(train.target.values, dtype=np.float64)
+        scale = math.frexp(float(np.max(np.abs(y))))[1]
+        y = np.ldexp(y, -scale)
         n_classes = 0
-        # a running sum over a tree's sample of y.size rows, or the difference
-        # of two, is at most 2 * y.size * max|y| in magnitude; the scan squares it
-        bound = 2.0 * y.size * float(np.max(np.abs(y)))
-        if not math.isfinite(bound * bound):
-            raise NumericError("the regression target is too large for the split search")
     n_feat = x.shape[1]
     m_feats = math.ceil(math.sqrt(n_feat) if task is TaskKind.CLASSIFICATION else n_feat / 3)
     bins = _bin_codes(x)
@@ -424,14 +427,13 @@ def fit_forest(train: FeatureSet, cfg: ForestConfig) -> RandomForest:
         levels += _grow_group(x, bins, y, n_classes, m_feats, rngs[first:first + group],
                               importances, base, ws)
     feature, threshold, value, child = (np.concatenate(a) for a in zip(*levels))
-    return RandomForest(np.concatenate(roots), feature, threshold, value, child, task,
-                        n_classes, n_feat, importances)
+    return RandomForest(np.concatenate(roots), feature, threshold, np.ldexp(value, scale), child,
+                        task, n_classes, n_feat, importances)
 
 
 def predict(forest: RandomForest, x: np.ndarray) -> np.ndarray:
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    if x.shape[1] != forest.n_features:
-        raise ValueError(f"expected {forest.n_features} features, got {x.shape[1]}")
+    """The forest's prediction for each row of a (rows, n_features) float64
+    matrix."""
     # every (tree, row) pair descends together, one level per step
     n_rows = x.shape[0]
     node = np.repeat(forest.roots, n_rows)
@@ -461,16 +463,11 @@ def feature_importances(forest: RandomForest) -> np.ndarray:
 def metric_only(y_true: np.ndarray, y_pred: np.ndarray, metric: MetricKind,
                 train_mean: float) -> float:
     """Pure metric arithmetic; ``train_mean``, the training target's mean, is
-    1 - RAE's baseline prediction and unread by macro F1."""
-    y_true = np.asarray(y_true)
-    y_pred = np.asarray(y_pred)
-    if y_true.shape != y_pred.shape or y_true.size < 1:
-        raise ValueError("predictions must match the target length")
+    1 - RAE's baseline prediction and unread by macro F1.  ``y_true`` and
+    ``y_pred`` are nonempty vectors of one length."""
     if metric.task is TaskKind.REGRESSION:
-        yt = y_true.astype(np.float64)
-        yp = y_pred.astype(np.float64)
-        err = np.abs(yt - yp)
-        denom = float(np.sum(np.abs(yt - train_mean)))
+        err = np.abs(y_true - y_pred)
+        denom = float(np.sum(np.abs(y_true - train_mean)))
         num = float(np.sum(err))
         if denom == 0.0:
             return 1.0 if num == 0.0 else 0.0
@@ -497,9 +494,7 @@ def downstream_score(
     cfg: ForestConfig,
 ) -> float:
     """Hold-out score: ``split_train_valid``'s training rows fit the forest,
-    and the rest score it."""
-    if metric.task is not fs.target.kind:
-        raise ValueError(f"metric {metric.value} incompatible with {fs.target.kind.value} target")
+    and the rest score it under ``metric``, the target's ``task_metric``."""
     train, valid = split_train_valid(fs, split_seed)
     forest = fit_forest(train, cfg)
     y_pred = predict(forest, valid.values)

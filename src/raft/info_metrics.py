@@ -10,24 +10,19 @@ import numpy as np
 from .dataset import MAX_DISCRETE_LABELS, FeatureSet, Target, discretize
 
 
-def as_labels(values: np.ndarray, bins: int) -> np.ndarray:
-    """Integer MI labels of a vector, or of each column of a (rows x columns)
+def as_labels(mat: np.ndarray, bins: int) -> np.ndarray:
+    """Integer MI labels of each column of a finite (rows x columns) float64
     matrix: an integer-valued column with at most ``MAX_DISCRETE_LABELS``
-    distinct values is densely recoded, any other goes through ``discretize``.
-    A non-finite entry raises ``ValueError`` on either path."""
-    x = np.asarray(values, dtype=np.float64)
-    mat = x[:, None] if x.ndim == 1 else x
+    distinct values is densely recoded, any other goes through ``discretize``."""
     labels = np.empty(mat.shape, dtype=np.int64)
     binned = np.ones(mat.shape[1], dtype=bool)
     for j in np.flatnonzero(np.all(mat == np.floor(mat), axis=0)):
         distinct, codes = np.unique(mat[:, j], return_inverse=True)
-        if np.isinf(distinct[[0, -1]]).any():  # inf == floor(inf) passes the integer test
-            raise ValueError("column must be finite")
         if distinct.size <= MAX_DISCRETE_LABELS:
             labels[:, j], binned[j] = codes, False
     if binned.any():
         labels[:, binned] = discretize(mat if binned.all() else mat[:, binned], bins)
-    return labels[:, 0] if x.ndim == 1 else labels
+    return labels
 
 
 # Label entries (and joint cells) per MI batch, and (row, column) entries per
@@ -103,8 +98,6 @@ class MICache:
     def labels(self, columns: Sequence[np.ndarray], keys: Sequence[bytes]) -> list[Labels]:
         """The ``Labels`` of each column; ``keys`` holds one content hash per
         column.  Only one labelling pass's columns are stacked at a time."""
-        if len(columns) != len(keys):
-            raise ValueError(f"{len(keys)} keys for {len(columns)} columns")
         todo = [j for j, key in enumerate(keys) if key not in self._labels]
         m = len(columns[0])
         table, step = self._table(m), max(1, _CHUNK_ENTRIES // m)  # step: columns per pass

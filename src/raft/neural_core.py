@@ -38,7 +38,8 @@ def derive_seed(base: int, salt: str) -> int:
 @dataclass(frozen=True, eq=False)
 class DenseNet:
     """ReLU(x @ w1 + b1) @ w2 + b2; ``w1``, ``b1``, ``w2`` and ``b2`` view the
-    flat ``params``, which ``bounds`` splits."""
+    flat ``params`` (``init_dense`` sizes it to the layers), which ``bounds``
+    splits."""
 
     params: np.ndarray
     in_size: int
@@ -54,8 +55,6 @@ class DenseNet:
         h = self.hidden
         sizes = (self.in_size * h, h, h * self.out_size, self.out_size)
         object.__setattr__(self, "bounds", tuple(accumulate(sizes, initial=0)))
-        if self.params.shape != (self.bounds[-1],):
-            raise ValueError(f"{self.params.shape} parameters do not fit the layer sizes")
         for name, view in zip(("w1", "b1", "w2", "b2"), self.split(self.params)):
             object.__setattr__(self, name, view)
 
@@ -144,11 +143,9 @@ def clip_step(params: np.ndarray, grads: np.ndarray, bounds: Sequence[int], lr: 
 # ---------------------------------------------------------------------------
 
 def normalized_adjacency(adj: np.ndarray) -> np.ndarray:
-    """D^-1/2 A D^-1/2 (all degrees must be positive)."""
-    deg = adj.sum(axis=1)
-    if np.any(deg <= 0.0):
-        raise ValueError("every node needs positive degree (add self-loops)")
-    dinv = 1.0 / np.sqrt(deg)
+    """D^-1/2 A D^-1/2 of an adjacency with self-loops, so every degree is
+    positive."""
+    dinv = 1.0 / np.sqrt(adj.sum(axis=1))
     return adj * dinv[:, None] * dinv[None, :]
 
 
@@ -161,10 +158,8 @@ def train_autoencoder(data: np.ndarray, latent: int, epochs: int, seed: int,
     """Full-batch gradient descent on mean-squared reconstruction of the rows;
     returns (encoder, decoder), the untouched random nets when epochs=0.  An
     epoch makes one forward pass, writes the gradients in place into one flat
-    buffer per net and takes one ``clip_step`` per net on its ``params``."""
-    data = np.atleast_2d(np.asarray(data, dtype=np.float64))
-    if latent < 1 or epochs < 0:
-        raise ValueError("latent must be >= 1 and epochs >= 0")
+    buffer per net and takes one ``clip_step`` per net on its ``params``.
+    ``data`` is a (rows, dim) float64 matrix."""
     b, dim = data.shape
     rng = np.random.default_rng(seed)
     encoder = init_dense(dim, AE_HIDDEN, latent, rng)

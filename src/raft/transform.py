@@ -61,8 +61,6 @@ def cross_binary(op: str, head_view: FeatureSet, tail_view: FeatureSet,
     head-major order.  Pairs whose lineage would exceed MAX_LINEAGE_DEPTH are
     skipped.
     """
-    if head_view.n_cols == 0 or tail_view.n_cols == 0:
-        raise ValueError("clusters must be nonempty")
     pairs = [(a, b) for a in range(head_view.n_cols) for b in range(tail_view.n_cols)]
     if len(pairs) > CROSS_CAP:
         mi_head, mi_tail = (cache.mi(v.values.T, v.keys, v.target) for v in (head_view, tail_view))
@@ -105,17 +103,15 @@ def dedup(batch: GeneratedBatch, fs: FeatureSet) -> GeneratedBatch:
 def _top_by_mi(scores: Sequence[float], max_size: int) -> list[int]:
     """The indices of the ``max_size`` largest ``scores`` (ties keep the lower
     index), in increasing order."""
-    if max_size < 1:
-        raise ValueError("max_size must be >= 1")
     ranked = sorted(range(len(scores)), key=lambda i: (-scores[i], i))
     return sorted(ranked[:max_size])
 
 
-def generation_step(fs: FeatureSet, head_view: FeatureSet, op: str, tail_view: FeatureSet | None,
+def generation_step(fs: FeatureSet, head_view: FeatureSet, op: str, tail_view: FeatureSet,
                     max_size: int, cache: MICache) -> tuple[FeatureSet, GeneratedBatch]:
     """Apply ``op`` to the head group's view of ``fs`` (crossing it with the
-    tail group's view for a binary op) and dedup, then keep at most
-    ``max_size`` of the space's and the batch's columns.
+    tail group's view for a binary op; a unary op reads no tail) and dedup,
+    then keep at most ``max_size`` of the space's and the batch's columns.
 
     The kept batch columns are the step's new columns: each is hashed here,
     once.  Every column is kept when they fit in ``max_size``; otherwise the
@@ -128,8 +124,6 @@ def generation_step(fs: FeatureSet, head_view: FeatureSet, op: str, tail_view: F
     if op in UNARY_OPS:
         batch = apply_unary(op, head_view)
     else:
-        if tail_view is None:
-            raise ValueError(f"binary operation {op!r} needs a tail cluster")
         batch = cross_binary(op, head_view, tail_view, cache)
     batch = dedup(batch, fs)
     if len(batch) == 0:

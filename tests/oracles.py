@@ -11,7 +11,7 @@ from dataclasses import replace
 import numpy as np
 
 from raft.dataset import (TRAIN_FRACTION, DatasetError, FeatureMeta, FeatureSet, Ident, Target,
-                          TaskKind, content_hash)
+                          TaskKind, content_hash, discretize)
 from raft.evaluator import MAX_BINS, MAX_DEPTH, MIN_LEAF, N_TREES
 from raft.info_metrics import as_labels, column_distances
 from raft.neural_core import AE_HIDDEN, DenseNet, derive_seed, init_dense, init_gcn
@@ -22,6 +22,16 @@ from raft.transform import GeneratedBatch
 # ---------------------------------------------------------------------------
 # quantiles / discretization
 # ---------------------------------------------------------------------------
+
+def column_bins(x, bins: int) -> np.ndarray:
+    """``discretize`` of one vector: the labels of a one-column matrix."""
+    return discretize(np.asarray(x, dtype=np.float64)[:, None], bins)[:, 0]
+
+
+def column_labels(x, bins: int) -> np.ndarray:
+    """``as_labels`` of one vector: the labels of a one-column matrix."""
+    return as_labels(np.asarray(x, dtype=np.float64)[:, None], bins)[:, 0]
+
 
 def quantile_oracle(data, q: float) -> float:
     s = sorted(float(v) for v in data)
@@ -158,7 +168,7 @@ def scalar_quality_oracle(fs: FeatureSet, bins: int, pair_mi=plugin_mi_oracle) -
     variable, and ``pair_mi`` per pair (by default the ratio-form estimator
     from before the count-table kernel)."""
     def mi(x, y):
-        lx, ly = as_labels(x, bins), as_labels(y, bins)
+        lx, ly = column_labels(x, bins), column_labels(y, bins)
         if content_hash(np.asarray(y, dtype=np.float64)) < content_hash(
                 np.asarray(x, dtype=np.float64)):
             lx, ly = ly, lx
@@ -371,10 +381,10 @@ def appended_then_selected_oracle(fs: FeatureSet, batch: GeneratedBatch, max_siz
     if merged.n_cols <= max_size:
         return merged
     target_key = content_hash(np.asarray(fs.target.values, dtype=np.float64))
-    target = as_labels(fs.target.values, bins)
+    target = column_labels(fs.target.values, bins)
     scores = []
     for j, key in enumerate(keys):
-        col = as_labels(merged.values[:, j], bins)
+        col = column_labels(merged.values[:, j], bins)
         scores.append(count_mi_oracle(col, target) if key <= target_key
                       else count_mi_oracle(target, col))
     ranked = sorted(range(merged.n_cols), key=lambda i: (-scores[i], i))
@@ -391,14 +401,18 @@ def forest_oracle(fs: FeatureSet, seed: int) -> tuple[list, np.ndarray]:
     its thresholds one feature at a time, with np.var / np.mean / np.cumsum /
     np.sum on the sorted column.  `fit_forest` must match it bit for bit.  Returns
     (trees, raw importances); a tree is nested tuples ("leaf", value) /
-    ("split", feature, threshold, left, right)."""
+    ("split", feature, threshold, left, right).  A regression target is
+    scaled as `fit_forest` scales it, and the leaf values back."""
     x = fs.values
     classification = fs.target.kind is TaskKind.CLASSIFICATION
+    scale = 0
     if classification:
         y = np.asarray(fs.target.values, dtype=np.int64)
         n_classes = int(y.max()) + 1
     else:
         y = np.asarray(fs.target.values, dtype=np.float64)
+        scale = math.frexp(float(np.max(np.abs(y))))[1]  # max|y| * 2^-scale in [0.5, 1)
+        y = np.ldexp(y, -scale)
         n_classes = 0
     n_feat = x.shape[1]
     if classification:
@@ -417,7 +431,7 @@ def forest_oracle(fs: FeatureSet, seed: int) -> tuple[list, np.ndarray]:
     def leaf(y_node):
         if classification:
             return ("leaf", float(np.argmax(np.bincount(y_node, minlength=n_classes))))
-        return ("leaf", float(np.mean(y_node)))
+        return ("leaf", math.ldexp(float(np.mean(y_node)), scale))
 
     def best_split(rows, y_node, feats):
         n = rows.size
@@ -488,15 +502,19 @@ def binned_forest_oracle(fs: FeatureSet, seed: int) -> tuple[list, np.ndarray]:
     features (the columns of its row by ascending draw, as many as the task
     draws, sorted).  Per candidate feature, the node's histogram is summed in
     sample order and scanned bin by bin, the first strictly better score
-    winning.  Sums over classes run from the lowest class up.  Returns
-    (trees, raw importances) in `forest_oracle`'s tuple form."""
+    winning.  Sums over classes run from the lowest class up.  A regression
+    target is scaled as `fit_forest` scales it, and the leaf values back.
+    Returns (trees, raw importances) in `forest_oracle`'s tuple form."""
     x = fs.values
     classification = fs.target.kind is TaskKind.CLASSIFICATION
+    scale = 0
     if classification:
         y = [int(v) for v in fs.target.values]
         n_classes = max(y) + 1
     else:
         y = [float(v) for v in fs.target.values]
+        scale = math.frexp(max(abs(v) for v in y))[1]  # max|y| * 2^-scale in [0.5, 1)
+        y = [math.ldexp(v, -scale) for v in y]
         n_classes = 0
     n_rows, n_feat = x.shape
     if classification:
@@ -583,7 +601,7 @@ def binned_forest_oracle(fs: FeatureSet, seed: int) -> tuple[list, np.ndarray]:
 
     def as_tuple(node):
         if "split" not in node:
-            return ("leaf", node["value"])
+            return ("leaf", math.ldexp(node["value"], scale))
         f, t = node["split"]
         return ("split", f, t, as_tuple(node["left"]), as_tuple(node["right"]))
 

@@ -634,19 +634,20 @@ def test_a_run_labels_every_column_at_its_bin_count(tmp_path, monkeypatch):
     assert seen and set(seen) == {default_bins(m)}
 
 
-# x1e200: the target's squares overflow; x1e152: its sum of squares is finite,
-# but the split search's squared running sums over the sample overflow
-@pytest.mark.parametrize("scale", [1e200, 1e152], ids=["x1e200", "x1e152"])
-def test_a_target_too_large_for_the_split_search_exits_4(tmp_path, capsys, scale):
-    fs = squared_sum_regression(m=80, n_distractors=3, seed=11)
-    huge = FeatureSet(fs.values, fs.columns,
-                      Target(fs.target.values * scale, TaskKind.REGRESSION, "y"))
-    path = write_fixture(huge, tmp_path / "huge.csv")
-    code = main(["run", "--input", str(path), "--target", "y", "--out", str(tmp_path / "o"),
-                 "--episodes", "1", "--steps", "1"])
-    assert code == 4
-    assert ("numeric failure: the regression target is too large for the split search"
-            in capsys.readouterr().err)
+def test_the_target_scale_moves_no_byte_of_the_trace_or_the_report(tmp_path):
+    # the forest fits y scaled by a power of two: unscaled, y * 2^600's split
+    # sums overflowed (exit 4) and y * 2^-600's squares underflowed to stumps
+    fs = small_space()
+    outputs = []
+    for k in (0, 600, -600):
+        scaled = FeatureSet(fs.values, fs.columns,
+                            Target(np.ldexp(fs.target.values, k), TaskKind.REGRESSION, "y"))
+        path = write_fixture(scaled, tmp_path / f"y{k}.csv")
+        out = tmp_path / f"out{k}"
+        assert main(["run", "--input", str(path), "--target", "y", "--out", str(out),
+                     "--episodes", "1", "--steps", "3"]) == 0
+        outputs.append([(out / name).read_bytes() for name in ("trace.tsv", "report.txt")])
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
 
 
 def test_a_nan_score_exits_4(tmp_path, capsys, monkeypatch):

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from raft.clustering import (
-    ClusterSet,
     adaptive_cluster,
     cut,
     merge_sequence,
@@ -41,14 +40,14 @@ def test_identical_columns_collapse_to_one_cluster():
     fs = random_feature_set(rng, 20, 3)
     fs = fs.with_columns(np.column_stack([col, col, col]), fs.columns)
     got = cluster_at(fs, threshold=0.5, bins=4)
-    assert got.groups == ((0, 1, 2),)
+    assert got == ((0, 1, 2),)
 
 
 def test_tiny_threshold_keeps_singletons():
     rng = np.random.default_rng(1)
     fs = random_feature_set(rng, 25, 5)
     got = cluster_at(fs, threshold=1e-12, bins=4)
-    assert got.groups == ((0,), (1,), (2,), (3,), (4,))
+    assert got == ((0,), (1,), (2,), (3,), (4,))
 
 
 def test_matches_brute_force_oracle_at_median_threshold():
@@ -61,7 +60,7 @@ def test_matches_brute_force_oracle_at_median_threshold():
     mi_y = MICache(bins).mi(fs.values.T, fs.keys, fs.target)
     cols = [fs.column(i) for i in range(6)]
     want = agglomerative_oracle(cols, mi_y, threshold)
-    assert got.groups == want
+    assert got == want
 
 
 def test_partition_validity_on_random_instances():
@@ -71,8 +70,10 @@ def test_partition_validity_on_random_instances():
         fs = random_feature_set(rng, int(rng.integers(5, 40)), n)
         threshold = float(rng.uniform(0.001, 2.0))
         got = cluster_at(fs, threshold, bins=4)
-        flat = sorted(i for g in got.groups for i in g)
-        assert flat == list(range(n))
+        flat = sorted(i for g in got for i in g)
+        assert flat == list(range(n))  # disjoint and covering
+        assert all(g and list(g) == sorted(g) for g in got)  # nonempty, members ascending
+        assert [g[0] for g in got] == sorted(g[0] for g in got)  # by smallest member
 
 
 def test_threshold_monotonicity():
@@ -97,8 +98,8 @@ def test_permutation_invariance_up_to_relabeling():
     fs_p = fs.with_columns(fs.values[:, perm], tuple(fs.columns[i] for i in perm))
     permuted = cluster_at(fs_p, threshold, bins)
     inverse = {int(p): i for i, p in enumerate(perm)}
-    relabeled = sorted(tuple(sorted(perm[i] for i in g)) for g in permuted.groups)
-    assert relabeled == sorted(tuple(g) for g in base.groups)
+    relabeled = sorted(tuple(sorted(perm[i] for i in g)) for g in permuted)
+    assert relabeled == sorted(tuple(g) for g in base)
 
 
 @pytest.mark.parametrize("n", [2, 3, 5, 8, 13, 21, 30])
@@ -113,7 +114,7 @@ def test_cut_matches_merge_loop_oracle(n):
         upper = scores[np.triu_indices(n, k=1)]
         thresholds = [*np.quantile(upper, [0.1, 0.5, 0.9]), float(upper[-1]), float(upper.max()) + 1]
         for threshold in thresholds:
-            assert cut(merges, n, threshold).groups == merge_loop_oracle(scores, threshold)
+            assert cut(merges, n, threshold) == merge_loop_oracle(scores, threshold)
 
 
 @pytest.mark.parametrize("n", [2, 3, 8, 21, 40])
@@ -172,17 +173,6 @@ def test_pair_scores_match_distance_oracle_loop():
     assert pairwise_distance(fs.column(0), fs.column(1)) == 0.0
 
 
-def test_cluster_set_rejects_bad_partition():
-    with pytest.raises(ValueError):
-        ClusterSet(((0, 1), (1, 2)))
-    with pytest.raises(ValueError):
-        ClusterSet(((0, 2),))
-    with pytest.raises(ValueError):
-        ClusterSet(((1, 0),))
-    with pytest.raises(ValueError, match="nonempty"):
-        ClusterSet(((0, 1), ()))
-
-
 def test_adaptive_cluster_returns_at_least_two_groups_when_possible():
     rng = np.random.default_rng(6)
     for _ in range(10):
@@ -197,12 +187,12 @@ def test_adaptive_cluster_identical_columns_fall_back_to_singletons():
     fs = random_feature_set(rng, 15, 3)
     fs = fs.with_columns(np.column_stack([col, col, col]), fs.columns)
     got = adaptive_cluster(fs, MICache(4))
-    assert got.groups == ((0,), (1,), (2,))
+    assert got == ((0,), (1,), (2,))
 
 
 def test_adaptive_cluster_single_column():
     rng = np.random.default_rng(8)
     fs = random_feature_set(rng, 15, 1)
     got = adaptive_cluster(fs, MICache(4))
-    assert got.groups == ((0,),)
+    assert got == ((0,),)
 

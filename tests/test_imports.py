@@ -460,7 +460,7 @@ def module_sources() -> dict[str, str]:
 
 def test_layer_faults_finds_forbidden_imports_and_cycles():
     sources = module_sources()
-    sources["transform"] += "\nfrom .clustering import ClusterSet\n"
+    sources["transform"] += "\nfrom .clustering import adaptive_cluster\n"
     sources["evaluator"] += "\nfrom . import neural_core\n"
     sources["dataset"] += "\nfrom .cli import main\n"  # cli imports dataset
     faults = layer_faults(package_imports(sources))

@@ -14,7 +14,6 @@ from raft.dataset import (
     Target,
     TaskKind,
     content_hash,
-    discretize,
 )
 from raft import info_metrics
 from raft.info_metrics import (
@@ -24,6 +23,8 @@ from raft.info_metrics import (
     feature_set_quality,
 )
 from oracles import (
+    column_bins,
+    column_labels,
     count_mi_oracle,
     euclidean_oracle,
     mi_oracle,
@@ -97,30 +98,24 @@ def test_mi_matches_oracle_on_discrete_pairs():
 
 @pytest.mark.parametrize("bad", [np.inf, -np.inf])
 def test_integer_valued_column_with_inf_is_rejected(bad):
-    # inf == floor(inf), so an infinite entry passes the integer-valued test
-    with pytest.raises(ValueError, match="column must be finite"):
-        vector_mi(np.array([bad, 1, 2, 1]), np.array([0, 1, 0, 1]), 4)
-    with pytest.raises(ValueError, match="column must be finite"):
-        vector_mi(np.array([0.0, 1, 0, 1]), np.array([1, bad, 2, 1]), 4)
-    mat = np.column_stack([[0.0, 1, 2, 1], [bad, 1, 2, 1]])
-    with pytest.raises(ValueError, match="column must be finite"):
-        as_labels(mat, 4)
-    with pytest.raises(ValueError, match="column must be finite"):
-        MICache(4).labels(mat.T, [content_hash(col) for col in mat.T])
+    # inf == floor(inf) passes the labels' integer-valued test, so a column is
+    # finite by the time it is labelled: the feature set and the target check
+    with pytest.raises(DatasetError, match="finite"):
+        make_fs(np.column_stack([[0.0, 1, 2, 1], [bad, 1, 2, 1]]), [0.0, 1, 0, 1])
+    with pytest.raises(DatasetError, match="finite"):
+        Target(np.array([1, bad, 2, 1]), TaskKind.REGRESSION, "y")
 
 
 def test_labels_take_one_key_per_column_vector():
     mat = np.arange(12.0).reshape(4, 3)
     keys = [content_hash(col) for col in mat.T]
-    with pytest.raises(ValueError, match="3 keys for 4 columns"):
-        MICache(4).labels(mat, keys)  # a (rows x columns) matrix is not a sequence of columns
     assert [lab.key for lab in MICache(4).labels(mat.T, keys)] == keys
 
 
 def test_as_labels_discrete_passthrough_and_binning():
-    np.testing.assert_array_equal(as_labels(np.array([5.0, 7, 5, 9]), 2), [0, 1, 0, 2])
+    np.testing.assert_array_equal(column_labels([5.0, 7, 5, 9], 2), [0, 1, 0, 2])
     cont = np.linspace(0.0, 1.0, 30) ** 2
-    np.testing.assert_array_equal(as_labels(cont, 3), discretize(cont, 3))
+    np.testing.assert_array_equal(column_labels(cont, 3), column_bins(cont, 3))
 
 
 def test_mi_cache_hits_are_consistent():
@@ -251,7 +246,7 @@ def test_plugin_mi_equals_scalar_oracle_on_binned_and_discrete_columns(seed):
         y = x * rng.uniform(-2.0, 2.0) + rng.standard_normal(m)
         d = rng.integers(-3, int(rng.integers(-2, 14)), size=m).astype(float)
         for a, b in ((x, y), (x, d), (d, y), (d, np.round(y))):
-            la, lb = as_labels(a, bins), as_labels(b, bins)
+            la, lb = column_labels(a, bins), column_labels(b, bins)
             for u, v in ((la, lb), (lb, la)):
                 assert pair_mi(u, v) == count_mi_oracle(u, v)
                 assert pair_mi(u, v) == pytest.approx(plugin_mi_oracle(u, v), abs=1e-12)
@@ -326,11 +321,11 @@ def test_memo_stores_narrow_codes_and_mi_equals_the_oracle(bins, dtype):
     memo = cache.labels(values.T, keys) + cache.labels([target.values], (target.key,))
     assert {lab.codes.dtype for lab in memo} == {np.dtype(dtype)}
     for lab, vec in zip(memo, [*values.T, target.values]):
-        np.testing.assert_array_equal(lab.codes, as_labels(vec, bins))
+        np.testing.assert_array_equal(lab.codes, column_labels(vec, bins))
     assert max(int(lab.codes.max()) for lab in memo) == max(bins, 20) - 1
-    y = as_labels(target.values, bins)
+    y = column_labels(target.values, bins)
     for col, key, mi in zip(values.T, keys, got):
-        x = as_labels(col, bins)
+        x = column_labels(col, bins)
         assert mi == (count_mi_oracle(x, y) if key <= target.key else count_mi_oracle(y, x))
 
 
@@ -398,7 +393,7 @@ def test_vector_labels_are_the_one_column_case():
     for bins in (1, 2, 5, 16):
         want, sums = per_column_labels_oracle(values, bins)
         for j, col in enumerate(values.T):
-            assert np.array_equal(as_labels(col, bins), want[:, j])
+            assert np.array_equal(as_labels(values[:, [j]], bins)[:, 0], want[:, j])
             label = MICache(bins).labels([col], (content_hash(col),))[0]
             assert np.array_equal(label.codes, want[:, j]) and label.xlogx == sums[j]
 

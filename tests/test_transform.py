@@ -279,8 +279,8 @@ def test_select_output_is_subsequence():
 def test_generation_step_unary_grows_by_head_size():
     rng = np.random.default_rng(4)
     fs = random_feature_set(rng, 25, 4)
-    out, batch = generation_step(fs, fs.take((0, 2)), "square", None, max_size=100,
-                                 cache=run_cache(fs))
+    head = fs.take((0, 2))
+    out, batch = generation_step(fs, head, "square", head, max_size=100, cache=run_cache(fs))
     assert len(batch) == 2
     assert out.n_cols == 6
 
@@ -297,9 +297,10 @@ def test_generation_step_duplicate_only_batch_is_noop():
     rng = np.random.default_rng(6)
     fs = random_feature_set(rng, 25, 2)
     cache = run_cache(fs)
-    out1, batch1 = generation_step(fs, fs.take((0, 1)), "square", None, max_size=100, cache=cache)
-    out2, batch2 = generation_step(out1, out1.take((0, 1)), "square", None, max_size=100,
-                                   cache=cache)
+    head = fs.take((0, 1))
+    out1, batch1 = generation_step(fs, head, "square", head, max_size=100, cache=cache)
+    head = out1.take((0, 1))
+    out2, batch2 = generation_step(out1, head, "square", head, max_size=100, cache=cache)
     assert len(batch2) == 0
     assert out2 is out1
 
@@ -314,23 +315,18 @@ def test_generation_step_assembles_a_column_major_space_on_both_branches():
         assert out.values.flags.f_contiguous and not out.values.flags.writeable
 
 
-def test_generation_step_binary_requires_tail():
-    rng = np.random.default_rng(7)
-    fs = random_feature_set(rng, 25, 3)
-    with pytest.raises(ValueError, match="tail"):
-        generation_step(fs, fs.take((0,)), "+", None, max_size=10, cache=run_cache(fs))
-
-
 def step_and_oracle(fs, head, op, tail, max_size, warm):
     """One ``generation_step`` beside its frozen oracle: the batch generated
     again on its own cache, appended and then selected.  Checks the values'
     bytes and layout, the names, the keys and the returned batch, and returns
-    the batch and the MI of the appended space's columns."""
+    the batch and the MI of the appended space's columns.  A unary op's
+    ``tail`` is None: it reads no tail, and is handed the head's view."""
     bins = default_bins(fs.n_rows)
     cache = MICache(bins)
     if warm:  # as in a search, where clustering has read every column's MI
         cache.mi(fs.values.T, fs.keys, fs.target)
-    head_view, tail_view = fs.take(head), tail and fs.take(tail)
+    head_view = fs.take(head)
+    tail_view = head_view if tail is None else fs.take(tail)
     out, batch = generation_step(fs, head_view, op, tail_view, max_size, cache)
     want_batch = dedup(apply_unary(op, head_view) if op in UNARY_OPS else
                        cross_binary(op, head_view, tail_view, MICache(bins)), fs)
@@ -426,7 +422,7 @@ def test_generated_columns_round_trip_through_lineage():
     originals = fs0.original_columns()
     cache = run_cache(fs0)
     fs, _ = generation_step(fs0, fs0.take((0, 1)), "*", fs0.take((2, 3)), max_size=50, cache=cache)
-    fs, _ = generation_step(fs, fs.take((0, 2)), "sqrt", None, max_size=50, cache=cache)
+    fs, _ = generation_step(fs, fs.take((0, 2)), "sqrt", fs.take((0, 2)), max_size=50, cache=cache)
     fs, _ = generation_step(fs, fs.take((1, 3)), "/", fs.take((0, 2)), max_size=50, cache=cache)
     for i, meta in enumerate(fs.columns):
         recomputed = evaluate_lineage(meta.lineage, originals)
@@ -445,7 +441,7 @@ def test_generated_values_always_finite(data, unary_op, binary_op):
     values = np.column_stack([col, np.linspace(-1.0, 1.0, m), np.zeros(m)])
     fs = make_fs(values, y=np.linspace(0.0, 1.0, m))
     cache = run_cache(fs)
-    out, _ = generation_step(fs, fs.take((0,)), unary_op, None, max_size=50, cache=cache)
+    out, _ = generation_step(fs, fs.take((0,)), unary_op, fs.take((0,)), max_size=50, cache=cache)
     assert np.all(np.isfinite(out.values))
     out2, _ = generation_step(out, out.take((0,)), binary_op, out.take((1, 2)), max_size=50,
                               cache=cache)
@@ -462,8 +458,7 @@ def test_generated_depth_bounded():
     for i in range(MAX_LINEAGE_DEPTH + 3):
         op = ("square", "+", "log", "*")[i % 4]
         depth = [lineage_depth(meta.lineage) for meta in fs.columns]
-        tail = fs.take((1,)) if op in ("+", "*") else None
-        fs, batch = generation_step(fs, fs.take((depth.index(max(depth)),)), op, tail,
+        fs, batch = generation_step(fs, fs.take((depth.index(max(depth)),)), op, fs.take((1,)),
                                     max_size=20, cache=cache)
         depths.append(max(lineage_depth(meta.lineage) for meta in fs.columns))
         sizes.append(len(batch))
