@@ -634,9 +634,31 @@ def test_a_run_labels_every_column_at_its_bin_count(tmp_path, monkeypatch):
     assert seen and set(seen) == {default_bins(m)}
 
 
+# x1e200: the target's squares overflow; x1e152: its sum of squares is finite,
+# but squared running sums over the sample overflow. The forest fits y scaled
+# by a power of two, so both run; a scale that is no power of two rounds y
+# and may move the score.
+@pytest.mark.parametrize("scale", [1e200, 1e152], ids=["x1e200", "x1e152"])
+def test_a_target_near_the_float_range_runs(tmp_path, capsys, scale):
+    fs = squared_sum_regression(m=80, n_distractors=3, seed=11)
+    huge = FeatureSet(fs.values, fs.columns,
+                      Target(fs.target.values * scale, TaskKind.REGRESSION, "y"))
+    path = write_fixture(huge, tmp_path / "huge.csv")
+    code = main(["run", "--input", str(path), "--target", "y", "--out", str(tmp_path / "o"),
+                 "--episodes", "1", "--steps", "1"])
+    assert code == 0
+    out, err = capsys.readouterr()
+    assert "numeric failure" not in err
+    assert math.isfinite(float(re.search(r"original=(\S+)", out).group(1)))
+    assert (tmp_path / "o" / "trace.tsv").is_file() and (tmp_path / "o" / "report.txt").is_file()
+
+
 def test_the_target_scale_moves_no_byte_of_the_trace_or_the_report(tmp_path):
     # the forest fits y scaled by a power of two: unscaled, y * 2^600's split
-    # sums overflowed (exit 4) and y * 2^-600's squares underflowed to stumps
+    # sums overflowed (exit 4) and y * 2^-600's squares underflowed to stumps.
+    # The trace's MI terms also take their row variable by content hash, so a
+    # power of two that reorders y's hash against a feature's (2^1 does here)
+    # moves an MI's last bit; 2^600 and 2^-600 keep every order on this input.
     fs = small_space()
     outputs = []
     for k in (0, 600, -600):
