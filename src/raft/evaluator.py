@@ -42,7 +42,7 @@ next pass, and a module-level buffer would outlive the fit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -409,7 +409,7 @@ def fit_forest(train: FeatureSet, cfg: ForestConfig) -> RandomForest:
             raise DatasetError("classification training target has a single class")
     else:
         y = np.asarray(train.target.values, dtype=np.float64)
-        scale = math.frexp(float(np.max(np.abs(y))))[1]
+        scale = _exponent(y)
         y = np.ldexp(y, -scale)
         n_classes = 0
     n_feat = x.shape[1]
@@ -429,6 +429,11 @@ def fit_forest(train: FeatureSet, cfg: ForestConfig) -> RandomForest:
     feature, threshold, value, child = (np.concatenate(a) for a in zip(*levels))
     return RandomForest(np.concatenate(roots), feature, threshold, np.ldexp(value, scale), child,
                         task, n_classes, n_feat, importances)
+
+
+def _exponent(y: np.ndarray) -> int:
+    """The e for which 2^-e puts max|y| in [0.5, 1) (0 where y is all 0)."""
+    return math.frexp(float(np.max(np.abs(y))))[1]
 
 
 def predict(forest: RandomForest, x: np.ndarray) -> np.ndarray:
@@ -494,9 +499,18 @@ def downstream_score(
     cfg: ForestConfig,
 ) -> float:
     """Hold-out score: ``split_train_valid``'s training rows fit the forest,
-    and the rest score it under ``metric``, the target's ``task_metric``."""
+    and the rest score it under ``metric``, the target's ``task_metric``.  A
+    regression target is scored times the power of two 2^-e that puts its
+    max|y| over all rows in [0.5, 1), the forest's leaf values with it: 1 - RAE
+    is a ratio, so its bits do not move where the values stay in float64's
+    normal range, and no mean or sum of errors overflows, whatever y's scale."""
     train, valid = split_train_valid(fs, split_seed)
     forest = fit_forest(train, cfg)
+    y_true, y_train = valid.target.values, train.target.values
+    if metric is MetricKind.ONE_MINUS_RAE:
+        scale = _exponent(fs.target.values)
+        forest = replace(forest, value=np.ldexp(forest.value, -scale))
+        y_true, y_train = np.ldexp(y_true, -scale), np.ldexp(y_train, -scale)
     y_pred = predict(forest, valid.values)
-    train_mean = float(np.mean(np.asarray(train.target.values, dtype=np.float64)))
-    return metric_only(valid.target.values, y_pred, metric, train_mean)
+    train_mean = float(np.mean(np.asarray(y_train, dtype=np.float64)))
+    return metric_only(y_true, y_pred, metric, train_mean)

@@ -231,6 +231,21 @@ def test_a_target_scaled_by_a_power_of_two_makes_the_same_splits():
         assert np.array_equal(predict(forest, x), np.ldexp(predict(base, x), k))
 
 
+def test_a_target_scaled_by_a_power_of_two_scores_the_same_bits():
+    # 1 - RAE is scored in the forest's power-of-two units, so its mean and
+    # error sums do not overflow even where max|y| is near float64's maximum
+    # (k = 1019, max|y| 4.9e307), and the ratio's bits stay y's where y stays normal
+    rng = np.random.default_rng(19)
+    x = rng.standard_normal((60, 4))
+    y = x[:, 0] ** 2 + rng.uniform(1.0, 2.0, 60)
+    cfg = ForestConfig(seed=2)
+    base = downstream_score(reg_set(x, y), 5, MetricKind.ONE_MINUS_RAE, cfg)
+    assert 0.0 < base < 1.0
+    for k in (-1000, -600, -1, 1, 10, 600, 1000, 1019):
+        got = downstream_score(reg_set(x, np.ldexp(y, k)), 5, MetricKind.ONE_MINUS_RAE, cfg)
+        assert got.hex() == base.hex(), k
+
+
 def _tree_tuples(forest):
     """Each tree as nested tuples, in the oracles' form, read from the flat
     node arrays."""
