@@ -7,10 +7,11 @@ candidates, one logit per row concat(state prefix, candidate state); the
 operation agent's actor gives one logit per operation; a critic's one output
 is its value.  Updates happen once per episode on that episode's transition
 batch: the critic descends the squared TD error, with the target
-r + gamma * V(S') held fixed, and the actor ascends
-log pi(a|S) * advantage + beta * entropy (the update negates the returned
+r + GAMMA * V(S') held fixed, and the actor ascends
+log pi(a|S) * advantage + BETA * entropy (the update negates the returned
 ascent objective).  Gradients are flat arrays in the layout of the nets'
-``params``; each agent's two nets take one ``clip_step`` in place per episode.
+``params``; each agent's two nets take one ``clip_step`` in place per episode,
+at ``CRITIC_LR`` and ``ACTOR_LR``.
 
 The search loop drives a policy through three calls: ``choose(fs, views)``
 gives a step's (head, op, tail), ``observe`` hands back its rewards and new
@@ -40,48 +41,43 @@ from .neural_core import (
     log_softmax,
     softmax,
 )
-from .state_repr import EncoderKind, StateEncoder, state_op
+from .state_repr import ENCODER_EPOCHS, EncoderKind, StateEncoder, state_op
 
 logger = logging.getLogger(__name__)
 
 HIDDEN = 64  # the hidden width of every actor and critic
+GAMMA = 0.9  # the TD target's discount
+BETA = 0.01  # the actor objective's entropy weight
+ACTOR_LR = 1e-3  # each episode's step size of the actors
+CRITIC_LR = 1e-3  # each episode's step size of the critics
 
 
 @dataclass
 class TrainConfig:
-    """Search and optimization knobs; defaults target desk-scale runs.
+    """Search knobs; defaults target desk-scale runs.
 
-    Every field is also a ``raft run`` flag (``--actor-lr`` for ``actor_lr``)
-    and a config-file key, echoed to ``config.echo`` in this order (the echo
-    replays the run).  A number outside its range raises ValueError (the
-    CLI's exit 2).  ``encoder`` is si, ae, gae or all.  What no run varies is
-    a constant: the Euclidean group distance, the mean pair score as the
-    clustering threshold, ``state_repr``'s latent widths, ``HIDDEN`` and the
-    autoencoders' ``AE_HIDDEN``, ``default_bins``, twice the input's width as
-    a space's size, ``transform``'s ``CROSS_CAP`` and ``MAX_LINEAGE_DEPTH``,
-    the forest's shape (``N_TREES``, ``MAX_DEPTH``, ``MIN_LEAF`` and the
-    task's feature-draw rule) and the hold-out split's ``TRAIN_FRACTION``.
+    Every field is also a ``raft run`` flag and a config-file key, echoed to
+    ``config.echo`` in this order (the echo replays the run).  ``episodes``
+    or ``steps`` below 1 raises ValueError (the CLI's exit 2).  ``encoder``
+    is si, ae, gae or all.  What no run varies is a constant: ``GAMMA``,
+    ``BETA``, ``ACTOR_LR`` and ``CRITIC_LR``, the Euclidean group distance,
+    the mean pair score as the clustering threshold, ``state_repr``'s latent
+    widths and ``ENCODER_EPOCHS``, ``HIDDEN`` and the autoencoders'
+    ``AE_HIDDEN``, ``default_bins``, twice the input's width as a space's
+    size, ``transform``'s ``CROSS_CAP`` and ``MAX_LINEAGE_DEPTH``, the
+    forest's shape (``N_TREES``, ``MAX_DEPTH``, ``MIN_LEAF`` and the task's
+    feature-draw rule) and the hold-out split's ``TRAIN_FRACTION``.
     """
 
     episodes: int = 30
     steps: int = 15
     seed: int = 0
     encoder: EncoderKind = EncoderKind.SI
-    encoder_epochs: int = 20
-    gamma: float = 0.9
-    beta: float = 0.01
-    actor_lr: float = 1e-3
-    critic_lr: float = 1e-3
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.gamma <= 1.0:
-            raise ValueError(f"gamma must be in [0, 1], got {self.gamma}")
-        for name, low in {"episodes": 1, "steps": 1, "encoder_epochs": 0, "beta": 0.0}.items():
-            if not getattr(self, name) >= low:
-                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
-        for name in ("actor_lr", "critic_lr"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)}")
+        for name in ("episodes", "steps"):
+            if not getattr(self, name) >= 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 
 
 @dataclass
@@ -233,24 +229,23 @@ def advantage_and_losses(
 def update_agents(
     bundles: tuple[AgentBundle, AgentBundle, AgentBundle],
     episode: tuple[Sequence[Transition], Sequence[Transition], Sequence[Transition]],
-    cfg: TrainConfig,
 ) -> dict[str, float]:
-    """One in-place gradient step per net of each agent on its episode batch;
-    returns the losses.  Non-finite losses skip that agent's update with a
-    warning."""
+    """One in-place gradient step per net of each agent on its episode batch,
+    at ``GAMMA``, ``BETA``, ``CRITIC_LR`` and ``ACTOR_LR``; returns the
+    losses.  Non-finite losses skip that agent's update with a warning."""
     report: dict[str, float] = {}
     for name, bundle, transitions in zip(("head", "op", "tail"), bundles, episode):
         if len(transitions) == 0:
             continue
         critic_loss, actor_objective, actor_grads, critic_grads = advantage_and_losses(
-            transitions, bundle, cfg.gamma, cfg.beta)
+            transitions, bundle, GAMMA, BETA)
         report[f"{name}_critic_loss"] = critic_loss
         report[f"{name}_actor_objective"] = actor_objective
         if not (math.isfinite(critic_loss) and math.isfinite(actor_objective)):
             logger.warning("non-finite loss for %s agent; skipping its update", name)
             continue
-        clip_step(bundle.critic.params, critic_grads, bundle.critic.bounds, cfg.critic_lr)
-        clip_step(bundle.actor.params, -actor_grads, bundle.actor.bounds, cfg.actor_lr)
+        clip_step(bundle.critic.params, critic_grads, bundle.critic.bounds, CRITIC_LR)
+        clip_step(bundle.actor.params, -actor_grads, bundle.actor.bounds, ACTOR_LR)
     return report
 
 
@@ -287,10 +282,8 @@ class ActorCriticPolicy:
     ends with one update of every agent on its transitions."""
 
     def __init__(self, cfg: TrainConfig, rng: np.random.Generator) -> None:
-        self.cfg = cfg
         self.rng = rng
-        self.encoder = StateEncoder(cfg.encoder, cfg.encoder_epochs,
-                                    derive_seed(cfg.seed, "encoder"))
+        self.encoder = StateEncoder(cfg.encoder, ENCODER_EPOCHS, derive_seed(cfg.seed, "encoder"))
         init_rng = np.random.default_rng(derive_seed(cfg.seed, "agent-init"))
         self.bundles = make_bundles(self.encoder.length, init_rng)
         self.batches: tuple[list[Transition], list[Transition], list[Transition]] = ([], [], [])
@@ -323,6 +316,6 @@ class ActorCriticPolicy:
 
     def end_episode(self) -> dict[str, float]:
         """Update the agents on the episode's transitions; returns the losses."""
-        losses = update_agents(self.bundles, self.batches, self.cfg)
+        losses = update_agents(self.bundles, self.batches)
         self.batches = ([], [], [])
         return losses

@@ -164,9 +164,8 @@ def search(fs0: FeatureSet, train: TrainConfig, policy, evalctx: EvalContext) ->
             views = [fs.take(g) for g in groups]  # the step's one view per group
             head_idx, op, tail_idx = policy.choose(fs, views)
 
-            # only the new space: the batch's columns are not kept through the scoring
             fs_next = generation_step(fs, views[head_idx], op, views[tail_idx], max_size,
-                                      evalctx.cache)[0]
+                                      evalctx.cache)
 
             r_head, r_op, r_tail = compute_rewards(fs, fs_next, views[head_idx],
                                                    evalctx.quality, evalctx.score)

@@ -391,7 +391,8 @@ def load_csv(
     rows) is read again and converted cell by cell, the only path that words
     an error.  Both paths give the same bits.
 
-    Missing feature cells are rejected unless ``impute == "median"``.  The
+    Missing feature cells are rejected unless ``impute == "median"``; a
+    missing target cell is always rejected (a target is never imputed).  The
     target may be categorical (strings) for classification; numeric targets
     are classified when integer-valued with few distinct labels unless a task
     override is given.
@@ -477,10 +478,12 @@ def _convert_cells(
             raise DatasetError(f"row {line}: expected {width} cells, got {len(row)}")
         c = 0
         for i, cell in enumerate(row):
-            if i == target_pos:
-                target_raw.append(cell.strip())
-                continue
             text = cell.strip()
+            if i == target_pos:
+                if text.lower() in _MISSING_TOKENS:
+                    raise DatasetError(f"row {line}: missing target value (never imputed)")
+                target_raw.append(text)
+                continue
             if text.lower() in _MISSING_TOKENS:
                 if impute != "median":
                     raise DatasetError(
@@ -495,6 +498,9 @@ def _convert_cells(
                     raise DatasetError(
                         f"row {line}, column {names[c]!r}: non-numeric value {text!r}"
                     ) from None
+                if not math.isfinite(values[r, c]):
+                    raise DatasetError(
+                        f"row {line}, column {names[c]!r}: non-finite value {text!r}")
             c += 1
     if missing:
         for c in range(n):
@@ -504,8 +510,6 @@ def _convert_cells(
                 raise DatasetError(f"column {names[c]!r} has no observed values to impute from")
             if mask.any():
                 col[mask] = _median(col[~mask])
-    if not np.all(np.isfinite(values)):
-        raise DatasetError("feature values must be finite after ingestion")
     return values, target_raw
 
 

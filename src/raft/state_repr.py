@@ -22,6 +22,7 @@ SI_LENGTH = 49
 SUMMARY_QUANTILES = 64  # per-column input length of the column autoencoder
 LATENT_K = 8  # the AE's column latent width and the GAE's width
 LATENT_D = 8  # the AE's row latent width
+ENCODER_EPOCHS = 20  # the epochs of the AE's and the GAE's training on each space
 _STATE_CLAMP = 1e30
 _AE_LR = 1e-2  # the learning rate of the AE's and the GAE's training
 _QUARTILES = np.array([0.25, 0.5, 0.75])

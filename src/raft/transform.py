@@ -108,7 +108,7 @@ def _top_by_mi(scores: Sequence[float], max_size: int) -> list[int]:
 
 
 def generation_step(fs: FeatureSet, head_view: FeatureSet, op: str, tail_view: FeatureSet,
-                    max_size: int, cache: MICache) -> tuple[FeatureSet, GeneratedBatch]:
+                    max_size: int, cache: MICache) -> FeatureSet:
     """Apply ``op`` to the head group's view of ``fs`` (crossing it with the
     tail group's view for a binary op; a unary op reads no tail) and dedup,
     then keep at most ``max_size`` of the space's and the batch's columns.
@@ -118,8 +118,7 @@ def generation_step(fs: FeatureSet, head_view: FeatureSet, op: str, tail_view: F
     ``max_size`` of largest MI with the target, read from ``cache`` (ties
     keep the lower index), in their order.  The result is assembled once,
     from the kept columns only, so the appended space is never built.  An
-    empty post-dedup batch leaves the feature set unchanged (signaled by the
-    empty batch, not an error).
+    empty post-dedup batch returns ``fs`` itself (not an error).
     """
     if op in UNARY_OPS:
         batch = apply_unary(op, head_view)
@@ -127,11 +126,11 @@ def generation_step(fs: FeatureSet, head_view: FeatureSet, op: str, tail_view: F
         batch = cross_binary(op, head_view, tail_view, cache)
     batch = dedup(batch, fs)
     if len(batch) == 0:
-        return fs, batch
+        return fs
     columns = [*fs.values.T, *batch.columns]
     keys = fs.keys + tuple(content_hash(c) for c in batch.columns)
     metas = tuple(fs.columns) + tuple(batch.metas)
     kept = (range(len(keys)) if len(keys) <= max_size
             else _top_by_mi(cache.mi(columns, keys, fs.target), max_size))
     values = read_only(np.array([columns[i] for i in kept]).T)  # one copy, column-major
-    return fs.with_columns(values, [metas[i] for i in kept], [keys[i] for i in kept]), batch
+    return fs.with_columns(values, [metas[i] for i in kept], [keys[i] for i in kept])

@@ -21,7 +21,7 @@ from raft.cli import prepare
 from raft.dataset import OPS, default_bins
 from raft.evaluator import ForestConfig, MetricKind, downstream_score
 from raft.info_metrics import MICache, feature_set_quality
-from raft.neural_core import DenseNet, dense_pass, init_dense, log_softmax, softmax
+from raft.neural_core import DenseNet, clip_step, dense_pass, init_dense, log_softmax, softmax
 from raft.state_repr import state_op
 from raft.transform import generation_step
 from oracles import (assert_grads_close, net_of, numeric_gradients, random_feature_set,
@@ -162,8 +162,7 @@ def test_rewards_match_direct_recomputation():
         score = lambda f: downstream_score(f, 2, MetricKind.ONE_MINUS_RAE,
                                            ForestConfig(seed=3))
         head_view = fs.take((0, 1))
-        fs_next, _ = generation_step(fs, head_view, "*", fs.take((2, 3)), max_size=10,
-                                     cache=cache)
+        fs_next = generation_step(fs, head_view, "*", fs.take((2, 3)), max_size=10, cache=cache)
         r1, ro, r2 = compute_rewards(fs, fs_next, head_view, quality, score)
         assert r1 == pytest.approx(feature_set_quality(head_view, MICache(bins)), abs=1e-12)
         assert r2 == pytest.approx(feature_set_quality(fs_next, MICache(bins)), abs=1e-12)
@@ -292,27 +291,27 @@ def test_reinforce_direction_at_gamma_zero():
 
 
 def test_update_raises_probability_of_positively_rewarded_action():
+    # at gamma and beta 0 the advantage is the reward itself
     rng = np.random.default_rng(16)
-    cfg = TrainConfig(actor_lr=0.05, critic_lr=0.0001, beta=0.0, gamma=0.0,
-                      episodes=1, steps=1)
-    bundles = make_bundles(2, rng)
+    actor = make_bundles(2, rng)[1].actor
+    bundle = AgentBundle(actor, zero_net(4, 4, 1))
     state = np.array([1.0, -0.5, 0.3, 0.8])
-    probs_before = softmax(dense_pass(bundles[1].actor, state[None, :])[2][0])
+    probs_before = softmax(dense_pass(actor, state[None, :])[2][0])
     action = 1
     ts = [op_transition(state, action, reward=1.0, next_state=state)]
-    update_agents(bundles, ([], ts, []), cfg)
-    probs_after = softmax(dense_pass(bundles[1].actor, state[None, :])[2][0])
-    assert probs_after[action] >= probs_before[action]
+    _, _, actor_grads, _ = advantage_and_losses(ts, bundle, gamma=0.0, beta=0.0)
+    assert clip_step(actor.params, -actor_grads, actor.bounds, 0.05)
+    probs_after = softmax(dense_pass(actor, state[None, :])[2][0])
+    assert probs_after[action] > probs_before[action]
 
 
 def test_update_skips_on_nonfinite_loss(caplog):
-    cfg = TrainConfig(episodes=1, steps=1)
     rng = np.random.default_rng(17)
     bundles = make_bundles(2, rng)
     bad = op_transition(np.full(4, 1.0), 0, reward=float("nan"), next_state=np.full(4, 1.0))
     before = bundles[1].actor.params.tobytes()
     with caplog.at_level("WARNING"):
-        update_agents(bundles, ([], [bad], []), cfg)
+        update_agents(bundles, ([], [bad], []))
     assert bundles[1].actor.params.tobytes() == before
     assert any("non-finite" in r.message for r in caplog.records)
 
@@ -320,13 +319,12 @@ def test_update_skips_on_nonfinite_loss(caplog):
 def test_update_agents_deterministic():
     rng1 = np.random.default_rng(18)
     rng2 = np.random.default_rng(18)
-    cfg = TrainConfig(episodes=1, steps=1)
     b1 = make_bundles(2, rng1)
     b2 = make_bundles(2, rng2)
     state = np.array([0.3, 0.7, -0.2, 1.0])
     ts = [op_transition(state, 0, 0.5, state)]
-    update_agents(b1, ([], ts, []), cfg)
-    update_agents(b2, ([], ts, []), cfg)
+    update_agents(b1, ([], ts, []))
+    update_agents(b2, ([], ts, []))
     np.testing.assert_array_equal(b1[1].actor.w1, b2[1].actor.w1)
     np.testing.assert_array_equal(b1[1].critic.w2, b2[1].critic.w2)
 
@@ -354,10 +352,6 @@ def test_update_agents_matches_frozen_oracle_bit_for_bit(caplog):
     rng = np.random.default_rng(20)
     skipped = 0
     for i in range(60):
-        cfg = TrainConfig(episodes=1, steps=1, gamma=float(rng.uniform()),
-                          beta=float(rng.uniform(0.0, 0.1)),
-                          actor_lr=float(10.0 ** rng.uniform(-4.0, 0.0)),
-                          critic_lr=float(10.0 ** rng.uniform(-4.0, 0.0)))
         state_len = int(rng.integers(1, 6))
         bundles = make_bundles(state_len, rng)
         rewards = rng.standard_normal(int(rng.integers(1, 5))) * 10.0 ** rng.uniform(-2.0, 2.0)
@@ -375,9 +369,9 @@ def test_update_agents_matches_frozen_oracle_bit_for_bit(caplog):
         before = [(a.params.tobytes(), c.params.tobytes()) for a, c in copies]
         caplog.clear()
         with caplog.at_level("WARNING"), np.errstate(all="ignore"):
-            report = update_agents(bundles, episode, cfg)
-            want, want_report = update_agents_oracle(copies, episode, cfg.gamma, cfg.beta,
-                                                     cfg.actor_lr, cfg.critic_lr)
+            report = update_agents(bundles, episode)
+            want, want_report = update_agents_oracle(copies, episode, agents.GAMMA, agents.BETA,
+                                                     agents.ACTOR_LR, agents.CRITIC_LR)
         assert {k: repr(v) for k, v in report.items()} == \
             {k: repr(v) for k, v in want_report.items()}, i
         got = [(b.actor.params.tobytes(), b.critic.params.tobytes()) for b in bundles]
@@ -409,11 +403,10 @@ def test_update_runs_each_pass_once_per_transition(monkeypatch):
     for name in calls:
         monkeypatch.setattr(agents, name, spy(name))
     rng = np.random.default_rng(21)
-    cfg = TrainConfig(episodes=1, steps=1)
     bundles = make_bundles(2, rng)
     for bundle, batch in zip(bundles, _random_episode(rng, 2, len(OPS), [0.5, -1.0, 2.0])):
         calls.update(dense_pass=0, dense_grads=0)
-        advantage_and_losses(batch, bundle, cfg.gamma, cfg.beta)
+        advantage_and_losses(batch, bundle, agents.GAMMA, agents.BETA)
         assert calls == {"dense_pass": 3 * len(batch), "dense_grads": 2 * len(batch)}
 
 
@@ -430,9 +423,7 @@ def test_make_bundles_shapes():
 
 
 def test_train_config_validation():
-    with pytest.raises(ValueError):
-        TrainConfig(gamma=1.5)
-    with pytest.raises(ValueError):
-        TrainConfig(beta=-0.1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="episodes must be >= 1, got 0"):
         TrainConfig(episodes=0)
+    with pytest.raises(ValueError, match="steps must be >= 1, got 0"):
+        TrainConfig(steps=0)

@@ -78,6 +78,23 @@ def test_load_csv_error_names_the_file_line_past_blank_lines(tmp_path):
         load_csv(p, "y")
 
 
+@pytest.mark.parametrize("cell", ["1e400", "inf", "-Infinity", "-nan"])
+def test_load_csv_non_finite_cell_reports_location(tmp_path, cell):
+    p = write(tmp_path / "d.csv", f"a,b,y\n1,2,0\n3,{cell},1\n")
+    with pytest.raises(DatasetError, match=rf"^row 3, column 'b': non-finite value '{cell}'$"):
+        load_csv(p, "y")
+
+
+# a regression target, a 0/1 target and a missing-value token as the target cell
+@pytest.mark.parametrize("target, cell", [("0.5", ""), ("1", ""), ("1", "nan"), ("1", " NA ")])
+@pytest.mark.parametrize("impute", [None, "median"])
+def test_a_missing_target_cell_is_a_data_error(tmp_path, target, cell, impute):
+    rows = "".join(f"{i},{target if target == '1' else i / 7!r}\n" for i in range(1, 4))
+    p = write(tmp_path / "d.csv", f"a,y\n0,0\n{rows}4,{cell}\n")
+    with pytest.raises(DatasetError, match=r"^row 6: missing target value \(never imputed\)$"):
+        load_csv(p, "y", impute=impute)
+
+
 def test_load_csv_missing_file(tmp_path):
     with pytest.raises(DatasetError, match="no such file"):
         load_csv(tmp_path / "nope.csv", "y")

@@ -4,7 +4,9 @@ another's private name.  Every public name a module defines at its top level,
 and every public method of its classes, is read by the program: the package,
 ``tools/`` or the benchmark, not the tests alone.  Every parameter default and
 dataclass field default outside the fixtures is overridden by some call in the
-program: a value no caller varies is a constant.  Only ``dataset.py``
+program: a value no caller varies is a constant.  Every ``TrainConfig``
+field is set by keyword in some program call, not only through
+``parse_config``'s ``**``.  Only ``dataset.py``
 chooses a memory layout: ``FeatureSet`` stores every matrix column-major.
 The search core, ``cli.search``, touches no file: only the driver
 (``cli.py``), the data layer (``dataset.py``) and the fixtures
@@ -278,6 +280,33 @@ def test_unoverridden_defaults_finds_each_form():
 def test_the_program_overrides_every_default(module):
     readers = [path.read_text(encoding="utf-8") for path in PROGRAM]
     assert unoverridden_defaults((SRC / module).read_text(encoding="utf-8"), readers) == []
+
+
+def unset_fields(source: str, name: str, readers: list[str]) -> list[str]:
+    """The fields of ``source``'s dataclass ``name`` that no call by that name
+    in ``readers`` sets by keyword: a position or a ``**`` mapping sets none."""
+    (node,) = [node for node in ast.walk(ast.parse(source))
+               if isinstance(node, ast.ClassDef) and node.name == name]
+    calls = [ast.Call(call.func, [], [kw for kw in call.keywords if kw.arg])
+             for reader in map(ast.parse, readers) for call in ast.walk(reader)
+             if isinstance(call, ast.Call) and called_name(call) == name]
+    return [f for _, f, _ in field_defaults(node)
+            if not any(overrides(call, f, None) for call in calls)]
+
+
+def test_unset_fields_counts_keywords_alone():
+    source = "@dataclass\nclass C:\n    a: int = 1\n    b: int = 2\n    c: int = 3\n"
+    reader = "C(5, b=1)\nC(**given)\nC(*rest)\nD(c=3)\n"
+    assert unset_fields(source, "C", [source, reader]) == ["a", "c"]
+
+
+def test_every_train_config_field_is_set_by_keyword_in_the_program():
+    # a key only parse_config sets is a value no program varies (ROADMAP item
+    # 16).  RunConfig is exempt: its fields name the input, how to read it
+    # (task, impute) and the outputs, which only a command line gives
+    readers = [path.read_text(encoding="utf-8") for path in PROGRAM]
+    source = (SRC / "agents.py").read_text(encoding="utf-8")
+    assert unset_fields(source, "TrainConfig", readers) == []
 
 
 def private_imports(source: str) -> list[str]:

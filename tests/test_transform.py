@@ -280,16 +280,16 @@ def test_generation_step_unary_grows_by_head_size():
     rng = np.random.default_rng(4)
     fs = random_feature_set(rng, 25, 4)
     head = fs.take((0, 2))
-    out, batch = generation_step(fs, head, "square", head, max_size=100, cache=run_cache(fs))
-    assert len(batch) == 2
+    out = generation_step(fs, head, "square", head, max_size=100, cache=run_cache(fs))
+    assert len(dedup(apply_unary("square", head), fs)) == 2
     assert out.n_cols == 6
 
 
 def test_generation_step_respects_max_size():
     rng = np.random.default_rng(5)
     fs = random_feature_set(rng, 25, 4)
-    out, _ = generation_step(fs, fs.take((0, 1)), "*", fs.take((2, 3)), max_size=5,
-                             cache=run_cache(fs))
+    out = generation_step(fs, fs.take((0, 1)), "*", fs.take((2, 3)), max_size=5,
+                          cache=run_cache(fs))
     assert out.n_cols == 5
 
 
@@ -298,10 +298,10 @@ def test_generation_step_duplicate_only_batch_is_noop():
     fs = random_feature_set(rng, 25, 2)
     cache = run_cache(fs)
     head = fs.take((0, 1))
-    out1, batch1 = generation_step(fs, head, "square", head, max_size=100, cache=cache)
+    out1 = generation_step(fs, head, "square", head, max_size=100, cache=cache)
     head = out1.take((0, 1))
-    out2, batch2 = generation_step(out1, head, "square", head, max_size=100, cache=cache)
-    assert len(batch2) == 0
+    out2 = generation_step(out1, head, "square", head, max_size=100, cache=cache)
+    assert len(dedup(apply_unary("square", head), out1)) == 0
     assert out2 is out1
 
 
@@ -309,8 +309,9 @@ def test_generation_step_assembles_a_column_major_space_on_both_branches():
     rng = np.random.default_rng(31)
     fs = random_feature_set(rng, 30, 4)
     for max_size in (100, 5):  # every column kept, then a selection past max_size
-        out, batch = generation_step(fs, fs.take((0, 1)), "*", fs.take((2, 3)), max_size,
-                                     run_cache(fs))
+        head, tail, cache = fs.take((0, 1)), fs.take((2, 3)), run_cache(fs)
+        out = generation_step(fs, head, "*", tail, max_size, cache)
+        batch = dedup(cross_binary("*", head, tail, cache), fs)
         assert out.n_cols == min(max_size, fs.n_cols + len(batch)) > 1
         assert out.values.flags.f_contiguous and not out.values.flags.writeable
 
@@ -318,21 +319,19 @@ def test_generation_step_assembles_a_column_major_space_on_both_branches():
 def step_and_oracle(fs, head, op, tail, max_size, warm):
     """One ``generation_step`` beside its frozen oracle: the batch generated
     again on its own cache, appended and then selected.  Checks the values'
-    bytes and layout, the names, the keys and the returned batch, and returns
-    the batch and the MI of the appended space's columns.  A unary op's
-    ``tail`` is None: it reads no tail, and is handed the head's view."""
+    bytes and layout, the names and the keys, and returns the oracle's batch
+    and the MI of the appended space's columns.  A unary op's ``tail`` is
+    None: it reads no tail, and is handed the head's view."""
     bins = default_bins(fs.n_rows)
     cache = MICache(bins)
     if warm:  # as in a search, where clustering has read every column's MI
         cache.mi(fs.values.T, fs.keys, fs.target)
     head_view = fs.take(head)
     tail_view = head_view if tail is None else fs.take(tail)
-    out, batch = generation_step(fs, head_view, op, tail_view, max_size, cache)
-    want_batch = dedup(apply_unary(op, head_view) if op in UNARY_OPS else
-                       cross_binary(op, head_view, tail_view, MICache(bins)), fs)
-    want = appended_then_selected_oracle(fs, want_batch, max_size, bins)
-    assert [c.tobytes() for c in batch.columns] == [c.tobytes() for c in want_batch.columns]
-    assert batch.metas == want_batch.metas
+    out = generation_step(fs, head_view, op, tail_view, max_size, cache)
+    batch = dedup(apply_unary(op, head_view) if op in UNARY_OPS else
+                  cross_binary(op, head_view, tail_view, MICache(bins)), fs)
+    want = appended_then_selected_oracle(fs, batch, max_size, bins)
     assert out.values.tobytes() == want.values.tobytes()
     assert out.values.strides == want.values.strides
     assert out.names() == want.names()
@@ -404,10 +403,11 @@ def test_one_generation_step_stays_within_its_memory_bound():
     cache.mi(fs.values.T, fs.keys, fs.target)  # as clustering does before each step
     tracemalloc.start()
     try:
-        out, batch = generation_step(fs, fs.take(range(8)), "*", fs.take(range(8, 16)), 32, cache)
+        out = generation_step(fs, fs.take(range(8)), "*", fs.take(range(8, 16)), 32, cache)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    batch = dedup(cross_binary("*", fs.take(range(8)), fs.take(range(8, 16)), cache), fs)
     assert (len(batch), out.n_cols) == (64, 32)
     assert peak <= 2330 * 1024
 
@@ -421,9 +421,9 @@ def test_generated_columns_round_trip_through_lineage():
     fs0 = random_feature_set(rng, 30, 4)
     originals = fs0.original_columns()
     cache = run_cache(fs0)
-    fs, _ = generation_step(fs0, fs0.take((0, 1)), "*", fs0.take((2, 3)), max_size=50, cache=cache)
-    fs, _ = generation_step(fs, fs.take((0, 2)), "sqrt", fs.take((0, 2)), max_size=50, cache=cache)
-    fs, _ = generation_step(fs, fs.take((1, 3)), "/", fs.take((0, 2)), max_size=50, cache=cache)
+    fs = generation_step(fs0, fs0.take((0, 1)), "*", fs0.take((2, 3)), max_size=50, cache=cache)
+    fs = generation_step(fs, fs.take((0, 2)), "sqrt", fs.take((0, 2)), max_size=50, cache=cache)
+    fs = generation_step(fs, fs.take((1, 3)), "/", fs.take((0, 2)), max_size=50, cache=cache)
     for i, meta in enumerate(fs.columns):
         recomputed = evaluate_lineage(meta.lineage, originals)
         np.testing.assert_array_equal(recomputed, fs.values[:, i],
@@ -441,10 +441,10 @@ def test_generated_values_always_finite(data, unary_op, binary_op):
     values = np.column_stack([col, np.linspace(-1.0, 1.0, m), np.zeros(m)])
     fs = make_fs(values, y=np.linspace(0.0, 1.0, m))
     cache = run_cache(fs)
-    out, _ = generation_step(fs, fs.take((0,)), unary_op, fs.take((0,)), max_size=50, cache=cache)
+    out = generation_step(fs, fs.take((0,)), unary_op, fs.take((0,)), max_size=50, cache=cache)
     assert np.all(np.isfinite(out.values))
-    out2, _ = generation_step(out, out.take((0,)), binary_op, out.take((1, 2)), max_size=50,
-                              cache=cache)
+    out2 = generation_step(out, out.take((0,)), binary_op, out.take((1, 2)), max_size=50,
+                           cache=cache)
     assert np.all(np.isfinite(out2.values))
 
 
@@ -458,9 +458,10 @@ def test_generated_depth_bounded():
     for i in range(MAX_LINEAGE_DEPTH + 3):
         op = ("square", "+", "log", "*")[i % 4]
         depth = [lineage_depth(meta.lineage) for meta in fs.columns]
-        fs, batch = generation_step(fs, fs.take((depth.index(max(depth)),)), op, fs.take((1,)),
-                                    max_size=20, cache=cache)
-        depths.append(max(lineage_depth(meta.lineage) for meta in fs.columns))
-        sizes.append(len(batch))
+        fs_next = generation_step(fs, fs.take((depth.index(max(depth)),)), op, fs.take((1,)),
+                                  max_size=20, cache=cache)
+        depths.append(max(lineage_depth(meta.lineage) for meta in fs_next.columns))
+        sizes.append(fs_next.n_cols - fs.n_cols)
+        fs = fs_next
     assert depths == [*range(2, MAX_LINEAGE_DEPTH + 1)] + [MAX_LINEAGE_DEPTH] * 4
     assert sizes == [1] * (MAX_LINEAGE_DEPTH - 1) + [0] * 4
