@@ -106,7 +106,6 @@ class RunResult:
     baseline_u: float
     metric: MetricKind
     trace: list[TraceRow]
-    wall_time: float
     split_seed: int
     forest_seed: int
 
@@ -147,7 +146,6 @@ def search(fs0: FeatureSet, train: TrainConfig, policy, evalctx: EvalContext) ->
     """The episode/step loop over an in-memory space, driven by ``policy``'s
     ``choose``, ``observe`` and ``end_episode``; it touches no file.  The metric,
     seeds and bins are ``evalctx``'s; a space keeps at most twice ``fs0``'s width."""
-    started = time.perf_counter()
     max_size = 2 * fs0.n_cols
     baseline_score = evalctx.score(fs0)
     baseline_u = evalctx.quality(fs0)
@@ -186,8 +184,7 @@ def search(fs0: FeatureSet, train: TrainConfig, policy, evalctx: EvalContext) ->
     return RunResult(
         best_fs=best_fs, best_score=best_score, best_u=best_u,
         baseline_score=baseline_score, baseline_u=baseline_u,
-        metric=evalctx.metric, trace=trace,
-        wall_time=time.perf_counter() - started, split_seed=evalctx.split_seed,
+        metric=evalctx.metric, trace=trace, split_seed=evalctx.split_seed,
         forest_seed=evalctx.forest_cfg.seed,
     )
 
@@ -208,12 +205,9 @@ def prepare(fs0: FeatureSet, train: TrainConfig,
 
 
 def run_search(cfg: RunConfig) -> RunResult:
-    """``load_csv``, ``prepare`` and ``search``; ``wall_time`` counts all of it."""
-    started = time.perf_counter()
+    """``load_csv``, ``prepare`` and ``search``."""
     fs0 = load_csv(cfg.input_path, cfg.target, task=cfg.task, impute=cfg.impute)
-    result = search(fs0, cfg.train, *prepare(fs0, cfg.train, cfg.bench))
-    result.wall_time = time.perf_counter() - started
-    return result
+    return search(fs0, cfg.train, *prepare(fs0, cfg.train, cfg.bench))
 
 
 # ---------------------------------------------------------------------------
@@ -231,11 +225,11 @@ def write_trace(trace: list[TraceRow], path: Path) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def emit_report(result: RunResult, fs_star: FeatureSet, path: Path) -> None:
-    """Per-feature normalized importance share, plus the before / after
-    scores.  A feature's name is its rendered lineage (``parse_lineage`` gives
-    the tree back); shares come from forest impurity decreases and sum to 1."""
-    train, _ = split_train_valid(fs_star, result.split_seed)
+def emit_report(result: RunResult, path: Path) -> None:
+    """Per-feature normalized importance share of the best space, plus the
+    before / after scores.  A feature's name is its rendered lineage (``parse_lineage``
+    gives the tree back); shares come from forest impurity decreases and sum to 1."""
+    train, _ = split_train_valid(result.best_fs, result.split_seed)
     forest = fit_forest(train, ForestConfig(seed=result.forest_seed))
     shares = feature_importances(forest)
     lines = [
@@ -246,11 +240,11 @@ def emit_report(result: RunResult, fs_star: FeatureSet, path: Path) -> None:
         f"best_score = {repr(float(result.best_score))}",
         f"original_quality = {repr(float(result.baseline_u))}",
         f"best_quality = {repr(float(result.best_u))}",
-        f"n_features = {fs_star.n_cols}",
+        f"n_features = {result.best_fs.n_cols}",
         "",
         "name\timportance_share\torigin",
     ]
-    for meta, share in zip(fs_star.columns, shares):
+    for meta, share in zip(result.best_fs.columns, shares):
         origin = "original" if meta.is_original else "generated"
         lines.append(f"{meta.name}\t{repr(float(share))}\t{origin}")
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -278,7 +272,7 @@ def write_outputs(result: RunResult, cfg: RunConfig) -> dict[str, Path]:
     write_csv(result.best_fs, paths["transformed"])
     write_trace(result.trace, paths["trace"])
     if cfg.report:
-        emit_report(result, result.best_fs, paths["report"])
+        emit_report(result, paths["report"])
     write_config_echo(cfg, result, paths["config"])
     return paths
 
@@ -410,6 +404,7 @@ def parse_config(argv=None) -> RunConfig:
 
 def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
+    started = time.perf_counter()
     try:
         cfg = parse_config(argv)
         result = run_search(cfg)
@@ -425,7 +420,7 @@ def main(argv=None) -> int:
         return 4
     print(f"{result.metric.value}: original={result.baseline_score:.6f} "
           f"best={result.best_score:.6f} features={result.best_fs.n_cols} "
-          f"wall={result.wall_time:.1f}s")
+          f"wall={time.perf_counter() - started:.1f}s")
     for name, path in paths.items():
         print(f"{name}: {path}")
     return 0

@@ -1,7 +1,7 @@
 """Agglomerative grouping of feature columns under the group distance.
 
 Each search step builds one average-linkage merge sequence (a dendrogram) and
-cuts it at each threshold it tries: the merge order does not depend on the
+cuts it once, at the mean pair score: the merge order does not depend on the
 threshold, which only decides how long a prefix of the merges is applied.
 """
 
@@ -84,25 +84,22 @@ def cut(merges: list[tuple[float, int, int]], n: int,
 
 
 def adaptive_cluster(fs: FeatureSet, cache: MICache) -> tuple[tuple[int, ...], ...]:
-    """Cut the step's merge sequence at the mean initial pairwise score,
-    halving the threshold until at least two groups come out; the groups
-    partition the column indices as ``cut``'s do.
+    """Cut the step's merge sequence at the mean initial pairwise score; the
+    groups partition the column indices as ``cut``'s do.  Falls back to
+    singletons when the cut leaves one group or the mean is not positive, and
+    to the single trivial group when there is only one column.
 
-    Falls back to singletons when halving cannot help (all scores identical),
-    and to the single trivial group when there is only one column.
+    A lower cut would not help: each column pair joins at one merge, so the
+    mean is a weighted mean of the merge heights.  The cut leaves one group
+    only when rounding puts every height just below the mean, above half of it.
     """
     n = fs.n_cols
     if n == 1:
         return ((0,),)
     scores = pair_score_matrix(fs, cache)
-    merges = merge_sequence(scores)
     threshold = float(np.mean(scores[np.triu_indices(n, k=1)]))
-    for _ in range(12):
-        if threshold <= 0.0:
-            break
-        result = cut(merges, n, threshold)
+    if threshold > 0.0:
+        result = cut(merge_sequence(scores), n, threshold)
         if len(result) >= 2:
             return result
-        threshold /= 2.0
     return tuple((i,) for i in range(n))
-

@@ -442,7 +442,7 @@ def load_csv(
         target = _numeric_target(cells[:, target_pos].copy(), target_name, task)
     else:
         values, target_raw = _convert_cells(data_rows, len(raw_header), target_pos, names, impute)
-        target = _build_target(target_raw, target_name, task)
+        target = _build_target(target_raw, [line for line, _ in data_rows], target_name, task)
     columns = tuple(FeatureMeta.from_lineage(expr) for expr in lineages)
     return FeatureSet(read_only(values), columns, target)
 
@@ -526,7 +526,9 @@ def _median(x: np.ndarray) -> float:
     return float(med)
 
 
-def _build_target(raw: list[str], name: str, task: TaskKind | None) -> Target:
+def _build_target(raw: list[str], lines: list[int], name: str, task: TaskKind | None) -> Target:
+    """The target of the raw cells on file ``lines``: categorical when a cell is
+    not a number, else numeric, with a non-finite cell worded as a feature's."""
     try:
         numeric = np.array([float(cell) for cell in raw], dtype=np.float64)
     except ValueError:
@@ -534,12 +536,13 @@ def _build_target(raw: list[str], name: str, task: TaskKind | None) -> Target:
             raise DatasetError("regression requested but target is not numeric") from None
         labels = _encode_labels(np.asarray(raw, dtype=object))
         return Target(labels, TaskKind.CLASSIFICATION, name)
+    for line, text, value in zip(lines, raw, numeric):
+        if not math.isfinite(value):
+            raise DatasetError(f"row {line}, column {name!r}: non-finite value {text!r}")
     return _numeric_target(numeric, name, task)
 
 
 def _numeric_target(numeric: np.ndarray, name: str, task: TaskKind | None) -> Target:
-    if not np.all(np.isfinite(numeric)):
-        raise DatasetError("target contains non-finite values")
     srt = np.sort(numeric)  # a plain np.unique would import numpy.ma
     distinct = 1 + np.count_nonzero(srt[1:] != srt[:-1])
     if distinct < 2:

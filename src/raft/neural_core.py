@@ -65,22 +65,18 @@ class DenseNet:
                 flat[j:k].reshape(self.hidden, self.out_size), flat[k:])
 
 
-def _fan_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
+def fan_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
+    """A (fan_in, fan_out) weight drawn uniformly from ±sqrt(6 / (fan_in + fan_out))."""
     a = math.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-a, a, size=(fan_in, fan_out))
 
 
 def init_dense(in_size: int, hidden_size: int, out_size: int,
                rng: np.random.Generator) -> DenseNet:
-    w1 = _fan_uniform(rng, in_size, hidden_size)
-    w2 = _fan_uniform(rng, hidden_size, out_size)
+    w1 = fan_uniform(rng, in_size, hidden_size)
+    w2 = fan_uniform(rng, hidden_size, out_size)
     params = np.concatenate([w1.ravel(), np.zeros(hidden_size), w2.ravel(), np.zeros(out_size)])
     return DenseNet(params, in_size, hidden_size, out_size)
-
-
-def init_gcn(in_size: int, out_size: int, rng: np.random.Generator) -> np.ndarray:
-    """The graph convolution's (in_size, out_size) weight."""
-    return _fan_uniform(rng, in_size, out_size)
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:

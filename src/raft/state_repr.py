@@ -15,7 +15,7 @@ from enum import Enum
 import numpy as np
 
 from .dataset import OPS, FeatureSet, linear_quantiles, read_only
-from .neural_core import (clip_step, dense_pass, derive_seed, init_gcn, normalized_adjacency,
+from .neural_core import (clip_step, dense_pass, derive_seed, fan_uniform, normalized_adjacency,
                           train_autoencoder)
 
 SI_LENGTH = 49
@@ -119,11 +119,8 @@ def state_ae(fs: FeatureSet, epochs: int, seed: int) -> np.ndarray:
 def correlation_adjacency(values: np.ndarray) -> np.ndarray:
     """|Pearson correlation| between columns; constant columns get similarity 0
     to every other node; the diagonal (self-loop) is always 1."""
-    n = values.shape[1]
-    if n == 1:
-        return np.ones((1, 1))
     with np.errstate(divide="ignore", invalid="ignore"):
-        corr = np.corrcoef(values, rowvar=False)
+        corr = np.atleast_2d(np.corrcoef(values, rowvar=False))
     adj = np.abs(np.nan_to_num(corr, nan=0.0, posinf=0.0, neginf=0.0))
     np.fill_diagonal(adj, 1.0)
     return np.clip(adj, 0.0, 1.0)
@@ -162,7 +159,7 @@ def state_gae(fs: FeatureSet, epochs: int, seed: int) -> np.ndarray:
     (length LATENT_K).  Training stops at the first step ``clip_step`` skips."""
     adj = correlation_adjacency(fs.values)
     prop = normalized_adjacency(adj) @ _standardize_columns(fs.values).T
-    flat = init_gcn(fs.n_rows, LATENT_K, np.random.default_rng(derive_seed(seed, "gae"))).ravel()
+    flat = fan_uniform(np.random.default_rng(derive_seed(seed, "gae")), fs.n_rows, LATENT_K).ravel()
     w = flat.reshape(fs.n_rows, LATENT_K)  # a view: clip_step updates w through flat
     for _ in range(epochs):
         if not clip_step(flat, gae_layer_grad(adj, prop, w).ravel(), (0, flat.size), _AE_LR):

@@ -4,7 +4,6 @@ selection shrink the result."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -27,32 +26,23 @@ _DEDUP_TOL = 1e-12
 CROSS_CAP = 64  # the most pairs one binary cross generates
 MAX_LINEAGE_DEPTH = 6  # the deepest lineage a column may have: bounds names and blow-up
 
-
-@dataclass
-class GeneratedBatch:
-    columns: list[np.ndarray]
-    metas: list[FeatureMeta]
-
-    def __len__(self) -> int:
-        return len(self.columns)
+Batch = list[tuple[np.ndarray, FeatureMeta]]  # generated columns, each with its meta
 
 
-def apply_unary(op: str, cluster_view: FeatureSet) -> GeneratedBatch:
+def apply_unary(op: str, cluster_view: FeatureSet) -> Batch:
     """One new column per member feature; members whose lineage would exceed
     MAX_LINEAGE_DEPTH are skipped."""
-    columns: list[np.ndarray] = []
-    metas: list[FeatureMeta] = []
+    batch: Batch = []
     for i, meta in enumerate(cluster_view.columns):
         expr = Unary(op, meta.lineage)
-        if lineage_depth(expr) > MAX_LINEAGE_DEPTH:
-            continue
-        columns.append(safe_unary_value(op, cluster_view.column(i)))
-        metas.append(FeatureMeta.from_lineage(expr))
-    return GeneratedBatch(columns, metas)
+        if lineage_depth(expr) <= MAX_LINEAGE_DEPTH:
+            batch.append((safe_unary_value(op, cluster_view.column(i)),
+                          FeatureMeta.from_lineage(expr)))
+    return batch
 
 
 def cross_binary(op: str, head_view: FeatureSet, tail_view: FeatureSet,
-                 cache: MICache) -> GeneratedBatch:
+                 cache: MICache) -> Batch:
     """Cartesian pairing of head and tail members, head-major order.
 
     When the pairing exceeds CROSS_CAP, the pairs with the largest
@@ -66,26 +56,23 @@ def cross_binary(op: str, head_view: FeatureSet, tail_view: FeatureSet,
         mi_head, mi_tail = (cache.mi(v.values.T, v.keys, v.target) for v in (head_view, tail_view))
         scores = [mi_head[a] + mi_tail[b] for a, b in pairs]
         pairs = [pairs[p] for p in _top_by_mi(scores, CROSS_CAP)]
-    columns: list[np.ndarray] = []
-    metas: list[FeatureMeta] = []
+    batch: Batch = []
     for a, b in pairs:
         expr = Binary(op, head_view.columns[a].lineage, tail_view.columns[b].lineage)
-        if lineage_depth(expr) > MAX_LINEAGE_DEPTH:
-            continue
-        columns.append(safe_binary_value(op, head_view.column(a), tail_view.column(b)))
-        metas.append(FeatureMeta.from_lineage(expr))
-    return GeneratedBatch(columns, metas)
+        if lineage_depth(expr) <= MAX_LINEAGE_DEPTH:
+            batch.append((safe_binary_value(op, head_view.column(a), tail_view.column(b)),
+                          FeatureMeta.from_lineage(expr)))
+    return batch
 
 
-def dedup(batch: GeneratedBatch, fs: FeatureSet) -> GeneratedBatch:
+def dedup(batch: Batch, fs: FeatureSet) -> Batch:
     """Drop constant columns and columns value-equal (within 1e-12 elementwise)
     to an existing column or an earlier batch column."""
-    kept_cols: list[np.ndarray] = []
-    kept_metas: list[FeatureMeta] = []
+    kept: Batch = []
     seen = list(fs.values.T)
     first = np.empty(fs.n_cols + len(batch))  # each seen column's first entry
     first[:fs.n_cols] = fs.values[0]
-    for col, meta in zip(batch.columns, batch.metas):
+    for col, meta in batch:
         if float(np.ptp(col)) <= _DEDUP_TOL:
             continue
         with np.errstate(over="ignore"):
@@ -95,9 +82,8 @@ def dedup(batch: GeneratedBatch, fs: FeatureSet) -> GeneratedBatch:
         if not duplicate:
             first[len(seen)] = col[0]
             seen.append(col)
-            kept_cols.append(col)
-            kept_metas.append(meta)
-    return GeneratedBatch(kept_cols, kept_metas)
+            kept.append((col, meta))
+    return kept
 
 
 def _top_by_mi(scores: Sequence[float], max_size: int) -> list[int]:
@@ -125,11 +111,11 @@ def generation_step(fs: FeatureSet, head_view: FeatureSet, op: str, tail_view: F
     else:
         batch = cross_binary(op, head_view, tail_view, cache)
     batch = dedup(batch, fs)
-    if len(batch) == 0:
+    if not batch:
         return fs
-    columns = [*fs.values.T, *batch.columns]
-    keys = fs.keys + tuple(content_hash(c) for c in batch.columns)
-    metas = tuple(fs.columns) + tuple(batch.metas)
+    columns = [*fs.values.T, *(col for col, _ in batch)]
+    keys = fs.keys + tuple(content_hash(col) for col, _ in batch)
+    metas = tuple(fs.columns) + tuple(meta for _, meta in batch)
     kept = (range(len(keys)) if len(keys) <= max_size
             else _top_by_mi(cache.mi(columns, keys, fs.target), max_size))
     values = read_only(np.array([columns[i] for i in kept]).T)  # one copy, column-major

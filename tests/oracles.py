@@ -10,13 +10,14 @@ from dataclasses import replace
 
 import numpy as np
 
+from raft.clustering import cut, merge_sequence
 from raft.dataset import (TRAIN_FRACTION, DatasetError, FeatureMeta, FeatureSet, Ident, Target,
                           TaskKind, content_hash, discretize)
 from raft.evaluator import MAX_BINS, MAX_DEPTH, MIN_LEAF, N_TREES
 from raft.info_metrics import as_labels, column_distances
-from raft.neural_core import AE_HIDDEN, DenseNet, derive_seed, init_dense, init_gcn
+from raft.neural_core import AE_HIDDEN, DenseNet, derive_seed, fan_uniform, init_dense
 from raft.state_repr import _finite, _population_std, _standardize_columns, correlation_adjacency
-from raft.transform import GeneratedBatch
+from raft.transform import Batch
 
 
 # ---------------------------------------------------------------------------
@@ -291,6 +292,24 @@ def mean_linkage_oracle(scores: np.ndarray) -> list[tuple[float, int, int]]:
     return merges
 
 
+def halving_cluster_oracle(scores: np.ndarray) -> tuple[tuple[int, ...], ...]:
+    """`clustering.adaptive_cluster`'s rule on a score matrix as it was before
+    its halving rounds were deleted: cut the merge sequence at the mean pair
+    score, halving the threshold up to 12 times until at least two groups come
+    out, else singletons."""
+    n = scores.shape[0]
+    merges = merge_sequence(scores)
+    threshold = float(np.mean(scores[np.triu_indices(n, k=1)]))
+    for _ in range(12):
+        if threshold <= 0.0:
+            break
+        result = cut(merges, n, threshold)
+        if len(result) >= 2:
+            return result
+        threshold /= 2.0
+    return tuple((i,) for i in range(n))
+
+
 # ---------------------------------------------------------------------------
 # train/valid split
 # ---------------------------------------------------------------------------
@@ -333,25 +352,23 @@ def split_oracle(fs: FeatureSet, seed: int) -> tuple[FeatureSet, FeatureSet]:
 # feature generation
 # ---------------------------------------------------------------------------
 
-def dedup_oracle(batch: GeneratedBatch, fs: FeatureSet, tol: float = 1e-12) -> GeneratedBatch:
+def dedup_oracle(batch: Batch, fs: FeatureSet, tol: float = 1e-12) -> Batch:
     """``dedup`` as it was before vectorisation: one ``np.all`` per earlier
     column, existing columns first, then the batch columns kept so far."""
-    kept_cols: list[np.ndarray] = []
-    kept_metas = []
+    kept: Batch = []
     existing = [fs.values[:, i] for i in range(fs.n_cols)]
-    for col, meta in zip(batch.columns, batch.metas):
+    for col, meta in batch:
         if float(np.ptp(col)) <= tol:
             continue
         duplicate = False
         with np.errstate(over="ignore"):
-            for other in existing + kept_cols:
+            for other in existing + [c for c, _ in kept]:
                 if np.all(np.abs(col - other) <= tol):
                     duplicate = True
                     break
         if not duplicate:
-            kept_cols.append(col)
-            kept_metas.append(meta)
-    return GeneratedBatch(kept_cols, kept_metas)
+            kept.append((col, meta))
+    return kept
 
 
 def select_features(fs: FeatureSet, max_size: int, cache) -> FeatureSet:
@@ -365,7 +382,7 @@ def select_features(fs: FeatureSet, max_size: int, cache) -> FeatureSet:
     return fs.take(sorted(ranked[:max_size]))
 
 
-def appended_then_selected_oracle(fs: FeatureSet, batch: GeneratedBatch, max_size: int,
+def appended_then_selected_oracle(fs: FeatureSet, batch: Batch, max_size: int,
                                   bins: int) -> FeatureSet:
     """``generation_step``'s assembly as it was before selection moved ahead
     of it: every post-dedup batch column appended to ``fs`` by
@@ -375,9 +392,9 @@ def appended_then_selected_oracle(fs: FeatureSet, batch: GeneratedBatch, max_siz
     the operand with the smaller content hash as the row variable."""
     if len(batch) == 0:
         return fs
-    values = np.concatenate([fs.values] + [c[:, None] for c in batch.columns], axis=1)
-    keys = fs.keys + tuple(content_hash(c) for c in batch.columns)
-    merged = fs.with_columns(values, tuple(fs.columns) + tuple(batch.metas), keys)
+    values = np.concatenate([fs.values] + [c[:, None] for c, _ in batch], axis=1)
+    keys = fs.keys + tuple(content_hash(c) for c, _ in batch)
+    merged = fs.with_columns(values, tuple(fs.columns) + tuple(m for _, m in batch), keys)
     if merged.n_cols <= max_size:
         return merged
     target_key = content_hash(np.asarray(fs.target.values, dtype=np.float64))
@@ -805,7 +822,7 @@ def gae_state_oracle(fs: FeatureSet, k: int, epochs: int, seed: int,
 
     adj = correlation_adjacency(fs.values)
     feats = _standardize_columns(fs.values).T
-    w = init_gcn(fs.n_rows, k, np.random.default_rng(derive_seed(seed, "gae")))
+    w = fan_uniform(np.random.default_rng(derive_seed(seed, "gae")), fs.n_rows, k)
     n = adj.shape[0]
     for _ in range(epochs):
         prop = propagate(adj, feats)

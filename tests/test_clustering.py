@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from raft import clustering
 from raft.clustering import (
     adaptive_cluster,
     cut,
@@ -11,6 +12,7 @@ from raft.info_metrics import MICache
 from oracles import (
     agglomerative_oracle,
     euclidean_oracle,
+    halving_cluster_oracle,
     mean_linkage_oracle,
     merge_loop_oracle,
     pairwise_distance,
@@ -196,3 +198,56 @@ def test_adaptive_cluster_single_column():
     got = adaptive_cluster(fs, MICache(4))
     assert got == ((0,),)
 
+
+
+def score_case(rng, kind, n):
+    """A symmetric n x n score matrix with a zero diagonal: uniform, all
+    equal, equal to within a few ulps, small integers, near 1e307 (its mean
+    overflows) or mostly zero."""
+    if kind == "random":
+        upper = rng.uniform(0.0, 1.0, (n, n))
+    elif kind == "equal":
+        upper = np.full((n, n), rng.uniform(0.1, 10.0))
+    elif kind == "near_equal":
+        v = rng.uniform(0.1, 10.0)
+        upper = v + v * 2.0**-52 * rng.integers(-3, 4, (n, n))
+    elif kind == "integer":
+        upper = rng.integers(0, 4, (n, n)).astype(np.float64)
+    elif kind == "overflowing":
+        upper = rng.uniform(0.5e307, 1.7e307, (n, n))
+    else:
+        upper = rng.uniform(0.0, 1.0, (n, n)) * (rng.random((n, n)) < 0.1)
+    upper = np.triu(upper, 1)
+    return upper + upper.T
+
+
+@pytest.mark.parametrize("kind", ["random", "equal", "near_equal", "integer", "overflowing",
+                                  "sparse"])
+def test_adaptive_cluster_equals_the_halving_rule(monkeypatch, kind):
+    """One cut at the mean gives what halving the threshold up to 12 times
+    gave; the equal, near-equal and overflowing cases reach the old rule's
+    second round, where it returned singletons."""
+    rng = np.random.default_rng(3)
+    second_rounds = 0
+    for _ in range(150):
+        n = int(rng.integers(2, 30))
+        scores = score_case(rng, kind, n)
+        monkeypatch.setattr(clustering, "pair_score_matrix", lambda fs, cache: scores)
+        with np.errstate(over="ignore"):  # the overflowing mean warns
+            got = adaptive_cluster(random_feature_set(rng, 4, n), MICache(2))
+            want = halving_cluster_oracle(scores)
+            mean = float(np.mean(scores[np.triu_indices(n, k=1)]))
+            first = cut(merge_sequence(scores), n, mean)
+        assert got == want
+        if mean > 0.0 and len(first) == 1:
+            second_rounds += 1
+            assert got == tuple((i,) for i in range(n))
+    assert (second_rounds > 0) == (kind in ("equal", "near_equal", "overflowing"))
+
+
+def test_adaptive_cluster_equals_the_halving_rule_on_feature_sets():
+    rng = np.random.default_rng(9)
+    for _ in range(40):
+        fs = random_feature_set(rng, int(rng.integers(4, 40)), int(rng.integers(2, 12)))
+        assert adaptive_cluster(fs, MICache(4)) == halving_cluster_oracle(
+            pair_score_matrix(fs, MICache(4)))

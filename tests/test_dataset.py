@@ -80,9 +80,19 @@ def test_load_csv_error_names_the_file_line_past_blank_lines(tmp_path):
 
 @pytest.mark.parametrize("cell", ["1e400", "inf", "-Infinity", "-nan"])
 def test_load_csv_non_finite_cell_reports_location(tmp_path, cell):
-    p = write(tmp_path / "d.csv", f"a,b,y\n1,2,0\n3,{cell},1\n")
-    with pytest.raises(DatasetError, match=rf"^row 3, column 'b': non-finite value '{cell}'$"):
-        load_csv(p, "y")
+    # a feature cell, then a target cell
+    for column, row in (("b", f"3,{cell},1"), ("y", f"3,4,{cell}")):
+        p = write(tmp_path / "d.csv", f"a,b,y\n1,2,0\n{row}\n5,6,1\n")
+        with pytest.raises(DatasetError,
+                           match=rf"^row 3, column '{column}': non-finite value '{cell}'$"):
+            load_csv(p, "y")
+
+
+def test_load_csv_categorical_target_may_hold_inf_among_words(tmp_path):
+    p = write(tmp_path / "d.csv", "a,y\n1,cat\n2,inf\n3,dog\n4,inf\n")
+    fs = load_csv(p, "y")
+    assert fs.target.kind is TaskKind.CLASSIFICATION
+    np.testing.assert_array_equal(fs.target.values, [0, 2, 1, 2])
 
 
 # a regression target, a 0/1 target and a missing-value token as the target cell

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from raft.neural_core import derive_seed, init_gcn
+from raft.neural_core import derive_seed, fan_uniform
 from raft.state_repr import (
     LATENT_D,
     LATENT_K,
@@ -231,7 +231,7 @@ def test_gae_duplicate_columns_all_ones_adjacency():
     np.testing.assert_allclose(adj, np.ones((2, 2)), atol=1e-12)
     # identical nodes produce identical embeddings; the mean equals either row
     feats = fs.values.T
-    w = init_gcn(12, 4, np.random.default_rng(0))
+    w = fan_uniform(np.random.default_rng(0), 12, 4)
     z = gcn_forward(adj, (feats - feats.mean(axis=1, keepdims=True))
                     / feats.std(axis=1, keepdims=True), w)
     np.testing.assert_allclose(z[0], z[1], atol=1e-12)
@@ -253,7 +253,7 @@ def test_gae_identity_adjacency_closed_form():
     np.testing.assert_array_equal(correlation_adjacency(values), np.eye(2))
     seed = 6
     got = state_gae(fs, epochs=0, seed=seed)
-    w = init_gcn(4, LATENT_K, np.random.default_rng(derive_seed(seed, "gae")))
+    w = fan_uniform(np.random.default_rng(derive_seed(seed, "gae")), 4, LATENT_K)
     x = values.T / values.std(axis=0)[:, None]  # columns are already zero-mean
     want = np.maximum(x @ w, 0.0).mean(axis=0)
     np.testing.assert_allclose(got, want, rtol=1e-12)
@@ -267,7 +267,7 @@ def test_gae_training_reduces_reconstruction_loss():
     feats = (fs.values - fs.values.mean(0)) / np.where(fs.values.std(0) > 0,
                                                        fs.values.std(0), 1.0)
     feats = feats.T
-    w = init_gcn(30, 4, np.random.default_rng(derive_seed(7, "gae")))
+    w = fan_uniform(np.random.default_rng(derive_seed(7, "gae")), 30, 4)
     deg = adj.sum(axis=1)
     dinv = 1.0 / np.sqrt(deg)
     norm_adj = adj * dinv[:, None] * dinv[None, :]

@@ -25,7 +25,6 @@ from raft.info_metrics import MICache
 from raft.transform import (
     CROSS_CAP,
     MAX_LINEAGE_DEPTH,
-    GeneratedBatch,
     apply_unary,
     cross_binary,
     dedup,
@@ -66,20 +65,20 @@ def test_default_op_set_order():
 def test_apply_unary_square_names_and_values():
     fs = make_fs([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
     batch = apply_unary("square", fs)
-    assert [m.name for m in batch.metas] == ["square(f1)", "square(f2)"]
-    np.testing.assert_array_equal(batch.columns[0], [1.0, 9.0, 25.0])
+    assert [m.name for _, m in batch] == ["square(f1)", "square(f2)"]
+    np.testing.assert_array_equal(batch[0][0], [1.0, 9.0, 25.0])
 
 
 def test_apply_unary_sqrt_safe():
     fs = make_fs([[-4.0], [9.0]])
     batch = apply_unary("sqrt", fs)
-    np.testing.assert_array_equal(batch.columns[0], [2.0, 3.0])
+    np.testing.assert_array_equal(batch[0][0], [2.0, 3.0])
 
 
 def test_apply_unary_log_safe():
     fs = make_fs([[0.0], [math.e - 1.0]])
     batch = apply_unary("log", fs)
-    np.testing.assert_allclose(batch.columns[0], [0.0, 1.0], atol=1e-15)
+    np.testing.assert_allclose(batch[0][0], [0.0, 1.0], atol=1e-15)
 
 
 def test_apply_unary_respects_depth_bound():
@@ -93,7 +92,7 @@ def test_apply_unary_respects_depth_bound():
                                                                     MAX_LINEAGE_DEPTH]
     batch = apply_unary("square", fs.with_columns(fs.values, (shallow, deep)))
     # the deep column's square would exceed the bound
-    assert [m.lineage for m in batch.metas] == [Unary("square", shallow.lineage)]
+    assert [m.lineage for _, m in batch] == [Unary("square", shallow.lineage)]
 
 
 # ---------------------------------------------------------------------------
@@ -105,8 +104,8 @@ def test_cross_plus_single_pair():
     head = fs.take((0,))
     tail = fs.take((1,))
     batch = cross_binary("+", head, tail, run_cache(fs))
-    assert [m.name for m in batch.metas] == ["(a + b)"]
-    np.testing.assert_array_equal(batch.columns[0], [11.0, 22.0, 33.0])
+    assert [m.name for _, m in batch] == ["(a + b)"]
+    np.testing.assert_array_equal(batch[0][0], [11.0, 22.0, 33.0])
 
 
 def test_cross_head_major_order_and_count():
@@ -115,7 +114,7 @@ def test_cross_head_major_order_and_count():
     tail = fs.take((2, 3, 4))
     batch = cross_binary("-", head, tail, run_cache(fs))
     assert len(batch) == 6
-    assert [m.name for m in batch.metas] == [
+    assert [m.name for _, m in batch] == [
         "(a - c)", "(a - d)", "(a - e)", "(b - c)", "(b - d)", "(b - e)",
     ]
 
@@ -132,7 +131,7 @@ def test_cross_cap_keeps_highest_mi_pairs():
     fs = make_fs(np.column_stack(head + tail), y=y, names=names)
     batch = cross_binary("+", fs.take(range(9)), fs.take(range(9, 17)), MICache(4))
     # the highest MI sums survive, in head-major order
-    assert [m.name for m in batch.metas] == [f"(h{i} + t{j})" for i in range(1, 9)
+    assert [m.name for _, m in batch] == [f"(h{i} + t{j})" for i in range(1, 9)
                                              for j in range(1, 9)]
 
 
@@ -141,7 +140,7 @@ def test_cross_divide_safe():
     head = fs.take((0,))
     tail = fs.take((1,))
     batch = cross_binary("/", head, tail, run_cache(fs))
-    np.testing.assert_array_equal(batch.columns[0], [0.0, 2.0, 3.0])
+    np.testing.assert_array_equal(batch[0][0], [0.0, 2.0, 3.0])
 
 
 # ---------------------------------------------------------------------------
@@ -154,8 +153,8 @@ def test_dedup_drops_value_equal_columns():
     tail = fs.take((1,))
     plus = cross_binary("+", head, tail, run_cache(fs))
     fs_with = fs.with_columns(
-        np.concatenate([fs.values, plus.columns[0][:, None]], axis=1),
-        fs.columns + tuple(plus.metas))
+        np.concatenate([fs.values, plus[0][0][:, None]], axis=1),
+        fs.columns + (plus[0][1],))
     swapped = cross_binary("+", tail, head, run_cache(fs))  # (b + a): value-equal to (a + b)
     kept = dedup(swapped, fs_with)
     assert len(kept) == 0
@@ -164,7 +163,7 @@ def test_dedup_drops_value_equal_columns():
 def test_dedup_drops_constant_columns():
     fs = make_fs([[1.0], [2.0], [3.0]])
     batch = apply_unary("square", fs)
-    batch.columns[0] = np.full(3, 4.0)
+    batch[0] = (np.full(3, 4.0), batch[0][1])
     assert len(dedup(batch, fs)) == 0
 
 
@@ -212,7 +211,7 @@ def random_dedup_case(rng):
         batch.append(col)
     fs = make_fs(np.column_stack(existing))
     metas = [FeatureMeta.from_lineage(Ident(f"g{i}")) for i in range(len(batch))]
-    return fs, GeneratedBatch(batch, metas)
+    return fs, list(zip(batch, metas))
 
 
 @pytest.mark.parametrize("seed", range(100))
@@ -220,9 +219,9 @@ def test_dedup_matches_per_column_oracle(seed):
     fs, batch = random_dedup_case(np.random.default_rng(seed))
     got = dedup(batch, fs)
     want = dedup_oracle(batch, fs)
-    assert [meta.name for meta in got.metas] == [meta.name for meta in want.metas]
-    assert len(got.columns) == len(want.columns)
-    for a, b in zip(got.columns, want.columns):
+    assert [meta.name for _, meta in got] == [meta.name for _, meta in want]
+    assert len(got) == len(want)
+    for (a, _), (b, _) in zip(got, want):
         assert np.array_equal(a, b)
 
 
@@ -336,7 +335,7 @@ def step_and_oracle(fs, head, op, tail, max_size, warm):
     assert out.values.strides == want.values.strides
     assert out.names() == want.names()
     assert out.keys == want.keys == tuple(content_hash(c) for c in want.values.T)
-    columns = [*fs.values.T, *batch.columns]
+    columns = [*fs.values.T, *(col for col, _ in batch)]
     scores = MICache(bins).mi(columns, [content_hash(c) for c in columns], fs.target)
     return batch, scores
 
